@@ -20,6 +20,10 @@ let run () =
   let paths = sc.Vod_core.Scenario.paths in
   let disk = Vod_core.Scenario.uniform_disk sc ~multiple:2.0 in
   let week0 = Vod_workload.Trace.between_days sc.Vod_core.Scenario.trace ~day_lo:0 ~day_hi:7 in
+  let week0_store =
+    Vod_workload.Trace_soa.of_trace
+      { sc.Vod_core.Scenario.trace with Vod_workload.Trace.requests = week0; days = 7 }
+  in
   let windows = [ ("1 second", 1.0); ("1 minute", 60.0); ("1 hour", 3600.0); ("1 day", 86_400.0) ] in
   let rows =
     List.map
@@ -50,12 +54,10 @@ let run () =
                 ~catalog
                 ~cache_gb:(Array.make (Vod_topology.Graph.n_nodes graph) 0.0)
             in
-            let metrics =
-              Vod_sim.Metrics.create ~n_links:(Vod_topology.Graph.n_links graph)
-                ~horizon_s:(7.0 *. Vod_workload.Trace.seconds_per_day)
+            let metrics, _ =
+              Vod_serve.Loop.run_soa ~graph ~paths ~catalog ~fleet ~store:week0_store
                 ~bin_s:(Float.min 300.0 (Float.max 1.0 window_s)) ()
             in
-            Vod_sim.Sim.play metrics paths catalog fleet week0;
             let peak_series = Vod_sim.Metrics.peak_series metrics in
             let bin_s = metrics.Vod_sim.Metrics.bin_s in
             (* Max during the LP's chosen windows... *)

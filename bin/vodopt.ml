@@ -265,7 +265,7 @@ let soa_t =
     value & flag
     & info [ "soa" ]
         ~doc:
-          "Generate and play through the compact struct-of-arrays request store (16 bytes/request, off-heap). Output is byte-identical to the default array-backed path; this is the memory profile the million-video $(b,huge) bench tier uses.")
+          "Generate the trace through the windowed struct-of-arrays builder (bounded staging, 16 bytes/request, off-heap), the generator the million-video $(b,huge) bench tier uses. The trace, and so the output, is byte-identical to the default generator's; playout always runs over the compact store.")
 
 (* --faults SPEC: canned scenario name (optionally ":VHO") or a CSV path. *)
 let schedule_of_spec sc spec =
@@ -319,7 +319,6 @@ let simulate topology topology_file trace_file videos days rpv seed disk link pa
          ~link_capacity_mbps:link)
       with
       Vod_core.Pipeline.resil;
-      soa;
     }
   in
   let mip =

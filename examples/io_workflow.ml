@@ -56,15 +56,16 @@ let () =
       ~catalog:sc.Vod_core.Scenario.catalog
       ~cache_gb:(Array.map (fun d -> 0.05 *. d) disk)
   in
-  let metrics =
-    Vod_sim.Metrics.create
-      ~n_links:(Vod_topology.Graph.n_links sc.Vod_core.Scenario.graph)
-      ~horizon_s:(14.0 *. Vod_workload.Trace.seconds_per_day)
+  let week2 = Vod_workload.Trace.between_days trace ~day_lo:7 ~day_hi:14 in
+  let metrics, _ =
+    Vod_serve.Loop.run_soa ~graph:sc.Vod_core.Scenario.graph
+      ~paths:sc.Vod_core.Scenario.paths ~catalog:sc.Vod_core.Scenario.catalog
+      ~fleet
+      ~store:
+        (Vod_workload.Trace_soa.of_trace
+           { trace with Vod_workload.Trace.requests = week2; days = 14 })
       ()
   in
-  let week2 = Vod_workload.Trace.between_days trace ~day_lo:7 ~day_hi:14 in
-  Vod_sim.Sim.play metrics sc.Vod_core.Scenario.paths sc.Vod_core.Scenario.catalog
-    fleet week2;
   Printf.printf
     "audit replay of week 2: %d requests, %.1f%% local, peak link %.0f Mb/s\n"
     metrics.Vod_sim.Metrics.requests

@@ -37,10 +37,7 @@ type config = {
   bin_s : float;
   seed : int;
   resil : Vod_resil.Playout.config option;
-      (* Some _ switches playout to the fault-injecting engine *)
-  soa : bool;
-      (* play through the compact struct-of-arrays store (byte-identical
-         metrics; the million-request memory profile) *)
+      (* Some _ switches the serving loop to its faulted configuration *)
 }
 
 let default_config ~scenario ~disk_gb ~link_capacity_mbps =
@@ -54,7 +51,6 @@ let default_config ~scenario ~disk_gb ~link_capacity_mbps =
     bin_s = 300.0;
     seed = 7;
     resil = None;
-    soa = false;
   }
 
 type result = {
@@ -95,9 +91,9 @@ let fresh_metrics cfg =
     ~record_from:(float_of_int cfg.warmup_days *. Vod_workload.Trace.seconds_per_day)
     ()
 
-(* Both playout paths are configurations of the unified serving loop
-   (lib/serve): direct fixed-path serving, or — when the config carries
-   a fault/capacity setup — the failover-routing configuration. *)
+(* Playout runs on the serving loop (lib/serve): direct fixed-path
+   serving, or — when the config carries a fault/capacity setup — the
+   failover-routing configuration. *)
 let make_engine cfg ~fleet =
   let sc = cfg.scenario in
   Vod_serve.Loop.create ~graph:sc.Scenario.graph ~paths:sc.Scenario.paths
@@ -178,21 +174,13 @@ let run_mip cfg (m : mip_config) =
       ~catalog:sc.Scenario.catalog ~cache_gb
   in
   let engine = make_engine cfg ~fleet:(fleet_of !current) in
-  (* SoA playout: the compact store replaces the boxed batches in the
-     serving hot path; segment ranges come from the same binary search
-     over the (identically sorted) time column, so the metrics are
-     byte-identical (asserted by test/test_soa.ml). *)
-  let store =
-    if cfg.soa then Some (Vod_workload.Trace_soa.of_trace trace) else None
-  in
+  (* Segments play as row ranges of the compact store: the same binary
+     search over the identically ordered time column that slices the
+     boxed trace. *)
+  let store = Vod_workload.Trace_soa.of_trace trace in
   let play ~day_lo ~day_hi =
-    match store with
-    | Some s ->
-        let lo, hi = Vod_workload.Trace_soa.between_days s ~day_lo ~day_hi in
-        Vod_serve.Loop.play_soa engine metrics s ~lo ~hi
-    | None ->
-        let batch = Vod_workload.Trace.between_days trace ~day_lo ~day_hi in
-        Vod_serve.Loop.play engine metrics batch
+    let lo, hi = Vod_workload.Trace_soa.between_days store ~day_lo ~day_hi in
+    Vod_serve.Loop.play_soa engine metrics store ~lo ~hi
   in
   let segment_bounds = updates @ [ trace.Vod_workload.Trace.days ] in
   let prev_day = ref 0 in
@@ -245,14 +233,9 @@ let run_cache_scheme cfg scheme =
     | Mip _ -> invalid_arg "run_cache_scheme: use run_mip"
   in
   let engine = make_engine cfg ~fleet in
-  (if cfg.soa then begin
-     let store = Vod_workload.Trace_soa.of_trace sc.Scenario.trace in
-     Vod_serve.Loop.play_soa engine metrics store ~lo:0
-       ~hi:(Vod_workload.Trace_soa.length store)
-   end
-   else
-     Vod_serve.Loop.play engine metrics
-       sc.Scenario.trace.Vod_workload.Trace.requests);
+  let store = Vod_workload.Trace_soa.of_trace sc.Scenario.trace in
+  Vod_serve.Loop.play_soa engine metrics store ~lo:0
+    ~hi:(Vod_workload.Trace_soa.length store);
   Vod_serve.Loop.finish engine metrics;
   {
     scheme_name = scheme_name cfg scheme;

@@ -31,12 +31,8 @@ type config = {
   bin_s : float;
   seed : int;
   resil : Vod_resil.Playout.config option;
-      (** [Some _] plays out through the fault-injecting engine
-          (lib/resil) instead of the legacy one *)
-  soa : bool;
-      (** play through the compact struct-of-arrays store
-          ({!Vod_workload.Trace_soa}) — byte-identical metrics, the
-          million-request memory profile *)
+      (** [Some _] plays out through the serving loop's faulted
+          configuration instead of its direct one *)
 }
 
 (** 9 warm-up days, |T| = 2 one-hour windows, 5-minute bins, no faults. *)
@@ -58,7 +54,9 @@ type result = {
       (** per-event serving windows; [[]] without a resil config *)
 }
 
-(** Run one scheme over the scenario's full trace. *)
+(** Run one scheme over the scenario's full trace, played through the
+    serving loop ([Vod_serve.Loop]) from a compact copy of the trace
+    ({!Vod_workload.Trace_soa.of_trace}, same row order). *)
 val run : config -> scheme -> result
 
 (** Human-readable scheme label. *)

@@ -36,13 +36,14 @@ let realized_overload (sc : Scenario.t) (inst : Vod_placement.Instance.t)
     Vod_cache.Fleet.mip ~solution ~paths:sc.Scenario.paths ~catalog:sc.Scenario.catalog
       ~cache_gb:(Array.make n 0.0)
   in
-  let metrics =
-    Vod_sim.Metrics.create
-      ~n_links:(Vod_topology.Graph.n_links sc.Scenario.graph)
-      ~horizon_s:(float_of_int days *. Vod_workload.Trace.seconds_per_day)
-      ~bin_s:window_s ()
+  (* [requests] is already time-sorted, and of_trace keeps its order. *)
+  let store =
+    Vod_workload.Trace_soa.of_trace { Vod_workload.Trace.requests; n_vhos = n; days }
   in
-  Vod_sim.Sim.play metrics sc.Scenario.paths sc.Scenario.catalog fleet requests;
+  let metrics, _ =
+    Vod_serve.Loop.run_soa ~graph:sc.Scenario.graph ~paths:sc.Scenario.paths
+      ~catalog:sc.Scenario.catalog ~fleet ~store ~bin_s:window_s ()
+  in
   (* Per-bin worst utilization relative to each link's capacity. *)
   Array.init metrics.Vod_sim.Metrics.n_bins (fun b ->
       let worst = ref 0.0 in

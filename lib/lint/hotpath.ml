@@ -24,19 +24,9 @@ let pool_task_label entry = if entry = "Pool.map_reduce" then "map" else "f"
    request/iteration so even its straight-line allocations count. *)
 let roots =
   [
-    ("Sim.play", "playout", 1, false);
-    ("Sim.play_soa", "playout", 1, false);
-    ("Sim.run", "playout", 1, false);
-    ("Sim.run_soa", "playout", 1, false);
-    ("Playout.play", "resil/playout", 2, false);
-    ("Playout.play_soa", "resil/playout", 2, false);
-    ("Playout.run", "resil/playout", 2, false);
-    ("Playout.run_soa", "resil/playout", 2, false);
-    ("Loop.play", "serve/play", 2, false);
-    ("Loop.play_direct_soa", "serve/play", 2, false);
-    ("Loop.play_faulted_soa", "serve/play", 2, false);
+    ("Loop.play_direct", "serve/play", 1, false);
+    ("Loop.play_faulted", "serve/play", 2, false);
     ("Loop.play_soa", "serve/play", 2, false);
-    ("Loop.run", "serve/play", 2, false);
     ("Loop.run_soa", "serve/play", 2, false);
     ("Capacity.fits", "resil/capacity", 3, true);
     ("Capacity.reserve", "resil/capacity", 3, true);

@@ -5,10 +5,11 @@
 
     - every {!Vod_util.Pool} task body ([Pool.map]/[mapi]/[iteri]/
       [map_reduce] arguments), and
-    - a fixed root table covering the serving inner loops: [Sim.play]/
-      [Sim.run], [Resil.Playout.play]/[run], [Resil.Capacity.fits]/
-      [reserve]/[expire], [Resil.Router.route], [Fleet.serve]/
-      [serve_routed], [Metrics.add_stream].
+    - a fixed root table covering the serving inner loops:
+      [Serve.Loop.play_direct]/[play_faulted]/[play_soa]/[run_soa],
+      [Resil.Capacity.fits]/[reserve]/[expire], [Resil.Router.route],
+      [Fleet.serve]/[serve_routed], [Metrics.add_stream], plus the
+      Benders master's [Master.solve].
 
     Each root carries the {!Vod_obs} phase-timer name it runs under and
     a rank, so findings cite the hot phase they sit in and can be

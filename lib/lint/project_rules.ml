@@ -57,7 +57,7 @@ let all =
       doc =
         "heap allocation (closure, list, tuple, ref, boxed float) inside the \
          call-graph closure of Pool task bodies or the serving inner loops \
-         (Sim/Playout/Capacity/Router/Fleet/Metrics), ranked by obs phase";
+         (Loop/Capacity/Router/Fleet/Metrics), ranked by obs phase";
     };
     {
       id = "proto-leak";

@@ -2,8 +2,8 @@
    stream reserves its bitrate on every link of its path until its end
    time; a binary min-heap of expiries releases the bandwidth as the
    playout clock advances. With no finite capacities the tracker is a
-   no-op fast path, which is what makes the fault-free playout
-   byte-identical to the legacy engine.
+   no-op fast path, which is what makes the fault-free faulted playout
+   byte-identical to direct serving.
 
    Saturation accounting: a link is saturated while its load is at or
    above [saturation_frac * capacity]; total saturated link-seconds are

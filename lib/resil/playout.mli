@@ -1,8 +1,9 @@
-(** Resilience playout: the legacy trace playout extended with a fault
-    timeline ({!Event}), capacity-aware failover routing ({!Router}) and
-    degradation accounting ({!Vod_sim.Metrics.degradation}). With an
-    empty schedule and infinite link capacity it reproduces
-    [Vod_sim.Sim.run]'s metrics byte-for-byte. *)
+(** Resilience configuration of the serving loop ([Vod_serve.Loop]): a
+    fault timeline ({!Event}), capacity-aware failover routing
+    ({!Router}) and degradation accounting
+    ([Vod_sim.Metrics.degradation]). With an empty schedule and
+    infinite link capacity the faulted loop reproduces the direct one's
+    metrics byte-for-byte. *)
 
 type config = {
   schedule : Event.schedule;
@@ -32,68 +33,3 @@ type window = {
   rejections : int;
   failovers : int;
 }
-
-type t
-
-(** Fresh playout over the base fixed routing. Raises
-    [Invalid_argument] if the schedule references ids outside the
-    topology. *)
-val create : graph:Vod_topology.Graph.t -> paths:Vod_topology.Paths.t -> config -> t
-
-(** Incremental playout of one time-sorted batch (the weekly pipeline
-    plays segment by segment); accounting matches [Vod_sim.Sim.play] for
-    served requests and adds rejection/failover/degradation counters. *)
-val play :
-  t ->
-  Vod_sim.Metrics.t ->
-  Vod_workload.Catalog.t ->
-  Vod_cache.Fleet.t ->
-  Vod_workload.Trace.request array ->
-  unit
-
-(** Columnar twin of {!play}: rows [[lo, hi)) of a compact
-    struct-of-arrays store, iterated by index with the per-request
-    ref/closure pair replaced by batch-level scratch — the request loop
-    allocates nothing. Byte-identical metrics to {!play} on the
-    equivalent request slice. *)
-val play_soa :
-  t ->
-  Vod_sim.Metrics.t ->
-  Vod_workload.Catalog.t ->
-  Vod_cache.Fleet.t ->
-  Vod_workload.Trace_soa.t ->
-  lo:int ->
-  hi:int ->
-  unit
-
-(** Drain the remaining schedule, close saturation intervals, publish
-    end-of-run degradation gauges and the final window. Idempotent;
-    call once after the last [play] batch. *)
-val finish : t -> Vod_sim.Metrics.t -> unit
-
-(** Windows closed so far, in time order (complete after [finish]). *)
-val windows : t -> window list
-
-(** One-shot playout of a full trace; mirrors [Vod_sim.Sim.run]. *)
-val run :
-  graph:Vod_topology.Graph.t ->
-  paths:Vod_topology.Paths.t ->
-  catalog:Vod_workload.Catalog.t ->
-  fleet:Vod_cache.Fleet.t ->
-  trace:Vod_workload.Trace.t ->
-  ?bin_s:float ->
-  ?record_from:float ->
-  config ->
-  Vod_sim.Metrics.t * window list
-
-(** One-shot playout of a full compact store (columnar twin of {!run}). *)
-val run_soa :
-  graph:Vod_topology.Graph.t ->
-  paths:Vod_topology.Paths.t ->
-  catalog:Vod_workload.Catalog.t ->
-  fleet:Vod_cache.Fleet.t ->
-  store:Vod_workload.Trace_soa.t ->
-  ?bin_s:float ->
-  ?record_from:float ->
-  config ->
-  Vod_sim.Metrics.t * window list

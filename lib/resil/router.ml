@@ -1,6 +1,6 @@
 (* Capacity-aware failover routing. For each remote request the router
    tries, in order: the fleet's fault-free server choice (so a fault-free
-   playout reproduces the legacy engine exactly, including MIP x-variable
+   playout reproduces direct serving exactly, including MIP x-variable
    routing), then every other alive holder by (surviving-path hops, VHO
    id), then the origin server, and finally records an explicit
    rejection. Paths are the base fixed routing until the first link

@@ -139,9 +139,16 @@ let run ~graph ~paths ~catalog ~(trace : Vod_workload.Trace.t)
       ]
   in
   let n_videos = Vod_workload.Catalog.n_videos catalog in
+  (* Requests play as row ranges of a compact copy of the trace (same
+     row order), between consecutive boundaries. *)
+  let store = Vod_workload.Trace_soa.of_trace trace in
   let prev = ref 0.0 in
-  (* Replan.solve/restrict and Loop.play validate their inputs and can
-     raise mid-horizon; Loop.finish is idempotent, so settling the
+  let play_until t1_s =
+    let lo, hi = Vod_workload.Trace_soa.between store ~t0_s:!prev ~t1_s in
+    Loop.play_soa loop metrics store ~lo ~hi
+  in
+  (* Replan.solve/restrict and Loop.play_soa validate their inputs and
+     can raise mid-horizon; Loop.finish is idempotent, so settling the
      capacity ledger under Fun.protect keeps the normal path
      byte-identical while closing it on the exceptional one. *)
   Fun.protect
@@ -149,7 +156,7 @@ let run ~graph ~paths ~catalog ~(trace : Vod_workload.Trace.t)
     (fun () ->
       List.iter
         (fun (t_b, trigger) ->
-          Loop.play loop metrics (Vod_workload.Trace.between trace ~t0_s:!prev ~t1_s:t_b);
+          play_until t_b;
           Loop.advance loop ~now:t_b;
           let predicted =
             Vod_workload.Estimator.predict_at ~history_s:cfg.history_s cfg.estimator
@@ -194,8 +201,7 @@ let run ~graph ~paths ~catalog ~(trace : Vod_workload.Trace.t)
                 delta.Replan.moved_gb);
           prev := t_b)
         (boundaries cfg ?resil ~horizon_s ());
-      Loop.play loop metrics
-        (Vod_workload.Trace.between trace ~t0_s:!prev ~t1_s:horizon_s));
+      play_until horizon_s);
   let replans = List.rev !replans in
   Log.info (fun m ->
       m "daemon: %d replans, %d requests, local %.1f%%, %d rejections"

@@ -1,21 +1,24 @@
-(* The unified serving engine: one event loop that drives a fleet with a
-   time-sorted request batch, in either of two configurations.
+(* The serving engine: one event loop that drives a fleet with the
+   time-sorted rows of a compact request store (Vod_workload.Trace_soa),
+   in either of two configurations.
 
-   - Direct: the legacy fixed-path playout (lib/sim/sim.ml) — every
-     request is served by the fleet's own choice over the precomputed
-     shortest paths, with no fault timeline and no capacity tracking.
-   - Faulted: the resilience playout (lib/resil/playout.ml) — a fault
-     timeline advances between requests, rejected/failover/degradation
-     accounting applies, and remote streams route through the
-     capacity-aware failover router.
+   - Direct: every request is served by the fleet's own choice over the
+     precomputed shortest paths, with no fault timeline and no capacity
+     tracking (the paper's Sec. VII-A playout).
+   - Faulted: a fault timeline advances between requests,
+     rejected/failover/degradation accounting applies, and remote
+     streams route through the capacity-aware failover router.
 
-   Both configurations produce Vod_sim.Metrics byte-for-byte identical
-   to the legacy engines they replace (asserted by test/test_serve.ml);
-   the legacy modules stay in the tree as the comparison references.
-   The seams are pluggable by construction: the placement source is the
-   mutable [fleet] (swapped mid-run by the batch pipeline and the
-   re-placement daemon via [set_fleet]), and the router/capacity pair
-   arrives bundled in an optional [Vod_resil.Playout.config]. *)
+   The two bodies stay separate on purpose: direct serving goes through
+   [Fleet.serve], faulted serving through [Fleet.serve_routed] and the
+   Router, so with an empty schedule and infinite capacity the faulted
+   configuration cross-checks the direct one (test/test_resil.ml). They
+   share the served-outcome accounting below. Their metrics match the
+   recorded outputs of the engines this loop replaced (test/golden/).
+   The placement source is the mutable [fleet] (swapped mid-run by the
+   batch pipeline and the re-placement daemon via [set_fleet]); the
+   router/capacity pair arrives bundled in an optional
+   [Vod_resil.Playout.config]. *)
 
 module Obs = Vod_obs.Obs
 module Event = Vod_resil.Event
@@ -23,16 +26,20 @@ module State = Vod_resil.State
 module Capacity = Vod_resil.Capacity
 module Router = Vod_resil.Router
 module Playout = Vod_resil.Playout
+module Metrics = Vod_sim.Metrics
+module Fleet = Vod_cache.Fleet
+module Soa = Vod_workload.Trace_soa
+module Video = Vod_workload.Video
 
-let src = Logs.Src.create "vod.serve" ~doc:"unified serving engine"
+let src = Logs.Src.create "vod.serve" ~doc:"serving engine"
 
 module Log = (val Logs.src_log src : Logs.LOG)
 
 (* Fault-mode machinery plus per-request routing scratch. The scratch
-   fields replace the per-request ref cell and closures the legacy
-   playout allocates: [route] and [on_event] are built once at [create]
-   and read the current request's parameters out of the record, so the
-   request loop itself stays allocation-free (alloc-in-hot). *)
+   fields stand in for a per-request ref cell and closure: [route] and
+   [on_event] are built once at [create] and read the current request's
+   parameters out of the record, so the request loop itself stays
+   allocation-free (alloc-in-hot). *)
 type faulted = {
   state : State.t;
   capacity : Capacity.t;
@@ -56,16 +63,16 @@ type faulted = {
 type t = {
   paths : Vod_topology.Paths.t;
   catalog : Vod_workload.Catalog.t;
-  mutable fleet : Vod_cache.Fleet.t;
+  mutable fleet : Fleet.t;
   faulted : faulted option;
   mutable finished : bool;
 }
 
-let close_window f ~now ~trigger =
+let close_window f ~now_s ~trigger =
   f.windows_rev <-
     {
       Playout.t0_s = f.win_t0;
-      t1_s = now;
+      t1_s = now_s;
       trigger = f.win_trigger;
       requests = f.win_requests;
       rejections = f.win_rejections;
@@ -75,7 +82,7 @@ let close_window f ~now ~trigger =
   Obs.push "serve/window/requests" (float_of_int f.win_requests);
   Obs.push "serve/window/rejections" (float_of_int f.win_rejections);
   Obs.push "serve/window/failovers" (float_of_int f.win_failovers);
-  f.win_t0 <- now;
+  f.win_t0 <- now_s;
   f.win_trigger <- trigger;
   f.win_requests <- 0;
   f.win_rejections <- 0;
@@ -87,14 +94,14 @@ let apply_event f (e : Event.t) =
   | Event.Link_down _ | Event.Link_up _ -> Router.on_link_event f.router
   | Event.Vho_down _ | Event.Vho_up _ | Event.Surge_start _ | Event.Surge_end _
     -> ());
-  close_window f ~now:e.Event.time_s ~trigger:(Event.kind_to_string e.Event.kind)
+  close_window f ~now_s:e.Event.time_s ~trigger:(Event.kind_to_string e.Event.kind)
 
 (* Route the request whose parameters sit in the scratch fields; the
    decision is parked for the stream-accounting step below. *)
 let route_scratch t f ~default =
   let d =
     Router.route f.router
-      ~holders:(Vod_cache.Fleet.holders t.fleet ~video:f.cur_video)
+      ~holders:(Fleet.holders t.fleet ~video:f.cur_video)
       ~dst:f.cur_vho ~default ~rate_mbps:f.cur_rate ~until_s:f.cur_until
       ~now:f.cur_now
   in
@@ -173,491 +180,221 @@ let advance t ~now =
       ignore (State.advance f.state ~now ~on_event:f.on_event : int);
       Capacity.expire f.capacity ~now
 
+(* ---- served-outcome accounting (both configurations) ----------------- *)
+
+(* Hoisted out of the request loop (alloc-in-hot): a local definition
+   per request would allocate a closure per request. *)
+let count_request metrics ~track_per_vho ~vho =
+  metrics.Metrics.requests <- metrics.Metrics.requests + 1;
+  if track_per_vho then
+    metrics.Metrics.per_vho_requests.(vho) <-
+      metrics.Metrics.per_vho_requests.(vho) + 1
+
+(* A recorded request some replica served: the request itself, then the
+   local/remote split and its cache counters. *)
+let count_served metrics ~track_per_vho ~vho (outcome : Fleet.outcome) =
+  count_request metrics ~track_per_vho ~vho;
+  if outcome.Fleet.local then begin
+    metrics.Metrics.local_served <- metrics.Metrics.local_served + 1;
+    if track_per_vho then
+      metrics.Metrics.per_vho_local.(vho) <-
+        metrics.Metrics.per_vho_local.(vho) + 1;
+    if outcome.Fleet.cache_hit then
+      metrics.Metrics.cache_hits <- metrics.Metrics.cache_hits + 1
+  end
+  else begin
+    metrics.Metrics.remote_served <- metrics.Metrics.remote_served + 1;
+    if outcome.Fleet.not_cachable then
+      metrics.Metrics.not_cachable <- metrics.Metrics.not_cachable + 1
+  end
+
+(* A remote stream of video [v] started at [now]: its rate onto every
+   link of its path for the playback and, when recorded, its transfer
+   volume. [surge] scales rate and size; the direct configuration passes
+   1.0, and x *. 1.0 = x exactly, so both configurations keep one float
+   operation order. *)
+let add_remote metrics ~record ~links ~hops ~surge ~now (v : Video.t) =
+  let rate = Video.rate_mbps v *. surge in
+  let t1 = now +. Video.duration_s v in
+  (* Explicit loop: an [Array.iter] lambda here is a fresh closure per
+     remote request (alloc-in-hot). *)
+  for l = 0 to Array.length links - 1 do
+    Metrics.add_stream metrics ~link:links.(l) ~rate_mbps:rate ~t0:now ~t1
+  done;
+  if record then begin
+    let hops = float_of_int hops in
+    let gb = Video.size_gb v *. surge in
+    metrics.Metrics.total_gb_hops <-
+      metrics.Metrics.total_gb_hops +. (gb *. hops);
+    metrics.Metrics.total_gb_remote <- metrics.Metrics.total_gb_remote +. gb
+  end
+
 (* ---- direct configuration -------------------------------------------- *)
 
-(* Field-for-field the body of Vod_sim.Sim.play: same serve call, same
-   counter updates, same float operation order in the stream accounting
-   (the byte-for-byte contract). *)
-let play_direct t metrics (requests : Vod_workload.Trace.request array) =
-  let track_per_vho =
-    Array.length metrics.Vod_sim.Metrics.per_vho_requests > 0
-  in
-  Array.iter
-    (fun (r : Vod_workload.Trace.request) ->
-      let now = r.Vod_workload.Trace.time_s in
-      let video = r.Vod_workload.Trace.video in
-      let vho = r.Vod_workload.Trace.vho in
-      let outcome = Vod_cache.Fleet.serve t.fleet ~video ~vho ~now in
-      let record = Vod_sim.Metrics.in_record_window metrics now in
-      if record then begin
-        metrics.Vod_sim.Metrics.requests <- metrics.Vod_sim.Metrics.requests + 1;
-        if track_per_vho then
-          metrics.Vod_sim.Metrics.per_vho_requests.(vho) <-
-            metrics.Vod_sim.Metrics.per_vho_requests.(vho) + 1;
-        if outcome.Vod_cache.Fleet.local then begin
-          metrics.Vod_sim.Metrics.local_served <-
-            metrics.Vod_sim.Metrics.local_served + 1;
-          if track_per_vho then
-            metrics.Vod_sim.Metrics.per_vho_local.(vho) <-
-              metrics.Vod_sim.Metrics.per_vho_local.(vho) + 1;
-          if outcome.Vod_cache.Fleet.cache_hit then
-            metrics.Vod_sim.Metrics.cache_hits <-
-              metrics.Vod_sim.Metrics.cache_hits + 1
-        end
-        else begin
-          metrics.Vod_sim.Metrics.remote_served <-
-            metrics.Vod_sim.Metrics.remote_served + 1;
-          if outcome.Vod_cache.Fleet.not_cachable then
-            metrics.Vod_sim.Metrics.not_cachable <-
-              metrics.Vod_sim.Metrics.not_cachable + 1
-        end
-      end;
-      if not outcome.Vod_cache.Fleet.local then begin
-        let server = outcome.Vod_cache.Fleet.server in
-        let v = Vod_workload.Catalog.video t.catalog video in
-        let rate = Vod_workload.Video.rate_mbps v in
-        let dur = Vod_workload.Video.duration_s v in
-        let links = Vod_topology.Paths.path_links t.paths ~src:server ~dst:vho in
-        (* Explicit loop: an [Array.iter] lambda here is a fresh closure
-           per remote request, in the hottest loop (alloc-in-hot). *)
-        let t1 = now +. dur in
-        for i = 0 to Array.length links - 1 do
-          Vod_sim.Metrics.add_stream metrics ~link:links.(i) ~rate_mbps:rate
-            ~t0:now ~t1
-        done;
-        if record then begin
-          let hops =
-            float_of_int (Vod_topology.Paths.hops t.paths ~src:server ~dst:vho)
-          in
-          let gb = Vod_workload.Video.size_gb v in
-          metrics.Vod_sim.Metrics.total_gb_hops <-
-            metrics.Vod_sim.Metrics.total_gb_hops +. (gb *. hops);
-          metrics.Vod_sim.Metrics.total_gb_remote <-
-            metrics.Vod_sim.Metrics.total_gb_remote +. gb
-        end
-      end)
-    requests
-
-(* Columnar twin of [play_direct]: rows [lo, hi) of a struct-of-arrays
-   store, iterated by index — no boxed request, no per-row closure, the
-   same serve call and float operation order, so the metrics are
-   byte-for-byte those of [play_direct] on the equivalent slice
-   (asserted by test/test_soa.ml). Kept field-for-field in sync with
-   [play_direct] above. *)
-let play_direct_soa t metrics (soa : Vod_workload.Trace_soa.t) ~lo ~hi =
-  let track_per_vho =
-    Array.length metrics.Vod_sim.Metrics.per_vho_requests > 0
-  in
+let play_direct t metrics (soa : Soa.t) ~lo ~hi =
+  let track_per_vho = Array.length metrics.Metrics.per_vho_requests > 0 in
   for i = lo to hi - 1 do
-    let now = Vod_workload.Trace_soa.time soa i in
-    let video = Vod_workload.Trace_soa.video soa i in
-    let vho = Vod_workload.Trace_soa.vho soa i in
-    let outcome = Vod_cache.Fleet.serve t.fleet ~video ~vho ~now in
-    let record = Vod_sim.Metrics.in_record_window metrics now in
-    if record then begin
-      metrics.Vod_sim.Metrics.requests <- metrics.Vod_sim.Metrics.requests + 1;
-      if track_per_vho then
-        metrics.Vod_sim.Metrics.per_vho_requests.(vho) <-
-          metrics.Vod_sim.Metrics.per_vho_requests.(vho) + 1;
-      if outcome.Vod_cache.Fleet.local then begin
-        metrics.Vod_sim.Metrics.local_served <-
-          metrics.Vod_sim.Metrics.local_served + 1;
-        if track_per_vho then
-          metrics.Vod_sim.Metrics.per_vho_local.(vho) <-
-            metrics.Vod_sim.Metrics.per_vho_local.(vho) + 1;
-        if outcome.Vod_cache.Fleet.cache_hit then
-          metrics.Vod_sim.Metrics.cache_hits <-
-            metrics.Vod_sim.Metrics.cache_hits + 1
-      end
-      else begin
-        metrics.Vod_sim.Metrics.remote_served <-
-          metrics.Vod_sim.Metrics.remote_served + 1;
-        if outcome.Vod_cache.Fleet.not_cachable then
-          metrics.Vod_sim.Metrics.not_cachable <-
-            metrics.Vod_sim.Metrics.not_cachable + 1
-      end
-    end;
-    if not outcome.Vod_cache.Fleet.local then begin
-      let server = outcome.Vod_cache.Fleet.server in
-      let v = Vod_workload.Catalog.video t.catalog video in
-      let rate = Vod_workload.Video.rate_mbps v in
-      let dur = Vod_workload.Video.duration_s v in
-      let links = Vod_topology.Paths.path_links t.paths ~src:server ~dst:vho in
-      let t1 = now +. dur in
-      for l = 0 to Array.length links - 1 do
-        Vod_sim.Metrics.add_stream metrics ~link:links.(l) ~rate_mbps:rate
-          ~t0:now ~t1
-      done;
-      if record then begin
-        let hops =
-          float_of_int (Vod_topology.Paths.hops t.paths ~src:server ~dst:vho)
-        in
-        let gb = Vod_workload.Video.size_gb v in
-        metrics.Vod_sim.Metrics.total_gb_hops <-
-          metrics.Vod_sim.Metrics.total_gb_hops +. (gb *. hops);
-        metrics.Vod_sim.Metrics.total_gb_remote <-
-          metrics.Vod_sim.Metrics.total_gb_remote +. gb
-      end
+    let now = Soa.time soa i in
+    let video = Soa.video soa i in
+    let vho = Soa.vho soa i in
+    let outcome = Fleet.serve t.fleet ~video ~vho ~now in
+    let record = Metrics.in_record_window metrics now in
+    if record then count_served metrics ~track_per_vho ~vho outcome;
+    if not outcome.Fleet.local then begin
+      let server = outcome.Fleet.server in
+      add_remote metrics ~record
+        ~links:(Vod_topology.Paths.path_links t.paths ~src:server ~dst:vho)
+        ~hops:(Vod_topology.Paths.hops t.paths ~src:server ~dst:vho)
+        ~surge:1.0 ~now
+        (Vod_workload.Catalog.video t.catalog video)
     end
   done
 
 (* ---- faulted configuration ------------------------------------------- *)
 
-let reject_obs reason =
-  Obs.incr "serve/rejections";
-  Obs.incr ("serve/rejections/" ^ Router.reject_reason_to_string reason)
-
-let account_reject (metrics : Vod_sim.Metrics.t) (reason : Router.reject_reason)
-    =
-  let deg = metrics.Vod_sim.Metrics.deg in
-  deg.Vod_sim.Metrics.rejections <- deg.Vod_sim.Metrics.rejections + 1;
+(* A recorded request nobody served, for [reason]. *)
+let reject f metrics ~track_per_vho ~vho (reason : Router.reject_reason) =
+  count_request metrics ~track_per_vho ~vho;
+  let deg = metrics.Metrics.deg in
+  deg.Metrics.rejections <- deg.Metrics.rejections + 1;
   (match reason with
   | Router.Vho_down ->
-      deg.Vod_sim.Metrics.rejected_vho_down <-
-        deg.Vod_sim.Metrics.rejected_vho_down + 1
+      deg.Metrics.rejected_vho_down <- deg.Metrics.rejected_vho_down + 1
   | Router.No_replica ->
-      deg.Vod_sim.Metrics.rejected_no_replica <-
-        deg.Vod_sim.Metrics.rejected_no_replica + 1
+      deg.Metrics.rejected_no_replica <- deg.Metrics.rejected_no_replica + 1
   | Router.Unreachable ->
-      deg.Vod_sim.Metrics.rejected_unreachable <-
-        deg.Vod_sim.Metrics.rejected_unreachable + 1
+      deg.Metrics.rejected_unreachable <- deg.Metrics.rejected_unreachable + 1
   | Router.No_capacity ->
-      deg.Vod_sim.Metrics.rejected_no_capacity <-
-        deg.Vod_sim.Metrics.rejected_no_capacity + 1);
-  reject_obs reason
+      deg.Metrics.rejected_no_capacity <- deg.Metrics.rejected_no_capacity + 1);
+  Obs.incr "serve/rejections";
+  Obs.incr ("serve/rejections/" ^ Router.reject_reason_to_string reason);
+  f.win_rejections <- f.win_rejections + 1
 
-(* Hoisted out of the request loop (alloc-in-hot): a local definition
-   per request would allocate a closure per request. *)
-let count_request metrics ~track_per_vho ~vho =
-  metrics.Vod_sim.Metrics.requests <- metrics.Vod_sim.Metrics.requests + 1;
-  if track_per_vho then
-    metrics.Vod_sim.Metrics.per_vho_requests.(vho) <-
-      metrics.Vod_sim.Metrics.per_vho_requests.(vho) + 1
+(* Degradation and telemetry of a recorded, served remote stream. *)
+let count_route f metrics ~surge (s : Router.served) =
+  let deg = metrics.Metrics.deg in
+  if surge > 1.0 then Obs.incr "serve/surged_streams";
+  if s.Router.failover then begin
+    deg.Metrics.failovers <- deg.Metrics.failovers + 1;
+    deg.Metrics.failover_extra_hops <-
+      deg.Metrics.failover_extra_hops + s.Router.extra_hops;
+    f.win_failovers <- f.win_failovers + 1;
+    Obs.incr "serve/failovers";
+    if s.Router.extra_hops > 0 then
+      Obs.incr ~by:s.Router.extra_hops "serve/failover_extra_hops"
+  end;
+  if s.Router.via_origin then begin
+    deg.Metrics.origin_served <- deg.Metrics.origin_served + 1;
+    Obs.incr "serve/origin_served"
+  end
 
-(* Field-for-field the body of Vod_resil.Playout.play, with the
-   per-request ref/closure pair replaced by the scratch fields. *)
-let play_faulted t f metrics (requests : Vod_workload.Trace.request array) =
-  let track_per_vho =
-    Array.length metrics.Vod_sim.Metrics.per_vho_requests > 0
-  in
-  let deg = metrics.Vod_sim.Metrics.deg in
-  Array.iter
-    (fun (r : Vod_workload.Trace.request) ->
-      let now = r.Vod_workload.Trace.time_s in
-      let video = r.Vod_workload.Trace.video in
-      let vho = r.Vod_workload.Trace.vho in
-      ignore (State.advance f.state ~now ~on_event:f.on_event : int);
-      Capacity.expire f.capacity ~now;
-      let record = Vod_sim.Metrics.in_record_window metrics now in
-      if record then f.win_requests <- f.win_requests + 1;
-      if not (State.vho_up f.state vho) then begin
-        (* The requesting VHO is dark: nobody there to serve. *)
-        if record then begin
-          count_request metrics ~track_per_vho ~vho;
-          account_reject metrics Router.Vho_down;
-          f.win_rejections <- f.win_rejections + 1
-        end
-      end
-      else begin
-        let v = Vod_workload.Catalog.video t.catalog video in
-        let surge = State.surge f.state vho in
-        let rate = Vod_workload.Video.rate_mbps v *. surge in
-        let dur = Vod_workload.Video.duration_s v in
-        f.cur_video <- video;
-        f.cur_vho <- vho;
-        f.cur_rate <- rate;
-        f.cur_now <- now;
-        f.cur_until <- now +. dur;
-        f.decision <- Router.Rejected Router.No_replica;
-        match
-          Vod_cache.Fleet.serve_routed t.fleet ~video ~vho ~now ~route:f.route
-        with
-        | Some outcome ->
-            if record then begin
-              count_request metrics ~track_per_vho ~vho;
-              if outcome.Vod_cache.Fleet.local then begin
-                metrics.Vod_sim.Metrics.local_served <-
-                  metrics.Vod_sim.Metrics.local_served + 1;
-                if track_per_vho then
-                  metrics.Vod_sim.Metrics.per_vho_local.(vho) <-
-                    metrics.Vod_sim.Metrics.per_vho_local.(vho) + 1;
-                if outcome.Vod_cache.Fleet.cache_hit then
-                  metrics.Vod_sim.Metrics.cache_hits <-
-                    metrics.Vod_sim.Metrics.cache_hits + 1
-              end
-              else begin
-                metrics.Vod_sim.Metrics.remote_served <-
-                  metrics.Vod_sim.Metrics.remote_served + 1;
-                if outcome.Vod_cache.Fleet.not_cachable then
-                  metrics.Vod_sim.Metrics.not_cachable <-
-                    metrics.Vod_sim.Metrics.not_cachable + 1
-              end
-            end;
-            if not outcome.Vod_cache.Fleet.local then begin
-              match f.decision with
-              | Router.Served s ->
-                  (* Explicit loop: an [Array.iter] lambda here is a
-                     fresh closure per served remote request
-                     (alloc-in-hot). *)
-                  let t1 = now +. dur in
-                  let links = s.Router.links in
-                  for i = 0 to Array.length links - 1 do
-                    Vod_sim.Metrics.add_stream metrics ~link:links.(i)
-                      ~rate_mbps:rate ~t0:now ~t1
-                  done;
-                  if record then begin
-                    let hops = float_of_int s.Router.hops in
-                    let gb = Vod_workload.Video.size_gb v *. surge in
-                    metrics.Vod_sim.Metrics.total_gb_hops <-
-                      metrics.Vod_sim.Metrics.total_gb_hops +. (gb *. hops);
-                    metrics.Vod_sim.Metrics.total_gb_remote <-
-                      metrics.Vod_sim.Metrics.total_gb_remote +. gb;
-                    if surge > 1.0 then Obs.incr "serve/surged_streams";
-                    if s.Router.failover then begin
-                      deg.Vod_sim.Metrics.failovers <-
-                        deg.Vod_sim.Metrics.failovers + 1;
-                      deg.Vod_sim.Metrics.failover_extra_hops <-
-                        deg.Vod_sim.Metrics.failover_extra_hops
-                        + s.Router.extra_hops;
-                      f.win_failovers <- f.win_failovers + 1;
-                      Obs.incr "serve/failovers";
-                      if s.Router.extra_hops > 0 then
-                        Obs.incr ~by:s.Router.extra_hops
-                          "serve/failover_extra_hops"
-                    end;
-                    if s.Router.via_origin then begin
-                      deg.Vod_sim.Metrics.origin_served <-
-                        deg.Vod_sim.Metrics.origin_served + 1;
-                      Obs.incr "serve/origin_served"
-                    end
-                  end
-              | Router.Rejected _ ->
-                  (* serve_routed returned an outcome, so route said yes *)
-                  invalid_arg "Loop.play: served without a routing decision"
-            end
-        | None ->
-            if record then begin
-              count_request metrics ~track_per_vho ~vho;
-              (match f.decision with
-              | Router.Rejected reason -> account_reject metrics reason
-              | Router.Served _ ->
-                  invalid_arg "Loop.play: rejected with a serving decision");
-              f.win_rejections <- f.win_rejections + 1
-            end
-      end)
-    requests
-
-(* Columnar twin of [play_faulted]: rows [lo, hi) of a struct-of-arrays
-   store by index. The scratch fields and prebuilt [f.route]/[f.on_event]
-   closures already make the boxed loop allocation-free per request;
-   here the boxed request itself goes too. Kept field-for-field in sync
-   with [play_faulted] above. *)
-let play_faulted_soa t f metrics (soa : Vod_workload.Trace_soa.t) ~lo ~hi =
-  let track_per_vho =
-    Array.length metrics.Vod_sim.Metrics.per_vho_requests > 0
-  in
-  let deg = metrics.Vod_sim.Metrics.deg in
+let play_faulted t f metrics (soa : Soa.t) ~lo ~hi =
+  let track_per_vho = Array.length metrics.Metrics.per_vho_requests > 0 in
   for i = lo to hi - 1 do
-    let now = Vod_workload.Trace_soa.time soa i in
-    let video = Vod_workload.Trace_soa.video soa i in
-    let vho = Vod_workload.Trace_soa.vho soa i in
+    let now = Soa.time soa i in
+    let video = Soa.video soa i in
+    let vho = Soa.vho soa i in
     ignore (State.advance f.state ~now ~on_event:f.on_event : int);
     Capacity.expire f.capacity ~now;
-    let record = Vod_sim.Metrics.in_record_window metrics now in
+    let record = Metrics.in_record_window metrics now in
     if record then f.win_requests <- f.win_requests + 1;
     if not (State.vho_up f.state vho) then begin
       (* The requesting VHO is dark: nobody there to serve. *)
-      if record then begin
-        count_request metrics ~track_per_vho ~vho;
-        account_reject metrics Router.Vho_down;
-        f.win_rejections <- f.win_rejections + 1
-      end
+      if record then reject f metrics ~track_per_vho ~vho Router.Vho_down
     end
     else begin
       let v = Vod_workload.Catalog.video t.catalog video in
       let surge = State.surge f.state vho in
-      let rate = Vod_workload.Video.rate_mbps v *. surge in
-      let dur = Vod_workload.Video.duration_s v in
       f.cur_video <- video;
       f.cur_vho <- vho;
-      f.cur_rate <- rate;
+      f.cur_rate <- Video.rate_mbps v *. surge;
       f.cur_now <- now;
-      f.cur_until <- now +. dur;
+      f.cur_until <- now +. Video.duration_s v;
       f.decision <- Router.Rejected Router.No_replica;
-      match
-        Vod_cache.Fleet.serve_routed t.fleet ~video ~vho ~now ~route:f.route
-      with
-      | Some outcome ->
-          if record then begin
-            count_request metrics ~track_per_vho ~vho;
-            if outcome.Vod_cache.Fleet.local then begin
-              metrics.Vod_sim.Metrics.local_served <-
-                metrics.Vod_sim.Metrics.local_served + 1;
-              if track_per_vho then
-                metrics.Vod_sim.Metrics.per_vho_local.(vho) <-
-                  metrics.Vod_sim.Metrics.per_vho_local.(vho) + 1;
-              if outcome.Vod_cache.Fleet.cache_hit then
-                metrics.Vod_sim.Metrics.cache_hits <-
-                  metrics.Vod_sim.Metrics.cache_hits + 1
-            end
-            else begin
-              metrics.Vod_sim.Metrics.remote_served <-
-                metrics.Vod_sim.Metrics.remote_served + 1;
-              if outcome.Vod_cache.Fleet.not_cachable then
-                metrics.Vod_sim.Metrics.not_cachable <-
-                  metrics.Vod_sim.Metrics.not_cachable + 1
-            end
-          end;
-          if not outcome.Vod_cache.Fleet.local then begin
+      match Fleet.serve_routed t.fleet ~video ~vho ~now ~route:f.route with
+      | Some outcome -> (
+          if record then count_served metrics ~track_per_vho ~vho outcome;
+          if not outcome.Fleet.local then
             match f.decision with
             | Router.Served s ->
-                let t1 = now +. dur in
-                let links = s.Router.links in
-                for l = 0 to Array.length links - 1 do
-                  Vod_sim.Metrics.add_stream metrics ~link:links.(l)
-                    ~rate_mbps:rate ~t0:now ~t1
-                done;
-                if record then begin
-                  let hops = float_of_int s.Router.hops in
-                  let gb = Vod_workload.Video.size_gb v *. surge in
-                  metrics.Vod_sim.Metrics.total_gb_hops <-
-                    metrics.Vod_sim.Metrics.total_gb_hops +. (gb *. hops);
-                  metrics.Vod_sim.Metrics.total_gb_remote <-
-                    metrics.Vod_sim.Metrics.total_gb_remote +. gb;
-                  if surge > 1.0 then Obs.incr "serve/surged_streams";
-                  if s.Router.failover then begin
-                    deg.Vod_sim.Metrics.failovers <-
-                      deg.Vod_sim.Metrics.failovers + 1;
-                    deg.Vod_sim.Metrics.failover_extra_hops <-
-                      deg.Vod_sim.Metrics.failover_extra_hops
-                      + s.Router.extra_hops;
-                    f.win_failovers <- f.win_failovers + 1;
-                    Obs.incr "serve/failovers";
-                    if s.Router.extra_hops > 0 then
-                      Obs.incr ~by:s.Router.extra_hops
-                        "serve/failover_extra_hops"
-                  end;
-                  if s.Router.via_origin then begin
-                    deg.Vod_sim.Metrics.origin_served <-
-                      deg.Vod_sim.Metrics.origin_served + 1;
-                    Obs.incr "serve/origin_served"
-                  end
-                end
+                add_remote metrics ~record ~links:s.Router.links
+                  ~hops:s.Router.hops ~surge ~now v;
+                if record then count_route f metrics ~surge s
             | Router.Rejected _ ->
                 (* serve_routed returned an outcome, so route said yes *)
-                invalid_arg "Loop.play_soa: served without a routing decision"
-          end
+                invalid_arg "Loop.play_soa: served without a routing decision")
       | None ->
           if record then begin
-            count_request metrics ~track_per_vho ~vho;
-            (match f.decision with
-            | Router.Rejected reason -> account_reject metrics reason
+            match f.decision with
+            | Router.Rejected reason ->
+                reject f metrics ~track_per_vho ~vho reason
             | Router.Served _ ->
-                invalid_arg "Loop.play_soa: rejected with a serving decision");
-            f.win_rejections <- f.win_rejections + 1
+                invalid_arg "Loop.play_soa: rejected with a serving decision"
           end
     end
   done
 
-(* ---- common entry points --------------------------------------------- *)
+(* ---- entry points ----------------------------------------------------- *)
 
-let play t metrics (requests : Vod_workload.Trace.request array) =
-  Vod_sim.Metrics.validate_vhos metrics requests;
-  if Obs.active () then
-    Obs.incr ~by:(Array.length requests) "serve/requests";
-  match t.faulted with
-  | None -> play_direct t metrics requests
-  | Some f -> play_faulted t f metrics requests
-
-(* Columnar entry point: play rows [lo, hi) of a compact store through
-   whichever configuration the loop was created with. *)
-let play_soa t metrics (soa : Vod_workload.Trace_soa.t) ~lo ~hi =
-  if lo < 0 || hi < lo || hi > Vod_workload.Trace_soa.length soa then
+(* Play rows [lo, hi) of a compact store through whichever configuration
+   the loop was created with. *)
+let play_soa t metrics (soa : Soa.t) ~lo ~hi =
+  if lo < 0 || hi < lo || hi > Soa.length soa then
     invalid_arg "Loop.play_soa: range out of bounds";
-  Vod_sim.Metrics.validate_store metrics soa;
+  Metrics.validate_store metrics soa;
   if Obs.active () then Obs.incr ~by:(hi - lo) "serve/requests";
   match t.faulted with
-  | None -> play_direct_soa t metrics soa ~lo ~hi
-  | Some f -> play_faulted_soa t f metrics soa ~lo ~hi
+  | None -> play_direct t metrics soa ~lo ~hi
+  | Some f -> play_faulted t f metrics soa ~lo ~hi
 
 (* Drain the remaining schedule, close saturation intervals and the last
    window, and publish the end-of-run gauges. Idempotent; a no-op in the
    direct configuration, which has no timeline to drain. *)
-let finish t (metrics : Vod_sim.Metrics.t) =
+let finish t (metrics : Metrics.t) =
   if not t.finished then begin
     t.finished <- true;
     match t.faulted with
     | None -> ()
     | Some f ->
         let horizon =
-          float_of_int metrics.Vod_sim.Metrics.n_bins
-          *. metrics.Vod_sim.Metrics.bin_s
+          float_of_int metrics.Metrics.n_bins *. metrics.Metrics.bin_s
         in
         ignore (State.advance f.state ~now:horizon ~on_event:f.on_event : int);
         Capacity.expire f.capacity ~now:horizon;
         Capacity.finish f.capacity ~now:horizon;
-        metrics.Vod_sim.Metrics.deg.Vod_sim.Metrics.link_saturated_s <-
+        metrics.Metrics.deg.Metrics.link_saturated_s <-
           Capacity.saturated_seconds f.capacity;
         Obs.set_gauge "serve/link_saturated_seconds"
           (Capacity.saturated_seconds f.capacity);
-        close_window f ~now:horizon ~trigger:"end"
+        close_window f ~now_s:horizon ~trigger:"end"
   end
 
 let windows t =
   match t.faulted with None -> [] | Some f -> List.rev f.windows_rev
 
-(* One-shot playout of a full trace; mirrors Vod_sim.Sim.run's metrics
-   creation so the fault-free configurations coincide. *)
-let run ~graph ~paths ~catalog ~fleet ~trace ?(bin_s = 300.0)
+(* One-shot playout of a full compact store over its whole horizon. *)
+let run_soa ~graph ~paths ~catalog ~fleet ~store ?(bin_s = 300.0)
     ?(record_from = 0.0) ?resil () =
   let horizon_s =
-    float_of_int trace.Vod_workload.Trace.days
-    *. Vod_workload.Trace.seconds_per_day
+    float_of_int store.Soa.days *. Vod_workload.Trace.seconds_per_day
   in
   let metrics =
-    Vod_sim.Metrics.create
+    Metrics.create
       ~n_links:(Vod_topology.Graph.n_links graph)
       ~n_vhos:(Vod_topology.Graph.n_nodes graph)
       ~horizon_s ~bin_s ~record_from ()
   in
   let t = create ~graph ~paths ~catalog ~fleet ?resil () in
-  (* [play] can raise (request validation); [finish] is idempotent, so
+  (* [play_soa] can raise (store validation); [finish] is idempotent, so
      settling the capacity ledger under Fun.protect keeps the normal
      path byte-identical while closing it on the exceptional one. *)
   Fun.protect
     ~finally:(fun () -> finish t metrics)
-    (fun () -> play t metrics trace.Vod_workload.Trace.requests);
+    (fun () -> play_soa t metrics store ~lo:0 ~hi:(Soa.length store));
   Log.info (fun m ->
       m "%s: %d requests, local %.1f%%, %d rejections, peak link %.0f Mb/s"
-        (Vod_cache.Fleet.name fleet) metrics.Vod_sim.Metrics.requests
-        (100.0 *. Vod_sim.Metrics.local_fraction metrics)
-        metrics.Vod_sim.Metrics.deg.Vod_sim.Metrics.rejections
-        (Vod_sim.Metrics.max_link_mbps metrics));
-  (metrics, windows t)
-
-(* Columnar twin of [run]: one-shot playout of a full compact store. *)
-let run_soa ~graph ~paths ~catalog ~fleet ~store ?(bin_s = 300.0)
-    ?(record_from = 0.0) ?resil () =
-  let horizon_s =
-    float_of_int store.Vod_workload.Trace_soa.days
-    *. Vod_workload.Trace.seconds_per_day
-  in
-  let metrics =
-    Vod_sim.Metrics.create
-      ~n_links:(Vod_topology.Graph.n_links graph)
-      ~n_vhos:(Vod_topology.Graph.n_nodes graph)
-      ~horizon_s ~bin_s ~record_from ()
-  in
-  let t = create ~graph ~paths ~catalog ~fleet ?resil () in
-  Fun.protect
-    ~finally:(fun () -> finish t metrics)
-    (fun () ->
-      play_soa t metrics store ~lo:0
-        ~hi:(Vod_workload.Trace_soa.length store));
-  Log.info (fun m ->
-      m "%s: %d requests, local %.1f%%, %d rejections, peak link %.0f Mb/s"
-        (Vod_cache.Fleet.name fleet) metrics.Vod_sim.Metrics.requests
-        (100.0 *. Vod_sim.Metrics.local_fraction metrics)
-        metrics.Vod_sim.Metrics.deg.Vod_sim.Metrics.rejections
-        (Vod_sim.Metrics.max_link_mbps metrics));
+        (Fleet.name fleet) metrics.Metrics.requests
+        (100.0 *. Metrics.local_fraction metrics)
+        metrics.Metrics.deg.Metrics.rejections
+        (Metrics.max_link_mbps metrics));
   (metrics, windows t)

@@ -1,21 +1,20 @@
-(** The unified serving engine: one event loop behind both the legacy
-    fixed-path playout ([Vod_sim.Sim]) and the fault-injecting
-    resilience playout ([Vod_resil.Playout]), each now a configuration
-    of the same loop. The placement source is the mutable fleet
-    ({!set_fleet} swaps placements mid-run); the router and capacity
-    model plug in through an optional [Vod_resil.Playout.config]. Both
-    configurations reproduce the legacy engines' metrics byte-for-byte
-    (asserted by test/test_serve.ml); telemetry goes to the [serve/*]
-    keys (METRICS.md). *)
+(** The serving engine: one event loop over the rows of a compact request
+    store ({!Vod_workload.Trace_soa}), in a direct fixed-path
+    configuration or a fault-injecting one. The placement source is the
+    mutable fleet ({!set_fleet} swaps placements mid-run); the router and
+    capacity model plug in through an optional [Vod_resil.Playout.config].
+    Both configurations reproduce the recorded outputs of the engines
+    they replaced byte-for-byte (test/golden/); telemetry goes to the
+    [serve/*] keys (METRICS.md). *)
 
 type t
 
 (** [create ~graph ~paths ~catalog ~fleet ?resil ()] builds a loop over
-    the fixed routing. Without [resil] the loop runs the direct (legacy)
+    the fixed routing. Without [resil] the loop runs the direct
     configuration; with it, the fault timeline, capacity tracker and
-    failover router are instantiated exactly as [Vod_resil.Playout.create]
-    does. Raises [Invalid_argument] if the schedule references ids
-    outside the topology. *)
+    failover router are instantiated from the config. Raises
+    [Invalid_argument] if the schedule references ids outside the
+    topology. *)
 val create :
   graph:Vod_topology.Graph.t ->
   paths:Vod_topology.Paths.t ->
@@ -44,17 +43,10 @@ val vho_up : t -> int -> bool
     boundary instant. No-op in the direct configuration. *)
 val advance : t -> now:float -> unit
 
-(** Play one time-sorted request batch, accumulating into the metrics.
-    Raises [Invalid_argument] on VHO ids outside the metrics arrays. *)
-val play :
-  t -> Vod_sim.Metrics.t -> Vod_workload.Trace.request array -> unit
-
-(** Columnar twin of {!play}: rows [[lo, hi)) of a compact
-    struct-of-arrays store, iterated by index with no boxed request and
-    no per-row closure in either configuration. Byte-identical metrics
-    to {!play} on the equivalent request slice (asserted by
-    test/test_soa.ml). Raises [Invalid_argument] on a bad range or a
-    store whose VHO bound exceeds the metrics arrays. *)
+(** Play rows [[lo, hi)) of a time-sorted store, accumulating into the
+    metrics; iterated by index with no boxed request and no per-row
+    closure in either configuration. Raises [Invalid_argument] on a bad
+    range or a store whose VHO bound exceeds the metrics arrays. *)
 val play_soa :
   t -> Vod_sim.Metrics.t -> Vod_workload.Trace_soa.t -> lo:int -> hi:int -> unit
 
@@ -67,21 +59,9 @@ val finish : t -> Vod_sim.Metrics.t -> unit
     {!finish}); [[]] in the direct configuration. *)
 val windows : t -> Vod_resil.Playout.window list
 
-(** One-shot playout of a full trace (metrics creation mirrors
-    [Vod_sim.Sim.run]). *)
-val run :
-  graph:Vod_topology.Graph.t ->
-  paths:Vod_topology.Paths.t ->
-  catalog:Vod_workload.Catalog.t ->
-  fleet:Vod_cache.Fleet.t ->
-  trace:Vod_workload.Trace.t ->
-  ?bin_s:float ->
-  ?record_from:float ->
-  ?resil:Vod_resil.Playout.config ->
-  unit ->
-  Vod_sim.Metrics.t * Vod_resil.Playout.window list
-
-(** One-shot playout of a full compact store (columnar twin of {!run}). *)
+(** One-shot playout of a full store: metrics over the store's whole
+    horizon with per-VHO counters, 5-minute bins by default, and
+    {!finish} settled even when playing raises. *)
 val run_soa :
   graph:Vod_topology.Graph.t ->
   paths:Vod_topology.Paths.t ->

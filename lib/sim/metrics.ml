@@ -5,7 +5,7 @@
    paper's "maximum link usage measured every 5 min" (Fig. 5) and
    "aggregate transfers averaged over 5-min intervals" (Fig. 6). *)
 
-(* Degradation accounting under faults (lib/resil playout): how much
+(* Degradation accounting under faults (the faulted serving loop): how much
    service quality the fleet lost to outages, dead links and saturated
    capacity. All zero for a fault-free playout. *)
 type degradation = {
@@ -72,23 +72,10 @@ let create ~n_links ?(n_vhos = 0) ~horizon_s ?(bin_s = 300.0) ?(record_from = 0.
 
 let in_record_window t time_s = time_s >= t.record_from
 
-(* Check every request's VHO id against the per-VHO counter arrays once,
-   up front, instead of silently dropping out-of-range ids per request.
-   Only meaningful when the metrics track per-VHO counters. *)
-let validate_vhos t requests =
-  let n = Array.length t.per_vho_requests in
-  if n > 0 then
-    Array.iter
-      (fun (r : Vod_workload.Trace.request) ->
-        if r.Vod_workload.Trace.vho < 0 || r.Vod_workload.Trace.vho >= n then
-          invalid_arg
-            (Printf.sprintf
-               "Metrics.validate_vhos: request VHO %d outside [0, %d)"
-               r.Vod_workload.Trace.vho n))
-      requests
-
-(* O(1) store-level counterpart: construction already bounds-checked
-   every row against the store's own [n_vhos]. *)
+(* Check a store's VHO bound against the per-VHO counter arrays once, up
+   front, instead of silently dropping out-of-range ids per request. O(1):
+   construction already bounds-checked every row against the store's own
+   [n_vhos]. Only meaningful when the metrics track per-VHO counters. *)
 let validate_store t (soa : Vod_workload.Trace_soa.t) =
   let n = Array.length t.per_vho_requests in
   if n > 0 && soa.Vod_workload.Trace_soa.n_vhos > n then

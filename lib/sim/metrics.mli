@@ -2,7 +2,7 @@
     plus serving counters — the raw material of the paper's Figs. 5/6/9/10
     and Tables II/V/VI. *)
 
-(** Degradation accounting under faults (lib/resil playout): requests
+(** Degradation accounting under faults (the faulted serving loop): requests
     lost to outages, dead links or saturated capacity, plus failover
     overhead. All fields stay zero for a fault-free playout. *)
 type degradation = {
@@ -50,15 +50,11 @@ val create :
 (** Whether a time falls inside the recording window. *)
 val in_record_window : t -> float -> bool
 
-(** Validate every request's VHO id against the per-VHO counter arrays
-    once, up front. Raises [Invalid_argument] naming the offending id; a
-    no-op when the metrics were created without [n_vhos]. *)
-val validate_vhos : t -> Vod_workload.Trace.request array -> unit
-
-(** Store-level counterpart of {!validate_vhos}: every row of a
-    {!Vod_workload.Trace_soa.t} was bounds-checked against its own
-    [n_vhos] at construction, so validating the store bound against the
-    counter arrays is O(1) and equivalent. *)
+(** Validate a store's VHO bound against the per-VHO counter arrays: every
+    row of a {!Vod_workload.Trace_soa.t} was bounds-checked against its
+    own [n_vhos] at construction, so the check is O(1) and covers every
+    row. Raises [Invalid_argument] naming both bounds; a no-op when the
+    metrics were created without [n_vhos]. *)
 val validate_store : t -> Vod_workload.Trace_soa.t -> unit
 
 (** Spread a stream of [rate_mbps] over [t0, t1) into a link's bins

@@ -522,13 +522,13 @@ let ah_percall_good =
        let fits _t ~rate_mbps links = links_fit ~rate_mbps links 0" );
   ]
 
-(* Sim.run is a root but not loop-hot: only allocations inside its
+(* Loop.run_soa is a root but not loop-hot: only allocations inside its
    loops fire. A closure born per while/for iteration is the original
-   Sim.play defect; the explicit inner for loop is the fix. *)
+   serving-loop defect; the explicit inner for loop is the fix. *)
 let ah_loop_bad =
   [
-    ( "lib/fake/sim.ml",
-      "let run links n =\n\
+    ( "lib/fake/loop.ml",
+      "let run_soa links n =\n\
       \  for _i = 1 to n do\n\
       \    Array.iter (fun l -> ignore l) links\n\
       \  done" );
@@ -536,8 +536,8 @@ let ah_loop_bad =
 
 let ah_loop_good =
   [
-    ( "lib/fake/sim.ml",
-      "let run links n =\n\
+    ( "lib/fake/loop.ml",
+      "let run_soa links n =\n\
       \  for _i = 1 to n do\n\
       \    for j = 0 to Array.length links - 1 do\n\
       \      ignore links.(j)\n\
@@ -778,7 +778,7 @@ let suite =
     Alcotest.test_case "alloc-in-hot quiet on hoisted tail recursion" `Quick
       (check_units_quiet "alloc-in-hot" ah_percall_good);
     Alcotest.test_case "alloc-in-hot fires on per-iteration closure" `Quick
-      (check_units_fires "alloc-in-hot" ~in_file:"lib/fake/sim.ml" ah_loop_bad);
+      (check_units_fires "alloc-in-hot" ~in_file:"lib/fake/loop.ml" ah_loop_bad);
     Alcotest.test_case "alloc-in-hot quiet on explicit inner for loop" `Quick
       (check_units_quiet "alloc-in-hot" ah_loop_good);
     Alcotest.test_case "alloc-in-hot fires inside Pool task body" `Quick

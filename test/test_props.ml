@@ -177,9 +177,57 @@ let prop_every_video_placed =
       done;
       !ok)
 
+(* Serving conservation under random fault timelines: whatever the
+   outages, surges, link budget, origin and warm-up, every recorded
+   request is served locally, served remotely or rejected for exactly
+   one reason, and the event windows and per-VHO counters partition the
+   recorded requests. *)
+let serving_world = lazy (Golden.sim_world ())
+
+let prop_faulted_serving_conserves =
+  QCheck.Test.make ~name:"faulted serving conserves requests" ~count:25
+    QCheck.(quad (int_range 1 10_000) (int_range 0 4) (int_range 0 2) bool)
+    (fun (seed, budget, warmup_days, with_origin) ->
+      let module M = Vod_sim.Metrics in
+      let g, paths, catalog, trace = Lazy.force serving_world in
+      let schedule =
+        Vod_resil.Event.generate
+          (Vod_resil.Event.default_gen_params ~n_vhos:(G.n_nodes g)
+             ~n_links:(G.n_links g)
+             ~horizon_s:(7.0 *. Vod_workload.Trace.seconds_per_day)
+             ~seed)
+      in
+      let resil =
+        Vod_resil.Playout.config ~schedule
+          ~link_capacity_mbps:[| 8.0; 20.0; 60.0; 200.0; Float.infinity |].(budget)
+          ?origin:(if with_origin then Some (seed mod G.n_nodes g) else None)
+          ()
+      in
+      let m, windows =
+        Vod_serve.Loop.run_soa ~graph:g ~paths ~catalog
+          ~fleet:(Golden.lru_fleet paths catalog)
+          ~store:(Vod_workload.Trace_soa.of_trace trace)
+          ~record_from:
+            (float_of_int warmup_days *. Vod_workload.Trace.seconds_per_day)
+          ~resil ()
+      in
+      let d = m.M.deg in
+      let sum = Array.fold_left ( + ) 0 in
+      m.M.requests = m.M.local_served + m.M.remote_served + d.M.rejections
+      && d.M.rejections
+         = d.M.rejected_vho_down + d.M.rejected_no_replica
+           + d.M.rejected_unreachable + d.M.rejected_no_capacity
+      && m.M.requests
+         = List.fold_left
+             (fun acc (w : Vod_resil.Playout.window) ->
+               acc + w.Vod_resil.Playout.requests)
+             0 windows
+      && m.M.requests = sum m.M.per_vho_requests)
+
 let suite =
   List.map QCheck_alcotest.to_alcotest
     [
+      prop_faulted_serving_conserves;
       prop_generated_graphs_connected;
       prop_hops_symmetric;
       prop_triangle_inequality;

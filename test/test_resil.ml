@@ -1,7 +1,8 @@
 (* Tests for lib/resil: fault schedules (sorting, CSV, generator), fault
-   state, capacity tracking, failover routing, and the resilience playout
-   — including the acceptance property that with no faults and unbounded
-   capacity it reproduces the legacy engine byte-for-byte. *)
+   state, capacity tracking, failover routing, and the serving loop's
+   faulted configuration — including the acceptance property that with
+   no faults and unbounded capacity it reproduces the direct
+   configuration byte-for-byte. *)
 
 module E = Vod_resil.Event
 module M = Vod_sim.Metrics
@@ -153,10 +154,7 @@ let line4 () =
     ~edges:[ (0, 1); (1, 2); (2, 3) ]
     ~populations:[| 1.0; 1.0; 1.0; 1.0 |]
 
-let ring4 () =
-  Vod_topology.Graph.create ~name:"ring4" ~n:4
-    ~edges:[ (0, 1); (1, 2); (2, 3); (3, 0) ]
-    ~populations:[| 2.0; 1.0; 1.0; 1.0 |]
+let ring4 = Golden.ring4
 
 (* Directed link id from a to b. *)
 let link_between g a b =
@@ -307,57 +305,21 @@ let router_origin_and_reasons () =
       Alcotest.(check bool) "failover" true s.Vod_resil.Router.failover
   | Vod_resil.Router.Rejected _ -> Alcotest.fail "origin must serve"
 
-(* ---------- playout ---------- *)
+(* ---------- faulted serving ---------- *)
 
-let sim_world () =
-  let g = ring4 () in
-  let paths = Vod_topology.Paths.compute g in
-  let catalog =
-    Vod_workload.Catalog.generate
-      (Vod_workload.Catalog.default_params ~n:30 ~days:7 ~seed:3)
-  in
-  let trace =
-    Vod_workload.Tracegen.generate
-      (Vod_workload.Tracegen.default_params ~catalog
-         ~populations:g.Vod_topology.Graph.populations ~mean_daily_requests:400.0
-         ~seed:4)
-  in
-  (g, paths, catalog, trace)
-
-let lru_fleet paths catalog =
-  Vod_cache.Fleet.random_single ~paths ~catalog
-    ~disk_gb:[| 15.0; 15.0; 15.0; 15.0 |] ~policy:Vod_cache.Cache.Lru ~seed:5
-
-(* The acceptance property: no faults + unbounded capacity reproduces
-   the legacy engine byte-for-byte, including the whole link-load
-   matrix. *)
+(* The acceptance property, live: no faults + unbounded capacity makes
+   the faulted configuration (Fleet.serve_routed + Router) reproduce the
+   direct one (Fleet.serve over fixed paths) byte-for-byte, including the
+   whole link-load matrix — and both match their recorded engines. *)
 let playout_matches_legacy_sim () =
-  let g, paths, catalog, trace = sim_world () in
-  let legacy =
-    Vod_sim.Sim.run ~graph:g ~paths ~catalog ~fleet:(lru_fleet paths catalog)
-      ~trace ~record_from:(1.0 *. Vod_workload.Trace.seconds_per_day) ()
-  in
+  let record_from = Vod_workload.Trace.seconds_per_day in
+  let direct, _ = Golden.run_loop ~record_from () in
   let resil, windows =
-    Vod_resil.Playout.run ~graph:g ~paths ~catalog
-      ~fleet:(lru_fleet paths catalog) ~trace
-      ~record_from:(1.0 *. Vod_workload.Trace.seconds_per_day)
-      (Vod_resil.Playout.config ())
+    Golden.run_loop ~record_from ~resil:(Vod_resil.Playout.config ()) ()
   in
-  Alcotest.(check int) "requests" legacy.M.requests resil.M.requests;
-  Alcotest.(check int) "local" legacy.M.local_served resil.M.local_served;
-  Alcotest.(check int) "hits" legacy.M.cache_hits resil.M.cache_hits;
-  Alcotest.(check int) "remote" legacy.M.remote_served resil.M.remote_served;
-  Alcotest.(check int) "not cachable" legacy.M.not_cachable resil.M.not_cachable;
-  Alcotest.(check bool) "gb_hops bit-equal" true
-    (legacy.M.total_gb_hops = resil.M.total_gb_hops);
-  Alcotest.(check bool) "gb_remote bit-equal" true
-    (legacy.M.total_gb_remote = resil.M.total_gb_remote);
-  Alcotest.(check bool) "per-vho requests" true
-    (legacy.M.per_vho_requests = resil.M.per_vho_requests);
-  Alcotest.(check bool) "per-vho local" true
-    (legacy.M.per_vho_local = resil.M.per_vho_local);
-  Alcotest.(check bool) "link-load matrix byte-equal" true
-    (legacy.M.link_load = resil.M.link_load);
+  Golden.check_equal "faulted = direct" direct resil;
+  Golden.check "sim_run" direct [];
+  Golden.check "playout_run_fault_free" resil windows;
   Alcotest.(check int) "no rejections" 0 resil.M.deg.M.rejections;
   Alcotest.(check int) "no failovers" 0 resil.M.deg.M.failovers;
   Alcotest.(check (float 1e-9)) "no saturation" 0.0 resil.M.deg.M.link_saturated_s;
@@ -365,23 +327,15 @@ let playout_matches_legacy_sim () =
   match windows with
   | [ w ] ->
       Alcotest.(check string) "single start window" "start" w.Vod_resil.Playout.trigger;
-      Alcotest.(check int) "window counts recorded requests" legacy.M.requests
+      Alcotest.(check int) "window counts recorded requests" direct.M.requests
         w.Vod_resil.Playout.requests
   | ws -> Alcotest.fail (Printf.sprintf "expected 1 window, got %d" (List.length ws))
 
 let playout_outage_conservation () =
-  let g, paths, catalog, trace = sim_world () in
-  let horizon = float_of_int trace.Vod_workload.Trace.days *. 86_400.0 in
-  let schedule =
-    E.create
-      [ ev (0.3 *. horizon) (E.Vho_down 0); ev (0.6 *. horizon) (E.Vho_up 0) ]
-  in
-  let m, windows =
-    Vod_resil.Playout.run ~graph:g ~paths ~catalog
-      ~fleet:(lru_fleet paths catalog) ~trace
-      (Vod_resil.Playout.config ~schedule ())
-  in
+  let m, windows = Golden.run_loop ~resil:(Golden.outage_config ()) () in
+  Golden.check "playout_run_outage" m windows;
   let deg = m.M.deg in
+  let _, _, _, trace = Golden.sim_world () in
   Alcotest.(check int) "every request counted"
     (Vod_workload.Trace.length trace) m.M.requests;
   Alcotest.(check int) "local + remote + rejected = total" m.M.requests
@@ -412,31 +366,13 @@ let playout_outage_conservation () =
   Alcotest.(check int) "per-vho requests sum" m.M.requests
     (Array.fold_left ( + ) 0 m.M.per_vho_requests)
 
+(* Everyone surging 2x for the whole run: serving decisions are unchanged
+   (caches see the same touches), but every remote stream carries twice
+   the rate. *)
 let playout_surge_scales_load () =
-  let g, paths, catalog, trace = sim_world () in
-  let horizon = float_of_int trace.Vod_workload.Trace.days *. 86_400.0 in
-  let base, _ =
-    Vod_resil.Playout.run ~graph:g ~paths ~catalog
-      ~fleet:(lru_fleet paths catalog) ~trace (Vod_resil.Playout.config ())
-  in
-  (* Everyone surging 2x for the whole run: serving decisions are
-     unchanged (caches see the same touches), but every remote stream
-     carries twice the rate. *)
-  let schedule =
-    E.create
-      (List.concat_map
-         (fun v ->
-           [
-             ev 0.0 (E.Surge_start { vho = v; factor = 2.0 });
-             ev horizon (E.Surge_end v);
-           ])
-         [ 0; 1; 2; 3 ])
-  in
-  let surged, _ =
-    Vod_resil.Playout.run ~graph:g ~paths ~catalog
-      ~fleet:(lru_fleet paths catalog) ~trace
-      (Vod_resil.Playout.config ~schedule ())
-  in
+  let base, _ = Golden.run_loop ~resil:(Vod_resil.Playout.config ()) () in
+  let surged, windows = Golden.run_loop ~resil:(Golden.surge_config ()) () in
+  Golden.check "playout_run_surge" surged windows;
   Alcotest.(check int) "same serving split" base.M.local_served
     surged.M.local_served;
   Alcotest.(check (float 1e-6)) "transfer doubled"
@@ -517,41 +453,6 @@ let canned_scenarios_validate () =
         (Vod_topology.Graph.reverse_link g b)
   | _ -> Alcotest.fail "expected exactly two link_down events"
 
-(* ---------- exceptional-path settlement ---------- *)
-
-(* Regression test for the missing-protect defect vodlint's protocol
-   analysis surfaced in Playout.run: when [play] raises mid-run (here an
-   out-of-range VHO rejected by Metrics.validate_vhos — the record
-   literal bypasses Trace.create's validation), the Fun.protect must
-   still settle the capacity ledger, so [finish]'s saturation gauge is
-   published on the exceptional path too. *)
-let playout_settles_on_raise () =
-  let g, paths, catalog, trace = sim_world () in
-  let bad = { Vod_workload.Trace.time_s = 0.0; vho = 99; video = 0 } in
-  let trace =
-    {
-      trace with
-      Vod_workload.Trace.requests =
-        Array.append [| bad |] trace.Vod_workload.Trace.requests;
-    }
-  in
-  let reg = Vod_obs.Obs.create () in
-  let raised = ref false in
-  (try
-     Vod_obs.Obs.with_run reg (fun () ->
-         ignore
-           (Vod_resil.Playout.run ~graph:g ~paths ~catalog
-              ~fleet:(lru_fleet paths catalog)
-              ~trace
-              (Vod_resil.Playout.config ())))
-   with Invalid_argument _ -> raised := true);
-  Alcotest.(check bool) "play raised" true !raised;
-  match Vod_obs.Obs.read reg "resil/link_saturated_seconds" with
-  | Some (Vod_obs.Obs.Gauge _) -> ()
-  | _ ->
-      Alcotest.fail
-        "resil/link_saturated_seconds must be published even when play raises"
-
 let suite =
   [
     Alcotest.test_case "schedule sorting" `Quick schedule_sorting;
@@ -570,6 +471,4 @@ let suite =
     Alcotest.test_case "surge scales load" `Quick playout_surge_scales_load;
     Alcotest.test_case "pipeline resil wiring" `Quick pipeline_resil_wiring;
     Alcotest.test_case "canned scenarios validate" `Quick canned_scenarios_validate;
-    Alcotest.test_case "playout settles ledger on raise" `Quick
-      playout_settles_on_raise;
   ]

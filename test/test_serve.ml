@@ -1,6 +1,7 @@
-(* Tests for lib/serve: the unified serving loop must reproduce both
-   legacy engines byte-for-byte (fault-free ≡ Vod_sim.Sim, faulted ≡
-   Vod_resil.Playout), the online daemon with an infinite budget at
+(* Tests for lib/serve: the serving loop must reproduce the recorded
+   outputs of the engines it replaced byte-for-byte (fault-free: the
+   fixed-path Sim engine, faulted: the Resil.Playout engine; fixtures in
+   test/golden/), the online daemon with an infinite budget at
    day-aligned boundaries must be bit-identical to the batch pipeline at
    update_days = 1, and the migration-budget restriction must respect
    its budget while keeping per-video copy sets atomic. *)
@@ -11,122 +12,24 @@ module P = Vod_core.Pipeline
 
 let ev time_s kind = { E.time_s; kind }
 
-(* ---------- loop vs legacy engines ---------- *)
+(* ---------- loop vs the engines it replaced ---------- *)
 
-let ring4 () =
-  Vod_topology.Graph.create ~name:"ring4" ~n:4
-    ~edges:[ (0, 1); (1, 2); (2, 3); (3, 0) ]
-    ~populations:[| 2.0; 1.0; 1.0; 1.0 |]
-
-let sim_world () =
-  let g = ring4 () in
-  let paths = Vod_topology.Paths.compute g in
-  let catalog =
-    Vod_workload.Catalog.generate
-      (Vod_workload.Catalog.default_params ~n:30 ~days:7 ~seed:3)
-  in
-  let trace =
-    Vod_workload.Tracegen.generate
-      (Vod_workload.Tracegen.default_params ~catalog
-         ~populations:g.Vod_topology.Graph.populations ~mean_daily_requests:400.0
-         ~seed:4)
-  in
-  (g, paths, catalog, trace)
-
-let lru_fleet paths catalog =
-  Vod_cache.Fleet.random_single ~paths ~catalog
-    ~disk_gb:[| 15.0; 15.0; 15.0; 15.0 |] ~policy:Vod_cache.Cache.Lru ~seed:5
-
-let check_metrics_equal (a : M.t) (b : M.t) =
-  Alcotest.(check int) "requests" a.M.requests b.M.requests;
-  Alcotest.(check int) "local" a.M.local_served b.M.local_served;
-  Alcotest.(check int) "hits" a.M.cache_hits b.M.cache_hits;
-  Alcotest.(check int) "remote" a.M.remote_served b.M.remote_served;
-  Alcotest.(check int) "not cachable" a.M.not_cachable b.M.not_cachable;
-  Alcotest.(check bool) "gb_hops bit-equal" true
-    (a.M.total_gb_hops = b.M.total_gb_hops);
-  Alcotest.(check bool) "gb_remote bit-equal" true
-    (a.M.total_gb_remote = b.M.total_gb_remote);
-  Alcotest.(check bool) "per-vho requests" true
-    (a.M.per_vho_requests = b.M.per_vho_requests);
-  Alcotest.(check bool) "per-vho local" true (a.M.per_vho_local = b.M.per_vho_local);
-  Alcotest.(check bool) "link-load matrix byte-equal" true
-    (a.M.link_load = b.M.link_load)
-
-(* Fault-free: the loop's direct configuration is the legacy engine. *)
+(* Fault-free: the loop's direct configuration is the fixed-path
+   engine. *)
 let loop_matches_legacy_sim () =
-  let g, paths, catalog, trace = sim_world () in
-  let record_from = 1.0 *. Vod_workload.Trace.seconds_per_day in
-  let legacy =
-    Vod_sim.Sim.run ~graph:g ~paths ~catalog ~fleet:(lru_fleet paths catalog)
-      ~trace ~record_from ()
+  let m, windows =
+    Golden.run_loop ~record_from:Vod_workload.Trace.seconds_per_day ()
   in
-  let unified, windows =
-    Vod_serve.Loop.run ~graph:g ~paths ~catalog
-      ~fleet:(lru_fleet paths catalog) ~trace ~record_from ()
-  in
-  check_metrics_equal legacy unified;
-  Alcotest.(check int) "no rejections" 0 unified.M.deg.M.rejections;
+  Golden.check "sim_run" m windows;
+  Alcotest.(check int) "no rejections" 0 m.M.deg.M.rejections;
   Alcotest.(check bool) "no windows in direct mode" true (windows = [])
 
-(* Faulted: the loop's failover configuration is Vod_resil.Playout —
+(* Faulted: the loop's failover configuration is the resilience engine —
    same metrics, same degradation counters, same event windows. *)
 let loop_matches_resil_playout () =
-  let g, paths, catalog, trace = sim_world () in
-  let horizon = float_of_int trace.Vod_workload.Trace.days *. 86_400.0 in
-  let schedule =
-    E.create
-      [
-        ev (0.3 *. horizon) (E.Vho_down 0);
-        ev (0.5 *. horizon) (E.Surge_start { vho = 1; factor = 2.0 });
-        ev (0.6 *. horizon) (E.Vho_up 0);
-        ev (0.7 *. horizon) (E.Surge_end 1);
-      ]
-  in
-  let config =
-    Vod_resil.Playout.config ~schedule ~link_capacity_mbps:120.0 ~origin:2 ()
-  in
-  let resil, resil_windows =
-    Vod_resil.Playout.run ~graph:g ~paths ~catalog
-      ~fleet:(lru_fleet paths catalog) ~trace config
-  in
-  let unified, unified_windows =
-    Vod_serve.Loop.run ~graph:g ~paths ~catalog
-      ~fleet:(lru_fleet paths catalog) ~trace ~resil:config ()
-  in
-  check_metrics_equal resil unified;
-  let da = resil.M.deg and db = unified.M.deg in
-  Alcotest.(check int) "rejections" da.M.rejections db.M.rejections;
-  Alcotest.(check int) "vho down" da.M.rejected_vho_down db.M.rejected_vho_down;
-  Alcotest.(check int) "no replica" da.M.rejected_no_replica db.M.rejected_no_replica;
-  Alcotest.(check int) "unreachable" da.M.rejected_unreachable
-    db.M.rejected_unreachable;
-  Alcotest.(check int) "no capacity" da.M.rejected_no_capacity
-    db.M.rejected_no_capacity;
-  Alcotest.(check int) "failovers" da.M.failovers db.M.failovers;
-  Alcotest.(check int) "extra hops" da.M.failover_extra_hops
-    db.M.failover_extra_hops;
-  Alcotest.(check int) "origin served" da.M.origin_served db.M.origin_served;
-  Alcotest.(check bool) "saturation bit-equal" true
-    (da.M.link_saturated_s = db.M.link_saturated_s);
-  Alcotest.(check bool) "faulted something" true (da.M.rejections > 0);
-  Alcotest.(check int) "window count"
-    (List.length resil_windows)
-    (List.length unified_windows);
-  List.iter2
-    (fun (a : Vod_resil.Playout.window) (b : Vod_resil.Playout.window) ->
-      Alcotest.(check string) "trigger" a.Vod_resil.Playout.trigger
-        b.Vod_resil.Playout.trigger;
-      Alcotest.(check int) "window requests" a.Vod_resil.Playout.requests
-        b.Vod_resil.Playout.requests;
-      Alcotest.(check int) "window rejections" a.Vod_resil.Playout.rejections
-        b.Vod_resil.Playout.rejections;
-      Alcotest.(check int) "window failovers" a.Vod_resil.Playout.failovers
-        b.Vod_resil.Playout.failovers;
-      Alcotest.(check bool) "window bounds bit-equal" true
-        (a.Vod_resil.Playout.t0_s = b.Vod_resil.Playout.t0_s
-        && a.Vod_resil.Playout.t1_s = b.Vod_resil.Playout.t1_s))
-    resil_windows unified_windows
+  let m, windows = Golden.run_loop ~resil:(Golden.faulted_config ()) () in
+  Golden.check "playout_run" m windows;
+  Alcotest.(check bool) "faulted something" true (m.M.deg.M.rejections > 0)
 
 (* ---------- daemon vs batch pipeline ---------- *)
 
@@ -179,7 +82,7 @@ let daemon_matches_daily_batch () =
         (float_of_int cfg.P.warmup_days *. Vod_workload.Trace.seconds_per_day)
       daemon_cfg
   in
-  check_metrics_equal batch.P.metrics d.Vod_serve.Daemon.metrics;
+  Golden.check_equal "daemon = daily batch" batch.P.metrics d.Vod_serve.Daemon.metrics;
   Alcotest.(check int) "replans = solves"
     (List.length batch.P.solves)
     (List.length d.Vod_serve.Daemon.replans);
@@ -339,21 +242,11 @@ let daemon_boundaries () =
 (* ---------- exceptional-path settlement ---------- *)
 
 (* Regression tests for the missing-protect defects vodlint's protocol
-   analysis surfaced: when [play] raises mid-run, the Fun.protect in
-   [Loop.run] / [Daemon.run] must still settle the capacity ledger, so
-   [finish]'s telemetry is published on the exceptional path too. *)
-
-(* Splice one out-of-range VHO into a valid trace at [time_s];
-   Metrics.validate_vhos rejects it inside [play]. The record literal
-   deliberately bypasses Trace.create's validation. *)
-let bad_vho_trace (trace : Vod_workload.Trace.t) ~time_s =
-  let bad = { Vod_workload.Trace.time_s; vho = 99; video = 0 } in
-  let requests = Array.append trace.Vod_workload.Trace.requests [| bad |] in
-  Array.sort
-    (fun (a : Vod_workload.Trace.request) (b : Vod_workload.Trace.request) ->
-      Float.compare a.Vod_workload.Trace.time_s b.Vod_workload.Trace.time_s)
-    requests;
-  { trace with Vod_workload.Trace.requests }
+   analysis surfaced: when [play_soa] raises mid-run, the Fun.protect in
+   [Loop.run_soa] / [Daemon.run] must still settle the capacity ledger,
+   so [finish]'s telemetry is published on the exceptional path too. The
+   raise comes from Metrics.validate_store: the store claims more VHOs
+   than the topology the metrics were sized for. *)
 
 let check_gauge_settled reg name =
   match Vod_obs.Obs.read reg name with
@@ -365,24 +258,24 @@ let check_gauge_settled reg name =
 (* Loop.finish only publishes the saturation gauge in the failover
    configuration, so run the loop with a (fault-free) resil config. *)
 let loop_settles_on_raise () =
-  let g, paths, catalog, trace = sim_world () in
+  let g, paths, catalog, trace = Golden.sim_world () in
   let resil = Vod_resil.Playout.config ~link_capacity_mbps:120.0 ~origin:2 () in
+  let store =
+    Vod_workload.Trace_soa.of_trace { trace with Vod_workload.Trace.n_vhos = 99 }
+  in
   let reg = Vod_obs.Obs.create () in
   let raised = ref false in
   (try
      Vod_obs.Obs.with_run reg (fun () ->
          ignore
-           (Vod_serve.Loop.run ~graph:g ~paths ~catalog
-              ~fleet:(lru_fleet paths catalog)
-              ~trace:(bad_vho_trace trace ~time_s:0.0)
-              ~resil ()))
+           (Vod_serve.Loop.run_soa ~graph:g ~paths ~catalog
+              ~fleet:(Golden.lru_fleet paths catalog) ~store ~resil ()))
    with Invalid_argument _ -> raised := true);
   Alcotest.(check bool) "play raised" true !raised;
   check_gauge_settled reg "serve/link_saturated_seconds"
 
-(* The bad request sits at day 9.5 — past the last replan boundary (day
-   9), so every demand window and predict slice stays valid and only the
-   final play inside the daemon's Fun.protect sees it. *)
+(* The trace's rows are all valid, so the bootstrap solve outside the
+   daemon's Fun.protect succeeds; the first play inside it raises. *)
 let daemon_settles_on_raise () =
   let sc = daemon_scenario () in
   let cfg =
@@ -391,8 +284,7 @@ let daemon_settles_on_raise () =
       ~link_capacity_mbps:500.0
   in
   let trace =
-    bad_vho_trace sc.Vod_core.Scenario.trace
-      ~time_s:(9.5 *. Vod_workload.Trace.seconds_per_day)
+    { sc.Vod_core.Scenario.trace with Vod_workload.Trace.n_vhos = 99 }
   in
   let resil = Vod_resil.Playout.config ~link_capacity_mbps:500.0 () in
   let daemon_cfg =

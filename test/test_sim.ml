@@ -1,4 +1,4 @@
-(* Tests for the playout metrics and simulator: bin accounting,
+(* Tests for the playout metrics and direct serving: bin accounting,
    conservation (every request counted exactly once), and determinism. *)
 
 module M = Vod_sim.Metrics
@@ -62,30 +62,17 @@ let stream_straddles_horizon () =
   Alcotest.(check (float 1e-9)) "partial mid bin" 0.5 m.M.link_load.(0).(1);
   Alcotest.(check (float 1e-9)) "last bin full" 3.0 m.M.link_load.(0).(2)
 
-let sim_world () =
-  let g =
-    Vod_topology.Graph.create ~name:"ring4" ~n:4
-      ~edges:[ (0, 1); (1, 2); (2, 3); (3, 0) ]
-      ~populations:[| 2.0; 1.0; 1.0; 1.0 |]
-  in
-  let paths = Vod_topology.Paths.compute g in
-  let catalog =
-    Vod_workload.Catalog.generate (Vod_workload.Catalog.default_params ~n:30 ~days:7 ~seed:3)
-  in
-  let trace =
-    Vod_workload.Tracegen.generate
-      (Vod_workload.Tracegen.default_params ~catalog
-         ~populations:g.Vod_topology.Graph.populations ~mean_daily_requests:400.0 ~seed:4)
-  in
-  (g, paths, catalog, trace)
+let sim_world = Golden.sim_world
+
+(* Direct playout of the whole week through the serving loop. *)
+let play ?record_from ~fleet (g, paths, catalog, trace) =
+  fst
+    (Vod_serve.Loop.run_soa ~graph:g ~paths ~catalog ~fleet
+       ~store:(Vod_workload.Trace_soa.of_trace trace) ?record_from ())
 
 let playout_conservation () =
-  let g, paths, catalog, trace = sim_world () in
-  let fleet =
-    Vod_cache.Fleet.random_single ~paths ~catalog
-      ~disk_gb:[| 15.0; 15.0; 15.0; 15.0 |] ~policy:Vod_cache.Cache.Lru ~seed:5
-  in
-  let m = Vod_sim.Sim.run ~graph:g ~paths ~catalog ~fleet ~trace () in
+  let ((_, paths, catalog, trace) as world) = sim_world () in
+  let m = play ~fleet:(Golden.lru_fleet paths catalog) world in
   Alcotest.(check int) "every request counted" (Vod_workload.Trace.length trace) m.M.requests;
   (* Per-VHO counters partition the totals. *)
   Alcotest.(check int) "per-vho requests sum" m.M.requests
@@ -105,20 +92,16 @@ let playout_conservation () =
     (m.M.total_gb_hops >= m.M.total_gb_remote -. 1e-6)
 
 let playout_deterministic () =
-  let g, paths, catalog, trace = sim_world () in
+  let ((_, paths, catalog, _) as world) = sim_world () in
   let run () =
-    let fleet =
-      Vod_cache.Fleet.random_single ~paths ~catalog
-        ~disk_gb:[| 15.0; 15.0; 15.0; 15.0 |] ~policy:Vod_cache.Cache.Lru ~seed:5
-    in
-    let m = Vod_sim.Sim.run ~graph:g ~paths ~catalog ~fleet ~trace () in
+    let m = play ~fleet:(Golden.lru_fleet paths catalog) world in
     (m.M.local_served, m.M.total_gb_hops)
   in
   let a = run () and b = run () in
   Alcotest.(check bool) "deterministic" true (a = b)
 
 let full_replication_all_local () =
-  let g, paths, catalog, trace = sim_world () in
+  let ((_, paths, catalog, _) as world) = sim_world () in
   (* Disk large enough to pin the whole library everywhere. *)
   let full = Vod_workload.Catalog.total_size_gb catalog in
   let fleet =
@@ -132,49 +115,47 @@ let full_replication_all_local () =
       Vod_cache.Fleet.pin fleet ~video ~vho
     done
   done;
-  let m = Vod_sim.Sim.run ~graph:g ~paths ~catalog ~fleet ~trace () in
+  let m = play ~fleet world in
   Alcotest.(check int) "all local" m.M.requests m.M.local_served;
   Alcotest.(check (float 1e-9)) "no transfer" 0.0 m.M.total_gb_hops;
   Alcotest.(check (float 1e-9)) "no link load" 0.0 (M.max_link_mbps m)
 
 let warmup_reduces_counted_requests () =
-  let g, paths, catalog, trace = sim_world () in
-  let fleet () =
-    Vod_cache.Fleet.random_single ~paths ~catalog
-      ~disk_gb:[| 15.0; 15.0; 15.0; 15.0 |] ~policy:Vod_cache.Cache.Lru ~seed:5
-  in
-  let all = Vod_sim.Sim.run ~graph:g ~paths ~catalog ~fleet:(fleet ()) ~trace () in
+  let ((_, paths, catalog, _) as world) = sim_world () in
+  let all = play ~fleet:(Golden.lru_fleet paths catalog) world in
   let recorded =
-    Vod_sim.Sim.run ~graph:g ~paths ~catalog ~fleet:(fleet ()) ~trace
-      ~record_from:(2.0 *. Vod_workload.Trace.seconds_per_day) ()
+    play ~fleet:(Golden.lru_fleet paths catalog)
+      ~record_from:(2.0 *. Vod_workload.Trace.seconds_per_day) world
   in
   Alcotest.(check bool) "fewer counted" true (recorded.M.requests < all.M.requests);
   Alcotest.(check bool) "nonzero counted" true (recorded.M.requests > 0)
 
 (* Regression: an out-of-range VHO id used to silently skip the per-VHO
-   counters (guarded array writes); now the batch is validated once at
-   playout entry. *)
+   counters (guarded array writes); now a store whose VHO bound exceeds
+   the counter arrays is rejected once at playout entry, with both
+   bounds in the message. *)
 let out_of_range_vho_rejected () =
   let g, paths, catalog, _ = sim_world () in
-  let fleet =
-    Vod_cache.Fleet.random_single ~paths ~catalog
-      ~disk_gb:[| 15.0; 15.0; 15.0; 15.0 |] ~policy:Vod_cache.Cache.Lru ~seed:5
+  let loop =
+    Vod_serve.Loop.create ~graph:g ~paths ~catalog
+      ~fleet:(Golden.lru_fleet paths catalog) ()
   in
-  let bad =
-    [| { Vod_workload.Trace.time_s = 10.0; vho = 7; video = 0 } |]
+  let store n_vhos ~vho =
+    Vod_workload.Trace_soa.of_columns ~n_vhos ~days:1 ~times:[| 10.0 |]
+      ~vhos:[| vho |] ~videos:[| 0 |]
   in
   let m =
     M.create ~n_links:(Vod_topology.Graph.n_links g) ~n_vhos:4
       ~horizon_s:86_400.0 ()
   in
   Alcotest.check_raises "validated at entry"
-    (Invalid_argument "Metrics.validate_vhos: request VHO 7 outside [0, 4)")
-    (fun () -> Vod_sim.Sim.play m paths catalog fleet bad);
+    (Invalid_argument
+       "Metrics.validate_store: store allows VHOs up to 7, counters stop at 3")
+    (fun () -> Vod_serve.Loop.play_soa loop m (store 8 ~vho:7) ~lo:0 ~hi:1);
   Alcotest.(check int) "nothing counted" 0 m.M.requests;
-  (* A well-formed batch against the same metrics still plays. *)
-  let ok = [| { Vod_workload.Trace.time_s = 10.0; vho = 3; video = 0 } |] in
-  Vod_sim.Sim.play m paths catalog fleet ok;
-  Alcotest.(check int) "valid batch plays" 1 m.M.requests;
+  (* A well-formed store against the same metrics still plays. *)
+  Vod_serve.Loop.play_soa loop m (store 4 ~vho:3) ~lo:0 ~hi:1;
+  Alcotest.(check int) "valid store plays" 1 m.M.requests;
   Alcotest.(check int) "attributed to vho 3" 1 m.M.per_vho_requests.(3)
 
 let suite =

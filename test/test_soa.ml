@@ -1,38 +1,17 @@
 (* Tests for the compact struct-of-arrays request store (lib/workload
-   Trace_soa) and the SoA serving paths: lossless round-trips against
+   Trace_soa) and the serving loop over it: lossless round-trips against
    the boxed representation, windowed-reader boundary cases, and
-   byte-identical metrics between the array-backed and SoA-backed
-   engines in every configuration. *)
+   byte-identical metrics against the recorded outputs of the boxed-array
+   and columnar engines the loop replaced (test/golden/). *)
 
-module E = Vod_resil.Event
 module M = Vod_sim.Metrics
 module T = Vod_workload.Trace
 module S = Vod_workload.Trace_soa
 
-let ev time_s kind = { E.time_s; kind }
-
-let ring4 () =
-  Vod_topology.Graph.create ~name:"ring4" ~n:4
-    ~edges:[ (0, 1); (1, 2); (2, 3); (3, 0) ]
-    ~populations:[| 2.0; 1.0; 1.0; 1.0 |]
-
-let sim_world () =
-  let g = ring4 () in
-  let paths = Vod_topology.Paths.compute g in
-  let catalog =
-    Vod_workload.Catalog.generate
-      (Vod_workload.Catalog.default_params ~n:30 ~days:7 ~seed:3)
-  in
-  let trace =
-    Vod_workload.Tracegen.generate
-      (Vod_workload.Tracegen.default_params ~catalog
-         ~populations:g.Vod_topology.Graph.populations
-         ~mean_daily_requests:400.0 ~seed:4)
-  in
-  (g, paths, catalog, trace)
+let sim_world = Golden.sim_world
 
 let tracegen_params () =
-  let g = ring4 () in
+  let g = Golden.ring4 () in
   let catalog =
     Vod_workload.Catalog.generate
       (Vod_workload.Catalog.default_params ~n:30 ~days:7 ~seed:3)
@@ -40,10 +19,6 @@ let tracegen_params () =
   Vod_workload.Tracegen.default_params ~catalog
     ~populations:g.Vod_topology.Graph.populations ~mean_daily_requests:400.0
     ~seed:4
-
-let lru_fleet paths catalog =
-  Vod_cache.Fleet.random_single ~paths ~catalog
-    ~disk_gb:[| 15.0; 15.0; 15.0; 15.0 |] ~policy:Vod_cache.Cache.Lru ~seed:5
 
 let check_requests_equal label (a : T.request array) (b : T.request array) =
   Alcotest.(check int) (label ^ ": length") (Array.length a) (Array.length b);
@@ -184,178 +159,58 @@ let demand_of_soa_matches_of_requests () =
   in
   Alcotest.(check bool) "demand models equal" true (from_soa = from_requests)
 
-(* ---------- serving engines ---------- *)
+(* ---------- serving loop ---------- *)
 
-let check_metrics_equal (a : M.t) (b : M.t) =
-  Alcotest.(check int) "requests" a.M.requests b.M.requests;
-  Alcotest.(check int) "local" a.M.local_served b.M.local_served;
-  Alcotest.(check int) "hits" a.M.cache_hits b.M.cache_hits;
-  Alcotest.(check int) "remote" a.M.remote_served b.M.remote_served;
-  Alcotest.(check int) "not cachable" a.M.not_cachable b.M.not_cachable;
-  Alcotest.(check bool) "gb_hops bit-equal" true
-    (a.M.total_gb_hops = b.M.total_gb_hops);
-  Alcotest.(check bool) "gb_remote bit-equal" true
-    (a.M.total_gb_remote = b.M.total_gb_remote);
-  Alcotest.(check bool) "per-vho requests" true
-    (a.M.per_vho_requests = b.M.per_vho_requests);
-  Alcotest.(check bool) "per-vho local" true
-    (a.M.per_vho_local = b.M.per_vho_local);
-  Alcotest.(check bool) "link-load matrix byte-equal" true
-    (a.M.link_load = b.M.link_load)
+(* The loop over the converted store must reproduce the recorded
+   outputs of the boxed [run] it replaced and of both entry points
+   (columnar and boxed) of the fixed-path (direct) and fault-injecting
+   (faulted) engines (test/golden/). *)
+let check_fixtures names (m, windows) =
+  List.iter (fun name -> Golden.check name m windows) names
 
-(* Legacy engine: Sim.run_soa ≡ Sim.run. *)
-let sim_soa_matches_sim () =
-  let g, paths, catalog, trace = sim_world () in
-  let record_from = 1.0 *. T.seconds_per_day in
-  let arr =
-    Vod_sim.Sim.run ~graph:g ~paths ~catalog ~fleet:(lru_fleet paths catalog)
-      ~trace ~record_from ()
-  in
-  let soa =
-    Vod_sim.Sim.run_soa ~graph:g ~paths ~catalog
-      ~fleet:(lru_fleet paths catalog) ~store:(S.of_trace trace) ~record_from
-      ()
-  in
-  check_metrics_equal arr soa
+let direct () = Golden.run_loop ~record_from:T.seconds_per_day ()
 
-let faulted_config () =
-  let horizon = 7.0 *. T.seconds_per_day in
-  let schedule =
-    E.create
-      [
-        ev (0.3 *. horizon) (E.Vho_down 0);
-        ev (0.5 *. horizon) (E.Surge_start { vho = 1; factor = 2.0 });
-        ev (0.6 *. horizon) (E.Vho_up 0);
-        ev (0.7 *. horizon) (E.Surge_end 1);
-      ]
-  in
-  Vod_resil.Playout.config ~schedule ~link_capacity_mbps:120.0 ~origin:2 ()
-
-let check_windows_equal a b =
-  Alcotest.(check int) "window count" (List.length a) (List.length b);
-  List.iter2
-    (fun (x : Vod_resil.Playout.window) (y : Vod_resil.Playout.window) ->
-      Alcotest.(check string) "trigger" x.Vod_resil.Playout.trigger
-        y.Vod_resil.Playout.trigger;
-      Alcotest.(check int) "window requests" x.Vod_resil.Playout.requests
-        y.Vod_resil.Playout.requests;
-      Alcotest.(check int) "window rejections" x.Vod_resil.Playout.rejections
-        y.Vod_resil.Playout.rejections;
-      Alcotest.(check int) "window failovers" x.Vod_resil.Playout.failovers
-        y.Vod_resil.Playout.failovers)
-    a b
-
-(* Resilience engine: Playout.run_soa ≡ Playout.run, degradation
-   counters and event windows included. *)
-let playout_soa_matches_playout () =
-  let g, paths, catalog, trace = sim_world () in
-  let config = faulted_config () in
-  let arr, arr_w =
-    Vod_resil.Playout.run ~graph:g ~paths ~catalog
-      ~fleet:(lru_fleet paths catalog) ~trace config
-  in
-  let soa, soa_w =
-    Vod_resil.Playout.run_soa ~graph:g ~paths ~catalog
-      ~fleet:(lru_fleet paths catalog) ~store:(S.of_trace trace) config
-  in
-  check_metrics_equal arr soa;
-  let da = arr.M.deg and db = soa.M.deg in
-  Alcotest.(check int) "rejections" da.M.rejections db.M.rejections;
-  Alcotest.(check int) "failovers" da.M.failovers db.M.failovers;
-  Alcotest.(check int) "origin served" da.M.origin_served db.M.origin_served;
-  Alcotest.(check bool) "saturation bit-equal" true
-    (da.M.link_saturated_s = db.M.link_saturated_s);
-  Alcotest.(check bool) "faulted something" true (da.M.rejections > 0);
-  check_windows_equal arr_w soa_w
-
-(* Unified loop, both configurations: Loop.run_soa ≡ Loop.run. *)
-let loop_soa_matches_loop_direct () =
-  let g, paths, catalog, trace = sim_world () in
-  let record_from = 1.0 *. T.seconds_per_day in
-  let arr, _ =
-    Vod_serve.Loop.run ~graph:g ~paths ~catalog
-      ~fleet:(lru_fleet paths catalog) ~trace ~record_from ()
-  in
-  let soa, windows =
-    Vod_serve.Loop.run_soa ~graph:g ~paths ~catalog
-      ~fleet:(lru_fleet paths catalog) ~store:(S.of_trace trace) ~record_from
-      ()
-  in
-  check_metrics_equal arr soa;
-  Alcotest.(check bool) "no windows in direct mode" true (windows = [])
-
-let loop_soa_matches_loop_faulted () =
-  let g, paths, catalog, trace = sim_world () in
-  let config = faulted_config () in
-  let arr, arr_w =
-    Vod_serve.Loop.run ~graph:g ~paths ~catalog
-      ~fleet:(lru_fleet paths catalog) ~trace ~resil:config ()
-  in
-  let soa, soa_w =
-    Vod_serve.Loop.run_soa ~graph:g ~paths ~catalog
-      ~fleet:(lru_fleet paths catalog) ~store:(S.of_trace trace) ~resil:config
-      ()
-  in
-  check_metrics_equal arr soa;
-  Alcotest.(check int) "rejections" arr.M.deg.M.rejections
-    soa.M.deg.M.rejections;
-  check_windows_equal arr_w soa_w
+let faulted () = Golden.run_loop ~resil:(Golden.faulted_config ()) ()
 
 (* Segment-wise playout through play_soa (the pipeline's pattern) is
    the whole-trace playout: ranges from between_days tile the store. *)
 let play_soa_segments_match_whole () =
-  let g, paths, catalog, trace = sim_world () in
+  let g, paths, catalog, trace = Golden.sim_world () in
   let soa = S.of_trace trace in
-  let fleet = lru_fleet paths catalog in
   let fresh () =
     M.create
       ~n_links:(Vod_topology.Graph.n_links g)
       ~n_vhos:(Vod_topology.Graph.n_nodes g)
       ~horizon_s:(7.0 *. T.seconds_per_day) ()
   in
-  let whole = fresh () in
-  let engine1 =
-    Vod_serve.Loop.create ~graph:g ~paths ~catalog ~fleet:(lru_fleet paths catalog) ()
+  let engine () =
+    Vod_serve.Loop.create ~graph:g ~paths ~catalog
+      ~fleet:(Golden.lru_fleet paths catalog) ()
   in
-  Vod_serve.Loop.play_soa engine1 whole soa ~lo:0 ~hi:(S.length soa);
+  let whole = fresh () in
+  Vod_serve.Loop.play_soa (engine ()) whole soa ~lo:0 ~hi:(S.length soa);
   let seg = fresh () in
-  let engine2 = Vod_serve.Loop.create ~graph:g ~paths ~catalog ~fleet () in
+  let engine2 = engine () in
   List.iter
     (fun (day_lo, day_hi) ->
       let lo, hi = S.between_days soa ~day_lo ~day_hi in
       Vod_serve.Loop.play_soa engine2 seg soa ~lo ~hi)
     [ (0, 2); (2, 3); (3, 7) ];
-  check_metrics_equal whole seg
+  Golden.check_equal "segmented = whole" whole seg
 
-(* Pipeline with cfg.soa = true reproduces the array-backed pipeline
-   byte-for-byte for both an MIP scheme and a caching scheme. *)
-let pipeline_soa_flag_identity () =
-  let scenario =
-    Vod_core.Scenario.make ~days:10 ~requests_per_video_per_day:4.0 ~seed:9
-      ~graph:(ring4 ()) ~n_videos:40 ()
-  in
-  let base =
-    {
-      (Vod_core.Pipeline.default_config ~scenario
-         ~disk_gb:(Vod_core.Scenario.uniform_disk scenario ~multiple:2.0)
-         ~link_capacity_mbps:500.0)
-      with
-      Vod_core.Pipeline.warmup_days = 2;
-    }
-  in
+(* The pipeline, which now always plays through the store, reproduces
+   the array-backed pipeline's recorded metrics for both an MIP scheme
+   and a caching scheme. *)
+let pipeline_matches_array_golden () =
+  let cfg = Golden.pipeline_config () in
   List.iter
-    (fun scheme ->
-      let arr = Vod_core.Pipeline.run base scheme in
-      let soa =
-        Vod_core.Pipeline.run { base with Vod_core.Pipeline.soa = true } scheme
-      in
-      Alcotest.(check string) "scheme name"
-        arr.Vod_core.Pipeline.scheme_name soa.Vod_core.Pipeline.scheme_name;
-      check_metrics_equal arr.Vod_core.Pipeline.metrics
-        soa.Vod_core.Pipeline.metrics)
+    (fun (name, scheme) ->
+      let r = Vod_core.Pipeline.run cfg scheme in
+      Golden.check name r.Vod_core.Pipeline.metrics
+        r.Vod_core.Pipeline.resil_windows)
     [
-      Vod_core.Pipeline.Mip Vod_core.Pipeline.default_mip;
-      Vod_core.Pipeline.Random_cache Vod_cache.Cache.Lru;
+      ("pipeline_mip", Vod_core.Pipeline.Mip Vod_core.Pipeline.default_mip);
+      ("pipeline_random_lru", Vod_core.Pipeline.Random_cache Vod_cache.Cache.Lru);
     ]
 
 (* ---------- validation ---------- *)
@@ -390,18 +245,18 @@ let suite =
         iter_windows_tiling ());
     Alcotest.test_case "Demand.of_soa = of_requests" `Quick (fun () ->
         demand_of_soa_matches_of_requests ());
-    Alcotest.test_case "Sim.run_soa = Sim.run" `Quick (fun () ->
-        sim_soa_matches_sim ());
-    Alcotest.test_case "Playout.run_soa = Playout.run" `Quick (fun () ->
-        playout_soa_matches_playout ());
     Alcotest.test_case "Loop.run_soa = Loop.run (direct)" `Quick (fun () ->
-        loop_soa_matches_loop_direct ());
+        check_fixtures [ "loop_run_direct" ] (direct ()));
     Alcotest.test_case "Loop.run_soa = Loop.run (faulted)" `Quick (fun () ->
-        loop_soa_matches_loop_faulted ());
+        check_fixtures [ "loop_run_faulted" ] (faulted ()));
+    Alcotest.test_case "Sim.run_soa = Sim.run" `Quick (fun () ->
+        check_fixtures [ "sim_run_soa"; "sim_run" ] (direct ()));
+    Alcotest.test_case "Playout.run_soa = Playout.run" `Quick (fun () ->
+        check_fixtures [ "playout_run_soa"; "playout_run" ] (faulted ()));
     Alcotest.test_case "segmented play_soa = whole" `Quick (fun () ->
         play_soa_segments_match_whole ());
-    Alcotest.test_case "Pipeline soa flag byte-identity" `Quick (fun () ->
-        pipeline_soa_flag_identity ());
+    Alcotest.test_case "Pipeline = array-backed golden" `Quick (fun () ->
+        pipeline_matches_array_golden ());
     Alcotest.test_case "validation errors" `Quick (fun () ->
         rejects_bad_rows ());
   ]

@@ -157,11 +157,12 @@ if ! diff -u "$smoke_dir/fault_metrics1.inv" "$smoke_dir/fault_metrics4.inv"; th
   echo "FAIL: non-time fault metrics differ between --jobs 1 and --jobs 4" >&2
   exit 1
 fi
-echo "== SoA playout smoke: --soa vs array path, --jobs 1 vs --jobs 4 =="
-# The compact struct-of-arrays serving path must reproduce the
-# array-backed playout byte-for-byte (same faulted scenario as the
-# smoke above, so fault1.out doubles as the reference), and its
-# sharded generator must stay byte-identical at any job count.
+echo "== SoA generator smoke: generate_soa vs generate trace, --jobs 1 vs 4 =="
+# --soa generates the trace through the windowed struct-of-arrays
+# builder (Tracegen.generate_soa); the playout must match the default
+# generator's byte-for-byte (same faulted scenario as the smoke above,
+# so fault1.out doubles as the reference), and the sharded generator
+# must stay byte-identical at any job count.
 for j in 1 4; do
   dune exec --no-print-directory bin/vodopt.exe -- simulate \
     --scheme lru --videos 150 --days 14 --requests-per-video 5 \
@@ -169,7 +170,7 @@ for j in 1 4; do
     > "$smoke_dir/soa$j.out"
 done
 if ! diff -u "$smoke_dir/fault1.out" "$smoke_dir/soa1.out"; then
-  echo "FAIL: --soa playout differs from the array-backed playout" >&2
+  echo "FAIL: --soa (generate_soa) playout differs from the generate playout" >&2
   exit 1
 fi
 if ! diff -u "$smoke_dir/soa1.out" "$smoke_dir/soa4.out"; then
