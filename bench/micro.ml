@@ -31,12 +31,23 @@ let block_fixture () =
         else best)
       blocks.(0) blocks
   in
+  (* Most blocks of a real week are tiny: over half of a 4,000-video
+     backbone55 week has no client at all. A no-client and a one-client
+     block (same video, demand cut down) time that end of the range. *)
+  let with_clients k =
+    {
+      busiest with
+      Vod_placement.Blocks.clients =
+        Array.sub busiest.Vod_placement.Blocks.clients 0 k;
+    }
+  in
   let prices = Array.init (Vod_placement.Instance.n_rows inst) (fun i -> 0.01 *. float_of_int (1 + (i mod 7))) in
-  (inst, busiest, prices, sc)
+  (inst, busiest, with_clients 0, with_clients 1, prices, sc)
 
 let tests () =
-  let inst, block, prices, sc = block_fixture () in
-  let ufl = Vod_placement.Blocks.ufl_of_block inst block ~obj_price:1.0 ~row_price:prices in
+  let inst, block, empty_block, one_block, prices, sc = block_fixture () in
+  let ufl_of b = Vod_placement.Blocks.ufl_of_block inst b ~obj_price:1.0 ~row_price:prices in
+  let ufl = ufl_of block and ufl_empty = ufl_of empty_block and ufl_one = ufl_of one_block in
   let mk name f = Test.make ~name (Staged.stage f) in
   [
     (* Table III's inner loop: one block optimization. *)
@@ -44,6 +55,10 @@ let tests () =
         ignore (Vod_facility.Ufl.greedy ufl));
     mk "table3/ufl_local_search_55fac" (fun () ->
         ignore (Vod_facility.Ufl.local_search ufl));
+    mk "table3/ufl_local_search_55fac_0cli" (fun () ->
+        ignore (Vod_facility.Ufl.local_search ufl_empty));
+    mk "table3/ufl_local_search_55fac_1cli" (fun () ->
+        ignore (Vod_facility.Ufl.local_search ufl_one));
     (* The lower-bound pass kernel. *)
     mk "table3/ufl_dual_ascent_55fac" (fun () ->
         ignore (Vod_facility.Ufl.dual_ascent ufl));

@@ -476,6 +476,7 @@ let run_pass st =
   in
   let stats = { steps = 0; tau_sum = 0.0; skipped = 0 } in
   Array.iter (fun k -> step_block ~stats st k) order;
+  Obs.incr ~by:stats.skipped "epf/pass/skipped";
   Log.debug (fun m ->
       m "  steps=%d avg_tau=%.4f skipped=%d price_obj=%.3g" stats.steps
         (if stats.steps = 0 then 0.0 else stats.tau_sum /. float_of_int stats.steps)

@@ -76,9 +76,10 @@ let greedy t =
     done;
     !c
   in
+  let single = Array.init n single_cost in
   let first = ref 0 in
   for i = 1 to n - 1 do
-    if single_cost i < single_cost !first then first := i
+    if single.(i) < single.(!first) then first := i
   done;
   let open_set = Array.make n false in
   open_set.(!first) <- true;
@@ -113,57 +114,115 @@ let greedy t =
 
 (* Add / drop / swap local search seeded by [greedy] — the classic
    Charikar-Guha style block heuristic. [max_iter] bounds the number of
-   improving moves (each move strictly decreases cost). *)
+   improvement rounds; a move is taken as soon as it is found to lower
+   the cost, and the scan goes on from the new solution.
+
+   A candidate move closes at most one open facility [drop] and opens at
+   most one closed facility [add] (-1 for "none"). Rather than
+   re-evaluating the candidate open set from scratch, each client keeps
+   its best open service value, the facility giving it (lowest index on
+   ties, as in [eval_open]) and the second-best open value, i.e. the best
+   over the open facilities other than that one. The candidate's service
+   value for client j is then min(kept_j, s_j,add), where kept_j is the
+   second-best value if j's best facility is [drop] and the best value
+   otherwise. The opening costs are summed over the candidate set in
+   facility order and the service values added in client order — exactly
+   [eval_open]'s summation, so every comparison, every accepted move and
+   the returned solution are bit-identical to evaluating each candidate
+   with [eval_open]. A candidate costs O(n_fac + n_cli) and allocates
+   nothing; the bookkeeping is rebuilt, in O(n_fac * n_cli), only after
+   an accepted move. The scratch arrays belong to this call, so
+   concurrent calls share nothing. *)
 let local_search ?(max_iter = 200) t =
-  let n = n_facilities t in
+  let n = n_facilities t and nc = n_clients t in
   let sol = ref (greedy t) in
-  let iter = ref 0 in
-  let try_open_set os =
-    (* At least one facility must stay open. *)
-    if Array.exists (fun b -> b) os then begin
-      let cost, _ = eval_open t os in
-      if cost < !sol.cost -. 1e-12 then begin
-        sol := solution_of_open t os;
-        true
-      end
-      else false
+  let cur = Array.make n false in
+  let base = Array.make n false in
+  let n_open = ref 0 in
+  let best = Array.make nc infinity in
+  let best_fac = Array.make nc (-1) in
+  let second = Array.make nc infinity in
+  let rebuild () =
+    Array.blit !sol.open_set 0 cur 0 n;
+    n_open := 0;
+    Array.iter (fun o -> if o then incr n_open) cur;
+    for j = 0 to nc - 1 do
+      let row = t.service.(j) in
+      let b = ref infinity and f = ref (-1) and s2 = ref infinity in
+      for i = 0 to n - 1 do
+        if cur.(i) then begin
+          let v = row.(i) in
+          if v < !b then begin
+            s2 := !b;
+            b := v;
+            f := i
+          end
+          else if v < !s2 then s2 := v
+        end
+      done;
+      best.(j) <- !b;
+      best_fac.(j) <- !f;
+      second.(j) <- !s2
+    done
+  in
+  rebuild ();
+  let candidate ~drop ~add =
+    Array.init n (fun i -> (cur.(i) && i <> drop) || i = add)
+  in
+  (* Price the candidate and, if it improves on the incumbent, adopt it.
+     A client left with no finite service value makes [eval_open] raise;
+     the fallback re-runs it on the candidate so the same exception
+     escapes. *)
+  let try_move ~drop ~add =
+    let cost = ref 0.0 in
+    for i = 0 to n - 1 do
+      if (cur.(i) && i <> drop) || i = add then cost := !cost +. t.open_cost.(i)
+    done;
+    let served = ref true in
+    for j = 0 to nc - 1 do
+      let kept = if best_fac.(j) = drop then second.(j) else best.(j) in
+      let v =
+        if add < 0 then kept
+        else
+          let s = t.service.(j).(add) in
+          if s < kept then s else kept
+      in
+      if not (v < infinity) then served := false;
+      cost := !cost +. v
+    done;
+    if not !served then cost := fst (eval_open t (candidate ~drop ~add));
+    if !cost < !sol.cost -. 1e-12 then begin
+      sol := solution_of_open t (candidate ~drop ~add);
+      rebuild ();
+      true
     end
     else false
   in
+  let iter = ref 0 in
   let improved = ref true in
   while !improved && !iter < max_iter do
     improved := false;
     incr iter;
-    let base = Array.copy !sol.open_set in
+    Array.blit cur 0 base 0 n;
     (* add moves *)
     for i = 0 to n - 1 do
-      if not base.(i) then begin
-        let os = Array.copy !sol.open_set in
-        if not os.(i) then begin
-          os.(i) <- true;
-          if try_open_set os then improved := true
-        end
-      end
+      if (not base.(i)) && not cur.(i) then
+        if try_move ~drop:(-1) ~add:i then improved := true
     done;
-    (* drop moves *)
+    (* drop moves; at least one facility must stay open *)
     for i = 0 to n - 1 do
-      if base.(i) then begin
-        let os = Array.copy !sol.open_set in
-        if os.(i) then begin
-          os.(i) <- false;
-          if try_open_set os then improved := true
-        end
-      end
+      if base.(i) && cur.(i) && !n_open > 1 then
+        if try_move ~drop:i ~add:(-1) then improved := true
     done;
-    (* swap moves: close one open, open one closed *)
+    (* swap moves: close one open, open one closed. After an accepted
+       swap the outer facility is already closed, and the remaining
+       inner candidates are plain adds. *)
     for i = 0 to n - 1 do
-      if !sol.open_set.(i) then
+      if cur.(i) then
         for i' = 0 to n - 1 do
-          if not !sol.open_set.(i') then begin
-            let os = Array.copy !sol.open_set in
-            os.(i) <- false;
-            os.(i') <- true;
-            if try_open_set os then improved := true
+          if not cur.(i') then begin
+            let drop = if cur.(i) then i else -1 in
+            if try_move ~drop ~add:i' then improved := true
           end
         done
     done

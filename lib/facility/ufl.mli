@@ -38,7 +38,20 @@ val solution_of_open : t -> bool array -> solution
 val greedy : t -> solution
 
 (** Add/drop/swap local search seeded by [greedy] — the Charikar-Guha-style
-    block heuristic the paper uses for block steps and rounding. *)
+    block heuristic the paper uses for block steps and rounding.
+
+    Each round scans the add moves (facilities closed at the round's
+    start), the drop moves (facilities open at its start, while more than
+    one is open) and the swap moves (live open x live closed), taking the
+    first move that lowers the cost by more than [1e-12]; it stops after a
+    round with no improving move or after [max_iter] (default 200)
+    rounds. Each candidate move is priced in O(n_facilities + n_clients)
+    from per-client best/second-best bookkeeping, with no allocation, and
+    the result is bit-identical to pricing every candidate with
+    {!eval_open}: same open set, assignment and cost. Rebuilding the
+    bookkeeping after an accepted move costs O(n_facilities * n_clients).
+    Raises [Invalid_argument] like {!eval_open} if a candidate leaves a
+    client with no finite service cost. *)
 val local_search : ?max_iter:int -> t -> solution
 
 (** Erlenkotter-style dual ascent. Returns [(bound, v)] where [bound] is a

@@ -258,10 +258,3 @@ let oracles ?(warm_start = true) (inst : Instance.t) =
     (blocks, Array.map (oracle_of_block ~warm_prices:row_prices inst) blocks)
   end
   else (blocks, Array.map (oracle_of_block inst) blocks)
-
-(* A stronger (local-search) re-optimization of one block, used by the
-   final rounding refinement. *)
-let best_integral (inst : Instance.t) (b : block) ~obj_price ~row_price =
-  let ufl = ufl_of_block inst b ~obj_price ~row_price in
-  let sol = Vod_facility.Ufl.local_search ufl in
-  point_of_solution inst b sol

@@ -55,11 +55,3 @@ val oracles :
   ?warm_start:bool ->
   Instance.t ->
   block array * choice Vod_epf.Engine.oracle array
-
-(** Local-search re-optimization of one block (rounding refinement). *)
-val best_integral :
-  Instance.t ->
-  block ->
-  obj_price:float ->
-  row_price:float array ->
-  choice Vod_epf.Engine.point

@@ -77,6 +77,112 @@ let local_search_improves () =
     Alcotest.(check bool) "ls >= exact" true (ls.U.cost >= e.U.cost -. 1e-9)
   done
 
+(* The definition [U.local_search] must reproduce: the add/drop/swap
+   search that prices every candidate open set with a full [eval_open]
+   (O(n_fac * n_cli) and two arrays per candidate). Kept here, not in
+   lib/, as the equivalence reference for the incremental version. *)
+let local_search_ref ?(max_iter = 200) t =
+  let n = U.n_facilities t in
+  let sol = ref (U.greedy t) in
+  let iter = ref 0 in
+  let try_open_set os =
+    (* At least one facility must stay open. *)
+    if Array.exists (fun b -> b) os then begin
+      let cost, _ = U.eval_open t os in
+      if cost < !sol.U.cost -. 1e-12 then begin
+        sol := U.solution_of_open t os;
+        true
+      end
+      else false
+    end
+    else false
+  in
+  let improved = ref true in
+  while !improved && !iter < max_iter do
+    improved := false;
+    incr iter;
+    let base = Array.copy !sol.U.open_set in
+    (* add moves *)
+    for i = 0 to n - 1 do
+      if not base.(i) then begin
+        let os = Array.copy !sol.U.open_set in
+        if not os.(i) then begin
+          os.(i) <- true;
+          if try_open_set os then improved := true
+        end
+      end
+    done;
+    (* drop moves *)
+    for i = 0 to n - 1 do
+      if base.(i) then begin
+        let os = Array.copy !sol.U.open_set in
+        if os.(i) then begin
+          os.(i) <- false;
+          if try_open_set os then improved := true
+        end
+      end
+    done;
+    (* swap moves: close one open, open one closed *)
+    for i = 0 to n - 1 do
+      if !sol.U.open_set.(i) then
+        for i' = 0 to n - 1 do
+          if not !sol.U.open_set.(i') then begin
+            let os = Array.copy !sol.U.open_set in
+            os.(i) <- false;
+            os.(i') <- true;
+            if try_open_set os then improved := true
+          end
+        done
+    done
+  done;
+  !sol
+
+(* Random instance with 1-30 facilities and 0-25 clients; [ints] draws
+   small-integer costs so that equal candidate costs and tied service
+   values are common. *)
+let ref_instance ~seed ~ints =
+  let rng = Vod_util.Rng.create seed in
+  let n_fac = 1 + Vod_util.Rng.int rng 30 and n_cli = Vod_util.Rng.int rng 26 in
+  let draw scale =
+    if ints then float_of_int (Vod_util.Rng.int rng (int_of_float scale))
+    else Vod_util.Rng.float rng *. scale
+  in
+  let open_cost = Array.init n_fac (fun _ -> draw 4.0) in
+  let service = Array.init n_cli (fun _ -> Array.init n_fac (fun _ -> draw 6.0)) in
+  { U.open_cost; service }
+
+let same_solution (a : U.solution) (b : U.solution) =
+  a.U.open_set = b.U.open_set
+  && a.U.assign = b.U.assign
+  && Int64.equal (Int64.bits_of_float a.U.cost) (Int64.bits_of_float b.U.cost)
+
+let prop_local_search_matches_ref =
+  QCheck.Test.make ~name:"local_search is bit-identical to the eval_open reference"
+    ~count:300
+    QCheck.(pair (int_bound 1_000_000) bool)
+    (fun (seed, ints) ->
+      let t = ref_instance ~seed ~ints in
+      same_solution (U.local_search t) (local_search_ref t)
+      && same_solution (U.local_search ~max_iter:1 t) (local_search_ref ~max_iter:1 t)
+      && same_solution (U.local_search ~max_iter:2 t) (local_search_ref ~max_iter:2 t))
+
+(* A drop that leaves a client with no finite service cost makes the
+   reference raise inside [eval_open]; the incremental search must raise
+   the same exception. *)
+let local_search_infinite_service () =
+  let t =
+    {
+      U.open_cost = [| 0.0; 0.0; 10.0 |];
+      service = [| [| 0.0; infinity; infinity |]; [| infinity; 0.0; 1.0 |] |];
+    }
+  in
+  let outcome f = match f t with s -> Ok s | exception Invalid_argument m -> Error m in
+  let r = outcome (fun t -> local_search_ref t) and l = outcome (fun t -> U.local_search t) in
+  match (r, l) with
+  | Ok a, Ok b -> Alcotest.(check bool) "same solution" true (same_solution a b)
+  | Error a, Error b -> Alcotest.(check string) "same exception" a b
+  | _ -> Alcotest.fail "reference and local_search disagree on raising"
+
 let assignment_is_cheapest_open () =
   let rng = Vod_util.Rng.create 31 in
   let t = random_instance rng ~n_fac:8 ~n_cli:10 in
@@ -105,9 +211,7 @@ let prop_dual_bound_valid =
       let e = U.exact t in
       (* Validity, plus explicit dual feasibility of v. *)
       let feasible =
-        Array.for_all
-          (fun _ -> true)
-          v
+        Array.for_all (fun vj -> Float.is_finite vj && vj >= 0.0) v
         &&
         let ok = ref true in
         for i = 0 to n_fac - 1 do
@@ -152,5 +256,8 @@ let suite =
     Alcotest.test_case "assignment cheapest-open" `Quick assignment_is_cheapest_open;
     Alcotest.test_case "dual bound tightness" `Quick dual_bound_reasonably_tight;
     Alcotest.test_case "exact size guard" `Quick exact_rejects_large;
+    Alcotest.test_case "local search infinite service" `Quick
+      local_search_infinite_service;
     QCheck_alcotest.to_alcotest prop_dual_bound_valid;
+    QCheck_alcotest.to_alcotest prop_local_search_matches_ref;
   ]

@@ -335,6 +335,34 @@ let fixed_order_also_solves () =
   Alcotest.(check bool) "still produces a placement" true
     (report.Solve.solution.Sol.n_videos = 8)
 
+(* Golden solve fixtures: [Solve.solve] on [tiny_instance] with each
+   decomposition backend, recorded before the UFL local search priced
+   its moves incrementally (test/golden/solve_<backend>.golden). Floats
+   as %h, so any kernel change that moves a bound, a violation or an
+   open VHO fails here. *)
+let dump_solve (r : Solve.report) =
+  let b = Buffer.create 512 in
+  let line fmt = Printf.kbprintf (fun b -> Buffer.add_char b '\n') b fmt in
+  let sol = r.Solve.solution in
+  line "objective %h" sol.Sol.objective;
+  line "lower_bound %h" sol.Sol.lower_bound;
+  line "max_violation %h" sol.Sol.max_violation;
+  line "pre_round_objective %h" r.Solve.lp_objective;
+  line "pre_round_violation %h" r.Solve.lp_violation;
+  line "passes %d" r.Solve.passes;
+  Array.iteri
+    (fun video vhos ->
+      line "video %d open %s" video
+        (String.concat " " (Array.to_list (Array.map string_of_int vhos))))
+    sol.Sol.stored;
+  Buffer.contents b
+
+let golden_solve solver () =
+  let r = Solve.solve ~solver (tiny_instance ()) in
+  Alcotest.(check string) ("golden solve " ^ solver)
+    (Golden.read_fixture ("solve_" ^ solver))
+    (dump_solve r)
+
 let cold_start_also_solves () =
   let inst = tiny_instance () in
   let _, oracles = B.oracles ~warm_start:false inst in
@@ -352,6 +380,8 @@ let suite =
     Alcotest.test_case "placement weight" `Slow placement_weight_discourages_copies;
     Alcotest.test_case "fixed order solves" `Quick fixed_order_also_solves;
     Alcotest.test_case "cold start solves" `Quick cold_start_also_solves;
+    Alcotest.test_case "golden solve epf" `Quick (golden_solve "epf");
+    Alcotest.test_case "golden solve benders" `Quick (golden_solve "benders");
     Alcotest.test_case "cost affine in hops" `Quick cost_affine_in_hops;
     Alcotest.test_case "instance validation" `Quick instance_validation;
     Alcotest.test_case "blocks cover demand" `Quick blocks_cover_demand;

@@ -116,6 +116,19 @@ if ! diff -u "$smoke_dir/benders_metrics1.inv" "$smoke_dir/benders_metrics4.inv"
   echo "FAIL: non-time benders metrics differ between --jobs 1 and --jobs 4" >&2
   exit 1
 fi
+echo "== solve output vs recorded placements (EPF and Benders, --jobs 1) =="
+# The --jobs 1 smoke reports above must match the committed recordings
+# in tools/golden/ byte for byte (time line stripped): a kernel change
+# that moves an objective, a bound, a violation or a copy count fails
+# here. Re-record them only for a deliberate change of results.
+check_recorded() { # $1 = committed recording, $2 = fresh report
+  if ! diff -u "$1" "$2"; then
+    echo "FAIL: vodopt solve output differs from $1" >&2
+    exit 1
+  fi
+}
+check_recorded tools/golden/vodopt_solve_epf.out "$smoke_dir/jobs1.out"
+check_recorded tools/golden/vodopt_solve_benders.out "$smoke_dir/benders1.out"
 echo "== EPF vs Benders rounded-cost agreement =="
 # On a loosely-capacitated quick instance both backends must land on
 # nearly the same rounded cost (within 2 x epsilon relative) — this
