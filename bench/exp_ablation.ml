@@ -28,7 +28,7 @@ let solve_with ~shuffle ~warm_start inst =
   Vod_obs.Obs.phase "ablation" @@ fun () ->
   let params = { Common.solve_params with Vod_epf.Engine.shuffle } in
   let t0 = Unix.gettimeofday () in
-  let _, oracles = Vod_placement.Blocks.oracles ~warm_start inst in
+  let _, oracles, _ = Vod_placement.Blocks.oracles ~warm_start inst in
   let outcome =
     Vod_epf.Engine.solve params ~capacities:(Vod_placement.Instance.capacities inst)
       ~oracles

@@ -1,6 +1,6 @@
 (* Solver-backend convergence exhibit: the stabilized Benders /
    Dantzig-Wolfe cutting-plane master vs the EPF potential engine on the
-   same instances, dispatched through the backend registry.
+   same instances, dispatched through Solve.solve.
 
    Two parts:
 

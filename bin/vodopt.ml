@@ -64,13 +64,12 @@ let passes_t =
   Arg.(value & opt int 50 & info [ "passes" ] ~docv:"P" ~doc:"Max EPF passes.")
 
 let solver_t =
-  let solvers = [ "epf"; "benders"; "simplex" ] in
   Arg.(
     value
-    & opt (enum (List.map (fun s -> (s, s)) solvers)) "epf"
+    & opt (enum (List.map (fun s -> (s, s)) Vod_placement.Solve.solvers)) "epf"
     & info [ "solver" ] ~docv:"S"
         ~doc:
-          "Placement solver backend: $(b,epf) (exponential-potential decomposition, default), $(b,benders) (stabilized cutting-plane master), $(b,simplex) (exact dense LP, small instances only).")
+          "Placement solver: $(b,epf) (exponential-potential decomposition, default), $(b,benders) (stabilized cutting-plane master), $(b,simplex) (exact dense LP, small instances only).")
 
 let verbose_t = Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Verbose logging.")
 

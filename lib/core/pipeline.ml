@@ -9,7 +9,7 @@ type mip_config = {
   cache_frac : float;     (* complementary-LRU share of each VHO's disk *)
   update_days : int;      (* placement update period (7 = weekly) *)
   engine : Vod_epf.Engine.params;
-  solver : string;        (* placement solver backend (Backend registry) *)
+  solver : string;        (* Solve.solve solver name (Solve.solvers) *)
 }
 
 let default_mip =

@@ -8,8 +8,9 @@ type mip_config = {
   update_days : int;    (** placement update period (7 = weekly) *)
   engine : Vod_epf.Engine.params;
   solver : string;
-      (** placement solver backend name ({!Vod_placement.Backend});
-          ["epf"] keeps the historical behavior *)
+      (** placement solver name, one of
+          {!Vod_placement.Solve.solvers}; ["epf"] keeps the historical
+          behavior *)
 }
 
 (** Series+blockbuster estimation, 5% cache, weekly updates. *)

@@ -39,30 +39,23 @@ let src = Logs.Src.create "vod.decomp" ~doc:"stabilized cutting-plane master"
 
 module Log = (val Logs.src_log src : Logs.LOG)
 
-type params = {
-  epsilon : float;
-  max_passes : int;
-  jobs : int;
-  stab_in_weight : float;
-  stab_shrink : float;
-  stab_grow : float;
-  stab_max : float;
-  price_cap_factor : float;
-  polish_passes : int;
-}
+let epsilon = Engine.epsilon
 
-let default_params =
-  {
-    epsilon = 0.01;
-    max_passes = 60;
-    jobs = 0;
-    stab_in_weight = 0.5;
-    stab_shrink = 0.7;
-    stab_grow = 1.3;
-    stab_max = 0.9;
-    price_cap_factor = 10.0;
-    polish_passes = 2;
-  }
+(* Stabilization: the incumbent's weight in the query prices starts at
+   [stab_in_weight] and never decays below half of it; a null step
+   multiplies it by [stab_shrink] (twice when the pass produced no fresh
+   column), a serious step by [stab_grow], capped at [stab_max]. *)
+let stab_in_weight = 0.5
+let stab_shrink = 0.7
+let stab_grow = 1.3
+let stab_max = 0.9
+
+(* Overflow penalty, as a multiple of the average initial block
+   objective. *)
+let price_cap_factor = 10.0
+
+(* Bound on the post-rounding polish sweeps. *)
+let polish_sweeps = 4
 
 (* One master column: a single block's oracle point. [born] is the pass
    that generated it — fresh columns survive one pruning sweep even at
@@ -159,7 +152,7 @@ let rel_violation ~capacities usage =
    fresh oracle point priced by the rows currently overloaded).
    Candidates per block: its live master columns plus a strong oracle
    point at the incumbent prices. *)
-let round_blocks ~p ~pool ~capacities ~pen ~prices ~columns ~weights ~oracles =
+let round_blocks ~pool ~capacities ~pen ~prices ~columns ~weights ~oracles =
   Obs.phase "round" @@ fun () ->
   let n_rows = Array.length capacities in
   let k_blocks = Array.length oracles in
@@ -228,7 +221,7 @@ let round_blocks ~p ~pool ~capacities ~pen ~prices ~columns ~weights ~oracles =
      usually takes a few sweeps of one-block re-routes. *)
   let improved = ref true in
   let sweeps = ref 0 in
-  while !improved && !sweeps < Int.max p.polish_passes 4 do
+  while !improved && !sweeps < polish_sweeps do
     incr sweeps;
     improved := false;
     for k = 0 to k_blocks - 1 do
@@ -260,7 +253,7 @@ let round_blocks ~p ~pool ~capacities ~pen ~prices ~columns ~weights ~oracles =
   let repair_budget = ref (4 * k_blocks) in
   let continue_repair = ref true in
   while !continue_repair && !repair_budget > 0 do
-    let worst = ref (-1) and wv = ref p.epsilon in
+    let worst = ref (-1) and wv = ref epsilon in
     Array.iteri
       (fun i u ->
         let r = (u -. capacities.(i)) /. capacities.(i) in
@@ -325,7 +318,7 @@ let round_blocks ~p ~pool ~capacities ~pen ~prices ~columns ~weights ~oracles =
   done;
   (chosen, used)
 
-let solve ?initial ?initial_prices (p : params) ~capacities ~oracles =
+let solve ?initial ?initial_prices ~max_passes ~jobs ~capacities oracles =
   let n_rows = Array.length capacities in
   let k_blocks = Array.length oracles in
   if k_blocks = 0 then invalid_arg "Decomp.Master.solve: no blocks";
@@ -341,7 +334,7 @@ let solve ?initial ?initial_prices (p : params) ~capacities ~oracles =
   | Some ip when Array.length ip <> n_rows ->
       invalid_arg "Decomp.Master.solve: initial_prices arity"
   | _ -> ());
-  Pool.with_pool ~jobs:p.jobs (fun pool ->
+  Pool.with_pool ~jobs (fun pool ->
       (* Seed columns: every oracle's own initial point, plus the
          warm-start point (when given and distinct). The average initial
          block objective sets the penalty scale. *)
@@ -369,7 +362,7 @@ let solve ?initial ?initial_prices (p : params) ~capacities ~oracles =
       let columns = ref (Array.of_list init_cols) in
       let pen =
         ref
-          (p.price_cap_factor
+          (price_cap_factor
           *. Float.max 1e-6 (init_total /. float_of_int k_blocks))
       in
       let row_active = Array.make n_rows false in
@@ -398,7 +391,7 @@ let solve ?initial ?initial_prices (p : params) ~capacities ~oracles =
       in
       let lambda_out = ref (Array.copy lambda_in) in
       let lambda_center = ref (Array.copy lambda_in) in
-      let beta = ref (Float.min p.stab_max p.stab_in_weight) in
+      let beta = ref stab_in_weight in
       let best_lb = ref neg_infinity in
       let weights = ref (Array.make (Array.length !columns) 0.0) in
       let frac_obj = ref init_total in
@@ -411,7 +404,7 @@ let solve ?initial ?initial_prices (p : params) ~capacities ~oracles =
       let viol_anchor = ref infinity in
       let history = ref [] in
       Obs.set_gauge "decomp/master/rows" (float_of_int n_rows);
-      while (not !converged) && !passes < p.max_passes do
+      while (not !converged) && !passes < max_passes do
         incr passes;
         Obs.incr "decomp/passes";
         let lq =
@@ -481,14 +474,14 @@ let solve ?initial ?initial_prices (p : params) ~capacities ~oracles =
           Obs.incr "decomp/stab/serious_steps";
           best_lb := lb;
           lambda_center := lq;
-          beta := Float.min p.stab_max (!beta *. p.stab_grow)
+          beta := Float.min stab_max (!beta *. stab_grow)
         end
         else begin
           Obs.incr "decomp/stab/null_steps";
           beta :=
-            Float.max (p.stab_in_weight /. 2.0)
-              (!beta *. p.stab_shrink
-              *. (if fresh then 1.0 else p.stab_shrink))
+            Float.max (stab_in_weight /. 2.0)
+              (!beta *. stab_shrink
+              *. (if fresh then 1.0 else stab_shrink))
         end;
         (* Re-solve the restricted master over the current column pool. *)
         let w, prices =
@@ -550,17 +543,17 @@ let solve ?initial ?initial_prices (p : params) ~capacities ~oracles =
             m "pass %d: obj=%.6g lb=%.6g viol=%.4f gap=%.4f beta=%.2f cols=%d"
               !passes !frac_obj !best_lb !frac_viol gap !beta
               (Array.length !columns));
-        if !frac_viol <= p.epsilon && gap <= p.epsilon then begin
+        if !frac_viol <= epsilon && gap <= epsilon then begin
           if !passes_to_gap < 0 then passes_to_gap := !passes;
           converged := true
         end
-        else if !frac_viol <= p.epsilon && !stall >= 3 then
+        else if !frac_viol <= epsilon && !stall >= 3 then
           (* Feasible and the master has stopped moving: the model is
              primal-converged; the remaining gap is the (known-loose)
              dual-ascent bound, not missing columns. *)
           converged := true
         else if
-          !frac_viol > p.epsilon
+          !frac_viol > epsilon
           && !passes mod 5 = 0
           && !frac_viol > 0.9 *. !viol_anchor
         then begin
@@ -606,7 +599,7 @@ let solve ?initial ?initial_prices (p : params) ~capacities ~oracles =
       (* Round to one integral point per block under the incumbent
          prices, exactly like the EPF engine's final snap. *)
       let chosen, used =
-        round_blocks ~p ~pool ~capacities ~pen:!pen ~prices:!lambda_center
+        round_blocks ~pool ~capacities ~pen:!pen ~prices:!lambda_center
           ~columns:!columns ~weights:!weights ~oracles
       in
       let objective =
@@ -638,8 +631,7 @@ let solve ?initial ?initial_prices (p : params) ~capacities ~oracles =
         max_violation;
         row_usage = used;
         passes = !passes;
-        epsilon_feasible = max_violation <= p.epsilon;
-        converged = !converged;
+        epsilon_feasible = max_violation <= epsilon;
         pre_round_objective = !frac_obj;
         pre_round_violation = !frac_viol;
         history = Array.of_list (List.rev !history);

@@ -29,54 +29,31 @@
     rounding sweep are sequential — the outcome is bit-identical at any
     [jobs] count. *)
 
-type params = {
-  epsilon : float;  (** feasibility/optimality tolerance (paper: 1%) *)
-  max_passes : int;  (** master iterations (one cut round each) *)
-  jobs : int;
-      (** pool width for cut generation / bound sweeps; [0] = process
-          default *)
-  stab_in_weight : float;
-      (** initial weight of the incumbent ("in" point) in the query
-          price vector; half of it is also the floor the in-weight
-          decays to, so queries never collapse to raw master duals *)
-  stab_shrink : float;
-      (** multiplier applied to the in-weight after a null step (move
-          the query toward the master's duals; applied twice when the
-          pass produced no fresh column) *)
-  stab_grow : float;
-      (** multiplier applied after a serious step (the center just
-          moved — trust it a little longer) *)
-  stab_max : float;  (** ceiling on the in-weight *)
-  price_cap_factor : float;
-      (** overflow-penalty scale, as a multiple of the average initial
-          block objective; caps every dual price at
-          [penalty / capacity] until escalation widens the box *)
-  polish_passes : int;
-      (** post-rounding sweeps letting blocks re-snap to cheaper
-          candidates under congestion-priced fresh oracle points *)
-}
+(** [solve ?initial ?initial_prices ~max_passes ~jobs ~capacities
+    oracles] runs the stabilized column-generation loop until the
+    fractional master point is feasible within {!Vod_epf.Engine.epsilon}
+    and either its Lagrangian gap is below that tolerance or the
+    penalized master value has stopped moving (or [max_passes] master
+    iterations, one cut round each), then rounds each block to a single
+    integral oracle point. [jobs] is the pool width for cut generation
+    and bound sweeps ([0] = process default). [initial] seeds the column
+    pool with one warm-start point per block (the incumbent placement);
+    [initial_prices] seeds the incumbent price vector (length =
+    capacities). The outcome's [lower_bound] is a genuine Lagrangian
+    bound evaluated at the query prices (limited by the oracles' own
+    dual-ascent tightness); [pre_round_*] report the final fractional
+    master combination. Raises [Invalid_argument] on nonpositive
+    capacities, an empty block list, or mismatched [initial] /
+    [initial_prices] lengths.
 
-(** epsilon = 0.01, 60 passes, in-weight 0.5 (shrink 0.7 / grow 1.3,
-    cap 0.9), price-cap factor 10, 2 polish passes, jobs = 0. *)
-val default_params : params
-
-(** [solve ?initial ?initial_prices p ~capacities ~oracles] runs the
-    stabilized column-generation loop until the fractional master point
-    is epsilon-feasible and either its Lagrangian gap is below epsilon
-    or the penalized master value has stopped moving (or [max_passes]),
-    then rounds each block to a single integral oracle point. [initial]
-    seeds the column pool with one warm-start point per block (the
-    incumbent placement); [initial_prices] seeds the incumbent price
-    vector (length = capacities). The outcome's [lower_bound] is a
-    genuine Lagrangian bound evaluated at the query prices (limited by
-    the oracles' own dual-ascent tightness); [pre_round_*] report the
-    final fractional master combination. Raises [Invalid_argument] on
-    nonpositive capacities, an empty block list, or mismatched
-    [initial] / [initial_prices] lengths. *)
+    The tuning is fixed: in-weight 0.5 (shrink 0.7 / grow 1.3, cap 0.9),
+    overflow penalty 10x the average initial block objective, at most 4
+    polish sweeps. *)
 val solve :
   ?initial:'a Vod_epf.Engine.point array ->
   ?initial_prices:float array ->
-  params ->
+  max_passes:int ->
+  jobs:int ->
   capacities:float array ->
-  oracles:'a Vod_epf.Engine.oracle array ->
+  'a Vod_epf.Engine.oracle array ->
   'a Vod_epf.Engine.outcome

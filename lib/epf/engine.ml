@@ -36,33 +36,24 @@ type 'a oracle = {
 }
 
 type params = {
-  epsilon : float;           (* target tolerance (paper: 0.01) *)
-  gamma : float;             (* exponent factor, ~1 *)
-  rho : float;               (* dual smoothing in [0,1) *)
   max_passes : int;
   feasibility_only : bool;   (* ignore the objective row: pure FEAS probe *)
   seed : int;
-  line_search_iters : int;
   shuffle : bool;            (* fresh random block order each pass; the
                                 paper reports 40x fewer passes vs fixed *)
-  polish_passes : int;       (* post-rounding integer improvement sweeps *)
   jobs : int;                (* domain-pool width for the parallel phases;
                                 0 = the process default (--jobs / hardware) *)
 }
 
 let default_params =
-  {
-    epsilon = 0.01;
-    gamma = 1.0;
-    rho = 0.5;
-    max_passes = 60;
-    feasibility_only = false;
-    seed = 1;
-    line_search_iters = 24;
-    shuffle = true;
-    polish_passes = 2;
-    jobs = 0;
-  }
+  { max_passes = 60; feasibility_only = false; seed = 1; shuffle = true; jobs = 0 }
+
+(* Fixed tuning, the same for every solve. *)
+let epsilon = 0.01            (* target tolerance (paper: 0.01) *)
+let gamma = 1.0               (* exponent factor, ~1 *)
+let rho = 0.5                 (* dual smoothing in [0,1) *)
+let line_search_iters = 24
+let polish_passes = 2         (* post-rounding integer improvement sweeps *)
 
 type 'a outcome = {
   combos : ('a point * float) list array;  (* final convex combo per block *)
@@ -72,7 +63,6 @@ type 'a outcome = {
   row_usage : float array;
   passes : int;
   epsilon_feasible : bool;
-  converged : bool;          (* epsilon-feasible and within (1+eps) of LB *)
   pre_round_objective : float;   (* fractional LP objective before rounding *)
   pre_round_violation : float;   (* max relative violation before rounding *)
   history : (float * float * float) array;
@@ -150,9 +140,9 @@ let refresh_alpha st =
   let m = float_of_int (n_rows st + 1) in
   (* Floor delta so alpha stays finite as the solution approaches
      feasibility. *)
-  let floor_delta = st.p.epsilon /. 4.0 in
+  let floor_delta = epsilon /. 4.0 in
   st.delta <- Float.max st.delta floor_delta;
-  st.alpha <- st.p.gamma *. log (m +. 1.0) /. st.delta
+  st.alpha <- gamma *. log (m +. 1.0) /. st.delta
 
 (* Exact recomputation of per-block caches and aggregates, run once per
    pass to stop incremental drift. *)
@@ -193,7 +183,7 @@ let local_potential st ~delta_usage ~delta_obj tau =
 let line_search st ~delta_usage ~delta_obj =
   let f = local_potential st ~delta_usage ~delta_obj in
   let lo = ref 0.0 and hi = ref 1.0 in
-  for _ = 1 to st.p.line_search_iters do
+  for _ = 1 to line_search_iters do
     let m1 = !lo +. ((!hi -. !lo) /. 3.0) in
     let m2 = !hi -. ((!hi -. !lo) /. 3.0) in
     if f m1 <= f m2 then hi := m2 else lo := m1
@@ -321,12 +311,12 @@ let lower_bound_pass st =
 let update_target st ~dc =
   if st.freeze_target then refresh_prices st
   else if not st.p.feasibility_only then begin
-    if dc <= st.p.epsilon then begin
+    if dc <= epsilon then begin
       if st.objective < st.ub then st.ub <- st.objective;
       st.theta <- Float.min 0.20 (st.theta *. 1.5);
       st.b_target <- Float.max st.lb (st.objective *. (1.0 -. st.theta))
     end
-    else if dc <= 3.0 *. st.p.epsilon then
+    else if dc <= 3.0 *. epsilon then
       (* Mild overshoot: keep pushing, half strength. *)
       st.b_target <- Float.max st.lb (st.objective *. (1.0 -. (st.theta /. 2.0)))
     else begin
@@ -362,7 +352,7 @@ let record_pass_metrics st ~dc =
     Obs.push "epf/pass/violation" (Float.max dc 0.0);
     let viol = ref 0 in
     for i = 0 to n_rows st - 1 do
-      if rel_infeas st i > st.p.epsilon then viol := !viol + 1
+      if rel_infeas st i > epsilon then viol := !viol + 1
     done;
     Obs.push "epf/pass/violated_rows" (float_of_int !viol);
     let pot = ref 0.0 in
@@ -375,7 +365,6 @@ let record_pass_metrics st ~dc =
   end
 
 let update_smoothed st =
-  let rho = st.p.rho in
   for i = 0 to n_rows st - 1 do
     st.smoothed.(i) <- (rho *. st.smoothed.(i)) +. ((1.0 -. rho) *. st.prices.(i))
   done;
@@ -447,7 +436,7 @@ let init ?initial (p : params) ~pool ~capacities ~oracles =
         ~init:0.0 ~combine:( +. );
     st.b_target <- Float.max st.lb st.scale
   end;
-  st.delta <- Float.max (max_coupling_infeas st) p.epsilon;
+  st.delta <- Float.max (max_coupling_infeas st) epsilon;
   refresh_alpha st;
   refresh_prices st;
   Array.blit st.prices 0 st.smoothed 0 m;
@@ -491,7 +480,7 @@ let run_pass st =
      excluded: with a heuristic (dual-ascent) lower bound it can stay at
      tens of percent, and pinning alpha to it would stall the feasibility
      drive. *)
-  let floor = if st.freeze_target then st.p.epsilon else st.p.epsilon /. 4.0 in
+  let floor = if st.freeze_target then epsilon else epsilon /. 4.0 in
   let target = Float.max dc floor in
   st.delta <- Float.max (Float.min target (0.90 *. st.delta)) floor;
   st.delta <- Float.max st.delta (0.25 *. target);
@@ -606,7 +595,7 @@ let round_pass ?(only_fractional = true) st =
    large-neighborhood descent on the integer solution. *)
 let polish st =
   Obs.phase "polish" @@ fun () ->
-  for _ = 1 to st.p.polish_passes do
+  for _ = 1 to polish_passes do
     round_pass ~only_fractional:false st;
     recompute st;
     refresh_prices st
@@ -614,13 +603,6 @@ let polish st =
 
 let outcome_of_state st ~passes ~pre_round_objective ~pre_round_violation ~history =
   let dc = max_coupling_infeas st in
-  let eps_feasible = dc <= st.p.epsilon in
-  let converged =
-    eps_feasible
-    && (st.p.feasibility_only
-       || st.objective <= (1.0 +. st.p.epsilon) *. Float.max st.lb 1e-12
-       || st.objective <= st.lb +. 1e-9)
-  in
   {
     combos = st.combos;
     objective = st.objective;
@@ -628,8 +610,7 @@ let outcome_of_state st ~passes ~pre_round_objective ~pre_round_violation ~histo
     max_violation = Float.max dc 0.0;
     row_usage = Array.copy st.usage;
     passes;
-    epsilon_feasible = eps_feasible;
-    converged;
+    epsilon_feasible = dc <= epsilon;
     pre_round_objective;
     pre_round_violation;
     history;
@@ -656,13 +637,13 @@ let solve ?(round = true) ?initial (p : params) ~capacities ~oracles =
     Log.debug (fun m ->
         m "pass %d: obj=%.6g lb=%.6g ub=%.6g viol=%.4f delta=%.4f" !passes
           st.objective st.lb st.ub dc st.delta);
-    if st.objective < !best_obj *. (1.0 -. (p.epsilon /. 4.0)) then begin
+    if st.objective < !best_obj *. (1.0 -. (epsilon /. 4.0)) then begin
       best_obj := st.objective;
       last_improve := !passes
     end;
-    if dc <= p.epsilon then begin
+    if dc <= epsilon then begin
       if p.feasibility_only then stop := true
-      else if st.objective <= (1.0 +. p.epsilon) *. Float.max st.lb 1e-12 then
+      else if st.objective <= (1.0 +. epsilon) *. Float.max st.lb 1e-12 then
         stop := true
       else if !passes - !last_improve >= patience then stop := true
     end
@@ -677,7 +658,7 @@ let solve ?(round = true) ?initial (p : params) ~capacities ~oracles =
       Float.max
         (Float.max st.lb (st.objective *. 1.01))
         (0.01 *. st.scale);
-    st.delta <- Float.max st.delta p.epsilon;
+    st.delta <- Float.max st.delta epsilon;
     refresh_alpha st;
     refresh_prices st;
     for _ = 1 to 3 do

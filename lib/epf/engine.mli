@@ -28,19 +28,12 @@ type 'a oracle = {
 }
 
 type params = {
-  epsilon : float;          (** feasibility/optimality tolerance (paper: 1%) *)
-  gamma : float;            (** exponent factor, approximately 1 *)
-  rho : float;              (** dual smoothing factor in [0, 1) *)
   max_passes : int;
   feasibility_only : bool;  (** drop the objective row: pure FEAS probe *)
   seed : int;
-  line_search_iters : int;
   shuffle : bool;
       (** re-randomize the block order every pass (the paper credits this
           with a 40x reduction in pass count vs a fixed order) *)
-  polish_passes : int;
-      (** post-rounding sweeps in which any block may snap to a fresh
-          oracle point that strictly decreases the potential *)
   jobs : int;
       (** width of the domain pool used for the block-parallel phases
           (initial points, Lagrangian lower-bound sweeps, rounding /
@@ -51,10 +44,15 @@ type params = {
           job count for a fixed [seed]. *)
 }
 
-(** epsilon = 0.01, gamma = 1, rho = 0.5, 60 passes, 24 line-search
-    iterations, shuffling on, 2 polish passes, jobs = 0 (process
-    default). *)
+(** 60 passes, seed 1, shuffling on, jobs = 0 (process default). *)
 val default_params : params
+
+(** The feasibility/optimality tolerance, 0.01 (the paper's 1%). The
+    engine's other tuning is fixed too: exponent factor 1, dual
+    smoothing 0.5, 24 line-search iterations and 2 post-rounding polish
+    sweeps, in which any block may snap to a fresh oracle point that
+    strictly decreases the potential. *)
+val epsilon : float
 
 type 'a outcome = {
   combos : ('a point * float) list array;
@@ -65,8 +63,7 @@ type 'a outcome = {
   max_violation : float;    (** max relative coupling-constraint violation *)
   row_usage : float array;  (** aggregate usage per coupling row *)
   passes : int;
-  epsilon_feasible : bool;
-  converged : bool;
+  epsilon_feasible : bool;  (** [max_violation <= epsilon] *)
   pre_round_objective : float;
       (** fractional LP objective before the rounding pass *)
   pre_round_violation : float;

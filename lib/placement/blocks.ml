@@ -250,11 +250,11 @@ let oracle_of_block ?(warm_prices : float array option) (inst : Instance.t)
 
 let oracles ?(warm_start = true) (inst : Instance.t) =
   let blocks = build_blocks inst in
-  if warm_start then begin
-    (* Warm-start prices live on the full row layout; link rows start 0. *)
-    let row_prices = Array.make (Instance.n_rows inst) 0.0 in
-    let disk = warm_disk_prices inst in
-    Array.iteri (fun i p -> row_prices.(Instance.disk_row inst i) <- p) disk;
-    (blocks, Array.map (oracle_of_block ~warm_prices:row_prices inst) blocks)
-  end
-  else (blocks, Array.map (oracle_of_block inst) blocks)
+  (* Warm-start prices live on the full row layout; link rows start 0. *)
+  let row_prices = Array.make (Instance.n_rows inst) 0.0 in
+  if warm_start then
+    Array.iteri
+      (fun i p -> row_prices.(Instance.disk_row inst i) <- p)
+      (warm_disk_prices inst);
+  let warm_prices = if warm_start then Some row_prices else None in
+  (blocks, Array.map (oracle_of_block ?warm_prices inst) blocks, row_prices)

@@ -49,9 +49,12 @@ val warm_disk_prices : Instance.t -> float array
 val oracle_of_block :
   ?warm_prices:float array -> Instance.t -> block -> choice Vod_epf.Engine.oracle
 
-(** Blocks plus their oracles for a whole instance; [warm_start] (default
-    true) seeds each block's initial point with the greedy-fill duals. *)
+(** Blocks plus their oracles for a whole instance, and the warm-start
+    row prices: [warm_start] (default true) seeds each block's initial
+    point at the greedy-fill duals ({!warm_disk_prices}) on the disk
+    rows and 0 on the link rows. The prices come back on the full row
+    layout (all zero when [warm_start] is false). *)
 val oracles :
   ?warm_start:bool ->
   Instance.t ->
-  block array * choice Vod_epf.Engine.oracle array
+  block array * choice Vod_epf.Engine.oracle array * float array

@@ -16,7 +16,7 @@ let feasible ?(params = default_probe_params) (inst : Instance.t) =
   (* Namespace the engine's phase timers under probe/, so a feasibility
      sweep's metrics don't mix with Solve.solve's solve/engine/* keys. *)
   Vod_obs.Obs.phase "probe" @@ fun () ->
-  let _, oracles = Blocks.oracles inst in
+  let _, oracles, _ = Blocks.oracles inst in
   let capacities = Instance.capacities inst in
   let outcome =
     Vod_epf.Engine.solve ~round:false

@@ -1,8 +1,15 @@
 (** End-to-end placement solve: block construction, decomposition (or
-    exact LP), rounding, extraction — dispatched through the
-    {!Backend} registry, EPF by default.
+    exact LP), rounding, extraction, by one of three fixed solvers:
 
-    The pipeline is deterministic: the report is a pure function of
+    - ["epf"] (the default) — the exponential-potential-function engine
+      ({!Vod_epf.Engine}), the paper's solver;
+    - ["benders"] — the stabilized Dantzig-Wolfe / Benders cutting-plane
+      master ({!Vod_decomp.Master}), over the same per-video UFL
+      oracles;
+    - ["simplex"] — the exact dense-LP reference ({!Lp_check} +
+      {!Vod_lp.Simplex}), viable only on small instances.
+
+    The solve is deterministic: the report is a pure function of
     [(inst, solver, params, incumbent)] at any [Engine.params.jobs]
     count. Wall-clock timing is deliberately absent from {!report} —
     phase timings are recorded side-band through {!Vod_obs.Obs.phase}
@@ -10,14 +17,18 @@
     registry is installed); callers that want an end-to-end duration
     time the {!solve} call themselves. *)
 
-type report = Backend.report = {
+type report = {
   solution : Solution.t;  (** the rounded integral placement *)
   lp_objective : float;  (** fractional objective before rounding *)
   lp_violation : float;  (** max relative violation before rounding *)
-  passes : int;  (** main-loop passes run by the backend *)
+  passes : int;  (** main-loop passes run by the solver *)
   history : (float * float * float) array;
-      (** per-pass (objective, lower bound, violation) fractional trace *)
+      (** per-pass (objective, lower bound, violation) fractional
+          convergence trace; a single entry for the simplex reference *)
 }
+
+(** Every solver name {!solve} accepts, the default ["epf"] first. *)
+val solvers : string list
 
 val solve :
   ?solver:string ->
@@ -25,14 +36,14 @@ val solve :
   ?incumbent:Solution.t ->
   Instance.t ->
   report
-(** Solve an instance with the named backend (default
-    {!Backend.default}, i.e. ["epf"]) and the given engine parameters
-    (defaults: [Vod_epf.Engine.default_params]). [incumbent], when
-    given, warm-starts the backend from that placement
-    ({!Solution.engine_point} per block) instead of the single-facility
-    initial sweep — the entry the online re-placement daemon uses to
-    re-solve from where the fleet already is. The report stays a
-    deterministic function of [(inst, solver, params, incumbent)] at
-    any job count. Raises [Failure] listing the registered backends
-    when [solver] is unknown. Logs a one-line summary at info level on
-    the [vod.solve] source. *)
+(** Solve an instance with the named solver (default ["epf"]) and the
+    given engine parameters (default [Vod_epf.Engine.default_params];
+    Benders reads only [max_passes] and [jobs], the simplex reference
+    none). [incumbent], when given, warm-starts EPF and Benders from
+    that placement ({!Solution.engine_point} per block) instead of the
+    single-facility initial sweep — the entry the online re-placement
+    daemon uses to re-solve from where the fleet already is; the
+    simplex reference ignores it. Raises [Failure] naming every solver
+    when [solver] is unknown, and [Failure] when the simplex reference
+    finds the LP infeasible or unbounded. Logs a one-line summary at
+    info level on the [vod.solve] source. *)

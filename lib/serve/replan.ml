@@ -19,7 +19,7 @@ type problem = {
   n_windows : int;
   window_s : float;
   engine : Vod_epf.Engine.params;
-  solver : string;                (* backend name for Solve.solve *)
+  solver : string;                (* solver name for Solve.solve *)
 }
 
 (* Disk left to a VHO the fault state reports dark: effectively nothing,

@@ -18,8 +18,9 @@ type problem = {
   window_s : float;
   engine : Vod_epf.Engine.params;
   solver : string;
-      (** solver-backend name dispatched to {!Vod_placement.Backend}
-          (["epf"] for the historical behavior) *)
+      (** solver name passed to {!Vod_placement.Solve.solve}, one of
+          {!Vod_placement.Solve.solvers} (["epf"] for the historical
+          behavior) *)
 }
 
 (** Disk left to a VHO the fault state reports dark (strictly positive

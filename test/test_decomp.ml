@@ -1,13 +1,12 @@
-(* Tests for the solver-backend registry and the Benders/Dantzig-Wolfe
-   master: registry dispatch and its error message, the simplex backend
-   against the recorded exact LP objective, the Benders fractional point
-   against the exact LP on a tiny instance, jobs-count bit-identity,
-   warm starts, and daemon replanning through a non-default backend. *)
+(* Tests for the solver dispatch in Solve.solve and the Benders/Dantzig-
+   Wolfe master: the unknown-solver error, the simplex solver against
+   the recorded exact LP objective, the Benders fractional point against
+   the exact LP on a tiny instance, jobs-count bit-identity, warm starts,
+   and daemon replanning through a non-default solver. *)
 
 module I = Vod_placement.Instance
 module Sol = Vod_placement.Solution
 module Solve = Vod_placement.Solve
-module Backend = Vod_placement.Backend
 module Master = Vod_decomp.Master
 module G = Vod_topology.Graph
 module P = Vod_core.Pipeline
@@ -44,18 +43,7 @@ let exact_lp_objective inst =
   | Vod_lp.Simplex.Optimal { objective; _ } -> objective
   | _ -> Alcotest.fail "reference LP must be optimal"
 
-(* ---------- registry ---------- *)
-
-let registry_contents () =
-  Alcotest.(check (list string))
-    "registered backends"
-    [ "benders"; "epf"; "simplex" ]
-    (Backend.names ());
-  Alcotest.(check string) "default" "epf" Backend.default;
-  List.iter
-    (fun n ->
-      Alcotest.(check string) "find roundtrip" n (Backend.find n).Backend.name)
-    (Backend.names ())
+(* ---------- solver dispatch ---------- *)
 
 let contains hay needle =
   let nh = String.length hay and nn = String.length needle in
@@ -151,8 +139,8 @@ let master_rejects_bad_inputs () =
   Alcotest.check_raises "no blocks"
     (Invalid_argument "Decomp.Master.solve: no blocks") (fun () ->
       ignore
-        (Master.solve Master.default_params ~capacities:[| 1.0 |]
-           ~oracles:oracle_absent))
+        (Master.solve ~max_passes:60 ~jobs:0 ~capacities:[| 1.0 |]
+           oracle_absent))
 
 (* ---------- daemon through a non-default backend ---------- *)
 
@@ -199,16 +187,15 @@ let daemon_benders_deterministic () =
 
 let suite =
   [
-    Alcotest.test_case "registry contents" `Quick registry_contents;
     Alcotest.test_case "unknown backend lists names" `Quick
       unknown_backend_lists_names;
     Alcotest.test_case "simplex backend: recorded objective" `Quick
       simplex_matches_recorded_objective;
     Alcotest.test_case "benders reaches the exact LP" `Quick
       benders_reaches_exact_lp;
+    Alcotest.test_case "benders warm start" `Quick benders_warm_start_runs;
     Alcotest.test_case "benders jobs 1 = jobs 4 (bit)" `Quick
       benders_jobs_bit_identical;
-    Alcotest.test_case "benders warm start" `Quick benders_warm_start_runs;
     Alcotest.test_case "master input validation" `Quick
       master_rejects_bad_inputs;
     Alcotest.test_case "daemon replans via benders deterministically" `Quick

@@ -336,10 +336,10 @@ let fixed_order_also_solves () =
     (report.Solve.solution.Sol.n_videos = 8)
 
 (* Golden solve fixtures: [Solve.solve] on [tiny_instance] with each
-   decomposition backend, recorded before the UFL local search priced
-   its moves incrementally (test/golden/solve_<backend>.golden). Floats
-   as %h, so any kernel change that moves a bound, a violation or an
-   open VHO fails here. *)
+   solver (test/golden/solve_<solver>.golden), and EPF and Benders
+   re-solved from their own cold placement as incumbent
+   (solve_<solver>_warm.golden). Floats as %h, so any kernel change that
+   moves a bound, a violation or an open VHO fails here. *)
 let dump_solve (r : Solve.report) =
   let b = Buffer.create 512 in
   let line fmt = Printf.kbprintf (fun b -> Buffer.add_char b '\n') b fmt in
@@ -357,15 +357,19 @@ let dump_solve (r : Solve.report) =
     sol.Sol.stored;
   Buffer.contents b
 
-let golden_solve solver () =
-  let r = Solve.solve ~solver (tiny_instance ()) in
-  Alcotest.(check string) ("golden solve " ^ solver)
-    (Golden.read_fixture ("solve_" ^ solver))
+let golden_solve ?(warm = false) solver () =
+  let inst = tiny_instance () in
+  let r = Solve.solve ~solver inst in
+  let r =
+    if warm then Solve.solve ~solver ~incumbent:r.Solve.solution inst else r
+  in
+  let name = "solve_" ^ solver ^ if warm then "_warm" else "" in
+  Alcotest.(check string) ("golden " ^ name) (Golden.read_fixture name)
     (dump_solve r)
 
 let cold_start_also_solves () =
   let inst = tiny_instance () in
-  let _, oracles = B.oracles ~warm_start:false inst in
+  let _, oracles, _ = B.oracles ~warm_start:false inst in
   let outcome =
     Vod_epf.Engine.solve Vod_epf.Engine.default_params
       ~capacities:(I.capacities inst) ~oracles
@@ -382,6 +386,11 @@ let suite =
     Alcotest.test_case "cold start solves" `Quick cold_start_also_solves;
     Alcotest.test_case "golden solve epf" `Quick (golden_solve "epf");
     Alcotest.test_case "golden solve benders" `Quick (golden_solve "benders");
+    Alcotest.test_case "golden solve simplex" `Quick (golden_solve "simplex");
+    Alcotest.test_case "golden solve epf warm" `Quick
+      (golden_solve ~warm:true "epf");
+    Alcotest.test_case "golden solve benders warm" `Quick
+      (golden_solve ~warm:true "benders");
     Alcotest.test_case "cost affine in hops" `Quick cost_affine_in_hops;
     Alcotest.test_case "instance validation" `Quick instance_validation;
     Alcotest.test_case "blocks cover demand" `Quick blocks_cover_demand;

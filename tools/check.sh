@@ -129,11 +129,25 @@ check_recorded() { # $1 = committed recording, $2 = fresh report
 }
 check_recorded tools/golden/vodopt_solve_epf.out "$smoke_dir/jobs1.out"
 check_recorded tools/golden/vodopt_solve_benders.out "$smoke_dir/benders1.out"
+echo "== solve metric key names vs recorded (EPF and Benders, --jobs 1) =="
+# The benchmark's per-layer metrics read the phase/solve/* timers and the
+# epf/decomp counters by name (bench/perf/layers.ml): a renamed or
+# re-nested key would silently read as zero there. The sorted key names
+# of the --jobs 1 smokes' metrics must match tools/golden/*.keys.
+for s in epf benders; do
+  case $s in epf) m=metrics1 ;; benders) m=benders_metrics1 ;; esac
+  grep -oE '^  "[^"]+"' "$smoke_dir/$m.json" | tr -d ' "' | LC_ALL=C sort \
+    > "$smoke_dir/$s.keys"
+  if ! diff -u "tools/golden/vodopt_solve_$s.keys" "$smoke_dir/$s.keys"; then
+    echo "FAIL: $s solve metric key names differ from tools/golden/vodopt_solve_$s.keys" >&2
+    exit 1
+  fi
+done
 echo "== EPF vs Benders rounded-cost agreement =="
 # On a loosely-capacitated quick instance both backends must land on
 # nearly the same rounded cost (within 2 x epsilon relative) — this
-# pins the two solver backends to each other end to end through the
-# registry, not just to their own histories.
+# pins the two solvers to each other end to end through Solve.solve,
+# not just to their own histories.
 for s in epf benders; do
   dune exec --no-print-directory bin/vodopt.exe -- solve \
     --topology ebone --videos 200 --days 7 --requests-per-video 6 \
