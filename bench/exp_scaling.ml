@@ -16,9 +16,10 @@ let simplex_sizes =
   | Quick -> [ 4; 8 ]
   | Default -> [ 5; 10; 20 ]
   | Full -> [ 5; 10; 20; 40 ]
-  (* The 40-video reference point alone costs minutes of dense simplex;
-     at huge scale that budget belongs to the million-video end-to-end
-     run below, so the reference side stays at the default grid. *)
+  (* The 40-video reference point alone costs two minutes of dense
+     simplex (121 s on one core; 20 videos take 4 s); at huge scale that
+     budget belongs to the million-video end-to-end run below, so the
+     reference side stays at the default grid. *)
   | Huge -> [ 5; 10; 20 ]
 
 (* The huge tier abbreviates the multi-network geomean grid: its
@@ -33,24 +34,26 @@ let epf_sizes =
 
 let words_to_gb w = w *. 8.0 /. 1e9
 
+(* The reference side's instance at [n_videos] on the 8-VHO network. *)
+let reference_instance graph n_videos =
+  let sc =
+    Vod_core.Scenario.make ~days:7 ~requests_per_video_per_day:8.0 ~seed:2 ~graph
+      ~n_videos ()
+  in
+  let demand = Vod_core.Scenario.demand_of_week sc ~day0:0 () in
+  let disk = Vod_core.Scenario.uniform_disk sc ~multiple:2.0 in
+  Vod_placement.Instance.create ~graph ~catalog:sc.Vod_core.Scenario.catalog ~demand
+    ~disk_gb:disk
+    ~link_capacity_mbps:(Vod_placement.Instance.uniform_links graph 500.0)
+    ()
+
 let simplex_reference () =
   Common.section "Table III (reference side) — exact LP via simplex";
   let graph = reference_network () in
   let rows =
     List.map
       (fun n_videos ->
-        let sc =
-          Vod_core.Scenario.make ~days:7 ~requests_per_video_per_day:8.0 ~seed:2
-            ~graph ~n_videos ()
-        in
-        let demand = Vod_core.Scenario.demand_of_week sc ~day0:0 () in
-        let disk = Vod_core.Scenario.uniform_disk sc ~multiple:2.0 in
-        let inst =
-          Vod_placement.Instance.create ~graph ~catalog:sc.Vod_core.Scenario.catalog
-            ~demand ~disk_gb:disk
-            ~link_capacity_mbps:(Vod_placement.Instance.uniform_links graph 500.0)
-            ()
-        in
+        let inst = reference_instance graph n_videos in
         let gc0 = Gc.quick_stat () in
         let result, dt = Common.timed (fun () -> Vod_placement.Lp_check.solve_reference inst) in
         let gc1 = Gc.quick_stat () in

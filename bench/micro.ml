@@ -1,7 +1,8 @@
 (* Bechamel micro-benchmarks of the computational kernels behind each
    paper exhibit: the per-video UFL block heuristics (the inner loop of
-   every EPF pass), the dual-ascent bound, one full EPF solve at toy
-   scale, the simplex reference, and the simulator's serve path. *)
+   every EPF pass), the dual-ascent bound, the dense simplex on two small
+   full placement LPs, the cache fleet's serve path and two trace
+   analytics. *)
 
 open Bechamel
 open Toolkit
@@ -44,8 +45,41 @@ let block_fixture () =
   let prices = Array.init (Vod_placement.Instance.n_rows inst) (fun i -> 0.01 *. float_of_int (1 + (i mod 7))) in
   (inst, busiest, with_clients 0, with_clients 1, prices, sc)
 
+(* Full placement LPs ([Lp_check.build]) for the dense simplex: the
+   4-VHO ring, 8-video instance the placement tests solve exactly, and
+   Table III's 8-VHO reference network at 5 videos. *)
+let simplex_fixtures () =
+  let graph =
+    Vod_topology.Graph.create ~name:"ring4" ~n:4
+      ~edges:[ (0, 1); (1, 2); (2, 3); (3, 0) ]
+      ~populations:[| 4.0; 3.0; 2.0; 1.0 |]
+  in
+  let catalog =
+    Vod_workload.Catalog.generate (Vod_workload.Catalog.default_params ~n:8 ~days:7 ~seed:11)
+  in
+  let trace =
+    Vod_workload.Tracegen.generate
+      (Vod_workload.Tracegen.default_params ~catalog
+         ~populations:graph.Vod_topology.Graph.populations ~mean_daily_requests:600.0
+         ~seed:12)
+  in
+  let demand =
+    Vod_workload.Demand.of_requests catalog ~n_vhos:4 ~day0:0 ~days:7 ~n_windows:2
+      ~window_s:3600.0 trace.Vod_workload.Trace.requests
+  in
+  let total = Vod_workload.Catalog.total_size_gb catalog in
+  let tiny =
+    Vod_placement.Instance.create ~graph ~catalog ~demand
+      ~disk_gb:(Vod_placement.Instance.uniform_disk ~total_gb:(2.0 *. total) 4)
+      ~link_capacity_mbps:(Vod_placement.Instance.uniform_links graph 200.0)
+      ()
+  in
+  let ref8 = Exp_scaling.reference_instance (Exp_scaling.reference_network ()) 5 in
+  (Vod_placement.Lp_check.build tiny, Vod_placement.Lp_check.build ref8)
+
 let tests () =
   let inst, block, empty_block, one_block, prices, sc = block_fixture () in
+  let tiny_lp, ref8_lp = simplex_fixtures () in
   let ufl_of b = Vod_placement.Blocks.ufl_of_block inst b ~obj_price:1.0 ~row_price:prices in
   let ufl = ufl_of block and ufl_empty = ufl_of empty_block and ufl_one = ufl_of one_block in
   let mk name f = Test.make ~name (Staged.stage f) in
@@ -62,6 +96,9 @@ let tests () =
     (* The lower-bound pass kernel. *)
     mk "table3/ufl_dual_ascent_55fac" (fun () ->
         ignore (Vod_facility.Ufl.dual_ascent ufl));
+    (* Table III's reference side: one exact solve of the full LP. *)
+    mk "table3/simplex_ring4_8videos" (fun () -> ignore (Vod_lp.Simplex.solve tiny_lp));
+    mk "table3/simplex_ref8_5videos" (fun () -> ignore (Vod_lp.Simplex.solve ref8_lp));
     (* Figs. 5/6/10, Tables II/V/VI: the simulator's serve path. *)
     mk "fig5/fleet_serve" (fun () ->
         let fleet =

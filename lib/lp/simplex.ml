@@ -9,7 +9,13 @@
 
    Implementation notes: standard tableau form with Bland's anti-cycling
    rule; phase 1 minimizes the sum of artificial variables, phase 2 the
-   user objective. Suitable for instances up to a few thousand nonzeros. *)
+   user objective. The tableau is dense, (rows + 1) x (variables + slacks
+   + artificials + 1) floats, but a pivot updates only the rows with a
+   nonzero pivot-column entry, and in them only the pivot row's nonzero
+   columns: it costs touched rows x pivot-row nonzeros. On the Benders
+   restricted master of the solve-benders benchmark (about 190 rows x
+   460 columns, 250 pivots per solve) a pivot touches 45% of the rows
+   and 25% of the columns. *)
 
 type rel = Le | Ge | Eq
 
@@ -36,26 +42,79 @@ type result =
 
 let epsilon = 1e-9
 
-(* Pivot the tableau on (prow, pcol). *)
-let pivot tableau basis prow pcol =
-  let ncols = Array.length tableau.(0) in
-  let nrows = Array.length tableau in
-  let p = tableau.(prow).(pcol) in
-  for c = 0 to ncols - 1 do
-    (* vodlint-disable unguarded-div — both callers select the pivot with
-       |tableau.(prow).(pcol)| > epsilon, so p is bounded away from 0. *)
-    tableau.(prow).(c) <- tableau.(prow).(c) /. p
+(* Record in [nz], from slot [k] on, the columns [c] and above where
+   [row] is nonzero; returns the number of slots filled. *)
+let rec nonzeros row nz c k =
+  if c = Array.length row then k
+  else if row.(c) <> 0.0 then begin
+    nz.(k) <- c;
+    nonzeros row nz (c + 1) (k + 1)
+  end
+  else nonzeros row nz (c + 1) k
+
+(* Pivot the tableau on (prow, pcol), with [nz] as workspace (one slot per
+   column). Each other row with a nonzero pivot-column entry f is
+   updated only over the pivot row's nonzero columns: a skipped cell
+   would have computed x -. f *. (+/-0.), which is x up to the sign of a
+   zero, and every test the solver makes ignores that sign. A pivot
+   therefore costs (touched rows) x (pivot-row nonzeros), and allocates
+   nothing. *)
+let pivot tableau basis nz prow pcol =
+  let pivot_row = tableau.(prow) in
+  let p = pivot_row.(pcol) in
+  for c = 0 to Array.length pivot_row - 1 do
+    (* vodlint-disable unguarded-div — every pivot is selected with
+       |p| > epsilon, so p is bounded away from 0. *)
+    pivot_row.(c) <- pivot_row.(c) /. p
   done;
-  for r = 0 to nrows - 1 do
+  let nnz = nonzeros pivot_row nz 0 0 in
+  for r = 0 to Array.length tableau - 1 do
     if r <> prow then begin
-      let f = tableau.(r).(pcol) in
+      let row = tableau.(r) in
+      let f = row.(pcol) in
       if Float.abs f > 0.0 then
-        for c = 0 to ncols - 1 do
-          tableau.(r).(c) <- tableau.(r).(c) -. (f *. tableau.(prow).(c))
+        for k = 0 to nnz - 1 do
+          let c = nz.(k) in
+          row.(c) <- row.(c) -. (f *. pivot_row.(c))
         done
     end
   done;
   basis.(prow) <- pcol
+
+(* Bland's entering column: the lowest index in [c, limit) whose entry
+   in the objective row (kept as z - c) is positive; -1 if none is. *)
+let rec entering obj c limit =
+  if c >= limit then -1 else if obj.(c) > epsilon then c else entering obj (c + 1) limit
+
+(* Bland's leaving row for column [pcol], scanning rows [r, m) against
+   the best row so far ([best], -1 for none): the minimum ratio of the
+   rhs column [rhs] to a positive pivot-column entry, ties within
+   epsilon going to the lowest basic variable; -1 if no entry is
+   positive (the column is unbounded). The best ratio is recomputed from
+   its row rather than carried, so the scan boxes no float. *)
+let rec leaving tableau (basis : int array) ~pcol ~rhs ~m r best =
+  if r = m then best
+  else begin
+    let row = tableau.(r) in
+    let a = row.(pcol) in
+    let best =
+      if a > epsilon then begin
+        let ratio = row.(rhs) /. a in
+        (* Against no best row (ratio infinity), any finite ratio wins. *)
+        if best < 0 then if ratio < infinity then r else best
+        else begin
+          let best_ratio = tableau.(best).(rhs) /. tableau.(best).(pcol) in
+          if
+            ratio < best_ratio -. epsilon
+            || (Float.abs (ratio -. best_ratio) <= epsilon && basis.(r) < basis.(best))
+          then r
+          else best
+        end
+      end
+      else best
+    in
+    leaving tableau basis ~pcol ~rhs ~m (r + 1) best
+  end
 
 (* Run simplex iterations on a tableau whose last row is the (negated
    reduced cost) objective row and last column is the rhs. Returns [false]
@@ -63,47 +122,18 @@ let pivot tableau basis prow pcol =
    leaving = lowest-index tie among min ratios. [enter_limit] bounds the
    entering-column scan — phase 2 must exclude the artificial columns or
    they can re-enter the basis and "solve" an infeasible relaxation. *)
-let iterate tableau basis ~n_total ~enter_limit =
+let rec iterate tableau basis nz ~n_total ~enter_limit =
   let m = Array.length tableau - 1 in
-  let obj = tableau.(m) in
-  let rec loop () =
-    (* Entering column: first with positive coefficient in the objective
-       row (we keep the row as z-c, maximizing reduction). *)
-    let enter = ref (-1) in
-    (try
-       for c = 0 to enter_limit - 1 do
-         if obj.(c) > epsilon then begin
-           enter := c;
-           raise Exit
-         end
-       done
-     with Exit -> ());
-    if !enter < 0 then true
+  let pcol = entering tableau.(m) 0 enter_limit in
+  if pcol < 0 then true
+  else begin
+    let prow = leaving tableau basis ~pcol ~rhs:n_total ~m 0 (-1) in
+    if prow < 0 then false
     else begin
-      let pcol = !enter in
-      let best_row = ref (-1) and best_ratio = ref infinity in
-      for r = 0 to m - 1 do
-        let a = tableau.(r).(pcol) in
-        if a > epsilon then begin
-          let ratio = tableau.(r).(n_total) /. a in
-          if
-            ratio < !best_ratio -. epsilon
-            || (Float.abs (ratio -. !best_ratio) <= epsilon
-               && (!best_row < 0 || basis.(r) < basis.(!best_row)))
-          then begin
-            best_ratio := ratio;
-            best_row := r
-          end
-        end
-      done;
-      if !best_row < 0 then false
-      else begin
-        pivot tableau basis !best_row pcol;
-        loop ()
-      end
+      pivot tableau basis nz prow pcol;
+      iterate tableau basis nz ~n_total ~enter_limit
     end
-  in
-  loop ()
+  end
 
 let solve (p : problem) =
   let m = List.length p.constraints in
@@ -132,6 +162,7 @@ let solve (p : problem) =
   let n_total = p.n_vars + n_slack + n_art in
   let tableau = Array.make_matrix (m + 1) (n_total + 1) 0.0 in
   let basis = Array.make m (-1) in
+  let nz = Array.make (n_total + 1) 0 in
   let slack_idx = ref p.n_vars in
   let art_idx = ref (p.n_vars + n_slack) in
   let art_cols = ref [] in
@@ -185,7 +216,7 @@ let solve (p : problem) =
             obj_row.(c) <- obj_row.(c) +. tableau.(r).(c)
           done)
       basis;
-    if not (iterate tableau basis ~n_total ~enter_limit:n_total) then
+    if not (iterate tableau basis nz ~n_total ~enter_limit:n_total) then
       (* Phase 1 objective is bounded below by 0; unbounded is impossible
          unless numerics break. *)
       invalid_arg "Simplex.solve: phase 1 reported unbounded";
@@ -199,7 +230,7 @@ let solve (p : problem) =
         let c = ref 0 in
         while (not !found) && !c < p.n_vars + n_slack do
           if Float.abs tableau.(r).(!c) > epsilon then begin
-            pivot tableau basis r !c;
+            pivot tableau basis nz r !c;
             found := true
           end;
           incr c
@@ -227,7 +258,7 @@ let solve (p : problem) =
           done
       end)
     basis;
-  if not (iterate tableau basis ~n_total ~enter_limit:(p.n_vars + n_slack)) then
+  if not (iterate tableau basis nz ~n_total ~enter_limit:(p.n_vars + n_slack)) then
     Unbounded
   else begin
     let solution = Array.make p.n_vars 0.0 in

@@ -2,8 +2,10 @@
 
     The repository's stand-in for the commercial LP solver the paper uses
     as its baseline (Table III), and the ground-truth oracle for testing
-    the decomposition solver on small instances. Suitable for problems up
-    to a few thousand nonzeros; the point of the paper — and of this
+    the decomposition solver on small instances. A pivot costs touched
+    rows x pivot-row nonzeros, but the tableau is dense — (rows + 1) x
+    (variables + slacks + artificials + 1) floats — and the pivot count
+    grows with the instance too; the point of the paper — and of this
     reproduction — is precisely that the full placement LP outgrows this
     kind of solver. *)
 

@@ -1,6 +1,7 @@
 (* Tests for the simplex reference solver: known LPs, degenerate cases,
-   and randomized comparison against brute-force vertex enumeration on
-   2-variable instances. *)
+   randomized comparison against brute-force vertex enumeration on
+   2-variable instances, and equivalence with the dense-pivot simplex
+   on random degenerate LPs. *)
 
 module S = Vod_lp.Simplex
 
@@ -221,11 +222,8 @@ let duals_transport_contract () =
   in
   ignore (check_dual_contract p)
 
-let duals_lp_check_residuals () =
-  (* Duals of the full placement LP (Lp_check.build on a tiny instance)
-     must satisfy the same contract: strong duality against the exact
-     objective and zero complementary-slackness residuals row by row.
-     This is the form the decomposition master consumes. *)
+(* The full placement LP (Lp_check.build) of a 4-VHO ring, 6 videos. *)
+let ring4_placement_lp () =
   let graph =
     Vod_topology.Graph.create ~name:"ring4" ~n:4
       ~edges:[ (0, 1); (1, 2); (2, 3); (3, 0) ]
@@ -243,8 +241,14 @@ let duals_lp_check_residuals () =
       ~link_capacity_mbps:(Vod_placement.Instance.uniform_links graph 200.0)
       ()
   in
-  let p = Vod_placement.Lp_check.build inst in
-  ignore (check_dual_contract ~tol:1e-5 p)
+  Vod_placement.Lp_check.build inst
+
+let duals_lp_check_residuals () =
+  (* Duals of the full placement LP must satisfy the same contract:
+     strong duality against the exact objective and zero
+     complementary-slackness residuals row by row. This is the form the
+     decomposition master consumes. *)
+  ignore (check_dual_contract ~tol:1e-5 (ring4_placement_lp ()))
 
 let duality_transport () =
   (* Tiny transportation problem; optimal value known by inspection.
@@ -320,6 +324,291 @@ let prop_random_2var =
           feas && dual_ok && objective <= !best +. 1e-6
       | S.Infeasible | S.Unbounded -> false)
 
+(* The definition [S.solve] must reproduce: the dense-pivot simplex,
+   which updates every column of every row with a nonzero pivot-column
+   entry. Kept here, not in lib/, as the equivalence reference for the
+   sparse pivot-row elimination. *)
+module Dense_ref = struct
+  open S
+
+  let epsilon = 1e-9
+
+  (* Pivot the tableau on (prow, pcol). *)
+  let pivot tableau basis prow pcol =
+    let ncols = Array.length tableau.(0) in
+    let nrows = Array.length tableau in
+    let p = tableau.(prow).(pcol) in
+    for c = 0 to ncols - 1 do
+      (* vodlint-disable unguarded-div — both callers select the pivot with
+         |tableau.(prow).(pcol)| > epsilon, so p is bounded away from 0. *)
+      tableau.(prow).(c) <- tableau.(prow).(c) /. p
+    done;
+    for r = 0 to nrows - 1 do
+      if r <> prow then begin
+        let f = tableau.(r).(pcol) in
+        if Float.abs f > 0.0 then
+          for c = 0 to ncols - 1 do
+            tableau.(r).(c) <- tableau.(r).(c) -. (f *. tableau.(prow).(c))
+          done
+      end
+    done;
+    basis.(prow) <- pcol
+
+  (* Run simplex iterations on a tableau whose last row is the (negated
+     reduced cost) objective row and last column is the rhs. Returns [false]
+     if unbounded. Bland's rule: entering = lowest-index improving column,
+     leaving = lowest-index tie among min ratios. [enter_limit] bounds the
+     entering-column scan — phase 2 must exclude the artificial columns or
+     they can re-enter the basis and "solve" an infeasible relaxation. *)
+  let iterate tableau basis ~n_total ~enter_limit =
+    let m = Array.length tableau - 1 in
+    let obj = tableau.(m) in
+    let rec loop () =
+      (* Entering column: first with positive coefficient in the objective
+         row (we keep the row as z-c, maximizing reduction). *)
+      let enter = ref (-1) in
+      (try
+         for c = 0 to enter_limit - 1 do
+           if obj.(c) > epsilon then begin
+             enter := c;
+             raise Exit
+           end
+         done
+       with Exit -> ());
+      if !enter < 0 then true
+      else begin
+        let pcol = !enter in
+        let best_row = ref (-1) and best_ratio = ref infinity in
+        for r = 0 to m - 1 do
+          let a = tableau.(r).(pcol) in
+          if a > epsilon then begin
+            let ratio = tableau.(r).(n_total) /. a in
+            if
+              ratio < !best_ratio -. epsilon
+              || (Float.abs (ratio -. !best_ratio) <= epsilon
+                 && (!best_row < 0 || basis.(r) < basis.(!best_row)))
+            then begin
+              best_ratio := ratio;
+              best_row := r
+            end
+          end
+        done;
+        if !best_row < 0 then false
+        else begin
+          pivot tableau basis !best_row pcol;
+          loop ()
+        end
+      end
+    in
+    loop ()
+
+  let solve (p : problem) =
+    let m = List.length p.constraints in
+    (* Normalize: make all right-hand sides nonnegative. [flipped] remembers
+       which rows were negated so their duals can be reported in the
+       caller's original orientation. *)
+    let flipped = Array.make m false in
+    let constraints =
+      List.mapi
+        (fun r c ->
+          if c.rhs < 0.0 then begin
+            flipped.(r) <- true;
+            {
+              row = List.map (fun (v, a) -> (v, -.a)) c.row;
+              rel = (match c.rel with Le -> Ge | Ge -> Le | Eq -> Eq);
+              rhs = -.c.rhs;
+            }
+          end
+          else c)
+        p.constraints
+    in
+    (* Column layout: [0, n_vars) structural; then one slack/surplus per
+       inequality; then one artificial per Ge/Eq row. *)
+    let n_slack = List.length (List.filter (fun c -> c.rel <> Eq) constraints) in
+    let n_art = List.length (List.filter (fun c -> c.rel <> Le) constraints) in
+    let n_total = p.n_vars + n_slack + n_art in
+    let tableau = Array.make_matrix (m + 1) (n_total + 1) 0.0 in
+    let basis = Array.make m (-1) in
+    let slack_idx = ref p.n_vars in
+    let art_idx = ref (p.n_vars + n_slack) in
+    let art_cols = ref [] in
+    (* Where each row's dual price can be read off the final objective row:
+       the column whose original tableau column is (+/-) the unit vector
+       e_r with zero cost — slack for Le, surplus (negated) for Ge,
+       artificial for Eq. After the phase-2 rebuild, obj_row.(j) equals
+       y.A_j - c_j for every column, so that entry is (+/-) y_r. *)
+    let dual_col = Array.make m (-1) in
+    let dual_sign = Array.make m 1.0 in
+    List.iteri
+      (fun r c ->
+        List.iter
+          (fun (v, a) ->
+            if v < 0 || v >= p.n_vars then invalid_arg "Simplex.solve: variable out of range";
+            tableau.(r).(v) <- tableau.(r).(v) +. a)
+          c.row;
+        tableau.(r).(n_total) <- c.rhs;
+        (match c.rel with
+        | Le ->
+            tableau.(r).(!slack_idx) <- 1.0;
+            basis.(r) <- !slack_idx;
+            dual_col.(r) <- !slack_idx;
+            incr slack_idx
+        | Ge ->
+            tableau.(r).(!slack_idx) <- -1.0;
+            dual_col.(r) <- !slack_idx;
+            dual_sign.(r) <- -1.0;
+            incr slack_idx;
+            tableau.(r).(!art_idx) <- 1.0;
+            basis.(r) <- !art_idx;
+            art_cols := !art_idx :: !art_cols;
+            incr art_idx
+        | Eq ->
+            tableau.(r).(!art_idx) <- 1.0;
+            basis.(r) <- !art_idx;
+            dual_col.(r) <- !art_idx;
+            art_cols := !art_idx :: !art_cols;
+            incr art_idx))
+      constraints;
+    let obj_row = tableau.(m) in
+    (* Phase 1: minimize the sum of artificials. Objective row holds z - c
+       form: start with -sum of artificial columns, then add rows with
+       artificial basics to zero out their reduced costs. *)
+    if n_art > 0 then begin
+      List.iter (fun c -> obj_row.(c) <- -1.0) !art_cols;
+      Array.iteri
+        (fun r b ->
+          if r < m && List.mem b !art_cols then
+            for c = 0 to n_total do
+              obj_row.(c) <- obj_row.(c) +. tableau.(r).(c)
+            done)
+        basis;
+      if not (iterate tableau basis ~n_total ~enter_limit:n_total) then
+        (* Phase 1 objective is bounded below by 0; unbounded is impossible
+           unless numerics break. *)
+        invalid_arg "Simplex.solve: phase 1 reported unbounded";
+      if tableau.(m).(n_total) > 1e-6 then raise Exit
+    end;
+    (* Drive any artificial still in the basis out (degenerate rows). *)
+    Array.iteri
+      (fun r b ->
+        if r < m && b >= p.n_vars + n_slack then begin
+          let found = ref false in
+          let c = ref 0 in
+          while (not !found) && !c < p.n_vars + n_slack do
+            if Float.abs tableau.(r).(!c) > epsilon then begin
+              pivot tableau basis r !c;
+              found := true
+            end;
+            incr c
+          done
+          (* If no pivot exists the row is all-zero (redundant); the
+             artificial stays basic at value 0, harmless. *)
+        end)
+      basis;
+    (* Phase 2: rebuild the objective row as z - c and cancel the reduced
+       costs of the current basic variables (obj := obj - obj(b) * row_b,
+       which zeroes column b since row_b has a unit pivot there). *)
+    for c = 0 to n_total do
+      obj_row.(c) <- 0.0
+    done;
+    for v = 0 to p.n_vars - 1 do
+      obj_row.(v) <- -.p.minimize.(v)
+    done;
+    Array.iteri
+      (fun r b ->
+        if r < m then begin
+          let f = obj_row.(b) in
+          if Float.abs f > 0.0 then
+            for c = 0 to n_total do
+              obj_row.(c) <- obj_row.(c) -. (f *. tableau.(r).(c))
+            done
+        end)
+      basis;
+    if not (iterate tableau basis ~n_total ~enter_limit:(p.n_vars + n_slack)) then
+      Unbounded
+    else begin
+      let solution = Array.make p.n_vars 0.0 in
+      Array.iteri
+        (fun r b -> if r < m && b < p.n_vars then solution.(b) <- tableau.(r).(n_total))
+        basis;
+      let objective = ref 0.0 in
+      for v = 0 to p.n_vars - 1 do
+        objective := !objective +. (p.minimize.(v) *. solution.(v))
+      done;
+      (* Dual prices in the caller's original row orientation. Pivots keep
+         every column of the tableau current (including artificials), so
+         the objective-row entries at [dual_col] are exact. Rows negated
+         during normalization flip back here. *)
+      let duals =
+        Array.init m (fun r ->
+            let y = dual_sign.(r) *. obj_row.(dual_col.(r)) in
+            if flipped.(r) then -.y else y)
+      in
+      Optimal { objective = !objective; solution; duals }
+    end
+
+  let solve p = try solve p with Exit -> Infeasible
+end
+
+(* Same outcome as the dense reference: the same constructor (or the same
+   [Invalid_argument]); objective and every dual equal bit for bit; every
+   solution entry equal under [Float.equal]. A skipped cell differs from
+   the dense update at most in the sign of a zero, which [Float.equal]
+   ignores and only solution entries can carry. *)
+let same_as_dense_ref p =
+  let outcome f = match f p with r -> Ok r | exception Invalid_argument s -> Error s in
+  let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b) in
+  match (outcome S.solve, outcome Dense_ref.solve) with
+  | Ok (S.Optimal a), Ok (S.Optimal b) ->
+      same_bits a.objective b.objective
+      && Array.length a.duals = Array.length b.duals
+      && Array.for_all2 same_bits a.duals b.duals
+      && Array.length a.solution = Array.length b.solution
+      && Array.for_all2 Float.equal a.solution b.solution
+  | Ok S.Infeasible, Ok S.Infeasible | Ok S.Unbounded, Ok S.Unbounded -> true
+  | Error a, Error b -> String.equal a b
+  | _ -> false
+
+(* Random LP with 1-10 variables and 1-10 rows of mixed relation.
+   Coefficients, costs and right-hand sides are small integers, so ties
+   in the ratio test and degenerate pivots are common; some costs are
+   zero, negative right-hand sides get their rows flipped, and a row may
+   name a variable more than once. Three rows in four hold (tightly, or
+   with slack 1) at a random integer point [x0], so about a third of the
+   draws are optimal; the rest split between infeasible and unbounded. *)
+let random_lp seed =
+  let rng = Vod_util.Rng.create seed in
+  let int_in lo hi = float_of_int (lo + Vod_util.Rng.int rng (hi - lo + 1)) in
+  let n_vars = 1 + Vod_util.Rng.int rng 10 and m = 1 + Vod_util.Rng.int rng 10 in
+  let minimize =
+    Array.init n_vars (fun _ -> if Vod_util.Rng.int rng 3 = 0 then 0.0 else int_in (-3) 4)
+  in
+  let x0 = Array.init n_vars (fun _ -> int_in 0 2) in
+  let constraints =
+    List.init m (fun _ ->
+        let terms = 1 + Vod_util.Rng.int rng (n_vars + 1) in
+        let row = List.init terms (fun _ -> (Vod_util.Rng.int rng n_vars, int_in (-2) 3)) in
+        let rel = match Vod_util.Rng.int rng 3 with 0 -> S.Le | 1 -> S.Ge | _ -> S.Eq in
+        let at_x0 = List.fold_left (fun acc (v, a) -> acc +. (a *. x0.(v))) 0.0 row in
+        let rhs =
+          match (Vod_util.Rng.int rng 4, rel) with
+          | 0, _ -> int_in (-3) 5
+          | _, S.Le -> at_x0 +. int_in 0 1
+          | _, S.Ge -> at_x0 -. int_in 0 1
+          | _, S.Eq -> at_x0
+        in
+        { S.row; rel; rhs })
+  in
+  { S.n_vars; minimize; constraints }
+
+let prop_matches_dense_ref =
+  QCheck.Test.make ~name:"sparse pivot = dense reference" ~count:2000
+    QCheck.(int_bound 1_000_000)
+    (fun seed -> same_as_dense_ref (random_lp seed))
+
+let placement_lp_matches_dense_ref () =
+  Alcotest.(check bool) "same result" true (same_as_dense_ref (ring4_placement_lp ()))
+
 let suite =
   [
     Alcotest.test_case "basic <=" `Quick basic_le;
@@ -335,4 +624,7 @@ let suite =
     Alcotest.test_case "duals: transport contract" `Quick duals_transport_contract;
     Alcotest.test_case "duals: placement LP residuals" `Quick duals_lp_check_residuals;
     QCheck_alcotest.to_alcotest prop_random_2var;
+    Alcotest.test_case "placement LP = dense reference" `Quick
+      placement_lp_matches_dense_ref;
+    QCheck_alcotest.to_alcotest prop_matches_dense_ref;
   ]
