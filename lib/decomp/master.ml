@@ -132,17 +132,6 @@ let solve_master ~columns ~capacities ~pen ~active ~k_blocks =
          argument error; Failure matches the backend contract *)
       failwith "Decomp.Master: restricted master LP did not solve"
 
-(* Max relative violation of the coupling rows (same convention as
-   Engine.max_coupling_infeas, clamped at 0). *)
-let rel_violation ~capacities usage =
-  let v = ref 0.0 in
-  Array.iteri
-    (fun i u ->
-      let r = (u -. capacities.(i)) /. capacities.(i) in
-      if r > !v then v := r)
-    usage;
-  !v
-
 (* Deterministic sequential rounding, EPF-style: start from the
    *fractional* mix's row usage and replace one block's fractional
    footprint at a time with its cheapest integral candidate under
@@ -316,20 +305,12 @@ let round_blocks ~pool ~capacities ~pen ~prices ~columns ~weights ~oracles =
           continue_repair := false
     end
   done;
-  (chosen, used)
+  chosen
 
 let solve ?initial ?initial_prices ~max_passes ~jobs ~capacities oracles =
+  Engine.check_inputs ?initial ~capacities oracles;
   let n_rows = Array.length capacities in
   let k_blocks = Array.length oracles in
-  if k_blocks = 0 then invalid_arg "Decomp.Master.solve: no blocks";
-  Array.iter
-    (fun c ->
-      if c <= 0.0 then invalid_arg "Decomp.Master.solve: nonpositive capacity")
-    capacities;
-  (match initial with
-  | Some pts when Array.length pts <> k_blocks ->
-      invalid_arg "Decomp.Master.solve: initial arity"
-  | _ -> ());
   (match initial_prices with
   | Some ip when Array.length ip <> n_rows ->
       invalid_arg "Decomp.Master.solve: initial_prices arity"
@@ -449,20 +430,9 @@ let solve ?initial ?initial_prices ~max_passes ~jobs ~capacities oracles =
           if (not fresh) && !beta > 1e-3 then add (cut_at !lambda_out)
           else fresh
         in
-        (* Lagrangian bound at the query prices: sum of priced block
-           minima minus lambda . b (in-order float fold: deterministic). *)
         let lb =
           Obs.phase "lb" (fun () ->
-              let block_sum =
-                Pool.map_reduce pool ~n:k_blocks
-                  ~map:(fun k -> oracles.(k).Engine.lower_bound ~row_price:lq)
-                  ~init:0.0 ~combine:( +. )
-              in
-              let price_mass = ref 0.0 in
-              Array.iteri
-                (fun i l -> price_mass := !price_mass +. (l *. capacities.(i)))
-                lq;
-              block_sum -. !price_mass)
+              Engine.lagrangian_bound ~pool ~oracles ~capacities lq)
         in
         (* In-out update: a serious step (better Lagrangian value at the
            query) re-centers and can afford a more conservative query
@@ -510,7 +480,7 @@ let solve ?initial ?initial_prices ~max_passes ~jobs ~capacities oracles =
             end)
           w;
         frac_obj := !fobj;
-        frac_viol := rel_violation ~capacities comb_usage;
+        frac_viol := Engine.max_violation ~capacities comb_usage;
         (* Penalized master value, for stall detection: overflow billed
            at [pen] per unit of relative excess on each row. *)
         let master_value =
@@ -598,41 +568,22 @@ let solve ?initial ?initial_prices ~max_passes ~jobs ~capacities oracles =
         Obs.set_gauge "decomp/passes_to_gap" (float_of_int !passes_to_gap);
       (* Round to one integral point per block under the incumbent
          prices, exactly like the EPF engine's final snap. *)
-      let chosen, used =
+      let chosen =
         round_blocks ~pool ~capacities ~pen:!pen ~prices:!lambda_center
           ~columns:!columns ~weights:!weights ~oracles
       in
-      let objective =
-        Array.fold_left (fun acc pt -> acc +. pt.Engine.obj) 0.0 chosen
+      let outcome =
+        Engine.integral_outcome ~capacities
+          ~lower_bound:(if !best_lb = neg_infinity then 0.0 else !best_lb)
+          ~passes:!passes ~pre_round_objective:!frac_obj
+          ~pre_round_violation:!frac_viol
+          ~history:(Array.of_list (List.rev !history))
+          chosen
       in
-      let max_violation = rel_violation ~capacities used in
-      Log.debug (fun m ->
-          let worst = ref 0 and wv = ref neg_infinity in
-          Array.iteri
-            (fun i u ->
-              let r = (u -. capacities.(i)) /. capacities.(i) in
-              if r > !wv then begin
-                worst := i;
-                wv := r
-              end)
-            used;
-          m "rounded worst row %d: usage=%.4g cap=%.4g (%.2f%% over)" !worst
-            used.(!worst) capacities.(!worst) (100.0 *. !wv));
-      let lower_bound = if !best_lb = neg_infinity then 0.0 else !best_lb in
       Log.info (fun m ->
           m "master done: %d passes, %d columns, obj=%.4g lb=%.4g viol=%.2f%%"
             !passes
             (Array.length !columns)
-            objective lower_bound (100.0 *. max_violation));
-      {
-        Engine.combos = Array.map (fun pt -> [ (pt, 1.0) ]) chosen;
-        objective;
-        lower_bound;
-        max_violation;
-        row_usage = used;
-        passes = !passes;
-        epsilon_feasible = max_violation <= epsilon;
-        pre_round_objective = !frac_obj;
-        pre_round_violation = !frac_viol;
-        history = Array.of_list (List.rev !history);
-      })
+            outcome.Engine.objective outcome.Engine.lower_bound
+            (100.0 *. outcome.Engine.max_violation));
+      outcome)

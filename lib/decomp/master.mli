@@ -24,6 +24,10 @@
     points, then runs a targeted repair loop that evicts from the worst
     row the block whose cheapest avoiding point costs least.
 
+    The input check, bound, violation and outcome are the engine's shared
+    certificate ({!Vod_epf.Engine.lagrangian_bound} and its siblings);
+    the rounding above is the master's own.
+
     Determinism: cut generation and lower-bound sweeps fan out through
     {!Vod_util.Pool} with in-order combination, the master LP and the
     rounding sweep are sequential — the outcome is bit-identical at any
@@ -39,12 +43,12 @@
     and bound sweeps ([0] = process default). [initial] seeds the column
     pool with one warm-start point per block (the incumbent placement);
     [initial_prices] seeds the incumbent price vector (length =
-    capacities). The outcome's [lower_bound] is a genuine Lagrangian
-    bound evaluated at the query prices (limited by the oracles' own
+    capacities). The outcome's [lower_bound] is the best Lagrangian
+    bound over the passes' query prices (limited by the oracles' own
     dual-ascent tightness); [pre_round_*] report the final fractional
-    master combination. Raises [Invalid_argument] on nonpositive
-    capacities, an empty block list, or mismatched [initial] /
-    [initial_prices] lengths.
+    master combination. Raises [Invalid_argument] as
+    {!Vod_epf.Engine.check_inputs} does, or when [initial_prices] is not
+    one price per capacity.
 
     The tuning is fixed: in-weight 0.5 (shrink 0.7 / grow 1.3, cap 0.9),
     overflow penalty 10x the average initial block objective, at most 4

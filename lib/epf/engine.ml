@@ -69,6 +69,71 @@ type 'a outcome = {
       (* per-pass (objective, lower bound, max violation) trace *)
 }
 
+(* The certificate shared by every solver (see engine.mli). *)
+
+let check_inputs ?initial ~capacities oracles =
+  if Array.exists (fun b -> b <= 0.0) capacities then
+    invalid_arg "Engine: capacities must be positive";
+  if Array.length oracles = 0 then invalid_arg "Engine: no blocks";
+  match initial with
+  | Some points when Array.length points <> Array.length oracles ->
+      invalid_arg "Engine: initial points/oracles length mismatch"
+  | _ -> ()
+
+(* Algorithm 1, step 15. Block bounds fan out across the pool and fold in
+   block order; lambda . b is then subtracted row by row in a one-slot
+   float array, updated unboxed (a ref compiles the same, but the
+   alloc-in-hot lint, which reaches this from Master.solve, flags it). *)
+let lagrangian_bound ~pool ~(oracles : _ oracle array) ~capacities lambda =
+  let bound =
+    [|
+      Vod_util.Pool.map_reduce pool ~n:(Array.length oracles)
+        ~map:(fun k -> oracles.(k).lower_bound ~row_price:lambda)
+        ~init:0.0 ~combine:( +. );
+    |]
+  in
+  for i = 0 to Array.length capacities - 1 do
+    bound.(0) <- bound.(0) -. (lambda.(i) *. capacities.(i))
+  done;
+  bound.(0)
+
+(* The row with the largest usage/capacity ratio among rows [i, m), or
+   [best] (first on ties). The ratio is recomputed, not carried, so the
+   scan boxes no float. *)
+let rec fullest_row ~capacities usage i best =
+  if i = Array.length usage then best
+  else
+    fullest_row ~capacities usage (i + 1)
+      (if usage.(i) /. capacities.(i) > usage.(best) /. capacities.(best) then i
+       else best)
+
+let max_violation ~capacities usage =
+  if Array.length usage = 0 then 0.0
+  else
+    let i = fullest_row ~capacities usage 1 0 in
+    Float.max 0.0 ((usage.(i) /. capacities.(i)) -. 1.0)
+
+let integral_outcome ~capacities ~lower_bound ~passes ~pre_round_objective
+    ~pre_round_violation ~history points =
+  let row_usage = Array.make (Array.length capacities) 0.0 in
+  Array.iter (fun (pt : _ point) -> Sparse.add_into row_usage 1.0 pt.usage) points;
+  let objective =
+    Array.fold_left (fun acc (pt : _ point) -> acc +. pt.obj) 0.0 points
+  in
+  let max_violation = max_violation ~capacities row_usage in
+  {
+    combos = Array.map (fun pt -> [ (pt, 1.0) ]) points;
+    objective;
+    lower_bound;
+    max_violation;
+    row_usage;
+    passes;
+    epsilon_feasible = max_violation <= epsilon;
+    pre_round_objective;
+    pre_round_violation;
+    history;
+  }
+
 (* exp with a linear extension above the overflow guard: continuous,
    monotone and convex, so the 1-D line search stays well-behaved even
    when a trial step is wildly infeasible. *)
@@ -119,14 +184,7 @@ let obj_infeas st =
   if st.p.feasibility_only then neg_infinity
   else (st.objective /. st.b_target) -. 1.0
 
-let max_coupling_infeas st =
-  let m = n_rows st in
-  let d = ref neg_infinity in
-  for i = 0 to m - 1 do
-    let r = rel_infeas st i in
-    if r > !d then d := r
-  done;
-  !d
+let coupling_violation st = max_violation ~capacities:st.capacities st.usage
 
 let refresh_prices st =
   for i = 0 to n_rows st - 1 do
@@ -262,32 +320,19 @@ let step_block ?stats st k =
     end
   end
 
-(* Lagrangian lower-bound pass with the smoothed duals (Algorithm 1,
-   step 15): LR(lambda) = sum_k min_block (c + lambda A / lambda_0) z
-                          - (lambda_R . b) / lambda_0. *)
-(* Evaluate the Lagrangian bound LR(lambda) for multipliers
-   lambda_i = mult * duals_i / duals_obj, and fold it into st.lb. Any
-   nonnegative multipliers yield a valid bound. *)
+(* Evaluate the Lagrangian bound for multipliers lambda_i = mult *
+   duals_i / duals_obj (the objective row's price normalized to 1) and
+   fold it into st.lb. *)
 let try_duals st ?(mult = 1.0) duals duals_obj =
   if duals_obj > 0.0 then begin
-    let m = n_rows st in
-    for i = 0 to m - 1 do
+    for i = 0 to n_rows st - 1 do
       st.scratch.(i) <- mult *. duals.(i) /. duals_obj
     done;
-    (* The per-block bounds are independent given the (now frozen)
-       multiplier vector, so this sweep fans out across the pool; the
-       sum is folded in block order in the submitting domain, keeping
-       the float rounding — hence the reported bound — bit-identical
-       at any job count. *)
-    let sum = ref
-      (Vod_util.Pool.map_reduce st.pool ~n:(Array.length st.oracles)
-         ~map:(fun k -> st.oracles.(k).lower_bound ~row_price:st.scratch)
-         ~init:0.0 ~combine:( +. ))
+    let lb =
+      lagrangian_bound ~pool:st.pool ~oracles:st.oracles
+        ~capacities:st.capacities st.scratch
     in
-    for i = 0 to m - 1 do
-      sum := !sum -. (st.scratch.(i) *. st.capacities.(i))
-    done;
-    if !sum > st.lb then st.lb <- !sum
+    if lb > st.lb then st.lb <- lb
   end
 
 let lower_bound_pass st =
@@ -349,7 +394,7 @@ let record_pass_metrics st ~dc =
     Obs.push "epf/pass/lower_bound" st.lb;
     Obs.push "epf/pass/gap"
       (if st.lb > 0.0 then (st.objective -. st.lb) /. st.lb else 0.0);
-    Obs.push "epf/pass/violation" (Float.max dc 0.0);
+    Obs.push "epf/pass/violation" dc;
     let viol = ref 0 in
     for i = 0 to n_rows st - 1 do
       if rel_infeas st i > epsilon then viol := !viol + 1
@@ -371,12 +416,7 @@ let update_smoothed st =
   st.smoothed_obj <- (rho *. st.smoothed_obj) +. ((1.0 -. rho) *. st.price_obj)
 
 let init ?initial (p : params) ~pool ~capacities ~oracles =
-  Array.iter
-    (fun b -> if b <= 0.0 then invalid_arg "Engine: capacities must be positive")
-    capacities;
-  if Array.length oracles = 0 then invalid_arg "Engine: no blocks";
   let m = Array.length capacities in
-  let zero_prices = Array.make m 0.0 in
   (* Initial points are independent per block (each is a UFL solve under
      the same warm-start prices), so construct them in parallel; the
      result array is in block order by the pool contract. A caller that
@@ -386,10 +426,7 @@ let init ?initial (p : params) ~pool ~capacities ~oracles =
      incumbent instead of the single-facility points. *)
   let combos =
     match initial with
-    | Some (points : _ point array) ->
-        if Array.length points <> Array.length oracles then
-          invalid_arg "Engine: initial points/oracles length mismatch";
-        Array.map (fun pt -> [ (pt, 1.0) ]) points
+    | Some (points : _ point array) -> Array.map (fun pt -> [ (pt, 1.0) ]) points
     | None ->
         Vod_util.Pool.map pool
           ~f:(fun (oracle : _ oracle) -> [ (oracle.initial (), 1.0) ])
@@ -430,13 +467,10 @@ let init ?initial (p : params) ~pool ~capacities ~oracles =
   (* Initial lower bound: all multipliers zero relaxes every coupling
      constraint, so the sum of unpriced block minima is valid. *)
   if not p.feasibility_only then begin
-    st.lb <-
-      Vod_util.Pool.map_reduce pool ~n:(Array.length oracles)
-        ~map:(fun k -> oracles.(k).lower_bound ~row_price:zero_prices)
-        ~init:0.0 ~combine:( +. );
+    st.lb <- lagrangian_bound ~pool ~oracles ~capacities (Array.make m 0.0);
     st.b_target <- Float.max st.lb st.scale
   end;
-  st.delta <- Float.max (max_coupling_infeas st) epsilon;
+  st.delta <- Float.max (coupling_violation st) epsilon;
   refresh_alpha st;
   refresh_prices st;
   Array.blit st.prices 0 st.smoothed 0 m;
@@ -471,7 +505,7 @@ let run_pass st =
         (if stats.steps = 0 then 0.0 else stats.tau_sum /. float_of_int stats.steps)
         stats.skipped st.price_obj);
   recompute st;
-  let dc = max_coupling_infeas st in
+  let dc = coupling_violation st in
   (* Delta schedule: ratchet the scale down by a constant factor each
      pass (the paper's phased delta-shrink), but never below the current
      coupling infeasibility would warrant — if the iterate overshoots and
@@ -601,22 +635,8 @@ let polish st =
     refresh_prices st
   done
 
-let outcome_of_state st ~passes ~pre_round_objective ~pre_round_violation ~history =
-  let dc = max_coupling_infeas st in
-  {
-    combos = st.combos;
-    objective = st.objective;
-    lower_bound = st.lb;
-    max_violation = Float.max dc 0.0;
-    row_usage = Array.copy st.usage;
-    passes;
-    epsilon_feasible = dc <= epsilon;
-    pre_round_objective;
-    pre_round_violation;
-    history;
-  }
-
 let solve ?(round = true) ?initial (p : params) ~capacities ~oracles =
+  check_inputs ?initial ~capacities oracles;
   (* One pool for the whole solve; workers park between parallel
      phases, so the sequential Gauss-Seidel passes pay nothing for it. *)
   Vod_util.Pool.with_pool ~jobs:p.jobs (fun pool ->
@@ -633,7 +653,7 @@ let solve ?(round = true) ?initial (p : params) ~capacities ~oracles =
   while (not !stop) && !passes < p.max_passes do
     incr passes;
     let dc = run_pass st in
-    history := (st.objective, st.lb, Float.max dc 0.0) :: !history;
+    history := (st.objective, st.lb, dc) :: !history;
     Log.debug (fun m ->
         m "pass %d: obj=%.6g lb=%.6g ub=%.6g viol=%.4f delta=%.4f" !passes
           st.objective st.lb st.ub dc st.delta);
@@ -665,8 +685,7 @@ let solve ?(round = true) ?initial (p : params) ~capacities ~oracles =
       ignore (run_pass st)
     done;
     Log.debug (fun m ->
-        m "stabilized: obj=%.6g viol=%.4f" st.objective
-          (max_coupling_infeas st))
+        m "stabilized: obj=%.6g viol=%.4f" st.objective (coupling_violation st))
   end;
   (* Final bound sweep: the multipliers the run converged to may be off
      by a uniform scale (the B control distorts pi_0); probing a grid of
@@ -677,12 +696,23 @@ let solve ?(round = true) ?initial (p : params) ~capacities ~oracles =
           (fun mult -> try_duals st ~mult st.smoothed st.smoothed_obj)
           [ 0.25; 0.5; 2.0; 4.0; 8.0; 16.0; 32.0 ]);
   let pre_round_objective = st.objective in
-  let pre_round_violation = Float.max (max_coupling_infeas st) 0.0 in
+  let pre_round_violation = coupling_violation st in
   if round && not p.feasibility_only then begin
     round_pass st;
     recompute st;
     refresh_prices st;
     polish st
   end;
-  outcome_of_state st ~passes:!passes ~pre_round_objective ~pre_round_violation
-    ~history:(Array.of_list (List.rev !history)))
+  let max_violation = coupling_violation st in
+  {
+    combos = st.combos;
+    objective = st.objective;
+    lower_bound = st.lb;
+    max_violation;
+    row_usage = Array.copy st.usage;
+    passes = !passes;
+    epsilon_feasible = max_violation <= epsilon;
+    pre_round_objective;
+    pre_round_violation;
+    history = Array.of_list (List.rev !history);
+  })

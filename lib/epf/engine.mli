@@ -60,7 +60,7 @@ type 'a outcome = {
           rounding *)
   objective : float;
   lower_bound : float;      (** valid Lagrangian lower bound on OPT *)
-  max_violation : float;    (** max relative coupling-constraint violation *)
+  max_violation : float;    (** {!max_violation} of [row_usage] *)
   row_usage : float array;  (** aggregate usage per coupling row *)
   passes : int;
   epsilon_feasible : bool;  (** [max_violation <= epsilon] *)
@@ -73,6 +73,42 @@ type 'a outcome = {
           trace, for diagnostics and the ablation benches *)
 }
 
+(** {1 The shared certificate}
+
+    This engine, the Benders master ([Vod_decomp.Master]) and the
+    simplex reference check their inputs, compute their bound and
+    measure their violation with these values. Rounding stays per
+    solver. *)
+
+(** Raises [Invalid_argument] on a nonpositive capacity, an empty block
+    list, or an [initial] array whose length differs from the block
+    list's, in that order. *)
+val check_inputs :
+  ?initial:'a point array -> capacities:float array -> 'a oracle array -> unit
+
+(** [lagrangian_bound ~pool ~oracles ~capacities lambda] is LR(lambda) =
+    sum_k min (c + lambda A) z^k - lambda . b (Algorithm 1, step 15),
+    each block minimum taken from its oracle's [lower_bound]: a valid
+    lower bound for any [lambda >= 0]. The block bounds run on [pool],
+    are summed in block order and lambda_i b_i is then subtracted row by
+    row, so the value is bit-identical at any job count. *)
+val lagrangian_bound :
+  pool:Vod_util.Pool.t -> oracles:'a oracle array -> capacities:float array ->
+  float array -> float
+
+(** max(0, max_i usage_i / capacities_i - 1), the maximum relative
+    coupling violation (0 with no rows). Allocates only its result. *)
+val max_violation : capacities:float array -> float array -> float
+
+(** The outcome of one integral point per block: singleton combos, the
+    objective and the row usage summed in block order, their
+    {!max_violation} and [epsilon_feasible]. The other fields are passed
+    through. *)
+val integral_outcome :
+  capacities:float array -> lower_bound:float -> passes:int ->
+  pre_round_objective:float -> pre_round_violation:float ->
+  history:(float * float * float) array -> 'a point array -> 'a outcome
+
 (** [solve ?round ?initial p ~capacities ~oracles] runs randomized
     block-descent passes until epsilon-feasible and epsilon-optimal (or
     [max_passes]), then — unless [round:false] or [feasibility_only] —
@@ -81,9 +117,8 @@ type 'a outcome = {
     point per block (same order and length as [oracles]) in place of
     the per-block [oracle.initial] sweep — the warm-start entry used by
     the online re-placement daemon to begin the descent from the
-    incumbent placement. Raises [Invalid_argument] on nonpositive
-    capacities, an empty block list, or an [initial] array whose length
-    differs from [oracles]. *)
+    incumbent placement. Raises [Invalid_argument] as {!check_inputs}
+    does. *)
 val solve :
   ?round:bool ->
   ?initial:'a point array ->

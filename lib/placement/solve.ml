@@ -133,34 +133,12 @@ let simplex ?incumbent:_ inst =
                   { Vod_facility.Ufl.open_set; assign; cost = 0.0 })
               blocks)
       in
-      let capacities = Instance.capacities inst in
-      let row_usage = Array.make (Instance.n_rows inst) 0.0 in
-      let total_obj = ref 0.0 in
-      Array.iter
-        (fun (p : _ Engine.point) ->
-          total_obj := !total_obj +. p.Engine.obj;
-          Vod_epf.Sparse.add_into row_usage 1.0 p.Engine.usage)
-        points;
-      let max_violation =
-        Array.fold_left max 0.0
-          (Array.mapi
-             (fun i u -> (u -. capacities.(i)) /. capacities.(i))
-             row_usage)
-      in
-      let max_violation = Float.max 0.0 max_violation in
       report_of inst
-        {
-          Engine.combos = Array.map (fun p -> [ (p, 1.0) ]) points;
-          objective = !total_obj;
-          lower_bound = objective;
-          max_violation;
-          row_usage;
-          passes = 1;
-          epsilon_feasible = max_violation <= Engine.epsilon;
-          pre_round_objective = objective;
-          pre_round_violation = 0.0;
-          history = [| (!total_obj, objective, max_violation) |];
-        }
+        (Engine.integral_outcome ~capacities:(Instance.capacities inst)
+           ~lower_bound:objective ~passes:1 ~pre_round_objective:objective
+           ~pre_round_violation:0.0
+           ~history:[| (objective, objective, 0.0) |]
+           points)
 
 let solve ?(solver = "epf") ?(params = Engine.default_params) ?incumbent
     (inst : Instance.t) =

@@ -23,8 +23,8 @@ type report = {
   lp_violation : float;  (** max relative violation before rounding *)
   passes : int;  (** main-loop passes run by the solver *)
   history : (float * float * float) array;
-      (** per-pass (objective, lower bound, violation) fractional
-          convergence trace; a single entry for the simplex reference *)
+      (** per-pass (objective, lower bound, violation) fractional convergence
+          trace; the simplex reference records (LP optimum, LP optimum, 0) *)
 }
 
 (** Every solver name {!solve} accepts, the default ["epf"] first. *)

@@ -2,6 +2,7 @@
    Wolfe master: the unknown-solver error, the simplex solver against
    the recorded exact LP objective, the Benders fractional point against
    the exact LP on a tiny instance, jobs-count bit-identity, warm starts,
+   every solver's reported violation against an Lp_check recomputation,
    and daemon replanning through a non-default solver. *)
 
 module I = Vod_placement.Instance
@@ -78,7 +79,12 @@ let simplex_matches_recorded_objective () =
     report.Solve.lp_objective;
   Alcotest.(check (float 1e-12)) "exact LP has no violation" 0.0
     report.Solve.lp_violation;
-  Alcotest.(check int) "one pass" 1 report.Solve.passes
+  Alcotest.(check int) "one pass" 1 report.Solve.passes;
+  (* The history is the fractional trace: the LP optimum is both its
+     objective and its bound, with no violation. *)
+  let lp = report.Solve.lp_objective in
+  Alcotest.(check (array (triple (float 0.0) (float 0.0) (float 0.0))))
+    "history is the LP point" [| (lp, lp, 0.0) |] report.Solve.history
 
 (* ---------- benders backend ---------- *)
 
@@ -132,12 +138,65 @@ let benders_warm_start_runs () =
   Alcotest.(check bool) "warm objective still within 1% of exact" true
     ((warm.Solve.lp_objective -. exact) /. exact < 0.01)
 
+(* ---------- reported violation vs an independent recomputation ---------- *)
+
+(* The rounded placement as a 0/1 vector of Lp_check.build's LP: y from
+   the stored copies, x from the VHO Solution.server picks per client. *)
+let lp_vector inst (sol : Sol.t) =
+  let n = I.n_vhos inst in
+  let v = Array.make (Vod_placement.Lp_check.block_size n * sol.Sol.n_videos) 0.0 in
+  Array.iteri
+    (fun video vhos ->
+      Array.iter (fun i -> v.(Vod_placement.Lp_check.y_var ~n ~video i) <- 1.0) vhos;
+      for client = 0 to n - 1 do
+        let server = Sol.server sol inst.I.paths ~video ~vho:client in
+        v.(Vod_placement.Lp_check.x_var ~n ~video ~server ~client) <- 1.0
+      done)
+    sol.Sol.stored;
+  v
+
+(* max(0, max over the LP's capacity rows of lhs / rhs - 1): the rows
+   with rhs > 0 that are Le (disk, link and the y <= 1 bounds). *)
+let lp_violation inst v =
+  List.fold_left
+    (fun worst (c : Vod_lp.Simplex.constr) ->
+      if c.Vod_lp.Simplex.rel = Vod_lp.Simplex.Le && c.Vod_lp.Simplex.rhs > 0.0
+      then
+        let lhs =
+          List.fold_left (fun acc (j, a) -> acc +. (a *. v.(j))) 0.0
+            c.Vod_lp.Simplex.row
+        in
+        Float.max worst ((lhs /. c.Vod_lp.Simplex.rhs) -. 1.0)
+      else worst)
+    0.0
+    (Vod_placement.Lp_check.build inst).Vod_lp.Simplex.constraints
+
+let violation_matches_lp_check () =
+  List.iter
+    (fun (disk_mult, link) ->
+      let inst = tiny_instance ~disk_mult ~link () in
+      List.iter
+        (fun solver ->
+          let case = Printf.sprintf "%s, disk %.1fx, %.0f Mb/s" solver disk_mult link in
+          if solver = "simplex" && disk_mult = 1.1 && link = 20.0 then
+            Alcotest.check_raises (case ^ ": the LP is infeasible")
+              (Failure "simplex backend: placement LP is infeasible") (fun () ->
+                ignore (Solve.solve ~solver inst))
+          else
+            let sol = (Solve.solve ~solver inst).Solve.solution in
+            Alcotest.(check (float 1e-9))
+              (case ^ ": max_violation = Lp_check recomputation")
+              (lp_violation inst (lp_vector inst sol))
+              sol.Sol.max_violation)
+        Solve.solvers)
+    [ (2.0, 200.0); (2.0, 20.0); (1.1, 200.0); (1.1, 20.0) ]
+
 (* ---------- master validation ---------- *)
 
 let master_rejects_bad_inputs () =
   let oracle_absent : unit Vod_epf.Engine.oracle array = [||] in
   Alcotest.check_raises "no blocks"
-    (Invalid_argument "Decomp.Master.solve: no blocks") (fun () ->
+    (Invalid_argument "Engine: no blocks") (fun () ->
       ignore
         (Master.solve ~max_passes:60 ~jobs:0 ~capacities:[| 1.0 |]
            oracle_absent))
@@ -196,6 +255,8 @@ let suite =
     Alcotest.test_case "benders warm start" `Quick benders_warm_start_runs;
     Alcotest.test_case "benders jobs 1 = jobs 4 (bit)" `Quick
       benders_jobs_bit_identical;
+    Alcotest.test_case "reported violation = Lp_check recomputation" `Quick
+      violation_matches_lp_check;
     Alcotest.test_case "master input validation" `Quick
       master_rejects_bad_inputs;
     Alcotest.test_case "daemon replans via benders deterministically" `Quick

@@ -212,18 +212,40 @@ let binary_search_behaviour () =
   | Some v -> Alcotest.(check (float 1e-9)) "lo already feasible" 5.0 v
   | None -> Alcotest.fail "expected feasible lo"
 
+(* Random nonnegative multipliers of kind [kind]: zero, the warm-start
+   prices times one U(0, 10) draw, or uniform per row: row i gets an
+   independent U(0, 10) times the warm-start price mass spread evenly
+   over the rows, mass / (rows x b_i), so link rows are priced too. *)
+let random_multipliers ~capacities ~kind ~seed warm =
+  let rng = Vod_util.Rng.create seed in
+  let u () = 10.0 *. Vod_util.Rng.float rng in
+  match kind with
+  | 0 -> Array.make (Array.length warm) 0.0
+  | 1 ->
+      let s = u () in
+      Array.map (fun p -> s *. p) warm
+  | _ ->
+      let mass = ref 0.0 in
+      Array.iteri (fun i p -> mass := !mass +. (p *. capacities.(i))) warm;
+      let rows = float_of_int (Array.length warm) in
+      Array.map (fun b -> u () *. !mass /. (rows *. b)) capacities
+
 (* End-to-end cross-check over random instances: a solver's Lagrangian
    bound must never exceed the simplex LP optimum. EPF draws run at 2.5x
    disk and also check that the fractional objective does not beat the
    optimum (modulo the allowed epsilon violation). Benders draws take
    the disk multiple from 1.1-3.0, so tight disks occur, skip instances
-   whose LP is not optimal, and check the bound only. This is the
-   strongest soundness property in the suite. *)
+   whose LP is not optimal, and check the bound only. Every draw also
+   evaluates Engine.lagrangian_bound at random multipliers, which must
+   be valid at any lambda >= 0. This is the strongest soundness
+   property in the suite. *)
 let prop_bound_vs_simplex =
   QCheck.Test.make ~name:"engine bound below simplex LP optimum on random instances"
     ~count:12
-    QCheck.(triple (int_range 1 10_000) bool (float_range 1.1 3.0))
-    (fun (seed, benders, multiple) ->
+    QCheck.(
+      quad (int_range 1 10_000) bool (float_range 1.1 3.0)
+        (pair (int_range 0 2) (int_range 0 1_000_000)))
+    (fun (seed, benders, multiple, (kind, lambda_seed)) ->
       let graph = tiny_graph () in
       let catalog =
         Vod_workload.Catalog.generate
@@ -250,16 +272,25 @@ let prop_bound_vs_simplex =
       let params =
         { Vod_epf.Engine.default_params with Vod_epf.Engine.max_passes = 40; seed }
       in
+      let bound_at_random_multipliers () =
+        let _, oracles, warm = B.oracles inst in
+        let capacities = I.capacities inst in
+        Vod_util.Pool.with_pool ~jobs:1 (fun pool ->
+            Vod_epf.Engine.lagrangian_bound ~pool ~oracles ~capacities
+              (random_multipliers ~capacities ~kind ~seed:lambda_seed warm))
+      in
       match Vod_placement.Lp_check.solve_reference inst with
       | Vod_lp.Simplex.Optimal { objective = lp_opt; _ } when benders ->
           let report = Solve.solve ~solver:"benders" ~params inst in
           report.Solve.solution.Sol.lower_bound <= lp_opt +. 1e-6
+          && bound_at_random_multipliers () <= lp_opt +. 1e-6
       | Vod_lp.Simplex.Optimal { objective = lp_opt; _ } ->
           let report = Solve.solve ~params inst in
           let sol = report.Solve.solution in
           sol.Sol.lower_bound <= lp_opt +. 1e-6
           && report.Solve.lp_objective
              >= lp_opt *. (1.0 -. report.Solve.lp_violation -. 0.05)
+          && bound_at_random_multipliers () <= lp_opt +. 1e-6
       | (Vod_lp.Simplex.Infeasible | Vod_lp.Simplex.Unbounded) when benders ->
           QCheck.assume_fail ()
       | Vod_lp.Simplex.Infeasible | Vod_lp.Simplex.Unbounded -> false)
