@@ -1,8 +1,9 @@
 (* Bechamel micro-benchmarks of the computational kernels behind each
-   paper exhibit: the per-video UFL block heuristics (the inner loop of
-   every EPF pass), the dual-ascent bound, the dense simplex on two small
-   full placement LPs, the cache fleet's serve path and two trace
-   analytics. *)
+   paper exhibit: the per-video block kernels of every EPF pass (pricing
+   a block as a UFL instance, the UFL heuristics, turning a solution into
+   an engine point, the sparse step update), the dual-ascent bound, the
+   dense simplex on two small full placement LPs, the cache fleet's serve
+   path and two trace analytics. *)
 
 open Bechamel
 open Toolkit
@@ -82,11 +83,31 @@ let tests () =
   let tiny_lp, ref8_lp = simplex_fixtures () in
   let ufl_of b = Vod_placement.Blocks.ufl_of_block inst b ~obj_price:1.0 ~row_price:prices in
   let ufl = ufl_of block and ufl_empty = ufl_of empty_block and ufl_one = ufl_of one_block in
+  let sol = Vod_facility.Ufl.greedy ufl and sol_one = Vod_facility.Ufl.greedy ufl_one in
+  (* An EPF step's usage update, (1 - tau) z + tau zhat, between the
+     busiest block's points at the synthetic and at zero prices. *)
+  let z = (Vod_placement.Blocks.point_of_solution inst block sol).Vod_epf.Engine.usage in
+  let zhat =
+    let zero = Array.make (Array.length prices) 0.0 in
+    let u = Vod_placement.Blocks.ufl_of_block inst block ~obj_price:1.0 ~row_price:zero in
+    (Vod_placement.Blocks.point_of_solution inst block (Vod_facility.Ufl.greedy u))
+      .Vod_epf.Engine.usage
+  in
   let mk name f = Test.make ~name (Staged.stage f) in
   [
-    (* Table III's inner loop: one block optimization. *)
+    (* Table III's inner loop: one block optimization — price the block,
+       solve it, turn the solution into an engine point. *)
+    mk "table3/ufl_of_block_55fac" (fun () -> ignore (ufl_of block));
+    mk "table3/ufl_of_block_55fac_1cli" (fun () -> ignore (ufl_of one_block));
     mk "table3/ufl_greedy_55fac" (fun () ->
         ignore (Vod_facility.Ufl.greedy ufl));
+    mk "table3/ufl_greedy_55fac_1cli" (fun () ->
+        ignore (Vod_facility.Ufl.greedy ufl_one));
+    mk "table3/point_of_solution_55fac" (fun () ->
+        ignore (Vod_placement.Blocks.point_of_solution inst block sol));
+    mk "table3/point_of_solution_55fac_1cli" (fun () ->
+        ignore (Vod_placement.Blocks.point_of_solution inst one_block sol_one));
+    mk "table3/sparse_axpby" (fun () -> ignore (Vod_epf.Sparse.axpby 0.7 z 0.3 zhat));
     mk "table3/ufl_local_search_55fac" (fun () ->
         ignore (Vod_facility.Ufl.local_search ufl));
     mk "table3/ufl_local_search_55fac_0cli" (fun () ->
@@ -96,6 +117,8 @@ let tests () =
     (* The lower-bound pass kernel. *)
     mk "table3/ufl_dual_ascent_55fac" (fun () ->
         ignore (Vod_facility.Ufl.dual_ascent ufl));
+    mk "table3/ufl_dual_ascent_55fac_1cli" (fun () ->
+        ignore (Vod_facility.Ufl.dual_ascent ufl_one));
     (* Table III's reference side: one exact solve of the full LP. *)
     mk "table3/simplex_ring4_8videos" (fun () -> ignore (Vod_lp.Simplex.solve tiny_lp));
     mk "table3/simplex_ref8_5videos" (fun () -> ignore (Vod_lp.Simplex.solve ref8_lp));

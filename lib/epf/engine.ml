@@ -137,7 +137,7 @@ let integral_outcome ~capacities ~lower_bound ~passes ~pre_round_objective
 (* exp with a linear extension above the overflow guard: continuous,
    monotone and convex, so the 1-D line search stays well-behaved even
    when a trial step is wildly infeasible. *)
-let safe_exp x = if x <= 500.0 then exp x else exp 500.0 *. (x -. 499.0)
+let[@inline] safe_exp x = if x <= 500.0 then exp x else exp 500.0 *. (x -. 499.0)
 
 let src = Logs.Src.create "vod.epf" ~doc:"EPF decomposition solver"
 
@@ -178,7 +178,7 @@ type 'a state = {
 
 let n_rows st = Array.length st.capacities
 
-let rel_infeas st i = (st.usage.(i) /. st.capacities.(i)) -. 1.0
+let[@inline] rel_infeas st i = (st.usage.(i) /. st.capacities.(i)) -. 1.0
 
 let obj_infeas st =
   if st.p.feasibility_only then neg_infinity
@@ -186,9 +186,12 @@ let obj_infeas st =
 
 let coupling_violation st = max_violation ~capacities:st.capacities st.usage
 
+let refresh_price st i =
+  st.prices.(i) <- safe_exp (st.alpha *. rel_infeas st i) /. st.capacities.(i)
+
 let refresh_prices st =
   for i = 0 to n_rows st - 1 do
-    st.prices.(i) <- safe_exp (st.alpha *. rel_infeas st i) /. st.capacities.(i)
+    refresh_price st i
   done;
   st.price_obj <-
     (if st.p.feasibility_only then 0.0
@@ -223,13 +226,13 @@ let recompute st =
 
 (* Potential restricted to the rows touched by a step of size tau along
    (delta_usage, delta_obj); the untouched rows are constant in tau. *)
-let local_potential st ~delta_usage ~delta_obj tau =
+let local_potential st ~(delta_usage : Sparse.t) ~delta_obj tau =
   let acc = ref 0.0 in
-  Sparse.iter
-    (fun i dv ->
-      let u = st.usage.(i) +. (tau *. dv) in
-      acc := !acc +. safe_exp (st.alpha *. ((u /. st.capacities.(i)) -. 1.0)))
-    delta_usage;
+  for k = 0 to Sparse.length delta_usage - 1 do
+    let i = delta_usage.rows.(k) in
+    let u = st.usage.(i) +. (tau *. delta_usage.vals.(k)) in
+    acc := !acc +. safe_exp (st.alpha *. ((u /. st.capacities.(i)) -. 1.0))
+  done;
   if not st.p.feasibility_only then begin
     let o = st.objective +. (tau *. delta_obj) in
     acc := !acc +. safe_exp (st.alpha *. ((o /. st.b_target) -. 1.0))
@@ -239,20 +242,25 @@ let local_potential st ~delta_usage ~delta_obj tau =
 (* Ternary search for the minimizing step size; the potential along a
    segment is a sum of convex functions of tau, hence convex. *)
 let line_search st ~delta_usage ~delta_obj =
-  let f = local_potential st ~delta_usage ~delta_obj in
   let lo = ref 0.0 and hi = ref 1.0 in
   for _ = 1 to line_search_iters do
     let m1 = !lo +. ((!hi -. !lo) /. 3.0) in
     let m2 = !hi -. ((!hi -. !lo) /. 3.0) in
-    if f m1 <= f m2 then hi := m2 else lo := m1
+    if
+      local_potential st ~delta_usage ~delta_obj m1
+      <= local_potential st ~delta_usage ~delta_obj m2
+    then hi := m2
+    else lo := m1
   done;
   let tau = 0.5 *. (!lo +. !hi) in
   (* The endpoints are often optimal (fully adopt / fully reject); pick
-     the best of the three to avoid ternary-search dithering. *)
-  let candidates = [ 0.0; tau; 1.0 ] in
-  List.fold_left
-    (fun best t -> if f t < f best then t else best)
-    0.0 candidates
+     the best of 0, tau and 1, in that order, keeping the earlier one on
+     ties, to avoid ternary-search dithering. *)
+  let f0 = local_potential st ~delta_usage ~delta_obj 0.0 in
+  let f_tau = local_potential st ~delta_usage ~delta_obj tau in
+  let best = if f_tau < f0 then tau else 0.0 in
+  let f_best = if f_tau < f0 then f_tau else f0 in
+  if local_potential st ~delta_usage ~delta_obj 1.0 < f_best then 1.0 else best
 
 (* Drop negligible-weight points and cap the combination size (keeping the
    heaviest); renormalizing keeps the iterate a convex combination of
@@ -284,7 +292,7 @@ let step_block ?stats st k =
   let hat = oracle.optimize ~obj_price:st.price_obj ~row_price:st.prices in
   let delta_usage = Sparse.sub hat.usage st.blk_usage.(k) in
   let delta_obj = hat.obj -. st.blk_obj.(k) in
-  if Array.length delta_usage = 0 && Float.abs delta_obj < 1e-12 then
+  if Sparse.length delta_usage = 0 && Float.abs delta_obj < 1e-12 then
     Option.iter (fun s -> s.skipped <- s.skipped + 1) stats
   else begin
     let tau = line_search st ~delta_usage ~delta_obj in
@@ -309,12 +317,11 @@ let step_block ?stats st k =
       st.blk_obj.(k) <- ((1.0 -. tau) *. st.blk_obj.(k)) +. (tau *. hat.obj);
       st.objective <- st.objective +. (tau *. delta_obj);
       (* Incremental aggregate + price update on the touched rows only. *)
-      Sparse.iter
-        (fun i dv ->
-          st.usage.(i) <- st.usage.(i) +. (tau *. dv);
-          st.prices.(i) <-
-            safe_exp (st.alpha *. rel_infeas st i) /. st.capacities.(i))
-        delta_usage;
+      for j = 0 to Sparse.length delta_usage - 1 do
+        let i = delta_usage.rows.(j) in
+        st.usage.(i) <- st.usage.(i) +. (tau *. delta_usage.vals.(j));
+        refresh_price st i
+      done;
       if not st.p.feasibility_only then
         st.price_obj <- safe_exp (st.alpha *. obj_infeas st) /. st.b_target
     end
@@ -543,11 +550,8 @@ let round_pass ?(only_fractional = true) st =
     Sparse.add_into st.usage 1.0 hat.usage;
     st.objective <- st.objective -. st.blk_obj.(k) +. hat.obj;
     (* Update prices on every touched row so later blocks see the shift. *)
-    let refresh_row i _ =
-      st.prices.(i) <- safe_exp (st.alpha *. rel_infeas st i) /. st.capacities.(i)
-    in
-    Sparse.iter refresh_row st.blk_usage.(k);
-    Sparse.iter refresh_row hat.usage;
+    Array.iter (refresh_price st) st.blk_usage.(k).rows;
+    Array.iter (refresh_price st) hat.usage.rows;
     st.combos.(k) <- [ (hat, 1.0) ];
     st.blk_usage.(k) <- hat.usage;
     st.blk_obj.(k) <- hat.obj

@@ -1,66 +1,138 @@
-(* Sparse nonnegative row-usage vectors, represented as (row, value) arrays
-   sorted by row id. These are the block solutions' footprints on the
-   coupling constraints; supports stay tiny (a video touches its disk rows
-   and the links on a handful of paths), so merge-based arithmetic wins
-   over hashing. *)
+(* Sparse row-usage vectors: two parallel arrays, the row ids strictly
+   increasing and their nonzero values, 16 B per entry. These are the
+   block solutions' footprints on the coupling constraints; supports stay
+   tiny (a video touches its disk rows and the links on a handful of
+   paths), so merge-based arithmetic wins over hashing.
 
-type t = (int * float) array
+   Every operation is a plain loop over the two arrays: the dev build
+   compiles with -opaque, so a closure call or a cross-module call per
+   entry would box the float it passes or returns. *)
 
-let empty : t = [||]
+type t = { rows : int array; vals : float array }
+
+let empty = { rows = [||]; vals = [||] }
+
+let length x = Array.length x.rows
+
+(* Sort the entries by row in place, keeping duplicates in index order
+   (insertion sort: supports are a handful of entries), then sum each
+   row's duplicates from the last entry back and drop rows that sum to
+   zero. Returns the arrays themselves when nothing is dropped. *)
+let canonical rows vals =
+  let m = Array.length rows in
+  for k = 1 to m - 1 do
+    let r = rows.(k) and v = vals.(k) in
+    let j = ref (k - 1) in
+    while !j >= 0 && rows.(!j) > r do
+      rows.(!j + 1) <- rows.(!j);
+      vals.(!j + 1) <- vals.(!j);
+      decr j
+    done;
+    rows.(!j + 1) <- r;
+    vals.(!j + 1) <- v
+  done;
+  let kept = ref 0 and s = ref 0 in
+  while !s < m do
+    let r = rows.(!s) in
+    let e = ref (!s + 1) in
+    while !e < m && rows.(!e) = r do
+      incr e
+    done;
+    let acc = ref 0.0 in
+    for k = !e - 1 downto !s do
+      acc := !acc +. vals.(k)
+    done;
+    if !acc <> 0.0 then begin
+      rows.(!kept) <- r;
+      vals.(!kept) <- !acc;
+      incr kept
+    end;
+    s := !e
+  done;
+  if !kept = m then { rows; vals }
+  else { rows = Array.sub rows 0 !kept; vals = Array.sub vals 0 !kept }
+
+let of_entries rows vals =
+  if Array.length rows <> Array.length vals then
+    invalid_arg "Sparse.of_entries: rows/vals length mismatch";
+  canonical rows vals
 
 let of_assoc l =
-  (* Combine duplicate rows, drop zeros, sort by row. *)
-  let tbl = Hashtbl.create (List.length l) in
-  List.iter
-    (fun (r, v) ->
-      if v <> 0.0 then
-        let cur = Option.value ~default:0.0 (Hashtbl.find_opt tbl r) in
-        Hashtbl.replace tbl r (cur +. v))
-    l;
-  let arr = Array.of_seq (Hashtbl.to_seq tbl) in
-  Array.sort (fun (a, _) (b, _) -> Int.compare a b) arr;
-  arr
+  (* The list's head is summed first, so it goes last. *)
+  let m = List.length l in
+  let rows = Array.make m 0 and vals = Array.create_float m in
+  let rest = ref l in
+  for k = m - 1 downto 0 do
+    match !rest with
+    | (r, v) :: tl ->
+        rows.(k) <- r;
+        vals.(k) <- v;
+        rest := tl
+    | [] -> ()
+  done;
+  canonical rows vals
 
-(* [axpby a x b y] = a*x + b*y as a fresh sorted sparse vector. *)
-let axpby a (x : t) b (y : t) : t =
-  let nx = Array.length x and ny = Array.length y in
-  let out = ref [] in
-  let push r v = if Float.abs v > 1e-15 then out := (r, v) :: !out in
-  let i = ref 0 and j = ref 0 in
+(* One merge of a*x + b*y: the entries that pass the 1e-15 drop rule, in
+   row order, written to (rows, vals) when [write]. Returns their count. *)
+let merge ~write a x b y rows vals =
+  let nx = length x and ny = length y in
+  let i = ref 0 and j = ref 0 and k = ref 0 in
   while !i < nx || !j < ny do
-    if !j >= ny || (!i < nx && fst x.(!i) < fst y.(!j)) then begin
-      let r, v = x.(!i) in
-      push r (a *. v);
+    let r = ref 0 and v = ref 0.0 in
+    if !j >= ny || (!i < nx && x.rows.(!i) < y.rows.(!j)) then begin
+      r := x.rows.(!i);
+      v := a *. x.vals.(!i);
       incr i
     end
-    else if !i >= nx || fst y.(!j) < fst x.(!i) then begin
-      let r, v = y.(!j) in
-      push r (b *. v);
+    else if !i >= nx || y.rows.(!j) < x.rows.(!i) then begin
+      r := y.rows.(!j);
+      v := b *. y.vals.(!j);
       incr j
     end
     else begin
-      let r, vx = x.(!i) and _, vy = y.(!j) in
-      push r ((a *. vx) +. (b *. vy));
+      r := x.rows.(!i);
+      v := (a *. x.vals.(!i)) +. (b *. y.vals.(!j));
       incr i;
       incr j
+    end;
+    if Float.abs !v > 1e-15 then begin
+      if write then begin
+        rows.(!k) <- !r;
+        vals.(!k) <- !v
+      end;
+      incr k
     end
   done;
-  let arr = Array.of_list !out in
-  Array.sort (fun (p, _) (q, _) -> Int.compare p q) arr;
-  arr
+  !k
+
+(* [axpby a x b y] = a*x + b*y as a fresh sorted sparse vector: one merge
+   counts the surviving entries, a second fills arrays of that size. *)
+let axpby a x b y =
+  let m = merge ~write:false a x b y [||] [||] in
+  let rows = Array.make m 0 and vals = Array.create_float m in
+  ignore (merge ~write:true a x b y rows vals);
+  { rows; vals }
 
 let sub x y = axpby 1.0 x (-1.0) y
 
-let scale a x = Array.map (fun (r, v) -> (r, a *. v)) x
-
 (* Add [x] into the dense accumulator [acc], scaled by [a]. *)
-let add_into acc a (x : t) =
-  Array.iter (fun (r, v) -> acc.(r) <- acc.(r) +. (a *. v)) x
+let add_into acc a x =
+  for k = 0 to length x - 1 do
+    let r = x.rows.(k) in
+    acc.(r) <- acc.(r) +. (a *. x.vals.(k))
+  done
 
 (* Dot product with a dense price vector. *)
-let dot prices (x : t) =
-  Array.fold_left (fun s (r, v) -> s +. (prices.(r) *. v)) 0.0 x
+let dot prices x =
+  let s = ref 0.0 in
+  for k = 0 to length x - 1 do
+    s := !s +. (prices.(x.rows.(k)) *. x.vals.(k))
+  done;
+  !s
 
-let iter f (x : t) = Array.iter (fun (r, v) -> f r v) x
+let iter f x =
+  for k = 0 to length x - 1 do
+    f x.rows.(k) x.vals.(k)
+  done
 
-let support (x : t) = Array.map fst x
+let support x = Array.copy x.rows

@@ -1,22 +1,37 @@
-(** Sparse nonnegative row-usage vectors: (row, value) pairs sorted by row
-    id. The footprint of a block solution on the coupling constraints. *)
+(** Sparse row-usage vectors: the footprint of a block solution on the
+    coupling constraints, and differences of footprints.
 
-type t = (int * float) array
+    A vector is two parallel arrays, [rows] strictly increasing and
+    [vals] nonzero, 16 B per entry. The type is private so that every
+    vector stays canonical (sorted and zero-free): hot loops read the two
+    arrays directly, and structural equality is an exact same-vector
+    test. *)
+
+type t = private { rows : int array; vals : float array }
 
 val empty : t
 
-(** Build from an unsorted association list, combining duplicates and
-    dropping zeros. *)
+(** Number of stored entries. *)
+val length : t -> int
+
+(** Build from an unsorted association list, combining duplicates in list
+    order and dropping zeros, including rows whose duplicates sum to
+    zero. *)
 val of_assoc : (int * float) list -> t
 
-(** [axpby a x b y] = a*x + b*y. *)
+(** [of_entries rows vals] is {!of_assoc} of the list built by prepending
+    the entries [(rows.(k), vals.(k))] in index order: a row's duplicates
+    are summed from the last entry back. Takes ownership of both arrays,
+    which it sorts in place and may return. Raises [Invalid_argument] if
+    their lengths differ. *)
+val of_entries : int array -> float array -> t
+
+(** [axpby a x b y] = a*x + b*y, dropping entries of magnitude at most
+    1e-15. *)
 val axpby : float -> t -> float -> t -> t
 
 (** [sub x y] = x - y. *)
 val sub : t -> t -> t
-
-(** [scale a x] = a*x. *)
-val scale : float -> t -> t
 
 (** [add_into acc a x]: acc += a*x (dense accumulator). *)
 val add_into : float array -> float -> t -> unit
@@ -24,7 +39,8 @@ val add_into : float array -> float -> t -> unit
 (** Dot product against a dense price vector. *)
 val dot : float array -> t -> float
 
+(** [iter f x] calls [f row value] on every entry in row order. *)
 val iter : (int -> float -> unit) -> t -> unit
 
-(** Row ids in the support. *)
+(** Row ids in the support (a fresh array). *)
 val support : t -> int array

@@ -23,19 +23,25 @@ let n_facilities t = Array.length t.open_cost
 
 let n_clients t = Array.length t.service
 
+(* The functions an EPF pass calls per block ([validate], [eval_open],
+   [greedy], [dual_ascent]) are plain loops: the dev build compiles with
+   -opaque, so an iterator's closure call boxes every float it passes. *)
+
 let validate t =
   let n = n_facilities t in
   if n = 0 then invalid_arg "Ufl: no facilities";
-  Array.iter
-    (fun o -> if o < 0.0 || Float.is_nan o then invalid_arg "Ufl: bad opening cost")
-    t.open_cost;
-  Array.iter
-    (fun row ->
-      if Array.length row <> n then invalid_arg "Ufl: service row arity";
-      Array.iter
-        (fun s -> if s < 0.0 || Float.is_nan s then invalid_arg "Ufl: bad service cost")
-        row)
-    t.service
+  for i = 0 to n - 1 do
+    let o = t.open_cost.(i) in
+    if o < 0.0 || Float.is_nan o then invalid_arg "Ufl: bad opening cost"
+  done;
+  for j = 0 to n_clients t - 1 do
+    let row = t.service.(j) in
+    if Array.length row <> n then invalid_arg "Ufl: service row arity";
+    for i = 0 to n - 1 do
+      let s = row.(i) in
+      if s < 0.0 || Float.is_nan s then invalid_arg "Ufl: bad service cost"
+    done
+  done
 
 (* Cost of a solution given its open set: each client served by its
    cheapest open facility. Returns (cost, assignment). *)
@@ -44,7 +50,9 @@ let eval_open t open_set =
   let nc = n_clients t in
   let assign = Array.make nc (-1) in
   let cost = ref 0.0 in
-  Array.iteri (fun i o -> if open_set.(i) then cost := !cost +. o) t.open_cost;
+  for i = 0 to n - 1 do
+    if open_set.(i) then cost := !cost +. t.open_cost.(i)
+  done;
   for j = 0 to nc - 1 do
     let best = ref (-1) and best_c = ref infinity in
     for i = 0 to n - 1 do
@@ -69,14 +77,14 @@ let greedy t =
   validate t;
   let n = n_facilities t and nc = n_clients t in
   (* Best single facility. *)
-  let single_cost i =
+  let single = Array.create_float n in
+  for i = 0 to n - 1 do
     let c = ref t.open_cost.(i) in
     for j = 0 to nc - 1 do
       c := !c +. t.service.(j).(i)
     done;
-    !c
-  in
-  let single = Array.init n single_cost in
+    single.(i) <- !c
+  done;
   let first = ref 0 in
   for i = 1 to n - 1 do
     if single.(i) < single.(!first) then first := i
@@ -84,7 +92,10 @@ let greedy t =
   let open_set = Array.make n false in
   open_set.(!first) <- true;
   (* current cheapest service per client *)
-  let cur = Array.init nc (fun j -> t.service.(j).(!first)) in
+  let cur = Array.create_float nc in
+  for j = 0 to nc - 1 do
+    cur.(j) <- t.service.(j).(!first)
+  done;
   let improved = ref true in
   while !improved do
     improved := false;
@@ -236,47 +247,63 @@ let local_search ?(max_iter = 200) t =
    Any feasible v lower-bounds the LP (hence the ILP) optimum. We raise
    each v_j in cyclic passes to the largest value the slacks allow. The
    result is a maximal — not necessarily maximum — dual solution, which is
-   exactly what the EPF lower-bound pass needs: validity, cheaply. *)
+   exactly what the EPF lower-bound pass needs: validity, cheaply.
+
+   [pos d] is Float.max 0. d (a NaN passes through, as there), and the
+   initial scan is Float.min's fold with -0. below +0.: plain comparisons
+   that give the same bits on every cost [validate] admits, without
+   Float's sign-bit C calls. *)
+let[@inline] pos d = if d > 0.0 || d <> d then d else 0.0
+
 let dual_ascent ?(max_passes = 8) t =
   validate t;
   let n = n_facilities t and nc = n_clients t in
-  let v = Array.init nc (fun j -> Array.fold_left Float.min infinity t.service.(j)) in
+  let v = Array.create_float nc in
+  for j = 0 to nc - 1 do
+    let row = t.service.(j) in
+    let m = ref infinity in
+    for i = 0 to n - 1 do
+      let s = row.(i) in
+      if s < !m || (s = 0.0 && 1.0 /. s < 0.0) then m := s
+    done;
+    v.(j) <- !m
+  done;
   let slack = Array.copy t.open_cost in
   (* slack_i = o_i - sum_j (v_j - s_ij)+ ; initially v_j = min service so
      every term is 0 except exact ties, which contribute 0 anyway. *)
-  let raise_client j =
-    (* Largest t such that for all i: (t - s_ij)+ <= slack_i + (v_j - s_ij)+ *)
-    let tmax = ref infinity in
-    for i = 0 to n - 1 do
-      let s = t.service.(j).(i) in
-      let already = Float.max 0.0 (v.(j) -. s) in
-      let bound = s +. slack.(i) +. already in
-      if bound < !tmax then tmax := bound
-    done;
-    if !tmax > v.(j) +. 1e-12 then begin
-      let old = v.(j) in
-      v.(j) <- !tmax;
-      (* Update slacks. *)
-      for i = 0 to n - 1 do
-        let s = t.service.(j).(i) in
-        let before = Float.max 0.0 (old -. s) in
-        let after = Float.max 0.0 (v.(j) -. s) in
-        slack.(i) <- slack.(i) -. (after -. before)
-      done;
-      true
-    end
-    else false
-  in
   let pass = ref 0 and any = ref true in
   while !any && !pass < max_passes do
     any := false;
     incr pass;
     for j = 0 to nc - 1 do
-      if raise_client j then any := true
+      (* Raise v_j to the largest t such that for all i:
+         (t - s_ij)+ <= slack_i + (v_j - s_ij)+ *)
+      let row = t.service.(j) in
+      let tmax = ref infinity in
+      for i = 0 to n - 1 do
+        let s = row.(i) in
+        let bound = s +. slack.(i) +. pos (v.(j) -. s) in
+        if bound < !tmax then tmax := bound
+      done;
+      if !tmax > v.(j) +. 1e-12 then begin
+        let old = v.(j) in
+        v.(j) <- !tmax;
+        (* Update slacks. *)
+        for i = 0 to n - 1 do
+          let s = row.(i) in
+          let before = pos (old -. s) in
+          let after = pos (v.(j) -. s) in
+          slack.(i) <- slack.(i) -. (after -. before)
+        done;
+        any := true
+      end
     done
   done;
-  let bound = Array.fold_left ( +. ) 0.0 v in
-  (bound, v)
+  let bound = ref 0.0 in
+  for j = 0 to nc - 1 do
+    bound := !bound +. v.(j)
+  done;
+  (!bound, v)
 
 (* Exact optimum by enumerating open sets; for tests only. *)
 let exact t =

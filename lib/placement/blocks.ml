@@ -9,6 +9,8 @@
    block polytope — and [lower_bound] runs dual ascent over the *full*
    facility set, so the engine's Lagrangian bound stays valid. *)
 
+module Paths = Vod_topology.Paths
+
 type choice = {
   video : int;
   open_vhos : int array;      (* VHOs storing the video, sorted *)
@@ -65,92 +67,122 @@ let build_blocks (inst : Instance.t) =
         clients;
       })
 
+(* The block kernels below run once per oracle call and are plain loops:
+   the dev build compiles with -opaque, so a closure, or a call into
+   another module that returns a float, boxes a float per element. *)
+
+(* [Instance.cost]'s expression, alpha * hops + beta, inlined here. *)
+let[@inline] cost (inst : Instance.t) ~src ~dst =
+  (inst.Instance.alpha_cost *. float_of_int (Paths.hops inst.Instance.paths ~src ~dst))
+  +. inst.Instance.beta_cost
+
+(* Row of link 0 in each peak window; link l's row is that plus l. *)
+let link_rows_base (inst : Instance.t) =
+  Array.init (Instance.n_windows inst) (fun w -> Instance.link_row inst ~window:w ~link:0)
+
 (* Build the priced UFL instance for a block. *)
 let ufl_of_block (inst : Instance.t) (b : block) ~obj_price ~row_price =
   let n = Instance.n_vhos inst in
   let nw = Instance.n_windows inst in
-  let place_cost i =
-    if inst.Instance.placement_weight = 0.0 then 0.0
-    else
-      inst.Instance.placement_weight *. b.size_gb
-      *. Instance.cost inst ~src:inst.Instance.origin ~dst:i
-  in
-  let open_cost =
-    Array.init n (fun i ->
-        (row_price.(Instance.disk_row inst i) *. b.size_gb)
-        +. (obj_price *. place_cost i))
-  in
-  let service =
-    Array.map
-      (fun c ->
-        Array.init n (fun i ->
-            let transfer =
-              obj_price *. b.size_gb *. c.a *. Instance.cost inst ~src:i ~dst:c.vho
-            in
-            let bw = ref 0.0 in
-            if i <> c.vho then begin
-              let links =
-                Vod_topology.Paths.path_links inst.Instance.paths ~src:i ~dst:c.vho
-              in
-              for w = 0 to nw - 1 do
-                let load = b.rate_mbps *. c.f.(w) in
-                if load > 0.0 then
-                  Array.iter
-                    (fun l -> bw := !bw +. (row_price.(Instance.link_row inst ~window:w ~link:l) *. load))
-                    links
-              done
-            end;
-            transfer +. !bw))
-      b.clients
-  in
+  let paths = inst.Instance.paths in
+  let weight = inst.Instance.placement_weight in
+  let open_cost = Array.create_float n in
+  for i = 0 to n - 1 do
+    let place_cost =
+      if weight = 0.0 then 0.0
+      else weight *. b.size_gb *. cost inst ~src:inst.Instance.origin ~dst:i
+    in
+    open_cost.(i) <-
+      (row_price.(Instance.disk_row inst i) *. b.size_gb) +. (obj_price *. place_cost)
+  done;
+  let link_base = link_rows_base inst in
+  let service = Array.make (Array.length b.clients) [||] in
+  for jc = 0 to Array.length b.clients - 1 do
+    let c = b.clients.(jc) in
+    let row = Array.create_float n in
+    let per_gb = obj_price *. b.size_gb *. c.a in
+    for i = 0 to n - 1 do
+      let transfer = per_gb *. cost inst ~src:i ~dst:c.vho in
+      let bw = ref 0.0 in
+      if i <> c.vho then begin
+        let links = Paths.path_links paths ~src:i ~dst:c.vho in
+        for w = 0 to nw - 1 do
+          let load = b.rate_mbps *. c.f.(w) in
+          if load > 0.0 then
+            for l = 0 to Array.length links - 1 do
+              bw := !bw +. (row_price.(link_base.(w) + links.(l)) *. load)
+            done
+        done
+      end;
+      row.(i) <- transfer +. !bw
+    done;
+    service.(jc) <- row
+  done;
   { Vod_facility.Ufl.open_cost; service }
 
 (* Translate a UFL solution into an engine point: true objective
-   contribution and coupling-row usage. *)
+   contribution and coupling-row usage. The usage entries are written in
+   generation order — the open VHOs' disk rows, then each remotely served
+   client's path links per loaded window — and [Sparse.of_entries] sums a
+   row's duplicates from the last one generated back. *)
 let point_of_solution (inst : Instance.t) (b : block)
     (sol : Vod_facility.Ufl.solution) =
+  let n = Instance.n_vhos inst in
   let nw = Instance.n_windows inst in
-  let obj = ref 0.0 in
-  let usage = ref [] in
-  let opens = ref [] in
-  Array.iteri
-    (fun i is_open ->
-      if is_open then begin
-        opens := i :: !opens;
-        usage := (Instance.disk_row inst i, b.size_gb) :: !usage;
-        if inst.Instance.placement_weight > 0.0 then
-          obj :=
-            !obj
-            +. inst.Instance.placement_weight *. b.size_gb
-               *. Instance.cost inst ~src:inst.Instance.origin ~dst:i
-      end)
-    sol.Vod_facility.Ufl.open_set;
-  let serve =
-    Array.mapi
-      (fun jc c ->
-        let i = sol.Vod_facility.Ufl.assign.(jc) in
-        obj := !obj +. (b.size_gb *. c.a *. Instance.cost inst ~src:i ~dst:c.vho);
-        if i <> c.vho then begin
-          let links = Vod_topology.Paths.path_links inst.Instance.paths ~src:i ~dst:c.vho in
-          for w = 0 to nw - 1 do
-            let load = b.rate_mbps *. c.f.(w) in
-            if load > 0.0 then
-              Array.iter
-                (fun l -> usage := (Instance.link_row inst ~window:w ~link:l, load) :: !usage)
-                links
+  let paths = inst.Instance.paths in
+  let weight = inst.Instance.placement_weight in
+  let open_set = sol.Vod_facility.Ufl.open_set
+  and assign = sol.Vod_facility.Ufl.assign in
+  let n_clients = Array.length b.clients in
+  (* Count the entries first, so the two arrays are allocated once. *)
+  let n_open = ref 0 in
+  for i = 0 to n - 1 do
+    if open_set.(i) then incr n_open
+  done;
+  let n_entries = ref !n_open in
+  for jc = 0 to n_clients - 1 do
+    let c = b.clients.(jc) and i = assign.(jc) in
+    if i <> c.vho then begin
+      let hops = Array.length (Paths.path_links paths ~src:i ~dst:c.vho) in
+      for w = 0 to nw - 1 do
+        if b.rate_mbps *. c.f.(w) > 0.0 then n_entries := !n_entries + hops
+      done
+    end
+  done;
+  let rows = Array.make !n_entries 0 and vals = Array.create_float !n_entries in
+  let open_vhos = Array.make !n_open 0 in
+  let k = ref 0 and obj = ref 0.0 in
+  for i = 0 to n - 1 do
+    if open_set.(i) then begin
+      open_vhos.(!k) <- i;
+      rows.(!k) <- Instance.disk_row inst i;
+      vals.(!k) <- b.size_gb;
+      incr k;
+      if weight > 0.0 then
+        obj := !obj +. (weight *. b.size_gb *. cost inst ~src:inst.Instance.origin ~dst:i)
+    end
+  done;
+  let link_base = link_rows_base inst in
+  let serve = Array.make n_clients (0, 0) in
+  for jc = 0 to n_clients - 1 do
+    let c = b.clients.(jc) and i = assign.(jc) in
+    obj := !obj +. (b.size_gb *. c.a *. cost inst ~src:i ~dst:c.vho);
+    if i <> c.vho then begin
+      let links = Paths.path_links paths ~src:i ~dst:c.vho in
+      for w = 0 to nw - 1 do
+        let load = b.rate_mbps *. c.f.(w) in
+        if load > 0.0 then
+          for l = 0 to Array.length links - 1 do
+            rows.(!k) <- link_base.(w) + links.(l);
+            vals.(!k) <- load;
+            incr k
           done
-        end;
-        (c.vho, i))
-      b.clients
-  in
-  let data =
-    {
-      video = b.video;
-      open_vhos = Array.of_list (List.sort Int.compare !opens);
-      serve;
-    }
-  in
-  { Vod_epf.Engine.obj = !obj; usage = Vod_epf.Sparse.of_assoc !usage; data }
+      done
+    end;
+    serve.(jc) <- (c.vho, i)
+  done;
+  let data = { video = b.video; open_vhos; serve } in
+  { Vod_epf.Engine.obj = !obj; usage = Vod_epf.Sparse.of_entries rows vals; data }
 
 (* Warm-start disk prices: the dual values a greedy demand-density disk
    fill implies. For each VHO, sort its demanded videos by request density

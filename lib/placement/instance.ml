@@ -38,9 +38,18 @@ let create ?(alpha_cost = 1.0) ?(beta_cost = 1.0) ?(placement_weight = 0.0)
     link_capacity_mbps;
   if demand.Vod_workload.Demand.n_vhos <> n then
     invalid_arg "Instance.create: demand/graph VHO count mismatch";
+  let check_cost field c =
+    if not (Float.is_finite c && c >= 0.0) then
+      invalid_arg ("Instance.create: " ^ field ^ " must be finite and nonnegative")
+  in
+  check_cost "alpha_cost" alpha_cost;
+  check_cost "beta_cost" beta_cost;
+  check_cost "placement_weight" placement_weight;
   let origin =
     match origin with
-    | Some o -> o
+    | Some o ->
+        if o < 0 || o >= n then invalid_arg "Instance.create: origin out of range";
+        o
     | None ->
         (* Default origin: the largest metro. *)
         let best = ref 0 in

@@ -15,9 +15,12 @@ type t = {
   origin : int;
 }
 
-(** Build and validate an instance; [alpha_cost] defaults to 1, [beta_cost]
-    and [placement_weight] to 0, [origin] to the largest metro. Raises
-    [Invalid_argument] on arity mismatches or nonpositive capacities. *)
+(** Build and validate an instance; [alpha_cost] and [beta_cost] default
+    to 1, [placement_weight] to 0, [origin] to the largest metro. Raises
+    [Invalid_argument] on arity mismatches, nonpositive capacities, a
+    negative or non-finite [alpha_cost], [beta_cost] or
+    [placement_weight] (the message names the field), or an [origin]
+    that is not a VHO index, 0 to [n_vhos - 1]. *)
 val create :
   ?alpha_cost:float ->
   ?beta_cost:float ->

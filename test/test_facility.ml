@@ -166,6 +166,201 @@ let prop_local_search_matches_ref =
       && same_solution (U.local_search ~max_iter:1 t) (local_search_ref ~max_iter:1 t)
       && same_solution (U.local_search ~max_iter:2 t) (local_search_ref ~max_iter:2 t))
 
+(* The block kernels that [U.greedy] and [U.dual_ascent] must reproduce
+   bit for bit: [validate], [eval_open], [solution_of_open], [greedy] and
+   [dual_ascent] as they were before they became plain loops (iterator
+   closures, Float.min / Float.max), copied verbatim, comments included.
+   Kept here, not in lib/, as the equivalence reference. *)
+module Ufl_ref = struct
+  open U
+
+  let validate t =
+    let n = n_facilities t in
+    if n = 0 then invalid_arg "Ufl: no facilities";
+    Array.iter
+      (fun o -> if o < 0.0 || Float.is_nan o then invalid_arg "Ufl: bad opening cost")
+      t.open_cost;
+    Array.iter
+      (fun row ->
+        if Array.length row <> n then invalid_arg "Ufl: service row arity";
+        Array.iter
+          (fun s -> if s < 0.0 || Float.is_nan s then invalid_arg "Ufl: bad service cost")
+          row)
+      t.service
+
+  (* Cost of a solution given its open set: each client served by its
+     cheapest open facility. Returns (cost, assignment). *)
+  let eval_open t open_set =
+    let n = n_facilities t in
+    let nc = n_clients t in
+    let assign = Array.make nc (-1) in
+    let cost = ref 0.0 in
+    Array.iteri (fun i o -> if open_set.(i) then cost := !cost +. o) t.open_cost;
+    for j = 0 to nc - 1 do
+      let best = ref (-1) and best_c = ref infinity in
+      for i = 0 to n - 1 do
+        if open_set.(i) && t.service.(j).(i) < !best_c then begin
+          best := i;
+          best_c := t.service.(j).(i)
+        end
+      done;
+      if !best < 0 then invalid_arg "Ufl.eval_open: no open facility";
+      assign.(j) <- !best;
+      cost := !cost +. !best_c
+    done;
+    (!cost, assign)
+
+  let solution_of_open t open_set =
+    let cost, assign = eval_open t open_set in
+    { open_set = Array.copy open_set; assign; cost }
+
+  (* Greedy: start from the single best facility, then repeatedly open the
+     facility with the largest net saving. O(n_fac^2 * n_cli). *)
+  let greedy t =
+    validate t;
+    let n = n_facilities t and nc = n_clients t in
+    (* Best single facility. *)
+    let single_cost i =
+      let c = ref t.open_cost.(i) in
+      for j = 0 to nc - 1 do
+        c := !c +. t.service.(j).(i)
+      done;
+      !c
+    in
+    let single = Array.init n single_cost in
+    let first = ref 0 in
+    for i = 1 to n - 1 do
+      if single.(i) < single.(!first) then first := i
+    done;
+    let open_set = Array.make n false in
+    open_set.(!first) <- true;
+    (* current cheapest service per client *)
+    let cur = Array.init nc (fun j -> t.service.(j).(!first)) in
+    let improved = ref true in
+    while !improved do
+      improved := false;
+      let best_i = ref (-1) and best_saving = ref 0.0 in
+      for i = 0 to n - 1 do
+        if not open_set.(i) then begin
+          let saving = ref (-.t.open_cost.(i)) in
+          for j = 0 to nc - 1 do
+            let d = cur.(j) -. t.service.(j).(i) in
+            if d > 0.0 then saving := !saving +. d
+          done;
+          if !saving > !best_saving +. 1e-12 then begin
+            best_saving := !saving;
+            best_i := i
+          end
+        end
+      done;
+      if !best_i >= 0 then begin
+        open_set.(!best_i) <- true;
+        for j = 0 to nc - 1 do
+          if t.service.(j).(!best_i) < cur.(j) then cur.(j) <- t.service.(j).(!best_i)
+        done;
+        improved := true
+      end
+    done;
+    solution_of_open t open_set
+
+  (* Erlenkotter-style dual ascent for the UFL LP dual:
+
+       max sum_j v_j   s.t.  sum_j max(0, v_j - s_ij) <= o_i  for all i.
+
+     Any feasible v lower-bounds the LP (hence the ILP) optimum. We raise
+     each v_j in cyclic passes to the largest value the slacks allow. The
+     result is a maximal — not necessarily maximum — dual solution, which is
+     exactly what the EPF lower-bound pass needs: validity, cheaply. *)
+  let dual_ascent ?(max_passes = 8) t =
+    validate t;
+    let n = n_facilities t and nc = n_clients t in
+    let v = Array.init nc (fun j -> Array.fold_left Float.min infinity t.service.(j)) in
+    let slack = Array.copy t.open_cost in
+    (* slack_i = o_i - sum_j (v_j - s_ij)+ ; initially v_j = min service so
+       every term is 0 except exact ties, which contribute 0 anyway. *)
+    let raise_client j =
+      (* Largest t such that for all i: (t - s_ij)+ <= slack_i + (v_j - s_ij)+ *)
+      let tmax = ref infinity in
+      for i = 0 to n - 1 do
+        let s = t.service.(j).(i) in
+        let already = Float.max 0.0 (v.(j) -. s) in
+        let bound = s +. slack.(i) +. already in
+        if bound < !tmax then tmax := bound
+      done;
+      if !tmax > v.(j) +. 1e-12 then begin
+        let old = v.(j) in
+        v.(j) <- !tmax;
+        (* Update slacks. *)
+        for i = 0 to n - 1 do
+          let s = t.service.(j).(i) in
+          let before = Float.max 0.0 (old -. s) in
+          let after = Float.max 0.0 (v.(j) -. s) in
+          slack.(i) <- slack.(i) -. (after -. before)
+        done;
+        true
+      end
+      else false
+    in
+    let pass = ref 0 and any = ref true in
+    while !any && !pass < max_passes do
+      any := false;
+      incr pass;
+      for j = 0 to nc - 1 do
+        if raise_client j then any := true
+      done
+    done;
+    let bound = Array.fold_left ( +. ) 0.0 v in
+    (bound, v)
+end
+
+(* A random instance like [ref_instance]; [kind] 2 also turns half the
+   zero costs into -0. and one cost in ten into +inf, the edges of what
+   [U.validate] admits. *)
+let kernel_instance ~seed ~kind =
+  let t = ref_instance ~seed ~ints:(kind > 0) in
+  if kind < 2 then t
+  else begin
+    let rng = Vod_util.Rng.create (seed + 1) in
+    let edge c =
+      if c = 0.0 && Vod_util.Rng.bool rng then -0.0
+      else if Vod_util.Rng.int rng 10 = 0 then infinity
+      else c
+    in
+    {
+      U.open_cost = Array.map edge t.U.open_cost;
+      service = Array.map (Array.map edge) t.U.service;
+    }
+  end
+
+(* Either the value or the [Invalid_argument] message. *)
+let outcome f t = match f t with s -> Ok s | exception Invalid_argument m -> Error m
+
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let same_dual (b, v) (b', v') = same_bits b b' && Array.for_all2 same_bits v v'
+
+let prop_kernels_match_ref =
+  QCheck.Test.make ~name:"greedy and dual_ascent are bit-identical to the closure reference"
+    ~count:600
+    QCheck.(pair (int_bound 1_000_000) (int_bound 2))
+    (fun (seed, kind) ->
+      let t = kernel_instance ~seed ~kind in
+      let agree same f g =
+        match (outcome f t, outcome g t) with
+        | Ok a, Ok b -> same a b
+        | Error a, Error b -> a = b
+        | _ -> false
+      in
+      agree same_solution U.greedy Ufl_ref.greedy
+      && agree same_dual (fun t -> U.dual_ascent t) (fun t -> Ufl_ref.dual_ascent t)
+      && agree same_dual
+           (fun t -> U.dual_ascent ~max_passes:1 t)
+           (fun t -> Ufl_ref.dual_ascent ~max_passes:1 t)
+      && agree
+           (fun (c, a) (c', a') -> same_bits c c' && a = a')
+           (fun t -> U.eval_open t (Array.make (U.n_facilities t) true))
+           (fun t -> Ufl_ref.eval_open t (Array.make (U.n_facilities t) true)))
+
 (* A drop that leaves a client with no finite service cost makes the
    reference raise inside [eval_open]; the incremental search must raise
    the same exception. *)
@@ -260,4 +455,5 @@ let suite =
       local_search_infinite_service;
     QCheck_alcotest.to_alcotest prop_dual_bound_valid;
     QCheck_alcotest.to_alcotest prop_local_search_matches_ref;
+    QCheck_alcotest.to_alcotest prop_kernels_match_ref;
   ]

@@ -9,6 +9,8 @@ module Sol = Vod_placement.Solution
 module Solve = Vod_placement.Solve
 module F = Vod_placement.Feasibility
 module G = Vod_topology.Graph
+module E = Vod_epf.Engine
+module U = Vod_facility.Ufl
 
 (* A tiny deterministic world: 4 VHOs on a ring, 8 videos, 7 days. *)
 let tiny_graph () =
@@ -115,6 +117,251 @@ let warm_prices_shape () =
   let prices = B.warm_disk_prices inst in
   Alcotest.(check int) "one per vho" 4 (Array.length prices);
   Array.iter (fun p -> Alcotest.(check bool) "nonnegative" true (p >= 0.0)) prices
+
+(* The block kernels that [B.ufl_of_block] and [B.point_of_solution] must
+   reproduce bit for bit: the definitions before they became plain loops
+   (iterator closures, [Instance.cost] calls, the usage built as an
+   association list), copied verbatim, comments included. Kept here, not
+   in lib/, as the equivalence reference. Its [Sparse.of_assoc] is the
+   library's, which test_epf.ml pins to its own reference. *)
+module Blocks_ref = struct
+  open B
+  module Instance = I
+
+  (* Build the priced UFL instance for a block. *)
+  let ufl_of_block (inst : Instance.t) (b : block) ~obj_price ~row_price =
+    let n = Instance.n_vhos inst in
+    let nw = Instance.n_windows inst in
+    let place_cost i =
+      if inst.Instance.placement_weight = 0.0 then 0.0
+      else
+        inst.Instance.placement_weight *. b.size_gb
+        *. Instance.cost inst ~src:inst.Instance.origin ~dst:i
+    in
+    let open_cost =
+      Array.init n (fun i ->
+          (row_price.(Instance.disk_row inst i) *. b.size_gb)
+          +. (obj_price *. place_cost i))
+    in
+    let service =
+      Array.map
+        (fun c ->
+          Array.init n (fun i ->
+              let transfer =
+                obj_price *. b.size_gb *. c.a *. Instance.cost inst ~src:i ~dst:c.vho
+              in
+              let bw = ref 0.0 in
+              if i <> c.vho then begin
+                let links =
+                  Vod_topology.Paths.path_links inst.Instance.paths ~src:i ~dst:c.vho
+                in
+                for w = 0 to nw - 1 do
+                  let load = b.rate_mbps *. c.f.(w) in
+                  if load > 0.0 then
+                    Array.iter
+                      (fun l -> bw := !bw +. (row_price.(Instance.link_row inst ~window:w ~link:l) *. load))
+                      links
+                done
+              end;
+              transfer +. !bw))
+        b.clients
+    in
+    { Vod_facility.Ufl.open_cost; service }
+
+  (* Translate a UFL solution into an engine point: true objective
+     contribution and coupling-row usage. *)
+  let point_of_solution (inst : Instance.t) (b : block)
+      (sol : Vod_facility.Ufl.solution) =
+    let nw = Instance.n_windows inst in
+    let obj = ref 0.0 in
+    let usage = ref [] in
+    let opens = ref [] in
+    Array.iteri
+      (fun i is_open ->
+        if is_open then begin
+          opens := i :: !opens;
+          usage := (Instance.disk_row inst i, b.size_gb) :: !usage;
+          if inst.Instance.placement_weight > 0.0 then
+            obj :=
+              !obj
+              +. inst.Instance.placement_weight *. b.size_gb
+                 *. Instance.cost inst ~src:inst.Instance.origin ~dst:i
+        end)
+      sol.Vod_facility.Ufl.open_set;
+    let serve =
+      Array.mapi
+        (fun jc c ->
+          let i = sol.Vod_facility.Ufl.assign.(jc) in
+          obj := !obj +. (b.size_gb *. c.a *. Instance.cost inst ~src:i ~dst:c.vho);
+          if i <> c.vho then begin
+            let links = Vod_topology.Paths.path_links inst.Instance.paths ~src:i ~dst:c.vho in
+            for w = 0 to nw - 1 do
+              let load = b.rate_mbps *. c.f.(w) in
+              if load > 0.0 then
+                Array.iter
+                  (fun l -> usage := (Instance.link_row inst ~window:w ~link:l, load) :: !usage)
+                  links
+            done
+          end;
+          (c.vho, i))
+        b.clients
+    in
+    let data =
+      {
+        video = b.video;
+        open_vhos = Array.of_list (List.sort Int.compare !opens);
+        serve;
+      }
+    in
+    { Vod_epf.Engine.obj = !obj; usage = Vod_epf.Sparse.of_assoc !usage; data }
+end
+
+(* Two worlds for the kernel property: a 10-VHO ring with chords (paths
+   of up to four links) over three peak windows, and the 4-VHO ring. *)
+let kernel_worlds =
+  lazy
+    (List.map
+       (fun (graph, n_windows) ->
+         let n = G.n_nodes graph in
+         let catalog =
+           Vod_workload.Catalog.generate
+             (Vod_workload.Catalog.default_params ~n:6 ~days:7 ~seed:5)
+         in
+         let trace =
+           Vod_workload.Tracegen.generate
+             (Vod_workload.Tracegen.default_params ~catalog
+                ~populations:graph.G.populations ~mean_daily_requests:200.0 ~seed:6)
+         in
+         let demand =
+           Vod_workload.Demand.of_requests catalog ~n_vhos:n ~day0:0 ~days:7
+             ~n_windows ~window_s:3600.0 trace.Vod_workload.Trace.requests
+         in
+         I.create ~graph ~catalog ~demand
+           ~disk_gb:(I.uniform_disk ~total_gb:100.0 n)
+           ~link_capacity_mbps:(I.uniform_links graph 100.0)
+           ())
+       [
+         ( Vod_topology.Topologies.ring_plus_chords ~name:"kernels" ~n:10
+             ~target_edges:12 ~seed:3,
+           3 );
+         (tiny_graph (), 2);
+       ])
+
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let same_floats a b = Array.length a = Array.length b && Array.for_all2 same_bits a b
+
+(* Random instance costs (alpha, beta, a placement weight of 0 or > 0, the
+   origin), a random block of 0, 1 or many clients with zero and nonzero
+   requests and window loads, and random prices with an objective price
+   of 0, 1 or random. Both kernels must match the reference bit for bit:
+   the UFL costs, and the point of greedy's solution and of a random
+   open set with each client on a random open VHO. *)
+let prop_block_kernels_match_ref =
+  QCheck.Test.make ~name:"block kernels are bit-identical to the closure reference"
+    ~count:400 (QCheck.int_bound 1_000_000)
+    (fun seed ->
+      let rng = Vod_util.Rng.create seed in
+      let float scale = scale *. Vod_util.Rng.float rng in
+      let worlds = Lazy.force kernel_worlds in
+      let base = List.nth worlds (Vod_util.Rng.int rng (List.length worlds)) in
+      let n = I.n_vhos base and nw = I.n_windows base in
+      let inst =
+        {
+          base with
+          I.alpha_cost = 0.5 +. float 2.0;
+          beta_cost = (if Vod_util.Rng.bool rng then 1.0 else float 1.0);
+          placement_weight = (if Vod_util.Rng.bool rng then 0.0 else float 5.0);
+          origin = Vod_util.Rng.int rng n;
+        }
+      in
+      let n_clients =
+        match Vod_util.Rng.int rng 3 with
+        | 0 -> 0
+        | 1 -> 1
+        | _ -> 2 + Vod_util.Rng.int rng (n - 1)
+      in
+      let vhos = Array.sub (Vod_util.Rng.permutation rng n) 0 n_clients in
+      Array.sort Int.compare vhos;
+      let clients =
+        Array.map
+          (fun vho ->
+            let a = if Vod_util.Rng.int rng 4 = 0 then 0.0 else float 20.0 in
+            let f =
+              Array.init nw (fun _ -> if Vod_util.Rng.int rng 3 = 0 then 0.0 else float 5.0)
+            in
+            { B.vho; a; f })
+          vhos
+      in
+      let b =
+        {
+          B.video = seed mod 6;
+          size_gb = 0.5 +. float 3.0;
+          rate_mbps = 1.0 +. float 8.0;
+          clients;
+        }
+      in
+      let obj_price =
+        match Vod_util.Rng.int rng 3 with 0 -> 0.0 | 1 -> 1.0 | _ -> float 5.0
+      in
+      let row_price = Array.init (I.n_rows inst) (fun _ -> Vod_util.Rng.float rng) in
+      let ufl = B.ufl_of_block inst b ~obj_price ~row_price in
+      let ufl_ref = Blocks_ref.ufl_of_block inst b ~obj_price ~row_price in
+      let random_sol =
+        let open_set = Array.init n (fun _ -> Vod_util.Rng.int rng 3 = 0) in
+        open_set.(Vod_util.Rng.int rng n) <- true;
+        let opens = List.filter (fun i -> open_set.(i)) (List.init n Fun.id) in
+        let assign =
+          Array.map
+            (fun _ -> List.nth opens (Vod_util.Rng.int rng (List.length opens)))
+            clients
+        in
+        { U.open_set; assign; cost = 0.0 }
+      in
+      let same_point sol =
+        let p = B.point_of_solution inst b sol
+        and q = Blocks_ref.point_of_solution inst b sol in
+        same_bits p.E.obj q.E.obj
+        && p.E.usage.Vod_epf.Sparse.rows = q.E.usage.Vod_epf.Sparse.rows
+        && same_floats p.E.usage.Vod_epf.Sparse.vals q.E.usage.Vod_epf.Sparse.vals
+        && p.E.data = q.E.data
+      in
+      same_floats ufl.U.open_cost ufl_ref.U.open_cost
+      && Array.length ufl.U.service = Array.length ufl_ref.U.service
+      && Array.for_all2 same_floats ufl.U.service ufl_ref.U.service
+      && same_point (U.greedy ufl)
+      && same_point random_sol)
+
+(* [Instance.create] rejects a negative or non-finite cost or weight, and
+   an origin that is not a VHO, naming the field. *)
+let create_tiny ?alpha_cost ?beta_cost ?placement_weight ?origin () =
+  let graph, catalog, demand = tiny_world () in
+  ignore
+    (I.create ?alpha_cost ?beta_cost ?placement_weight ?origin ~graph ~catalog ~demand
+       ~disk_gb:(I.uniform_disk ~total_gb:100.0 4)
+       ~link_capacity_mbps:(I.uniform_links graph 100.0)
+       ())
+
+let rejects_cost field create () =
+  List.iter
+    (fun bad ->
+      Alcotest.check_raises
+        (Printf.sprintf "%s = %g" field bad)
+        (Invalid_argument ("Instance.create: " ^ field ^ " must be finite and nonnegative"))
+        (fun () -> create bad))
+    [ -1.0; Float.nan; Float.infinity ];
+  create 0.0
+
+let rejects_origin () =
+  List.iter
+    (fun origin ->
+      Alcotest.check_raises
+        (Printf.sprintf "origin = %d" origin)
+        (Invalid_argument "Instance.create: origin out of range")
+        (fun () -> create_tiny ~origin ()))
+    [ -1; 4 ];
+  create_tiny ~origin:0 ();
+  create_tiny ~origin:3 ()
 
 (* The central cross-check: EPF lower bound <= simplex LP optimum, and the
    rounded MIP objective is close to the LP optimum. *)
@@ -443,4 +690,13 @@ let suite =
     Alcotest.test_case "binary search" `Quick binary_search_behaviour;
     Alcotest.test_case "lp_check structure" `Quick lp_check_structure;
     QCheck_alcotest.to_alcotest prop_bound_vs_simplex;
+    QCheck_alcotest.to_alcotest prop_block_kernels_match_ref;
+    Alcotest.test_case "instance rejects bad alpha_cost" `Quick
+      (rejects_cost "alpha_cost" (fun alpha_cost -> create_tiny ~alpha_cost ()));
+    Alcotest.test_case "instance rejects bad beta_cost" `Quick
+      (rejects_cost "beta_cost" (fun beta_cost -> create_tiny ~beta_cost ()));
+    Alcotest.test_case "instance rejects bad placement_weight" `Quick
+      (rejects_cost "placement_weight" (fun placement_weight ->
+           create_tiny ~placement_weight ()));
+    Alcotest.test_case "instance rejects bad origin" `Quick rejects_origin;
   ]
