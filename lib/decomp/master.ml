@@ -10,8 +10,11 @@
      columns, so the master can mix blocks independently — the structure
      that actually reaches feasibility in tens of passes. Columns with
      zero weight are pruned each pass (fresh ones are spared one pass),
-     which keeps the tableau at roughly (active rows + blocks) square.
-   - Soft capacities: every active coupling row gets an explicit
+     and the LP carries only the coupling rows the pool can fill
+     ([fillable_rows]; the others cannot bind, and leaving them out
+     changes no bit of the result), which keeps the tableau at roughly
+     (fillable rows + blocks) square.
+   - Soft capacities: every coupling row in the LP gets an explicit
      relative-overflow variable priced at [price_cap_factor x the average
      initial block objective], so the master is always feasible and its
      duals are boxed at [pen / capacity] — the "box" half of the
@@ -68,21 +71,93 @@ type 'a column = { block : int; pt : 'a Engine.point; born : int }
 let same_pt (a : _ Engine.point) (b : _ Engine.point) =
   a.Engine.obj = b.Engine.obj && a.Engine.usage = b.Engine.usage
 
+(* The fillable-row screen. A column of block b puts at most
+   max_(t in b) usage_t(i) on row i, and every point the simplex visits
+   (phase 1 included) keeps sum_(t in b) w_t <= 1, so no such point puts
+   more than the row's reach
+     sum_b max(0, max_(t in b) usage_t(i))
+   on row i. A row whose reach is at most (1 - fill_margin) b_i therefore
+   holds strictly throughout: its slack never leaves the basis, and its
+   slack and overflow columns stay unit vectors that never enter. The
+   simplex makes the same pivots without the row, on the same operands,
+   so dropping it moves no bit of the weights or of the other rows'
+   duals, and its own price is the +0 an idle row gets anyway. In
+   floating point this also needs the row's ratio in each ratio test to
+   stay clear of the minimum by more than the simplex's 1e-9 tie
+   tolerance: the margin leaves the row a slack of at least
+   fill_margin x b_i at every vertex, which keeps it clear unless the
+   row's entry in the entering column is of the order of 1000 b_i. *)
+let fill_margin = 1e-6
+
+(* Raise [block_max] to the usages in [cols], one block's columns. *)
+let rec lift block_max (cols : Sparse.t list) =
+  match cols with
+  | [] -> ()
+  | u :: rest ->
+      for k = 0 to Array.length u.Sparse.rows - 1 do
+        let i = u.Sparse.rows.(k) in
+        if u.Sparse.vals.(k) > block_max.(i) then
+          block_max.(i) <- u.Sparse.vals.(k)
+      done;
+      lift block_max rest
+
+(* Add each row's block maximum into [reach] once, resetting it to 0 for
+   the next block. *)
+let rec settle reach block_max (cols : Sparse.t list) =
+  match cols with
+  | [] -> ()
+  | u :: rest ->
+      for k = 0 to Array.length u.Sparse.rows - 1 do
+        let i = u.Sparse.rows.(k) in
+        reach.(i) <- reach.(i) +. block_max.(i);
+        block_max.(i) <- 0.0
+      done;
+      settle reach block_max rest
+
+(* Record in [rows], from slot [k] on, the rows [i] and above whose reach
+   exceeds (1 - fill_margin) x capacity; returns the number of slots
+   filled. *)
+let rec fillable reach capacities rows i k =
+  if i = Array.length capacities then k
+  else if reach.(i) > (1.0 -. fill_margin) *. capacities.(i) then begin
+    rows.(k) <- i;
+    fillable reach capacities rows (i + 1) (k + 1)
+  end
+  else fillable reach capacities rows (i + 1) k
+
+let fillable_rows ~capacities blocks =
+  let n_rows = Array.length capacities in
+  let reach = Array.make n_rows 0.0 and block_max = Array.make n_rows 0.0 in
+  for b = 0 to Array.length blocks - 1 do
+    lift block_max blocks.(b);
+    settle reach block_max blocks.(b)
+  done;
+  let rows = Array.make n_rows 0 in
+  Array.sub rows 0 (fillable reach capacities rows 0 0)
+
 (* Solve the restricted master
      min  sum_t obj_t w_t + pen * sum_k v_k
-     s.t. sum_t usage_t(i_k) w_t - b_(i_k) v_k <= b_(i_k)  (k over active)
+     s.t. sum_t usage_t(i_k) w_t - b_(i_k) v_k <= b_(i_k)  (k over kept rows)
           sum_(t in block b) w_t = 1                       (b over blocks)
           w, v >= 0
-   over the rows [active] (rows touched by at least one column; inactive
-   rows can only have dual 0 and are dropped to keep the tableau small).
-   Returns (weights, clamped row prices over the full row space). *)
-let solve_master ~columns ~capacities ~pen ~active ~k_blocks =
+   over the rows {!fillable_rows} keeps for the current pool (the others
+   cannot bind, see above). Returns (weights, clamped row prices over the
+   full row space). *)
+let solve_master ~columns ~capacities ~pen ~k_blocks =
   let t_count = Array.length columns in
-  let n_active = Array.length active in
-  let n_vars = t_count + n_active in
+  let members = Array.make k_blocks [] and usages = Array.make k_blocks [] in
+  for t = t_count - 1 downto 0 do
+    let b = columns.(t).block in
+    members.(b) <- (t, 1.0) :: members.(b);
+    usages.(b) <- columns.(t).pt.Engine.usage :: usages.(b)
+  done;
+  let kept = fillable_rows ~capacities usages in
+  let n_kept = Array.length kept in
+  Obs.push "decomp/pass/master_rows" (float_of_int n_kept);
+  let n_vars = t_count + n_kept in
   let minimize = Array.make n_vars 0.0 in
   Array.iteri (fun t c -> minimize.(t) <- c.pt.Engine.obj) columns;
-  for k = 0 to n_active - 1 do
+  for k = 0 to n_kept - 1 do
     minimize.(t_count + k) <- pen
   done;
   let buckets = Array.make (Array.length capacities) [] in
@@ -100,12 +175,8 @@ let solve_master ~columns ~capacities ~pen ~active ~k_blocks =
              rel = Simplex.Le;
              rhs = capacities.(i);
            })
-         active)
+         kept)
   in
-  let members = Array.make k_blocks [] in
-  for t = t_count - 1 downto 0 do
-    members.(columns.(t).block) <- (t, 1.0) :: members.(columns.(t).block)
-  done;
   let convexity =
     List.init k_blocks (fun b ->
         { Simplex.row = members.(b); rel = Simplex.Eq; rhs = 1.0 })
@@ -123,7 +194,7 @@ let solve_master ~columns ~capacities ~pen ~active ~k_blocks =
              the nonnegative shadow price, boxed by the penalty. *)
           let y = -.duals.(k) in
           prices.(i) <- Float.min (pen /. capacities.(i)) (Float.max 0.0 y))
-        active;
+        kept;
       (weights, prices)
   | Simplex.Infeasible | Simplex.Unbounded ->
       (* Overflow variables make the master feasible and the convexity
@@ -346,20 +417,6 @@ let solve ?initial ?initial_prices ~max_passes ~jobs ~capacities oracles =
           (price_cap_factor
           *. Float.max 1e-6 (init_total /. float_of_int k_blocks))
       in
-      let row_active = Array.make n_rows false in
-      let refresh_active (c : _ column) =
-        Sparse.iter
-          (fun i u -> if u <> 0.0 then row_active.(i) <- true)
-          c.pt.Engine.usage
-      in
-      Array.iter refresh_active !columns;
-      let active () =
-        let acc = ref [] in
-        for i = n_rows - 1 downto 0 do
-          if row_active.(i) then acc := i :: !acc
-        done;
-        Array.of_list !acc
-      in
       let clamp prices =
         Array.mapi
           (fun i v -> Float.min (!pen /. capacities.(i)) (Float.max 0.0 v))
@@ -416,9 +473,7 @@ let solve ?initial ?initial_prices ~max_passes ~jobs ~capacities oracles =
               if not dup then begin
                 incr n_fresh;
                 Obs.incr "decomp/cuts_added";
-                let c = { block = k; pt; born = !passes } in
-                refresh_active c;
-                fresh := c :: !fresh
+                fresh := { block = k; pt; born = !passes } :: !fresh
               end)
             pts;
           if !n_fresh > 0 then
@@ -456,8 +511,7 @@ let solve ?initial ?initial_prices ~max_passes ~jobs ~capacities oracles =
         (* Re-solve the restricted master over the current column pool. *)
         let w, prices =
           Obs.phase "rmp" (fun () ->
-              solve_master ~columns:!columns ~capacities ~pen:!pen
-                ~active:(active ()) ~k_blocks)
+              solve_master ~columns:!columns ~capacities ~pen:!pen ~k_blocks)
         in
         weights := w;
         lambda_out := prices;

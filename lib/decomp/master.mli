@@ -10,13 +10,14 @@
     stabilized price vector between an incumbent center and the
     master's duals (in-out stabilization with Wentges-style smoothing:
     the center drifts toward the running dual average on null steps).
-    Every active coupling row carries an explicit relative-overflow
+    The master LP carries only the coupling rows the column pool can
+    fill ({!fillable_rows}), each with an explicit relative-overflow
     variable priced at a penalty derived from the average initial block
     objective, which keeps the master feasible and boxes its duals at
     [penalty / capacity]; the penalty escalates when the fractional
     violation stops improving. Zero-weight columns are pruned each pass
     (fresh ones are spared once), so the tableau stays roughly
-    (active rows + blocks) square.
+    (fillable rows + blocks) square.
 
     Rounding starts from the fractional mix's row usage and snaps one
     block at a time to its cheapest candidate under penalty-priced
@@ -32,6 +33,23 @@
     {!Vod_util.Pool} with in-order combination, the master LP and the
     rounding sweep are sequential — the outcome is bit-identical at any
     [jobs] count. *)
+
+(** [fillable_rows ~capacities blocks] lists, in increasing order, the
+    coupling rows the restricted master LP carries, where [blocks.(b)]
+    holds the usages of block [b]'s columns. Row [i] is kept when its
+    reach — the sum over blocks of the block's largest column usage on
+    [i], 0 when none is positive, added in block order — exceeds
+    [(1 - 1e-6) *. capacities.(i)]. No point of the master puts more
+    than the reach on a row, so a dropped row holds strictly at every
+    vertex the simplex visits and its slack stays basic: the LP over
+    the kept rows makes the same pivots on the same operands, and its
+    weights, objective and kept-row duals are bit-identical to the LP
+    over every touched row (barring a ratio-test tie within the
+    simplex's 1e-9 tolerance, which the margin rules out unless a
+    pivot-column entry on the row reaches the order of 1000 times its
+    capacity). One sweep over the pool's nonzeros. *)
+val fillable_rows :
+  capacities:float array -> Vod_epf.Sparse.t list array -> int array
 
 (** [solve ?initial ?initial_prices ~max_passes ~jobs ~capacities
     oracles] runs the stabilized column-generation loop until the

@@ -3,7 +3,8 @@
    the recorded exact LP objective, the Benders fractional point against
    the exact LP on a tiny instance, jobs-count bit-identity, warm starts,
    every solver's reported violation against an Lp_check recomputation,
-   and daemon replanning through a non-default solver. *)
+   the master's fillable-row screen against the LP over every touched
+   row, and daemon replanning through a non-default solver. *)
 
 module I = Vod_placement.Instance
 module Sol = Vod_placement.Solution
@@ -201,6 +202,229 @@ let master_rejects_bad_inputs () =
         (Master.solve ~max_passes:60 ~jobs:0 ~capacities:[| 1.0 |]
            oracle_absent))
 
+(* ---------- master LP: the fillable-row screen ---------- *)
+
+module S = Vod_lp.Simplex
+module Sparse = Vod_epf.Sparse
+
+(* A random restricted-master pool. [cols.(t)] is column t as (block,
+   objective, usage); blocks hold 1-6 columns each and interleave in
+   the pool the way cut rounds append them. *)
+type pool = {
+  cols : (int * float * Sparse.t) array;
+  k_blocks : int;
+  capacities : float array;
+  pen : float;
+}
+
+(* A column's usage on row i, 0 when it does not touch the row. *)
+let usage_at (u : Sparse.t) i =
+  let v = ref 0.0 in
+  Array.iteri (fun k r -> if r = i then v := u.Sparse.vals.(k)) u.Sparse.rows;
+  !v
+
+(* The restricted master LP over [rows], laid out as Master builds it:
+   weights, then one overflow variable per listed row; each listed row
+   is [-b v] followed by the usages in column order (Le, rhs b); then
+   one convexity row per block (Eq, rhs 1). *)
+let master_lp p rows =
+  let n_cols = Array.length p.cols in
+  let n_vars = n_cols + Array.length rows in
+  let minimize =
+    Array.init n_vars (fun t ->
+        if t < n_cols then
+          let _, obj, _ = p.cols.(t) in
+          obj
+        else p.pen)
+  in
+  let usage_row i =
+    List.filter_map
+      (fun t ->
+        let _, _, u = p.cols.(t) in
+        let v = usage_at u i in
+        if v <> 0.0 then Some (t, v) else None)
+      (List.init n_cols Fun.id)
+  in
+  let cap_rows =
+    List.mapi
+      (fun k i ->
+        {
+          S.row = (n_cols + k, -.p.capacities.(i)) :: usage_row i;
+          rel = S.Le;
+          rhs = p.capacities.(i);
+        })
+      (Array.to_list rows)
+  in
+  let convexity =
+    List.init p.k_blocks (fun b ->
+        {
+          S.row =
+            List.filter_map
+              (fun t ->
+                let bt, _, _ = p.cols.(t) in
+                if bt = b then Some (t, 1.0) else None)
+              (List.init n_cols Fun.id);
+          rel = S.Eq;
+          rhs = 1.0;
+        })
+  in
+  { S.n_vars; minimize; constraints = cap_rows @ convexity }
+
+(* Each block's column usages, in pool order: Master.fillable_rows'
+   input. *)
+let block_usages p =
+  Array.init p.k_blocks (fun b ->
+      List.filter_map
+        (fun (bt, _, u) -> if bt = b then Some u else None)
+        (Array.to_list p.cols))
+
+(* The screen's definition: the reach of row i is the sum over blocks,
+   in block order, of the block's largest column usage on i (0 when
+   none is positive); the row is kept when its reach exceeds
+   (1 - 1e-6) x its capacity. *)
+let reach p i =
+  Array.fold_left
+    (fun acc us ->
+      acc +. List.fold_left (fun m u -> Float.max m (usage_at u i)) 0.0 us)
+    0.0 (block_usages p)
+
+let screen_def p =
+  List.filter
+    (fun i -> reach p i > (1.0 -. 1e-6) *. p.capacities.(i))
+    (List.init (Array.length p.capacities) Fun.id)
+  |> Array.of_list
+
+(* The smallest capacity whose margin (1 - 1e-6) x capacity reaches
+   [r] (r > 0): the row sits exactly at, or a rounding step inside, the
+   screen's threshold. *)
+let at_margin r =
+  let c = ref (r /. (1.0 -. 1e-6)) in
+  while (1.0 -. 1e-6) *. !c < r do c := Float.succ !c done;
+  while (1.0 -. 1e-6) *. Float.pred !c >= r do c := Float.pred !c done;
+  !c
+
+(* Rows draw one of seven kinds: binding (capacity 0.2-1.1x its
+   reach), loose (1.5-4.5x), exactly at the margin, one step inside it
+   (screened), one step over it (kept), untouched (no column uses it)
+   and exactly full (capacity = reach, kept: the margin is what keeps
+   it). A quarter of the pools screen every row (loose, at or inside
+   the margin, or untouched). Half the pools use small-integer
+   objectives and usages, so ratio ties and degenerate pivots are
+   common; the penalty is 0.01-1x or 10-1000x the mean objective. *)
+let random_pool seed =
+  let rng = Vod_util.Rng.create seed in
+  let int_in lo hi = lo + Vod_util.Rng.int rng (hi - lo + 1) in
+  let uniform lo hi = lo +. ((hi -. lo) *. Vod_util.Rng.float rng) in
+  let integral = Vod_util.Rng.bool rng in
+  let value lo hi =
+    if integral then float_of_int (int_in (int_of_float lo) (int_of_float hi))
+    else uniform lo hi
+  in
+  let n_rows = int_in 1 8 and k_blocks = int_in 1 5 in
+  let all_screened = Vod_util.Rng.int rng 4 = 0 in
+  let kind =
+    Array.init n_rows (fun _ ->
+        if all_screened then [| 1; 2; 3; 5 |].(Vod_util.Rng.int rng 4)
+        else Vod_util.Rng.int rng 7)
+  in
+  let cols =
+    List.concat
+      (List.init k_blocks (fun b ->
+           List.init (int_in 1 6) (fun _ ->
+               let usage =
+                 List.filter_map
+                   (fun i ->
+                     if kind.(i) <> 5 && Vod_util.Rng.int rng 5 < 2 then
+                       Some (i, value 1.0 4.0)
+                     else None)
+                   (List.init n_rows Fun.id)
+               in
+               (b, value 1.0 9.0, Sparse.of_assoc usage))))
+    |> Array.of_list
+  in
+  Vod_util.Rng.shuffle rng cols;
+  let proto = { cols; k_blocks; capacities = Array.make n_rows 1.0; pen = 0.0 } in
+  let capacities =
+    Array.init n_rows (fun i ->
+        let r = reach proto i in
+        if r = 0.0 then uniform 1.0 5.0
+        else
+          match kind.(i) with
+          | 0 -> r *. uniform 0.2 1.1
+          | 1 -> r *. uniform 1.5 4.5
+          | 2 -> at_margin r
+          | 3 -> Float.succ (at_margin r)
+          | 4 -> Float.pred (at_margin r)
+          | 6 -> r
+          | _ -> uniform 1.0 5.0)
+  in
+  let mean_obj =
+    Array.fold_left (fun a (_, o, _) -> a +. o) 0.0 cols
+    /. float_of_int (Array.length cols)
+  in
+  let pen =
+    mean_obj
+    *. if Vod_util.Rng.bool rng then uniform 0.01 1.0 else uniform 10.0 1000.0
+  in
+  { proto with capacities; pen }
+
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+(* Solved over every touched row (the reference) and over the screened
+   rows, the master LP must agree bit for bit on the objective, every
+   weight, every kept row's overflow and dual and every convexity dual,
+   and each screened row's reference dual must clamp to the +0 price
+   Master gives a row it leaves out. The screen itself must match its
+   definition. *)
+let screen_is_exact seed =
+  let p = random_pool seed in
+  let kept = Master.fillable_rows ~capacities:p.capacities (block_usages p) in
+  if kept <> screen_def p then
+    QCheck.Test.fail_reportf
+      "seed %d: fillable_rows disagrees with the reach definition" seed;
+  let touched =
+    List.filter
+      (fun i -> Array.exists (fun (_, _, u) -> usage_at u i <> 0.0) p.cols)
+      (List.init (Array.length p.capacities) Fun.id)
+    |> Array.of_list
+  in
+  let n_cols = Array.length p.cols in
+  let n_touched = Array.length touched and n_kept = Array.length kept in
+  match (S.solve (master_lp p touched), S.solve (master_lp p kept)) with
+  | S.Optimal full, S.Optimal screened ->
+      let pos i =
+        let rec go k = if touched.(k) = i then k else go (k + 1) in
+        go 0
+      in
+      same_bits full.objective screened.objective
+      && Array.for_all Fun.id
+           (Array.init n_cols (fun t ->
+                same_bits full.solution.(t) screened.solution.(t)))
+      && Array.for_all Fun.id
+           (Array.mapi
+              (fun k i ->
+                same_bits full.solution.(n_cols + pos i)
+                  screened.solution.(n_cols + k)
+                && same_bits full.duals.(pos i) screened.duals.(k))
+              kept)
+      && Array.for_all Fun.id
+           (Array.init p.k_blocks (fun b ->
+                same_bits full.duals.(n_touched + b) screened.duals.(n_kept + b)))
+      && Array.for_all
+           (fun i ->
+             Array.mem i kept
+             || same_bits 0.0
+                  (Float.min (p.pen /. p.capacities.(i))
+                     (Float.max 0.0 (-.full.duals.(pos i)))))
+           touched
+  | _ -> QCheck.Test.fail_reportf "seed %d: a master LP did not solve" seed
+
+let prop_screen_is_exact =
+  QCheck.Test.make ~name:"master LP: screened rows = every touched row (bit)"
+    ~count:2000
+    QCheck.(int_bound 1_000_000)
+    screen_is_exact
+
 (* ---------- daemon through a non-default backend ---------- *)
 
 let daemon_benders_deterministic () =
@@ -259,6 +483,7 @@ let suite =
       violation_matches_lp_check;
     Alcotest.test_case "master input validation" `Quick
       master_rejects_bad_inputs;
+    QCheck_alcotest.to_alcotest prop_screen_is_exact;
     Alcotest.test_case "daemon replans via benders deterministically" `Quick
       daemon_benders_deterministic;
   ]

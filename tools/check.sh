@@ -117,17 +117,20 @@ if ! diff -u "$smoke_dir/benders_metrics1.inv" "$smoke_dir/benders_metrics4.inv"
   exit 1
 fi
 echo "== solve output vs recorded placements (EPF, Benders and simplex, --jobs 1) =="
-# The --jobs 1 smoke reports above, and a millisecond simplex solve on
-# the 4-VHO ring of tools/golden/ring4.edges (disks and links both bind,
-# so the rounded placement carries a nonzero violation), must match the
+# The --jobs 1 smoke reports above, and millisecond simplex and Benders
+# solves on the 4-VHO ring of tools/golden/ring4.edges (disks and links
+# both bind, so the rounded placements carry a nonzero violation, and
+# the Benders master keeps link rows that can fill), must match the
 # committed recordings in tools/golden/ byte for byte (time line
 # stripped): a kernel change that moves an objective, a bound, a
 # violation or a copy count fails here. Re-record them only for a
 # deliberate change of results.
-dune exec --no-print-directory bin/vodopt.exe -- solve --solver simplex \
-  --topology-file tools/golden/ring4.edges --videos 8 --days 7 \
-  --requests-per-video 20 --disk 2 --link 5 --jobs 1 \
-  | grep -v '^time' > "$smoke_dir/simplex1.out"
+for s in simplex benders; do
+  dune exec --no-print-directory bin/vodopt.exe -- solve --solver "$s" \
+    --topology-file tools/golden/ring4.edges --videos 8 --days 7 \
+    --requests-per-video 20 --disk 2 --link 5 --jobs 1 \
+    | grep -v '^time' > "$smoke_dir/${s}_ring4.out"
+done
 check_recorded() { # $1 = committed recording, $2 = fresh report
   if ! diff -u "$1" "$2"; then
     echo "FAIL: vodopt solve output differs from $1" >&2
@@ -136,7 +139,8 @@ check_recorded() { # $1 = committed recording, $2 = fresh report
 }
 check_recorded tools/golden/vodopt_solve_epf.out "$smoke_dir/jobs1.out"
 check_recorded tools/golden/vodopt_solve_benders.out "$smoke_dir/benders1.out"
-check_recorded tools/golden/vodopt_solve_simplex.out "$smoke_dir/simplex1.out"
+check_recorded tools/golden/vodopt_solve_simplex.out "$smoke_dir/simplex_ring4.out"
+check_recorded tools/golden/vodopt_solve_benders_ring4.out "$smoke_dir/benders_ring4.out"
 echo "== solve metric key names vs recorded (EPF and Benders, --jobs 1) =="
 # The benchmark's per-layer metrics read the phase/solve/* timers and the
 # epf/decomp counters by name (bench/perf/layers.ml): a renamed or
