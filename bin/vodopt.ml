@@ -133,12 +133,12 @@ let graph_of ~topology ~topology_file =
       | "ebone" -> Vod_topology.Topologies.ebone ()
       | _ -> Vod_topology.Topologies.backbone55 ())
 
-let scenario_of ?topology_file ?trace_file ?soa ~topology ~videos ~days ~rpv
-    ~seed () =
+let scenario_of ?topology_file ?trace_file ~topology ~videos ~days ~rpv ~seed
+    () =
   let graph = graph_of ~topology ~topology_file in
   let sc =
-    Vod_core.Scenario.make ~days ~requests_per_video_per_day:rpv ~seed ?soa
-      ~graph ~n_videos:videos ()
+    Vod_core.Scenario.make ~days ~requests_per_video_per_day:rpv ~seed ~graph
+      ~n_videos:videos ()
   in
   match trace_file with
   | None -> sc
@@ -259,13 +259,6 @@ let origin_t =
     & info [ "origin" ] ~docv:"VHO"
         ~doc:"Last-resort origin server for failover routing (holds the full library).")
 
-let soa_t =
-  Arg.(
-    value & flag
-    & info [ "soa" ]
-        ~doc:
-          "Generate the trace through the windowed struct-of-arrays builder (bounded staging, 16 bytes/request, off-heap), the generator the million-video $(b,huge) bench tier uses. The trace, and so the output, is byte-identical to the default generator's; playout always runs over the compact store.")
-
 (* --faults SPEC: canned scenario name (optionally ":VHO") or a CSV path. *)
 let schedule_of_spec sc spec =
   let name, target =
@@ -290,27 +283,35 @@ let schedule_of_spec sc spec =
         ~n_links:(Vod_topology.Graph.n_links sc.Vod_core.Scenario.graph)
         spec
 
+(* --faults, --link-capacity and --origin: any of them switches playout
+   to the serving loop's faulted configuration. *)
+let resil_of sc ~faults ~playout_link ~origin =
+  match (faults, playout_link, origin) with
+  | None, None, None -> None
+  | _ ->
+      let schedule =
+        match faults with
+        | None -> Vod_resil.Event.empty
+        | Some spec -> schedule_of_spec sc spec
+      in
+      Some
+        (Vod_resil.Playout.config ~schedule ?link_capacity_mbps:playout_link
+           ?origin ())
+
+let mip_of ~passes ~solver =
+  {
+    Vod_core.Pipeline.default_mip with
+    Vod_core.Pipeline.engine =
+      { Vod_epf.Engine.default_params with Vod_epf.Engine.max_passes = passes };
+    Vod_core.Pipeline.solver;
+  }
+
 let simulate topology topology_file trace_file videos days rpv seed disk link passes
-    scheme solver faults playout_link origin soa verbose jobs metrics =
+    scheme solver faults playout_link origin verbose jobs metrics =
   setup_logs verbose jobs;
   with_metrics metrics @@ fun () ->
-  let sc =
-    scenario_of ?topology_file ?trace_file ~soa ~topology ~videos ~days ~rpv
-      ~seed ()
-  in
-  let resil =
-    match (faults, playout_link, origin) with
-    | None, None, None -> None
-    | _ ->
-        let schedule =
-          match faults with
-          | None -> Vod_resil.Event.empty
-          | Some spec -> schedule_of_spec sc spec
-        in
-        Some
-          (Vod_resil.Playout.config ~schedule
-             ?link_capacity_mbps:playout_link ?origin ())
-  in
+  let sc = scenario_of ?topology_file ?trace_file ~topology ~videos ~days ~rpv ~seed () in
+  let resil = resil_of sc ~faults ~playout_link ~origin in
   let cfg =
     {
       (Vod_core.Pipeline.default_config ~scenario:sc
@@ -320,21 +321,13 @@ let simulate topology topology_file trace_file videos days rpv seed disk link pa
       Vod_core.Pipeline.resil;
     }
   in
-  let mip =
-    {
-      Vod_core.Pipeline.default_mip with
-      Vod_core.Pipeline.engine =
-        { Vod_epf.Engine.default_params with Vod_epf.Engine.max_passes = passes };
-      Vod_core.Pipeline.solver;
-    }
-  in
   let scheme =
     match scheme with
     | "lru" -> Vod_core.Pipeline.Random_cache Vod_cache.Cache.Lru
     | "lfu" -> Vod_core.Pipeline.Random_cache Vod_cache.Cache.Lfu
     | "topk" -> Vod_core.Pipeline.Topk_lru 100
     | "origin" -> Vod_core.Pipeline.Origin_lru 4
-    | _ -> Vod_core.Pipeline.Mip mip
+    | _ -> Vod_core.Pipeline.Mip (mip_of ~passes ~solver)
   in
   let r = Vod_core.Pipeline.run cfg scheme in
   let m = r.Vod_core.Pipeline.metrics in
@@ -376,11 +369,20 @@ let simulate topology topology_file trace_file videos days rpv seed disk link pa
 (* ---- serve ---- *)
 
 let update_hours_t =
+  let positive =
+    let parse s =
+      match float_of_string_opt s with
+      | Some h when h > 0.0 -> Ok h
+      | Some _ | None ->
+          Error (Printf.sprintf "expected a positive number of hours, got %S" s)
+    in
+    Arg.conv' (parse, Arg.conv_printer Arg.float)
+  in
   Arg.(
     value
-    & opt float 6.0
+    & opt positive 6.0
     & info [ "update-hours" ] ~docv:"H"
-        ~doc:"Replan cadence of the online daemon in hours.")
+        ~doc:"Replan cadence of the online daemon in hours (positive).")
 
 let budget_t =
   Arg.(
@@ -408,31 +410,11 @@ let serve topology topology_file trace_file videos days rpv seed disk link passe
   setup_logs verbose jobs;
   with_metrics metrics @@ fun () ->
   let sc = scenario_of ?topology_file ?trace_file ~topology ~videos ~days ~rpv ~seed () in
-  let resil =
-    match (faults, playout_link, origin) with
-    | None, None, None -> None
-    | _ ->
-        let schedule =
-          match faults with
-          | None -> Vod_resil.Event.empty
-          | Some spec -> schedule_of_spec sc spec
-        in
-        Some
-          (Vod_resil.Playout.config ~schedule
-             ?link_capacity_mbps:playout_link ?origin ())
-  in
+  let resil = resil_of sc ~faults ~playout_link ~origin in
   let cfg =
     Vod_core.Pipeline.default_config ~scenario:sc
       ~disk_gb:(Vod_core.Scenario.uniform_disk sc ~multiple:disk)
       ~link_capacity_mbps:link
-  in
-  let mip =
-    {
-      Vod_core.Pipeline.default_mip with
-      Vod_core.Pipeline.engine =
-        { Vod_epf.Engine.default_params with Vod_epf.Engine.max_passes = passes };
-      Vod_core.Pipeline.solver;
-    }
   in
   let daemon_cfg =
     {
@@ -448,7 +430,7 @@ let serve topology topology_file trace_file videos days rpv seed disk link passe
     Vod_serve.Daemon.run ~graph:sc.Vod_core.Scenario.graph
       ~paths:sc.Vod_core.Scenario.paths ~catalog:sc.Vod_core.Scenario.catalog
       ~trace:sc.Vod_core.Scenario.trace
-      ~problem:(Vod_core.Pipeline.replan_problem cfg mip)
+      ~problem:(Vod_core.Pipeline.replan_problem cfg (mip_of ~passes ~solver))
       ?resil ~bin_s:cfg.Vod_core.Pipeline.bin_s
       ~record_from:
         (float_of_int cfg.Vod_core.Pipeline.warmup_days
@@ -533,7 +515,7 @@ let simulate_cmd =
     Term.(
       const simulate $ topology_t $ topology_file_t $ trace_file_t $ videos_t
       $ days_t $ rpv_t $ seed_t $ disk_t $ link_t $ passes_t $ scheme_t $ solver_t
-      $ faults_t $ playout_link_t $ origin_t $ soa_t $ verbose_t $ jobs_t $ metrics_t)
+      $ faults_t $ playout_link_t $ origin_t $ verbose_t $ jobs_t $ metrics_t)
 
 let serve_cmd =
   Cmd.v

@@ -27,8 +27,9 @@ let () =
   Printf.printf "%d videos release during week %d\n\n" (List.length new_videos)
     (week_start / 7);
   let predicted =
-    Vod_workload.Estimator.predict Vod_workload.Estimator.Series_blockbuster catalog
-      trace ~week_start
+    Vod_workload.Estimator.predict_at Vod_workload.Estimator.Series_blockbuster
+      catalog trace
+      ~t0_s:(float_of_int week_start *. Vod_workload.Trace.seconds_per_day)
   in
   let rows =
     List.filteri (fun i _ -> i < 8) new_videos

@@ -2,7 +2,9 @@
    month of requests against one distribution scheme, re-solving and
    re-applying the MIP placement periodically (weekly by default) using
    estimated demand, and record link loads and serving statistics after a
-   warm-up period. *)
+   warm-up period. It has no loop of its own: the MIP scheme runs on the
+   re-placement daemon (Vod_serve.Daemon) at a fixed cadence, the caching
+   schemes on one serving-loop playout (Vod_serve.Loop.run_soa). *)
 
 type mip_config = {
   estimator : Vod_workload.Estimator.strategy;
@@ -79,25 +81,8 @@ let scheme_name cfg = function
   | Topk_lru k -> Printf.sprintf "top%d+lru" k
   | Origin_lru r -> ignore cfg; Printf.sprintf "origin%d+lru" r
 
-let fresh_metrics cfg =
-  let horizon_s =
-    float_of_int cfg.scenario.Scenario.trace.Vod_workload.Trace.days
-    *. Vod_workload.Trace.seconds_per_day
-  in
-  Vod_sim.Metrics.create
-    ~n_links:(Vod_topology.Graph.n_links cfg.scenario.Scenario.graph)
-    ~n_vhos:(Vod_topology.Graph.n_nodes cfg.scenario.Scenario.graph)
-    ~horizon_s ~bin_s:cfg.bin_s
-    ~record_from:(float_of_int cfg.warmup_days *. Vod_workload.Trace.seconds_per_day)
-    ()
-
-(* Playout runs on the serving loop (lib/serve): direct fixed-path
-   serving, or — when the config carries a fault/capacity setup — the
-   failover-routing configuration. *)
-let make_engine cfg ~fleet =
-  let sc = cfg.scenario in
-  Vod_serve.Loop.create ~graph:sc.Scenario.graph ~paths:sc.Scenario.paths
-    ~catalog:sc.Scenario.catalog ~fleet ?resil:cfg.resil ()
+let record_from cfg =
+  float_of_int cfg.warmup_days *. Vod_workload.Trace.seconds_per_day
 
 (* Demand ranking from the first week (what a provider would know before
    the measured period), used by Top-K. *)
@@ -106,10 +91,8 @@ let first_week_ranking cfg =
   let demand = Scenario.demand_of_week sc ~day0:0 ~n_windows:cfg.n_windows ~window_s:cfg.window_s () in
   Vod_workload.Demand.rank_by_demand demand
 
-(* The static re-placement problem the weekly solves share with the
-   online daemon (Vod_serve.Daemon): going through the same
-   [Vod_serve.Replan] entry points is what makes a day-aligned daemon
-   replan bit-identical to the batch pipeline's. *)
+(* The static re-placement problem of the MIP scheme's solves, and of
+   the online daemon runs the front ends configure alongside it. *)
 let replan_problem cfg (m : mip_config) =
   let sc = cfg.scenario in
   {
@@ -124,131 +107,84 @@ let replan_problem cfg (m : mip_config) =
     solver = m.solver;
   }
 
-(* Solve a placement for the week starting at [day0] from a (predicted or
-   actual) request batch. *)
-let solve_week cfg (m : mip_config) requests ~day0 =
-  let pb = replan_problem cfg m in
-  Vod_serve.Replan.solve pb
-    (Vod_serve.Replan.demand pb
-       ~t0_s:(float_of_int day0 *. Vod_workload.Trace.seconds_per_day)
-       requests)
+(* (transfers, GB) from each solve's placement to the next one's,
+   oldest first. *)
+let rec migrations catalog = function
+  | (old_r : Vod_placement.Solve.report) :: (new_r :: _ as rest) ->
+      Vod_placement.Solution.migration ~old_sol:old_r.Vod_placement.Solve.solution
+        ~new_sol:new_r.Vod_placement.Solve.solution catalog
+      :: migrations catalog rest
+  | [ _ ] | [] -> []
 
-(* MIP update days: the bootstrap placement (computed at day 0 from the
-   actual first week) serves days [0, 7); updates then run every
-   [update_days] from day 7 while strictly inside the trace. The
-   resulting segments [0; u1), [u1; u2), ..., [u_k; days) tile the trace
-   exactly — when [update_days] does not divide [days - 7] the final
-   segment is simply shorter, never dropped or double-played (pinned by
-   test/test_core.ml's 30-day / update_days=7 regression). *)
-let update_schedule ~days ~update_days =
-  if update_days <= 0 then
-    invalid_arg "Pipeline.update_schedule: update_days must be positive";
-  let updates = ref [] in
-  let d = ref 7 in
-  while !d < days do
-    updates := !d :: !updates;
-    d := !d + update_days
-  done;
-  List.rev !updates
-
+(* The MIP scheme is the daemon at a fixed cadence of [update_days]
+   days: it bootstraps from the actual first week, then re-solves cold
+   from the estimator's prediction at day 7, 7 + update_days, ... while
+   strictly inside the trace, and adopts each solve whole. *)
 let run_mip cfg (m : mip_config) =
   let sc = cfg.scenario in
-  let trace = sc.Scenario.trace in
-  let metrics = fresh_metrics cfg in
-  let cache_gb = Array.map (fun d -> d *. m.cache_frac) cfg.disk_gb in
-  (* Bootstrap placement at day 0 (computed from the actual first week —
-     the paper's initial pre-population, done before the service opens),
-     then periodic updates per [update_schedule], driven by the
-     estimator. *)
-  let updates =
-    update_schedule ~days:trace.Vod_workload.Trace.days
-      ~update_days:m.update_days
+  let d =
+    Vod_serve.Daemon.run ~graph:sc.Scenario.graph ~paths:sc.Scenario.paths
+      ~catalog:sc.Scenario.catalog ~trace:sc.Scenario.trace
+      ~problem:(replan_problem cfg m) ?resil:cfg.resil ~bin_s:cfg.bin_s
+      ~record_from:(record_from cfg)
+      {
+        Vod_serve.Daemon.default_config with
+        Vod_serve.Daemon.estimator = m.estimator;
+        update_every_s =
+          float_of_int m.update_days *. Vod_workload.Trace.seconds_per_day;
+        migration_budget_gb = Float.infinity;
+        warm_start = false;
+        react_to_faults = false;
+      }
   in
-  let boot_requests = Vod_workload.Trace.between_days trace ~day_lo:0 ~day_hi:7 in
-  let boot = solve_week cfg m boot_requests ~day0:0 in
-  let solves_rev = ref [ boot ] in
-  let migrations_rev = ref [] in
-  let current = ref boot.Vod_placement.Solve.solution in
-  let fleet_of sol =
-    Vod_cache.Fleet.mip ~solution:sol ~paths:sc.Scenario.paths
-      ~catalog:sc.Scenario.catalog ~cache_gb
+  let solves =
+    List.map (fun (r : Vod_serve.Daemon.replan) -> r.Vod_serve.Daemon.report)
+      d.Vod_serve.Daemon.replans
   in
-  let engine = make_engine cfg ~fleet:(fleet_of !current) in
-  (* Segments play as row ranges of the compact store: the same binary
-     search over the identically ordered time column that slices the
-     boxed trace. *)
-  let store = Vod_workload.Trace_soa.of_trace trace in
-  let play ~day_lo ~day_hi =
-    let lo, hi = Vod_workload.Trace_soa.between_days store ~day_lo ~day_hi in
-    Vod_serve.Loop.play_soa engine metrics store ~lo ~hi
-  in
-  let segment_bounds = updates @ [ trace.Vod_workload.Trace.days ] in
-  let prev_day = ref 0 in
-  List.iter
-    (fun day ->
-      play ~day_lo:!prev_day ~day_hi:day;
-      if day < trace.Vod_workload.Trace.days then begin
-        let predicted =
-          Vod_workload.Estimator.predict m.estimator sc.Scenario.catalog trace
-            ~week_start:day
-        in
-        let report = solve_week cfg m predicted ~day0:day in
-        solves_rev := report :: !solves_rev;
-        migrations_rev :=
-          Vod_placement.Solution.migration ~old_sol:!current
-            ~new_sol:report.Vod_placement.Solve.solution sc.Scenario.catalog
-          :: !migrations_rev;
-        current := report.Vod_placement.Solve.solution;
-        Vod_serve.Loop.set_fleet engine (fleet_of !current)
-      end;
-      prev_day := day)
-    segment_bounds;
-  Vod_serve.Loop.finish engine metrics;
   {
     scheme_name = scheme_name cfg (Mip m);
-    metrics;
-    (* Both lists read oldest-first, in update order. *)
-    solves = List.rev !solves_rev;
-    migrations = List.rev !migrations_rev;
-    resil_windows = Vod_serve.Loop.windows engine;
+    metrics = d.Vod_serve.Daemon.metrics;
+    solves;
+    migrations = migrations sc.Scenario.catalog solves;
+    resil_windows = d.Vod_serve.Daemon.windows;
   }
 
-let run_cache_scheme cfg scheme =
+(* The caching schemes are one playout of the serving loop over a
+   compact copy of the trace. *)
+let run cfg scheme =
   let sc = cfg.scenario in
-  let metrics = fresh_metrics cfg in
-  let fleet =
-    match scheme with
-    | Random_cache policy ->
-        Vod_cache.Fleet.random_single ~paths:sc.Scenario.paths
-          ~catalog:sc.Scenario.catalog ~disk_gb:cfg.disk_gb ~policy
-          ~seed:cfg.seed
-    | Topk_lru k ->
-        Vod_cache.Fleet.topk ~k ~ranked:(first_week_ranking cfg)
-          ~paths:sc.Scenario.paths ~catalog:sc.Scenario.catalog
-          ~disk_gb:cfg.disk_gb ~seed:cfg.seed
-    | Origin_lru regions ->
-        Vod_cache.Fleet.origin_regions ~regions ~graph:sc.Scenario.graph
-          ~paths:sc.Scenario.paths ~catalog:sc.Scenario.catalog
-          ~disk_gb:cfg.disk_gb
-    | Mip _ -> invalid_arg "run_cache_scheme: use run_mip"
+  let playout fleet =
+    let metrics, resil_windows =
+      Vod_serve.Loop.run_soa ~graph:sc.Scenario.graph ~paths:sc.Scenario.paths
+        ~catalog:sc.Scenario.catalog ~fleet
+        ~store:(Vod_workload.Trace_soa.of_trace sc.Scenario.trace)
+        ~bin_s:cfg.bin_s ~record_from:(record_from cfg) ?resil:cfg.resil ()
+    in
+    {
+      scheme_name = scheme_name cfg scheme;
+      metrics;
+      solves = [];
+      migrations = [];
+      resil_windows;
+    }
   in
-  let engine = make_engine cfg ~fleet in
-  let store = Vod_workload.Trace_soa.of_trace sc.Scenario.trace in
-  Vod_serve.Loop.play_soa engine metrics store ~lo:0
-    ~hi:(Vod_workload.Trace_soa.length store);
-  Vod_serve.Loop.finish engine metrics;
-  {
-    scheme_name = scheme_name cfg scheme;
-    metrics;
-    solves = [];
-    migrations = [];
-    resil_windows = Vod_serve.Loop.windows engine;
-  }
-
-let run cfg = function
+  match scheme with
   | Mip m -> run_mip cfg m
-  | (Random_cache _ | Topk_lru _ | Origin_lru _) as scheme ->
-      run_cache_scheme cfg scheme
+  | Random_cache policy ->
+      playout
+        (Vod_cache.Fleet.random_single ~paths:sc.Scenario.paths
+           ~catalog:sc.Scenario.catalog ~disk_gb:cfg.disk_gb ~policy
+           ~seed:cfg.seed)
+  | Topk_lru k ->
+      playout
+        (Vod_cache.Fleet.topk ~k ~ranked:(first_week_ranking cfg)
+           ~paths:sc.Scenario.paths ~catalog:sc.Scenario.catalog
+           ~disk_gb:cfg.disk_gb ~seed:cfg.seed)
+  | Origin_lru regions ->
+      playout
+        (Vod_cache.Fleet.origin_regions ~regions ~graph:sc.Scenario.graph
+           ~paths:sc.Scenario.paths ~catalog:sc.Scenario.catalog
+           ~disk_gb:cfg.disk_gb)
 
 (* Latest placement of a result, if any (for Figs. 7/8 analyses);
    [solves] reads oldest-first, so the placement in force at the end of

@@ -1,11 +1,18 @@
 (** End-to-end evaluation pipeline (paper Sec. VII): play a month of
     requests against one distribution scheme, with periodic MIP re-solves
-    driven by demand estimation, and record metrics after warm-up. *)
+    driven by demand estimation, and record metrics after warm-up.
+
+    The pipeline has no loop of its own. The MIP scheme is the online
+    re-placement daemon ({!Vod_serve.Daemon.run}) at a fixed cadence of
+    [update_days] days, with cold solves, an unlimited migration budget
+    and no fault reaction; the caching schemes are one playout of the
+    serving loop ({!Vod_serve.Loop.run_soa}). *)
 
 type mip_config = {
   estimator : Vod_workload.Estimator.strategy;
   cache_frac : float;   (** complementary-LRU share of each VHO's disk *)
-  update_days : int;    (** placement update period (7 = weekly) *)
+  update_days : int;
+      (** placement update period (7 = weekly); must be positive *)
   engine : Vod_epf.Engine.params;
   solver : string;
       (** placement solver name, one of
@@ -57,7 +64,12 @@ type result = {
 
 (** Run one scheme over the scenario's full trace, played through the
     serving loop ([Vod_serve.Loop]) from a compact copy of the trace
-    ({!Vod_workload.Trace_soa.of_trace}, same row order). *)
+    ({!Vod_workload.Trace_soa.of_trace}, same row order). For [Mip m]
+    the bootstrap placement is solved from the actual first week and
+    serves days [0, 7); updates then run every [m.update_days] from day
+    7 while strictly inside the trace (the daemon's periodic
+    boundaries), so a final partial period is shorter, never dropped.
+    Raises [Invalid_argument] if [m.update_days] is not positive. *)
 val run : config -> scheme -> result
 
 (** Human-readable scheme label. *)
@@ -67,18 +79,8 @@ val scheme_name : config -> scheme -> string
     benches). *)
 val first_week_ranking : config -> int array
 
-(** MIP update days: the bootstrap serves days [0, 7); updates then run
-    every [update_days] from day 7 while strictly inside the trace. The
-    implied segments tile the trace exactly — a final partial window
-    (when [update_days] does not divide [days - 7]) is shorter, never
-    dropped or double-played. Raises [Invalid_argument] on a
-    non-positive [update_days]. *)
-val update_schedule : days:int -> update_days:int -> int list
-
-(** The re-placement problem the weekly MIP solves are built from —
-    shared verbatim with the online daemon ([Vod_serve.Daemon]), which
-    is what makes a day-aligned unbudgeted daemon bit-identical to this
-    batch pipeline. *)
+(** The re-placement problem the MIP scheme's daemon run solves; front
+    ends pass it to their own {!Vod_serve.Daemon.run} configurations. *)
 val replan_problem : config -> mip_config -> Vod_serve.Replan.problem
 
 (** The most recent placement of a result (the last element of

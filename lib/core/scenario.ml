@@ -11,7 +11,7 @@ type t = {
 }
 
 let make ?(days = 28) ?(requests_per_video_per_day = 5.0) ?(seed = 42)
-    ?(soa = false) ?(jobs = 0) ~graph ~n_videos () =
+    ?(jobs = 0) ~graph ~n_videos () =
   let catalog =
     Vod_workload.Catalog.generate
       (Vod_workload.Catalog.default_params ~n:n_videos ~days ~seed:(seed + 1))
@@ -22,23 +22,20 @@ let make ?(days = 28) ?(requests_per_video_per_day = 5.0) ?(seed = 42)
       ~mean_daily_requests:(requests_per_video_per_day *. float_of_int n_videos)
       ~seed:(seed + 2)
   in
-  (* The SoA route generates through the windowed columnar builder
-     (bounded staging) and converts back losslessly: the trace is
-     row-for-row the one [Tracegen.generate] produces, at any job
-     count. *)
+  (* Sampled through the windowed columnar builder (bounded staging)
+     and converted back losslessly: the trace is row-for-row the one
+     [Tracegen.generate] produces, at any job count. *)
   let trace =
-    if soa then
-      Vod_workload.Trace_soa.to_trace (Vod_workload.Tracegen.generate_soa ~jobs p)
-    else Vod_workload.Tracegen.generate ~jobs p
+    Vod_workload.Trace_soa.to_trace (Vod_workload.Tracegen.generate_soa ~jobs p)
   in
   let paths = Vod_topology.Paths.compute graph in
   { graph; paths; catalog; trace }
 
 (* The paper's default setting: the 55-VHO backbone. *)
-let backbone ?days ?requests_per_video_per_day ?(seed = 42) ?soa ?jobs
-    ~n_videos () =
+let backbone ?days ?requests_per_video_per_day ?(seed = 42) ?jobs ~n_videos
+    () =
   let graph = Vod_topology.Topologies.backbone55 () in
-  make ?days ?requests_per_video_per_day ~seed ?soa ?jobs ~graph ~n_videos ()
+  make ?days ?requests_per_video_per_day ~seed ?jobs ~graph ~n_videos ()
 
 let library_gb t = Vod_workload.Catalog.total_size_gb t.catalog
 

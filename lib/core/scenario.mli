@@ -10,17 +10,17 @@ type t = {
 }
 
 (** Build a scenario over an arbitrary graph. Defaults: 28 days, 5
-    requests per video per day. [soa] routes trace generation through
-    the windowed struct-of-arrays builder
-    ([Vod_workload.Tracegen.generate_soa], bounded staging) — the
-    resulting trace is row-for-row identical. [jobs] shards per-day
+    requests per video per day. The trace is sampled through the
+    windowed struct-of-arrays builder
+    ([Vod_workload.Tracegen.generate_soa], bounded staging) and
+    converted to boxed form; it is row-for-row the trace
+    [Vod_workload.Tracegen.generate] produces. [jobs] shards per-day
     generation over a domain pool (0 = process default); bit-identical
     at any job count. *)
 val make :
   ?days:int ->
   ?requests_per_video_per_day:float ->
   ?seed:int ->
-  ?soa:bool ->
   ?jobs:int ->
   graph:Vod_topology.Graph.t ->
   n_videos:int ->
@@ -32,7 +32,6 @@ val backbone :
   ?days:int ->
   ?requests_per_video_per_day:float ->
   ?seed:int ->
-  ?soa:bool ->
   ?jobs:int ->
   n_videos:int ->
   unit ->

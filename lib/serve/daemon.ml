@@ -11,10 +11,12 @@
      serve --> estimate --> solve --> restrict --> apply --> serve
                 (predict_at)  (warm)    (budget)   (set_fleet)
 
-   With an infinite budget, warm start off and day-aligned boundaries,
-   every step degenerates to the batch pipeline's, and the run is
-   bit-identical to [Pipeline.run_mip] with [update_days = 1]
-   (asserted by test/test_serve.ml). *)
+   With an infinite budget, warm start off, no fault reaction and a
+   cadence of whole days, every step degenerates to a batch update: this
+   is how the batch pipeline (Vod_core.Pipeline) runs its MIP scheme, so
+   the two agree by construction. test/test_serve.ml checks the daily
+   configuration against a recorded batch run
+   (test/golden/pipeline_mip_daily.golden). *)
 
 module Obs = Vod_obs.Obs
 
@@ -63,8 +65,11 @@ let week_s = 7.0 *. Vod_workload.Trace.seconds_per_day
 
 (* Replan boundaries: periodic ticks from the end of the bootstrap week
    to the horizon, merged with the fault timeline's event instants when
-   reacting to faults. Periodic ticks keep their label on collisions. *)
+   reacting to faults. Periodic ticks keep their label on collisions. A
+   cadence that is not positive (or NaN) would never reach the horizon. *)
 let boundaries (cfg : config) ?resil ~horizon_s () =
+  if not (cfg.update_every_s > 0.0) then
+    invalid_arg "Daemon.boundaries: update_every_s must be positive";
   let ticks = ref [] in
   let t = ref week_s in
   while !t < horizon_s do
@@ -106,6 +111,8 @@ let run ~graph ~paths ~catalog ~(trace : Vod_workload.Trace.t)
     float_of_int trace.Vod_workload.Trace.days
     *. Vod_workload.Trace.seconds_per_day
   in
+  (* Before the bootstrap solve, so a bad cadence fails at once. *)
+  let schedule = boundaries cfg ?resil ~horizon_s () in
   let n_vhos = Vod_topology.Graph.n_nodes graph in
   let metrics =
     Vod_sim.Metrics.create
@@ -119,7 +126,7 @@ let run ~graph ~paths ~catalog ~(trace : Vod_workload.Trace.t)
     Vod_cache.Fleet.mip ~solution:sol ~paths ~catalog ~cache_gb
   in
   (* Bootstrap placement from the actual first week — the paper's
-     initial pre-population, identical to the batch pipeline's. *)
+     initial pre-population, done before the service opens. *)
   let boot_requests = Vod_workload.Trace.between trace ~t0_s:0.0 ~t1_s:week_s in
   let boot = Replan.solve problem (Replan.demand problem ~t0_s:0.0 boot_requests) in
   Obs.incr "serve/daemon/replans";
@@ -200,7 +207,7 @@ let run ~graph ~paths ~catalog ~(trace : Vod_workload.Trace.t)
                 trigger delta.Replan.applied delta.Replan.deferred
                 delta.Replan.moved_gb);
           prev := t_b)
-        (boundaries cfg ?resil ~horizon_s ());
+        schedule;
       play_until horizon_s);
   let replans = List.rev !replans in
   Log.info (fun m ->

@@ -5,10 +5,12 @@
     placement deltas under a migration-byte budget ({!Replan.restrict})
     — reacting to [lib/resil] fault state as well as demand drift.
 
-    With an infinite budget, warm start off and day-aligned boundaries
-    the run is bit-identical to the batch pipeline at [update_days = 1]
-    (asserted by test/test_serve.ml). Telemetry goes to the
-    [serve/daemon/*] keys (METRICS.md). *)
+    With an infinite budget, warm start off, no fault reaction and a
+    cadence of whole days, the run is a batch update policy: the batch
+    pipeline ([Vod_core.Pipeline]) runs its MIP scheme this way, and
+    test/test_serve.ml checks the daily configuration against a recorded
+    batch run (test/golden/pipeline_mip_daily.golden). Telemetry goes to
+    the [serve/daemon/*] keys (METRICS.md). *)
 
 type config = {
   estimator : Vod_workload.Estimator.strategy;
@@ -47,7 +49,8 @@ type result = {
     merged with the fault timeline's event instants strictly inside
     that range when [react_to_faults]. Sorted ascending; exact-time
     collisions replan once (periodic label wins). Exposed for tests and
-    planning tools. *)
+    planning tools. Raises [Invalid_argument] unless [update_every_s] is
+    positive. *)
 val boundaries :
   config ->
   ?resil:Vod_resil.Playout.config ->
@@ -56,11 +59,13 @@ val boundaries :
   (float * string) list
 
 (** [run ~graph ~paths ~catalog ~trace ~problem ?resil ?bin_s
-    ?record_from cfg] bootstraps a placement from the actual first week
-    (as the batch pipeline does), then serves the trace through the
+    ?record_from cfg] bootstraps a placement from the actual first week,
+    then serves the trace through the
     unified loop, replanning at every boundary: periodic ticks from day
     7 on, plus the fault timeline's event instants when
-    [react_to_faults] (exact-time collisions replan once). *)
+    [react_to_faults] (exact-time collisions replan once). Raises
+    [Invalid_argument] before any solve unless [update_every_s] is
+    positive. *)
 val run :
   graph:Vod_topology.Graph.t ->
   paths:Vod_topology.Paths.t ->

@@ -16,7 +16,7 @@
    share the served-outcome accounting below. Their metrics match the
    recorded outputs of the engines this loop replaced (test/golden/).
    The placement source is the mutable [fleet] (swapped mid-run by the
-   batch pipeline and the re-placement daemon via [set_fleet]); the
+   re-placement daemon via [set_fleet]); the
    router/capacity pair arrives bundled in an optional
    [Vod_resil.Playout.config]. *)
 
@@ -160,8 +160,8 @@ let create ~graph ~paths ~catalog ~fleet ?resil () =
 
 let fleet t = t.fleet
 
-(* Placement-source seam: the pipeline and the daemon swap placements
-   mid-run by handing the loop a rebuilt fleet between batches. *)
+(* Placement-source seam: the daemon swaps placements mid-run by
+   handing the loop a rebuilt fleet between batches. *)
 let set_fleet t fleet =
   t.fleet <- fleet;
   Obs.incr "serve/fleet_swaps"

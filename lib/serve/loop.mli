@@ -28,8 +28,7 @@ val create :
 val fleet : t -> Vod_cache.Fleet.t
 
 (** Swap the placement the loop serves from — the placement-source seam
-    used by the batch pipeline at update boundaries and by the
-    re-placement daemon after each incremental delta. *)
+    the re-placement daemon uses after each placement update. *)
 val set_fleet : t -> Vod_cache.Fleet.t -> unit
 
 (** Whether a VHO is currently up ([true] always in the direct

@@ -1,14 +1,10 @@
-(* Re-placement building blocks shared by the batch pipeline and the
-   online daemon: demand assembly for a placement period starting at an
-   arbitrary float time, the periodic MIP re-solve (optionally
-   warm-started from the incumbent and steered away from dark VHOs),
-   and the migration-budget restriction that turns a target placement
-   into an affordable incremental delta.
-
-   The batch pipeline routes its weekly solves through [demand]/[solve]
-   too, so a daemon replanning at day-aligned boundaries with the same
-   inputs produces bit-identical placements — the equivalence contract
-   test/test_serve.ml pins down. *)
+(* Re-placement building blocks of the online daemon: demand assembly
+   for a placement period starting at an arbitrary float time, the
+   periodic MIP re-solve (optionally warm-started from the incumbent and
+   steered away from dark VHOs), and the migration-budget restriction
+   that turns a target placement into an affordable incremental delta.
+   The batch pipeline runs its MIP scheme on the daemon, so these are
+   its demand assembly and solve too. *)
 
 type problem = {
   graph : Vod_topology.Graph.t;
@@ -99,8 +95,8 @@ let same_set (a : int array) (b : int array) =
    transfer) always adopt the target's routing for free.
 
    When everything fits — in particular under an infinite budget — the
-   target solution itself is returned, so an unbudgeted daemon tracks
-   the batch pipeline exactly. *)
+   target solution itself is returned, so an unbudgeted daemon (the
+   batch pipeline's configuration) adopts each solve as is. *)
 let restrict ~(catalog : Vod_workload.Catalog.t)
     ~(incumbent : Vod_placement.Solution.t)
     ~(target : Vod_placement.Solution.t) ~(priority : float array) ~budget_gb =

@@ -1,10 +1,8 @@
-(** Re-placement building blocks shared by the batch pipeline
-    ([Vod_core.Pipeline]) and the online daemon ({!Daemon}): demand
-    assembly for a period starting at a float time, the periodic MIP
-    re-solve, and the migration-budget restriction. Because both
-    callers share these entry points, a daemon replanning at
-    day-aligned boundaries with the same inputs reproduces the batch
-    pipeline's placements bit-for-bit. *)
+(** Re-placement building blocks of the online daemon ({!Daemon}):
+    demand assembly for a period starting at a float time, the periodic
+    MIP re-solve, and the migration-budget restriction. The batch
+    pipeline ([Vod_core.Pipeline]) runs its MIP scheme on the daemon, so
+    these are its demand assembly and solve too. *)
 
 (** The static re-placement problem: topology, catalog, capacities and
     engine parameters that stay fixed across replans. *)

@@ -21,9 +21,6 @@ let week_s = 7.0 *. Trace.seconds_per_day
 
 let shift_by s (r : Trace.request) = { r with Trace.time_s = r.Trace.time_s +. s }
 
-let history_week (full : Trace.t) ~week_start =
-  Trace.between_days full ~day_lo:(week_start - 7) ~day_hi:week_start
-
 (* Most-requested movie (1 h / 2 h classes) of the history window; the
    donor demand pattern for blockbusters. *)
 let top_movie (catalog : Catalog.t) (history : Trace.request array) =
@@ -58,14 +55,13 @@ let clone_requests (history : Trace.request array) ~shift_s ~src_video ~new_vide
            Some (shift_by shift_s { r with Trace.video = new_video })
          else None)
 
-(* Float-time generalization of [predict]: the history window is the
-   [history_s] seconds before [t0_s], shifted forward onto the upcoming
-   period; the release window stays one week from [t0_s] (the paper's
-   placement period). At day-aligned [t0_s] with the default week of
-   history this reproduces [predict ~week_start] bit-for-bit (day
-   bounds, the week shift and the release test are all exact in float
-   arithmetic), which is what lets the re-placement daemon share one
-   prediction path with the batch pipeline. *)
+(* Prediction for the placement period starting at [t0_s]: the history
+   window is the [history_s] seconds before [t0_s], shifted forward onto
+   the upcoming period; the release window stays one week from [t0_s]
+   (the paper's placement period). At day-aligned [t0_s] with the
+   default week of history the day bounds, the week shift and the
+   release test are all exact in float arithmetic, so the batch
+   pipeline's weekly updates see exactly last week's requests. *)
 let predict_at ?(history_s = week_s) strategy (catalog : Catalog.t)
     (full : Trace.t) ~t0_s =
   let history () = Trace.between full ~t0_s:(t0_s -. history_s) ~t1_s:t0_s in
@@ -103,10 +99,6 @@ let predict_at ?(history_s = week_s) strategy (catalog : Catalog.t)
             | Video.Regular | Video.Music_video -> ())
         catalog.Catalog.videos;
       Array.of_list (base @ !extra)
-
-let predict strategy (catalog : Catalog.t) (full : Trace.t) ~week_start =
-  predict_at strategy catalog full
-    ~t0_s:(float_of_int week_start *. Trace.seconds_per_day)
 
 let name = function
   | History_only -> "no-estimate"

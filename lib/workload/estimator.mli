@@ -8,19 +8,14 @@ type strategy =
                            inheritance + blockbuster donor *)
   | Perfect            (** oracle: the actual upcoming week *)
 
-(** [predict strategy catalog full ~week_start] returns predicted requests
-    for days [week_start, week_start + 7), with absolute times. *)
-val predict :
-  strategy -> Catalog.t -> Trace.t -> week_start:int -> Trace.request array
-
-(** [predict_at ?history_s strategy catalog full ~t0_s] is {!predict}
-    generalized to a float period start: the history window is the
-    [history_s] seconds (default one week) before [t0_s], shifted
-    forward onto the upcoming period; releases inside one week of
-    [t0_s] receive their inherited/donor clones. At day-aligned [t0_s]
-    with the default history this equals [predict ~week_start]
-    bit-for-bit — the contract the re-placement daemon's equivalence
-    tests pin down. *)
+(** [predict_at ?history_s strategy catalog full ~t0_s] returns the
+    predicted requests for the placement period [t0_s, t0_s + 7 days),
+    with absolute times: the history window is the [history_s] seconds
+    (default one week) before [t0_s], shifted forward onto the upcoming
+    period; releases inside one week of [t0_s] receive their
+    inherited/donor clones. At day-aligned [t0_s] with the default
+    history, the history is exactly {!Trace.between_days} of the seven
+    days before [t0_s]. *)
 val predict_at :
   ?history_s:float ->
   strategy ->
@@ -28,9 +23,6 @@ val predict_at :
   Trace.t ->
   t0_s:float ->
   Trace.request array
-
-(** Requests of the week before [week_start] (the estimation history). *)
-val history_week : Trace.t -> week_start:int -> Trace.request array
 
 (** Most-requested movie of a batch, if any (blockbuster donor). *)
 val top_movie : Catalog.t -> Trace.request array -> int option

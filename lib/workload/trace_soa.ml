@@ -111,11 +111,6 @@ let lower t bound =
 
 let between t ~t0_s ~t1_s = (lower t t0_s, lower t t1_s)
 
-let between_days t ~day_lo ~day_hi =
-  between t
-    ~t0_s:(float_of_int day_lo *. Trace.seconds_per_day)
-    ~t1_s:(float_of_int day_hi *. Trace.seconds_per_day)
-
 let iter_windows t ~window ~f =
   if window <= 0 then invalid_arg "Trace_soa.iter_windows: window <= 0";
   let n = length t in

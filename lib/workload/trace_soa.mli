@@ -57,9 +57,6 @@ val to_trace : t -> Trace.t
     the sorted time column; [lo = hi] for an empty window. *)
 val between : t -> t0_s:float -> t1_s:float -> int * int
 
-(** Row range of days [[day_lo, day_hi)). *)
-val between_days : t -> day_lo:int -> day_hi:int -> int * int
-
 (** [iter_windows t ~window ~f] cuts the full store into consecutive
     chunks of at most [window] rows and calls [f ~lo ~hi] on each, in
     order — the chunked-reader primitive: a consumer staging rows into

@@ -5,11 +5,14 @@
    that no longer exist: the fixed-path engine Vod_sim.Sim and the
    fault-injecting engine Vod_resil.Playout (each through its boxed-array
    and its columnar entry point), the boxed entry point of the serving
-   loop, and the array-backed batch pipeline. Each was a field-for-field
-   copy of today's Loop.play_soa bodies, so their recorded outputs are
-   the equivalence reference. A fixture is a plain-text dump of one run:
+   loop, the array-backed batch pipeline, and the batch pipeline's own
+   replanning loop (before the pipeline ran on Vod_serve.Daemon). Each
+   was a field-for-field copy of code that still runs (the Loop.play_soa
+   bodies, the daemon's replan step), so their recorded outputs are the
+   equivalence reference. A fixture is a plain-text dump of one run:
    every Metrics counter, floats as %h (exact), an MD5 of the link-load
-   matrix, the degradation counters and the event windows. Lines
+   matrix, the degradation counters, the event windows and, for a
+   replanning run, each placement update's (transfers, GB). Lines
    starting with '#' record provenance and are ignored by the
    comparison. *)
 
@@ -106,9 +109,28 @@ let pipeline_config () =
     Vod_core.Pipeline.warmup_days = 2;
   }
 
+(* The daily-replan scenario: [pipeline_config] with VHO 0 dark from day
+   7.3 to 8.3, across the day-8 replan, 120 Mb/s playout links and VHO 2
+   as origin, under MIP placements re-solved every day. *)
+let daily_outage_config () =
+  let day = Vod_workload.Trace.seconds_per_day in
+  let schedule =
+    E.create [ ev (7.3 *. day) (E.Vho_down 0); ev (8.3 *. day) (E.Vho_up 0) ]
+  in
+  {
+    (pipeline_config ()) with
+    Vod_core.Pipeline.resil =
+      Some (Playout.config ~schedule ~link_capacity_mbps:120.0 ~origin:2 ());
+  }
+
+let daily_mip =
+  { Vod_core.Pipeline.default_mip with Vod_core.Pipeline.update_days = 1 }
+
 (* ---------- dumps ---------- *)
 
-let dump (m : M.t) (windows : Playout.window list) =
+(* [migrations] are the (transfers, GB) of each placement update, in
+   update order. *)
+let dump ?(migrations = []) (m : M.t) (windows : Playout.window list) =
   let b = Buffer.create 1024 in
   let line fmt = Printf.kbprintf (fun b -> Buffer.add_char b '\n') b fmt in
   let ints a = String.concat " " (Array.to_list (Array.map string_of_int a)) in
@@ -145,6 +167,7 @@ let dump (m : M.t) (windows : Playout.window list) =
         w.Playout.requests w.Playout.rejections w.Playout.failovers
         w.Playout.trigger)
     windows;
+  List.iter (fun (transfers, gb) -> line "migration %d %h" transfers gb) migrations;
   Buffer.contents b
 
 let read_fixture name =
@@ -159,8 +182,9 @@ let read_fixture name =
   |> String.concat "\n"
 
 (* The run must reproduce fixture [name] exactly. *)
-let check name m windows =
-  Alcotest.(check string) ("golden " ^ name) (read_fixture name) (dump m windows)
+let check ?migrations name m windows =
+  Alcotest.(check string) ("golden " ^ name) (read_fixture name)
+    (dump ?migrations m windows)
 
 (* Two runs must agree on every dumped field. *)
 let check_equal label (a : M.t) (b : M.t) =

@@ -96,20 +96,43 @@ let estimation_ordering () =
     true (perfect <= none *. 1.1)
 
 let update_schedule_tiling () =
-  (* The documented tiling guarantee: updates run every [update_days]
-     from day 7 while strictly inside the trace; the last segment may be
-     shorter but is never dropped. *)
-  Alcotest.(check (list int)) "30d weekly" [ 7; 14; 21; 28 ]
-    (P.update_schedule ~days:30 ~update_days:7);
-  Alcotest.(check (list int)) "21d biweekly" [ 7 ]
-    (P.update_schedule ~days:21 ~update_days:14);
-  Alcotest.(check (list int)) "28d weekly ends exactly" [ 7; 14; 21 ]
-    (P.update_schedule ~days:28 ~update_days:7);
-  Alcotest.(check (list int)) "short trace has no updates" []
-    (P.update_schedule ~days:7 ~update_days:1);
-  Alcotest.check_raises "non-positive period"
-    (Invalid_argument "Pipeline.update_schedule: update_days must be positive")
-    (fun () -> ignore (P.update_schedule ~days:30 ~update_days:0))
+  (* The MIP update schedule is the daemon's periodic boundaries at
+     [update_days] days: updates run every [update_days] from day 7 while
+     strictly inside the trace; the last segment may be shorter but is
+     never dropped. *)
+  let day = Vod_workload.Trace.seconds_per_day in
+  let schedule ~days ~update_days =
+    Vod_serve.Daemon.boundaries
+      {
+        Vod_serve.Daemon.default_config with
+        Vod_serve.Daemon.update_every_s = float_of_int update_days *. day;
+      }
+      ~horizon_s:(float_of_int days *. day) ()
+  in
+  let at days = List.map (fun d -> (float_of_int d *. day, "periodic")) days in
+  let check label expected got =
+    Alcotest.(check (list (pair (float 0.0) string))) label (at expected) got
+  in
+  check "30d weekly" [ 7; 14; 21; 28 ] (schedule ~days:30 ~update_days:7);
+  check "21d biweekly" [ 7 ] (schedule ~days:21 ~update_days:14);
+  check "28d weekly ends exactly" [ 7; 14; 21 ] (schedule ~days:28 ~update_days:7);
+  check "short trace has no updates" [] (schedule ~days:7 ~update_days:1);
+  (* A non-positive period fails at once, in the pipeline too (before
+     any solve), instead of never reaching the horizon. *)
+  let non_positive =
+    Invalid_argument "Daemon.boundaries: update_every_s must be positive"
+  in
+  List.iter
+    (fun update_days ->
+      Alcotest.check_raises
+        (Printf.sprintf "period %d days" update_days)
+        non_positive
+        (fun () -> ignore (schedule ~days:30 ~update_days));
+      Alcotest.check_raises
+        (Printf.sprintf "pipeline period %d days" update_days)
+        non_positive
+        (fun () -> ignore (run_scheme (P.Mip { fast_mip with P.update_days }))))
+    [ 0; -1 ]
 
 (* 30-day trace with weekly updates: update_days does not divide the
    post-bootstrap span (23 days), so the final segment is a 2-day stub.

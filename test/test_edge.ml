@@ -133,8 +133,8 @@ let estimator_first_episode_no_donor () =
          ~mean_daily_requests:100.0 ~seed:8)
   in
   let pred =
-    Vod_workload.Estimator.predict Vod_workload.Estimator.Series_blockbuster catalog
-      trace ~week_start:7
+    Vod_workload.Estimator.predict_at Vod_workload.Estimator.Series_blockbuster
+      catalog trace ~t0_s:(7.0 *. Vod_workload.Trace.seconds_per_day)
   in
   Alcotest.(check bool) "prediction produced" true (Array.length pred >= 0)
 

@@ -1,10 +1,10 @@
 (* Tests for lib/serve: the serving loop must reproduce the recorded
    outputs of the engines it replaced byte-for-byte (fault-free: the
    fixed-path Sim engine, faulted: the Resil.Playout engine; fixtures in
-   test/golden/), the online daemon with an infinite budget at
-   day-aligned boundaries must be bit-identical to the batch pipeline at
-   update_days = 1, and the migration-budget restriction must respect
-   its budget while keeping per-video copy sets atomic. *)
+   test/golden/), the online daemon with an infinite budget, cold solves
+   and daily ticks must reproduce the recorded daily batch pipeline, and
+   the migration-budget restriction must respect its budget while keeping
+   per-video copy sets atomic. *)
 
 module E = Vod_resil.Event
 module M = Vod_sim.Metrics
@@ -31,7 +31,7 @@ let loop_matches_resil_playout () =
   Golden.check "playout_run" m windows;
   Alcotest.(check bool) "faulted something" true (m.M.deg.M.rejections > 0)
 
-(* ---------- daemon vs batch pipeline ---------- *)
+(* ---------- daemon vs the recorded batch pipeline ---------- *)
 
 let daemon_scenario () =
   let graph =
@@ -48,25 +48,17 @@ let fast_mip =
     P.engine = { Vod_epf.Engine.default_params with Vod_epf.Engine.max_passes = 15 };
   }
 
-(* The degeneration contract: infinite budget + day-aligned boundaries +
-   cold solves = the batch pipeline at update_days = 1, bit for bit. *)
+(* The degeneration contract: infinite budget, cold solves, no fault
+   reaction and daily ticks reproduce the batch pipeline's daily
+   replanning loop as recorded before the pipeline ran on the daemon:
+   same metrics, same outage windows, same (transfers, GB) per update. *)
 let daemon_matches_daily_batch () =
-  let sc = daemon_scenario () in
-  let cfg =
-    {
-      (P.default_config ~scenario:sc
-         ~disk_gb:(Vod_core.Scenario.uniform_disk sc ~multiple:2.5)
-         ~link_capacity_mbps:500.0)
-      with
-      P.warmup_days = 2;
-    }
-  in
-  let mip = { fast_mip with P.update_days = 1 } in
-  let batch = P.run cfg (P.Mip mip) in
+  let cfg = Golden.daily_outage_config () in
+  let sc = cfg.P.scenario in
+  let catalog = sc.Vod_core.Scenario.catalog in
   let daemon_cfg =
     {
       Vod_serve.Daemon.default_config with
-      Vod_serve.Daemon.estimator = mip.P.estimator;
       Vod_serve.Daemon.update_every_s = Vod_workload.Trace.seconds_per_day;
       Vod_serve.Daemon.warm_start = false;
       Vod_serve.Daemon.react_to_faults = false;
@@ -74,36 +66,28 @@ let daemon_matches_daily_batch () =
   in
   let d =
     Vod_serve.Daemon.run ~graph:sc.Vod_core.Scenario.graph
-      ~paths:sc.Vod_core.Scenario.paths ~catalog:sc.Vod_core.Scenario.catalog
+      ~paths:sc.Vod_core.Scenario.paths ~catalog
       ~trace:sc.Vod_core.Scenario.trace
-      ~problem:(P.replan_problem cfg mip)
-      ~bin_s:cfg.P.bin_s
+      ~problem:(P.replan_problem cfg Golden.daily_mip)
+      ?resil:cfg.P.resil ~bin_s:cfg.P.bin_s
       ~record_from:
         (float_of_int cfg.P.warmup_days *. Vod_workload.Trace.seconds_per_day)
       daemon_cfg
   in
-  Golden.check_equal "daemon = daily batch" batch.P.metrics d.Vod_serve.Daemon.metrics;
-  Alcotest.(check int) "replans = solves"
-    (List.length batch.P.solves)
+  let rec migrations = function
+    | (a : Vod_serve.Daemon.replan) :: (b :: _ as rest) ->
+        Vod_placement.Solution.migration
+          ~old_sol:a.Vod_serve.Daemon.report.Vod_placement.Solve.solution
+          ~new_sol:b.Vod_serve.Daemon.report.Vod_placement.Solve.solution
+          catalog
+        :: migrations rest
+    | [ _ ] | [] -> []
+  in
+  Golden.check ~migrations:(migrations d.Vod_serve.Daemon.replans)
+    "pipeline_mip_daily" d.Vod_serve.Daemon.metrics d.Vod_serve.Daemon.windows;
+  Alcotest.(check int) "bootstrap + daily replans" 4
     (List.length d.Vod_serve.Daemon.replans);
-  Alcotest.(check int) "nothing deferred" 0 (Vod_serve.Daemon.total_deferred d);
-  (match P.last_solution batch with
-  | None -> Alcotest.fail "batch MIP must have a solution"
-  | Some sol ->
-      Alcotest.(check bool) "final placement identical" true
-        (sol.Vod_placement.Solution.stored
-        = d.Vod_serve.Daemon.final.Vod_placement.Solution.stored);
-      Alcotest.(check bool) "final objective bit-equal" true
-        (sol.Vod_placement.Solution.objective
-        = d.Vod_serve.Daemon.final.Vod_placement.Solution.objective));
-  (* The daemon's per-replan GB equals the batch migration report (same
-     per-copy sizes summed in a different association order, so equal to
-     rounding only). *)
-  List.iter2
-    (fun (_, gb) (r : Vod_serve.Daemon.replan) ->
-      Alcotest.(check (float 1e-6)) "migration GB" gb r.Vod_serve.Daemon.moved_gb)
-    batch.P.migrations
-    (List.tl d.Vod_serve.Daemon.replans)
+  Alcotest.(check int) "nothing deferred" 0 (Vod_serve.Daemon.total_deferred d)
 
 (* ---------- budget restriction ---------- *)
 
@@ -175,31 +159,35 @@ let restrict_budget_properties () =
 
 (* ---------- sliding-window estimation ---------- *)
 
-(* predict_at at a day-aligned instant is exactly the batch predict. *)
-let predict_at_matches_predict () =
+(* predict_at at a day-aligned instant with the default week of history
+   reproduces the day-sliced weeks exactly: the oracle is the coming
+   week, the history replay is last week shifted one week forward, and
+   series+blockbuster adds its clones after that replay. *)
+let predict_at_matches_day_sliced_weeks () =
   let sc = daemon_scenario () in
   let catalog = sc.Vod_core.Scenario.catalog in
   let trace = sc.Vod_core.Scenario.trace in
-  List.iter
-    (fun strategy ->
-      let batch =
-        Vod_workload.Estimator.predict strategy catalog trace ~week_start:7
-      in
-      let online =
-        Vod_workload.Estimator.predict_at strategy catalog trace
-          ~t0_s:(7.0 *. Vod_workload.Trace.seconds_per_day)
-      in
-      Alcotest.(check int)
-        (Vod_workload.Estimator.name strategy ^ " count")
-        (Array.length batch) (Array.length online);
-      Alcotest.(check bool)
-        (Vod_workload.Estimator.name strategy ^ " requests bit-equal")
-        true (batch = online))
-    [
-      Vod_workload.Estimator.Perfect;
-      Vod_workload.Estimator.History_only;
-      Vod_workload.Estimator.Series_blockbuster;
-    ]
+  let week_s = 7.0 *. Vod_workload.Trace.seconds_per_day in
+  let predict strategy =
+    Vod_workload.Estimator.predict_at strategy catalog trace ~t0_s:week_s
+  in
+  let last_week_shifted =
+    Array.map
+      (fun (r : Vod_workload.Trace.request) ->
+        { r with Vod_workload.Trace.time_s = r.Vod_workload.Trace.time_s +. week_s })
+      (Vod_workload.Trace.between_days trace ~day_lo:0 ~day_hi:7)
+  in
+  Alcotest.(check bool) "perfect = the coming week" true
+    (predict Vod_workload.Estimator.Perfect
+    = Vod_workload.Trace.between_days trace ~day_lo:7 ~day_hi:14);
+  Alcotest.(check bool) "no-estimate = last week shifted" true
+    (predict Vod_workload.Estimator.History_only = last_week_shifted);
+  let series = predict Vod_workload.Estimator.Series_blockbuster in
+  let n = Array.length last_week_shifted in
+  Alcotest.(check bool) "series+blockbuster adds clones" true
+    (Array.length series >= n);
+  Alcotest.(check bool) "series+blockbuster starts with the replay" true
+    (Array.sub series 0 n = last_week_shifted)
 
 (* Daemon boundary schedule: periodic ticks, fault merging, dedupe. *)
 let daemon_boundaries () =
@@ -318,8 +306,8 @@ let suite =
       daemon_matches_daily_batch;
     Alcotest.test_case "restrict budget properties" `Slow
       restrict_budget_properties;
-    Alcotest.test_case "predict_at matches predict" `Quick
-      predict_at_matches_predict;
+    Alcotest.test_case "predict_at matches day-sliced weeks" `Quick
+      predict_at_matches_day_sliced_weeks;
     Alcotest.test_case "daemon boundaries" `Quick daemon_boundaries;
     Alcotest.test_case "loop settles ledger on raise" `Quick
       loop_settles_on_raise;

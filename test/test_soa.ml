@@ -109,9 +109,13 @@ let between_windows () =
   check_range "full horizon" ~t0_s:0.0 ~t1_s:(7.0 *. day);
   check_range "before start" ~t0_s:(-10.0) ~t1_s:0.0;
   check_range "past end" ~t0_s:(7.0 *. day) ~t1_s:(8.0 *. day);
-  (* between_days matches the boxed day slicing over every day edge. *)
+  (* Day-aligned windows match the boxed day slicing over every day
+     edge. *)
   for d = 0 to 6 do
-    let lo, hi = S.between_days soa ~day_lo:d ~day_hi:(d + 1) in
+    let lo, hi =
+      S.between soa ~t0_s:(float_of_int d *. day)
+        ~t1_s:(float_of_int (d + 1) *. day)
+    in
     check_requests_equal
       (Printf.sprintf "day %d" d)
       (T.between_days trace ~day_lo:d ~day_hi:(d + 1))
@@ -147,7 +151,7 @@ let demand_of_soa_matches_of_requests () =
   let g, _, catalog, trace = sim_world () in
   let n_vhos = Vod_topology.Graph.n_nodes g in
   let soa = S.of_trace trace in
-  let lo, hi = S.between_days soa ~day_lo:0 ~day_hi:7 in
+  let lo, hi = S.between soa ~t0_s:0.0 ~t1_s:(7.0 *. T.seconds_per_day) in
   let from_soa =
     Vod_workload.Demand.of_soa catalog ~n_vhos ~day0:0 ~days:7 ~n_windows:2
       ~window_s:3600.0 soa ~lo ~hi
@@ -172,8 +176,8 @@ let direct () = Golden.run_loop ~record_from:T.seconds_per_day ()
 
 let faulted () = Golden.run_loop ~resil:(Golden.faulted_config ()) ()
 
-(* Segment-wise playout through play_soa (the pipeline's pattern) is
-   the whole-trace playout: ranges from between_days tile the store. *)
+(* Segment-wise playout through play_soa (the daemon's pattern) is the
+   whole-trace playout: ranges from between tile the store. *)
 let play_soa_segments_match_whole () =
   let g, paths, catalog, trace = Golden.sim_world () in
   let soa = S.of_trace trace in
@@ -193,9 +197,12 @@ let play_soa_segments_match_whole () =
   let engine2 = engine () in
   List.iter
     (fun (day_lo, day_hi) ->
-      let lo, hi = S.between_days soa ~day_lo ~day_hi in
+      let lo, hi =
+        S.between soa ~t0_s:(day_lo *. T.seconds_per_day)
+          ~t1_s:(day_hi *. T.seconds_per_day)
+      in
       Vod_serve.Loop.play_soa engine2 seg soa ~lo ~hi)
-    [ (0, 2); (2, 3); (3, 7) ];
+    [ (0.0, 2.0); (2.0, 3.3); (3.3, 7.0) ];
   Golden.check_equal "segmented = whole" whole seg
 
 (* The pipeline, which now always plays through the store, reproduces

@@ -235,8 +235,8 @@ let demand_of_requests () =
 let estimator_history_only () =
   let c = small_catalog () in
   let t = small_trace c in
-  let pred = E.predict E.History_only c t ~week_start:14 in
-  let hist = E.history_week t ~week_start:14 in
+  let pred = E.predict_at E.History_only c t ~t0_s:(14.0 *. Tr.seconds_per_day) in
+  let hist = Tr.between_days t ~day_lo:7 ~day_hi:14 in
   Alcotest.(check int) "same count" (Array.length hist) (Array.length pred);
   (* Shifted exactly one week. *)
   Array.iteri
@@ -249,8 +249,9 @@ let estimator_history_only () =
 let estimator_series_covers_new () =
   let c = small_catalog () in
   let t = small_trace c in
-  let pred = E.predict E.Series_blockbuster c t ~week_start:14 in
-  let hist = E.predict E.History_only c t ~week_start:14 in
+  let t0_s = 14.0 *. Tr.seconds_per_day in
+  let pred = E.predict_at E.Series_blockbuster c t ~t0_s in
+  let hist = E.predict_at E.History_only c t ~t0_s in
   Alcotest.(check bool) "adds predictions" true (Array.length pred >= Array.length hist);
   (* Predicted requests for a new episode exist if an episode releases
      in [14, 21) and its predecessor had requests. *)
@@ -273,7 +274,7 @@ let estimator_series_covers_new () =
 let estimator_perfect () =
   let c = small_catalog () in
   let t = small_trace c in
-  let pred = E.predict E.Perfect c t ~week_start:14 in
+  let pred = E.predict_at E.Perfect c t ~t0_s:(14.0 *. Tr.seconds_per_day) in
   let actual = Tr.between_days t ~day_lo:14 ~day_hi:21 in
   Alcotest.(check int) "perfect = actual" (Array.length actual) (Array.length pred)
 

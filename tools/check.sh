@@ -133,7 +133,7 @@ for s in simplex benders; do
 done
 check_recorded() { # $1 = committed recording, $2 = fresh report
   if ! diff -u "$1" "$2"; then
-    echo "FAIL: vodopt solve output differs from $1" >&2
+    echo "FAIL: vodopt output differs from $1" >&2
     exit 1
   fi
 }
@@ -141,6 +141,17 @@ check_recorded tools/golden/vodopt_solve_epf.out "$smoke_dir/jobs1.out"
 check_recorded tools/golden/vodopt_solve_benders.out "$smoke_dir/benders1.out"
 check_recorded tools/golden/vodopt_solve_simplex.out "$smoke_dir/simplex_ring4.out"
 check_recorded tools/golden/vodopt_solve_benders_ring4.out "$smoke_dir/benders_ring4.out"
+echo "== batch MIP simulate vs recorded report (--jobs 1) =="
+# The batch MIP pipeline end to end: three weekly placement updates, a
+# VHO outage (days 8.8-15.4) across the day-14 update, 25 Mb/s playout
+# links that saturate, and VHO 0 as origin, so the VHO-down,
+# no-capacity, failover and origin paths all fire. The report (no
+# timing line) must match the committed recording byte for byte.
+dune exec --no-print-directory bin/vodopt.exe -- simulate \
+  --videos 150 --days 22 --requests-per-video 12 --passes 10 \
+  --faults single-vho:3 --link-capacity 25 --origin 0 --jobs 1 \
+  > "$smoke_dir/simulate_mip.out"
+check_recorded tools/golden/vodopt_simulate_mip.out "$smoke_dir/simulate_mip.out"
 echo "== solve metric key names vs recorded (EPF and Benders, --jobs 1) =="
 # The benchmark's per-layer metrics read the phase/solve/* timers and the
 # epf/decomp counters by name (bench/perf/layers.ml): a renamed or
@@ -176,7 +187,10 @@ awk -v a="$(cat "$smoke_dir/cost_epf")" -v b="$(cat "$smoke_dir/cost_benders")" 
 echo "== fault playout determinism smoke: --jobs 1 vs --jobs 4 =="
 # The resilience playout (fault schedule + capacity-aware failover) must
 # be byte-identical at any job count, like the solver above; its console
-# report carries no timing line, so the whole stdout diffs directly.
+# report carries no timing line, so the whole stdout diffs directly. The
+# trace comes from the sharded struct-of-arrays generator
+# (Tracegen.generate_soa), so this also pins that generator's --jobs
+# invariance end to end.
 for j in 1 4; do
   dune exec --no-print-directory bin/vodopt.exe -- simulate \
     --scheme lru --videos 150 --days 14 --requests-per-video 5 \
@@ -194,26 +208,6 @@ for j in 1 4; do
 done
 if ! diff -u "$smoke_dir/fault_metrics1.inv" "$smoke_dir/fault_metrics4.inv"; then
   echo "FAIL: non-time fault metrics differ between --jobs 1 and --jobs 4" >&2
-  exit 1
-fi
-echo "== SoA generator smoke: generate_soa vs generate trace, --jobs 1 vs 4 =="
-# --soa generates the trace through the windowed struct-of-arrays
-# builder (Tracegen.generate_soa); the playout must match the default
-# generator's byte-for-byte (same faulted scenario as the smoke above,
-# so fault1.out doubles as the reference), and the sharded generator
-# must stay byte-identical at any job count.
-for j in 1 4; do
-  dune exec --no-print-directory bin/vodopt.exe -- simulate \
-    --scheme lru --videos 150 --days 14 --requests-per-video 5 \
-    --faults single-vho --link-capacity 400 --soa --jobs "$j" \
-    > "$smoke_dir/soa$j.out"
-done
-if ! diff -u "$smoke_dir/fault1.out" "$smoke_dir/soa1.out"; then
-  echo "FAIL: --soa (generate_soa) playout differs from the generate playout" >&2
-  exit 1
-fi
-if ! diff -u "$smoke_dir/soa1.out" "$smoke_dir/soa4.out"; then
-  echo "FAIL: --soa playout differs between --jobs 1 and --jobs 4" >&2
   exit 1
 fi
 echo "== scale-tier list drift: bench --help vs EXPERIMENTS.md =="
