@@ -24,7 +24,7 @@ let scale_name =
    synthetic trace so that a solve takes seconds and the playout minutes
    on one core. The huge tier keeps the comparative exhibits at the full
    size — its million-video end-to-end run is a dedicated exhibit
-   (exp_scaling) over the compact struct-of-arrays store, not a scaling
+   (exp_scaling) over the columnar request store, not a scaling
    of every figure. *)
 let sim_videos =
   match scale with Quick -> 600 | Default -> 2000 | Full | Huge -> 5000

@@ -149,9 +149,9 @@ let decomposition_scaling () =
 
    VOD_SCALE=huge only. One week of a 55-VHO backbone with a
    million-video library: generate a multi-million-request trace
-   straight into the compact struct-of-arrays store (no boxed request is
-   ever staged), extract demand from the columns, solve the placement,
-   and play the week back through the allocation-free SoA serving loop.
+   straight into the columnar request store (no boxed request is ever
+   staged), extract demand from the columns, solve the placement, and
+   play the week back through the allocation-free serving loop.
    Each step reports wall-clock and the process peak RSS; the same
    numbers land in the metrics registry as [huge/*_seconds] gauges plus
    [mem/peak_rss_bytes] / [mem/trace_store_bytes] (METRICS.md). This is
@@ -190,16 +190,16 @@ let huge_end_to_end () =
   let row_cat = step "catalog" cat_s in
   let store, gen_s =
     Common.timed (fun () ->
-        Vod_workload.Tracegen.generate_soa
+        Vod_workload.Tracegen.generate
           (Vod_workload.Tracegen.default_params ~catalog
              ~populations:graph.Vod_topology.Graph.populations
              ~mean_daily_requests:huge_mean_daily_requests ~seed:44))
   in
-  let n_requests = Vod_workload.Trace_soa.length store in
+  let n_requests = Vod_workload.Trace.length store in
   let row_gen = step "generate" gen_s in
   Common.note "trace: %d requests, store resident %.0f MB (16 B/request)"
     n_requests
-    (float_of_int (Vod_workload.Trace_soa.resident_bytes store) /. 1e6);
+    (float_of_int (Vod_workload.Trace.resident_bytes store) /. 1e6);
   let demand, demand_s =
     Common.timed (fun () ->
         Vod_workload.Demand.of_soa catalog ~n_vhos ~day0:0 ~days:huge_days

@@ -19,19 +19,22 @@ let run () =
   let catalog = sc.Vod_core.Scenario.catalog in
   let paths = sc.Vod_core.Scenario.paths in
   let disk = Vod_core.Scenario.uniform_disk sc ~multiple:2.0 in
-  let week0 = Vod_workload.Trace.between_days sc.Vod_core.Scenario.trace ~day_lo:0 ~day_hi:7 in
-  let week0_store =
-    Vod_workload.Trace_soa.of_trace
-      { sc.Vod_core.Scenario.trace with Vod_workload.Trace.requests = week0; days = 7 }
+  let trace = sc.Vod_core.Scenario.trace in
+  let lo, hi =
+    Vod_workload.Trace.between trace ~t0_s:0.0
+      ~t1_s:(7.0 *. Vod_workload.Trace.seconds_per_day)
+  in
+  let week0 =
+    { (Vod_workload.Trace.sub trace ~lo ~hi) with Vod_workload.Trace.days = 7 }
   in
   let windows = [ ("1 second", 1.0); ("1 minute", 60.0); ("1 hour", 3600.0); ("1 day", 86_400.0) ] in
   let rows =
     List.map
       (fun (label, window_s) ->
         let demand =
-          Vod_workload.Demand.of_requests catalog
+          Vod_workload.Demand.of_soa catalog
             ~n_vhos:(Vod_topology.Graph.n_nodes graph) ~day0:0 ~days:7 ~n_windows:2
-            ~window_s week0
+            ~window_s week0 ~lo:0 ~hi:(Vod_workload.Trace.length week0)
         in
         let feas_cap =
           Vod_placement.Feasibility.min_link_capacity ~params:Common.probe_params
@@ -55,7 +58,7 @@ let run () =
                 ~cache_gb:(Array.make (Vod_topology.Graph.n_nodes graph) 0.0)
             in
             let metrics, _ =
-              Vod_serve.Loop.run_soa ~graph ~paths ~catalog ~fleet ~store:week0_store
+              Vod_serve.Loop.run_soa ~graph ~paths ~catalog ~fleet ~store:week0
                 ~bin_s:(Float.min 300.0 (Float.max 1.0 window_s)) ()
             in
             let peak_series = Vod_sim.Metrics.peak_series metrics in

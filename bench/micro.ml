@@ -65,8 +65,8 @@ let simplex_fixtures () =
          ~seed:12)
   in
   let demand =
-    Vod_workload.Demand.of_requests catalog ~n_vhos:4 ~day0:0 ~days:7 ~n_windows:2
-      ~window_s:3600.0 trace.Vod_workload.Trace.requests
+    Vod_workload.Demand.of_soa catalog ~n_vhos:4 ~day0:0 ~days:7 ~n_windows:2
+      ~window_s:3600.0 trace ~lo:0 ~hi:(Vod_workload.Trace.length trace)
   in
   let total = Vod_workload.Catalog.total_size_gb catalog in
   let tiny =

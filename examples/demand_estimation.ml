@@ -11,13 +11,13 @@ let () =
   let trace = sc.Vod_core.Scenario.trace in
   let week_start = 14 in
   (* --- prediction accuracy for the videos releasing next week --- *)
-  let actual = Vod_workload.Trace.between_days trace ~day_lo:week_start ~day_hi:(week_start + 7) in
-  let count_of reqs video =
-    Array.fold_left
-      (fun acc (r : Vod_workload.Trace.request) ->
-        if r.Vod_workload.Trace.video = video then acc + 1 else acc)
-      0 reqs
+  let counts strategy =
+    Vod_workload.Trace.counts_per_video
+      (Vod_workload.Estimator.predict_at strategy catalog trace
+         ~t0_s:(float_of_int week_start *. Vod_workload.Trace.seconds_per_day))
+      ~n_videos:(Vod_workload.Catalog.n_videos catalog)
   in
+  let actual = counts Vod_workload.Estimator.Perfect in
   let new_videos =
     Array.to_list catalog.Vod_workload.Catalog.videos
     |> List.filter (fun (v : Vod_workload.Video.t) ->
@@ -26,11 +26,7 @@ let () =
   in
   Printf.printf "%d videos release during week %d\n\n" (List.length new_videos)
     (week_start / 7);
-  let predicted =
-    Vod_workload.Estimator.predict_at Vod_workload.Estimator.Series_blockbuster
-      catalog trace
-      ~t0_s:(float_of_int week_start *. Vod_workload.Trace.seconds_per_day)
-  in
+  let predicted = counts Vod_workload.Estimator.Series_blockbuster in
   let rows =
     List.filteri (fun i _ -> i < 8) new_videos
     |> List.map (fun (v : Vod_workload.Video.t) ->
@@ -42,8 +38,8 @@ let () =
            in
            [
              kind;
-             string_of_int (count_of predicted v.Vod_workload.Video.id);
-             string_of_int (count_of actual v.Vod_workload.Video.id);
+             string_of_int predicted.(v.Vod_workload.Video.id);
+             string_of_int actual.(v.Vod_workload.Video.id);
            ])
   in
   Vod_util.Table.print ~header:[ "new video"; "predicted"; "actual" ] rows;

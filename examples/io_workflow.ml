@@ -22,10 +22,11 @@ let () =
   (* 2. Reload and solve week 1. *)
   let n_vhos = Vod_topology.Graph.n_nodes sc.Vod_core.Scenario.graph in
   let trace = Vod_workload.Trace_io.load_csv ~n_vhos ~days:14 trace_csv in
-  let week1 = Vod_workload.Trace.between_days trace ~day_lo:0 ~day_hi:7 in
+  let day = Vod_workload.Trace.seconds_per_day in
+  let lo, hi = Vod_workload.Trace.between trace ~t0_s:0.0 ~t1_s:(7.0 *. day) in
   let demand =
-    Vod_workload.Demand.of_requests sc.Vod_core.Scenario.catalog ~n_vhos ~day0:0
-      ~days:7 ~n_windows:2 ~window_s:3600.0 week1
+    Vod_workload.Demand.of_soa sc.Vod_core.Scenario.catalog ~n_vhos ~day0:0
+      ~days:7 ~n_windows:2 ~window_s:3600.0 trace ~lo ~hi
   in
   let disk = Vod_core.Scenario.uniform_disk sc ~multiple:2.0 in
   let inst =
@@ -56,14 +57,11 @@ let () =
       ~catalog:sc.Vod_core.Scenario.catalog
       ~cache_gb:(Array.map (fun d -> 0.05 *. d) disk)
   in
-  let week2 = Vod_workload.Trace.between_days trace ~day_lo:7 ~day_hi:14 in
+  let lo, hi = Vod_workload.Trace.between trace ~t0_s:(7.0 *. day) ~t1_s:(14.0 *. day) in
   let metrics, _ =
     Vod_serve.Loop.run_soa ~graph:sc.Vod_core.Scenario.graph
       ~paths:sc.Vod_core.Scenario.paths ~catalog:sc.Vod_core.Scenario.catalog
-      ~fleet
-      ~store:
-        (Vod_workload.Trace_soa.of_trace
-           { trace with Vod_workload.Trace.requests = week2; days = 14 })
+      ~fleet ~store:(Vod_workload.Trace.sub trace ~lo ~hi)
       ()
   in
   Printf.printf

@@ -64,14 +64,13 @@ let () =
       ~catalog:sc.Vod_core.Scenario.catalog ~cache_gb
   in
   let trace = sc.Vod_core.Scenario.trace in
-  let week2 = Vod_workload.Trace.between_days trace ~day_lo:7 ~day_hi:14 in
+  let day = Vod_workload.Trace.seconds_per_day in
+  let lo, hi = Vod_workload.Trace.between trace ~t0_s:(7.0 *. day) ~t1_s:(14.0 *. day) in
   let metrics, _ =
     Vod_serve.Loop.run_soa ~graph:sc.Vod_core.Scenario.graph
       ~paths:sc.Vod_core.Scenario.paths ~catalog:sc.Vod_core.Scenario.catalog
       ~fleet
-      ~store:
-        (Vod_workload.Trace_soa.of_trace
-           { trace with Vod_workload.Trace.requests = week2; days = 14 })
+      ~store:{ (Vod_workload.Trace.sub trace ~lo ~hi) with Vod_workload.Trace.days = 14 }
       ()
   in
   Printf.printf

@@ -149,15 +149,15 @@ let run_mip cfg (m : mip_config) =
     resil_windows = d.Vod_serve.Daemon.windows;
   }
 
-(* The caching schemes are one playout of the serving loop over a
-   compact copy of the trace. *)
+(* The caching schemes are one playout of the serving loop over the
+   trace. *)
 let run cfg scheme =
   let sc = cfg.scenario in
   let playout fleet =
     let metrics, resil_windows =
       Vod_serve.Loop.run_soa ~graph:sc.Scenario.graph ~paths:sc.Scenario.paths
         ~catalog:sc.Scenario.catalog ~fleet
-        ~store:(Vod_workload.Trace_soa.of_trace sc.Scenario.trace)
+        ~store:sc.Scenario.trace
         ~bin_s:cfg.bin_s ~record_from:(record_from cfg) ?resil:cfg.resil ()
     in
     {

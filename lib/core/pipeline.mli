@@ -63,12 +63,11 @@ type result = {
 }
 
 (** Run one scheme over the scenario's full trace, played through the
-    serving loop ([Vod_serve.Loop]) from a compact copy of the trace
-    ({!Vod_workload.Trace_soa.of_trace}, same row order). For [Mip m]
-    the bootstrap placement is solved from the actual first week and
-    serves days [0, 7); updates then run every [m.update_days] from day
-    7 while strictly inside the trace (the daemon's periodic
-    boundaries), so a final partial period is shorter, never dropped.
+    serving loop ([Vod_serve.Loop]). For [Mip m] the bootstrap
+    placement is solved from the actual first week and serves days
+    [0, 7); updates then run every [m.update_days] from day 7 while
+    strictly inside the trace (the daemon's periodic boundaries), so a
+    final partial period is shorter, never dropped.
     Raises [Invalid_argument] if [m.update_days] is not positive. *)
 val run : config -> scheme -> result
 

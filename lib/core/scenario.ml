@@ -22,12 +22,7 @@ let make ?(days = 28) ?(requests_per_video_per_day = 5.0) ?(seed = 42)
       ~mean_daily_requests:(requests_per_video_per_day *. float_of_int n_videos)
       ~seed:(seed + 2)
   in
-  (* Sampled through the windowed columnar builder (bounded staging)
-     and converted back losslessly: the trace is row-for-row the one
-     [Tracegen.generate] produces, at any job count. *)
-  let trace =
-    Vod_workload.Trace_soa.to_trace (Vod_workload.Tracegen.generate_soa ~jobs p)
-  in
+  let trace = Vod_workload.Tracegen.generate ~jobs p in
   let paths = Vod_topology.Paths.compute graph in
   { graph; paths; catalog; trace }
 
@@ -132,9 +127,12 @@ let flash_crowd ?vho ?(factor = 3.0) t =
 (* Demand inputs for a one-week placement period starting at [day0], from
    actual trace requests (bootstrap / oracle use). *)
 let demand_of_week t ~day0 ?(n_windows = 2) ?(window_s = 3600.0) () =
-  let requests =
-    Vod_workload.Trace.between_days t.trace ~day_lo:day0 ~day_hi:(day0 + 7)
+  let spd = Vod_workload.Trace.seconds_per_day in
+  let lo, hi =
+    Vod_workload.Trace.between t.trace
+      ~t0_s:(float_of_int day0 *. spd)
+      ~t1_s:(float_of_int (day0 + 7) *. spd)
   in
-  Vod_workload.Demand.of_requests t.catalog
+  Vod_workload.Demand.of_soa t.catalog
     ~n_vhos:(Vod_topology.Graph.n_nodes t.graph)
-    ~day0 ~days:7 ~n_windows ~window_s requests
+    ~day0 ~days:7 ~n_windows ~window_s t.trace ~lo ~hi

@@ -10,13 +10,10 @@ type t = {
 }
 
 (** Build a scenario over an arbitrary graph. Defaults: 28 days, 5
-    requests per video per day. The trace is sampled through the
-    windowed struct-of-arrays builder
-    ([Vod_workload.Tracegen.generate_soa], bounded staging) and
-    converted to boxed form; it is row-for-row the trace
-    [Vod_workload.Tracegen.generate] produces. [jobs] shards per-day
-    generation over a domain pool (0 = process default); bit-identical
-    at any job count. *)
+    requests per video per day. The trace comes from
+    [Vod_workload.Tracegen.generate]; [jobs] shards per-day generation
+    over a domain pool (0 = process default); bit-identical at any job
+    count. *)
 val make :
   ?days:int ->
   ?requests_per_video_per_day:float ->

@@ -26,23 +26,19 @@ type result = {
   converged : bool;
 }
 
-(* Replay [requests] against [solution] and return per-window worst
+(* Replay [week] against [solution] and return per-window worst
    relative link overload: for each [window_s]-aligned window, the max
    over links of (average load / capacity). *)
 let realized_overload (sc : Scenario.t) (inst : Vod_placement.Instance.t)
-    (solution : Vod_placement.Solution.t) ~requests ~days ~window_s =
+    (solution : Vod_placement.Solution.t) ~week ~window_s =
   let n = Vod_topology.Graph.n_nodes sc.Scenario.graph in
   let fleet =
     Vod_cache.Fleet.mip ~solution ~paths:sc.Scenario.paths ~catalog:sc.Scenario.catalog
       ~cache_gb:(Array.make n 0.0)
   in
-  (* [requests] is already time-sorted, and of_trace keeps its order. *)
-  let store =
-    Vod_workload.Trace_soa.of_trace { Vod_workload.Trace.requests; n_vhos = n; days }
-  in
   let metrics, _ =
     Vod_serve.Loop.run_soa ~graph:sc.Scenario.graph ~paths:sc.Scenario.paths
-      ~catalog:sc.Scenario.catalog ~fleet ~store ~bin_s:window_s ()
+      ~catalog:sc.Scenario.catalog ~fleet ~store:week ~bin_s:window_s ()
   in
   (* Per-bin worst utilization relative to each link's capacity. *)
   Array.init metrics.Vod_sim.Metrics.n_bins (fun b ->
@@ -59,56 +55,27 @@ let realized_overload (sc : Scenario.t) (inst : Vod_placement.Instance.t)
 let solve ?(params = Vod_epf.Engine.default_params) ?(max_rounds = 4)
     ?(tolerance = 0.05) ?(n_windows = 2) ?(window_s = 3600.0) (sc : Scenario.t)
     ~day0 ~disk_gb ~link_capacity_mbps () =
-  let days = 7 in
-  let requests =
-    Vod_workload.Trace.between_days sc.Scenario.trace ~day_lo:day0 ~day_hi:(day0 + days)
+  (* The placement week's actual requests rebased to its start (the
+     oracle prediction): the demand model's input and the replay. *)
+  let week =
+    Vod_workload.Estimator.predict_at Vod_workload.Estimator.Perfect
+      sc.Scenario.catalog sc.Scenario.trace
+      ~t0_s:(float_of_int day0 *. Vod_workload.Trace.seconds_per_day)
   in
   let base =
-    Vod_workload.Demand.of_requests sc.Scenario.catalog
+    Vod_workload.Demand.of_soa sc.Scenario.catalog
       ~n_vhos:(Vod_topology.Graph.n_nodes sc.Scenario.graph)
-      ~day0 ~days ~n_windows ~window_s requests
-  in
-  (* Rebased requests for replay (the demand model rebases to day0). *)
-  let rebased =
-    Array.map
-      (fun r ->
-        {
-          r with
-          Vod_workload.Trace.time_s =
-            r.Vod_workload.Trace.time_s
-            -. (float_of_int day0 *. Vod_workload.Trace.seconds_per_day);
-        })
-      requests
+      ~day0:0 ~days:7 ~n_windows ~window_s week ~lo:0
+      ~hi:(Vod_workload.Trace.length week)
   in
   let link_capacity =
     Vod_placement.Instance.uniform_links sc.Scenario.graph link_capacity_mbps
   in
   let rec loop rounds windows =
-    let demand = { base with Vod_workload.Demand.windows } in
-    (* Recompute concurrency for the enforced windows. *)
-    let f =
-      Array.map
-        (fun (t0, t1) ->
-          let tbl =
-            Vod_workload.Stats.concurrency
-              (Vod_workload.Trace.create
-                 ~n_vhos:(Vod_topology.Graph.n_nodes sc.Scenario.graph)
-                 ~days rebased)
-              sc.Scenario.catalog ~t0 ~t1
-          in
-          let per = Array.make base.Vod_workload.Demand.n_videos [] in
-          Hashtbl.iter
-            (fun (video, vho) c -> per.(video) <- (vho, float_of_int c) :: per.(video))
-            tbl;
-          Array.map
-            (fun l ->
-              let a = Array.of_list l in
-              Array.sort (fun (i, _) (j, _) -> Int.compare i j) a;
-              a)
-            per)
-        windows
+    (* Recount concurrency for the enforced windows. *)
+    let demand =
+      Vod_workload.Demand.with_windows sc.Scenario.catalog base week windows
     in
-    let demand = { demand with Vod_workload.Demand.f } in
     let inst =
       Vod_placement.Instance.create ~graph:sc.Scenario.graph
         ~catalog:sc.Scenario.catalog ~demand ~disk_gb
@@ -116,8 +83,7 @@ let solve ?(params = Vod_epf.Engine.default_params) ?(max_rounds = 4)
     in
     let report = Vod_placement.Solve.solve ~params inst in
     let overloads =
-      realized_overload sc inst report.Vod_placement.Solve.solution
-        ~requests:rebased ~days ~window_s
+      realized_overload sc inst report.Vod_placement.Solve.solution ~week ~window_s
     in
     (* Worst overloaded window not already enforced. *)
     let enforced t =

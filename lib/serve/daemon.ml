@@ -127,8 +127,7 @@ let run ~graph ~paths ~catalog ~(trace : Vod_workload.Trace.t)
   in
   (* Bootstrap placement from the actual first week — the paper's
      initial pre-population, done before the service opens. *)
-  let boot_requests = Vod_workload.Trace.between trace ~t0_s:0.0 ~t1_s:week_s in
-  let boot = Replan.solve problem (Replan.demand problem ~t0_s:0.0 boot_requests) in
+  let boot = Replan.solve problem (Replan.demand problem trace) in
   Obs.incr "serve/daemon/replans";
   let current = ref boot.Vod_placement.Solve.solution in
   let loop = Loop.create ~graph ~paths ~catalog ~fleet:(fleet_of !current) ?resil () in
@@ -146,13 +145,12 @@ let run ~graph ~paths ~catalog ~(trace : Vod_workload.Trace.t)
       ]
   in
   let n_videos = Vod_workload.Catalog.n_videos catalog in
-  (* Requests play as row ranges of a compact copy of the trace (same
-     row order), between consecutive boundaries. *)
-  let store = Vod_workload.Trace_soa.of_trace trace in
+  (* Requests play as row ranges of the trace, between consecutive
+     boundaries. *)
   let prev = ref 0.0 in
   let play_until t1_s =
-    let lo, hi = Vod_workload.Trace_soa.between store ~t0_s:!prev ~t1_s in
-    Loop.play_soa loop metrics store ~lo ~hi
+    let lo, hi = Vod_workload.Trace.between trace ~t0_s:!prev ~t1_s in
+    Loop.play_soa loop metrics trace ~lo ~hi
   in
   (* Replan.solve/restrict and Loop.play_soa validate their inputs and
      can raise mid-horizon; Loop.finish is idempotent, so settling the
@@ -165,11 +163,11 @@ let run ~graph ~paths ~catalog ~(trace : Vod_workload.Trace.t)
         (fun (t_b, trigger) ->
           play_until t_b;
           Loop.advance loop ~now:t_b;
-          let predicted =
-            Vod_workload.Estimator.predict_at ~history_s:cfg.history_s cfg.estimator
-              catalog trace ~t0_s:t_b
+          let demand =
+            Replan.demand problem
+              (Vod_workload.Estimator.predict_at ~history_s:cfg.history_s
+                 cfg.estimator catalog trace ~t0_s:t_b)
           in
-          let demand = Replan.demand problem ~t0_s:t_b predicted in
           let incumbent = if cfg.warm_start then Some !current else None in
           let down_vhos =
             if cfg.react_to_faults then

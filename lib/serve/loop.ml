@@ -1,5 +1,5 @@
 (* The serving engine: one event loop that drives a fleet with the
-   time-sorted rows of a compact request store (Vod_workload.Trace_soa),
+   time-sorted rows of the request store (Vod_workload.Trace),
    in either of two configurations.
 
    - Direct: every request is served by the fleet's own choice over the
@@ -28,7 +28,7 @@ module Router = Vod_resil.Router
 module Playout = Vod_resil.Playout
 module Metrics = Vod_sim.Metrics
 module Fleet = Vod_cache.Fleet
-module Soa = Vod_workload.Trace_soa
+module Trace = Vod_workload.Trace
 module Video = Vod_workload.Video
 
 let src = Logs.Src.create "vod.serve" ~doc:"serving engine"
@@ -231,12 +231,12 @@ let add_remote metrics ~record ~links ~hops ~surge ~now (v : Video.t) =
 
 (* ---- direct configuration -------------------------------------------- *)
 
-let play_direct t metrics (soa : Soa.t) ~lo ~hi =
+let play_direct t metrics (trace : Trace.t) ~lo ~hi =
   let track_per_vho = Array.length metrics.Metrics.per_vho_requests > 0 in
   for i = lo to hi - 1 do
-    let now = Soa.time soa i in
-    let video = Soa.video soa i in
-    let vho = Soa.vho soa i in
+    let now = Trace.time trace i in
+    let video = Trace.video trace i in
+    let vho = Trace.vho trace i in
     let outcome = Fleet.serve t.fleet ~video ~vho ~now in
     let record = Metrics.in_record_window metrics now in
     if record then count_served metrics ~track_per_vho ~vho outcome;
@@ -288,12 +288,12 @@ let count_route f metrics ~surge (s : Router.served) =
     Obs.incr "serve/origin_served"
   end
 
-let play_faulted t f metrics (soa : Soa.t) ~lo ~hi =
+let play_faulted t f metrics (trace : Trace.t) ~lo ~hi =
   let track_per_vho = Array.length metrics.Metrics.per_vho_requests > 0 in
   for i = lo to hi - 1 do
-    let now = Soa.time soa i in
-    let video = Soa.video soa i in
-    let vho = Soa.vho soa i in
+    let now = Trace.time trace i in
+    let video = Trace.video trace i in
+    let vho = Trace.vho trace i in
     ignore (State.advance f.state ~now ~on_event:f.on_event : int);
     Capacity.expire f.capacity ~now;
     let record = Metrics.in_record_window metrics now in
@@ -336,16 +336,16 @@ let play_faulted t f metrics (soa : Soa.t) ~lo ~hi =
 
 (* ---- entry points ----------------------------------------------------- *)
 
-(* Play rows [lo, hi) of a compact store through whichever configuration
+(* Play rows [lo, hi) of a store through whichever configuration
    the loop was created with. *)
-let play_soa t metrics (soa : Soa.t) ~lo ~hi =
-  if lo < 0 || hi < lo || hi > Soa.length soa then
+let play_soa t metrics (trace : Trace.t) ~lo ~hi =
+  if lo < 0 || hi < lo || hi > Trace.length trace then
     invalid_arg "Loop.play_soa: range out of bounds";
-  Metrics.validate_store metrics soa;
+  Metrics.validate_store metrics trace;
   if Obs.active () then Obs.incr ~by:(hi - lo) "serve/requests";
   match t.faulted with
-  | None -> play_direct t metrics soa ~lo ~hi
-  | Some f -> play_faulted t f metrics soa ~lo ~hi
+  | None -> play_direct t metrics trace ~lo ~hi
+  | Some f -> play_faulted t f metrics trace ~lo ~hi
 
 (* Drain the remaining schedule, close saturation intervals and the last
    window, and publish the end-of-run gauges. Idempotent; a no-op in the
@@ -372,11 +372,11 @@ let finish t (metrics : Metrics.t) =
 let windows t =
   match t.faulted with None -> [] | Some f -> List.rev f.windows_rev
 
-(* One-shot playout of a full compact store over its whole horizon. *)
+(* One-shot playout of a full store over its whole horizon. *)
 let run_soa ~graph ~paths ~catalog ~fleet ~store ?(bin_s = 300.0)
     ?(record_from = 0.0) ?resil () =
   let horizon_s =
-    float_of_int store.Soa.days *. Vod_workload.Trace.seconds_per_day
+    float_of_int store.Trace.days *. Trace.seconds_per_day
   in
   let metrics =
     Metrics.create
@@ -390,7 +390,7 @@ let run_soa ~graph ~paths ~catalog ~fleet ~store ?(bin_s = 300.0)
      path byte-identical while closing it on the exceptional one. *)
   Fun.protect
     ~finally:(fun () -> finish t metrics)
-    (fun () -> play_soa t metrics store ~lo:0 ~hi:(Soa.length store));
+    (fun () -> play_soa t metrics store ~lo:0 ~hi:(Trace.length store));
   Log.info (fun m ->
       m "%s: %d requests, local %.1f%%, %d rejections, peak link %.0f Mb/s"
         (Fleet.name fleet) metrics.Metrics.requests

@@ -1,5 +1,5 @@
-(** The serving engine: one event loop over the rows of a compact request
-    store ({!Vod_workload.Trace_soa}), in a direct fixed-path
+(** The serving engine: one event loop over the rows of the columnar
+    request store ({!Vod_workload.Trace}), in a direct fixed-path
     configuration or a fault-injecting one. The placement source is the
     mutable fleet ({!set_fleet} swaps placements mid-run); the router and
     capacity model plug in through an optional [Vod_resil.Playout.config].
@@ -47,7 +47,7 @@ val advance : t -> now:float -> unit
     closure in either configuration. Raises [Invalid_argument] on a bad
     range or a store whose VHO bound exceeds the metrics arrays. *)
 val play_soa :
-  t -> Vod_sim.Metrics.t -> Vod_workload.Trace_soa.t -> lo:int -> hi:int -> unit
+  t -> Vod_sim.Metrics.t -> Vod_workload.Trace.t -> lo:int -> hi:int -> unit
 
 (** Drain the remaining fault schedule up to the metrics horizon, close
     saturation intervals and the final window, publish end-of-run
@@ -66,7 +66,7 @@ val run_soa :
   paths:Vod_topology.Paths.t ->
   catalog:Vod_workload.Catalog.t ->
   fleet:Vod_cache.Fleet.t ->
-  store:Vod_workload.Trace_soa.t ->
+  store:Vod_workload.Trace.t ->
   ?bin_s:float ->
   ?record_from:float ->
   ?resil:Vod_resil.Playout.config ->

@@ -23,20 +23,14 @@ type problem = {
    capacities. *)
 let down_disk_gb = 1e-6
 
-(* Demand for the placement period [t0_s, t0_s + 7d) from a (predicted
-   or actual) request batch with absolute times. Rebasing here and
-   passing [day0:0] is bit-identical to [Demand.of_requests ~day0] at
-   day-aligned [t0_s]: both subtract the same exact float once. *)
-let demand pb ~t0_s (requests : Vod_workload.Trace.request array) =
-  let rebased =
-    Array.map
-      (fun (r : Vod_workload.Trace.request) ->
-        { r with Vod_workload.Trace.time_s = r.Vod_workload.Trace.time_s -. t0_s })
-      requests
-  in
-  Vod_workload.Demand.of_requests pb.catalog
+(* Demand for the seven-day placement period that starts at time 0 of
+   [week] (a predicted week, already rebased to the period's start, or a
+   trace whose first week is the period). *)
+let demand pb (week : Vod_workload.Trace.t) =
+  Vod_workload.Demand.of_soa pb.catalog
     ~n_vhos:(Vod_topology.Graph.n_nodes pb.graph)
-    ~day0:0 ~days:7 ~n_windows:pb.n_windows ~window_s:pb.window_s rebased
+    ~day0:0 ~days:7 ~n_windows:pb.n_windows ~window_s:pb.window_s week ~lo:0
+    ~hi:(Vod_workload.Trace.length week)
 
 (* One placement re-solve. [incumbent] warm-starts the EPF engine from
    the placement the fleet is already running; [down_vhos] shrinks dark

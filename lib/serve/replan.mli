@@ -25,12 +25,11 @@ type problem = {
     because the engine requires positive row capacities). *)
 val down_disk_gb : float
 
-(** [demand pb ~t0_s requests] builds the MIP demand model for the
-    placement period [t0_s, t0_s + 7 days) from a request batch with
-    absolute times. Bit-identical to [Demand.of_requests ~day0] when
-    [t0_s] is day-aligned. *)
-val demand :
-  problem -> t0_s:float -> Vod_workload.Trace.request array -> Vod_workload.Demand.t
+(** [demand pb week] builds the MIP demand model of the seven-day
+    placement period that starts at time 0 of [week]: a predicted week
+    from {!Vod_workload.Estimator.predict_at}, or a trace whose first
+    week is the period (rows after it are ignored). *)
+val demand : problem -> Vod_workload.Trace.t -> Vod_workload.Demand.t
 
 (** One placement re-solve. [incumbent] warm-starts the EPF engine from
     the running placement ({!Vod_placement.Solve.solve}'s [incumbent]);

@@ -76,13 +76,13 @@ let in_record_window t time_s = time_s >= t.record_from
    front, instead of silently dropping out-of-range ids per request. O(1):
    construction already bounds-checked every row against the store's own
    [n_vhos]. Only meaningful when the metrics track per-VHO counters. *)
-let validate_store t (soa : Vod_workload.Trace_soa.t) =
+let validate_store t (trace : Vod_workload.Trace.t) =
   let n = Array.length t.per_vho_requests in
-  if n > 0 && soa.Vod_workload.Trace_soa.n_vhos > n then
+  if n > 0 && trace.Vod_workload.Trace.n_vhos > n then
     invalid_arg
       (Printf.sprintf
          "Metrics.validate_store: store allows VHOs up to %d, counters stop at %d"
-         (soa.Vod_workload.Trace_soa.n_vhos - 1)
+         (trace.Vod_workload.Trace.n_vhos - 1)
          (n - 1))
 
 (* Spread a stream of [rate_mbps] over [t0, t1) into the link's bins. *)

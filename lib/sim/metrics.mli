@@ -51,11 +51,11 @@ val create :
 val in_record_window : t -> float -> bool
 
 (** Validate a store's VHO bound against the per-VHO counter arrays: every
-    row of a {!Vod_workload.Trace_soa.t} was bounds-checked against its
+    row of a {!Vod_workload.Trace.t} was bounds-checked against its
     own [n_vhos] at construction, so the check is O(1) and covers every
     row. Raises [Invalid_argument] naming both bounds; a no-op when the
     metrics were created without [n_vhos]. *)
-val validate_store : t -> Vod_workload.Trace_soa.t -> unit
+val validate_store : t -> Vod_workload.Trace.t -> unit
 
 (** Spread a stream of [rate_mbps] over [t0, t1) into a link's bins
     (overlap-weighted). *)

@@ -1,5 +1,5 @@
 (* The MIP's demand-side input, built from a (real or predicted) request
-   batch for one placement period:
+   trace for one placement period:
 
    - a_j^m : aggregate request count per (video, VHO) over the period
      (paper Table I), stored sparsely per video;
@@ -28,76 +28,15 @@ let sparse_of_tbl ~n_videos (tbl : (int * int, int) Hashtbl.t) =
       arr)
     per_video
 
-(* [of_requests] builds the demand model from a request batch. [day0] is
-   the first day of the placement period; requests are rebased so peak
-   selection works on a [days]-long horizon. *)
-let of_requests (catalog : Catalog.t) ~n_vhos ~day0 ~days ~n_windows ~window_s
-    (requests : Trace.request array) =
-  let base = float_of_int day0 *. Trace.seconds_per_day in
-  let rebased =
-    Array.map (fun r -> { r with Trace.time_s = r.Trace.time_s -. base }) requests
-  in
-  (* Requests may spill slightly outside the period (e.g. a prediction
-     cloned from a source with a different weekday alignment); clamp. *)
-  let horizon = float_of_int days *. Trace.seconds_per_day in
-  let rebased =
-    Array.of_seq
-      (Seq.filter
-         (fun r -> r.Trace.time_s >= 0.0 && r.Trace.time_s < horizon)
-         (Array.to_seq rebased))
-  in
-  let trace = Trace.create ~n_vhos ~days rebased in
-  let n_videos = Catalog.n_videos catalog in
-  let a = sparse_of_tbl ~n_videos (Stats.aggregate_demand trace) in
-  let window_starts = Stats.peak_windows trace ~window_s ~k:n_windows in
-  let windows =
-    Array.of_list (List.map (fun t0 -> (t0, t0 +. window_s)) window_starts)
-  in
-  let f =
-    Array.map
-      (fun (t0, t1) -> sparse_of_tbl ~n_videos (Stats.concurrency trace catalog ~t0 ~t1))
-      windows
-  in
-  let total_requests = float_of_int (Trace.length trace) in
-  { n_videos; n_vhos; a; f; windows; total_requests }
+let bump tbl key =
+  let c = Option.value ~default:0 (Hashtbl.find_opt tbl key) in
+  Hashtbl.replace tbl key (c + 1)
 
-(* Columnar variant of [of_requests]: same rebase/clamp semantics, same
-   peak-window selection (bin counts sorted with the identical
-   comparator, one window per day), same sparse extraction — but
-   iterating the Bigarray columns of a store slice [lo, hi), so no boxed
-   request batch is ever staged. Produces a value equal to
-   [of_requests] on [Trace_soa.window_requests soa ~lo ~hi] (asserted
-   by test/test_soa.ml). *)
-let of_soa (catalog : Catalog.t) ~n_vhos ~day0 ~days ~n_windows ~window_s
-    (soa : Trace_soa.t) ~lo ~hi =
-  if lo < 0 || hi < lo || hi > Trace_soa.length soa then
-    invalid_arg "Demand.of_soa: range out of bounds";
-  if window_s <= 0.0 then invalid_arg "Demand.of_soa: window_s must be positive";
-  if soa.Trace_soa.n_vhos > n_vhos then
-    invalid_arg "Demand.of_soa: store VHO ids exceed n_vhos";
-  let base = float_of_int day0 *. Trace.seconds_per_day in
-  let horizon = float_of_int days *. Trace.seconds_per_day in
-  let n_videos = Catalog.n_videos catalog in
-  (* One pass: aggregate (video, vho) counts plus per-bin volumes. *)
-  let atbl : (int * int, int) Hashtbl.t = Hashtbl.create 4096 in
-  let n_bins = int_of_float (ceil (horizon /. window_s)) in
-  let bins = Array.make (max 1 n_bins) 0 in
-  let total = ref 0 in
-  for i = lo to hi - 1 do
-    let ts = Trace_soa.time soa i -. base in
-    if ts >= 0.0 && ts < horizon then begin
-      incr total;
-      let key = (Trace_soa.video soa i, Trace_soa.vho soa i) in
-      let c = Option.value ~default:0 (Hashtbl.find_opt atbl key) in
-      Hashtbl.replace atbl key (c + 1);
-      let b = int_of_float (ts /. window_s) in
-      if b >= 0 && b < n_bins then bins.(b) <- bins.(b) + 1
-    end
-  done;
-  let a = sparse_of_tbl ~n_videos atbl in
-  (* Peak-window selection: Stats.peak_windows' algorithm verbatim
-     (busiest bins first, at most one per day). *)
-  let order = Array.init n_bins (fun b -> b) in
+(* The peak-window selector: the [k] busiest bins first (count ties in
+   the order [Array.sort] leaves them), at most one per day, as
+   [window_s]-long windows, the last chosen first. *)
+let peak_windows ~bins ~window_s ~k =
+  let order = Array.init (Array.length bins) (fun b -> b) in
   Array.sort (fun x y -> Int.compare bins.(y) bins.(x)) order;
   let chosen = ref [] and used_days = Hashtbl.create 8 in
   (try
@@ -107,36 +46,78 @@ let of_soa (catalog : Catalog.t) ~n_vhos ~day0 ~days ~n_windows ~window_s
          if not (Hashtbl.mem used_days day) then begin
            Hashtbl.add used_days day ();
            chosen := b :: !chosen;
-           if List.length !chosen >= n_windows then raise Exit
+           if List.length !chosen >= k then raise Exit
          end)
        order
    with Exit -> ());
-  let window_starts =
-    List.rev_map (fun b -> float_of_int b *. window_s) !chosen |> List.rev
-  in
-  let windows =
-    Array.of_list (List.map (fun t0 -> (t0, t0 +. window_s)) window_starts)
-  in
+  Array.of_list
+    (List.map
+       (fun b ->
+         let t0 = float_of_int b *. window_s in
+         (t0, t0 +. window_s))
+       !chosen)
+
+(* Concurrent-stream counts per (video, vho) during [t0, t1) over rows
+   [lo, hi) whose rebased time [ts] lies in [0, horizon): a request
+   counts if its playback interval [ts, ts + duration) meets the window.
+   With a 1-second window this is instantaneous concurrency; with a
+   1-day window it over-counts — exactly the over-provisioning effect
+   the paper studies in Table V. *)
+let concurrency catalog trace ~lo ~hi ~base ~horizon ~n_videos (t0, t1) =
+  let tbl : (int * int, int) Hashtbl.t = Hashtbl.create 4096 in
+  for i = lo to hi - 1 do
+    let ts = Trace.time trace i -. base in
+    if ts >= 0.0 && ts < horizon then begin
+      let video = Trace.video trace i in
+      let dur = Video.duration_s (Catalog.video catalog video) in
+      if ts < t1 && ts +. dur > t0 then bump tbl (video, Trace.vho trace i)
+    end
+  done;
+  sparse_of_tbl ~n_videos tbl
+
+let of_soa (catalog : Catalog.t) ~n_vhos ~day0 ~days ~n_windows ~window_s
+    (trace : Trace.t) ~lo ~hi =
+  if lo < 0 || hi < lo || hi > Trace.length trace then
+    invalid_arg "Demand.of_soa: range out of bounds";
+  if window_s <= 0.0 then invalid_arg "Demand.of_soa: window_s must be positive";
+  if trace.Trace.n_vhos > n_vhos then
+    invalid_arg "Demand.of_soa: trace VHO ids exceed n_vhos";
+  let base = float_of_int day0 *. Trace.seconds_per_day in
+  let horizon = float_of_int days *. Trace.seconds_per_day in
+  let n_videos = Catalog.n_videos catalog in
+  (* One pass: aggregate (video, vho) counts plus per-bin volumes. *)
+  let atbl : (int * int, int) Hashtbl.t = Hashtbl.create 4096 in
+  let n_bins = int_of_float (ceil (horizon /. window_s)) in
+  let bins = Array.make n_bins 0 in
+  let total = ref 0 in
+  for i = lo to hi - 1 do
+    let ts = Trace.time trace i -. base in
+    if ts >= 0.0 && ts < horizon then begin
+      incr total;
+      bump atbl (Trace.video trace i, Trace.vho trace i);
+      let b = int_of_float (ts /. window_s) in
+      if b >= 0 && b < n_bins then bins.(b) <- bins.(b) + 1
+    end
+  done;
+  let windows = peak_windows ~bins ~window_s ~k:n_windows in
+  {
+    n_videos;
+    n_vhos;
+    a = sparse_of_tbl ~n_videos atbl;
+    f = Array.map (concurrency catalog trace ~lo ~hi ~base ~horizon ~n_videos) windows;
+    windows;
+    total_requests = float_of_int !total;
+  }
+
+let with_windows catalog d (week : Trace.t) windows =
+  let horizon = float_of_int week.Trace.days *. Trace.seconds_per_day in
   let f =
     Array.map
-      (fun (t0, t1) ->
-        let tbl : (int * int, int) Hashtbl.t = Hashtbl.create 4096 in
-        for i = lo to hi - 1 do
-          let ts = Trace_soa.time soa i -. base in
-          if ts >= 0.0 && ts < horizon then begin
-            let video = Trace_soa.video soa i in
-            let dur = Video.duration_s (Catalog.video catalog video) in
-            if ts < t1 && ts +. dur > t0 then begin
-              let key = (video, Trace_soa.vho soa i) in
-              let c = Option.value ~default:0 (Hashtbl.find_opt tbl key) in
-              Hashtbl.replace tbl key (c + 1)
-            end
-          end
-        done;
-        sparse_of_tbl ~n_videos tbl)
+      (concurrency catalog week ~lo:0 ~hi:(Trace.length week) ~base:0.0 ~horizon
+         ~n_videos:d.n_videos)
       windows
   in
-  { n_videos; n_vhos; a; f; windows; total_requests = float_of_int !total }
+  { d with windows; f }
 
 (* Total requests for a video across VHOs. *)
 let video_requests t video =

@@ -14,26 +14,15 @@ type t = {
   total_requests : float;
 }
 
-(** [of_requests catalog ~n_vhos ~day0 ~days ~n_windows ~window_s reqs]
-    rebases the batch to day [day0], selects the [n_windows] busiest
-    [window_s]-second windows on distinct days, and extracts [a] and [f].
-    Requests outside the [days]-long period are dropped. *)
-val of_requests :
-  Catalog.t ->
-  n_vhos:int ->
-  day0:int ->
-  days:int ->
-  n_windows:int ->
-  window_s:float ->
-  Trace.request array ->
-  t
-
-(** Columnar variant of {!of_requests} over rows [[lo, hi)) of a
-    compact store: same rebase/clamp semantics, same peak-window
-    selection, equal result — but no boxed request batch is staged
-    (the million-video demand-extraction path). Raises
-    [Invalid_argument] on a bad range or a store whose VHO bound
-    exceeds [n_vhos]. *)
+(** [of_soa catalog ~n_vhos ~day0 ~days ~n_windows ~window_s trace ~lo
+    ~hi] builds the demand model of the [days]-long period starting at
+    day [day0] from rows [[lo, hi)] of a trace: times are rebased to
+    [day0] and rows falling outside the period are dropped. The peak
+    windows are the [n_windows] busiest [window_s]-aligned windows of
+    the period on distinct days (the paper's |T| = 2 one-hour windows,
+    typically Friday and Saturday evenings; Table V sweeps [window_s]
+    from 1 s to 1 day). Raises [Invalid_argument] on a bad range, a
+    nonpositive window or a trace whose VHO bound exceeds [n_vhos]. *)
 val of_soa :
   Catalog.t ->
   n_vhos:int ->
@@ -41,10 +30,16 @@ val of_soa :
   days:int ->
   n_windows:int ->
   window_s:float ->
-  Trace_soa.t ->
+  Trace.t ->
   lo:int ->
   hi:int ->
   t
+
+(** [with_windows catalog d week windows] is [d] with its peak windows
+    replaced by [windows] and [f] recounted for them over every row of
+    [week], a trace whose time 0 is the start of [d]'s period (the
+    iterative refinement of Sec. VI-B). *)
+val with_windows : Catalog.t -> t -> Trace.t -> (float * float) array -> t
 
 (** Total request count of a video across VHOs. *)
 val video_requests : t -> int -> float

@@ -1,88 +1,29 @@
-(* Trace analytics backing the paper's Sec. IV motivation figures and the
-   peak-window machinery of Sec. VI-B. *)
+(* Trace analytics backing the paper's Sec. IV motivation figures. The
+   peak windows of the demand model (Sec. VI-B) are Demand's. *)
 
 (* [peak_hour_start_s trace] returns the start time (seconds) of the busiest
    1-hour-aligned window of the trace. *)
 let peak_hour_start_s (trace : Trace.t) =
   let hours = trace.Trace.days * 24 in
   let counts = Array.make hours 0 in
-  Trace.iter
-    (fun r ->
-      let h = int_of_float (r.Trace.time_s /. 3600.0) in
-      if h >= 0 && h < hours then counts.(h) <- counts.(h) + 1)
-    trace;
+  for i = 0 to Trace.length trace - 1 do
+    let h = int_of_float (Trace.time trace i /. 3600.0) in
+    if h >= 0 && h < hours then counts.(h) <- counts.(h) + 1
+  done;
   let best = ref 0 in
   Array.iteri (fun h c -> if c > counts.(!best) then best := h) counts;
   float_of_int !best *. 3600.0
-
-(* [peak_hour_starts_s trace ~k] returns the start times of the [k] busiest
-   1-hour-aligned windows on *distinct days* — the paper enforces link
-   constraints at |T| = 2 peak windows, typically Friday and Saturday
-   evenings. *)
-let peak_hour_starts_s (trace : Trace.t) ~k =
-  let hours = trace.Trace.days * 24 in
-  let counts = Array.make hours 0 in
-  Trace.iter
-    (fun r ->
-      let h = int_of_float (r.Trace.time_s /. 3600.0) in
-      if h >= 0 && h < hours then counts.(h) <- counts.(h) + 1)
-    trace;
-  let order = Array.init hours (fun h -> h) in
-  Array.sort (fun a b -> Int.compare counts.(b) counts.(a)) order;
-  let chosen = ref [] and used_days = Hashtbl.create 8 in
-  (try
-     Array.iter
-       (fun h ->
-         let day = h / 24 in
-         if not (Hashtbl.mem used_days day) then begin
-           Hashtbl.add used_days day ();
-           chosen := h :: !chosen;
-           if List.length !chosen >= k then raise Exit
-         end)
-       order
-   with Exit -> ());
-  List.rev_map (fun h -> float_of_int h *. 3600.0) !chosen |> List.rev
-
-(* Generalization of [peak_hour_starts_s] to an arbitrary window size: the start
-   times of the [k] busiest [window_s]-aligned windows on distinct days.
-   Used for Table V, where the paper varies the peak window from 1 s to
-   1 day. *)
-let peak_windows (trace : Trace.t) ~window_s ~k =
-  if window_s <= 0.0 then invalid_arg "Stats.peak_windows: window_s must be positive";
-  let horizon = float_of_int trace.Trace.days *. Trace.seconds_per_day in
-  let n_bins = int_of_float (ceil (horizon /. window_s)) in
-  let counts = Array.make n_bins 0 in
-  Trace.iter
-    (fun r ->
-      let b = int_of_float (r.Trace.time_s /. window_s) in
-      if b >= 0 && b < n_bins then counts.(b) <- counts.(b) + 1)
-    trace;
-  let order = Array.init n_bins (fun b -> b) in
-  Array.sort (fun a b -> Int.compare counts.(b) counts.(a)) order;
-  let chosen = ref [] and used_days = Hashtbl.create 8 in
-  (try
-     Array.iter
-       (fun b ->
-         let day = Trace.day_of_time (float_of_int b *. window_s) in
-         if not (Hashtbl.mem used_days day) then begin
-           Hashtbl.add used_days day ();
-           chosen := b :: !chosen;
-           if List.length !chosen >= k then raise Exit
-         end)
-       order
-   with Exit -> ());
-  List.rev_map (fun b -> float_of_int b *. window_s) !chosen |> List.rev
 
 (* Working set of a VHO in a window: the distinct videos requested, and the
    disk space they occupy (Fig. 2 reports both, normalized by library
    size). *)
 let working_set (trace : Trace.t) (catalog : Catalog.t) ~vho ~t0 ~t1 =
   let seen = Hashtbl.create 256 in
-  Trace.iter
-    (fun r ->
-      if r.Trace.vho = vho && r.Trace.time_s >= t0 && r.Trace.time_s < t1 then
-        Hashtbl.replace seen r.Trace.video ())
-    trace;
+  for i = 0 to Trace.length trace - 1 do
+    let t = Trace.time trace i in
+    if Trace.vho trace i = vho && t >= t0 && t < t1 then
+      Hashtbl.replace seen (Trace.video trace i) ()
+  done;
   let distinct = Hashtbl.length seen in
   (* Sorted-key fold: the working-set size must not depend on the hash
      table's insertion history (float addition is not associative). *)
@@ -98,12 +39,14 @@ let working_set (trace : Trace.t) (catalog : Catalog.t) ~vho ~t0 ~t1 =
    (video -> count), for the cosine-similarity analysis of Fig. 3. *)
 let request_vector (trace : Trace.t) ~vho ~t0 ~t1 =
   let v = Hashtbl.create 256 in
-  Trace.iter
-    (fun r ->
-      if r.Trace.vho = vho && r.Trace.time_s >= t0 && r.Trace.time_s < t1 then
-        let c = Option.value ~default:0.0 (Hashtbl.find_opt v r.Trace.video) in
-        Hashtbl.replace v r.Trace.video (c +. 1.0))
-    trace;
+  for i = 0 to Trace.length trace - 1 do
+    let t = Trace.time trace i in
+    if Trace.vho trace i = vho && t >= t0 && t < t1 then begin
+      let video = Trace.video trace i in
+      let c = Option.value ~default:0.0 (Hashtbl.find_opt v video) in
+      Hashtbl.replace v video (c +. 1.0)
+    end
+  done;
   v
 
 (* Fig. 3: for a window size [w] seconds, partition time into intervals of
@@ -119,36 +62,6 @@ let peak_interval_similarity (trace : Trace.t) ~window_s =
         let v_cur = request_vector trace ~vho ~t0 ~t1:(t0 +. window_s) in
         let v_prev = request_vector trace ~vho ~t0:(t0 -. window_s) ~t1:t0 in
         Vod_util.Stats_acc.cosine_similarity v_cur v_prev)
-
-(* Concurrent-stream counts per (video, vho) for a window: a request is
-   counted if its playback interval [t_req, t_req + duration) intersects
-   [t0, t1). With a 1-second window this is instantaneous concurrency; with
-   a 1-day window it over-counts — exactly the over-provisioning effect the
-   paper studies in Table V. Returns a sparse per-video list. *)
-let concurrency (trace : Trace.t) (catalog : Catalog.t) ~t0 ~t1 =
-  let tbl : (int * int, int) Hashtbl.t = Hashtbl.create 4096 in
-  Trace.iter
-    (fun r ->
-      let dur = Video.duration_s (Catalog.video catalog r.Trace.video) in
-      let start = r.Trace.time_s and fin = r.Trace.time_s +. dur in
-      if start < t1 && fin > t0 then
-        let key = (r.Trace.video, r.Trace.vho) in
-        let c = Option.value ~default:0 (Hashtbl.find_opt tbl key) in
-        Hashtbl.replace tbl key (c + 1))
-    trace;
-  tbl
-
-(* Per-(video, vho) aggregate request counts over the trace (the MIP's
-   a_j^m input). *)
-let aggregate_demand (trace : Trace.t) =
-  let tbl : (int * int, int) Hashtbl.t = Hashtbl.create 4096 in
-  Trace.iter
-    (fun r ->
-      let key = (r.Trace.video, r.Trace.vho) in
-      let c = Option.value ~default:0 (Hashtbl.find_opt tbl key) in
-      Hashtbl.replace tbl key (c + 1))
-    trace;
-  tbl
 
 (* Least-squares Zipf exponent fit on the head of a rank/frequency curve:
    regress log(count) on log(rank) over the top [head_frac] of ranks
@@ -185,10 +98,10 @@ let fit_zipf_exponent ?(head_frac = 0.2) counts =
 (* Daily request counts for one video (Fig. 4's per-episode series). *)
 let daily_counts (trace : Trace.t) ~video =
   let counts = Array.make trace.Trace.days 0 in
-  Trace.iter
-    (fun r ->
-      if r.Trace.video = video then
-        let d = Trace.day_of_time r.Trace.time_s in
-        if d >= 0 && d < trace.Trace.days then counts.(d) <- counts.(d) + 1)
-    trace;
+  for i = 0 to Trace.length trace - 1 do
+    if Trace.video trace i = video then begin
+      let d = Trace.day_of_time (Trace.time trace i) in
+      if d >= 0 && d < trace.Trace.days then counts.(d) <- counts.(d) + 1
+    end
+  done;
   counts

@@ -1,18 +1,9 @@
-(** Trace analytics backing the paper's Sec. IV motivation figures
-    (working-set size, request-mix similarity) and the peak-window
-    machinery of Sec. VI-B / Table V. *)
+(** Trace analytics backing the paper's Sec. IV motivation figures:
+    the busiest hour, working-set size, request-mix similarity, per-day
+    popularity and the popularity law. *)
 
 (** Start time (s) of the busiest 1-hour-aligned window. *)
 val peak_hour_start_s : Trace.t -> float
-
-(** Start times of the [k] busiest 1-hour windows on distinct days (the
-    paper's |T| = 2 peak link-constraint windows). *)
-val peak_hour_starts_s : Trace.t -> k:int -> float list
-
-(** [peak_windows t ~window_s ~k]: start times of the [k] busiest
-    [window_s]-aligned windows on distinct days (Table V's sweep from 1 s
-    to 1 day). Raises [Invalid_argument] on a nonpositive window. *)
-val peak_windows : Trace.t -> window_s:float -> k:int -> float list
 
 (** [(distinct, gb)] videos requested at [vho] during [t0, t1) (Fig. 2). *)
 val working_set :
@@ -25,14 +16,6 @@ val request_vector :
 (** Per-VHO cosine similarity between the window containing the peak
     instant and the previous window (Fig. 3). *)
 val peak_interval_similarity : Trace.t -> window_s:float -> float array
-
-(** Concurrent-stream counts per (video, vho) whose playback interval
-    intersects [t0, t1) — the MIP's f_j^m(t) input. *)
-val concurrency :
-  Trace.t -> Catalog.t -> t0:float -> t1:float -> (int * int, int) Hashtbl.t
-
-(** Aggregate request counts per (video, vho) — the MIP's a_j^m input. *)
-val aggregate_demand : Trace.t -> (int * int, int) Hashtbl.t
 
 (** Per-day request counts for one video (Fig. 4). *)
 val daily_counts : Trace.t -> video:int -> int array

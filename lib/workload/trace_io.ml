@@ -7,7 +7,10 @@
      8123.5,12,4711
 
    [save_csv]/[load_csv] round-trip exactly, so operators can also export
-   a synthetic trace, replay it elsewhere, or splice in their own. *)
+   a synthetic trace, replay it elsewhere, or splice in their own. Both
+   stream one line at a time against the columnar store, which is what
+   lets traces too large to stage in records (the million-video tier)
+   pass through. *)
 
 let header = "time_s,vho,video"
 
@@ -17,98 +20,52 @@ let save_csv (trace : Trace.t) path =
     ~finally:(fun () -> close_out oc)
     (fun () ->
       output_string oc (header ^ "\n");
-      Trace.iter
-        (fun r ->
-          Printf.fprintf oc "%.3f,%d,%d\n" r.Trace.time_s r.Trace.vho r.Trace.video)
-        trace)
-
-let parse_line ~lineno line =
-  match String.split_on_char ',' (String.trim line) with
-  | [ t; vho; video ] -> (
-      try
-        {
-          Trace.time_s = float_of_string t;
-          vho = int_of_string vho;
-          video = int_of_string video;
-        }
-      with Failure _ ->
-        invalid_arg (Printf.sprintf "Trace_io.load_csv: bad record on line %d" lineno))
-  | _ -> invalid_arg (Printf.sprintf "Trace_io.load_csv: bad record on line %d" lineno)
-
-(* Per-record video-id bound. [Trace.create] validates vho and time but
-   knows nothing about the catalog, so without this check a stale or
-   hand-edited CSV only blows up deep inside playout with an
-   array-bounds exception; here it is a line-numbered parse error. *)
-let check_video ~lineno ~n_videos (r : Trace.request) =
-  match n_videos with
-  | Some n when r.Trace.video < 0 || r.Trace.video >= n ->
-      invalid_arg
-        (Printf.sprintf
-           "Trace_io.load_csv: video id %d out of range [0, %d) on line %d"
-           r.Trace.video n lineno)
-  | Some _ | None -> r
-
-(* Streamed columnar variants: the CSV is read or written one line at a
-   time against a Trace_soa store, so the only boxed request alive is
-   the record being parsed — the whole-trace boxed list of [load_csv]
-   never exists. This is the interchange path for traces too large to
-   stage in records (the million-video tier). *)
-
-let save_csv_soa (soa : Trace_soa.t) path =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc (header ^ "\n");
-      for i = 0 to Trace_soa.length soa - 1 do
-        Printf.fprintf oc "%.3f,%d,%d\n" (Trace_soa.time soa i)
-          (Trace_soa.vho soa i) (Trace_soa.video soa i)
+      for i = 0 to Trace.length trace - 1 do
+        Printf.fprintf oc "%.3f,%d,%d\n" (Trace.time trace i) (Trace.vho trace i)
+          (Trace.video trace i)
       done)
 
-let load_csv_soa ?n_videos ~n_vhos ~days path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-      let b = Trace_soa.Builder.create ~n_vhos ~days () in
-      let lineno = ref 0 in
-      (try
-         while true do
-           incr lineno;
-           let line = input_line ic in
-           let trimmed = String.trim line in
-           if trimmed <> "" && not (!lineno = 1 && trimmed = header) then begin
-             let r =
-               check_video ~lineno:!lineno ~n_videos
-                 (parse_line ~lineno:!lineno trimmed)
-             in
-             Trace_soa.Builder.add b ~time_s:r.Trace.time_s ~vho:r.Trace.vho
-               ~video:r.Trace.video
-           end
-         done
-       with End_of_file -> ());
-      let soa = Trace_soa.Builder.finish b in
-      Vod_obs.Obs.set_gauge "mem/trace_store_bytes"
-        (float_of_int (Trace_soa.resident_bytes soa));
-      soa)
+let fail ~lineno what =
+  invalid_arg (Printf.sprintf "Trace_io.load_csv: %s on line %d" what lineno)
+
+(* One record, checked against the trace shape and, when given, the
+   catalog's video bound. Without the video check a stale or hand-edited
+   CSV only blows up deep inside playout with an array-bounds exception;
+   here every bad row is a line-numbered parse error. *)
+let parse_line ~lineno ~n_videos ~n_vhos ~days line =
+  match String.split_on_char ',' line with
+  | [ t; vho; video ] -> (
+      match (float_of_string_opt t, int_of_string_opt vho, int_of_string_opt video) with
+      | Some time_s, Some vho, Some video ->
+          (match n_videos with
+          | Some n when video < 0 || video >= n ->
+              fail ~lineno (Printf.sprintf "video id %d out of range [0, %d)" video n)
+          | Some _ | None -> ());
+          Option.iter (fail ~lineno) (Trace.row_error ~n_vhos ~days ~time_s ~vho);
+          (time_s, vho, video)
+      | _ -> fail ~lineno "bad record")
+  | _ -> fail ~lineno "bad record"
 
 let load_csv ?n_videos ~n_vhos ~days path =
   let ic = open_in path in
   Fun.protect
     ~finally:(fun () -> close_in ic)
     (fun () ->
-      let requests = ref [] in
+      let b = Trace.Builder.create ~n_vhos ~days () in
       let lineno = ref 0 in
       (try
          while true do
            incr lineno;
-           let line = input_line ic in
-           let trimmed = String.trim line in
-           if trimmed <> "" && not (!lineno = 1 && trimmed = header) then
-             requests :=
-               check_video ~lineno:!lineno ~n_videos
-                 (parse_line ~lineno:!lineno trimmed)
-               :: !requests
+           let trimmed = String.trim (input_line ic) in
+           if trimmed <> "" && not (!lineno = 1 && trimmed = header) then begin
+             let time_s, vho, video =
+               parse_line ~lineno:!lineno ~n_videos ~n_vhos ~days trimmed
+             in
+             Trace.Builder.add b ~time_s ~vho ~video
+           end
          done
        with End_of_file -> ());
-      Trace.create ~n_vhos ~days (Array.of_list !requests))
+      let trace = Trace.Builder.finish b in
+      Vod_obs.Obs.set_gauge "mem/trace_store_bytes"
+        (float_of_int (Trace.resident_bytes trace));
+      trace)

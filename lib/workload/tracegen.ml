@@ -41,10 +41,8 @@ let poisson rng lambda =
     max 0 (int_of_float (Float.round x))
   end
 
-(* Day-independent sampling context, shared by the boxed and the
-   struct-of-arrays generators. Building it consumes no randomness
-   beyond the per-day stream split, so both entry points draw the exact
-   same sample sequence. *)
+(* Day-independent sampling context. Building it consumes no randomness
+   beyond the per-day stream split. *)
 type ctx = {
   p : params;
   n_vhos : int;
@@ -95,11 +93,10 @@ let make_ctx (p : params) =
   }
 
 (* One day's requests, sampled into plain staging columns (flat float /
-   int arrays — the bounded window of the SoA path, never boxed
-   records). Samplers over per-day weights are built inside the task
-   (they are day-local state). Sample [k] lands at index [count-1-k],
-   preserving the order the original list-prepending generator emitted,
-   so the produced traces stay bit-identical across this refactor. *)
+   int arrays, never boxed records). Samplers over per-day weights are
+   built inside the task (they are day-local state). Sample [k] lands at
+   index [count-1-k], preserving the order the original list-prepending
+   generator emitted, so the produced traces stay bit-identical. *)
 let sample_day_columns ctx day =
   let p = ctx.p in
   let rng = ctx.day_rngs.(day) in
@@ -139,44 +136,25 @@ let sample_day_columns ctx day =
   done;
   (times, vhos, vids)
 
+(* Days are staged this many at a time: at most a week of plain-array
+   staging columns is live. *)
+let staging_days = 7
+
 (* Days are mutually independent given their RNG stream, so generation
-   fans out across the domain pool one task per day. Determinism: the
-   master generator is split into per-day streams *in day order before
-   any task runs* (Rng.split_n), each day samples only from its own
-   stream into its own slot, and the slots are concatenated in day
-   order — so the trace is bit-identical at any job count. *)
+   fans out across the domain pool one task per day, a staging window of
+   days per pool batch. Determinism: the master generator is split into
+   per-day streams *in day order before any task runs* (Rng.split_n),
+   each day samples only from its own stream into its own slot, and the
+   slots append to the builder in day order, whose final time sort
+   depends on the rows alone — so the trace is bit-identical at any job
+   count. *)
 let generate ?(jobs = 0) (p : params) =
   let ctx = make_ctx p in
-  let generate_day day =
-    let times, vhos, vids = sample_day_columns ctx day in
-    Array.init (Array.length times) (fun i ->
-        { Trace.time_s = times.(i); vho = vhos.(i); video = vids.(i) })
-  in
-  let per_day =
-    Vod_util.Pool.with_pool ~jobs (fun pool ->
-        Vod_util.Pool.map pool ~f:generate_day
-          (Array.init ctx.days (fun d -> d)))
-  in
-  Trace.create ~n_vhos:ctx.n_vhos ~days:ctx.days
-    (Array.concat (Array.to_list per_day))
-
-(* The struct-of-arrays path: same per-day sampling, same RNG streams,
-   but the staged columns append straight into a Bigarray-backed
-   builder — no boxed request ever exists, and at most [window_days]
-   days of plain-array staging are live at a time (the configurable
-   window). The builder's final time sort applies the same permutation
-   [Trace.create] would, so [generate_soa p] holds exactly the rows of
-   [Trace_soa.of_trace (generate p)] in the same order, at any job
-   count. *)
-let generate_soa ?(jobs = 0) ?(window_days = 7) (p : params) =
-  if window_days <= 0 then
-    invalid_arg "Tracegen.generate_soa: window_days must be positive";
-  let ctx = make_ctx p in
-  let b = Trace_soa.Builder.create ~n_vhos:ctx.n_vhos ~days:ctx.days () in
+  let b = Trace.Builder.create ~n_vhos:ctx.n_vhos ~days:ctx.days () in
   Vod_util.Pool.with_pool ~jobs (fun pool ->
       let d = ref 0 in
       while !d < ctx.days do
-        let batch = min window_days (ctx.days - !d) in
+        let batch = min staging_days (ctx.days - !d) in
         let day0 = !d in
         let cols =
           Vod_util.Pool.map pool
@@ -185,12 +163,15 @@ let generate_soa ?(jobs = 0) ?(window_days = 7) (p : params) =
         in
         Array.iter
           (fun (times, vhos, vids) ->
-            Trace_soa.Builder.add_columns b ~times ~vhos ~videos:vids
+            Trace.Builder.add_columns b ~times ~vhos ~videos:vids
               ~n:(Array.length times))
           cols;
         d := !d + batch
       done);
-  let soa = Trace_soa.Builder.finish b in
+  let trace = Trace.Builder.finish b in
   Vod_obs.Obs.set_gauge "mem/trace_store_bytes"
-    (float_of_int (Trace_soa.resident_bytes soa));
-  soa
+    (float_of_int (Trace.resident_bytes trace));
+  trace
+
+(* Kept only for bench/perf (see tracegen.mli). *)
+let generate_soa = generate

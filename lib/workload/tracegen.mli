@@ -12,7 +12,7 @@ type params = {
   seed : int;
 }
 
-(** Defaults with [taste_spread = 0.6]. *)
+(** Defaults with [taste_spread = 0.9]. *)
 val default_params :
   catalog:Catalog.t ->
   populations:float array ->
@@ -26,20 +26,15 @@ val poisson : Vod_util.Rng.t -> float -> int
 
 (** Generate the full trace, deterministically from [params.seed].
     Days are generated in parallel on a [jobs]-worker domain pool
-    ([0] = the process default, see {!Vod_util.Pool.default_jobs});
-    each day draws from its own split RNG stream and batches are
-    concatenated in day order, so the result is bit-identical at any
-    job count. *)
+    ([0] = the process default, see {!Vod_util.Pool.default_jobs}), a
+    week of days per pool batch: each day draws from its own split RNG
+    stream into flat staging columns that append to the store in day
+    order, so no boxed request is ever materialized and the result is
+    bit-identical at any job count. Sets the [mem/trace_store_bytes]
+    gauge when metrics are on. *)
 val generate : ?jobs:int -> params -> Trace.t
 
-(** The struct-of-arrays generator: the same request sequence as
-    {!generate} (same seed, same split RNG streams, same final time
-    sort — [generate_soa p] holds exactly the rows of
-    [Trace_soa.of_trace (generate p)]), but sampled into a compact
-    Bigarray-backed {!Trace_soa.t}. No boxed request is ever
-    materialized; per-day sampling stages flat columns and appends them
-    into the store in batches of at most [window_days] days (default 7)
-    — the configurable staging window. Sets the
-    [mem/trace_store_bytes] gauge when metrics are on. Bit-identical at
-    any job count. *)
-val generate_soa : ?jobs:int -> ?window_days:int -> params -> Trace_soa.t
+(** {!generate} under its former name, kept only because bench/perf
+    still calls it by that name; it goes at the next change to
+    bench/perf. *)
+val generate_soa : ?jobs:int -> params -> Trace.t

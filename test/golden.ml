@@ -14,7 +14,12 @@
    matrix, the degradation counters, the event windows and, for a
    replanning run, each placement update's (transfers, GB). Lines
    starting with '#' record provenance and are ignored by the
-   comparison. *)
+   comparison.
+
+   Other fixtures pin what the boxed request representation computed
+   before the columnar store became the only one: [sim_world]'s trace
+   ([dump_trace]), demand models ([dump_demand]) and the window
+   refinement's rounds (test_refine.ml). *)
 
 module M = Vod_sim.Metrics
 module E = Vod_resil.Event
@@ -52,8 +57,7 @@ let lru_fleet paths catalog =
 let run_loop ?record_from ?resil () =
   let g, paths, catalog, trace = sim_world () in
   Vod_serve.Loop.run_soa ~graph:g ~paths ~catalog
-    ~fleet:(lru_fleet paths catalog)
-    ~store:(Vod_workload.Trace_soa.of_trace trace) ?record_from ?resil ()
+    ~fleet:(lru_fleet paths catalog) ~store:trace ?record_from ?resil ()
 
 let ev time_s kind = { E.time_s; kind }
 
@@ -170,6 +174,46 @@ let dump ?(migrations = []) (m : M.t) (windows : Playout.window list) =
   List.iter (fun (transfers, gb) -> line "migration %d %h" transfers gb) migrations;
   Buffer.contents b
 
+(* A trace's shape and an MD5 of every row (%h time, vho, video). *)
+let dump_trace (t : Vod_workload.Trace.t) =
+  let rows = Buffer.create 65536 in
+  for i = 0 to Vod_workload.Trace.length t - 1 do
+    Printf.bprintf rows "%h %d %d\n" (Vod_workload.Trace.time t i)
+      (Vod_workload.Trace.vho t i) (Vod_workload.Trace.video t i)
+  done;
+  Printf.sprintf "requests %d\nn_vhos %d\ndays %d\nrows_md5 %s\n"
+    (Vod_workload.Trace.length t) t.Vod_workload.Trace.n_vhos
+    t.Vod_workload.Trace.days
+    (Digest.to_hex (Digest.string (Buffer.contents rows)))
+
+(* A demand model: sizes, peak windows, total, and every sparse
+   (vho, count) entry of a and of each window's f, floats as %h. *)
+let dump_demand (d : Vod_workload.Demand.t) =
+  let b = Buffer.create 4096 in
+  let line fmt = Printf.kbprintf (fun b -> Buffer.add_char b '\n') b fmt in
+  let sparse label per_video =
+    Array.iteri
+      (fun video pairs ->
+        if pairs <> [||] then
+          line "%s %d %s" label video
+            (String.concat " "
+               (Array.to_list
+                  (Array.map (fun (vho, c) -> Printf.sprintf "%d:%h" vho c) pairs))))
+      per_video
+  in
+  line "n_videos %d" d.Vod_workload.Demand.n_videos;
+  line "n_vhos %d" d.Vod_workload.Demand.n_vhos;
+  Array.iter (fun (t0, t1) -> line "window %h %h" t0 t1) d.Vod_workload.Demand.windows;
+  line "total_requests %h" d.Vod_workload.Demand.total_requests;
+  sparse "a" d.Vod_workload.Demand.a;
+  Array.iteri (fun w f -> sparse (Printf.sprintf "f%d" w) f) d.Vod_workload.Demand.f;
+  Buffer.contents b
+
+(* The demand model of a whole 7-day trace (day0 0, one-hour windows). *)
+let week_demand ?(n_windows = 2) catalog ~n_vhos (trace : Vod_workload.Trace.t) =
+  Vod_workload.Demand.of_soa catalog ~n_vhos ~day0:0 ~days:7 ~n_windows
+    ~window_s:3600.0 trace ~lo:0 ~hi:(Vod_workload.Trace.length trace)
+
 let read_fixture name =
   let ic = open_in_bin (Filename.concat "golden" (name ^ ".golden")) in
   let text =
@@ -181,10 +225,12 @@ let read_fixture name =
   |> List.filter (fun l -> not (String.starts_with ~prefix:"#" l))
   |> String.concat "\n"
 
+(* [text] must reproduce fixture [name] exactly. *)
+let check_text name text =
+  Alcotest.(check string) ("golden " ^ name) (read_fixture name) text
+
 (* The run must reproduce fixture [name] exactly. *)
-let check ?migrations name m windows =
-  Alcotest.(check string) ("golden " ^ name) (read_fixture name)
-    (dump ?migrations m windows)
+let check ?migrations name m windows = check_text name (dump ?migrations m windows)
 
 (* Two runs must agree on every dumped field. *)
 let check_equal label (a : M.t) (b : M.t) =

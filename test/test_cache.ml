@@ -228,8 +228,7 @@ let fleet_mip_routing () =
          ~seed:8)
   in
   let demand =
-    Vod_workload.Demand.of_requests catalog ~n_vhos:4 ~day0:0 ~days:7 ~n_windows:2
-      ~window_s:3600.0 trace.Vod_workload.Trace.requests
+    Golden.week_demand catalog ~n_vhos:4 trace
   in
   let total = Vod_workload.Catalog.total_size_gb catalog in
   let inst =

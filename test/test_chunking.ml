@@ -21,8 +21,7 @@ let world () =
          ~seed:22)
   in
   let demand =
-    Vod_workload.Demand.of_requests catalog ~n_vhos:4 ~day0:0 ~days:7 ~n_windows:2
-      ~window_s:3600.0 trace.Vod_workload.Trace.requests
+    Golden.week_demand catalog ~n_vhos:4 trace
   in
   (graph, catalog, demand)
 
@@ -120,9 +119,9 @@ let chunking_packs_tighter () =
   in
   let catalog = { Vod_workload.Catalog.videos; n_series = 0; trace_days = 7 } in
   let demand =
-    Vod_workload.Demand.of_requests catalog ~n_vhos:3 ~day0:0 ~days:7 ~n_windows:1
-      ~window_s:3600.0
-      [| { Vod_workload.Trace.time_s = 10.0; vho = 0; video = 0 } |]
+    Golden.week_demand ~n_windows:1 catalog ~n_vhos:3
+      (Vod_workload.Trace.of_columns ~n_vhos:3 ~days:7 ~times:[| 10.0 |] ~vhos:[| 0 |]
+         ~videos:[| 0 |])
   in
   (* 1.5 GB per VHO (4.5 GB aggregate > 4 GB library), but no single VHO
      can hold a whole 2 GB movie. *)

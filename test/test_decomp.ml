@@ -31,8 +31,7 @@ let tiny_instance ?(disk_mult = 2.0) ?(link = 200.0) () =
          ~populations:graph.G.populations ~mean_daily_requests:600.0 ~seed:12)
   in
   let demand =
-    Vod_workload.Demand.of_requests catalog ~n_vhos:4 ~day0:0 ~days:7
-      ~n_windows:2 ~window_s:3600.0 trace.Vod_workload.Trace.requests
+    Golden.week_demand catalog ~n_vhos:4 trace
   in
   let total = Vod_workload.Catalog.total_size_gb catalog in
   I.create ~graph ~catalog ~demand

@@ -15,8 +15,8 @@ let empty_demand_placement () =
     Vod_workload.Catalog.generate (Vod_workload.Catalog.default_params ~n:6 ~days:7 ~seed:1)
   in
   let demand =
-    Vod_workload.Demand.of_requests catalog ~n_vhos:2 ~day0:0 ~days:7 ~n_windows:2
-      ~window_s:3600.0 [||]
+    Golden.week_demand catalog ~n_vhos:2
+      (Vod_workload.Trace.of_columns ~n_vhos:2 ~days:7 ~times:[||] ~vhos:[||] ~videos:[||])
   in
   let total = Vod_workload.Catalog.total_size_gb catalog in
   let inst =
@@ -38,11 +38,12 @@ let demand_fewer_windows_than_requested () =
     Vod_workload.Catalog.generate (Vod_workload.Catalog.default_params ~n:4 ~days:7 ~seed:2)
   in
   let reqs =
-    [| { Vod_workload.Trace.time_s = 100.0; vho = 0; video = 0 } |]
+    Vod_workload.Trace.of_columns ~n_vhos:2 ~days:1 ~times:[| 100.0 |] ~vhos:[| 0 |]
+      ~videos:[| 0 |]
   in
   let demand =
-    Vod_workload.Demand.of_requests catalog ~n_vhos:2 ~day0:0 ~days:1 ~n_windows:2
-      ~window_s:3600.0 reqs
+    Vod_workload.Demand.of_soa catalog ~n_vhos:2 ~day0:0 ~days:1 ~n_windows:2
+      ~window_s:3600.0 reqs ~lo:0 ~hi:1
   in
   Alcotest.(check int) "one window" 1 (Array.length demand.Vod_workload.Demand.windows)
 
@@ -59,8 +60,7 @@ let single_metro_network () =
          ~mean_daily_requests:50.0 ~seed:4)
   in
   let demand =
-    Vod_workload.Demand.of_requests catalog ~n_vhos:2 ~day0:0 ~days:7 ~n_windows:1
-      ~window_s:3600.0 trace.Vod_workload.Trace.requests
+    Golden.week_demand ~n_windows:1 catalog ~n_vhos:2 trace
   in
   let total = Vod_workload.Catalog.total_size_gb catalog in
   let inst =
@@ -86,8 +86,7 @@ let link_infeasible_detected () =
          ~mean_daily_requests:400.0 ~seed:6)
   in
   let demand =
-    Vod_workload.Demand.of_requests catalog ~n_vhos:2 ~day0:0 ~days:7 ~n_windows:2
-      ~window_s:3600.0 trace.Vod_workload.Trace.requests
+    Golden.week_demand catalog ~n_vhos:2 trace
   in
   let total = Vod_workload.Catalog.total_size_gb catalog in
   let inst =
@@ -99,16 +98,18 @@ let link_infeasible_detected () =
   Alcotest.(check bool) "infeasible" false (Vod_placement.Feasibility.feasible inst)
 
 let trace_rejects_bad_requests () =
-  Alcotest.check_raises "vho range" (Invalid_argument "Trace.create: vho out of range")
-    (fun () ->
-      ignore
-        (Vod_workload.Trace.create ~n_vhos:2 ~days:1
-           [| { Vod_workload.Trace.time_s = 0.0; vho = 5; video = 0 } |]));
+  let one ~time_s ~vho =
+    Vod_workload.Trace.of_columns ~n_vhos:2 ~days:1 ~times:[| time_s |] ~vhos:[| vho |]
+      ~videos:[| 0 |]
+  in
+  Alcotest.check_raises "vho range" (Invalid_argument "Trace: vho 5 out of range [0, 2)")
+    (fun () -> ignore (one ~time_s:0.0 ~vho:5));
   Alcotest.check_raises "time range"
-    (Invalid_argument "Trace.create: request time outside trace horizon") (fun () ->
-      ignore
-        (Vod_workload.Trace.create ~n_vhos:2 ~days:1
-           [| { Vod_workload.Trace.time_s = 100_000.0; vho = 0; video = 0 } |]))
+    (Invalid_argument "Trace: request time 100000.000 outside [0, 86400) s") (fun () ->
+      ignore (one ~time_s:100_000.0 ~vho:0));
+  Alcotest.check_raises "negative time"
+    (Invalid_argument "Trace: request time -1.000 outside [0, 86400) s") (fun () ->
+      ignore (one ~time_s:(-1.0) ~vho:0))
 
 let metrics_rejects_bad_bin () =
   Alcotest.check_raises "bin size" (Invalid_argument "Metrics.create: bin_s must be positive")
@@ -136,7 +137,7 @@ let estimator_first_episode_no_donor () =
     Vod_workload.Estimator.predict_at Vod_workload.Estimator.Series_blockbuster
       catalog trace ~t0_s:(7.0 *. Vod_workload.Trace.seconds_per_day)
   in
-  Alcotest.(check bool) "prediction produced" true (Array.length pred >= 0)
+  Alcotest.(check int) "a week predicted" 7 pred.Vod_workload.Trace.days
 
 let suite =
   [

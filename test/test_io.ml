@@ -17,16 +17,14 @@ let trace_roundtrip () =
   Vod_workload.Trace_io.save_csv trace path;
   let loaded = Vod_workload.Trace_io.load_csv ~n_vhos:5 ~days:7 path in
   Sys.remove path;
-  Alcotest.(check int) "same length" (Vod_workload.Trace.length trace)
-    (Vod_workload.Trace.length loaded);
-  Array.iteri
-    (fun i (r : Vod_workload.Trace.request) ->
-      let l = loaded.Vod_workload.Trace.requests.(i) in
-      Alcotest.(check int) "vho" r.Vod_workload.Trace.vho l.Vod_workload.Trace.vho;
-      Alcotest.(check int) "video" r.Vod_workload.Trace.video l.Vod_workload.Trace.video;
-      Alcotest.(check bool) "time within 1ms" true
-        (Float.abs (r.Vod_workload.Trace.time_s -. l.Vod_workload.Trace.time_s) < 0.002))
-    trace.Vod_workload.Trace.requests
+  let module T = Vod_workload.Trace in
+  Alcotest.(check int) "same length" (T.length trace) (T.length loaded);
+  for i = 0 to T.length trace - 1 do
+    Alcotest.(check int) "vho" (T.vho trace i) (T.vho loaded i);
+    Alcotest.(check int) "video" (T.video trace i) (T.video loaded i);
+    Alcotest.(check bool) "time within 1ms" true
+      (Float.abs (T.time trace i -. T.time loaded i) < 0.002)
+  done
 
 let trace_load_checks_video_bound () =
   let path = tmp "vodopt_trace_oob.csv" in
@@ -58,6 +56,20 @@ let trace_load_rejects_garbage () =
       ignore (Vod_workload.Trace_io.load_csv ~n_vhos:2 ~days:1 path));
   Sys.remove path
 
+(* Every row is checked as it is parsed, against the trace's VHO bound
+   and horizon, and a rejected row names its line. A NaN time fails the
+   horizon test too. *)
+let trace_load_rejects_row ~row ~msg () =
+  let path = tmp "vodopt_trace_row.csv" in
+  let oc = open_out path in
+  output_string oc ("time_s,vho,video\n1.0,0,0\n" ^ row ^ "\n3.0,1,0\n");
+  close_out oc;
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Alcotest.check_raises row (Invalid_argument ("Trace_io.load_csv: " ^ msg))
+        (fun () -> ignore (Vod_workload.Trace_io.load_csv ~n_vhos:2 ~days:1 path)))
+
 let solution_roundtrip () =
   (* Solve a tiny instance, save, load, and compare stored sets/routing. *)
   let graph =
@@ -74,10 +86,7 @@ let solution_roundtrip () =
          ~populations:graph.Vod_topology.Graph.populations ~mean_daily_requests:150.0
          ~seed:4)
   in
-  let demand =
-    Vod_workload.Demand.of_requests catalog ~n_vhos:4 ~day0:0 ~days:7 ~n_windows:2
-      ~window_s:3600.0 trace.Vod_workload.Trace.requests
-  in
+  let demand = Golden.week_demand catalog ~n_vhos:4 trace in
   let total = Vod_workload.Catalog.total_size_gb catalog in
   let inst =
     Vod_placement.Instance.create ~graph ~catalog ~demand
@@ -146,6 +155,17 @@ let suite =
     Alcotest.test_case "trace roundtrip" `Quick trace_roundtrip;
     Alcotest.test_case "trace rejects garbage" `Quick trace_load_rejects_garbage;
     Alcotest.test_case "trace video bound" `Quick trace_load_checks_video_bound;
+    Alcotest.test_case "trace rejects nan time" `Quick
+      (trace_load_rejects_row ~row:"nan,1,0"
+         ~msg:"request time nan outside [0, 86400) s on line 3");
+    Alcotest.test_case "trace rejects infinite time" `Quick
+      (trace_load_rejects_row ~row:"inf,1,0"
+         ~msg:"request time inf outside [0, 86400) s on line 3");
+    Alcotest.test_case "trace rejects time past horizon" `Quick
+      (trace_load_rejects_row ~row:"86400.5,1,0"
+         ~msg:"request time 86400.500 outside [0, 86400) s on line 3");
+    Alcotest.test_case "trace rejects vho out of range" `Quick
+      (trace_load_rejects_row ~row:"2.0,2,0" ~msg:"vho 2 out of range [0, 2) on line 3");
     Alcotest.test_case "solution roundtrip" `Quick solution_roundtrip;
     Alcotest.test_case "solution requires copies" `Quick solution_load_requires_copies;
     Alcotest.test_case "edge list loading" `Quick edge_list_loading;

@@ -30,8 +30,7 @@ let tiny_world ?(n_videos = 8) ?(requests = 600.0) () =
          ~populations:graph.G.populations ~mean_daily_requests:requests ~seed:12)
   in
   let demand =
-    Vod_workload.Demand.of_requests catalog ~n_vhos:4 ~day0:0 ~days:7 ~n_windows:2
-      ~window_s:3600.0 trace.Vod_workload.Trace.requests
+    Golden.week_demand catalog ~n_vhos:4 trace
   in
   (graph, catalog, demand)
 
@@ -233,8 +232,7 @@ let kernel_worlds =
                 ~populations:graph.G.populations ~mean_daily_requests:200.0 ~seed:6)
          in
          let demand =
-           Vod_workload.Demand.of_requests catalog ~n_vhos:n ~day0:0 ~days:7
-             ~n_windows ~window_s:3600.0 trace.Vod_workload.Trace.requests
+           Golden.week_demand ~n_windows catalog ~n_vhos:n trace
          in
          I.create ~graph ~catalog ~demand
            ~disk_gb:(I.uniform_disk ~total_gb:100.0 n)
@@ -505,8 +503,7 @@ let prop_bound_vs_simplex =
              ~seed:(seed + 1))
       in
       let demand =
-        Vod_workload.Demand.of_requests catalog ~n_vhos:4 ~day0:0 ~days:7
-          ~n_windows:2 ~window_s:3600.0 trace.Vod_workload.Trace.requests
+        Golden.week_demand catalog ~n_vhos:4 trace
       in
       let total = Vod_workload.Catalog.total_size_gb catalog in
       let disk_mult = if benders then multiple else 2.5 in

@@ -62,13 +62,13 @@ let prop_trace_deterministic =
              ~mean_daily_requests:200.0 ~seed)
       in
       let a = mk () and b = mk () in
-      Vod_workload.Trace.length a = Vod_workload.Trace.length b
-      && Array.for_all2
-           (fun (x : Vod_workload.Trace.request) (y : Vod_workload.Trace.request) ->
-             x.Vod_workload.Trace.time_s = y.Vod_workload.Trace.time_s
-             && x.Vod_workload.Trace.video = y.Vod_workload.Trace.video
-             && x.Vod_workload.Trace.vho = y.Vod_workload.Trace.vho)
-           a.Vod_workload.Trace.requests b.Vod_workload.Trace.requests)
+      let module Tr = Vod_workload.Trace in
+      Tr.length a = Tr.length b
+      && List.for_all
+           (fun i ->
+             Tr.time a i = Tr.time b i && Tr.video a i = Tr.video b i
+             && Tr.vho a i = Tr.vho b i)
+           (List.init (Tr.length a) Fun.id))
 
 (* The engine's aggregate usage never undercounts: for random two-point
    block systems, the outcome's row_usage must equal the sum over combos
@@ -156,8 +156,7 @@ let prop_every_video_placed =
              ~seed:(seed + 1))
       in
       let demand =
-        Vod_workload.Demand.of_requests catalog ~n_vhos:4 ~day0:0 ~days:7
-          ~n_windows:2 ~window_s:3600.0 trace.Vod_workload.Trace.requests
+        Golden.week_demand catalog ~n_vhos:4 trace
       in
       let total = Vod_workload.Catalog.total_size_gb catalog in
       let inst =
@@ -206,7 +205,7 @@ let prop_faulted_serving_conserves =
       let m, windows =
         Vod_serve.Loop.run_soa ~graph:g ~paths ~catalog
           ~fleet:(Golden.lru_fleet paths catalog)
-          ~store:(Vod_workload.Trace_soa.of_trace trace)
+          ~store:trace
           ~record_from:
             (float_of_int warmup_days *. Vod_workload.Trace.seconds_per_day)
           ~resil ()

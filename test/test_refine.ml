@@ -44,8 +44,42 @@ let generous_links_converge_immediately () =
   Alcotest.(check bool) "converged" true r.W.converged;
   Alcotest.(check int) "single round" 1 (List.length r.W.rounds)
 
+(* Each round's enforced windows, rounded objective and worst overload
+   outside them, at the refinement test's 200 Mb/s links (one round)
+   and at 8 Mb/s (three rounds, not converged), reproduce the recording
+   made before the refinement replayed a columnar week
+   (test/golden/window_refine_rounds.golden). *)
+let rounds_match_recording () =
+  let sc = tiny_scenario () in
+  let disk = Vod_core.Scenario.uniform_disk sc ~multiple:2.0 in
+  let b = Buffer.create 1024 in
+  let line fmt = Printf.kbprintf (fun b -> Buffer.add_char b '\n') b fmt in
+  List.iter
+    (fun cap ->
+      let r =
+        W.solve ~params:fast_params ~max_rounds:3 sc ~day0:0 ~disk_gb:disk
+          ~link_capacity_mbps:cap ()
+      in
+      line "link_capacity_mbps %g" cap;
+      List.iteri
+        (fun i (ri : W.round_info) ->
+          line "round %d" i;
+          Array.iter (fun (t0, t1) -> line "  window %h %h" t0 t1) ri.W.windows;
+          line "  objective %h"
+            ri.W.report.Vod_placement.Solve.solution.Vod_placement.Solution.objective;
+          line "  worst_overload %h" ri.W.worst_overload;
+          line "  worst_window %s"
+            (match ri.W.worst_window with
+            | Some t -> Printf.sprintf "%h" t
+            | None -> "none"))
+        r.W.rounds;
+      line "converged %b" r.W.converged)
+    [ 200.0; 8.0 ];
+  Golden.check_text "window_refine_rounds" (Buffer.contents b)
+
 let suite =
   [
     Alcotest.test_case "refinement runs" `Slow refinement_runs_and_reports;
+    Alcotest.test_case "rounds = recorded" `Quick rounds_match_recording;
     Alcotest.test_case "generous links converge" `Quick generous_links_converge_immediately;
   ]

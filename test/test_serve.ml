@@ -100,13 +100,10 @@ let two_placements () =
   in
   let pb = P.replan_problem cfg fast_mip in
   let week day0 =
-    let requests =
-      Vod_workload.Trace.between_days sc.Vod_core.Scenario.trace ~day_lo:day0
-        ~day_hi:(day0 + 7)
-    in
     Vod_serve.Replan.demand pb
-      ~t0_s:(float_of_int day0 *. Vod_workload.Trace.seconds_per_day)
-      requests
+      (Vod_workload.Estimator.predict_at Vod_workload.Estimator.Perfect
+         sc.Vod_core.Scenario.catalog sc.Vod_core.Scenario.trace
+         ~t0_s:(float_of_int day0 *. Vod_workload.Trace.seconds_per_day))
   in
   let d0 = week 0 and d3 = week 3 in
   let incumbent =
@@ -160,34 +157,62 @@ let restrict_budget_properties () =
 (* ---------- sliding-window estimation ---------- *)
 
 (* predict_at at a day-aligned instant with the default week of history
-   reproduces the day-sliced weeks exactly: the oracle is the coming
-   week, the history replay is last week shifted one week forward, and
-   series+blockbuster adds its clones after that replay. *)
+   reproduces the day-sliced weeks exactly, rebased to the period start:
+   the oracle is the coming week, the history replay is last week
+   shifted one week forward, and series+blockbuster adds its clones to
+   that replay. *)
 let predict_at_matches_day_sliced_weeks () =
+  let module T = Vod_workload.Trace in
   let sc = daemon_scenario () in
   let catalog = sc.Vod_core.Scenario.catalog in
   let trace = sc.Vod_core.Scenario.trace in
-  let week_s = 7.0 *. Vod_workload.Trace.seconds_per_day in
+  let week_s = 7.0 *. T.seconds_per_day in
   let predict strategy =
     Vod_workload.Estimator.predict_at strategy catalog trace ~t0_s:week_s
   in
-  let last_week_shifted =
-    Array.map
-      (fun (r : Vod_workload.Trace.request) ->
-        { r with Vod_workload.Trace.time_s = r.Vod_workload.Trace.time_s +. week_s })
-      (Vod_workload.Trace.between_days trace ~day_lo:0 ~day_hi:7)
+  let rows t = List.init (T.length t) (fun i -> (T.time t i, T.vho t i, T.video t i)) in
+  (* Rows [t0_s, t0_s + 7 d) of the trace as a week from time 0: the
+     shift and the rebase are exact at these day-aligned bounds. *)
+  let week_of ~t0_s ~shift_s =
+    let lo, hi = T.between trace ~t0_s ~t1_s:(t0_s +. week_s) in
+    List.map
+      (fun (t, vho, video) -> ((t +. shift_s) -. week_s, vho, video))
+      (List.filteri (fun i _ -> i >= lo && i < hi) (rows trace))
   in
   Alcotest.(check bool) "perfect = the coming week" true
-    (predict Vod_workload.Estimator.Perfect
-    = Vod_workload.Trace.between_days trace ~day_lo:7 ~day_hi:14);
+    (rows (predict Vod_workload.Estimator.Perfect) = week_of ~t0_s:week_s ~shift_s:0.0);
+  let last_week_shifted = week_of ~t0_s:0.0 ~shift_s:week_s in
   Alcotest.(check bool) "no-estimate = last week shifted" true
-    (predict Vod_workload.Estimator.History_only = last_week_shifted);
-  let series = predict Vod_workload.Estimator.Series_blockbuster in
-  let n = Array.length last_week_shifted in
+    (rows (predict Vod_workload.Estimator.History_only) = last_week_shifted);
+  let series = rows (predict Vod_workload.Estimator.Series_blockbuster) in
   Alcotest.(check bool) "series+blockbuster adds clones" true
-    (Array.length series >= n);
-  Alcotest.(check bool) "series+blockbuster starts with the replay" true
-    (Array.sub series 0 n = last_week_shifted)
+    (List.length series >= List.length last_week_shifted);
+  Alcotest.(check bool) "series+blockbuster keeps the replay" true
+    (List.for_all (fun r -> List.mem r series) last_week_shifted)
+
+(* The demand models of predicted weeks at a sub-day instant (day 7.5,
+   every strategy, and a 2.5-day history) reproduce what they were
+   before predict_at returned a trace
+   (test/golden/demand_predicted.golden). *)
+let predicted_demand_matches_recording () =
+  let cfg = Golden.pipeline_config () in
+  let sc = cfg.P.scenario in
+  let pb = P.replan_problem cfg P.default_mip in
+  let t0_s = 7.5 *. Vod_workload.Trace.seconds_per_day in
+  Golden.check_text "demand_predicted"
+    (String.concat ""
+       (List.map
+          (fun (history_s, strategy) ->
+            Golden.dump_demand
+              (Vod_serve.Replan.demand pb
+                 (Vod_workload.Estimator.predict_at ?history_s strategy
+                    sc.Vod_core.Scenario.catalog sc.Vod_core.Scenario.trace ~t0_s)))
+          [
+            (None, Vod_workload.Estimator.Perfect);
+            (None, Vod_workload.Estimator.History_only);
+            (None, Vod_workload.Estimator.Series_blockbuster);
+            (Some (2.5 *. 86_400.0), Vod_workload.Estimator.Series_blockbuster);
+          ]))
 
 (* Daemon boundary schedule: periodic ticks, fault merging, dedupe. *)
 let daemon_boundaries () =
@@ -232,9 +257,7 @@ let daemon_boundaries () =
 (* Regression tests for the missing-protect defects vodlint's protocol
    analysis surfaced: when [play_soa] raises mid-run, the Fun.protect in
    [Loop.run_soa] / [Daemon.run] must still settle the capacity ledger,
-   so [finish]'s telemetry is published on the exceptional path too. The
-   raise comes from Metrics.validate_store: the store claims more VHOs
-   than the topology the metrics were sized for. *)
+   so [finish]'s telemetry is published on the exceptional path too. *)
 
 let check_gauge_settled reg name =
   match Vod_obs.Obs.read reg name with
@@ -244,13 +267,13 @@ let check_gauge_settled reg name =
         (name ^ " must be published even when play raises mid-run")
 
 (* Loop.finish only publishes the saturation gauge in the failover
-   configuration, so run the loop with a (fault-free) resil config. *)
+   configuration, so run the loop with a (fault-free) resil config. The
+   raise comes from Metrics.validate_store: the store claims more VHOs
+   than the topology the metrics were sized for. *)
 let loop_settles_on_raise () =
   let g, paths, catalog, trace = Golden.sim_world () in
   let resil = Vod_resil.Playout.config ~link_capacity_mbps:120.0 ~origin:2 () in
-  let store =
-    Vod_workload.Trace_soa.of_trace { trace with Vod_workload.Trace.n_vhos = 99 }
-  in
+  let store = { trace with Vod_workload.Trace.n_vhos = 99 } in
   let reg = Vod_obs.Obs.create () in
   let raised = ref false in
   (try
@@ -262,17 +285,26 @@ let loop_settles_on_raise () =
   Alcotest.(check bool) "play raised" true !raised;
   check_gauge_settled reg "serve/link_saturated_seconds"
 
-(* The trace's rows are all valid, so the bootstrap solve outside the
-   daemon's Fun.protect succeeds; the first play inside it raises. *)
+(* One request of day 7.5 names a video past the catalog. The first
+   week is clean, so the bootstrap solve outside the daemon's
+   Fun.protect succeeds, as does the day-7 replan; playing on towards
+   day 8 inside it raises. *)
 let daemon_settles_on_raise () =
+  let module T = Vod_workload.Trace in
   let sc = daemon_scenario () in
   let cfg =
     P.default_config ~scenario:sc
       ~disk_gb:(Vod_core.Scenario.uniform_disk sc ~multiple:2.5)
       ~link_capacity_mbps:500.0
   in
+  let clean = sc.Vod_core.Scenario.trace in
+  let bad, _ = T.between clean ~t0_s:(7.5 *. T.seconds_per_day) ~t1_s:infinity in
+  let n_videos = Vod_workload.Catalog.n_videos sc.Vod_core.Scenario.catalog in
+  let column f = Array.init (T.length clean) (f clean) in
   let trace =
-    { sc.Vod_core.Scenario.trace with Vod_workload.Trace.n_vhos = 99 }
+    T.of_columns ~n_vhos:clean.T.n_vhos ~days:clean.T.days ~times:(column T.time)
+      ~vhos:(column T.vho)
+      ~videos:(column (fun t i -> if i = bad then n_videos else T.video t i))
   in
   let resil = Vod_resil.Playout.config ~link_capacity_mbps:500.0 () in
   let daemon_cfg =
@@ -308,6 +340,8 @@ let suite =
       restrict_budget_properties;
     Alcotest.test_case "predict_at matches day-sliced weeks" `Quick
       predict_at_matches_day_sliced_weeks;
+    Alcotest.test_case "predicted demand = recorded" `Quick
+      predicted_demand_matches_recording;
     Alcotest.test_case "daemon boundaries" `Quick daemon_boundaries;
     Alcotest.test_case "loop settles ledger on raise" `Quick
       loop_settles_on_raise;

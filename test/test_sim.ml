@@ -68,7 +68,7 @@ let sim_world = Golden.sim_world
 let play ?record_from ~fleet (g, paths, catalog, trace) =
   fst
     (Vod_serve.Loop.run_soa ~graph:g ~paths ~catalog ~fleet
-       ~store:(Vod_workload.Trace_soa.of_trace trace) ?record_from ())
+       ~store:trace ?record_from ())
 
 let playout_conservation () =
   let ((_, paths, catalog, trace) as world) = sim_world () in
@@ -141,7 +141,7 @@ let out_of_range_vho_rejected () =
       ~fleet:(Golden.lru_fleet paths catalog) ()
   in
   let store n_vhos ~vho =
-    Vod_workload.Trace_soa.of_columns ~n_vhos ~days:1 ~times:[| 10.0 |]
+    Vod_workload.Trace.of_columns ~n_vhos ~days:1 ~times:[| 10.0 |]
       ~vhos:[| vho |] ~videos:[| 0 |]
   in
   let m =

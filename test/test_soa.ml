@@ -1,12 +1,12 @@
-(* Tests for the compact struct-of-arrays request store (lib/workload
-   Trace_soa) and the serving loop over it: lossless round-trips against
-   the boxed representation, windowed-reader boundary cases, and
-   byte-identical metrics against the recorded outputs of the boxed-array
-   and columnar engines the loop replaced (test/golden/). *)
+(* Tests for the columnar request store (lib/workload Trace) and the
+   serving loop over it: construction, generation and CSV round-trips
+   against recordings of the boxed representation the store replaced,
+   windowed-reader boundary cases, and byte-identical metrics against
+   the recorded outputs of the boxed-array and columnar engines the loop
+   replaced (test/golden/). *)
 
 module M = Vod_sim.Metrics
 module T = Vod_workload.Trace
-module S = Vod_workload.Trace_soa
 
 let sim_world = Golden.sim_world
 
@@ -20,88 +20,96 @@ let tracegen_params () =
     ~populations:g.Vod_topology.Graph.populations ~mean_daily_requests:400.0
     ~seed:4
 
-let check_requests_equal label (a : T.request array) (b : T.request array) =
-  Alcotest.(check int) (label ^ ": length") (Array.length a) (Array.length b);
-  Alcotest.(check bool) (label ^ ": requests bit-equal") true (a = b)
+let rows t = List.init (T.length t) (fun i -> (T.time t i, T.vho t i, T.video t i))
 
-(* ---------- round trips ---------- *)
+let check_rows_equal label a b =
+  Alcotest.(check int) (label ^ ": length") (T.length a) (T.length b);
+  Alcotest.(check bool) (label ^ ": rows bit-equal") true (rows a = rows b)
 
-(* of_trace / to_trace is lossless, row for row, on a real generated
-   trace (tied times included: the same sort permutation applies). *)
-let roundtrip_of_to_trace () =
+(* ---------- construction and generation ---------- *)
+
+(* of_columns sorts shuffled rows back into the generated order (no
+   tied times in this trace), and the row accessors and resident size
+   agree with the columns. *)
+let of_columns_sorts_rows () =
   let _, _, _, trace = sim_world () in
-  let soa = S.of_trace trace in
-  Alcotest.(check int) "length" (T.length trace) (S.length soa);
-  Alcotest.(check int) "n_vhos" trace.T.n_vhos soa.S.n_vhos;
-  Alcotest.(check int) "days" trace.T.days soa.S.days;
-  let back = S.to_trace soa in
-  check_requests_equal "to_trace" trace.T.requests back.T.requests;
-  (* Row accessors agree with the boxed records. *)
-  Array.iteri
-    (fun i (r : T.request) ->
-      Alcotest.(check bool) "time bit-equal" true (S.time soa i = r.T.time_s);
-      Alcotest.(check int) "vho" r.T.vho (S.vho soa i);
-      Alcotest.(check int) "video" r.T.video (S.video soa i))
-    trace.T.requests;
-  Alcotest.(check int) "resident bytes = 16/row" (16 * T.length trace)
-    (S.resident_bytes soa)
+  let n = T.length trace in
+  (* A fixed shuffle: row i moves to (7919 i) mod n, a permutation as
+     long as the prime 7919 does not divide n. *)
+  let perm = Array.make n 0 in
+  Array.iteri (fun i _ -> perm.((7919 * i) mod n) <- i) perm;
+  let col f = Array.map (fun i -> f trace i) perm in
+  let rebuilt =
+    T.of_columns ~n_vhos:trace.T.n_vhos ~days:trace.T.days ~times:(col T.time)
+      ~vhos:(col T.vho) ~videos:(col T.video)
+  in
+  check_rows_equal "of_columns" trace rebuilt;
+  Alcotest.(check int) "resident bytes = 16/row" (16 * n) (T.resident_bytes rebuilt)
 
-(* The SoA generator emits exactly the rows of the boxed generator. *)
+(* The generator (and its former name, kept for bench/perf) emits
+   exactly the rows the boxed generator did before the store became the
+   only representation (test/golden/sim_world_trace.golden). *)
 let generate_soa_matches_generate () =
   let p = tracegen_params () in
-  let boxed = S.of_trace (Vod_workload.Tracegen.generate p) in
-  let soa = Vod_workload.Tracegen.generate_soa p in
-  check_requests_equal "generate_soa"
-    (S.window_requests boxed ~lo:0 ~hi:(S.length boxed))
-    (S.window_requests soa ~lo:0 ~hi:(S.length soa))
+  Golden.check_text "sim_world_trace"
+    (Golden.dump_trace (Vod_workload.Tracegen.generate p));
+  Golden.check_text "sim_world_trace"
+    (Golden.dump_trace (Vod_workload.Tracegen.generate_soa p))
 
-(* Sharded generation is bit-identical at any job count and any staging
-   window. *)
+(* Sharded generation is bit-identical at any job count. *)
 let generate_soa_jobs_invariant () =
   let p = tracegen_params () in
-  let seq = Vod_workload.Tracegen.generate_soa ~jobs:1 p in
-  let par = Vod_workload.Tracegen.generate_soa ~jobs:3 ~window_days:2 p in
-  check_requests_equal "jobs 1 vs 3"
-    (S.window_requests seq ~lo:0 ~hi:(S.length seq))
-    (S.window_requests par ~lo:0 ~hi:(S.length par))
+  check_rows_equal "jobs 1 vs 3"
+    (Vod_workload.Tracegen.generate ~jobs:1 p)
+    (Vod_workload.Tracegen.generate_soa ~jobs:3 p)
 
-(* CSV: save_csv_soa / load_csv_soa round-trips through the streaming
-   loader (times quantized to the CSV's 1 ms, as the boxed loader). *)
+(* CSV: save_csv / load_csv round-trips through the streaming loader
+   (times quantized to the CSV's 1 ms), and a loaded trace saves to the
+   same bytes. *)
 let csv_roundtrip_soa () =
   let _, _, _, trace = sim_world () in
-  let soa = S.of_trace trace in
   let path = Filename.temp_file "vod_soa" ".csv" in
+  let path2 = Filename.temp_file "vod_soa" ".csv" in
+  let read p = In_channel.with_open_bin p In_channel.input_all in
   Fun.protect
-    ~finally:(fun () -> Sys.remove path)
+    ~finally:(fun () -> Sys.remove path; Sys.remove path2)
     (fun () ->
-      Vod_workload.Trace_io.save_csv_soa soa path;
+      Vod_workload.Trace_io.save_csv trace path;
       let loaded =
-        Vod_workload.Trace_io.load_csv_soa ~n_videos:30
-          ~n_vhos:trace.T.n_vhos ~days:trace.T.days path
-      in
-      Alcotest.(check int) "length" (S.length soa) (S.length loaded);
-      (* Compare against the boxed loader: identical parse, identical
-         sort. *)
-      let boxed =
         Vod_workload.Trace_io.load_csv ~n_videos:30 ~n_vhos:trace.T.n_vhos
           ~days:trace.T.days path
       in
-      check_requests_equal "csv"
-        boxed.T.requests
-        (S.window_requests loaded ~lo:0 ~hi:(S.length loaded)))
+      Alcotest.(check int) "length" (T.length trace) (T.length loaded);
+      let quantized =
+        List.map
+          (fun (t, vho, video) -> (float_of_string (Printf.sprintf "%.3f" t), vho, video))
+          (rows trace)
+      in
+      Alcotest.(check bool) "rows = saved rows" true (rows loaded = quantized);
+      Vod_workload.Trace_io.save_csv loaded path2;
+      Alcotest.(check string) "saves the same bytes" (read path) (read path2))
 
 (* ---------- windowed reader ---------- *)
 
-(* between agrees with the boxed binary search, including an empty
-   window and one spanning a day edge. *)
+(* between agrees with a linear scan, including an empty window and one
+   spanning a day edge, and sub views exactly that row range. *)
 let between_windows () =
   let _, _, _, trace = sim_world () in
-  let soa = S.of_trace trace in
+  let first_at_or_after bound =
+    let rec go i =
+      if i < T.length trace && T.time trace i < bound then go (i + 1) else i
+    in
+    go 0
+  in
   let check_range label ~t0_s ~t1_s =
-    let lo, hi = S.between soa ~t0_s ~t1_s in
-    check_requests_equal label
-      (T.between trace ~t0_s ~t1_s)
-      (S.window_requests soa ~lo ~hi)
+    let lo, hi = T.between trace ~t0_s ~t1_s in
+    Alcotest.(check (pair int int)) label
+      (first_at_or_after t0_s, first_at_or_after t1_s)
+      (lo, hi);
+    let view = T.sub trace ~lo ~hi in
+    Alcotest.(check bool) (label ^ ": sub") true
+      (rows view = List.filteri (fun i _ -> i >= lo && i < hi) (rows trace)
+      && view.T.days = trace.T.days && view.T.n_vhos = trace.T.n_vhos)
   in
   let day = T.seconds_per_day in
   check_range "empty window" ~t0_s:(2.0 *. day +. 0.25) ~t1_s:(2.0 *. day +. 0.25);
@@ -109,29 +117,22 @@ let between_windows () =
   check_range "full horizon" ~t0_s:0.0 ~t1_s:(7.0 *. day);
   check_range "before start" ~t0_s:(-10.0) ~t1_s:0.0;
   check_range "past end" ~t0_s:(7.0 *. day) ~t1_s:(8.0 *. day);
-  (* Day-aligned windows match the boxed day slicing over every day
-     edge. *)
   for d = 0 to 6 do
-    let lo, hi =
-      S.between soa ~t0_s:(float_of_int d *. day)
-        ~t1_s:(float_of_int (d + 1) *. day)
-    in
-    check_requests_equal
+    check_range
       (Printf.sprintf "day %d" d)
-      (T.between_days trace ~day_lo:d ~day_hi:(d + 1))
-      (S.window_requests soa ~lo ~hi)
+      ~t0_s:(float_of_int d *. day)
+      ~t1_s:(float_of_int (d + 1) *. day)
   done
 
 (* iter_windows tiles the store exactly: every row once, in order, no
    chunk larger than the window. *)
 let iter_windows_tiling () =
   let _, _, _, trace = sim_world () in
-  let soa = S.of_trace trace in
-  let n = S.length soa in
+  let n = T.length trace in
   List.iter
     (fun window ->
       let expected = ref 0 in
-      S.iter_windows soa ~window ~f:(fun ~lo ~hi ->
+      T.iter_windows trace ~window ~f:(fun ~lo ~hi ->
           Alcotest.(check int) "chunks are contiguous" !expected lo;
           Alcotest.(check bool) "chunk non-empty" true (hi > lo);
           Alcotest.(check bool) "chunk within window" true (hi - lo <= window);
@@ -140,32 +141,25 @@ let iter_windows_tiling () =
     [ 1; 7; n; n + 100 ];
   (* Empty store: no calls. *)
   let empty =
-    S.of_columns ~n_vhos:4 ~days:7 ~times:[||] ~vhos:[||] ~videos:[||]
+    T.of_columns ~n_vhos:4 ~days:7 ~times:[||] ~vhos:[||] ~videos:[||]
   in
-  S.iter_windows empty ~window:8 ~f:(fun ~lo:_ ~hi:_ ->
+  T.iter_windows empty ~window:8 ~f:(fun ~lo:_ ~hi:_ ->
       Alcotest.fail "no windows expected on an empty store")
 
 (* ---------- demand extraction ---------- *)
 
+(* The one extractor reproduces what the boxed-request extractor it
+   replaced computed on the same week
+   (test/golden/demand_sim_world.golden). *)
 let demand_of_soa_matches_of_requests () =
   let g, _, catalog, trace = sim_world () in
   let n_vhos = Vod_topology.Graph.n_nodes g in
-  let soa = S.of_trace trace in
-  let lo, hi = S.between soa ~t0_s:0.0 ~t1_s:(7.0 *. T.seconds_per_day) in
-  let from_soa =
-    Vod_workload.Demand.of_soa catalog ~n_vhos ~day0:0 ~days:7 ~n_windows:2
-      ~window_s:3600.0 soa ~lo ~hi
-  in
-  let from_requests =
-    Vod_workload.Demand.of_requests catalog ~n_vhos ~day0:0 ~days:7
-      ~n_windows:2 ~window_s:3600.0
-      (T.between_days trace ~day_lo:0 ~day_hi:7)
-  in
-  Alcotest.(check bool) "demand models equal" true (from_soa = from_requests)
+  Golden.check_text "demand_sim_world"
+    (Golden.dump_demand (Golden.week_demand catalog ~n_vhos trace))
 
 (* ---------- serving loop ---------- *)
 
-(* The loop over the converted store must reproduce the recorded
+(* The loop over the store must reproduce the recorded
    outputs of the boxed [run] it replaced and of both entry points
    (columnar and boxed) of the fixed-path (direct) and fault-injecting
    (faulted) engines (test/golden/). *)
@@ -180,7 +174,6 @@ let faulted () = Golden.run_loop ~resil:(Golden.faulted_config ()) ()
    whole-trace playout: ranges from between tile the store. *)
 let play_soa_segments_match_whole () =
   let g, paths, catalog, trace = Golden.sim_world () in
-  let soa = S.of_trace trace in
   let fresh () =
     M.create
       ~n_links:(Vod_topology.Graph.n_links g)
@@ -192,16 +185,16 @@ let play_soa_segments_match_whole () =
       ~fleet:(Golden.lru_fleet paths catalog) ()
   in
   let whole = fresh () in
-  Vod_serve.Loop.play_soa (engine ()) whole soa ~lo:0 ~hi:(S.length soa);
+  Vod_serve.Loop.play_soa (engine ()) whole trace ~lo:0 ~hi:(T.length trace);
   let seg = fresh () in
   let engine2 = engine () in
   List.iter
     (fun (day_lo, day_hi) ->
       let lo, hi =
-        S.between soa ~t0_s:(day_lo *. T.seconds_per_day)
+        T.between trace ~t0_s:(day_lo *. T.seconds_per_day)
           ~t1_s:(day_hi *. T.seconds_per_day)
       in
-      Vod_serve.Loop.play_soa engine2 seg soa ~lo ~hi)
+      Vod_serve.Loop.play_soa engine2 seg trace ~lo ~hi)
     [ (0.0, 2.0); (2.0, 3.3); (3.3, 7.0) ];
   Golden.check_equal "segmented = whole" whole seg
 
@@ -223,23 +216,28 @@ let pipeline_matches_array_golden () =
 (* ---------- validation ---------- *)
 
 let rejects_bad_rows () =
-  Alcotest.check_raises "vho out of range"
-    (Invalid_argument "Trace_soa: vho out of range") (fun () ->
-      ignore
-        (S.of_columns ~n_vhos:4 ~days:7 ~times:[| 1.0 |] ~vhos:[| 4 |]
-           ~videos:[| 0 |]));
-  let soa =
-    S.of_columns ~n_vhos:4 ~days:7 ~times:[| 1.0 |] ~vhos:[| 1 |]
-      ~videos:[| 0 |]
+  let one ~time_s ~vho =
+    T.of_columns ~n_vhos:4 ~days:7 ~times:[| time_s |] ~vhos:[| vho |] ~videos:[| 0 |]
   in
+  Alcotest.check_raises "vho out of range"
+    (Invalid_argument "Trace: vho 4 out of range [0, 4)") (fun () ->
+      ignore (one ~time_s:1.0 ~vho:4));
+  Alcotest.check_raises "nan time"
+    (Invalid_argument "Trace: request time nan outside [0, 604800) s") (fun () ->
+      ignore (one ~time_s:Float.nan ~vho:1));
+  let b = T.Builder.create ~n_vhos:4 ~days:7 () in
+  T.Builder.add b ~time_s:604800.0 ~vho:1 ~video:0;
+  Alcotest.check_raises "time at the horizon"
+    (Invalid_argument "Trace: request time 604800.000 outside [0, 604800) s")
+    (fun () -> ignore (T.Builder.finish b));
   Alcotest.check_raises "bad range"
-    (Invalid_argument "Trace_soa.window_requests: range out of bounds")
-    (fun () -> ignore (S.window_requests soa ~lo:0 ~hi:2))
+    (Invalid_argument "Trace.sub: range out of bounds")
+    (fun () -> ignore (T.sub (one ~time_s:1.0 ~vho:1) ~lo:0 ~hi:2))
 
 let suite =
   [
-    Alcotest.test_case "of_trace/to_trace round-trip" `Quick (fun () ->
-        roundtrip_of_to_trace ());
+    Alcotest.test_case "of_columns = generated rows" `Quick (fun () ->
+        of_columns_sorts_rows ());
     Alcotest.test_case "generate_soa = generate" `Quick (fun () ->
         generate_soa_matches_generate ());
     Alcotest.test_case "generate_soa jobs-invariant" `Quick (fun () ->

@@ -27,13 +27,11 @@ let trace_jobs_invariant () =
   in
   let a = gen 1 and b = gen 4 in
   Alcotest.(check int) "same length" (Tr.length a) (Tr.length b);
-  Array.iteri
-    (fun i (r : Tr.request) ->
-      let s = b.Tr.requests.(i) in
-      Alcotest.(check int) "vho" r.Tr.vho s.Tr.vho;
-      Alcotest.(check int) "video" r.Tr.video s.Tr.video;
-      Alcotest.(check (float 0.0)) "time" r.Tr.time_s s.Tr.time_s)
-    a.Tr.requests
+  for i = 0 to Tr.length a - 1 do
+    Alcotest.(check int) "vho" (Tr.vho a i) (Tr.vho b i);
+    Alcotest.(check int) "video" (Tr.video a i) (Tr.video b i);
+    Alcotest.(check (float 0.0)) "time" (Tr.time a i) (Tr.time b i)
+  done
 
 let catalog_composition () =
   let c = small_catalog () in
@@ -117,16 +115,16 @@ let trace_valid () =
   let t = small_trace c in
   Alcotest.(check bool) "nonempty" true (Tr.length t > 5_000);
   let prev = ref neg_infinity in
-  Tr.iter
-    (fun r ->
-      Alcotest.(check bool) "sorted" true (r.Tr.time_s >= !prev);
-      prev := r.Tr.time_s;
-      Alcotest.(check bool) "vho in range" true (r.Tr.vho >= 0 && r.Tr.vho < 10);
-      let v = C.video c r.Tr.video in
-      Alcotest.(check bool) "released before request" true
-        (v.V.release_day <= 0
-        || float_of_int v.V.release_day *. Tr.seconds_per_day <= r.Tr.time_s +. Tr.seconds_per_day))
-    t
+  for i = 0 to Tr.length t - 1 do
+    let time_s = Tr.time t i in
+    Alcotest.(check bool) "sorted" true (time_s >= !prev);
+    prev := time_s;
+    Alcotest.(check bool) "vho in range" true (Tr.vho t i >= 0 && Tr.vho t i < 10);
+    let v = C.video c (Tr.video t i) in
+    Alcotest.(check bool) "released before request" true
+      (v.V.release_day <= 0
+      || float_of_int v.V.release_day *. Tr.seconds_per_day <= time_s +. Tr.seconds_per_day)
+  done
 
 let trace_weekend_heavier () =
   let c = small_catalog () in
@@ -134,11 +132,10 @@ let trace_weekend_heavier () =
   (* Fridays+Saturdays (days 4, 5 of each week) should carry more traffic
      than Mondays+Tuesdays. *)
   let day_count = Array.make 28 0 in
-  Tr.iter
-    (fun r ->
-      let d = Tr.day_of_time r.Tr.time_s in
-      if d < 28 then day_count.(d) <- day_count.(d) + 1)
-    t;
+  for i = 0 to Tr.length t - 1 do
+    let d = Tr.day_of_time (Tr.time t i) in
+    if d < 28 then day_count.(d) <- day_count.(d) + 1
+  done;
   let sum_days f =
     let acc = ref 0 in
     for d = 0 to 27 do
@@ -164,25 +161,34 @@ let trace_popularity_skew () =
   (* Top 10% of videos should hold well over 10% of requests. *)
   Alcotest.(check bool) "skewed" true (float_of_int !top30 > 0.2 *. float_of_int total)
 
-let between_days_slices () =
+let days t ~day_lo ~day_hi =
+  Tr.between t
+    ~t0_s:(float_of_int day_lo *. Tr.seconds_per_day)
+    ~t1_s:(float_of_int day_hi *. Tr.seconds_per_day)
+
+let between_slices () =
   let c = small_catalog () in
   let t = small_trace c in
-  let week1 = Tr.between_days t ~day_lo:0 ~day_hi:7 in
-  let week2 = Tr.between_days t ~day_lo:7 ~day_hi:14 in
-  Alcotest.(check int) "partition"
-    (Array.length (Tr.between_days t ~day_lo:0 ~day_hi:14))
-    (Array.length week1 + Array.length week2);
-  Array.iter
-    (fun r -> Alcotest.(check bool) "in window" true (Tr.day_of_time r.Tr.time_s < 7))
-    week1
+  let lo1, hi1 = days t ~day_lo:0 ~day_hi:7 in
+  let lo2, hi2 = days t ~day_lo:7 ~day_hi:14 in
+  Alcotest.(check (pair int int)) "partition" (lo1, hi2) (days t ~day_lo:0 ~day_hi:14);
+  Alcotest.(check int) "adjacent" hi1 lo2;
+  for i = lo1 to hi1 - 1 do
+    Alcotest.(check bool) "in window" true (Tr.day_of_time (Tr.time t i) < 7)
+  done;
+  Alcotest.(check bool) "rest starts at day 7" true
+    (hi1 = Tr.length t || Tr.day_of_time (Tr.time t hi1) >= 7)
 
 let peak_windows_distinct_days () =
   let c = small_catalog () in
   let t = small_trace c in
-  let ws = S.peak_windows t ~window_s:3600.0 ~k:2 in
-  Alcotest.(check int) "two windows" 2 (List.length ws);
-  match ws with
-  | [ a; b ] ->
+  let d =
+    D.of_soa c ~n_vhos:10 ~day0:0 ~days:28 ~n_windows:2 ~window_s:3600.0 t ~lo:0
+      ~hi:(Tr.length t)
+  in
+  match d.D.windows with
+  | [| (a, a1); (b, b1) |] ->
+      Alcotest.(check bool) "one hour each" true (a1 -. a = 3600.0 && b1 -. b = 3600.0);
       Alcotest.(check bool) "distinct days" true
         (Tr.day_of_time a <> Tr.day_of_time b)
   | _ -> Alcotest.fail "expected two windows"
@@ -207,27 +213,39 @@ let cosine_window_monotone () =
 let concurrency_counts () =
   let c = small_catalog () in
   let t = small_trace c in
+  let d =
+    D.of_soa c ~n_vhos:10 ~day0:0 ~days:28 ~n_windows:1 ~window_s:3600.0 t ~lo:0
+      ~hi:(Tr.length t)
+  in
   let peak = S.peak_hour_start_s t in
-  let conc = S.concurrency t c ~t0:peak ~t1:(peak +. 3600.0) in
-  let agg = S.aggregate_demand t in
-  Alcotest.(check bool) "nonempty" true (Hashtbl.length conc > 0);
+  let d = D.with_windows c d t [| (peak, peak +. 3600.0) |] in
+  Alcotest.(check bool) "nonempty" true (Array.exists (fun l -> l <> [||]) d.D.f.(0));
   (* Every concurrent pair must exist in aggregate demand. *)
-  Hashtbl.iter
-    (fun key n ->
-      Alcotest.(check bool) "positive" true (n > 0);
-      Alcotest.(check bool) "also in aggregate" true (Hashtbl.mem agg key))
-    conc
+  Array.iteri
+    (fun video pairs ->
+      Array.iter
+        (fun (vho, n) ->
+          Alcotest.(check bool) "positive" true (n > 0.0);
+          Alcotest.(check bool) "also in aggregate" true
+            (Array.exists (fun (j, _) -> j = vho) d.D.a.(video)))
+        pairs)
+    d.D.f.(0)
 
 let demand_of_requests () =
   let c = small_catalog () in
   let t = small_trace c in
-  let reqs = Tr.between_days t ~day_lo:7 ~day_hi:14 in
-  let d = D.of_requests c ~n_vhos:10 ~day0:7 ~days:7 ~n_windows:2 ~window_s:3600.0 reqs in
+  let lo, hi = days t ~day_lo:7 ~day_hi:14 in
+  let d = D.of_soa c ~n_vhos:10 ~day0:7 ~days:7 ~n_windows:2 ~window_s:3600.0 t ~lo ~hi in
   Alcotest.(check int) "windows" 2 (Array.length d.D.windows);
-  Alcotest.(check (float 0.5)) "total requests" (float_of_int (Array.length reqs)) d.D.total_requests;
+  Alcotest.(check (float 0.5)) "total requests" (float_of_int (hi - lo)) d.D.total_requests;
   (* Sum of sparse a equals request count. *)
   let sum = Array.fold_left (fun acc pairs -> Array.fold_left (fun a (_, c) -> a +. c) acc pairs) 0.0 d.D.a in
-  Alcotest.(check (float 0.5)) "a sums to requests" (float_of_int (Array.length reqs)) sum;
+  Alcotest.(check (float 0.5)) "a sums to requests" (float_of_int (hi - lo)) sum;
+  (* The whole trace as input, rebased to day 7, is the same week. *)
+  Alcotest.(check bool) "rows outside the period are dropped" true
+    (d
+    = D.of_soa c ~n_vhos:10 ~day0:7 ~days:7 ~n_windows:2 ~window_s:3600.0 t ~lo:0
+        ~hi:(Tr.length t));
   let ranked = D.rank_by_demand d in
   Alcotest.(check bool) "ranking sorted" true
     (D.video_requests d ranked.(0) >= D.video_requests d ranked.(Array.length ranked - 1))
@@ -236,15 +254,15 @@ let estimator_history_only () =
   let c = small_catalog () in
   let t = small_trace c in
   let pred = E.predict_at E.History_only c t ~t0_s:(14.0 *. Tr.seconds_per_day) in
-  let hist = Tr.between_days t ~day_lo:7 ~day_hi:14 in
-  Alcotest.(check int) "same count" (Array.length hist) (Array.length pred);
-  (* Shifted exactly one week. *)
-  Array.iteri
-    (fun i r ->
-      Alcotest.(check (float 1e-6)) "shifted 7d"
-        (hist.(i).Tr.time_s +. (7.0 *. Tr.seconds_per_day))
-        r.Tr.time_s)
-    pred
+  let lo, hi = days t ~day_lo:7 ~day_hi:14 in
+  Alcotest.(check int) "same count" (hi - lo) (Tr.length pred);
+  Alcotest.(check int) "a week long" 7 pred.Tr.days;
+  (* Shifted one week forward, onto a week that starts at time 0. *)
+  for i = 0 to Tr.length pred - 1 do
+    Alcotest.(check (float 1e-6)) "shifted 7d, rebased to day 14"
+      (Tr.time t (lo + i) -. (7.0 *. Tr.seconds_per_day))
+      (Tr.time pred i)
+  done
 
 let estimator_series_covers_new () =
   let c = small_catalog () in
@@ -252,7 +270,8 @@ let estimator_series_covers_new () =
   let t0_s = 14.0 *. Tr.seconds_per_day in
   let pred = E.predict_at E.Series_blockbuster c t ~t0_s in
   let hist = E.predict_at E.History_only c t ~t0_s in
-  Alcotest.(check bool) "adds predictions" true (Array.length pred >= Array.length hist);
+  Alcotest.(check bool) "adds predictions" true (Tr.length pred >= Tr.length hist);
+  let counts = Tr.counts_per_video pred ~n_videos:(C.n_videos c) in
   (* Predicted requests for a new episode exist if an episode releases
      in [14, 21) and its predecessor had requests. *)
   let new_eps =
@@ -265,7 +284,7 @@ let estimator_series_covers_new () =
   if new_eps <> [] then begin
     let covered =
       List.exists
-        (fun v -> Array.exists (fun r -> r.Tr.video = v.V.id) pred)
+        (fun v -> counts.(v.V.id) > 0)
         new_eps
     in
     Alcotest.(check bool) "some new episode predicted" true covered
@@ -275,8 +294,8 @@ let estimator_perfect () =
   let c = small_catalog () in
   let t = small_trace c in
   let pred = E.predict_at E.Perfect c t ~t0_s:(14.0 *. Tr.seconds_per_day) in
-  let actual = Tr.between_days t ~day_lo:14 ~day_hi:21 in
-  Alcotest.(check int) "perfect = actual" (Array.length actual) (Array.length pred)
+  let lo, hi = days t ~day_lo:14 ~day_hi:21 in
+  Alcotest.(check int) "perfect = actual" (hi - lo) (Tr.length pred)
 
 let suite =
   [
@@ -289,7 +308,7 @@ let suite =
     Alcotest.test_case "trace jobs invariant" `Quick trace_jobs_invariant;
     Alcotest.test_case "weekend heavier" `Quick trace_weekend_heavier;
     Alcotest.test_case "popularity skew" `Quick trace_popularity_skew;
-    Alcotest.test_case "between_days slices" `Quick between_days_slices;
+    Alcotest.test_case "between slices" `Quick between_slices;
     Alcotest.test_case "peak windows distinct days" `Quick peak_windows_distinct_days;
     Alcotest.test_case "working set sane" `Quick working_set_sane;
     Alcotest.test_case "cosine window monotone" `Quick cosine_window_monotone;

@@ -142,7 +142,9 @@ let series_taste_stable_across_episodes () =
   | a :: b :: _ ->
       let shares video =
         let counts = Array.make 12 0.0 in
-        Tr.iter (fun r -> if r.Tr.video = video then counts.(r.Tr.vho) <- counts.(r.Tr.vho) +. 1.0) t;
+        for i = 0 to Tr.length t - 1 do
+          if Tr.video t i = video then counts.(Tr.vho t i) <- counts.(Tr.vho t i) +. 1.0
+        done;
         let tbl = Hashtbl.create 12 in
         Array.iteri (fun i c -> if c > 0.0 then Hashtbl.replace tbl i c) counts;
         tbl
@@ -182,10 +184,16 @@ let concurrency_window_monotone () =
      over-provisioning mechanism). *)
   let c = catalog () in
   let t = trace c in
+  let d =
+    Vod_workload.Demand.of_soa c ~n_vhos:12 ~day0:0 ~days:28 ~n_windows:1
+      ~window_s:3600.0 t ~lo:0 ~hi:(Tr.length t)
+  in
   let total window_s =
     let peak = S.peak_hour_start_s t in
-    let tbl = S.concurrency t c ~t0:peak ~t1:(peak +. window_s) in
-    Hashtbl.fold (fun _ n acc -> acc + n) tbl 0
+    let d = Vod_workload.Demand.with_windows c d t [| (peak, peak +. window_s) |] in
+    Array.fold_left
+      (fun acc pairs -> Array.fold_left (fun acc (_, n) -> acc +. n) acc pairs)
+      0.0 d.Vod_workload.Demand.f.(0)
   in
   let small = total 1.0 and hour = total 3600.0 and day = total 86_400.0 in
   Alcotest.(check bool) "1s <= 1h" true (small <= hour);

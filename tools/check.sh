@@ -152,6 +152,26 @@ dune exec --no-print-directory bin/vodopt.exe -- simulate \
   --faults single-vho:3 --link-capacity 25 --origin 0 --jobs 1 \
   > "$smoke_dir/simulate_mip.out"
 check_recorded tools/golden/vodopt_simulate_mip.out "$smoke_dir/simulate_mip.out"
+echo "== trace analytics and online daemon vs recorded reports (--jobs 1) =="
+# The trace analytics report on a generated trace, and again after a CSV
+# round trip through --trace-out/--trace (the loader reads back exactly
+# the rows the saver wrote, so the report does not move), and a daemon
+# run with 12-hour ticks, warm starts, a migration budget that defers
+# deltas and a fault replan (day 9.80) must match the committed
+# recordings byte for byte. Neither report carries a timing line.
+dune exec --no-print-directory bin/vodopt.exe -- stats --videos 200 --days 14 \
+  > "$smoke_dir/stats.out"
+check_recorded tools/golden/vodopt_stats.out "$smoke_dir/stats.out"
+dune exec --no-print-directory bin/vodopt.exe -- stats --videos 200 --days 14 \
+  --trace-out "$smoke_dir/trace.csv" > /dev/null
+dune exec --no-print-directory bin/vodopt.exe -- stats --videos 200 --days 14 \
+  --trace "$smoke_dir/trace.csv" > "$smoke_dir/stats_csv.out"
+check_recorded tools/golden/vodopt_stats.out "$smoke_dir/stats_csv.out"
+dune exec --no-print-directory bin/vodopt.exe -- serve \
+  --videos 100 --days 14 --requests-per-video 5 --passes 10 \
+  --update-hours 12 --budget 30 --faults single-vho --link-capacity 400 \
+  --jobs 1 > "$smoke_dir/serve.out"
+check_recorded tools/golden/vodopt_serve.out "$smoke_dir/serve.out"
 echo "== solve metric key names vs recorded (EPF and Benders, --jobs 1) =="
 # The benchmark's per-layer metrics read the phase/solve/* timers and the
 # epf/decomp counters by name (bench/perf/layers.ml): a renamed or
@@ -188,9 +208,8 @@ echo "== fault playout determinism smoke: --jobs 1 vs --jobs 4 =="
 # The resilience playout (fault schedule + capacity-aware failover) must
 # be byte-identical at any job count, like the solver above; its console
 # report carries no timing line, so the whole stdout diffs directly. The
-# trace comes from the sharded struct-of-arrays generator
-# (Tracegen.generate_soa), so this also pins that generator's --jobs
-# invariance end to end.
+# trace comes from the sharded generator (Tracegen.generate), so this
+# also pins that generator's --jobs invariance end to end.
 for j in 1 4; do
   dune exec --no-print-directory bin/vodopt.exe -- simulate \
     --scheme lru --videos 150 --days 14 --requests-per-video 5 \
