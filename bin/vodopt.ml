@@ -42,23 +42,35 @@ let seed_t = Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"Random
 
 let days_t = Arg.(value & opt int 28 & info [ "days" ] ~docv:"D" ~doc:"Trace length in days.")
 
+(* The one converter for options that must be positive finite numbers:
+   NaN fails the [> 0.] test and infinity [Float.is_finite]. *)
+let positive =
+  let parse s =
+    match float_of_string_opt s with
+    | Some x when Float.is_finite x && x > 0.0 -> Ok x
+    | Some _ | None -> Error (Printf.sprintf "expected a positive finite number, got %S" s)
+  in
+  Arg.conv' (parse, Arg.conv_printer Arg.float)
+
 let rpv_t =
   Arg.(
     value
-    & opt float 8.0
-    & info [ "requests-per-video" ] ~docv:"R" ~doc:"Mean daily requests per video.")
+    & opt positive 8.0
+    & info [ "requests-per-video" ] ~docv:"R"
+        ~doc:"Mean daily requests per video (positive).")
 
 let disk_t =
   Arg.(
     value
-    & opt float 2.0
-    & info [ "disk" ] ~docv:"MULT" ~doc:"Aggregate disk as a multiple of the library size.")
+    & opt positive 2.0
+    & info [ "disk" ] ~docv:"MULT"
+        ~doc:"Aggregate disk as a multiple of the library size (positive).")
 
 let link_t =
   Arg.(
     value
-    & opt float 1000.0
-    & info [ "link" ] ~docv:"MBPS" ~doc:"Uniform link capacity in Mb/s.")
+    & opt positive 1000.0
+    & info [ "link" ] ~docv:"MBPS" ~doc:"Uniform link capacity in Mb/s (positive).")
 
 let passes_t =
   Arg.(value & opt int 50 & info [ "passes" ] ~docv:"P" ~doc:"Max EPF passes.")
@@ -369,15 +381,6 @@ let simulate topology topology_file trace_file videos days rpv seed disk link pa
 (* ---- serve ---- *)
 
 let update_hours_t =
-  let positive =
-    let parse s =
-      match float_of_string_opt s with
-      | Some h when h > 0.0 -> Ok h
-      | Some _ | None ->
-          Error (Printf.sprintf "expected a positive number of hours, got %S" s)
-    in
-    Arg.conv' (parse, Arg.conv_printer Arg.float)
-  in
   Arg.(
     value
     & opt positive 6.0

@@ -3,10 +3,13 @@
    Each per-video block of the decomposed placement LP is a UFL instance
    (paper Sec. V-C): facilities are VHOs (opening cost = disk-multiplier
    weight), clients are VHOs with demand (service cost = transfer cost
-   plus bandwidth-multiplier weight). The EPF solver calls [local_search]
-   to get a block step direction — the paper's "fast block heuristics
-   [Charikar-Guha]" — and [dual_ascent] to obtain a valid per-block lower
-   bound for the Lagrangian bound (DESIGN.md, "Valid lower bounds"). *)
+   plus bandwidth-multiplier weight). These are the paper's "fast block
+   heuristics [Charikar-Guha]". Every EPF pass calls [greedy] for its
+   block step direction ([Blocks]' [optimize], also the Benders cut
+   oracle); [local_search] is [Blocks]' [optimize_strong], which EPF
+   rounding and polish and Benders rounding call for their fresh
+   candidates; [dual_ascent] gives a valid per-block lower bound for the
+   Lagrangian bound (DESIGN.md, "Valid lower bounds"). *)
 
 type t = {
   open_cost : float array;          (* length n_fac, nonnegative *)
@@ -72,7 +75,19 @@ let solution_of_open t open_set =
   { open_set = Array.copy open_set; assign; cost }
 
 (* Greedy: start from the single best facility, then repeatedly open the
-   facility with the largest net saving. O(n_fac^2 * n_cli). *)
+   facility with the largest net saving. O(n_fac^2 * n_cli) at worst.
+
+   Savings are re-priced lazily. A closed facility's saving
+   -o_i + sum_j (cur_j - s_ij)+, summed in client order, can only fall
+   from one round to the next: cur_j only falls, IEEE subtraction is
+   monotone in it, the terms that stay positive are a subset of the old
+   ones, and IEEE addition is monotone in both arguments. So the last
+   exactly computed saving [bound.(i)] (infinity before the first) is an
+   upper bound on every later one, and a facility whose bound does not
+   beat the running best under the [1e-12] test would not be picked: its
+   re-pricing is skipped, and the round picks the facility a full
+   re-pricing picks. A NaN bound (an infinite opening cost against an
+   infinite gain) fails the [<=] and is always re-priced. *)
 let greedy t =
   validate t;
   let n = n_facilities t and nc = n_clients t in
@@ -96,17 +111,19 @@ let greedy t =
   for j = 0 to nc - 1 do
     cur.(j) <- t.service.(j).(!first)
   done;
+  let bound = Array.make n infinity in
   let improved = ref true in
   while !improved do
     improved := false;
     let best_i = ref (-1) and best_saving = ref 0.0 in
     for i = 0 to n - 1 do
-      if not open_set.(i) then begin
+      if (not open_set.(i)) && not (bound.(i) <= !best_saving +. 1e-12) then begin
         let saving = ref (-.t.open_cost.(i)) in
         for j = 0 to nc - 1 do
           let d = cur.(j) -. t.service.(j).(i) in
           if d > 0.0 then saving := !saving +. d
         done;
+        bound.(i) <- !saving;
         if !saving > !best_saving +. 1e-12 then begin
           best_saving := !saving;
           best_i := i
@@ -123,10 +140,10 @@ let greedy t =
   done;
   solution_of_open t open_set
 
-(* Add / drop / swap local search seeded by [greedy] — the classic
-   Charikar-Guha style block heuristic. [max_iter] bounds the number of
-   improvement rounds; a move is taken as soon as it is found to lower
-   the cost, and the scan goes on from the new solution.
+(* Add / drop / swap local search from [sol] — the classic Charikar-Guha
+   style block heuristic. [max_iter] bounds the number of improvement
+   rounds; a move is taken as soon as it is found to lower the cost, and
+   the scan goes on from the new solution.
 
    A candidate move closes at most one open facility [drop] and opens at
    most one closed facility [add] (-1 for "none"). Rather than
@@ -136,19 +153,36 @@ let greedy t =
    over the open facilities other than that one. The candidate's service
    value for client j is then min(kept_j, s_j,add), where kept_j is the
    second-best value if j's best facility is [drop] and the best value
-   otherwise. The opening costs are summed over the candidate set in
-   facility order and the service values added in client order — exactly
-   [eval_open]'s summation, so every comparison, every accepted move and
-   the returned solution are bit-identical to evaluating each candidate
-   with [eval_open]. A candidate costs O(n_fac + n_cli) and allocates
-   nothing; the bookkeeping is rebuilt, in O(n_fac * n_cli), only after
-   an accepted move. The scratch arrays belong to this call, so
-   concurrent calls share nothing. *)
-let local_search ?(max_iter = 200) t =
+   otherwise. The opening costs are summed over the ascending list of
+   open facilities with [add] merged in and [drop] left out, and the
+   service values added in client order — exactly [eval_open]'s terms in
+   [eval_open]'s order, so every comparison, every accepted move and the
+   returned solution are bit-identical to evaluating each candidate with
+   [eval_open]. A candidate costs O(n_open + n_cli) and allocates
+   nothing; the bookkeeping is rebuilt, in O(n_fac + n_open * n_cli),
+   only after an accepted move. The scratch arrays belong to this call,
+   so concurrent calls share nothing.
+
+   When every service cost is finite, every candidate serves every
+   client, and pricing stops as soon as the partial sum is not below the
+   acceptance threshold: every term is >= 0, so the sum only grows and
+   the candidate would be rejected anyway. Otherwise each candidate is
+   priced in full, so that one leaving a client unserved still reaches
+   the [eval_open] call that raises. *)
+let improve ~max_iter t sol =
   let n = n_facilities t and nc = n_clients t in
-  let sol = ref (greedy t) in
+  let sol = ref sol in
+  let finite = ref true in
+  for j = 0 to nc - 1 do
+    let row = t.service.(j) in
+    for i = 0 to n - 1 do
+      if not (row.(i) < infinity) then finite := false
+    done
+  done;
+  let finite = !finite in
   let cur = Array.make n false in
   let base = Array.make n false in
+  let opened = Array.make n 0 in
   let n_open = ref 0 in
   let best = Array.make nc infinity in
   let best_fac = Array.make nc (-1) in
@@ -156,20 +190,24 @@ let local_search ?(max_iter = 200) t =
   let rebuild () =
     Array.blit !sol.open_set 0 cur 0 n;
     n_open := 0;
-    Array.iter (fun o -> if o then incr n_open) cur;
+    for i = 0 to n - 1 do
+      if cur.(i) then begin
+        opened.(!n_open) <- i;
+        incr n_open
+      end
+    done;
     for j = 0 to nc - 1 do
       let row = t.service.(j) in
       let b = ref infinity and f = ref (-1) and s2 = ref infinity in
-      for i = 0 to n - 1 do
-        if cur.(i) then begin
-          let v = row.(i) in
-          if v < !b then begin
-            s2 := !b;
-            b := v;
-            f := i
-          end
-          else if v < !s2 then s2 := v
+      for k = 0 to !n_open - 1 do
+        let i = opened.(k) in
+        let v = row.(i) in
+        if v < !b then begin
+          s2 := !b;
+          b := v;
+          f := i
         end
+        else if v < !s2 then s2 := v
       done;
       best.(j) <- !b;
       best_fac.(j) <- !f;
@@ -185,24 +223,34 @@ let local_search ?(max_iter = 200) t =
      the fallback re-runs it on the candidate so the same exception
      escapes. *)
   let try_move ~drop ~add =
+    let stop = !sol.cost -. 1e-12 in
     let cost = ref 0.0 in
-    for i = 0 to n - 1 do
-      if (cur.(i) && i <> drop) || i = add then cost := !cost +. t.open_cost.(i)
+    let pending = ref (add >= 0) in
+    for k = 0 to !n_open - 1 do
+      let i = opened.(k) in
+      if !pending && add < i then begin
+        cost := !cost +. t.open_cost.(add);
+        pending := false
+      end;
+      if i <> drop then cost := !cost +. t.open_cost.(i)
     done;
+    if !pending then cost := !cost +. t.open_cost.(add);
     let served = ref true in
-    for j = 0 to nc - 1 do
-      let kept = if best_fac.(j) = drop then second.(j) else best.(j) in
+    let j = ref 0 in
+    while !j < nc && ((not finite) || !cost < stop) do
+      let kept = if best_fac.(!j) = drop then second.(!j) else best.(!j) in
       let v =
         if add < 0 then kept
         else
-          let s = t.service.(j).(add) in
+          let s = t.service.(!j).(add) in
           if s < kept then s else kept
       in
       if not (v < infinity) then served := false;
-      cost := !cost +. v
+      cost := !cost +. v;
+      incr j
     done;
     if not !served then cost := fst (eval_open t (candidate ~drop ~add));
-    if !cost < !sol.cost -. 1e-12 then begin
+    if !cost < stop then begin
       sol := solution_of_open t (candidate ~drop ~add);
       rebuild ();
       true
@@ -239,6 +287,14 @@ let local_search ?(max_iter = 200) t =
     done
   done;
   !sol
+
+(* Without clients a candidate costs the sum of its opening costs, all
+   >= 0, and [greedy] opened the cheapest single facility: no add, drop
+   or swap beats it, so the search would return [greedy]'s solution
+   after one fruitless round. *)
+let local_search ?(max_iter = 200) t =
+  let sol = greedy t in
+  if n_clients t = 0 then sol else improve ~max_iter t sol
 
 (* Erlenkotter-style dual ascent for the UFL LP dual:
 

@@ -34,24 +34,33 @@ val eval_open : t -> bool array -> float * int array
 (** Build a [solution] record from an open set. *)
 val solution_of_open : t -> bool array -> solution
 
-(** Greedy opening heuristic (best single facility + largest-saving adds). *)
+(** Greedy opening heuristic (best single facility + largest-saving adds,
+    the first facility in index order on ties within [1e-12]). A closed
+    facility is re-priced in a round only when its last computed saving,
+    an upper bound on the current one, beats the round's running best;
+    the result is bit-identical to re-pricing every closed facility in
+    every round. *)
 val greedy : t -> solution
 
 (** Add/drop/swap local search seeded by [greedy] — the Charikar-Guha-style
-    block heuristic the paper uses for block steps and rounding.
+    block heuristic behind EPF rounding and polish and Benders rounding
+    (the EPF block steps use {!greedy}).
 
     Each round scans the add moves (facilities closed at the round's
     start), the drop moves (facilities open at its start, while more than
     one is open) and the swap moves (live open x live closed), taking the
     first move that lowers the cost by more than [1e-12]; it stops after a
     round with no improving move or after [max_iter] (default 200)
-    rounds. Each candidate move is priced in O(n_facilities + n_clients)
-    from per-client best/second-best bookkeeping, with no allocation, and
-    the result is bit-identical to pricing every candidate with
-    {!eval_open}: same open set, assignment and cost. Rebuilding the
-    bookkeeping after an accepted move costs O(n_facilities * n_clients).
-    Raises [Invalid_argument] like {!eval_open} if a candidate leaves a
-    client with no finite service cost. *)
+    rounds. Each candidate move is priced in O(open + n_clients) from the
+    list of open facilities and per-client best/second-best bookkeeping,
+    with no allocation; when every service cost is finite, pricing stops
+    once the partial sum reaches the acceptance threshold. A block with
+    no client returns {!greedy}'s solution, which no move improves. The
+    result is bit-identical to pricing every candidate with {!eval_open}:
+    same open set, assignment and cost. Rebuilding the bookkeeping after
+    an accepted move costs O(n_facilities + open * n_clients). Raises
+    [Invalid_argument] like {!eval_open} if a candidate leaves a client
+    with no finite service cost. *)
 val local_search : ?max_iter:int -> t -> solution
 
 (** Erlenkotter-style dual ascent. Returns [(bound, v)] where [bound] is a

@@ -235,8 +235,10 @@ let warm_disk_prices (inst : Instance.t) =
     per_vho
 
 (* The engine oracle for one block. [optimize] = greedy UFL (fast,
-   integral); [lower_bound] = Erlenkotter dual ascent (valid LP bound);
-   [initial] = the block optimum under the warm-start disk prices. *)
+   integral); [optimize_strong] = local search from greedy (rounding and
+   polish candidates); [lower_bound] = Erlenkotter dual ascent (valid LP
+   bound); [initial] = the block optimum under the warm-start disk
+   prices. *)
 let oracle_of_block ?(warm_prices : float array option) (inst : Instance.t)
     (b : block) =
   let optimize ~obj_price ~row_price =

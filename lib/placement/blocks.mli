@@ -43,9 +43,9 @@ val point_of_solution :
     demand-density disk fill (per-GB marginal density per VHO). *)
 val warm_disk_prices : Instance.t -> float array
 
-(** Oracle for one block: greedy UFL for [optimize], dual ascent for
-    [lower_bound]; [warm_prices] (full row layout) seeds the initial
-    point. *)
+(** Oracle for one block: greedy UFL for [optimize], local search for
+    [optimize_strong], dual ascent for [lower_bound]; [warm_prices] (full
+    row layout) seeds the initial point. *)
 val oracle_of_block :
   ?warm_prices:float array -> Instance.t -> block -> choice Vod_epf.Engine.oracle
 

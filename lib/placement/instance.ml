@@ -30,11 +30,17 @@ let create ?(alpha_cost = 1.0) ?(beta_cost = 1.0) ?(placement_weight = 0.0)
   if Array.length disk_gb <> n then invalid_arg "Instance.create: disk_gb arity";
   if Array.length link_capacity_mbps <> Vod_topology.Graph.n_links graph then
     invalid_arg "Instance.create: link capacity arity";
+  (* A NaN capacity fails no [<= 0.] test, and an infinite one makes the
+     Lagrangian bound's lambda_i * b_i = 0 * inf = NaN. *)
   Array.iter
-    (fun d -> if d <= 0.0 then invalid_arg "Instance.create: disk must be positive")
+    (fun d ->
+      if not (Float.is_finite d && d > 0.0) then
+        invalid_arg "Instance.create: disk must be positive and finite")
     disk_gb;
   Array.iter
-    (fun b -> if b <= 0.0 then invalid_arg "Instance.create: link capacity must be positive")
+    (fun b ->
+      if not (Float.is_finite b && b > 0.0) then
+        invalid_arg "Instance.create: link capacity must be positive and finite")
     link_capacity_mbps;
   if demand.Vod_workload.Demand.n_vhos <> n then
     invalid_arg "Instance.create: demand/graph VHO count mismatch";

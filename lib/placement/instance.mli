@@ -17,8 +17,8 @@ type t = {
 
 (** Build and validate an instance; [alpha_cost] and [beta_cost] default
     to 1, [placement_weight] to 0, [origin] to the largest metro. Raises
-    [Invalid_argument] on arity mismatches, nonpositive capacities, a
-    negative or non-finite [alpha_cost], [beta_cost] or
+    [Invalid_argument] on arity mismatches, nonpositive or non-finite
+    capacities, a negative or non-finite [alpha_cost], [beta_cost] or
     [placement_weight] (the message names the field), or an [origin]
     that is not a VHO index, 0 to [n_vhos - 1]. *)
 val create :

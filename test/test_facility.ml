@@ -77,66 +77,6 @@ let local_search_improves () =
     Alcotest.(check bool) "ls >= exact" true (ls.U.cost >= e.U.cost -. 1e-9)
   done
 
-(* The definition [U.local_search] must reproduce: the add/drop/swap
-   search that prices every candidate open set with a full [eval_open]
-   (O(n_fac * n_cli) and two arrays per candidate). Kept here, not in
-   lib/, as the equivalence reference for the incremental version. *)
-let local_search_ref ?(max_iter = 200) t =
-  let n = U.n_facilities t in
-  let sol = ref (U.greedy t) in
-  let iter = ref 0 in
-  let try_open_set os =
-    (* At least one facility must stay open. *)
-    if Array.exists (fun b -> b) os then begin
-      let cost, _ = U.eval_open t os in
-      if cost < !sol.U.cost -. 1e-12 then begin
-        sol := U.solution_of_open t os;
-        true
-      end
-      else false
-    end
-    else false
-  in
-  let improved = ref true in
-  while !improved && !iter < max_iter do
-    improved := false;
-    incr iter;
-    let base = Array.copy !sol.U.open_set in
-    (* add moves *)
-    for i = 0 to n - 1 do
-      if not base.(i) then begin
-        let os = Array.copy !sol.U.open_set in
-        if not os.(i) then begin
-          os.(i) <- true;
-          if try_open_set os then improved := true
-        end
-      end
-    done;
-    (* drop moves *)
-    for i = 0 to n - 1 do
-      if base.(i) then begin
-        let os = Array.copy !sol.U.open_set in
-        if os.(i) then begin
-          os.(i) <- false;
-          if try_open_set os then improved := true
-        end
-      end
-    done;
-    (* swap moves: close one open, open one closed *)
-    for i = 0 to n - 1 do
-      if !sol.U.open_set.(i) then
-        for i' = 0 to n - 1 do
-          if not !sol.U.open_set.(i') then begin
-            let os = Array.copy !sol.U.open_set in
-            os.(i) <- false;
-            os.(i') <- true;
-            if try_open_set os then improved := true
-          end
-        done
-    done
-  done;
-  !sol
-
 (* Random instance with 1-30 facilities and 0-25 clients; [ints] draws
    small-integer costs so that equal candidate costs and tied service
    values are common. *)
@@ -151,26 +91,12 @@ let ref_instance ~seed ~ints =
   let service = Array.init n_cli (fun _ -> Array.init n_fac (fun _ -> draw 6.0)) in
   { U.open_cost; service }
 
-let same_solution (a : U.solution) (b : U.solution) =
-  a.U.open_set = b.U.open_set
-  && a.U.assign = b.U.assign
-  && Int64.equal (Int64.bits_of_float a.U.cost) (Int64.bits_of_float b.U.cost)
-
-let prop_local_search_matches_ref =
-  QCheck.Test.make ~name:"local_search is bit-identical to the eval_open reference"
-    ~count:300
-    QCheck.(pair (int_bound 1_000_000) bool)
-    (fun (seed, ints) ->
-      let t = ref_instance ~seed ~ints in
-      same_solution (U.local_search t) (local_search_ref t)
-      && same_solution (U.local_search ~max_iter:1 t) (local_search_ref ~max_iter:1 t)
-      && same_solution (U.local_search ~max_iter:2 t) (local_search_ref ~max_iter:2 t))
-
 (* The block kernels that [U.greedy] and [U.dual_ascent] must reproduce
    bit for bit: [validate], [eval_open], [solution_of_open], [greedy] and
    [dual_ascent] as they were before they became plain loops (iterator
-   closures, Float.min / Float.max), copied verbatim, comments included.
-   Kept here, not in lib/, as the equivalence reference. *)
+   closures, Float.min / Float.max) and before [greedy] re-priced its
+   savings lazily, copied verbatim, comments included. Kept here, not in
+   lib/, as the equivalence reference. *)
 module Ufl_ref = struct
   open U
 
@@ -313,6 +239,72 @@ module Ufl_ref = struct
     (bound, v)
 end
 
+(* The definition [U.local_search] must reproduce: the add/drop/swap
+   search from the reference greedy that prices every candidate open set
+   with a full [eval_open] (O(n_fac * n_cli) and two arrays per
+   candidate). Kept here, not in lib/, as the equivalence reference for
+   the incremental, pruned version. *)
+let local_search_ref ?(max_iter = 200) t =
+  let n = U.n_facilities t in
+  let sol = ref (Ufl_ref.greedy t) in
+  let iter = ref 0 in
+  let try_open_set os =
+    (* At least one facility must stay open. *)
+    if Array.exists (fun b -> b) os then begin
+      let cost, _ = Ufl_ref.eval_open t os in
+      if cost < !sol.U.cost -. 1e-12 then begin
+        sol := Ufl_ref.solution_of_open t os;
+        true
+      end
+      else false
+    end
+    else false
+  in
+  let improved = ref true in
+  while !improved && !iter < max_iter do
+    improved := false;
+    incr iter;
+    let base = Array.copy !sol.U.open_set in
+    (* add moves *)
+    for i = 0 to n - 1 do
+      if not base.(i) then begin
+        let os = Array.copy !sol.U.open_set in
+        if not os.(i) then begin
+          os.(i) <- true;
+          if try_open_set os then improved := true
+        end
+      end
+    done;
+    (* drop moves *)
+    for i = 0 to n - 1 do
+      if base.(i) then begin
+        let os = Array.copy !sol.U.open_set in
+        if os.(i) then begin
+          os.(i) <- false;
+          if try_open_set os then improved := true
+        end
+      end
+    done;
+    (* swap moves: close one open, open one closed *)
+    for i = 0 to n - 1 do
+      if !sol.U.open_set.(i) then
+        for i' = 0 to n - 1 do
+          if not !sol.U.open_set.(i') then begin
+            let os = Array.copy !sol.U.open_set in
+            os.(i) <- false;
+            os.(i') <- true;
+            if try_open_set os then improved := true
+          end
+        done
+    done
+  done;
+  !sol
+
+let same_solution (a : U.solution) (b : U.solution) =
+  a.U.open_set = b.U.open_set
+  && a.U.assign = b.U.assign
+  && Int64.equal (Int64.bits_of_float a.U.cost) (Int64.bits_of_float b.U.cost)
+
 (* A random instance like [ref_instance]; [kind] 2 also turns half the
    zero costs into -0. and one cost in ten into +inf, the edges of what
    [U.validate] admits. *)
@@ -361,6 +353,87 @@ let prop_kernels_match_ref =
            (fun t -> U.eval_open t (Array.make (U.n_facilities t) true))
            (fun t -> Ufl_ref.eval_open t (Array.make (U.n_facilities t) true)))
 
+(* [kind] 2 reaches the exception path: a candidate that leaves a
+   client with no finite service cost makes the reference's [eval_open]
+   raise, and the incremental search must raise the same exception. *)
+let prop_local_search_matches_ref =
+  QCheck.Test.make ~name:"local_search is bit-identical to the eval_open reference"
+    ~count:450
+    QCheck.(pair (int_bound 1_000_000) (int_bound 2))
+    (fun (seed, kind) ->
+      let t = kernel_instance ~seed ~kind in
+      let agree max_iter =
+        match
+          ( outcome (fun t -> U.local_search ~max_iter t) t,
+            outcome (fun t -> local_search_ref ~max_iter t) t )
+        with
+        | Ok a, Ok b -> same_solution a b
+        | Error a, Error b -> a = b
+        | _ -> false
+      in
+      agree 200 && agree 1 && agree 2)
+
+(* Blocks as the placement solver prices them: backbone55 (55
+   facilities) over a long-tail week at 0.5 requests per video per day,
+   solve-cold's shape, where about half the blocks have no client, most
+   others one to three, and the greedy and local-search solutions open
+   one to three facilities. [busy] holds the 152 blocks with 4 to 44
+   clients. *)
+let long_tail =
+  lazy
+    (let graph = Vod_topology.Topologies.backbone55 () in
+     let sc =
+       Vod_core.Scenario.make ~days:7 ~requests_per_video_per_day:0.5 ~seed:7 ~graph
+         ~n_videos:1000 ()
+     in
+     let demand = Vod_core.Scenario.demand_of_week sc ~day0:0 () in
+     let inst =
+       Vod_placement.Instance.create ~graph ~catalog:sc.Vod_core.Scenario.catalog ~demand
+         ~disk_gb:(Vod_core.Scenario.uniform_disk sc ~multiple:2.0)
+         ~link_capacity_mbps:(Vod_placement.Instance.uniform_links graph 8.0)
+         ()
+     in
+     let blocks, _, warm = Vod_placement.Blocks.oracles inst in
+     let busy =
+       List.filter
+         (fun (b : Vod_placement.Blocks.block) ->
+           Array.length b.Vod_placement.Blocks.clients >= 4)
+         (Array.to_list blocks)
+       |> Array.of_list
+     in
+     (inst, blocks, busy, warm))
+
+(* A block drawn from all blocks or from the busy ones, priced at zero
+   prices, at the warm-start disk prices, or at those scaled per row by
+   a factor in [0, 4) with link rows at up to 5% of the mean warm disk
+   price. *)
+let prop_block_shaped_match_ref =
+  QCheck.Test.make
+    ~name:"greedy and local_search match the references on long-tail blocks" ~count:300
+    QCheck.(pair (int_bound 1_000_000) (int_bound 2))
+    (fun (seed, prices) ->
+      let inst, blocks, busy, warm = Lazy.force long_tail in
+      let rng = Vod_util.Rng.create seed in
+      let pool = if Vod_util.Rng.bool rng then blocks else busy in
+      let b = pool.(Vod_util.Rng.int rng (Array.length pool)) in
+      let n = Vod_placement.Instance.n_vhos inst in
+      let row_price =
+        match prices with
+        | 0 -> Array.make (Array.length warm) 0.0
+        | 1 -> warm
+        | _ ->
+            let mean_disk = Array.fold_left ( +. ) 0.0 (Array.sub warm 0 n) /. float_of_int n in
+            Array.mapi
+              (fun r p ->
+                if r < n then p *. 4.0 *. Vod_util.Rng.float rng
+                else 0.05 *. mean_disk *. Vod_util.Rng.float rng)
+              warm
+      in
+      let t = Vod_placement.Blocks.ufl_of_block inst b ~obj_price:1.0 ~row_price in
+      same_solution (U.greedy t) (Ufl_ref.greedy t)
+      && same_solution (U.local_search t) (local_search_ref t)
+      && same_solution (U.local_search ~max_iter:1 t) (local_search_ref ~max_iter:1 t))
+
 (* A drop that leaves a client with no finite service cost makes the
    reference raise inside [eval_open]; the incremental search must raise
    the same exception. *)
@@ -377,6 +450,26 @@ let local_search_infinite_service () =
   | Ok a, Ok b -> Alcotest.(check bool) "same solution" true (same_solution a b)
   | Error a, Error b -> Alcotest.(check string) "same exception" a b
   | _ -> Alcotest.fail "reference and local_search disagree on raising"
+
+(* Near 1e16 one unit is half an ulp, so the order in which a candidate's
+   opening costs are added decides whether adding facility 1 to greedy's
+   {0, 2} pays: in facility order 1 + 1e16 rounds back to 1e16 and the
+   add is taken, while 1 + 1 + 1e16 would not round back. The
+   incremental search must add them in facility order, as [eval_open]
+   does. *)
+let local_search_opening_order () =
+  let t =
+    {
+      U.open_cost = [| 1.0; 1e16; 1.0 |];
+      service = [| [| 0.0; 1e16 +. 2.0; 1e16 |]; [| 1e16 +. 2.0; 1.0; 1e16 |] |];
+    }
+  in
+  let r = local_search_ref t in
+  Alcotest.(check (array bool)) "greedy opens 0 and 2" [| true; false; true |]
+    (U.greedy t).U.open_set;
+  Alcotest.(check (array bool)) "the add of 1 is taken" [| true; true; true |] r.U.open_set;
+  Alcotest.(check bool) "same solution as the reference" true
+    (same_solution (U.local_search t) r)
 
 let assignment_is_cheapest_open () =
   let rng = Vod_util.Rng.create 31 in
@@ -453,7 +546,9 @@ let suite =
     Alcotest.test_case "exact size guard" `Quick exact_rejects_large;
     Alcotest.test_case "local search infinite service" `Quick
       local_search_infinite_service;
+    Alcotest.test_case "local search opening order" `Quick local_search_opening_order;
     QCheck_alcotest.to_alcotest prop_dual_bound_valid;
     QCheck_alcotest.to_alcotest prop_local_search_matches_ref;
     QCheck_alcotest.to_alcotest prop_kernels_match_ref;
+    QCheck_alcotest.to_alcotest prop_block_shaped_match_ref;
   ]

@@ -350,6 +350,32 @@ let rejects_cost field create () =
     [ -1.0; Float.nan; Float.infinity ];
   create 0.0
 
+(* A NaN or infinite disk or link capacity is rejected like a
+   nonpositive one, whichever entry carries it. *)
+let rejects_capacities () =
+  let graph, catalog, demand = tiny_world () in
+  let n_links = G.n_links graph in
+  let create ~disk ~link =
+    ignore
+      (I.create ~graph ~catalog ~demand
+         ~disk_gb:(Array.init 4 (fun i -> if i = 3 then disk else 25.0))
+         ~link_capacity_mbps:
+           (Array.init n_links (fun l -> if l = n_links - 1 then link else 100.0))
+         ())
+  in
+  List.iter
+    (fun bad ->
+      Alcotest.check_raises
+        (Printf.sprintf "disk = %g" bad)
+        (Invalid_argument "Instance.create: disk must be positive and finite")
+        (fun () -> create ~disk:bad ~link:100.0);
+      Alcotest.check_raises
+        (Printf.sprintf "link = %g" bad)
+        (Invalid_argument "Instance.create: link capacity must be positive and finite")
+        (fun () -> create ~disk:25.0 ~link:bad))
+    [ Float.nan; Float.infinity; 0.0; -1.0 ];
+  create ~disk:25.0 ~link:100.0
+
 let rejects_origin () =
   List.iter
     (fun origin ->
@@ -696,4 +722,5 @@ let suite =
       (rejects_cost "placement_weight" (fun placement_weight ->
            create_tiny ~placement_weight ()));
     Alcotest.test_case "instance rejects bad origin" `Quick rejects_origin;
+    Alcotest.test_case "instance rejects bad capacities" `Quick rejects_capacities;
   ]

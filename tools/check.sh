@@ -141,6 +141,33 @@ check_recorded tools/golden/vodopt_solve_epf.out "$smoke_dir/jobs1.out"
 check_recorded tools/golden/vodopt_solve_benders.out "$smoke_dir/benders1.out"
 check_recorded tools/golden/vodopt_solve_simplex.out "$smoke_dir/simplex_ring4.out"
 check_recorded tools/golden/vodopt_solve_benders_ring4.out "$smoke_dir/benders_ring4.out"
+echo "== long-tail EPF solve vs recorded summary and placement (--jobs 1) =="
+# solve-cold's regime: backbone55, 4,000 videos at 0.5 requests per
+# video per day, 8 Mb/s links. About half the blocks have no client and
+# most others one to three, where the UFL heuristics prune the most. The
+# summary (time and export lines stripped) must match the recording and
+# the placement CSV its recorded md5, so a block-kernel change that
+# moves one copy fails here.
+dune exec --no-print-directory bin/vodopt.exe -- solve \
+  --videos 4000 --days 7 --requests-per-video 0.5 --link 8 --passes 10 \
+  --jobs 1 --out "$smoke_dir/longtail.csv" \
+  | grep -vE '^(time|placement exported)' > "$smoke_dir/longtail.out"
+check_recorded tools/golden/vodopt_solve_longtail.out "$smoke_dir/longtail.out"
+md5sum < "$smoke_dir/longtail.csv" | cut -d' ' -f1 > "$smoke_dir/longtail.md5"
+check_recorded tools/golden/vodopt_solve_longtail.md5 "$smoke_dir/longtail.md5"
+echo "== placement-LP flags reject non-positive and non-finite values =="
+# --requests-per-video, --disk and --link take positive finite numbers
+# only; a bad value is a command-line error (cmdliner's exit 124), not
+# an empty trace or a NaN price.
+for bad in --requests-per-video=-1 --disk=nan --link=inf; do
+  code=0
+  dune exec --no-print-directory bin/vodopt.exe -- solve --videos 20 "$bad" \
+    > /dev/null 2>&1 || code=$?
+  if [ "$code" -ne 124 ]; then
+    echo "FAIL: vodopt solve $bad exited $code, expected 124" >&2
+    exit 1
+  fi
+done
 echo "== batch MIP simulate vs recorded report (--jobs 1) =="
 # The batch MIP pipeline end to end: three weekly placement updates, a
 # VHO outage (days 8.8-15.4) across the day-14 update, 25 Mb/s playout
