@@ -10,12 +10,18 @@
 
    State per block is a convex combination of oracle points — steps
    z^k <- (1-tau) z^k + tau zhat only ever mix oracle outputs, so z^k stays
-   in the block polytope by construction. Aggregate row usage and the
-   dense price vector are maintained incrementally, which is what makes a
-   full pass linear in total block support size (the paper's Table III
-   linear scaling). *)
+   in the block polytope by construction. Each block's combination is a
+   flat column store ([Combo]): objective, weight and payload arrays and
+   one usage arena, updated in place, plus the block's aggregate usage.
+   Its order rules (the new column first, a stable weight sort above 20
+   columns, folds in column order, extraction of the heaviest column,
+   the first on ties) make its arithmetic bit-identical to a
+   (point, weight) list's, which test/test_epf.ml keeps as the
+   reference. Aggregate row usage and the dense price vector are
+   maintained incrementally, which is what makes a full pass linear in
+   total block support size (the paper's Table III linear scaling). *)
 
-type 'a point = {
+type 'a point = 'a Combo.point = {
   obj : float;         (* objective contribution c^k z^k *)
   usage : Sparse.t;    (* coupling-row footprint A^k z^k *)
   data : 'a;           (* opaque payload (e.g. the UFL solution) *)
@@ -56,7 +62,7 @@ let line_search_iters = 24
 let polish_passes = 2         (* post-rounding integer improvement sweeps *)
 
 type 'a outcome = {
-  combos : ('a point * float) list array;  (* final convex combo per block *)
+  combos : 'a Combo.t array;  (* final convex combination per block *)
   objective : float;
   lower_bound : float;
   max_violation : float;     (* max relative coupling violation *)
@@ -72,6 +78,10 @@ type 'a outcome = {
 (* The certificate shared by every solver (see engine.mli). *)
 
 let check_inputs ?initial ~capacities oracles =
+  (* NaN fails the [<= 0.] test and +inf passes it, but either one breaks
+     the priced block costs and lambda_i * b_i. *)
+  if Array.exists (fun b -> Float.is_nan b || b = Float.infinity) capacities then
+    invalid_arg "Engine: capacities must be finite, not NaN or infinity";
   if Array.exists (fun b -> b <= 0.0) capacities then
     invalid_arg "Engine: capacities must be positive";
   if Array.length oracles = 0 then invalid_arg "Engine: no blocks";
@@ -122,7 +132,7 @@ let integral_outcome ~capacities ~lower_bound ~passes ~pre_round_objective
   in
   let max_violation = max_violation ~capacities row_usage in
   {
-    combos = Array.map (fun pt -> [ (pt, 1.0) ]) points;
+    combos = Array.map (fun pt -> Combo.of_list [ (pt, 1.0) ]) points;
     objective;
     lower_bound;
     max_violation;
@@ -154,9 +164,11 @@ type 'a state = {
   p : params;
   capacities : float array;
   oracles : 'a oracle array;
-  combos : ('a point * float) list array;
+  combos : 'a Combo.t array;       (* per block: columns and aggregate usage *)
   blk_obj : float array;
-  blk_usage : Sparse.t array;
+  work : 'a Combo.work;            (* the combinations' scratch, and the
+                                      delta buffer of a step or a rounding
+                                      candidate *)
   usage : float array;             (* dense aggregate row usage *)
   mutable objective : float;
   mutable b_target : float;        (* the objective row's "capacity" B *)
@@ -205,32 +217,36 @@ let refresh_alpha st =
   st.delta <- Float.max st.delta floor_delta;
   st.alpha <- gamma *. log (m +. 1.0) /. st.delta
 
+(* [Sparse.add_into st.usage a] of the usage slice [o, o + l) of
+   (rows, vals). *)
+let add_slice st a rows vals o l =
+  for j = o to o + l - 1 do
+    let r = rows.(j) in
+    st.usage.(r) <- st.usage.(r) +. (a *. vals.(j))
+  done
+
 (* Exact recomputation of per-block caches and aggregates, run once per
    pass to stop incremental drift. *)
 let recompute st =
   Array.fill st.usage 0 (n_rows st) 0.0;
   st.objective <- 0.0;
-  Array.iteri
-    (fun k combo ->
-      let u = ref Sparse.empty and o = ref 0.0 in
-      List.iter
-        (fun ((pt : _ point), w) ->
-          u := Sparse.axpby 1.0 !u w pt.usage;
-          o := !o +. (w *. pt.obj))
-        combo;
-      st.blk_usage.(k) <- !u;
-      st.blk_obj.(k) <- !o;
-      Sparse.add_into st.usage 1.0 !u;
-      st.objective <- st.objective +. !o)
-    st.combos
+  for k = 0 to Array.length st.combos - 1 do
+    let c = st.combos.(k) in
+    let o = Combo.recompute st.work c in
+    st.blk_obj.(k) <- o;
+    add_slice st 1.0 c.Combo.agg_rows c.Combo.agg_vals 0 c.Combo.agg_n;
+    st.objective <- st.objective +. o
+  done
 
 (* Potential restricted to the rows touched by a step of size tau along
-   (delta_usage, delta_obj); the untouched rows are constant in tau. *)
-let local_potential st ~(delta_usage : Sparse.t) ~delta_obj tau =
+   (delta_usage, delta_obj), the step's usage being the first [d_len]
+   entries of (d_rows, d_vals); the untouched rows are constant in tau.
+   Inlined, so that the line search's evaluations box no float. *)
+let[@inline] local_potential st ~d_rows ~d_vals ~d_len ~delta_obj tau =
   let acc = ref 0.0 in
-  for k = 0 to Sparse.length delta_usage - 1 do
-    let i = delta_usage.rows.(k) in
-    let u = st.usage.(i) +. (tau *. delta_usage.vals.(k)) in
+  for k = 0 to d_len - 1 do
+    let i = d_rows.(k) in
+    let u = st.usage.(i) +. (tau *. d_vals.(k)) in
     acc := !acc +. safe_exp (st.alpha *. ((u /. st.capacities.(i)) -. 1.0))
   done;
   if not st.p.feasibility_only then begin
@@ -241,14 +257,15 @@ let local_potential st ~(delta_usage : Sparse.t) ~delta_obj tau =
 
 (* Ternary search for the minimizing step size; the potential along a
    segment is a sum of convex functions of tau, hence convex. *)
-let line_search st ~delta_usage ~delta_obj =
+let line_search st ~d_len ~delta_obj =
+  let d_rows = Combo.delta_rows st.work and d_vals = Combo.delta_vals st.work in
   let lo = ref 0.0 and hi = ref 1.0 in
   for _ = 1 to line_search_iters do
     let m1 = !lo +. ((!hi -. !lo) /. 3.0) in
     let m2 = !hi -. ((!hi -. !lo) /. 3.0) in
     if
-      local_potential st ~delta_usage ~delta_obj m1
-      <= local_potential st ~delta_usage ~delta_obj m2
+      local_potential st ~d_rows ~d_vals ~d_len ~delta_obj m1
+      <= local_potential st ~d_rows ~d_vals ~d_len ~delta_obj m2
     then hi := m2
     else lo := m1
   done;
@@ -256,30 +273,11 @@ let line_search st ~delta_usage ~delta_obj =
   (* The endpoints are often optimal (fully adopt / fully reject); pick
      the best of 0, tau and 1, in that order, keeping the earlier one on
      ties, to avoid ternary-search dithering. *)
-  let f0 = local_potential st ~delta_usage ~delta_obj 0.0 in
-  let f_tau = local_potential st ~delta_usage ~delta_obj tau in
+  let f0 = local_potential st ~d_rows ~d_vals ~d_len ~delta_obj 0.0 in
+  let f_tau = local_potential st ~d_rows ~d_vals ~d_len ~delta_obj tau in
   let best = if f_tau < f0 then tau else 0.0 in
   let f_best = if f_tau < f0 then f_tau else f0 in
-  if local_potential st ~delta_usage ~delta_obj 1.0 < f_best then 1.0 else best
-
-(* Drop negligible-weight points and cap the combination size (keeping the
-   heaviest); renormalizing keeps the iterate a convex combination of
-   block points, i.e. inside the block polytope. Without the cap, small
-   line-search steps would grow combos by one point per pass forever. *)
-let max_combo_points = 20
-
-let prune_combo combo =
-  let kept = List.filter (fun (_, w) -> w > 2e-3) combo in
-  let kept =
-    if List.length kept <= max_combo_points then kept
-    else begin
-      let sorted = List.sort (fun (_, w1) (_, w2) -> Float.compare w2 w1) kept in
-      List.filteri (fun i _ -> i < max_combo_points) sorted
-    end
-  in
-  let total = List.fold_left (fun s (_, w) -> s +. w) 0.0 kept in
-  if total <= 0.0 then combo
-  else List.map (fun (p, w) -> (p, w /. total)) kept
+  if local_potential st ~d_rows ~d_vals ~d_len ~delta_obj 1.0 < f_best then 1.0 else best
 
 type pass_stats = {
   mutable steps : int;        (* blocks that moved *)
@@ -290,12 +288,13 @@ type pass_stats = {
 let step_block ?stats st k =
   let oracle = st.oracles.(k) in
   let hat = oracle.optimize ~obj_price:st.price_obj ~row_price:st.prices in
-  let delta_usage = Sparse.sub hat.usage st.blk_usage.(k) in
+  let c = st.combos.(k) in
+  let d_len = Combo.sub_block st.work c hat.usage in
   let delta_obj = hat.obj -. st.blk_obj.(k) in
-  if Sparse.length delta_usage = 0 && Float.abs delta_obj < 1e-12 then
+  if d_len = 0 && Float.abs delta_obj < 1e-12 then
     Option.iter (fun s -> s.skipped <- s.skipped + 1) stats
   else begin
-    let tau = line_search st ~delta_usage ~delta_obj in
+    let tau = line_search st ~d_len ~delta_obj in
     Option.iter
       (fun s ->
         if tau > 1e-9 then begin
@@ -304,22 +303,16 @@ let step_block ?stats st k =
         end)
       stats;
     if tau > 1e-9 then begin
-      let combo =
-        List.map (fun (p, w) -> (p, w *. (1.0 -. tau))) st.combos.(k)
-      in
-      let pruned = prune_combo ((hat, tau) :: combo) in
-      if Obs.active () then
-        Obs.incr
-          ~by:(List.length combo + 1 - List.length pruned)
-          "epf/combo/pruned_points";
-      st.combos.(k) <- pruned;
-      st.blk_usage.(k) <- Sparse.axpby (1.0 -. tau) st.blk_usage.(k) tau hat.usage;
+      (* The step leaves the delta buffer alone. *)
+      let pruned = Combo.step st.work c ~tau hat in
+      if Obs.active () then Obs.incr ~by:pruned "epf/combo/pruned_points";
       st.blk_obj.(k) <- ((1.0 -. tau) *. st.blk_obj.(k)) +. (tau *. hat.obj);
       st.objective <- st.objective +. (tau *. delta_obj);
       (* Incremental aggregate + price update on the touched rows only. *)
-      for j = 0 to Sparse.length delta_usage - 1 do
-        let i = delta_usage.rows.(j) in
-        st.usage.(i) <- st.usage.(i) +. (tau *. delta_usage.vals.(j));
+      let d_rows = Combo.delta_rows st.work and d_vals = Combo.delta_vals st.work in
+      for j = 0 to d_len - 1 do
+        let i = d_rows.(j) in
+        st.usage.(i) <- st.usage.(i) +. (tau *. d_vals.(j));
         refresh_price st i
       done;
       if not st.p.feasibility_only then
@@ -431,14 +424,12 @@ let init ?initial (p : params) ~pool ~capacities ~oracles =
      re-solved by the daemon) passes [initial] and skips the oracle
      sweep entirely — the engine then starts its descent from the
      incumbent instead of the single-facility points. *)
-  let combos =
+  let points =
     match initial with
-    | Some (points : _ point array) -> Array.map (fun pt -> [ (pt, 1.0) ]) points
-    | None ->
-        Vod_util.Pool.map pool
-          ~f:(fun (oracle : _ oracle) -> [ (oracle.initial (), 1.0) ])
-          oracles
+    | Some (points : _ point array) -> points
+    | None -> Vod_util.Pool.map pool ~f:(fun (oracle : _ oracle) -> oracle.initial ()) oracles
   in
+  let combos = Array.map (fun pt -> Combo.of_list [ (pt, 1.0) ]) points in
   let st =
     {
       p;
@@ -446,7 +437,7 @@ let init ?initial (p : params) ~pool ~capacities ~oracles =
       oracles;
       combos;
       blk_obj = Array.make (Array.length oracles) 0.0;
-      blk_usage = Array.make (Array.length oracles) Sparse.empty;
+      work = Combo.work ();
       usage = Array.make m 0.0;
       objective = 0.0;
       b_target = 1.0;
@@ -544,30 +535,36 @@ let run_pass st =
 let round_pass ?(only_fractional = true) st =
   Obs.phase "round" @@ fun () ->
   Obs.incr "epf/round/passes";
-  let snap k (hat : _ point) =
+  (* Move block k from its aggregate to the candidate whose usage is the
+     slice [o, o + l) of (rows, vals) and whose objective is [obj]; the
+     caller then makes the candidate the block's only column. *)
+  let snap k ~obj rows vals o l =
     Obs.incr "epf/round/snaps";
-    Sparse.add_into st.usage (-1.0) st.blk_usage.(k);
-    Sparse.add_into st.usage 1.0 hat.usage;
-    st.objective <- st.objective -. st.blk_obj.(k) +. hat.obj;
+    let c = st.combos.(k) in
+    add_slice st (-1.0) c.Combo.agg_rows c.Combo.agg_vals 0 c.Combo.agg_n;
+    add_slice st 1.0 rows vals o l;
+    st.objective <- st.objective -. st.blk_obj.(k) +. obj;
     (* Update prices on every touched row so later blocks see the shift. *)
-    Array.iter (refresh_price st) st.blk_usage.(k).rows;
-    Array.iter (refresh_price st) hat.usage.rows;
-    st.combos.(k) <- [ (hat, 1.0) ];
-    st.blk_usage.(k) <- hat.usage;
-    st.blk_obj.(k) <- hat.obj
+    for j = 0 to c.Combo.agg_n - 1 do
+      refresh_price st c.Combo.agg_rows.(j)
+    done;
+    for j = o to o + l - 1 do
+      refresh_price st rows.(j)
+    done;
+    st.blk_obj.(k) <- obj
   in
   (* A candidate's merit is the *actual* potential after a full (tau = 1)
      step to it — not its linearized priced cost. The linearization is
      blind to how a multi-copy point shifts row loads past capacity
      (prices are frozen inside one oracle call), which is exactly how a
-     popular video could overflow disks during rounding. *)
-  let merit k (pt : _ point) =
-    let delta_usage = Sparse.sub pt.usage st.blk_usage.(k) in
-    let delta_obj = pt.obj -. st.blk_obj.(k) in
+     popular video could overflow disks during rounding. The step's usage
+     is the first [d_len] entries of the delta buffer. *)
+  let merit ~d_len ~delta_obj =
+    let d_rows = Combo.delta_rows st.work and d_vals = Combo.delta_vals st.work in
     (* Potential *change* of the full step: candidates touch different row
        sets, so raw local potentials are not comparable. *)
-    local_potential st ~delta_usage ~delta_obj 1.0
-    -. local_potential st ~delta_usage ~delta_obj 0.0
+    local_potential st ~d_rows ~d_vals ~d_len ~delta_obj 1.0
+    -. local_potential st ~d_rows ~d_vals ~d_len ~delta_obj 0.0
   in
   Log.debug (fun m ->
       m "round: alpha=%.1f delta=%.4f price_obj=%.4g b_target=%.6g obj=%.6g"
@@ -580,11 +577,10 @@ let round_pass ?(only_fractional = true) st =
      the *live* row usage, so blocks still see earlier snaps' load
      shifts and cannot jointly overflow a row. Freezing the candidate
      prices (rather than re-pricing per snap) is what makes the result
-     independent of the job count; the combo points, each a block
-     optimum from some earlier pass, still anchor the candidate set. *)
-  let wants_fresh k =
-    match st.combos.(k) with [] | [ _ ] -> not only_fractional | _ -> true
-  in
+     independent of the job count; the combination's columns, each a
+     block optimum from some earlier pass, still anchor the candidate
+     set. *)
+  let wants_fresh k = Combo.length st.combos.(k) > 1 || not only_fractional in
   let considered =
     let acc = ref [] in
     for k = Array.length st.oracles - 1 downto 0 do
@@ -605,27 +601,49 @@ let round_pass ?(only_fractional = true) st =
     Obs.incr ~by:(Array.length considered) "epf/round/fresh_candidates";
   Array.iter
     (fun k ->
-      let consider combo =
+      (* A fractional block always has a candidate; an integral one only
+         in polish sweeps. *)
+      if wants_fresh k then begin
+        let c = st.combos.(k) in
+        let n = Combo.length c in
         (* [wants_fresh k] held when the candidates were precomputed,
            so the slot is filled. *)
         let fresh = Option.get fresh_of.(k) in
-        let fresh_m = merit k fresh in
-        if Obs.active () then Obs.observe "epf/round/candidate_merit" fresh_m;
-        let best, best_m =
-          List.fold_left
-            (fun (bp, bm) (pt, _) ->
-              let m = merit k pt in
-              if Obs.active () then Obs.observe "epf/round/candidate_merit" m;
-              if m < bm then (pt, m) else (bp, bm))
-            (fresh, fresh_m)
-            combo
+        let fresh_m =
+          merit
+            ~d_len:(Combo.sub_block st.work c fresh.usage)
+            ~delta_obj:(fresh.obj -. st.blk_obj.(k))
         in
+        if Obs.active () then Obs.observe "epf/round/candidate_merit" fresh_m;
+        (* The fresh point, then the columns in order; the first strict
+           improvement wins. *)
+        let best = ref (-1) and best_m = ref fresh_m in
+        for q = 0 to n - 1 do
+          let m =
+            merit
+              ~d_len:(Combo.sub_column st.work c q)
+              ~delta_obj:(c.Combo.obj.(q) -. st.blk_obj.(k))
+          in
+          if Obs.active () then Obs.observe "epf/round/candidate_merit" m;
+          if m < !best_m then begin
+            best := q;
+            best_m := m
+          end
+        done;
         (* On an already-integral block only snap strict improvements. *)
-        if List.length combo > 1 || best_m < -1e-9 then snap k best
-      in
-      match st.combos.(k) with
-      | [] | [ _ ] -> if not only_fractional then consider st.combos.(k)
-      | combo -> consider combo)
+        if n > 1 || !best_m < -1e-9 then
+          if !best < 0 then begin
+            let u = fresh.usage in
+            snap k ~obj:fresh.obj u.Sparse.rows u.Sparse.vals 0 (Sparse.length u);
+            Combo.reset c fresh
+          end
+          else begin
+            let q = !best in
+            let o = c.Combo.off.(q) in
+            snap k ~obj:c.Combo.obj.(q) c.Combo.rows c.Combo.vals o (c.Combo.off.(q + 1) - o);
+            Combo.keep c q
+          end
+      end)
     order
 
 (* Post-rounding polish: a few sweeps in which *every* block may snap to a

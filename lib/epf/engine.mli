@@ -8,9 +8,11 @@
     a valid lower bound on the priced block minimum. Steps form convex
     combinations of oracle points, so iterates stay inside the block
     polytopes by construction; the reported [lower_bound] is a genuine
-    Lagrangian bound, so the final optimality gap is trustworthy. *)
+    Lagrangian bound, so the final optimality gap is trustworthy. Each
+    block's combination is a {!Combo.t}, a flat column store updated in
+    place. *)
 
-type 'a point = {
+type 'a point = 'a Combo.point = {
   obj : float;        (** objective contribution c^k z^k *)
   usage : Sparse.t;   (** coupling-row footprint A^k z^k *)
   data : 'a;          (** opaque payload (e.g. a UFL solution) *)
@@ -55,8 +57,8 @@ val default_params : params
 val epsilon : float
 
 type 'a outcome = {
-  combos : ('a point * float) list array;
-      (** final convex combination per block; singleton lists after
+  combos : 'a Combo.t array;
+      (** final convex combination per block; one column each after
           rounding *)
   objective : float;
   lower_bound : float;      (** valid Lagrangian lower bound on OPT *)
@@ -80,9 +82,9 @@ type 'a outcome = {
     measure their violation with these values. Rounding stays per
     solver. *)
 
-(** Raises [Invalid_argument] on a nonpositive capacity, an empty block
-    list, or an [initial] array whose length differs from the block
-    list's, in that order. *)
+(** Raises [Invalid_argument] on a NaN or infinite capacity, a nonpositive
+    capacity, an empty block list, or an [initial] array whose length
+    differs from the block list's, in that order. *)
 val check_inputs :
   ?initial:'a point array -> capacities:float array -> 'a oracle array -> unit
 
@@ -100,7 +102,7 @@ val lagrangian_bound :
     coupling violation (0 with no rows). Allocates only its result. *)
 val max_violation : capacities:float array -> float array -> float
 
-(** The outcome of one integral point per block: singleton combos, the
+(** The outcome of one integral point per block: one column per block, the
     objective and the row usage summed in block order, their
     {!max_violation} and [epsilon_feasible]. The other fields are passed
     through. *)

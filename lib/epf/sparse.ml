@@ -72,45 +72,48 @@ let of_assoc l =
   done;
   canonical rows vals
 
-(* One merge of a*x + b*y: the entries that pass the 1e-15 drop rule, in
-   row order, written to (rows, vals) when [write]. Returns their count. *)
-let merge ~write a x b y rows vals =
-  let nx = length x and ny = length y in
-  let i = ref 0 and j = ref 0 and k = ref 0 in
-  while !i < nx || !j < ny do
+(* One merge of a*x + b*y over the slices x = [xo, xo + xn) of (xr, xv)
+   and y = [yo, yo + yn) of (yr, yv): the entries that pass the 1e-15 drop
+   rule, in row order, written to (rr, rv) from [ro] on when [write].
+   Returns their count. *)
+let merge ~write a xr xv xo xn b yr yv yo yn rr rv ro =
+  let xe = xo + xn and ye = yo + yn in
+  let i = ref xo and j = ref yo and k = ref ro in
+  while !i < xe || !j < ye do
     let r = ref 0 and v = ref 0.0 in
-    if !j >= ny || (!i < nx && x.rows.(!i) < y.rows.(!j)) then begin
-      r := x.rows.(!i);
-      v := a *. x.vals.(!i);
+    if !j >= ye || (!i < xe && xr.(!i) < yr.(!j)) then begin
+      r := xr.(!i);
+      v := a *. xv.(!i);
       incr i
     end
-    else if !i >= nx || y.rows.(!j) < x.rows.(!i) then begin
-      r := y.rows.(!j);
-      v := b *. y.vals.(!j);
+    else if !i >= xe || yr.(!j) < xr.(!i) then begin
+      r := yr.(!j);
+      v := b *. yv.(!j);
       incr j
     end
     else begin
-      r := x.rows.(!i);
-      v := (a *. x.vals.(!i)) +. (b *. y.vals.(!j));
+      r := xr.(!i);
+      v := (a *. xv.(!i)) +. (b *. yv.(!j));
       incr i;
       incr j
     end;
     if Float.abs !v > 1e-15 then begin
       if write then begin
-        rows.(!k) <- !r;
-        vals.(!k) <- !v
+        rr.(!k) <- !r;
+        rv.(!k) <- !v
       end;
       incr k
     end
   done;
-  !k
+  !k - ro
 
 (* [axpby a x b y] = a*x + b*y as a fresh sorted sparse vector: one merge
    counts the surviving entries, a second fills arrays of that size. *)
 let axpby a x b y =
-  let m = merge ~write:false a x b y [||] [||] in
+  let nx = length x and ny = length y in
+  let m = merge ~write:false a x.rows x.vals 0 nx b y.rows y.vals 0 ny [||] [||] 0 in
   let rows = Array.make m 0 and vals = Array.create_float m in
-  ignore (merge ~write:true a x b y rows vals);
+  ignore (merge ~write:true a x.rows x.vals 0 nx b y.rows y.vals 0 ny rows vals 0);
   { rows; vals }
 
 let sub x y = axpby 1.0 x (-1.0) y

@@ -30,6 +30,20 @@ val of_entries : int array -> float array -> t
     1e-15. *)
 val axpby : float -> t -> float -> t -> t
 
+(** [merge ~write a xr xv xo xn b yr yv yo yn rr rv ro] is the one merge
+    behind {!axpby}, over slices: x is the [xn] entries of the parallel
+    arrays [xr]/[xv] from [xo] on, y the [yn] entries of [yr]/[yv] from
+    [yo] on, each sorted by row without duplicates. It computes a*x + b*y
+    entry by entry in row order, drops entries of magnitude at most
+    1e-15 and returns the count of the rest; when [write] it also stores
+    them in [rr]/[rv] from [ro] on, which need room for [xn + yn]
+    entries and must not overlap either input. *)
+val merge :
+  write:bool ->
+  float -> int array -> float array -> int -> int ->
+  float -> int array -> float array -> int -> int ->
+  int array -> float array -> int -> int
+
 (** [sub x y] = x - y. *)
 val sub : t -> t -> t
 

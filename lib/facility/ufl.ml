@@ -47,21 +47,32 @@ let validate t =
   done
 
 (* Cost of a solution given its open set: each client served by its
-   cheapest open facility. Returns (cost, assignment). *)
+   cheapest open facility. Returns (cost, assignment). Each client scans
+   the ascending list of open facilities only: the same candidates in
+   the same order as a scan of every facility that skips the closed
+   ones. *)
 let eval_open t open_set =
   let n = n_facilities t in
   let nc = n_clients t in
   let assign = Array.make nc (-1) in
+  let opened = Array.make n 0 in
+  let n_open = ref 0 in
   let cost = ref 0.0 in
   for i = 0 to n - 1 do
-    if open_set.(i) then cost := !cost +. t.open_cost.(i)
+    if open_set.(i) then begin
+      cost := !cost +. t.open_cost.(i);
+      opened.(!n_open) <- i;
+      incr n_open
+    end
   done;
   for j = 0 to nc - 1 do
+    let row = t.service.(j) in
     let best = ref (-1) and best_c = ref infinity in
-    for i = 0 to n - 1 do
-      if open_set.(i) && t.service.(j).(i) < !best_c then begin
+    for q = 0 to !n_open - 1 do
+      let i = opened.(q) in
+      if row.(i) < !best_c then begin
         best := i;
-        best_c := t.service.(j).(i)
+        best_c := row.(i)
       end
     done;
     if !best < 0 then invalid_arg "Ufl.eval_open: no open facility";
@@ -91,14 +102,14 @@ let solution_of_open t open_set =
 let greedy t =
   validate t;
   let n = n_facilities t and nc = n_clients t in
-  (* Best single facility. *)
-  let single = Array.create_float n in
-  for i = 0 to n - 1 do
-    let c = ref t.open_cost.(i) in
-    for j = 0 to nc - 1 do
-      c := !c +. t.service.(j).(i)
-    done;
-    single.(i) <- !c
+  (* Best single facility. The costs are summed row by row, which adds
+     each facility's terms in client order, as a per-facility sum does. *)
+  let single = Array.copy t.open_cost in
+  for j = 0 to nc - 1 do
+    let row = t.service.(j) in
+    for i = 0 to n - 1 do
+      single.(i) <- single.(i) +. row.(i)
+    done
   done;
   let first = ref 0 in
   for i = 1 to n - 1 do

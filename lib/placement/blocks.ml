@@ -12,9 +12,8 @@
 module Paths = Vod_topology.Paths
 
 type choice = {
-  video : int;
-  open_vhos : int array;      (* VHOs storing the video, sorted *)
-  serve : (int * int) array;  (* (client vho, serving vho) *)
+  open_vhos : int array;  (* VHOs storing the video, sorted *)
+  serve : int array;      (* serving VHO per client, in the block's client order *)
 }
 
 type client = {
@@ -69,12 +68,20 @@ let build_blocks (inst : Instance.t) =
 
 (* The block kernels below run once per oracle call and are plain loops:
    the dev build compiles with -opaque, so a closure, or a call into
-   another module that returns a float, boxes a float per element. *)
+   another module that returns a float, boxes a float per element.
 
-(* [Instance.cost]'s expression, alpha * hops + beta, inlined here. *)
-let[@inline] cost (inst : Instance.t) ~src ~dst =
-  (inst.Instance.alpha_cost *. float_of_int (Paths.hops inst.Instance.paths ~src ~dst))
-  +. inst.Instance.beta_cost
+   They walk the paths into each client VHO through the route table
+   ([Paths.routes]): the sources' paths into one destination lie end to
+   end, and a slice's length is the pair's hop count, every pair being
+   reachable since instance paths come from [Paths.compute]. *)
+
+(* The hop count of [src] -> [dst] in the route table's offsets. *)
+let[@inline] hops off n ~src ~dst =
+  let p = (dst * n) + src in
+  off.(p + 1) - off.(p)
+
+(* [Instance.cost]'s expression, alpha * hops + beta. *)
+let[@inline] cost alpha beta hops = (alpha *. float_of_int hops) +. beta
 
 (* Row of link 0 in each peak window; link l's row is that plus l. *)
 let link_rows_base (inst : Instance.t) =
@@ -84,36 +91,50 @@ let link_rows_base (inst : Instance.t) =
 let ufl_of_block (inst : Instance.t) (b : block) ~obj_price ~row_price =
   let n = Instance.n_vhos inst in
   let nw = Instance.n_windows inst in
-  let paths = inst.Instance.paths in
+  let routes = Paths.routes inst.Instance.paths in
+  let off = routes.Paths.off and ids = routes.Paths.link_ids in
+  let alpha = inst.Instance.alpha_cost and beta = inst.Instance.beta_cost in
   let weight = inst.Instance.placement_weight in
+  let origin = inst.Instance.origin in
   let open_cost = Array.create_float n in
   for i = 0 to n - 1 do
     let place_cost =
       if weight = 0.0 then 0.0
-      else weight *. b.size_gb *. cost inst ~src:inst.Instance.origin ~dst:i
+      else weight *. b.size_gb *. cost alpha beta (hops off n ~src:origin ~dst:i)
     in
     open_cost.(i) <-
       (row_price.(Instance.disk_row inst i) *. b.size_gb) +. (obj_price *. place_cost)
   done;
   let link_base = link_rows_base inst in
+  (* Per client, the windows with a positive load, in window order: the
+     row of their link 0 and the load. *)
+  let win_base = Array.make nw 0 and win_load = Array.create_float nw in
   let service = Array.make (Array.length b.clients) [||] in
   for jc = 0 to Array.length b.clients - 1 do
     let c = b.clients.(jc) in
+    let loaded = ref 0 in
+    for w = 0 to nw - 1 do
+      let load = b.rate_mbps *. c.f.(w) in
+      if load > 0.0 then begin
+        win_base.(!loaded) <- link_base.(w);
+        win_load.(!loaded) <- load;
+        incr loaded
+      end
+    done;
     let row = Array.create_float n in
     let per_gb = obj_price *. b.size_gb *. c.a in
+    let into = c.vho * n in
     for i = 0 to n - 1 do
-      let transfer = per_gb *. cost inst ~src:i ~dst:c.vho in
+      let s = off.(into + i) and e = off.(into + i + 1) in
+      let transfer = per_gb *. cost alpha beta (e - s) in
+      (* The path into the client's own VHO is empty. *)
       let bw = ref 0.0 in
-      if i <> c.vho then begin
-        let links = Paths.path_links paths ~src:i ~dst:c.vho in
-        for w = 0 to nw - 1 do
-          let load = b.rate_mbps *. c.f.(w) in
-          if load > 0.0 then
-            for l = 0 to Array.length links - 1 do
-              bw := !bw +. (row_price.(link_base.(w) + links.(l)) *. load)
-            done
+      for w = 0 to !loaded - 1 do
+        let base = win_base.(w) and load = win_load.(w) in
+        for q = s to e - 1 do
+          bw := !bw +. (row_price.(base + ids.(q)) *. load)
         done
-      end;
+      done;
       row.(i) <- transfer +. !bw
     done;
     service.(jc) <- row
@@ -124,13 +145,17 @@ let ufl_of_block (inst : Instance.t) (b : block) ~obj_price ~row_price =
    contribution and coupling-row usage. The usage entries are written in
    generation order — the open VHOs' disk rows, then each remotely served
    client's path links per loaded window — and [Sparse.of_entries] sums a
-   row's duplicates from the last one generated back. *)
+   row's duplicates from the last one generated back. The payload keeps
+   [sol.assign] itself as the serving VHO per client. *)
 let point_of_solution (inst : Instance.t) (b : block)
     (sol : Vod_facility.Ufl.solution) =
   let n = Instance.n_vhos inst in
   let nw = Instance.n_windows inst in
-  let paths = inst.Instance.paths in
+  let routes = Paths.routes inst.Instance.paths in
+  let off = routes.Paths.off and ids = routes.Paths.link_ids in
+  let alpha = inst.Instance.alpha_cost and beta = inst.Instance.beta_cost in
   let weight = inst.Instance.placement_weight in
+  let origin = inst.Instance.origin in
   let open_set = sol.Vod_facility.Ufl.open_set
   and assign = sol.Vod_facility.Ufl.assign in
   let n_clients = Array.length b.clients in
@@ -141,13 +166,11 @@ let point_of_solution (inst : Instance.t) (b : block)
   done;
   let n_entries = ref !n_open in
   for jc = 0 to n_clients - 1 do
-    let c = b.clients.(jc) and i = assign.(jc) in
-    if i <> c.vho then begin
-      let hops = Array.length (Paths.path_links paths ~src:i ~dst:c.vho) in
-      for w = 0 to nw - 1 do
-        if b.rate_mbps *. c.f.(w) > 0.0 then n_entries := !n_entries + hops
-      done
-    end
+    let c = b.clients.(jc) in
+    let h = hops off n ~src:assign.(jc) ~dst:c.vho in
+    for w = 0 to nw - 1 do
+      if b.rate_mbps *. c.f.(w) > 0.0 then n_entries := !n_entries + h
+    done
   done;
   let rows = Array.make !n_entries 0 and vals = Array.create_float !n_entries in
   let open_vhos = Array.make !n_open 0 in
@@ -159,29 +182,28 @@ let point_of_solution (inst : Instance.t) (b : block)
       vals.(!k) <- b.size_gb;
       incr k;
       if weight > 0.0 then
-        obj := !obj +. (weight *. b.size_gb *. cost inst ~src:inst.Instance.origin ~dst:i)
+        obj := !obj +. (weight *. b.size_gb *. cost alpha beta (hops off n ~src:origin ~dst:i))
     end
   done;
   let link_base = link_rows_base inst in
-  let serve = Array.make n_clients (0, 0) in
   for jc = 0 to n_clients - 1 do
-    let c = b.clients.(jc) and i = assign.(jc) in
-    obj := !obj +. (b.size_gb *. c.a *. cost inst ~src:i ~dst:c.vho);
-    if i <> c.vho then begin
-      let links = Paths.path_links paths ~src:i ~dst:c.vho in
-      for w = 0 to nw - 1 do
-        let load = b.rate_mbps *. c.f.(w) in
-        if load > 0.0 then
-          for l = 0 to Array.length links - 1 do
-            rows.(!k) <- link_base.(w) + links.(l);
-            vals.(!k) <- load;
-            incr k
-          done
-      done
-    end;
-    serve.(jc) <- (c.vho, i)
+    let c = b.clients.(jc) in
+    let p = (c.vho * n) + assign.(jc) in
+    let s = off.(p) and e = off.(p + 1) in
+    obj := !obj +. (b.size_gb *. c.a *. cost alpha beta (e - s));
+    for w = 0 to nw - 1 do
+      let load = b.rate_mbps *. c.f.(w) in
+      if load > 0.0 then begin
+        let base = link_base.(w) in
+        for q = s to e - 1 do
+          rows.(!k) <- base + ids.(q);
+          vals.(!k) <- load;
+          incr k
+        done
+      end
+    done
   done;
-  let data = { video = b.video; open_vhos; serve } in
+  let data = { open_vhos; serve = assign } in
   { Vod_epf.Engine.obj = !obj; usage = Vod_epf.Sparse.of_entries rows vals; data }
 
 (* Warm-start disk prices: the dual values a greedy demand-density disk

@@ -3,11 +3,11 @@
     (paper Sec. V-C). *)
 
 (** An integral block decision: where the video is stored and which VHO
-    serves each demand site. *)
+    serves each demand site. The block's index is the video. *)
 type choice = {
-  video : int;
-  open_vhos : int array;      (** VHOs storing the video, sorted *)
-  serve : (int * int) array;  (** (client vho, serving vho) pairs *)
+  open_vhos : int array;  (** VHOs storing the video, sorted *)
+  serve : int array;
+      (** serving VHO per client, in the order of the block's [clients] *)
 }
 
 type client = {
@@ -35,7 +35,8 @@ val ufl_of_block :
   Vod_facility.Ufl.t
 
 (** Translate a UFL solution into an engine point (true objective
-    contribution + coupling-row usage). *)
+    contribution + coupling-row usage). The payload's [serve] is
+    [sol.assign] itself, not a copy. *)
 val point_of_solution :
   Instance.t -> block -> Vod_facility.Ufl.solution -> choice Vod_epf.Engine.point
 

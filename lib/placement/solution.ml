@@ -14,33 +14,28 @@ type t = {
 }
 
 (* Extract the integral placement from a (rounded) engine outcome. If a
-   block is somehow still fractional, adopt its heaviest point. *)
-let of_outcome (inst : Instance.t)
+   block is somehow still fractional, adopt its heaviest column (the
+   first on ties). *)
+let of_outcome (inst : Instance.t) (blocks : Blocks.block array)
     (outcome : Blocks.choice Vod_epf.Engine.outcome) =
-  let n_videos = Array.length outcome.Vod_epf.Engine.combos in
+  let combos = outcome.Vod_epf.Engine.combos in
+  let n_videos = Array.length combos in
+  if Array.length blocks <> n_videos then
+    invalid_arg "Solution.of_outcome: block/outcome count mismatch";
   let n_vhos = Instance.n_vhos inst in
   let stored = Array.make n_videos [||] in
   let routes = Array.init n_videos (fun _ -> Hashtbl.create 4) in
   Array.iteri
     (fun k combo ->
-      let point =
-        match combo with
-        | [] -> invalid_arg "Solution.of_outcome: empty block combo"
-        | [ (p, _) ] -> p
-        | (p0, w0) :: rest ->
-            fst
-              (List.fold_left
-                 (fun (bp, bw) (p, w) -> if w > bw then (p, w) else (bp, bw))
-                 (p0, w0) rest)
-      in
-      let choice = point.Vod_epf.Engine.data in
+      let choice = Vod_epf.Combo.data combo (Vod_epf.Combo.heaviest combo) in
       if Array.length choice.Blocks.open_vhos = 0 then
         invalid_arg "Solution.of_outcome: video with no copy";
       stored.(k) <- choice.Blocks.open_vhos;
-      Array.iter
-        (fun (client, server) -> Hashtbl.replace routes.(k) client server)
+      let clients = blocks.(k).Blocks.clients in
+      Array.iteri
+        (fun jc server -> Hashtbl.replace routes.(k) clients.(jc).Blocks.vho server)
         choice.Blocks.serve)
-    outcome.Vod_epf.Engine.combos;
+    combos;
   {
     n_vhos;
     n_videos;

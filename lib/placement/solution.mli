@@ -13,10 +13,13 @@ type t = {
   passes : int;
 }
 
-(** Extract the placement from a rounded engine outcome. Raises
-    [Invalid_argument] if a block has no copy (cannot happen for oracle
-    points). *)
-val of_outcome : Instance.t -> Blocks.choice Vod_epf.Engine.outcome -> t
+(** [of_outcome inst blocks outcome] extracts the placement from a
+    rounded engine outcome over [blocks] (block [k] is video [k]), taking
+    each block's heaviest column. Raises [Invalid_argument] if the block
+    and outcome counts differ or a block has no copy (cannot happen for
+    oracle points). *)
+val of_outcome :
+  Instance.t -> Blocks.block array -> Blocks.choice Vod_epf.Engine.outcome -> t
 
 (** Whether [vho] stores [video]. *)
 val stores : t -> video:int -> vho:int -> bool

@@ -22,9 +22,9 @@ module Engine = Vod_epf.Engine
 
 let solvers = [ "epf"; "benders"; "simplex" ]
 
-let report_of inst (outcome : _ Engine.outcome) =
+let report_of inst blocks (outcome : _ Engine.outcome) =
   let solution =
-    Obs.phase "extract" (fun () -> Solution.of_outcome inst outcome)
+    Obs.phase "extract" (fun () -> Solution.of_outcome inst blocks outcome)
   in
   {
     solution;
@@ -52,7 +52,7 @@ let decomposed ~name run ?incumbent inst =
               blocks))
       incumbent
   in
-  report_of inst
+  report_of inst blocks
     (Obs.phase name (fun () -> run ~initial ~warm_prices ~capacities ~oracles))
 
 (* "epf": the exponential-potential-function engine. *)
@@ -133,7 +133,7 @@ let simplex ?incumbent:_ inst =
                   { Vod_facility.Ufl.open_set; assign; cost = 0.0 })
               blocks)
       in
-      report_of inst
+      report_of inst blocks
         (Engine.integral_outcome ~capacities:(Instance.capacities inst)
            ~lower_bound:objective ~passes:1 ~pre_round_objective:objective
            ~pre_round_violation:0.0

@@ -4,14 +4,47 @@
    i, a BFS tree with deterministic tie-breaking (lowest next-hop id) and
    store P_ij as an array of directed link ids. P_ii = [||].
 
+   The same paths are also laid out once as a destination-major route
+   table: for each destination d, the paths from sources 0, 1, ..., n-1
+   into d, end to end in one int array, with one offset per (d, src)
+   pair. The per-video block kernels walk every source's path into one
+   client VHO, so they read one contiguous stretch of the table; a
+   slice's length is the path's hop count on a reachable pair.
+
    [compute_masked] is the same computation restricted to the surviving
    links of a fault scenario (lib/resil): unreachable pairs get
-   hop = max_int and an empty link array instead of raising. *)
+   hop = max_int and an empty link array (and route slice) instead of
+   raising. *)
+
+type routes = {
+  n : int;                (* VHO count *)
+  off : int array;        (* off.(dst * n + src): the slice start; n * n + 1 entries *)
+  link_ids : int array;   (* every path into dst 0, then dst 1, ... *)
+}
 
 type t = {
   hop : int array array;          (* hop.(i).(j) = |P_ij|; max_int = unreachable *)
   links : int array array array;  (* links.(i).(j) = directed link ids on path i -> j *)
+  routes : routes;                (* the same paths, destination-major *)
 }
+
+(* Lay [links] out destination-major (see the header). *)
+let route_table n (links : int array array array) =
+  let off = Array.make ((n * n) + 1) 0 in
+  for dst = 0 to n - 1 do
+    for src = 0 to n - 1 do
+      let p = (dst * n) + src in
+      off.(p + 1) <- off.(p) + Array.length links.(src).(dst)
+    done
+  done;
+  let link_ids = Array.make off.(n * n) 0 in
+  for dst = 0 to n - 1 do
+    for src = 0 to n - 1 do
+      let path = links.(src).(dst) in
+      Array.blit path 0 link_ids off.((dst * n) + src) (Array.length path)
+    done
+  done;
+  { n; off; link_ids }
 
 let compute_gen ?link_up ~strict (g : Graph.t) =
   let n = g.Graph.n in
@@ -64,7 +97,7 @@ let compute_gen ?link_up ~strict (g : Graph.t) =
       end
     done
   done;
-  { hop; links }
+  { hop; links; routes = route_table n links }
 
 let compute g = compute_gen ~strict:true g
 
@@ -78,6 +111,8 @@ let reachable t ~src ~dst = t.hop.(src).(dst) <> max_int
 let hops t ~src ~dst = t.hop.(src).(dst)
 
 let path_links t ~src ~dst = t.links.(src).(dst)
+
+let routes t = t.routes
 
 (* Maximum hop count over all pairs (network diameter under the fixed
    routing). *)

@@ -27,5 +27,21 @@ val hops : t -> src:int -> dst:int -> int
     the empty array when [src = dst]. *)
 val path_links : t -> src:int -> dst:int -> int array
 
+(** The paths of {!path_links} laid out destination-major, computed once
+    with the paths: for each destination [dst], the paths from sources
+    [0 .. n-1] into [dst] end to end in [link_ids]. The path from [src]
+    into [dst] is the slice of [link_ids] from [off.(dst * n + src)] to
+    [off.(dst * n + src + 1)] (exclusive), in path order; it is empty
+    when [src = dst] or the pair is unreachable, and its length is
+    {!hops} on a reachable pair. *)
+type routes = private {
+  n : int;  (** VHO count *)
+  off : int array;  (** [n * n + 1] slice offsets, nondecreasing *)
+  link_ids : int array;  (** every path, destination-major *)
+}
+
+(** The route table of [t]. *)
+val routes : t -> routes
+
 (** Maximum hop count over all ordered pairs. *)
 val diameter : t -> int

@@ -201,6 +201,29 @@ let master_rejects_bad_inputs () =
         (Master.solve ~max_passes:60 ~jobs:0 ~capacities:[| 1.0 |]
            oracle_absent))
 
+(* A NaN or infinite capacity fails the input check up front in both
+   decomposition solvers, whichever row carries it, instead of reaching
+   the oracles (NaN) or a bound of 0 and a violated placement (+inf). *)
+let rejects_non_finite_capacities () =
+  let inst = tiny_instance () in
+  let _, oracles, _ = Vod_placement.Blocks.oracles inst in
+  let good = I.capacities inst in
+  List.iter
+    (fun (row, bad) ->
+      let capacities = Array.copy good in
+      capacities.(row) <- bad;
+      let expect = Invalid_argument "Engine: capacities must be finite, not NaN or infinity" in
+      let tag s = Printf.sprintf "%s, row %d = %g" s row bad in
+      Alcotest.check_raises (tag "epf") expect (fun () ->
+          ignore
+            (Vod_epf.Engine.solve
+               { Vod_epf.Engine.default_params with Vod_epf.Engine.max_passes = 5 }
+               ~capacities ~oracles));
+      Alcotest.check_raises (tag "benders") expect (fun () ->
+          ignore (Master.solve ~max_passes:5 ~jobs:1 ~capacities oracles)))
+    [ (0, Float.nan); (0, Float.infinity); (I.n_rows inst - 1, Float.nan);
+      (I.n_rows inst - 1, Float.infinity) ]
+
 (* ---------- master LP: the fillable-row screen ---------- *)
 
 module S = Vod_lp.Simplex
@@ -482,6 +505,8 @@ let suite =
       violation_matches_lp_check;
     Alcotest.test_case "master input validation" `Quick
       master_rejects_bad_inputs;
+    Alcotest.test_case "non-finite capacities rejected" `Quick
+      rejects_non_finite_capacities;
     QCheck_alcotest.to_alcotest prop_screen_is_exact;
     Alcotest.test_case "daemon replans via benders deterministically" `Quick
       daemon_benders_deterministic;

@@ -3,6 +3,7 @@
    reference. *)
 
 module E = Vod_epf.Engine
+module C = Vod_epf.Combo
 module Sp = Vod_epf.Sparse
 module S = Vod_lp.Simplex
 
@@ -169,6 +170,186 @@ let prop_sparse_matches_ref =
       && !seen_new = !seen_ref
       && Sp.support x = Sparse_ref.support rx)
 
+(* The list combination that [Combo] must reproduce bit for bit: the
+   engine's per-block state before the column store (a (point, weight)
+   list, newest first, with the block's usage beside it) and the list
+   code of [step_block], [prune_combo] and [recompute], copied verbatim,
+   comments included, cut down to one block. Kept here, not in lib/, as
+   the equivalence reference. *)
+module Combo_ref = struct
+  type 'a block = {
+    mutable combo : ('a E.point * float) list;
+    mutable blk_usage : Sp.t;
+  }
+
+  (* Drop negligible-weight points and cap the combination size (keeping the
+     heaviest); renormalizing keeps the iterate a convex combination of
+     block points, i.e. inside the block polytope. Without the cap, small
+     line-search steps would grow combos by one point per pass forever. *)
+  let max_combo_points = 20
+
+  let prune_combo combo =
+    let kept = List.filter (fun (_, w) -> w > 2e-3) combo in
+    let kept =
+      if List.length kept <= max_combo_points then kept
+      else begin
+        let sorted = List.sort (fun (_, w1) (_, w2) -> Float.compare w2 w1) kept in
+        List.filteri (fun i _ -> i < max_combo_points) sorted
+      end
+    in
+    let total = List.fold_left (fun s (_, w) -> s +. w) 0.0 kept in
+    if total <= 0.0 then combo
+    else List.map (fun (p, w) -> (p, w /. total)) kept
+
+  (* [step_block]'s update once the line search has picked [tau]; returns
+     the epf/combo/pruned_points increment. *)
+  let step b (hat : _ E.point) tau =
+    let combo = List.map (fun (p, w) -> (p, w *. (1.0 -. tau))) b.combo in
+    let pruned = prune_combo ((hat, tau) :: combo) in
+    b.combo <- pruned;
+    b.blk_usage <- Sp.axpby (1.0 -. tau) b.blk_usage tau hat.E.usage;
+    List.length combo + 1 - List.length pruned
+
+  (* [recompute] for one block; returns the block objective. *)
+  let recompute b =
+    let u = ref Sp.empty and o = ref 0.0 in
+    List.iter
+      (fun ((pt : _ E.point), w) ->
+        u := Sp.axpby 1.0 !u w pt.E.usage;
+        o := !o +. (w *. pt.E.obj))
+      b.combo;
+    b.blk_usage <- !u;
+    !o
+end
+
+let same_sparse (x : Sp.t) (y : Sp.t) =
+  x.Sp.rows = y.Sp.rows
+  && Array.length x.Sp.vals = Array.length y.Sp.vals
+  && Array.for_all2 same_bits x.Sp.vals y.Sp.vals
+
+(* Same columns in the same order (weight, objective and usage bits, and
+   payload) and the same block usage. *)
+let same_combo (c : int C.t) (r : int Combo_ref.block) =
+  C.length c = List.length r.Combo_ref.combo
+  && List.for_all Fun.id
+       (List.mapi
+          (fun q ((pt : int E.point), w) ->
+            let p = C.point c q in
+            same_bits (C.weight c q) w
+            && same_bits p.E.obj pt.E.obj
+            && same_sparse p.E.usage pt.E.usage
+            && p.E.data = pt.E.data && C.data c q = pt.E.data)
+          r.Combo_ref.combo)
+  && same_sparse
+       (Sp.of_entries (Array.sub c.C.agg_rows 0 c.C.agg_n) (Array.sub c.C.agg_vals 0 c.C.agg_n))
+       r.Combo_ref.blk_usage
+
+(* One random run of the store and the reference from the same start
+   through the same (point, tau) sequence, with recomputes mixed in.
+   Points have 0-9 entries over rows 0-9, some of magnitude near the
+   1e-15 drop rule. The start and the steps follow one of four shapes
+   (seed mod 4): a singleton and steps of 1-5% (more than 20 columns
+   pass the threshold, so the weight sort runs); 21-24 columns of equal
+   weight (the sort keeps their order); 1-25 columns of weight 1e-3 and
+   steps of at most 2e-3 (no weight passes, and the combination grows
+   unpruned past 20 columns), then one large step; or random weights and
+   steps. Returns whether every result matched, with the three coverage
+   flags (sort ran, sort saw a weight tie, no weight passed). *)
+let combo_run seed =
+  let rng = Vod_util.Rng.create seed in
+  let shape = seed mod 4 in
+  let next_id = ref 0 in
+  let point () =
+    incr next_id;
+    let entry () =
+      let v =
+        match Vod_util.Rng.int rng 4 with
+        | 0 -> 1e-15 *. (1.0 +. Vod_util.Rng.float rng)
+        | 1 -> float_of_int (1 + Vod_util.Rng.int rng 3)
+        | _ -> 10.0 *. (Vod_util.Rng.float rng -. 0.3)
+      in
+      (Vod_util.Rng.int rng 10, v)
+    in
+    {
+      E.obj = 100.0 *. Vod_util.Rng.float rng;
+      usage = Sp.of_assoc (List.init (Vod_util.Rng.int rng 10) (fun _ -> entry ()));
+      data = !next_id;
+    }
+  in
+  let start =
+    match shape with
+    | 0 -> [ (point (), 1.0) ]
+    | 1 ->
+        let k = 21 + Vod_util.Rng.int rng 4 in
+        List.init k (fun _ -> (point (), 1.0 /. float_of_int k))
+    | 2 -> List.init (1 + Vod_util.Rng.int rng 25) (fun _ -> (point (), 1e-3))
+    | _ -> List.init (1 + Vod_util.Rng.int rng 6) (fun _ -> (point (), Vod_util.Rng.float rng))
+  in
+  let c = C.of_list start in
+  let r = { Combo_ref.combo = start; blk_usage = Sp.empty } in
+  let w = C.work () in
+  let ok = ref (same_combo c r) in
+  let sorted = ref false and tie = ref false and unpruned = ref false in
+  let n_ops = 5 + Vod_util.Rng.int rng 40 in
+  for op = 1 to n_ops do
+    if Vod_util.Rng.int rng 5 = 0 then begin
+      let o = C.recompute w c and o_ref = Combo_ref.recompute r in
+      ok := !ok && same_bits o o_ref
+    end
+    else begin
+      let tau =
+        match shape with
+        | 0 -> 0.01 +. (0.04 *. Vod_util.Rng.float rng)
+        | 1 -> if Vod_util.Rng.bool rng then 0.01 else 0.5
+        | 2 -> if op = n_ops then 0.5 else 2e-3 *. Vod_util.Rng.float rng
+        | _ -> (
+            match Vod_util.Rng.int rng 6 with
+            | 0 -> 1.0
+            | 1 -> 0.5
+            | 2 -> 2e-3
+            | 3 -> 1e-3
+            | _ -> Vod_util.Rng.float rng)
+      in
+      (* Sometimes the oracle returns a point the combination holds. *)
+      let hat =
+        if Vod_util.Rng.int rng 4 = 0 then
+          C.point c (Vod_util.Rng.int rng (C.length c))
+        else point ()
+      in
+      let candidates =
+        (hat, tau) :: List.map (fun (p, wt) -> (p, wt *. (1.0 -. tau))) r.Combo_ref.combo
+      in
+      let passing = List.filter (fun (_, wt) -> wt > 2e-3) candidates in
+      if List.length passing > 20 then begin
+        sorted := true;
+        let ws = List.map snd passing in
+        if List.length (List.sort_uniq Float.compare ws) < List.length ws then tie := true
+      end;
+      if passing = [] then unpruned := true;
+      let pruned = C.step w c ~tau hat and pruned_ref = Combo_ref.step r hat tau in
+      ok := !ok && pruned = pruned_ref
+    end;
+    ok := !ok && same_combo c r
+  done;
+  (!ok, !sorted, !tie, !unpruned)
+
+let prop_combo_matches_ref =
+  QCheck.Test.make ~name:"column store is bit-identical to the list combination"
+    ~count:1000 (QCheck.int_bound 1_000_000)
+    (fun seed ->
+      let ok, _, _, _ = combo_run seed in
+      ok)
+
+(* The runs cover the three corners of the prune rule. *)
+let combo_ref_coverage () =
+  let runs = List.init 40 combo_run in
+  Alcotest.(check bool) "every run matches" true (List.for_all (fun (ok, _, _, _) -> ok) runs);
+  Alcotest.(check bool) "more than 20 columns pass" true
+    (List.exists (fun (_, s, _, _) -> s) runs);
+  Alcotest.(check bool) "the sort sees equal weights" true
+    (List.exists (fun (_, _, t, _) -> t) runs);
+  Alcotest.(check bool) "no weight passes" true (List.exists (fun (_, _, _, u) -> u) runs)
+
 let safe_exp_props () =
   check_float 1e-9 "exp small" (exp 1.0) (E.safe_exp 1.0);
   Alcotest.(check bool) "monotone at boundary" true (E.safe_exp 501.0 > E.safe_exp 500.0);
@@ -313,7 +494,7 @@ let rounding_integrality () =
       ~capacities:[| 4.0 |] ~oracles
   in
   Array.iter
-    (fun combo -> Alcotest.(check int) "singleton combos" 1 (List.length combo))
+    (fun combo -> Alcotest.(check int) "singleton combos" 1 (C.length combo))
     outcome.E.combos
 
 let combos_are_convex () =
@@ -324,9 +505,10 @@ let combos_are_convex () =
   in
   Array.iter
     (fun combo ->
-      let total = List.fold_left (fun acc (_, w) -> acc +. w) 0.0 combo in
+      let weights = List.init (C.length combo) (C.weight combo) in
+      let total = List.fold_left ( +. ) 0.0 weights in
       Alcotest.(check bool) "weights in (0,1]" true
-        (List.for_all (fun (_, w) -> w > 0.0 && w <= 1.0 +. 1e-9) combo);
+        (List.for_all (fun w -> w > 0.0 && w <= 1.0 +. 1e-9) weights);
       check_float 1e-6 "weights sum to 1" 1.0 total)
     outcome.E.combos
 
@@ -340,7 +522,9 @@ let row_usage_consistent () =
   let usage = Array.make 1 0.0 in
   Array.iter
     (fun combo ->
-      List.iter (fun ((p : _ E.point), w) -> Sp.add_into usage w p.E.usage) combo)
+      for q = 0 to C.length combo - 1 do
+        Sp.add_into usage (C.weight combo q) (C.point combo q).E.usage
+      done)
     outcome.E.combos;
   check_float 1e-6 "aggregate usage" usage.(0) outcome.E.row_usage.(0)
 
@@ -370,10 +554,10 @@ let jobs_bit_identical () =
       (* Rounded placement: every block snapped to the same point. *)
       Array.iteri
         (fun k combo ->
-          match (combo, o.E.combos.(k)) with
-          | [ (p, _) ], [ (q, _) ] ->
-              Alcotest.(check int) (tag "rounded choice") p.E.data q.E.data
-          | _ -> Alcotest.fail "rounded combos not singletons")
+          let other = o.E.combos.(k) in
+          if C.length combo <> 1 || C.length other <> 1 then
+            Alcotest.fail "rounded combos not singletons";
+          Alcotest.(check int) (tag "rounded choice") (C.data combo 0) (C.data other 0))
         base.E.combos)
     [ 2; 4 ]
 
@@ -382,6 +566,13 @@ let validation () =
   Alcotest.check_raises "bad capacity"
     (Invalid_argument "Engine: capacities must be positive") (fun () ->
       ignore (E.solve E.default_params ~capacities:[| 0.0 |] ~oracles));
+  List.iter
+    (fun bad ->
+      Alcotest.check_raises
+        (Printf.sprintf "capacity %g" bad)
+        (Invalid_argument "Engine: capacities must be finite, not NaN or infinity")
+        (fun () -> ignore (E.solve E.default_params ~capacities:[| 1.0; bad |] ~oracles)))
+    [ Float.nan; Float.infinity ];
   Alcotest.check_raises "no blocks" (Invalid_argument "Engine: no blocks") (fun () ->
       ignore
         (E.solve E.default_params ~capacities:[| 1.0 |]
@@ -466,4 +657,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_engine_vs_simplex;
     Alcotest.test_case "sparse cancelling duplicates" `Quick sparse_cancelling_duplicates;
     QCheck_alcotest.to_alcotest prop_sparse_matches_ref;
+    QCheck_alcotest.to_alcotest prop_combo_matches_ref;
+    Alcotest.test_case "combo reference coverage" `Quick combo_ref_coverage;
   ]

@@ -119,10 +119,12 @@ let warm_prices_shape () =
 
 (* The block kernels that [B.ufl_of_block] and [B.point_of_solution] must
    reproduce bit for bit: the definitions before they became plain loops
-   (iterator closures, [Instance.cost] calls, the usage built as an
-   association list), copied verbatim, comments included. Kept here, not
-   in lib/, as the equivalence reference. Its [Sparse.of_assoc] is the
-   library's, which test_epf.ml pins to its own reference. *)
+   over the route table (iterator closures, [Instance.cost] calls and
+   per-pair [Paths.path_links] lookups, the usage built as an association
+   list), copied verbatim, comments included, except that the payload is
+   the compact one (the serving VHO per client, no video id). Kept here,
+   not in lib/, as the equivalence reference. Its [Sparse.of_assoc] is
+   the library's, which test_epf.ml pins to its own reference. *)
 module Blocks_ref = struct
   open B
   module Instance = I
@@ -202,16 +204,10 @@ module Blocks_ref = struct
                   links
             done
           end;
-          (c.vho, i))
+          i)
         b.clients
     in
-    let data =
-      {
-        video = b.video;
-        open_vhos = Array.of_list (List.sort Int.compare !opens);
-        serve;
-      }
-    in
+    let data = { open_vhos = Array.of_list (List.sort Int.compare !opens); serve } in
     { Vod_epf.Engine.obj = !obj; usage = Vod_epf.Sparse.of_assoc !usage; data }
 end
 

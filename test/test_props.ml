@@ -126,7 +126,10 @@ let prop_engine_usage_conserved =
       let usage = Array.make m 0.0 in
       Array.iter
         (fun combo ->
-          List.iter (fun ((p : unit E.point), w) -> Sp.add_into usage w p.E.usage) combo)
+          for q = 0 to Vod_epf.Combo.length combo - 1 do
+            Sp.add_into usage (Vod_epf.Combo.weight combo q)
+              (Vod_epf.Combo.point combo q).E.usage
+          done)
         outcome.E.combos;
       let ok = ref true in
       for i = 0 to m - 1 do

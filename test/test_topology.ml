@@ -80,6 +80,48 @@ let paths_walk_backbone () =
   let g = T.backbone55 () in
   path_links_contiguous g (P.compute g)
 
+(* The route table holds, for every (src, dst), [P.path_links] as its
+   slice, whose length is [P.hops] on a reachable pair; the offsets
+   cover the whole table. *)
+let routes_match_paths name (p : P.t) n =
+  let r = P.routes p in
+  Alcotest.(check int) (name ^ " vho count") n r.P.n;
+  Alcotest.(check int) (name ^ " offsets") ((n * n) + 1) (Array.length r.P.off);
+  Alcotest.(check int) (name ^ " table length") (Array.length r.P.link_ids)
+    r.P.off.(n * n);
+  for dst = 0 to n - 1 do
+    for src = 0 to n - 1 do
+      let s = r.P.off.((dst * n) + src) and e = r.P.off.((dst * n) + src + 1) in
+      let tag = Printf.sprintf "%s %d->%d" name src dst in
+      Alcotest.(check (array int)) (tag ^ " slice") (P.path_links p ~src ~dst)
+        (Array.sub r.P.link_ids s (e - s));
+      if P.reachable p ~src ~dst then
+        Alcotest.(check int) (tag ^ " length = hops") (P.hops p ~src ~dst) (e - s)
+    done
+  done
+
+let route_table () =
+  List.iter
+    (fun (name, g) -> routes_match_paths name (P.compute g) (G.n_nodes g))
+    [
+      ("backbone55", T.backbone55 ());
+      ("tiscali", T.tiscali ());
+      ("sprint", T.sprint ());
+      ("ebone", T.ebone ());
+      ("ring4.edges", T.load_edge_list ~path:"../tools/golden/ring4.edges" ());
+    ];
+  (* Sprint with every link of VHO 0 and every fifth other link down:
+     pairs into and out of VHO 0 are severed, others reroute. *)
+  let g = T.sprint () in
+  let up =
+    Array.init (G.n_links g) (fun lid ->
+        let l = G.link g lid in
+        l.G.src <> 0 && l.G.dst <> 0 && lid mod 5 <> 0)
+  in
+  let masked = P.compute_masked g ~link_up:up in
+  Alcotest.(check bool) "some pair severed" false (P.reachable masked ~src:0 ~dst:1);
+  routes_match_paths "masked sprint" masked (G.n_nodes g)
+
 let paths_disconnected () =
   let g =
     G.create ~name:"disc" ~n:4 ~edges:[ (0, 1); (2, 3) ]
@@ -149,4 +191,5 @@ let suite =
     Alcotest.test_case "zipf populations" `Quick populations_zipf;
     Alcotest.test_case "top population ordering" `Quick top_population_ordering;
     Alcotest.test_case "generator determinism" `Quick determinism;
+    Alcotest.test_case "route table matches paths" `Quick route_table;
   ]
