@@ -23,7 +23,9 @@
     block at a time to its cheapest candidate under penalty-priced
     marginal overflow, polishes with congestion-priced fresh oracle
     points, then runs a targeted repair loop that evicts from the worst
-    row the block whose cheapest avoiding point costs least.
+    row the block whose cheapest avoiding point costs least. A block
+    evicted from a row never moves back into it: its later candidates
+    price every row it left like the worst row and must avoid them.
 
     The input check, bound, violation and outcome are the engine's shared
     certificate ({!Vod_epf.Engine.lagrangian_bound} and its siblings);

@@ -3,8 +3,9 @@
    the recorded exact LP objective, the Benders fractional point against
    the exact LP on a tiny instance, jobs-count bit-identity, warm starts,
    every solver's reported violation against an Lp_check recomputation,
-   the master's fillable-row screen against the LP over every touched
-   row, and daemon replanning through a non-default solver. *)
+   the repair loop on the check.sh ring4 instance, the master's
+   fillable-row screen against the LP over every touched row, and
+   daemon replanning through a non-default solver. *)
 
 module I = Vod_placement.Instance
 module Sol = Vod_placement.Solution
@@ -190,6 +191,52 @@ let violation_matches_lp_check () =
               sol.Sol.max_violation)
         Solve.solvers)
     [ (2.0, 200.0); (2.0, 20.0); (1.1, 200.0); (1.1, 20.0) ]
+
+(* ---------- rounding: the repair loop ---------- *)
+
+(* The instance of the check.sh ring4 recording: vodopt solve
+   --topology-file tools/golden/ring4.edges --videos 8 --days 7
+   --requests-per-video 20 --disk 2 --link 5 (seed 42, 50 passes).
+   Disks and links both bind, so the repair loop has work. *)
+let ring4_recording_instance () =
+  let path = "../tools/golden/ring4.edges" in
+  let graph = Vod_topology.Topologies.load_edge_list ~name:path ~path () in
+  let sc =
+    Vod_core.Scenario.make ~days:7 ~requests_per_video_per_day:20.0 ~seed:42
+      ~graph ~n_videos:8 ()
+  in
+  I.create ~graph ~catalog:sc.Vod_core.Scenario.catalog
+    ~demand:(Vod_core.Scenario.demand_of_week sc ~day0:0 ())
+    ~disk_gb:(Vod_core.Scenario.uniform_disk sc ~multiple:2.0)
+    ~link_capacity_mbps:(I.uniform_links graph 5.0)
+    ()
+
+(* A block the repair loop evicts from a row must not be moved back into
+   it. When it could, one block swapped between two full rows until the
+   budget (4 moves per block, 32 here) ran out, and the placement ended
+   at 300% violation. *)
+let repair_does_not_ping_pong () =
+  let inst = ring4_recording_instance () in
+  let reg = Vod_obs.Obs.create () in
+  let report =
+    Vod_obs.Obs.with_run reg (fun () ->
+        Solve.solve ~solver:"benders"
+          ~params:{ Vod_epf.Engine.default_params with Vod_epf.Engine.max_passes = 50; jobs = 1 }
+          inst)
+  in
+  let repairs =
+    match Vod_obs.Obs.read reg "decomp/round/repairs" with
+    | Some (Vod_obs.Obs.Counter n) -> n
+    | _ -> 0
+  in
+  let budget = 4 * 8 (* moves per block x blocks, one per video *) in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d repair moves, below the %d-move budget" repairs budget)
+    true (repairs < budget);
+  let viol = report.Solve.solution.Sol.max_violation in
+  Alcotest.(check bool)
+    (Printf.sprintf "rounded violation %.17g <= 0.6" viol)
+    true (viol <= 0.6 +. 1e-9)
 
 (* ---------- master validation ---------- *)
 
@@ -503,6 +550,8 @@ let suite =
       benders_jobs_bit_identical;
     Alcotest.test_case "reported violation = Lp_check recomputation" `Quick
       violation_matches_lp_check;
+    Alcotest.test_case "repair loop does not ping-pong (ring4)" `Quick
+      repair_does_not_ping_pong;
     Alcotest.test_case "master input validation" `Quick
       master_rejects_bad_inputs;
     Alcotest.test_case "non-finite capacities rejected" `Quick
