@@ -7,15 +7,28 @@
    also the ground-truth oracle for unit tests of the EPF solver and the
    UFL subproblem solvers on small instances.
 
-   Implementation notes: standard tableau form with Bland's anti-cycling
-   rule; phase 1 minimizes the sum of artificial variables, phase 2 the
-   user objective. The tableau is dense, (rows + 1) x (variables + slacks
+   Implementation notes: standard tableau form; phase 1 minimizes the
+   sum of artificial variables, phase 2 the user objective. The
+   entering column is Dantzig's, the one with the largest reduced cost
+   (the lowest index on ties), until the phase has made
+   [degenerate_limit] = 50 degenerate pivots (ratio at most epsilon);
+   then Bland's rule, the lowest-index improving column, takes over for
+   the rest of the phase. The leaving row is the minimum ratio, ties to
+   the lowest basic variable, under either rule. This terminates:
+   before the switch at most 50 pivots are degenerate and every other
+   one strictly lowers the phase objective, so no basis repeats, and
+   after it Bland's rule cannot cycle. Dantzig's rule alone can: on
+   Beale's LP it is back at the starting basis after 6 pivots
+   (test_lp.ml). The tableau is dense, (rows + 1) x (variables + slacks
    + artificials + 1) floats, but a pivot updates only the rows with a
    nonzero pivot-column entry, and in them only the pivot row's nonzero
    columns: it costs touched rows x pivot-row nonzeros. On the Benders
-   restricted master of the solve-benders benchmark (about 74 rows x
-   219 columns, 250 pivots per solve) a pivot touches 57% of the rows
-   and 49% of the columns. *)
+   restricted master of the solve-benders benchmark (about 73 rows x
+   216 columns, seeds 1, 7 and 9) Dantzig's rule takes 128-129 pivots
+   per solve, 47-48% of them in phase 1, and no solve reaches the
+   fallback; a pivot touches 24% of the rows and 28% of the columns.
+   Bland's rule alone took 248-250 pivots (49% in phase 1) touching 56%
+   of the rows and 49% of the columns. *)
 
 type rel = Le | Ge | Eq
 
@@ -40,7 +53,13 @@ type result =
   | Infeasible
   | Unbounded
 
+type solved = { result : result; pivots : int; bland_fallback : bool }
+
 let epsilon = 1e-9
+
+(* Degenerate pivots a phase makes under Dantzig's entering rule before
+   it falls back to Bland's for the rest of the phase. *)
+let degenerate_limit = 50
 
 (* Record in [nz], from slot [k] on, the columns [c] and above where
    [row] is nonzero; returns the number of slots filled. *)
@@ -83,10 +102,21 @@ let pivot tableau basis nz prow pcol =
 
 (* Bland's entering column: the lowest index in [c, limit) whose entry
    in the objective row (kept as z - c) is positive; -1 if none is. *)
-let rec entering obj c limit =
-  if c >= limit then -1 else if obj.(c) > epsilon then c else entering obj (c + 1) limit
+let rec bland obj c limit =
+  if c >= limit then -1 else if obj.(c) > epsilon then c else bland obj (c + 1) limit
 
-(* Bland's leaving row for column [pcol], scanning rows [r, m) against
+(* Dantzig's entering column: the one in [c, limit) with the largest
+   positive objective-row entry (the largest reduced cost), the lowest
+   index on ties, against the best column so far ([best], -1 for none);
+   -1 if no entry is positive. Entries are compared in place, so the
+   scan boxes no float. *)
+let rec dantzig obj c limit best =
+  if c >= limit then best
+  else
+    let best = if obj.(c) > epsilon && (best < 0 || obj.(c) > obj.(best)) then c else best in
+    dantzig obj (c + 1) limit best
+
+(* The leaving row for column [pcol], scanning rows [r, m) against
    the best row so far ([best], -1 for none): the minimum ratio of the
    rhs column [rhs] to a positive pivot-column entry, ties within
    epsilon going to the lowest basic variable; -1 if no entry is
@@ -116,26 +146,46 @@ let rec leaving tableau (basis : int array) ~pcol ~rhs ~m r best =
     leaving tableau basis ~pcol ~rhs ~m (r + 1) best
   end
 
-(* Run simplex iterations on a tableau whose last row is the (negated
-   reduced cost) objective row and last column is the rhs. Returns [false]
-   if unbounded. Bland's rule: entering = lowest-index improving column,
-   leaving = lowest-index tie among min ratios. [enter_limit] bounds the
-   entering-column scan — phase 2 must exclude the artificial columns or
-   they can re-enter the basis and "solve" an infeasible relaxation. *)
-let rec iterate tableau basis nz ~n_total ~enter_limit =
+(* Pivots made and whether a phase fell back to Bland's rule, counted
+   over one solve. *)
+type counts = { mutable made : int; mutable fell_back : bool }
+
+(* Run one phase's simplex iterations on a tableau whose last row is the
+   (negated reduced cost) objective row and last column is the rhs.
+   Returns [false] if unbounded. The entering column is Dantzig's (the
+   largest reduced cost) until the phase has made [degenerate_limit]
+   degenerate pivots, whose ratio is at most epsilon ([degenerate]
+   counts them), and Bland's (the lowest-index improving column) after
+   that; the leaving row is the lowest-index tie among min ratios under
+   either rule. [enter_limit] bounds the entering-column scan — phase 2
+   must exclude the artificial columns or they can re-enter the basis
+   and "solve" an infeasible relaxation. *)
+let rec iterate tableau basis nz counts ~n_total ~enter_limit ~degenerate =
   let m = Array.length tableau - 1 in
-  let pcol = entering tableau.(m) 0 enter_limit in
+  let obj = tableau.(m) in
+  let pcol =
+    if degenerate < degenerate_limit then dantzig obj 0 enter_limit (-1)
+    else bland obj 0 enter_limit
+  in
   if pcol < 0 then true
   else begin
     let prow = leaving tableau basis ~pcol ~rhs:n_total ~m 0 (-1) in
     if prow < 0 then false
     else begin
+      let row = tableau.(prow) in
+      (* Degenerate: the ratio rhs / entry (the entry is positive) is at
+         most epsilon. *)
+      let degenerate =
+        if row.(n_total) <= epsilon *. row.(pcol) then degenerate + 1 else degenerate
+      in
+      if degenerate = degenerate_limit then counts.fell_back <- true;
       pivot tableau basis nz prow pcol;
-      iterate tableau basis nz ~n_total ~enter_limit
+      counts.made <- counts.made + 1;
+      iterate tableau basis nz counts ~n_total ~enter_limit ~degenerate
     end
   end
 
-let solve (p : problem) =
+let solve counts (p : problem) =
   let m = List.length p.constraints in
   (* Normalize: make all right-hand sides nonnegative. [flipped] remembers
      which rows were negated so their duals can be reported in the
@@ -216,7 +266,7 @@ let solve (p : problem) =
             obj_row.(c) <- obj_row.(c) +. tableau.(r).(c)
           done)
       basis;
-    if not (iterate tableau basis nz ~n_total ~enter_limit:n_total) then
+    if not (iterate tableau basis nz counts ~n_total ~enter_limit:n_total ~degenerate:0) then
       (* Phase 1 objective is bounded below by 0; unbounded is impossible
          unless numerics break. *)
       invalid_arg "Simplex.solve: phase 1 reported unbounded";
@@ -231,6 +281,7 @@ let solve (p : problem) =
         while (not !found) && !c < p.n_vars + n_slack do
           if Float.abs tableau.(r).(!c) > epsilon then begin
             pivot tableau basis nz r !c;
+            counts.made <- counts.made + 1;
             found := true
           end;
           incr c
@@ -258,8 +309,11 @@ let solve (p : problem) =
           done
       end)
     basis;
-  if not (iterate tableau basis nz ~n_total ~enter_limit:(p.n_vars + n_slack)) then
-    Unbounded
+  if
+    not
+      (iterate tableau basis nz counts ~n_total ~enter_limit:(p.n_vars + n_slack)
+         ~degenerate:0)
+  then Unbounded
   else begin
     let solution = Array.make p.n_vars 0.0 in
     Array.iteri
@@ -281,4 +335,9 @@ let solve (p : problem) =
     Optimal { objective = !objective; solution; duals }
   end
 
-let solve p = try solve p with Exit -> Infeasible
+let solve_with_stats p =
+  let counts = { made = 0; fell_back = false } in
+  let result = try solve counts p with Exit -> Infeasible in
+  { result; pivots = counts.made; bland_fallback = counts.fell_back }
+
+let solve p = (solve_with_stats p).result

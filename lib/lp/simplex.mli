@@ -1,4 +1,8 @@
-(** Dense two-phase primal simplex with Bland's anti-cycling rule.
+(** Dense two-phase primal simplex. The entering column is the one with
+    the largest reduced cost (Dantzig's rule, the lowest index on ties)
+    until a phase has made 50 degenerate pivots; Bland's anti-cycling
+    rule then takes over for the rest of that phase, so every solve
+    terminates.
 
     The repository's stand-in for the commercial LP solver the paper uses
     as its baseline (Table III), and the ground-truth oracle for testing
@@ -41,7 +45,16 @@ type result =
   | Infeasible
   | Unbounded
 
+(** A result with what its solve did: the pivots it made (both phases,
+    and the pivots that drive a degenerate artificial out of the basis
+    between them), and whether a phase made 50 degenerate pivots and so
+    fell back to Bland's rule. *)
+type solved = { result : result; pivots : int; bland_fallback : bool }
+
 (** Solve a minimization LP over nonnegative variables.
     Raises [Invalid_argument] if a constraint references a variable outside
     [0, n_vars). *)
 val solve : problem -> result
+
+(** {!solve}, also reporting what the solve did. *)
+val solve_with_stats : problem -> solved

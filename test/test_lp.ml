@@ -1,7 +1,9 @@
 (* Tests for the simplex reference solver: known LPs, degenerate cases,
    randomized comparison against brute-force vertex enumeration on
-   2-variable instances, and equivalence with the dense-pivot simplex
-   on random degenerate LPs. *)
+   2-variable instances, equivalence with the dense-pivot simplex on
+   random degenerate LPs, agreement with Bland's rule throughout, and
+   Beale's cycling LP, on which the largest-coefficient rule alone
+   cycles and the Bland fallback does not. *)
 
 module S = Vod_lp.Simplex
 
@@ -326,8 +328,12 @@ let prop_random_2var =
 
 (* The definition [S.solve] must reproduce: the dense-pivot simplex,
    which updates every column of every row with a nonzero pivot-column
-   entry. Kept here, not in lib/, as the equivalence reference for the
-   sparse pivot-row elimination. *)
+   entry, under the same pivot rules. Kept here, not in lib/, as the
+   equivalence reference for the sparse pivot-row elimination.
+   [solve_with ~fallback_after] enters by Dantzig's rule until a phase
+   has made [fallback_after] degenerate pivots and by Bland's after
+   that: [solve] is [S.solve]'s rule (50), [solve_bland] (0) is Bland's
+   rule throughout, the one the simplex used before. *)
 module Dense_ref = struct
   open S
 
@@ -354,55 +360,83 @@ module Dense_ref = struct
     done;
     basis.(prow) <- pcol
 
-  (* Run simplex iterations on a tableau whose last row is the (negated
-     reduced cost) objective row and last column is the rhs. Returns [false]
-     if unbounded. Bland's rule: entering = lowest-index improving column,
-     leaving = lowest-index tie among min ratios. [enter_limit] bounds the
-     entering-column scan — phase 2 must exclude the artificial columns or
-     they can re-enter the basis and "solve" an infeasible relaxation. *)
-  let iterate tableau basis ~n_total ~enter_limit =
+  (* Entering column in the objective row (kept as z - c), among the
+     columns below [enter_limit]: Bland's is the first positive entry,
+     Dantzig's the largest (the first of equal ones); -1 if no entry is
+     positive. *)
+  let bland obj ~enter_limit =
+    let enter = ref (-1) in
+    (try
+       for c = 0 to enter_limit - 1 do
+         if obj.(c) > epsilon then begin
+           enter := c;
+           raise Exit
+         end
+       done
+     with Exit -> ());
+    !enter
+
+  let dantzig obj ~enter_limit =
+    let enter = ref (-1) in
+    for c = 0 to enter_limit - 1 do
+      if obj.(c) > epsilon && (!enter < 0 || obj.(c) > obj.(!enter)) then enter := c
+    done;
+    !enter
+
+  (* Leaving row for column [pcol]: the minimum ratio of the rhs to a
+     positive pivot-column entry, ties within epsilon going to the
+     lowest basic variable; -1 if no entry is positive. *)
+  let leaving tableau basis ~n_total pcol =
+    let m = Array.length tableau - 1 in
+    let best_row = ref (-1) and best_ratio = ref infinity in
+    for r = 0 to m - 1 do
+      let a = tableau.(r).(pcol) in
+      if a > epsilon then begin
+        let ratio = tableau.(r).(n_total) /. a in
+        if
+          ratio < !best_ratio -. epsilon
+          || (Float.abs (ratio -. !best_ratio) <= epsilon
+             && (!best_row < 0 || basis.(r) < basis.(!best_row)))
+        then begin
+          best_ratio := ratio;
+          best_row := r
+        end
+      end
+    done;
+    !best_row
+
+  (* Run one phase's simplex iterations on a tableau whose last row is
+     the (negated reduced cost) objective row and last column is the
+     rhs. Returns [false] if unbounded. A pivot is degenerate when its
+     ratio is at most epsilon. [visit] sees the basis after every pivot.
+     [enter_limit] bounds the entering-column scan — phase 2 must
+     exclude the artificial columns or they can re-enter the basis and
+     "solve" an infeasible relaxation. *)
+  let iterate ?(visit = ignore) ~fallback_after tableau basis ~n_total ~enter_limit =
     let m = Array.length tableau - 1 in
     let obj = tableau.(m) in
+    let degenerate = ref 0 in
     let rec loop () =
-      (* Entering column: first with positive coefficient in the objective
-         row (we keep the row as z-c, maximizing reduction). *)
-      let enter = ref (-1) in
-      (try
-         for c = 0 to enter_limit - 1 do
-           if obj.(c) > epsilon then begin
-             enter := c;
-             raise Exit
-           end
-         done
-       with Exit -> ());
-      if !enter < 0 then true
+      let pcol =
+        if !degenerate < fallback_after then dantzig obj ~enter_limit
+        else bland obj ~enter_limit
+      in
+      if pcol < 0 then true
       else begin
-        let pcol = !enter in
-        let best_row = ref (-1) and best_ratio = ref infinity in
-        for r = 0 to m - 1 do
-          let a = tableau.(r).(pcol) in
-          if a > epsilon then begin
-            let ratio = tableau.(r).(n_total) /. a in
-            if
-              ratio < !best_ratio -. epsilon
-              || (Float.abs (ratio -. !best_ratio) <= epsilon
-                 && (!best_row < 0 || basis.(r) < basis.(!best_row)))
-            then begin
-              best_ratio := ratio;
-              best_row := r
-            end
-          end
-        done;
-        if !best_row < 0 then false
+        let prow = leaving tableau basis ~n_total pcol in
+        if prow < 0 then false
         else begin
-          pivot tableau basis !best_row pcol;
+          if tableau.(prow).(n_total) <= epsilon *. tableau.(prow).(pcol) then
+            incr degenerate;
+          pivot tableau basis prow pcol;
+          visit basis;
           loop ()
         end
       end
     in
     loop ()
 
-  let solve (p : problem) =
+  let solve_with ~fallback_after (p : problem) =
     let m = List.length p.constraints in
     (* Normalize: make all right-hand sides nonnegative. [flipped] remembers
        which rows were negated so their duals can be reported in the
@@ -482,7 +516,7 @@ module Dense_ref = struct
               obj_row.(c) <- obj_row.(c) +. tableau.(r).(c)
             done)
         basis;
-      if not (iterate tableau basis ~n_total ~enter_limit:n_total) then
+      if not (iterate ~fallback_after tableau basis ~n_total ~enter_limit:n_total) then
         (* Phase 1 objective is bounded below by 0; unbounded is impossible
            unless numerics break. *)
         invalid_arg "Simplex.solve: phase 1 reported unbounded";
@@ -524,8 +558,11 @@ module Dense_ref = struct
             done
         end)
       basis;
-    if not (iterate tableau basis ~n_total ~enter_limit:(p.n_vars + n_slack)) then
-      Unbounded
+    if
+      not
+        (iterate ~fallback_after tableau basis ~n_total
+           ~enter_limit:(p.n_vars + n_slack))
+    then Unbounded
     else begin
       let solution = Array.make p.n_vars 0.0 in
       Array.iteri
@@ -547,7 +584,9 @@ module Dense_ref = struct
       Optimal { objective = !objective; solution; duals }
     end
 
-  let solve p = try solve p with Exit -> Infeasible
+  let solve_with ~fallback_after p = try solve_with ~fallback_after p with Exit -> Infeasible
+  let solve = solve_with ~fallback_after:50
+  let solve_bland = solve_with ~fallback_after:0
 end
 
 (* Same outcome as the dense reference: the same constructor (or the same
@@ -601,6 +640,135 @@ let random_lp seed =
   in
   { S.n_vars; minimize; constraints }
 
+(* simplex.mli's dual contract in sign and strong duality, to 1e-6
+   relative to the objective (at least 1): Le duals <= 0, Ge duals >= 0,
+   and sum duals.(i) *. rhs_i = objective. *)
+let meets_dual_contract p objective duals =
+  let tol = 1e-6 *. Float.max 1.0 (Float.abs objective) in
+  Array.length duals = List.length p.S.constraints
+  && Float.abs
+       (List.fold_left ( +. ) 0.0
+          (List.mapi (fun i c -> duals.(i) *. c.S.rhs) p.S.constraints)
+       -. objective)
+     <= tol
+  && List.for_all Fun.id
+       (List.mapi
+          (fun i c ->
+            match c.S.rel with
+            | S.Le -> duals.(i) <= tol
+            | S.Ge -> duals.(i) >= -.tol
+            | S.Eq -> true)
+          p.S.constraints)
+
+(* Against Bland's rule throughout: the same status (or the same
+   [Invalid_argument]); when optimal, objectives within 1e-9 relative
+   (to at least 1) and both dual vectors meeting the contract. The
+   vertices may differ: an LP can have several optima. *)
+let same_as_bland_ref p =
+  let outcome f = match f p with r -> Ok r | exception Invalid_argument s -> Error s in
+  match (outcome S.solve, outcome Dense_ref.solve_bland) with
+  | Ok (S.Optimal a), Ok (S.Optimal b) ->
+      Float.abs (a.objective -. b.objective)
+      <= 1e-9 *. Float.max 1.0 (Float.abs b.objective)
+      && meets_dual_contract p a.objective a.duals
+      && meets_dual_contract p b.objective b.duals
+  | Ok S.Infeasible, Ok S.Infeasible | Ok S.Unbounded, Ok S.Unbounded -> true
+  | Error a, Error b -> String.equal a b
+  | _ -> false
+
+let prop_matches_bland_ref =
+  QCheck.Test.make ~name:"Dantzig pricing = Bland reference (objective, duals)"
+    ~count:2000
+    QCheck.(int_bound 1_000_000)
+    (fun seed -> same_as_bland_ref (random_lp seed))
+
+let placement_lp_matches_bland_ref () =
+  Alcotest.(check bool) "same optimum" true (same_as_bland_ref (ring4_placement_lp ()))
+
+(* Beale's (1955) cycling example: min -3/4 x4 + 150 x5 - 1/50 x6 + 6 x7
+   s.t. 1/4 x4 - 60 x5 - 1/25 x6 + 9 x7 <= 0,
+        1/2 x4 - 90 x5 - 1/50 x6 + 3 x7 <= 0, x6 <= 1.
+   Its optimum is -1/20 (x4 = 1/25, x6 = 1). The start is degenerate:
+   both rows have rhs 0. *)
+let beale =
+  {
+    S.n_vars = 4;
+    minimize = [| -0.75; 150.0; -0.02; 6.0 |];
+    constraints =
+      [
+        { S.row = [ (0, 0.25); (1, -60.0); (2, -0.04); (3, 9.0) ]; rel = S.Le; rhs = 0.0 };
+        { S.row = [ (0, 0.5); (1, -90.0); (2, -0.02); (3, 3.0) ]; rel = S.Le; rhs = 0.0 };
+        { S.row = [ (2, 1.0) ]; rel = S.Le; rhs = 1.0 };
+      ];
+  }
+
+exception Revisited of int
+
+(* The largest-coefficient rule alone cycles on Beale's LP: from the
+   slack basis, a loop that never falls back revisits a basis within 50
+   pivots, all of them degenerate (the objective never moves). The
+   simplex, which falls back to Bland's rule after 50 degenerate pivots,
+   reaches the optimum and reports the fallback. *)
+let beale_cycles_without_fallback () =
+  (* All rows are Le with rhs >= 0: the tableau is [A | I | b] over
+     [-c | 0 | 0], in S.solve's column layout, on the slack basis. *)
+  let n = beale.S.n_vars and m = List.length beale.S.constraints in
+  let n_total = n + m in
+  let tableau = Array.make_matrix (m + 1) (n_total + 1) 0.0 in
+  List.iteri
+    (fun r c ->
+      List.iter (fun (v, a) -> tableau.(r).(v) <- a) c.S.row;
+      tableau.(r).(n + r) <- 1.0;
+      tableau.(r).(n_total) <- c.S.rhs)
+    beale.S.constraints;
+  Array.iteri (fun v c -> tableau.(m).(v) <- -.c) beale.S.minimize;
+  let basis = Array.init m (fun r -> n + r) in
+  let key b = List.sort compare (Array.to_list b) in
+  let seen = ref [ key basis ] and pivots = ref 0 in
+  let visit b =
+    incr pivots;
+    if List.mem (key b) !seen then raise (Revisited !pivots);
+    if !pivots >= 50 then Alcotest.fail "no basis revisited in 50 pivots";
+    seen := key b :: !seen
+  in
+  (match
+     Dense_ref.iterate ~visit ~fallback_after:max_int tableau basis ~n_total
+       ~enter_limit:n_total
+   with
+  | _ -> Alcotest.fail "the largest-coefficient loop terminated"
+  | exception Revisited k ->
+      Alcotest.(check bool) (Printf.sprintf "basis revisited after %d pivots" k) true (k <= 50);
+      Alcotest.(check (float 0.0)) "objective never moved" 0.0 tableau.(m).(n_total));
+  let solved = S.solve_with_stats beale in
+  match solved.S.result with
+  | S.Optimal { objective; solution; _ } ->
+      check_obj "Beale optimum" (-0.05) objective;
+      check_obj "x4" 0.04 solution.(0);
+      check_obj "x6" 1.0 solution.(2);
+      Alcotest.(check bool) "fell back to Bland's rule" true solved.S.bland_fallback;
+      Alcotest.(check bool)
+        (Printf.sprintf "%d pivots, past the 50 degenerate ones" solved.S.pivots)
+        true (solved.S.pivots > 50)
+  | S.Infeasible | S.Unbounded -> Alcotest.fail "Beale's LP is bounded and feasible"
+
+(* On a nondegenerate LP Dantzig's rule alone finishes: two pivots, no
+   fallback. *)
+let stats_without_fallback () =
+  let p =
+    {
+      S.n_vars = 2;
+      minimize = [| -1.0; -1.0 |];
+      constraints =
+        [
+          { S.row = [ (0, 1.0); (1, 1.0) ]; rel = S.Le; rhs = 4.0 };
+          { S.row = [ (0, 1.0) ]; rel = S.Le; rhs = 2.0 };
+        ];
+    }
+  in
+  let solved = S.solve_with_stats p in
+  Alcotest.(check int) "pivots" 2 solved.S.pivots;
+  Alcotest.(check bool) "no fallback" false solved.S.bland_fallback
+
 let prop_matches_dense_ref =
   QCheck.Test.make ~name:"sparse pivot = dense reference" ~count:2000
     QCheck.(int_bound 1_000_000)
@@ -627,4 +795,10 @@ let suite =
     Alcotest.test_case "placement LP = dense reference" `Quick
       placement_lp_matches_dense_ref;
     QCheck_alcotest.to_alcotest prop_matches_dense_ref;
+    Alcotest.test_case "placement LP = Bland reference" `Quick
+      placement_lp_matches_bland_ref;
+    QCheck_alcotest.to_alcotest prop_matches_bland_ref;
+    Alcotest.test_case "Beale: largest coefficient cycles, solve does not" `Quick
+      beale_cycles_without_fallback;
+    Alcotest.test_case "pivot stats: no fallback" `Quick stats_without_fallback;
   ]
