@@ -259,10 +259,10 @@ let faults_t =
 let playout_link_t =
   Arg.(
     value
-    & opt (some float) None
+    & opt (some positive) None
     & info [ "link-capacity" ] ~docv:"MBPS"
         ~doc:
-          "Per-directed-link bandwidth budget enforced at playout time (streams are admitted against residual capacity; default unlimited). Implies the failover-serving playout mode.")
+          "Per-directed-link bandwidth budget enforced at playout time (positive; streams are admitted against residual capacity; default unlimited). Implies the failover-serving playout mode.")
 
 let origin_t =
   Arg.(
@@ -271,16 +271,27 @@ let origin_t =
     & info [ "origin" ] ~docv:"VHO"
         ~doc:"Last-resort origin server for failover routing (holds the full library).")
 
+(* A serving-flag value only the topology can judge (an origin or fault
+   target outside it, an unreadable schedule) is still a command-line
+   error naming its flag: [cli_errors] turns [Bad_flag] into cmdliner's
+   usage exit (124). *)
+exception Bad_flag of string
+
+let cli_errors f =
+  match f () with () -> `Ok () | exception Bad_flag msg -> `Error (false, msg)
+
 (* --faults SPEC: canned scenario name (optionally ":VHO") or a CSV path. *)
 let schedule_of_spec sc spec =
+  let n_vhos = Vod_topology.Graph.n_nodes sc.Vod_core.Scenario.graph in
   let name, target =
     match String.index_opt spec ':' with
     | Some i ->
         let v = String.sub spec (i + 1) (String.length spec - i - 1) in
         let vho =
           match int_of_string_opt v with
-          | Some vho -> vho
-          | None -> failwith (Printf.sprintf "bad VHO %S in --faults %s" v spec)
+          | Some vho when vho >= 0 && vho < n_vhos -> vho
+          | Some _ | None ->
+              invalid_arg (Printf.sprintf "VHO %S is not in [0, %d)" v n_vhos)
         in
         (String.sub spec 0 i, Some vho)
     | None -> (spec, None)
@@ -290,21 +301,30 @@ let schedule_of_spec sc spec =
   | "correlated" -> Vod_core.Scenario.correlated_outage ?vho:target sc
   | "flash-crowd" -> Vod_core.Scenario.flash_crowd ?vho:target sc
   | _ ->
-      Vod_resil.Event.load_csv
-        ~n_vhos:(Vod_topology.Graph.n_nodes sc.Vod_core.Scenario.graph)
+      Vod_resil.Event.load_csv ~n_vhos
         ~n_links:(Vod_topology.Graph.n_links sc.Vod_core.Scenario.graph)
         spec
 
 (* --faults, --link-capacity and --origin: any of them switches playout
-   to the serving loop's faulted configuration. *)
+   to the serving loop's faulted configuration. Raises [Bad_flag] on a
+   bad fault spec or origin. *)
 let resil_of sc ~faults ~playout_link ~origin =
+  let n_vhos = Vod_topology.Graph.n_nodes sc.Vod_core.Scenario.graph in
+  let bad flag msg = raise (Bad_flag (Printf.sprintf "option '%s': %s" flag msg)) in
+  (match origin with
+  | Some o when o < 0 || o >= n_vhos ->
+      bad "--origin" (Printf.sprintf "VHO %d outside [0, %d)" o n_vhos)
+  | Some _ | None -> ());
   match (faults, playout_link, origin) with
   | None, None, None -> None
   | _ ->
       let schedule =
         match faults with
         | None -> Vod_resil.Event.empty
-        | Some spec -> schedule_of_spec sc spec
+        | Some spec -> (
+            try schedule_of_spec sc spec with
+            | Invalid_argument m -> bad "--faults" (spec ^ ": " ^ m)
+            | Sys_error m -> bad "--faults" m)
       in
       Some
         (Vod_resil.Playout.config ~schedule ?link_capacity_mbps:playout_link
@@ -321,6 +341,7 @@ let mip_of ~passes ~solver =
 let simulate topology topology_file trace_file videos days rpv seed disk link passes
     scheme solver faults playout_link origin verbose jobs metrics =
   setup_logs verbose jobs;
+  cli_errors @@ fun () ->
   with_metrics metrics @@ fun () ->
   let sc = scenario_of ?topology_file ?trace_file ~topology ~videos ~days ~rpv ~seed () in
   let resil = resil_of sc ~faults ~playout_link ~origin in
@@ -390,10 +411,10 @@ let update_hours_t =
 let budget_t =
   Arg.(
     value
-    & opt (some float) None
+    & opt (some positive) None
     & info [ "budget" ] ~docv:"GB"
         ~doc:
-          "Per-replan migration budget in GB; deltas beyond it are deferred to later replans (default: unrestricted).")
+          "Per-replan migration budget in GB (positive); deltas beyond it are deferred to later replans (default: unrestricted).")
 
 let cold_start_t =
   Arg.(
@@ -411,6 +432,7 @@ let serve topology topology_file trace_file videos days rpv seed disk link passe
     solver faults playout_link origin update_hours budget cold_start no_fault_react
     verbose jobs metrics =
   setup_logs verbose jobs;
+  cli_errors @@ fun () ->
   with_metrics metrics @@ fun () ->
   let sc = scenario_of ?topology_file ?trace_file ~topology ~videos ~days ~rpv ~seed () in
   let resil = resil_of sc ~faults ~playout_link ~origin in
@@ -516,9 +538,10 @@ let solve_cmd =
 let simulate_cmd =
   Cmd.v (Cmd.info "simulate" ~doc:"Replay the trace against a distribution scheme")
     Term.(
-      const simulate $ topology_t $ topology_file_t $ trace_file_t $ videos_t
-      $ days_t $ rpv_t $ seed_t $ disk_t $ link_t $ passes_t $ scheme_t $ solver_t
-      $ faults_t $ playout_link_t $ origin_t $ verbose_t $ jobs_t $ metrics_t)
+      ret
+        (const simulate $ topology_t $ topology_file_t $ trace_file_t $ videos_t
+        $ days_t $ rpv_t $ seed_t $ disk_t $ link_t $ passes_t $ scheme_t $ solver_t
+        $ faults_t $ playout_link_t $ origin_t $ verbose_t $ jobs_t $ metrics_t))
 
 let serve_cmd =
   Cmd.v
@@ -526,10 +549,11 @@ let serve_cmd =
        ~doc:
          "Serve the trace through the online re-placement daemon (continuous replans under a migration budget)")
     Term.(
-      const serve $ topology_t $ topology_file_t $ trace_file_t $ videos_t
-      $ days_t $ rpv_t $ seed_t $ disk_t $ link_t $ passes_t $ solver_t $ faults_t
-      $ playout_link_t $ origin_t $ update_hours_t $ budget_t $ cold_start_t
-      $ no_fault_react_t $ verbose_t $ jobs_t $ metrics_t)
+      ret
+        (const serve $ topology_t $ topology_file_t $ trace_file_t $ videos_t
+        $ days_t $ rpv_t $ seed_t $ disk_t $ link_t $ passes_t $ solver_t $ faults_t
+        $ playout_link_t $ origin_t $ update_hours_t $ budget_t $ cold_start_t
+        $ no_fault_react_t $ verbose_t $ jobs_t $ metrics_t))
 
 let sweep_cmd =
   Cmd.v (Cmd.info "sweep" ~doc:"Feasibility sweep: min disk per link capacity")

@@ -69,8 +69,6 @@ let create ~policy ~capacity_gb =
 let crf_now t e ~lambda =
   e.crf *. (2.0 ** (-.lambda *. float_of_int (t.clock - e.last_use)))
 
-let capacity_gb t = t.capacity_gb
-
 let used_gb t = t.used_gb
 
 let size t = Hashtbl.length t.entries

@@ -15,8 +15,6 @@ type t
     outside (0, 1]. Zero capacity is a valid always-miss cache. *)
 val create : policy:policy -> capacity_gb:float -> t
 
-val capacity_gb : t -> float
-
 (** Bytes currently resident (GB). *)
 val used_gb : t -> float
 

@@ -1,7 +1,9 @@
 (* A fleet = one content-distribution scheme instantiated across all VHOs:
    pinned copies (from the MIP placement or a baseline rule), per-VHO
-   dynamic caches, the replica oracle, and the serving logic. The
-   simulator drives [serve] for every request (paper Sec. VII-A/B):
+   dynamic caches, the replica oracle, and the serving logic. The serving
+   loop drives [serve] for every request (paper Sec. VII-A/B), or, under
+   faults, its three steps in turn with a router choosing the server
+   between them: [serve_local], [default_server], [fetch].
 
    - MIP            : pinned per the rounded placement, requests routed per
                       the MIP's x variables, small complementary LRU cache;
@@ -61,7 +63,7 @@ let pinned_gb t =
         (Vod_util.Stats_acc.sorted_keys Int.compare tbl))
     t.pinned
 
-let choose_server t ~video ~vho =
+let default_server t ~video ~vho =
   match t.routing with
   | Region_origin origins -> (
       (* Prefer a cached copy anywhere if closer than the origin. *)
@@ -79,52 +81,43 @@ let choose_server t ~video ~vho =
 
 let holders t ~video = Replica_index.holders t.index ~video
 
-(* [serve_routed] is [serve] with the remote-server decision delegated to
-   [route], which receives the scheme's fault-free choice as [default]
-   and may pick another replica (failover) or return [None] to reject the
-   request. Local serving (pinned store, cache hit) is never rerouted.
-   On [None] the caches are left untouched — a rejected request streams
-   nothing — and the function returns [None]. *)
-let serve_routed t ~video ~vho ~now ~route =
+(* Local serving is never rerouted: the pinned store, else a cache hit,
+   which locks the entry until the stream ends. A miss changes nothing. *)
+let serve_local t ~video ~vho ~now =
   let v = Vod_workload.Catalog.video t.catalog video in
-  let size_gb = Vod_workload.Video.size_gb v in
-  let busy_until = now +. Vod_workload.Video.duration_s v in
   if pinned_at t ~video ~vho then
     Some
       { server = vho; local = true; cache_hit = false; inserted = false; not_cachable = false }
-  else if Cache.touch t.caches.(vho) video ~busy_until then
+  else if Cache.touch t.caches.(vho) video ~busy_until:(now +. Vod_workload.Video.duration_s v)
+  then
     Some
       { server = vho; local = true; cache_hit = true; inserted = false; not_cachable = false }
-  else begin
-    let default = choose_server t ~video ~vho in
-    match route ~default with
-    | None -> None
-    | Some server ->
-        (* Streaming from a remote cached copy pins it for the duration. *)
-        if server <> vho then ignore (Cache.touch t.caches.(server) video ~busy_until);
-        let inserted, evicted =
-          Cache.insert t.caches.(vho) video ~size_gb ~now ~busy_until
-        in
-        List.iter (fun ev -> Replica_index.remove t.index ~video:ev ~vho) evicted;
-        if inserted then Replica_index.add t.index ~video ~vho;
-        Some
-          {
-            server;
-            local = false;
-            cache_hit = false;
-            inserted;
-            not_cachable = not inserted;
-          }
-  end
+  else None
 
-(* Hoisted: an inline [fun ~default -> Some default] would allocate a
-   closure on every fault-free serve (alloc-in-hot). *)
-let identity_route ~default = Some default
+(* Explicit recursion: a [List.iter] lambda would allocate a closure per
+   evicting miss (alloc-in-hot). *)
+let rec unindex t ~vho = function
+  | [] -> ()
+  | video :: rest ->
+      Replica_index.remove t.index ~video ~vho;
+      unindex t ~vho rest
+
+let fetch t ~video ~vho ~now ~server =
+  let v = Vod_workload.Catalog.video t.catalog video in
+  let busy_until = now +. Vod_workload.Video.duration_s v in
+  (* Streaming from a remote cached copy pins it for the duration. *)
+  if server <> vho then ignore (Cache.touch t.caches.(server) video ~busy_until);
+  let inserted, evicted =
+    Cache.insert t.caches.(vho) video ~size_gb:(Vod_workload.Video.size_gb v) ~now ~busy_until
+  in
+  unindex t ~vho evicted;
+  if inserted then Replica_index.add t.index ~video ~vho;
+  { server; local = false; cache_hit = false; inserted; not_cachable = not inserted }
 
 let serve t ~video ~vho ~now =
-  match serve_routed t ~video ~vho ~now ~route:identity_route with
+  match serve_local t ~video ~vho ~now with
   | Some outcome -> outcome
-  | None -> invalid_arg "Fleet.serve: identity route returned None"
+  | None -> fetch t ~video ~vho ~now ~server:(default_server t ~video ~vho)
 
 (* ---------- constructors ---------- *)
 

@@ -1,6 +1,8 @@
 (** A fleet = one content-distribution scheme across all VHOs: pinned
     copies, per-VHO dynamic caches, the replica oracle and the serving
-    logic. The simulator calls [serve] per request (paper Sec. VII). *)
+    logic. The serving loop calls {!serve} per request (paper Sec. VII),
+    or, when a failover router picks the server, {!serve_local}, then
+    {!default_server} and {!fetch}. *)
 
 type routing =
   | Oracle_nearest
@@ -36,24 +38,23 @@ val pinned_gb : t -> float array
     the failover router in lib/resil. *)
 val holders : t -> video:int -> int list
 
-(** Serve one request at [now]; updates caches, locks streaming entries,
-    maintains the replica index. Raises [Invalid_argument] if a video has
-    no replica anywhere under oracle routing. *)
+(** Serve one request at [now]: {!serve_local}, else {!fetch} from
+    {!default_server}. Raises [Invalid_argument] if a video has no
+    replica anywhere under oracle routing. *)
 val serve : t -> video:int -> vho:int -> now:float -> outcome
 
-(** [serve] with the remote-server decision delegated to [route]: it is
-    called only when the request cannot be served locally, receives the
-    scheme's fault-free choice as [default], and may return a different
-    server (failover) or [None] to reject the request. A rejection leaves
-    every cache untouched and yields [None]. [serve] is
-    [serve_routed ~route:(fun ~default -> Some default)]. *)
-val serve_routed :
-  t ->
-  video:int ->
-  vho:int ->
-  now:float ->
-  route:(default:int -> int option) ->
-  outcome option
+(** [Some] when [vho] pins [video] or its cache hits (the hit locks the
+    entry until the stream ends); [None] on a miss, with nothing changed. *)
+val serve_local : t -> video:int -> vho:int -> now:float -> outcome option
+
+(** The scheme's fault-free server for a miss at [vho]; reads only.
+    Raises as {!serve} does. *)
+val default_server : t -> video:int -> vho:int -> int
+
+(** Stream a missed request from [server]: lock a cached copy there until
+    the stream ends, admit the video into [vho]'s cache and update the
+    replica index. *)
+val fetch : t -> video:int -> vho:int -> now:float -> server:int -> outcome
 
 (** MIP placement + complementary per-VHO cache (GB each). *)
 val mip :

@@ -33,7 +33,8 @@ let roots =
     ("Capacity.expire", "resil/capacity", 3, true);
     ("Router.route", "resil/route", 4, true);
     ("Fleet.serve", "serve", 5, true);
-    ("Fleet.serve_routed", "serve", 5, true);
+    ("Fleet.serve_local", "serve", 5, true);
+    ("Fleet.fetch", "serve", 5, true);
     ("Metrics.add_stream", "playout", 6, true);
     ("Master.solve", "solve/master", 7, false);
   ]

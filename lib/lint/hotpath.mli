@@ -8,7 +8,7 @@
     - a fixed root table covering the serving inner loops:
       [Serve.Loop.play_direct]/[play_faulted]/[play_soa]/[run_soa],
       [Resil.Capacity.fits]/[reserve]/[expire], [Resil.Router.route],
-      [Fleet.serve]/[serve_routed], [Metrics.add_stream], plus the
+      [Fleet.serve]/[serve_local]/[fetch], [Metrics.add_stream], plus the
       Benders master's [Master.solve].
 
     Each root carries the {!Vod_obs} phase-timer name it runs under and

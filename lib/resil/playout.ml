@@ -13,6 +13,14 @@ let config ?(schedule = Event.empty) ?(link_capacity_mbps = Float.infinity)
     ?origin ?(saturation_frac = 0.95) () =
   { schedule; link_capacity_mbps; origin; saturation_frac }
 
+let validate cfg ~n_vhos ~n_links =
+  Event.validate cfg.schedule ~n_vhos ~n_links;
+  match cfg.origin with
+  | Some o when o < 0 || o >= n_vhos ->
+      invalid_arg
+        (Printf.sprintf "Playout.validate: origin %d outside [0, %d)" o n_vhos)
+  | Some _ | None -> ()
+
 (* Per-event-window serving deltas: one window per applied event (plus
    the leading fault-free window), so a report can show how much each
    outage or repair cost. *)

@@ -23,6 +23,11 @@ val config :
   unit ->
   config
 
+(** Raises [Invalid_argument] if the schedule names a VHO or link
+    outside the topology ({!Event.validate}) or the origin is not a VHO
+    id from 0 to [n_vhos - 1]. *)
+val validate : config -> n_vhos:int -> n_links:int -> unit
+
 (** Per-event-window serving deltas: one window per applied event plus
     the leading fault-free window and the closing ["end"] window. *)
 type window = {

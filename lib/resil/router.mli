@@ -41,9 +41,6 @@ val create :
     at the next routed request). *)
 val on_link_event : t -> unit
 
-(** The routing table currently in force (base or masked). *)
-val current_paths : t -> Vod_topology.Paths.t
-
 (** Route one remote request to [dst]. [default] is the fleet's
     fault-free server choice; [holders] the current replica locations.
     On [Served] the stream's bandwidth has been reserved until

@@ -111,13 +111,16 @@ let run ~graph ~paths ~catalog ~(trace : Vod_workload.Trace.t)
     float_of_int trace.Vod_workload.Trace.days
     *. Vod_workload.Trace.seconds_per_day
   in
-  (* Before the bootstrap solve, so a bad cadence fails at once. *)
+  (* Before the bootstrap solve, so a bad cadence, budget, schedule or
+     origin fails at once. NaN fails the [>= 0.] test. *)
   let schedule = boundaries cfg ?resil ~horizon_s () in
+  if not (cfg.migration_budget_gb >= 0.0) then
+    invalid_arg "Daemon.run: migration_budget_gb must be non-negative";
   let n_vhos = Vod_topology.Graph.n_nodes graph in
+  let n_links = Vod_topology.Graph.n_links graph in
+  Option.iter (fun rc -> Vod_resil.Playout.validate rc ~n_vhos ~n_links) resil;
   let metrics =
-    Vod_sim.Metrics.create
-      ~n_links:(Vod_topology.Graph.n_links graph)
-      ~n_vhos ~horizon_s ~bin_s ~record_from ()
+    Vod_sim.Metrics.create ~n_links ~n_vhos ~horizon_s ~bin_s ~record_from ()
   in
   let cache_gb =
     Array.map (fun d -> d *. problem.Replan.cache_frac) problem.Replan.disk_gb

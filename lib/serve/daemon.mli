@@ -65,7 +65,8 @@ val boundaries :
     7 on, plus the fault timeline's event instants when
     [react_to_faults] (exact-time collisions replan once). Raises
     [Invalid_argument] before any solve unless [update_every_s] is
-    positive. *)
+    positive and [migration_budget_gb] non-negative (infinity is
+    unrestricted), or if [resil] fails {!Vod_resil.Playout.validate}. *)
 val run :
   graph:Vod_topology.Graph.t ->
   paths:Vod_topology.Paths.t ->

@@ -10,8 +10,10 @@
      streams route through the capacity-aware failover router.
 
    The two bodies stay separate on purpose: direct serving goes through
-   [Fleet.serve], faulted serving through [Fleet.serve_routed] and the
-   Router, so with an empty schedule and infinite capacity the faulted
+   [Fleet.serve]; faulted serving calls its steps in turn
+   ([Fleet.serve_local], then [Router.route] from
+   [Fleet.default_server], then [Fleet.fetch] from the routed server),
+   so with an empty schedule and infinite capacity the faulted
    configuration cross-checks the direct one (test/test_resil.ml). They
    share the served-outcome accounting below. Their metrics match the
    recorded outputs of the engines this loop replaced (test/golden/).
@@ -35,29 +37,20 @@ let src = Logs.Src.create "vod.serve" ~doc:"serving engine"
 
 module Log = (val Logs.src_log src : Logs.LOG)
 
-(* Fault-mode machinery plus per-request routing scratch. The scratch
-   fields stand in for a per-request ref cell and closure: [route] and
-   [on_event] are built once at [create] and read the current request's
-   parameters out of the record, so the request loop itself stays
-   allocation-free (alloc-in-hot). *)
+(* Fault-mode machinery and the open event window. [on_event] is built
+   once with the record, so advancing the timeline per request allocates
+   no closure (alloc-in-hot). *)
 type faulted = {
   state : State.t;
   capacity : Capacity.t;
   router : Router.t;
+  on_event : Event.t -> unit;
   mutable win_t0 : float;
   mutable win_trigger : string;
   mutable win_requests : int;
   mutable win_rejections : int;
   mutable win_failovers : int;
   mutable windows_rev : Playout.window list;
-  mutable cur_video : int;
-  mutable cur_vho : int;
-  mutable cur_rate : float;
-  mutable cur_now : float;
-  mutable cur_until : float;
-  mutable decision : Router.decision;
-  mutable route : default:int -> int option;
-  mutable on_event : Event.t -> unit;
 }
 
 type t = {
@@ -96,30 +89,14 @@ let apply_event f (e : Event.t) =
     -> ());
   close_window f ~now_s:e.Event.time_s ~trigger:(Event.kind_to_string e.Event.kind)
 
-(* Route the request whose parameters sit in the scratch fields; the
-   decision is parked for the stream-accounting step below. *)
-let route_scratch t f ~default =
-  let d =
-    Router.route f.router
-      ~holders:(Fleet.holders t.fleet ~video:f.cur_video)
-      ~dst:f.cur_vho ~default ~rate_mbps:f.cur_rate ~until_s:f.cur_until
-      ~now:f.cur_now
-  in
-  f.decision <- d;
-  match d with
-  | Router.Served s -> Some s.Router.server
-  | Router.Rejected _ -> None
-
 let create ~graph ~paths ~catalog ~fleet ?resil () =
   let faulted =
     Option.map
       (fun (cfg : Playout.config) ->
+        let n_vhos = Vod_topology.Graph.n_nodes graph in
         let n_links = Vod_topology.Graph.n_links graph in
-        let state =
-          State.create
-            ~n_vhos:(Vod_topology.Graph.n_nodes graph)
-            ~n_links cfg.Playout.schedule
-        in
+        Playout.validate cfg ~n_vhos ~n_links;
+        let state = State.create ~n_vhos ~n_links cfg.Playout.schedule in
         let capacity =
           Capacity.create
             ~capacity_mbps:(Array.make n_links cfg.Playout.link_capacity_mbps)
@@ -129,36 +106,24 @@ let create ~graph ~paths ~catalog ~fleet ?resil () =
           Router.create ~graph ~paths ~state ~capacity ?origin:cfg.Playout.origin
             ()
         in
-        {
-          state;
-          capacity;
-          router;
-          win_t0 = 0.0;
-          win_trigger = "start";
-          win_requests = 0;
-          win_rejections = 0;
-          win_failovers = 0;
-          windows_rev = [];
-          cur_video = 0;
-          cur_vho = 0;
-          cur_rate = 0.0;
-          cur_now = 0.0;
-          cur_until = 0.0;
-          decision = Router.Rejected Router.No_replica;
-          route = (fun ~default:_ -> None);
-          on_event = (fun (_ : Event.t) -> ());
-        })
+        let rec f =
+          {
+            state;
+            capacity;
+            router;
+            on_event = (fun e -> apply_event f e);
+            win_t0 = 0.0;
+            win_trigger = "start";
+            win_requests = 0;
+            win_rejections = 0;
+            win_failovers = 0;
+            windows_rev = [];
+          }
+        in
+        f)
       resil
   in
-  let t = { paths; catalog; fleet; faulted; finished = false } in
-  (match t.faulted with
-  | Some f ->
-      f.route <- (fun ~default -> route_scratch t f ~default);
-      f.on_event <- (fun e -> apply_event f e)
-  | None -> ());
-  t
-
-let fleet t = t.fleet
+  { paths; catalog; fleet; faulted; finished = false }
 
 (* Placement-source seam: the daemon swaps placements mid-run by
    handing the loop a rebuilt fleet between batches. *)
@@ -169,16 +134,18 @@ let set_fleet t fleet =
 let vho_up t vho =
   match t.faulted with None -> true | Some f -> State.vho_up f.state vho
 
+(* Apply the fault events due by [now] and release the stream
+   reservations that ended by then. *)
+let advance_faults f ~now =
+  ignore (State.advance f.state ~now ~on_event:f.on_event : int);
+  Capacity.expire f.capacity ~now
+
 (* Advance the fault timeline (and expire stream reservations) to [now]
    without playing a request — the daemon calls this at replan
    boundaries so its fault-state reads reflect the boundary instant,
    not the last played request. No-op in the direct configuration. *)
 let advance t ~now =
-  match t.faulted with
-  | None -> ()
-  | Some f ->
-      ignore (State.advance f.state ~now ~on_event:f.on_event : int);
-      Capacity.expire f.capacity ~now
+  match t.faulted with None -> () | Some f -> advance_faults f ~now
 
 (* ---- served-outcome accounting (both configurations) ----------------- *)
 
@@ -294,44 +261,36 @@ let play_faulted t f metrics (trace : Trace.t) ~lo ~hi =
     let now = Trace.time trace i in
     let video = Trace.video trace i in
     let vho = Trace.vho trace i in
-    ignore (State.advance f.state ~now ~on_event:f.on_event : int);
-    Capacity.expire f.capacity ~now;
+    advance_faults f ~now;
     let record = Metrics.in_record_window metrics now in
     if record then f.win_requests <- f.win_requests + 1;
     if not (State.vho_up f.state vho) then begin
       (* The requesting VHO is dark: nobody there to serve. *)
       if record then reject f metrics ~track_per_vho ~vho Router.Vho_down
     end
-    else begin
-      let v = Vod_workload.Catalog.video t.catalog video in
-      let surge = State.surge f.state vho in
-      f.cur_video <- video;
-      f.cur_vho <- vho;
-      f.cur_rate <- Video.rate_mbps v *. surge;
-      f.cur_now <- now;
-      f.cur_until <- now +. Video.duration_s v;
-      f.decision <- Router.Rejected Router.No_replica;
-      match Fleet.serve_routed t.fleet ~video ~vho ~now ~route:f.route with
-      | Some outcome -> (
-          if record then count_served metrics ~track_per_vho ~vho outcome;
-          if not outcome.Fleet.local then
-            match f.decision with
-            | Router.Served s ->
-                add_remote metrics ~record ~links:s.Router.links
-                  ~hops:s.Router.hops ~surge ~now v;
-                if record then count_route f metrics ~surge s
-            | Router.Rejected _ ->
-                (* serve_routed returned an outcome, so route said yes *)
-                invalid_arg "Loop.play_soa: served without a routing decision")
-      | None ->
-          if record then begin
-            match f.decision with
-            | Router.Rejected reason ->
-                reject f metrics ~track_per_vho ~vho reason
-            | Router.Served _ ->
-                invalid_arg "Loop.play_soa: rejected with a serving decision"
-          end
-    end
+    else
+      match Fleet.serve_local t.fleet ~video ~vho ~now with
+      | Some outcome ->
+          if record then count_served metrics ~track_per_vho ~vho outcome
+      | None -> (
+          let v = Vod_workload.Catalog.video t.catalog video in
+          let surge = State.surge f.state vho in
+          match
+            Router.route f.router ~holders:(Fleet.holders t.fleet ~video) ~dst:vho
+              ~default:(Fleet.default_server t.fleet ~video ~vho)
+              ~rate_mbps:(Video.rate_mbps v *. surge)
+              ~until_s:(now +. Video.duration_s v) ~now
+          with
+          | Router.Served s ->
+              let outcome =
+                Fleet.fetch t.fleet ~video ~vho ~now ~server:s.Router.server
+              in
+              if record then count_served metrics ~track_per_vho ~vho outcome;
+              add_remote metrics ~record ~links:s.Router.links
+                ~hops:s.Router.hops ~surge ~now v;
+              if record then count_route f metrics ~surge s
+          | Router.Rejected reason ->
+              if record then reject f metrics ~track_per_vho ~vho reason)
   done
 
 (* ---- entry points ----------------------------------------------------- *)
@@ -359,8 +318,7 @@ let finish t (metrics : Metrics.t) =
         let horizon =
           float_of_int metrics.Metrics.n_bins *. metrics.Metrics.bin_s
         in
-        ignore (State.advance f.state ~now:horizon ~on_event:f.on_event : int);
-        Capacity.expire f.capacity ~now:horizon;
+        advance_faults f ~now:horizon;
         Capacity.finish f.capacity ~now:horizon;
         metrics.Metrics.deg.Metrics.link_saturated_s <-
           Capacity.saturated_seconds f.capacity;

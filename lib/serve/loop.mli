@@ -1,6 +1,9 @@
 (** The serving engine: one event loop over the rows of the columnar
     request store ({!Vod_workload.Trace}), in a direct fixed-path
-    configuration or a fault-injecting one. The placement source is the
+    configuration ([Vod_cache.Fleet.serve] per request) or a
+    fault-injecting one (per request [Fleet.serve_local], else
+    [Vod_resil.Router.route] from [Fleet.default_server], then
+    [Fleet.fetch] from the routed server). The placement source is the
     mutable fleet ({!set_fleet} swaps placements mid-run); the router and
     capacity model plug in through an optional [Vod_resil.Playout.config].
     Both configurations reproduce the recorded outputs of the engines
@@ -14,7 +17,8 @@ type t
     configuration; with it, the fault timeline, capacity tracker and
     failover router are instantiated from the config. Raises
     [Invalid_argument] if the schedule references ids outside the
-    topology. *)
+    topology or the origin is not one of its VHOs
+    ({!Vod_resil.Playout.validate}). *)
 val create :
   graph:Vod_topology.Graph.t ->
   paths:Vod_topology.Paths.t ->
@@ -23,9 +27,6 @@ val create :
   ?resil:Vod_resil.Playout.config ->
   unit ->
   t
-
-(** The fleet currently being driven. *)
-val fleet : t -> Vod_cache.Fleet.t
 
 (** Swap the placement the loop serves from — the placement-source seam
     the re-placement daemon uses after each placement update. *)

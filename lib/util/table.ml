@@ -41,8 +41,3 @@ let render ?(align = Right) ~header rows =
 (* vodlint-disable print-in-lib — Table is the console emitter the bench
    and example binaries render paper tables with; stdout is its contract. *)
 let print ?align ~header rows = print_string (render ?align ~header rows)
-
-let fmt_float ?(digits = 2) x =
-  if Float.is_integer x && Float.abs x < 1e15 && digits = 0 then
-    Printf.sprintf "%.0f" x
-  else Printf.sprintf "%.*f" digits x

@@ -9,6 +9,3 @@ val render : ?align:align -> header:string list -> string list list -> string
 
 (** [print] is [render] followed by [print_string]. *)
 val print : ?align:align -> header:string list -> string list list -> unit
-
-(** Fixed-point float formatting helper ([digits] defaults to 2). *)
-val fmt_float : ?digits:int -> float -> string

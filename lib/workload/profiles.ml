@@ -22,15 +22,6 @@ let day_weight day = day_of_week_weight.(day mod 7)
 
 let hour_weight hour = hour_of_day_weight.(hour mod 24)
 
-(* Freshness boost: a newly released video starts much hotter than its
-   steady-state weight and decays exponentially over about a week
-   (Fig. 4's episode request pattern: big first day, fast decay). [age] is
-   in days since release; videos released before the trace (age large or
-   release_day <= 0) sit at their steady-state weight. *)
-let freshness_boost ~age =
-  if age < 0.0 then 0.0 (* not yet released *)
-  else 1.0 +. (8.0 *. exp (-.age /. 3.0))
-
 (* Release spike in units of the Zipf head weight (rank-0 = 1.0). The
    spike is *additive*, not multiplicative: the paper's Fig. 4 shows
    release-day volume is comparable across episodes regardless of their

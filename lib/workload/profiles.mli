@@ -9,10 +9,6 @@ val day_weight : int -> float
 (** Relative volume for an hour-of-day. *)
 val hour_weight : int -> float
 
-(** Multiplicative boost for a video [age] days after release; 0 before
-    release, decaying to 1 after about a week. *)
-val freshness_boost : age:float -> float
-
 (** Additive release spike height, in units of the Zipf head weight. *)
 val release_spike : float
 

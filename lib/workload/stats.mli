@@ -9,10 +9,6 @@ val peak_hour_start_s : Trace.t -> float
 val working_set :
   Trace.t -> Catalog.t -> vho:int -> t0:float -> t1:float -> int * float
 
-(** Sparse request-count vector (video -> count) of a VHO over a window. *)
-val request_vector :
-  Trace.t -> vho:int -> t0:float -> t1:float -> (int, float) Hashtbl.t
-
 (** Per-VHO cosine similarity between the window containing the peak
     instant and the previous window (Fig. 3). *)
 val peak_interval_similarity : Trace.t -> window_s:float -> float array

@@ -35,22 +35,3 @@ let duration_s v =
 
 (* All content is standard definition at 2 Mb/s (Sec. VII-A). *)
 let rate_mbps (_ : t) = 2.0
-
-let is_new ~day v = v.release_day > 0 && v.release_day > day - 7
-
-let pp ppf v =
-  let cls =
-    match v.size_class with
-    | Clip -> "clip"
-    | Show -> "show"
-    | Movie -> "movie"
-    | Long_movie -> "long-movie"
-  in
-  let kind =
-    match v.kind with
-    | Regular -> "regular"
-    | Music_video -> "music"
-    | Episode { series; episode } -> Printf.sprintf "series%d/ep%d" series episode
-    | Blockbuster -> "blockbuster"
-  in
-  Fmt.pf ppf "video#%d[%s,%s,release=%d]" v.id cls kind v.release_day

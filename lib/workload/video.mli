@@ -28,10 +28,3 @@ val duration_s : t -> float
 
 (** Streaming rate; constant 2 Mb/s SD. *)
 val rate_mbps : t -> float
-
-(** [is_new ~day v] holds when [v] was released within the 7 days before
-    [day] — the paper's notion of "new video" without request history. *)
-val is_new : day:int -> t -> bool
-
-(** Debug printer. *)
-val pp : Format.formatter -> t -> unit

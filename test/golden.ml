@@ -2,14 +2,16 @@
    on.
 
    The fixtures under test/golden/ are the outputs of serving engines
-   that no longer exist: the fixed-path engine Vod_sim.Sim and the
-   fault-injecting engine Vod_resil.Playout (each through its boxed-array
-   and its columnar entry point), the boxed entry point of the serving
-   loop, the array-backed batch pipeline, and the batch pipeline's own
-   replanning loop (before the pipeline ran on Vod_serve.Daemon). Each
-   was a field-for-field copy of code that still runs (the Loop.play_soa
-   bodies, the daemon's replan step), so their recorded outputs are the
-   equivalence reference. A fixture is a plain-text dump of one run:
+   that no longer exist: the boxed entry point of the serving loop,
+   whose direct and faulted recordings are also those of the fixed-path
+   engine Vod_sim.Sim and the fault-injecting engine Vod_resil.Playout
+   (each through its boxed-array and its columnar entry point; one
+   fixture per run, its header names the engines), the array-backed
+   batch pipeline, and the batch pipeline's own replanning loop (before
+   the pipeline ran on Vod_serve.Daemon). Each was a field-for-field
+   copy of code that still runs (the Loop.play_soa bodies, the daemon's
+   replan step), so their recorded outputs are the equivalence
+   reference. A fixture is a plain-text dump of one run:
    every Metrics counter, floats as %h (exact), an MD5 of the link-load
    matrix, the degradation counters, the event windows and, for a
    replanning run, each placement update's (transfers, GB). Lines

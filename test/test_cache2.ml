@@ -105,8 +105,72 @@ let serve_remote_locks_remote_copy () =
   let o3 = FL.serve fleet ~video:other.Vod_workload.Video.id ~vho:4 ~now:2.0 in
   Alcotest.(check bool) "not cachable while busy" true o3.FL.not_cachable
 
+(* A miss at the local step changes nothing: the twin of a fleet that
+   saw it holds the same replicas and serves the rest of the stream
+   with the same outcomes. *)
+let serve_local_miss_changes_nothing () =
+  let _, paths, catalog = world () in
+  let fleet () =
+    FL.random_single ~paths ~catalog ~disk_gb:[| 4.0; 4.0; 4.0; 4.0; 4.0 |]
+      ~policy:C.Lru ~seed:2
+  in
+  let a = fleet () and b = fleet () in
+  let requests = List.init 40 (fun i -> ((7 * i) mod 10, (3 * i) mod 5)) in
+  let play f rs =
+    List.mapi (fun i (video, vho) -> FL.serve f ~video ~vho ~now:(float_of_int i)) rs
+  in
+  let warm = List.filteri (fun i _ -> i < 20) requests in
+  ignore (play a warm);
+  ignore (play b warm);
+  let holders f = List.init 10 (fun video -> List.sort compare (FL.holders f ~video)) in
+  let before = holders a in
+  let miss =
+    List.find
+      (fun video -> not (List.mem 0 (FL.holders a ~video)))
+      (List.init 10 Fun.id)
+  in
+  Alcotest.(check bool) "miss" true (FL.serve_local a ~video:miss ~vho:0 ~now:20.0 = None);
+  Alcotest.(check (list (list int))) "holders unchanged" before (holders a);
+  let rest = List.filteri (fun i _ -> i >= 20) requests in
+  Alcotest.(check bool) "same outcomes afterwards" true (play a rest = play b rest)
+
+(* [fetch] from a failover server (not the scheme's default) locks that
+   server's cached copy until the new stream ends, past the end of the
+   stream that cached it: the server's own admissions cannot evict the
+   copy before then, and can once it ends. *)
+let fetch_locks_remote_copy () =
+  let g, paths, catalog = world () in
+  let fleet =
+    FL.origin_regions ~regions:1 ~graph:g ~paths ~catalog
+      ~disk_gb:[| 0.1; 0.1; 0.1; 0.1; 0.1 |]
+  in
+  let clips =
+    Array.to_list catalog.Vod_workload.Catalog.videos
+    |> List.filter (fun v -> Vod_workload.Video.size_gb v <= 0.1)
+  in
+  let clip, other =
+    match clips with
+    | a :: b :: _ -> (a.Vod_workload.Video.id, b.Vod_workload.Video.id)
+    | _ -> Alcotest.fail "need two clips under 0.1 GB"
+  in
+  let dur = Vod_workload.Video.duration_s (Vod_workload.Catalog.video catalog clip) in
+  Alcotest.(check bool) "cached at 4" true (FL.serve fleet ~video:clip ~vho:4 ~now:0.0).FL.inserted;
+  (* VHO 1's default is the origin at VHO 0, one hop away; stream from
+     VHO 4's copy instead, starting 100 s later. *)
+  Alcotest.(check int) "default is the origin" 0 (FL.default_server fleet ~video:clip ~vho:1);
+  let o = FL.fetch fleet ~video:clip ~vho:1 ~now:100.0 ~server:4 in
+  Alcotest.(check int) "served by 4" 4 o.FL.server;
+  let at_4 () = List.mem 4 (FL.holders fleet ~video:clip) in
+  let o = FL.serve fleet ~video:other ~vho:4 ~now:(dur +. 50.0) in
+  Alcotest.(check bool) "locked copy skipped" true (o.FL.not_cachable && at_4 ());
+  let o = FL.serve fleet ~video:other ~vho:4 ~now:(dur +. 100.0) in
+  Alcotest.(check bool) "evicted once the stream ends" true (o.FL.inserted && not (at_4 ()))
+
 let suite =
   [
+    Alcotest.test_case "serve_local miss changes nothing" `Quick
+      serve_local_miss_changes_nothing;
+    Alcotest.test_case "fetch locks remote copy" `Quick fetch_locks_remote_copy;
     Alcotest.test_case "touch extends lock" `Quick touch_extends_lock;
     Alcotest.test_case "multi eviction" `Quick multi_eviction_for_large_insert;
     Alcotest.test_case "lfu reinsert frequency" `Quick lfu_frequency_reset_on_reinsert;

@@ -226,10 +226,97 @@ let prop_faulted_serving_conserves =
              0 windows
       && m.M.requests = sum m.M.per_vho_requests)
 
+(* A random small serving world: a ring_plus_chords topology of [n] VHOs,
+   a 25-video catalog, a 3-day trace, and a fleet maker for random+LRU
+   ([scheme] 0), random+LFU (1) or Top-3+LRU (2) on disks of 1.5-3x the
+   library, which keep the caches evicting. *)
+let random_world ~n ~seed ~scheme =
+  let g = T.ring_plus_chords ~name:"w" ~n ~target_edges:(n + 2) ~seed in
+  let paths = P.compute g in
+  let catalog =
+    Vod_workload.Catalog.generate
+      (Vod_workload.Catalog.default_params ~n:25 ~days:3 ~seed)
+  in
+  let trace =
+    Vod_workload.Tracegen.generate
+      (Vod_workload.Tracegen.default_params ~catalog ~populations:g.G.populations
+         ~mean_daily_requests:150.0 ~seed:(seed + 1))
+  in
+  let library = Vod_workload.Catalog.total_size_gb catalog in
+  let disk_gb =
+    Array.make n ((1.5 +. float_of_int (seed mod 4) *. 0.5) *. library /. float_of_int n)
+  in
+  let fleet () =
+    match scheme with
+    | 0 -> Vod_cache.Fleet.random_single ~paths ~catalog ~disk_gb ~policy:Vod_cache.Cache.Lru ~seed
+    | 1 -> Vod_cache.Fleet.random_single ~paths ~catalog ~disk_gb ~policy:Vod_cache.Cache.Lfu ~seed
+    | _ ->
+        Vod_cache.Fleet.topk ~k:3 ~ranked:(Array.init 25 Fun.id) ~paths ~catalog ~disk_gb
+          ~seed
+  in
+  (g, paths, catalog, trace, fleet)
+
+let world_gen = QCheck.(triple (int_range 4 8) (int_range 1 10_000) (int_range 0 2))
+
+(* With no fault and unbounded links, the faulted body (Fleet.serve_local,
+   Router.route, Fleet.fetch) serves exactly as the direct body
+   (Fleet.serve): every counter and the link-load matrix agree. *)
+let prop_fault_free_matches_direct =
+  QCheck.Test.make ~name:"fault-free faulted serving equals direct serving" ~count:20
+    world_gen
+    (fun (n, seed, scheme) ->
+      let g, paths, catalog, trace, fleet = random_world ~n ~seed ~scheme in
+      let run ?resil () =
+        fst
+          (Vod_serve.Loop.run_soa ~graph:g ~paths ~catalog ~fleet:(fleet ())
+             ~store:trace ?resil ())
+      in
+      Golden.check_equal "faulted = direct" (run ())
+        (run ~resil:(Vod_resil.Playout.config ()) ());
+      true)
+
+(* The metrics ledger under random fault timelines, finite link budgets
+   and an origin: every request is served locally, remotely or rejected
+   for one reason, and the event windows split the run's requests,
+   rejections and failovers without loss. *)
+let prop_fault_ledger_balances =
+  QCheck.Test.make ~name:"fault windows and rejection reasons balance the ledger"
+    ~count:20
+    QCheck.(pair world_gen (int_range 0 2))
+    (fun ((n, seed, scheme), budget) ->
+      let module M = Vod_sim.Metrics in
+      let g, paths, catalog, trace, fleet = random_world ~n ~seed ~scheme in
+      let schedule =
+        Vod_resil.Event.generate
+          (Vod_resil.Event.default_gen_params ~n_vhos:n ~n_links:(G.n_links g)
+             ~horizon_s:(3.0 *. Vod_workload.Trace.seconds_per_day)
+             ~seed)
+      in
+      let resil =
+        Vod_resil.Playout.config ~schedule
+          ~link_capacity_mbps:[| 8.0; 20.0; 60.0 |].(budget)
+          ~origin:(seed mod n) ()
+      in
+      let m, windows =
+        Vod_serve.Loop.run_soa ~graph:g ~paths ~catalog ~fleet:(fleet ())
+          ~store:trace ~resil ()
+      in
+      let d = m.M.deg in
+      let sum field = List.fold_left (fun acc w -> acc + field w) 0 windows in
+      m.M.requests = m.M.local_served + m.M.remote_served + d.M.rejections
+      && d.M.rejections
+         = d.M.rejected_vho_down + d.M.rejected_no_replica
+           + d.M.rejected_unreachable + d.M.rejected_no_capacity
+      && sum (fun w -> w.Vod_resil.Playout.requests) = m.M.requests
+      && sum (fun w -> w.Vod_resil.Playout.rejections) = d.M.rejections
+      && sum (fun w -> w.Vod_resil.Playout.failovers) = d.M.failovers)
+
 let suite =
   List.map QCheck_alcotest.to_alcotest
     [
       prop_faulted_serving_conserves;
+      prop_fault_free_matches_direct;
+      prop_fault_ledger_balances;
       prop_generated_graphs_connected;
       prop_hops_symmetric;
       prop_triangle_inequality;

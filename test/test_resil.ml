@@ -308,9 +308,11 @@ let router_origin_and_reasons () =
 (* ---------- faulted serving ---------- *)
 
 (* The acceptance property, live: no faults + unbounded capacity makes
-   the faulted configuration (Fleet.serve_routed + Router) reproduce the
-   direct one (Fleet.serve over fixed paths) byte-for-byte, including the
-   whole link-load matrix — and both match their recorded engines. *)
+   the faulted configuration (Fleet.serve_local, Router.route and
+   Fleet.fetch) reproduce the direct one (Fleet.serve over fixed paths)
+   byte-for-byte, including the whole link-load matrix — and match its
+   recorded engine. The direct run is the one test_soa.ml checks against
+   loop_run_direct. *)
 let playout_matches_legacy_sim () =
   let record_from = Vod_workload.Trace.seconds_per_day in
   let direct, _ = Golden.run_loop ~record_from () in
@@ -318,7 +320,6 @@ let playout_matches_legacy_sim () =
     Golden.run_loop ~record_from ~resil:(Vod_resil.Playout.config ()) ()
   in
   Golden.check_equal "faulted = direct" direct resil;
-  Golden.check "sim_run" direct [];
   Golden.check "playout_run_fault_free" resil windows;
   Alcotest.(check int) "no rejections" 0 resil.M.deg.M.rejections;
   Alcotest.(check int) "no failovers" 0 resil.M.deg.M.failovers;
@@ -379,6 +380,24 @@ let playout_surge_scales_load () =
     (2.0 *. base.M.total_gb_remote) surged.M.total_gb_remote;
   Alcotest.(check (float 1e-6)) "peak doubled"
     (2.0 *. M.max_link_mbps base) (M.max_link_mbps surged)
+
+(* An origin outside the topology is refused when the loop is built,
+   not at the first request that falls back to it. *)
+let loop_rejects_bad_origin () =
+  let g, paths, catalog, _ = Golden.sim_world () in
+  List.iter
+    (fun origin ->
+      Alcotest.check_raises
+        (Printf.sprintf "origin %d" origin)
+        (Invalid_argument
+           (Printf.sprintf "Playout.validate: origin %d outside [0, 4)" origin))
+        (fun () ->
+          ignore
+            (Vod_serve.Loop.create ~graph:g ~paths ~catalog
+               ~fleet:(Golden.lru_fleet paths catalog)
+               ~resil:(Vod_resil.Playout.config ~origin ())
+               ())))
+    [ -1; 4 ]
 
 let pipeline_resil_wiring () =
   let g = ring4 () in
@@ -469,6 +488,7 @@ let suite =
     Alcotest.test_case "playout matches legacy sim" `Quick playout_matches_legacy_sim;
     Alcotest.test_case "outage conservation + windows" `Quick playout_outage_conservation;
     Alcotest.test_case "surge scales load" `Quick playout_surge_scales_load;
+    Alcotest.test_case "loop rejects bad origin" `Quick loop_rejects_bad_origin;
     Alcotest.test_case "pipeline resil wiring" `Quick pipeline_resil_wiring;
     Alcotest.test_case "canned scenarios validate" `Quick canned_scenarios_validate;
   ]

@@ -65,6 +65,28 @@ for qual in $(grep -vE '^[[:space:]]*(#|$)' protocols.decl \
   fi
 done
 [ "$proto_status" -eq 0 ] || exit 1
+echo "== hot-path root stale check =="
+# Hotpath.roots names the serving-loop entry points as "Module.fn"
+# strings and skips a root it cannot find, so a renamed or deleted
+# function would drop out of alloc-in-hot coverage with no warning.
+# Every root must still be defined by a `let fn` or `let rec fn` in the
+# module's .ml somewhere under lib/.
+root_status=0
+for qual in $(sed -n '/^let roots =/,/^  \]/p' lib/lint/hotpath.ml \
+  | grep -oE '^    \("[A-Z][A-Za-z0-9_]*\.[a-z_][A-Za-z0-9_]*"' | tr -d ' ("'); do
+  mod=${qual%%.*}
+  name=${qual#*.}
+  file=$(printf '%s' "$mod" | tr 'A-Z' 'a-z').ml
+  ml=$(find lib -name "$file" | head -n 1)
+  if [ -z "$ml" ]; then
+    echo "FAIL: Hotpath.roots names '$qual' but no $file exists under lib/" >&2
+    root_status=1
+  elif ! grep -qE "^let([[:space:]]+rec)?[[:space:]]+$name([[:space:]]|$)" "$ml"; then
+    echo "FAIL: Hotpath.roots names '$qual' but $ml has no 'let $name'" >&2
+    root_status=1
+  fi
+done
+[ "$root_status" -eq 0 ] || exit 1
 echo "== EPF determinism smoke: --jobs 1 vs --jobs 4 =="
 # A small end-to-end solve must produce byte-identical output at any
 # job count (the pool's determinism contract). The "time" line is the
@@ -157,18 +179,31 @@ dune exec --no-print-directory bin/vodopt.exe -- solve \
 check_recorded tools/golden/vodopt_solve_longtail.out "$smoke_dir/longtail.out"
 md5sum < "$smoke_dir/longtail.csv" | cut -d' ' -f1 > "$smoke_dir/longtail.md5"
 check_recorded tools/golden/vodopt_solve_longtail.md5 "$smoke_dir/longtail.md5"
-echo "== placement-LP flags reject non-positive and non-finite values =="
-# --requests-per-video, --disk and --link take positive finite numbers
-# only; a bad value is a command-line error (cmdliner's exit 124), not
-# an empty trace or a NaN price.
-for bad in --requests-per-video=-1 --disk=nan --link=inf; do
+echo "== placement-LP and serving flags reject bad values =="
+# --requests-per-video, --disk, --link, --link-capacity and --budget
+# take positive finite numbers only; --origin must name a VHO of the
+# topology, and --faults a canned scenario on one of its VHOs or a
+# readable schedule CSV. A bad value is a command-line error (cmdliner's
+# exit 124) raised before any solve, not an empty trace, a NaN price, a
+# silently unrestricted budget or an exception mid-playout.
+expect_usage_error() { # $@ = vodopt arguments
   code=0
-  dune exec --no-print-directory bin/vodopt.exe -- solve --videos 20 "$bad" \
-    > /dev/null 2>&1 || code=$?
+  dune exec --no-print-directory bin/vodopt.exe -- "$@" > /dev/null 2>&1 || code=$?
   if [ "$code" -ne 124 ]; then
-    echo "FAIL: vodopt solve $bad exited $code, expected 124" >&2
+    echo "FAIL: vodopt $* exited $code, expected 124" >&2
     exit 1
   fi
+}
+for bad in --requests-per-video=-1 --disk=nan --link=inf; do
+  expect_usage_error solve --videos 20 "$bad"
+done
+for bad in --link-capacity=-5 --link-capacity=nan --origin=99 --origin=-1 \
+  --faults=single-vho:abc --faults=single-vho:99 \
+  --faults="$smoke_dir/missing.csv"; do
+  expect_usage_error simulate --scheme lru --videos 20 --days 8 "$bad"
+done
+for bad in --budget=-3 --budget=nan --origin=99; do
+  expect_usage_error serve --videos 20 --days 8 "$bad"
 done
 echo "== batch MIP simulate vs recorded report (--jobs 1) =="
 # The batch MIP pipeline end to end: three weekly placement updates, a
