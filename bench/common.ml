@@ -106,7 +106,7 @@ let pipeline_config ?(disk_multiple = 2.0) ?(link_capacity_mbps = 1000.0)
    a little. This mirrors the paper's choice of a capacity that actually
    binds (Sec. VII-B). *)
 let calibrate_link_capacity (scenario : Vod_core.Scenario.t) ~disk_multiple =
-  let demand = Vod_core.Scenario.demand_of_week scenario ~day0:0 () in
+  let demand = Vod_core.Scenario.demand_of_week scenario ~day0:0 in
   let disk =
     Array.map
       (fun d -> d *. 0.95)

@@ -14,7 +14,7 @@ let ablation_videos =
 
 let instance () =
   let sc = Common.backbone_scenario ~n_videos:ablation_videos () in
-  let demand = Vod_core.Scenario.demand_of_week sc ~day0:0 () in
+  let demand = Vod_core.Scenario.demand_of_week sc ~day0:0 in
   let disk = Vod_core.Scenario.uniform_disk sc ~multiple:2.0 in
   Vod_placement.Instance.create ~graph:sc.Vod_core.Scenario.graph
     ~catalog:sc.Vod_core.Scenario.catalog ~demand ~disk_gb:disk
@@ -77,7 +77,7 @@ and chunking_ablation () =
   let sc =
     Common.backbone_scenario ~n_videos:(ablation_videos / 2) ()
   in
-  let demand = Vod_core.Scenario.demand_of_week sc ~day0:0 () in
+  let demand = Vod_core.Scenario.demand_of_week sc ~day0:0 in
   (* Tight disks: 1.3x the library, where packing granularity matters. *)
   let disk = Vod_core.Scenario.uniform_disk sc ~multiple:1.3 in
   let inst =

@@ -105,7 +105,7 @@ let run (sc : Vod_core.Scenario.t) =
   (match Vod_core.Pipeline.last_solution (List.hd results) with
   | None -> ()
   | Some sol ->
-      let demand = Vod_core.Scenario.demand_of_week sc ~day0:(Common.days - 7) () in
+      let demand = Vod_core.Scenario.demand_of_week sc ~day0:(Common.days - 7) in
       let ranked = Vod_workload.Demand.rank_by_demand demand in
       Common.section "Fig. 7 — disk usage by popularity class (MIP placement)";
       let catalog = sc.Vod_core.Scenario.catalog in

@@ -124,7 +124,7 @@ let run () =
     Common.timed (fun () ->
         Vod_serve.Daemon.run ~graph:sc.Vod_core.Scenario.graph
           ~paths:sc.Vod_core.Scenario.paths ~catalog:sc.Vod_core.Scenario.catalog
-          ~trace:sc.Vod_core.Scenario.trace ~problem ~resil ~bin_s:cfg.Vod_core.Pipeline.bin_s
+          ~trace:sc.Vod_core.Scenario.trace ~problem ~resil
           ~record_from:
             (float_of_int warmup_days *. Vod_workload.Trace.seconds_per_day)
           daemon_cfg)

@@ -41,7 +41,7 @@ let race_instance () =
       ~seed:42 ~graph:(Vod_topology.Topologies.ebone ()) ~n_videos:race_videos
       ()
   in
-  let demand = Vod_core.Scenario.demand_of_week sc ~day0:0 () in
+  let demand = Vod_core.Scenario.demand_of_week sc ~day0:0 in
   let disk = Vod_core.Scenario.uniform_disk sc ~multiple:3.0 in
   I.create ~graph:sc.Vod_core.Scenario.graph
     ~catalog:sc.Vod_core.Scenario.catalog ~demand ~disk_gb:disk

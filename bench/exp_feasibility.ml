@@ -14,7 +14,7 @@ let feasibility_videos =
 let fig11_region () =
   Common.section "Fig. 11 — feasibility region (min disk multiple vs link capacity)";
   let sc = Common.backbone_scenario ~n_videos:feasibility_videos () in
-  let demand = Vod_core.Scenario.demand_of_week sc ~day0:0 () in
+  let demand = Vod_core.Scenario.demand_of_week sc ~day0:0 in
   let graph = sc.Vod_core.Scenario.graph in
   let catalog = sc.Vod_core.Scenario.catalog in
   (* Anchor the sweep at the capacity that is feasible with 2x uniform
@@ -69,7 +69,7 @@ let table4_topology () =
             ~requests_per_video_per_day:Common.requests_per_video_per_day ~seed:42
             ~graph ~n_videos:feasibility_videos ()
         in
-        let demand = Vod_core.Scenario.demand_of_week sc' ~day0:0 () in
+        let demand = Vod_core.Scenario.demand_of_week sc' ~day0:0 in
         let disk = Vod_core.Scenario.uniform_disk sc' ~multiple:3.0 in
         let min_cap, dt =
           Common.timed (fun () ->
@@ -116,7 +116,7 @@ let fig13_library_growth () =
                 ~requests_per_video_per_day:Common.requests_per_video_per_day
                 ~seed:42 ~graph ~n_videos ()
             in
-            let demand = Vod_core.Scenario.demand_of_week sc ~day0:0 () in
+            let demand = Vod_core.Scenario.demand_of_week sc ~day0:0 in
             let disk = Vod_core.Scenario.uniform_disk sc ~multiple:2.0 in
             let cap =
               Vod_placement.Feasibility.min_link_capacity ~params:Common.probe_params

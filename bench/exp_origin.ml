@@ -36,7 +36,7 @@ let run (sc : Vod_core.Scenario.t) =
       row "max aggregate B/W (Gb/s)" (fun r ->
           Common.fmt_gbps (Vod_sim.Metrics.max_aggregate_mbps r.Vod_core.Pipeline.metrics));
       row "cache hit rate" (fun r ->
-          Common.fmt_pct (Vod_sim.Metrics.hit_rate r.Vod_core.Pipeline.metrics));
+          Common.fmt_pct (Vod_sim.Metrics.local_fraction r.Vod_core.Pipeline.metrics));
       row "total transfer (GB x hop)" (fun r ->
           Printf.sprintf "%.0f" r.Vod_core.Pipeline.metrics.Vod_sim.Metrics.total_gb_hops);
     ];

@@ -40,7 +40,7 @@ let reference_instance graph n_videos =
     Vod_core.Scenario.make ~days:7 ~requests_per_video_per_day:8.0 ~seed:2 ~graph
       ~n_videos ()
   in
-  let demand = Vod_core.Scenario.demand_of_week sc ~day0:0 () in
+  let demand = Vod_core.Scenario.demand_of_week sc ~day0:0 in
   let disk = Vod_core.Scenario.uniform_disk sc ~multiple:2.0 in
   Vod_placement.Instance.create ~graph ~catalog:sc.Vod_core.Scenario.catalog ~demand
     ~disk_gb:disk
@@ -107,7 +107,7 @@ let decomposition_scaling () =
                   Vod_core.Scenario.make ~days:7
                     ~requests_per_video_per_day:4.0 ~seed:3 ~graph ~n_videos ()
                 in
-                let demand = Vod_core.Scenario.demand_of_week sc ~day0:0 () in
+                let demand = Vod_core.Scenario.demand_of_week sc ~day0:0 in
                 let disk = Vod_core.Scenario.uniform_disk sc ~multiple:disk_mult in
                 let inst =
                   Vod_placement.Instance.create ~graph

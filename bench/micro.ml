@@ -14,7 +14,7 @@ let block_fixture () =
     Vod_core.Scenario.make ~days:7 ~requests_per_video_per_day:6.0 ~seed:9 ~graph
       ~n_videos:200 ()
   in
-  let demand = Vod_core.Scenario.demand_of_week sc ~day0:0 () in
+  let demand = Vod_core.Scenario.demand_of_week sc ~day0:0 in
   let disk = Vod_core.Scenario.uniform_disk sc ~multiple:2.0 in
   let inst =
     Vod_placement.Instance.create ~graph ~catalog:sc.Vod_core.Scenario.catalog ~demand

@@ -209,7 +209,7 @@ let solve topology topology_file trace_file placement_out videos days rpv seed d
   setup_logs verbose jobs;
   with_metrics metrics @@ fun () ->
   let sc = scenario_of ?topology_file ?trace_file ~topology ~videos ~days ~rpv ~seed () in
-  let demand = Vod_core.Scenario.demand_of_week sc ~day0:0 () in
+  let demand = Vod_core.Scenario.demand_of_week sc ~day0:0 in
   let inst =
     Vod_placement.Instance.create ~graph:sc.Vod_core.Scenario.graph
       ~catalog:sc.Vod_core.Scenario.catalog ~demand
@@ -277,29 +277,43 @@ let origin_t =
    usage exit (124). *)
 exception Bad_flag of string
 
+let bad_flag flag msg = raise (Bad_flag (Printf.sprintf "option '%s': %s" flag msg))
+
 let cli_errors f =
   match f () with () -> `Ok () | exception Bad_flag msg -> `Error (false, msg)
 
-(* --faults SPEC: canned scenario name (optionally ":VHO") or a CSV path. *)
+(* simulate and serve record only after the pipeline's warm-up, so a
+   trace no longer than it would report nothing. Checked before any
+   trace is generated. *)
+let check_days days =
+  let warmup = Vod_core.Pipeline.default_warmup_days in
+  if days <= warmup then
+    bad_flag "--days"
+      (Printf.sprintf "%d days leave nothing to record after the %d-day warm-up" days
+         warmup)
+
+(* --faults SPEC: canned scenario name (optionally ":VHO") or a CSV path.
+   Only a canned name reads a target after ':', so a path may contain
+   one. *)
 let schedule_of_spec sc spec =
   let n_vhos = Vod_topology.Graph.n_nodes sc.Vod_core.Scenario.graph in
   let name, target =
     match String.index_opt spec ':' with
-    | Some i ->
-        let v = String.sub spec (i + 1) (String.length spec - i - 1) in
-        let vho =
-          match int_of_string_opt v with
-          | Some vho when vho >= 0 && vho < n_vhos -> vho
-          | Some _ | None ->
-              invalid_arg (Printf.sprintf "VHO %S is not in [0, %d)" v n_vhos)
-        in
-        (String.sub spec 0 i, Some vho)
+    | Some i -> (String.sub spec 0 i, Some (String.sub spec (i + 1) (String.length spec - i - 1)))
     | None -> (spec, None)
   in
+  let vho () =
+    Option.map
+      (fun v ->
+        match int_of_string_opt v with
+        | Some vho when vho >= 0 && vho < n_vhos -> vho
+        | Some _ | None -> invalid_arg (Printf.sprintf "VHO %S is not in [0, %d)" v n_vhos))
+      target
+  in
   match name with
-  | "single-vho" -> Vod_core.Scenario.single_vho_outage ?vho:target sc
-  | "correlated" -> Vod_core.Scenario.correlated_outage ?vho:target sc
-  | "flash-crowd" -> Vod_core.Scenario.flash_crowd ?vho:target sc
+  | "single-vho" -> Vod_core.Scenario.single_vho_outage ?vho:(vho ()) sc
+  | "correlated" -> Vod_core.Scenario.correlated_outage ?vho:(vho ()) sc
+  | "flash-crowd" -> Vod_core.Scenario.flash_crowd ?vho:(vho ()) sc
   | _ ->
       Vod_resil.Event.load_csv ~n_vhos
         ~n_links:(Vod_topology.Graph.n_links sc.Vod_core.Scenario.graph)
@@ -310,10 +324,9 @@ let schedule_of_spec sc spec =
    bad fault spec or origin. *)
 let resil_of sc ~faults ~playout_link ~origin =
   let n_vhos = Vod_topology.Graph.n_nodes sc.Vod_core.Scenario.graph in
-  let bad flag msg = raise (Bad_flag (Printf.sprintf "option '%s': %s" flag msg)) in
   (match origin with
   | Some o when o < 0 || o >= n_vhos ->
-      bad "--origin" (Printf.sprintf "VHO %d outside [0, %d)" o n_vhos)
+      bad_flag "--origin" (Printf.sprintf "VHO %d outside [0, %d)" o n_vhos)
   | Some _ | None -> ());
   match (faults, playout_link, origin) with
   | None, None, None -> None
@@ -323,8 +336,8 @@ let resil_of sc ~faults ~playout_link ~origin =
         | None -> Vod_resil.Event.empty
         | Some spec -> (
             try schedule_of_spec sc spec with
-            | Invalid_argument m -> bad "--faults" (spec ^ ": " ^ m)
-            | Sys_error m -> bad "--faults" m)
+            | Invalid_argument m -> bad_flag "--faults" (spec ^ ": " ^ m)
+            | Sys_error m -> bad_flag "--faults" m)
       in
       Some
         (Vod_resil.Playout.config ~schedule ?link_capacity_mbps:playout_link
@@ -342,6 +355,7 @@ let simulate topology topology_file trace_file videos days rpv seed disk link pa
     scheme solver faults playout_link origin verbose jobs metrics =
   setup_logs verbose jobs;
   cli_errors @@ fun () ->
+  check_days days;
   with_metrics metrics @@ fun () ->
   let sc = scenario_of ?topology_file ?trace_file ~topology ~videos ~days ~rpv ~seed () in
   let resil = resil_of sc ~faults ~playout_link ~origin in
@@ -433,6 +447,7 @@ let serve topology topology_file trace_file videos days rpv seed disk link passe
     verbose jobs metrics =
   setup_logs verbose jobs;
   cli_errors @@ fun () ->
+  check_days days;
   with_metrics metrics @@ fun () ->
   let sc = scenario_of ?topology_file ?trace_file ~topology ~videos ~days ~rpv ~seed () in
   let resil = resil_of sc ~faults ~playout_link ~origin in
@@ -456,7 +471,7 @@ let serve topology topology_file trace_file videos days rpv seed disk link passe
       ~paths:sc.Vod_core.Scenario.paths ~catalog:sc.Vod_core.Scenario.catalog
       ~trace:sc.Vod_core.Scenario.trace
       ~problem:(Vod_core.Pipeline.replan_problem cfg (mip_of ~passes ~solver))
-      ?resil ~bin_s:cfg.Vod_core.Pipeline.bin_s
+      ?resil
       ~record_from:
         (float_of_int cfg.Vod_core.Pipeline.warmup_days
         *. Vod_workload.Trace.seconds_per_day)
@@ -501,7 +516,7 @@ let sweep topology topology_file videos days rpv seed link verbose jobs metrics 
   setup_logs verbose jobs;
   with_metrics metrics @@ fun () ->
   let sc = scenario_of ?topology_file ~topology ~videos ~days ~rpv ~seed () in
-  let demand = Vod_core.Scenario.demand_of_week sc ~day0:0 () in
+  let demand = Vod_core.Scenario.demand_of_week sc ~day0:0 in
   let graph = sc.Vod_core.Scenario.graph in
   let lib = Vod_core.Scenario.library_gb sc in
   let n = Vod_topology.Graph.n_nodes graph in

@@ -8,7 +8,7 @@
 
 let () =
   let sc = Vod_core.Scenario.backbone ~n_videos:500 ~days:7 ~seed:21 () in
-  let demand = Vod_core.Scenario.demand_of_week sc ~day0:0 () in
+  let demand = Vod_core.Scenario.demand_of_week sc ~day0:0 in
   let graph = sc.Vod_core.Scenario.graph in
   let catalog = sc.Vod_core.Scenario.catalog in
   let lib = Vod_core.Scenario.library_gb sc in

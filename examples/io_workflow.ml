@@ -21,7 +21,8 @@ let () =
     (Vod_workload.Trace.length sc.Vod_core.Scenario.trace);
   (* 2. Reload and solve week 1. *)
   let n_vhos = Vod_topology.Graph.n_nodes sc.Vod_core.Scenario.graph in
-  let trace = Vod_workload.Trace_io.load_csv ~n_vhos ~days:14 trace_csv in
+  let n_videos = Vod_workload.Catalog.n_videos sc.Vod_core.Scenario.catalog in
+  let trace = Vod_workload.Trace_io.load_csv ~n_videos ~n_vhos ~days:14 trace_csv in
   let day = Vod_workload.Trace.seconds_per_day in
   let lo, hi = Vod_workload.Trace.between trace ~t0_s:0.0 ~t1_s:(7.0 *. day) in
   let demand =
@@ -48,9 +49,7 @@ let () =
     (100.0 *. Vod_placement.Solution.gap report.Vod_placement.Solve.solution);
   (* 4. Audit from the CSVs alone: reload both, replay week 2. *)
   let placement =
-    Vod_placement.Solution_io.load_csv ~n_vhos
-      ~n_videos:(Vod_workload.Catalog.n_videos sc.Vod_core.Scenario.catalog)
-      placement_csv
+    Vod_placement.Solution_io.load_csv ~n_vhos ~n_videos placement_csv
   in
   let fleet =
     Vod_cache.Fleet.mip ~solution:placement ~paths:sc.Vod_core.Scenario.paths

@@ -15,7 +15,7 @@ let () =
 
   (* 2. Demand inputs for one placement period: aggregate requests a_j^m
         and concurrency f_j^m(t) during the two busiest hours. *)
-  let demand = Vod_core.Scenario.demand_of_week sc ~day0:0 () in
+  let demand = Vod_core.Scenario.demand_of_week sc ~day0:0 in
   Printf.printf "week 1 demand: %.0f requests, peak windows at %s\n\n"
     demand.Vod_workload.Demand.total_requests
     (String.concat ", "

@@ -163,5 +163,3 @@ let insert t video ~size_gb ~now ~busy_until =
       (true, !evicted)
     end
   end
-
-let iter f t = Hashtbl.iter (fun video e -> f video e.size_gb) t.entries

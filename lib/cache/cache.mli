@@ -33,6 +33,3 @@ val touch : t -> int -> busy_until:float -> bool
     performed before a failed admission stay evicted. *)
 val insert :
   t -> int -> size_gb:float -> now:float -> busy_until:float -> bool * int list
-
-(** Iterate over resident (video, size_gb). *)
-val iter : (int -> float -> unit) -> t -> unit

@@ -34,24 +34,18 @@ type config = {
   disk_gb : float array;
   link_capacity_mbps : float;
   warmup_days : int;
-  n_windows : int;
-  window_s : float;
-  bin_s : float;
-  seed : int;
   resil : Vod_resil.Playout.config option;
       (* Some _ switches the serving loop to its faulted configuration *)
 }
+
+let default_warmup_days = 9
 
 let default_config ~scenario ~disk_gb ~link_capacity_mbps =
   {
     scenario;
     disk_gb;
     link_capacity_mbps;
-    warmup_days = 9;
-    n_windows = 2;
-    window_s = 3600.0;
-    bin_s = 300.0;
-    seed = 7;
+    warmup_days = default_warmup_days;
     resil = None;
   }
 
@@ -84,12 +78,9 @@ let scheme_name cfg = function
 let record_from cfg =
   float_of_int cfg.warmup_days *. Vod_workload.Trace.seconds_per_day
 
-(* Demand ranking from the first week (what a provider would know before
-   the measured period), used by Top-K. *)
-let first_week_ranking cfg =
-  let sc = cfg.scenario in
-  let demand = Scenario.demand_of_week sc ~day0:0 ~n_windows:cfg.n_windows ~window_s:cfg.window_s () in
-  Vod_workload.Demand.rank_by_demand demand
+(* The caching schemes' fleets draw their random placements from this
+   seed. *)
+let fleet_seed = 7
 
 (* The static re-placement problem of the MIP scheme's solves, and of
    the online daemon runs the front ends configure alongside it. *)
@@ -101,8 +92,8 @@ let replan_problem cfg (m : mip_config) =
     disk_gb = cfg.disk_gb;
     link_capacity_mbps = cfg.link_capacity_mbps;
     cache_frac = m.cache_frac;
-    n_windows = cfg.n_windows;
-    window_s = cfg.window_s;
+    n_windows = Scenario.n_windows;
+    window_s = Scenario.window_s;
     engine = m.engine;
     solver = m.solver;
   }
@@ -125,10 +116,9 @@ let run_mip cfg (m : mip_config) =
   let d =
     Vod_serve.Daemon.run ~graph:sc.Scenario.graph ~paths:sc.Scenario.paths
       ~catalog:sc.Scenario.catalog ~trace:sc.Scenario.trace
-      ~problem:(replan_problem cfg m) ?resil:cfg.resil ~bin_s:cfg.bin_s
+      ~problem:(replan_problem cfg m) ?resil:cfg.resil
       ~record_from:(record_from cfg)
       {
-        Vod_serve.Daemon.default_config with
         Vod_serve.Daemon.estimator = m.estimator;
         update_every_s =
           float_of_int m.update_days *. Vod_workload.Trace.seconds_per_day;
@@ -149,16 +139,22 @@ let run_mip cfg (m : mip_config) =
     resil_windows = d.Vod_serve.Daemon.windows;
   }
 
-(* The caching schemes are one playout of the serving loop over the
-   trace. *)
+(* A warm-up as long as the trace would record nothing, so it is refused
+   before any solve. The caching schemes are one playout of the serving
+   loop over the trace. *)
 let run cfg scheme =
   let sc = cfg.scenario in
+  let days = sc.Scenario.trace.Vod_workload.Trace.days in
+  if cfg.warmup_days >= days then
+    invalid_arg
+      (Printf.sprintf "Pipeline.run: warmup_days %d leaves nothing of a %d-day trace"
+         cfg.warmup_days days);
   let playout fleet =
     let metrics, resil_windows =
       Vod_serve.Loop.run_soa ~graph:sc.Scenario.graph ~paths:sc.Scenario.paths
         ~catalog:sc.Scenario.catalog ~fleet
-        ~store:sc.Scenario.trace
-        ~bin_s:cfg.bin_s ~record_from:(record_from cfg) ?resil:cfg.resil ()
+        ~store:sc.Scenario.trace ~record_from:(record_from cfg)
+        ?resil:cfg.resil ()
     in
     {
       scheme_name = scheme_name cfg scheme;
@@ -174,12 +170,17 @@ let run cfg scheme =
       playout
         (Vod_cache.Fleet.random_single ~paths:sc.Scenario.paths
            ~catalog:sc.Scenario.catalog ~disk_gb:cfg.disk_gb ~policy
-           ~seed:cfg.seed)
+           ~seed:fleet_seed)
   | Topk_lru k ->
+      (* Ranked by first-week demand: what a provider would know before
+         the measured period. *)
+      let ranked =
+        Vod_workload.Demand.rank_by_demand (Scenario.demand_of_week sc ~day0:0)
+      in
       playout
-        (Vod_cache.Fleet.topk ~k ~ranked:(first_week_ranking cfg)
+        (Vod_cache.Fleet.topk ~k ~ranked
            ~paths:sc.Scenario.paths ~catalog:sc.Scenario.catalog
-           ~disk_gb:cfg.disk_gb ~seed:cfg.seed)
+           ~disk_gb:cfg.disk_gb ~seed:fleet_seed)
   | Origin_lru regions ->
       playout
         (Vod_cache.Fleet.origin_regions ~regions ~graph:sc.Scenario.graph

@@ -34,16 +34,16 @@ type config = {
   disk_gb : float array;
   link_capacity_mbps : float;
   warmup_days : int;
-  n_windows : int;
-  window_s : float;
-  bin_s : float;
-  seed : int;
+      (** days played before recording starts; fewer than the trace's *)
   resil : Vod_resil.Playout.config option;
       (** [Some _] plays out through the serving loop's faulted
           configuration instead of its direct one *)
 }
 
-(** 9 warm-up days, |T| = 2 one-hour windows, 5-minute bins, no faults. *)
+(** {!default_config}'s warm-up: 9 days. *)
+val default_warmup_days : int
+
+(** {!default_warmup_days} of warm-up, no faults. *)
 val default_config :
   scenario:Scenario.t ->
   disk_gb:float array ->
@@ -63,20 +63,21 @@ type result = {
 }
 
 (** Run one scheme over the scenario's full trace, played through the
-    serving loop ([Vod_serve.Loop]). For [Mip m] the bootstrap
-    placement is solved from the actual first week and serves days
-    [0, 7); updates then run every [m.update_days] from day 7 while
-    strictly inside the trace (the daemon's periodic boundaries), so a
-    final partial period is shorter, never dropped.
-    Raises [Invalid_argument] if [m.update_days] is not positive. *)
+    serving loop ([Vod_serve.Loop]) into 5-minute link-load bins. For
+    [Mip m] the bootstrap placement is solved from the actual first
+    week's demand in {!Scenario.n_windows} peak windows of
+    {!Scenario.window_s} seconds and serves days [0, 7); updates then
+    run every [m.update_days] from day 7 while strictly inside the trace
+    (the daemon's periodic boundaries), so a final partial period is
+    shorter, never dropped. The caching schemes' fleets draw from seed
+    7; Top-K ranks videos by their first-week demand.
+    Raises [Invalid_argument] if [warmup_days] is not below the trace's
+    days (nothing would be recorded) or [m.update_days] is not
+    positive. *)
 val run : config -> scheme -> result
 
 (** Human-readable scheme label. *)
 val scheme_name : config -> scheme -> string
-
-(** Demand ranking from the first week (Top-K's input; exposed for
-    benches). *)
-val first_week_ranking : config -> int array
 
 (** The re-placement problem the MIP scheme's daemon run solves; front
     ends pass it to their own {!Vod_serve.Daemon.run} configurations. *)

@@ -10,8 +10,8 @@ type t = {
   trace : Vod_workload.Trace.t;
 }
 
-let make ?(days = 28) ?(requests_per_video_per_day = 5.0) ?(seed = 42)
-    ?(jobs = 0) ~graph ~n_videos () =
+let make ?(days = 28) ?(requests_per_video_per_day = 5.0) ?(seed = 42) ~graph
+    ~n_videos () =
   let catalog =
     Vod_workload.Catalog.generate
       (Vod_workload.Catalog.default_params ~n:n_videos ~days ~seed:(seed + 1))
@@ -22,15 +22,14 @@ let make ?(days = 28) ?(requests_per_video_per_day = 5.0) ?(seed = 42)
       ~mean_daily_requests:(requests_per_video_per_day *. float_of_int n_videos)
       ~seed:(seed + 2)
   in
-  let trace = Vod_workload.Tracegen.generate ~jobs p in
+  let trace = Vod_workload.Tracegen.generate p in
   let paths = Vod_topology.Paths.compute graph in
   { graph; paths; catalog; trace }
 
 (* The paper's default setting: the 55-VHO backbone. *)
-let backbone ?days ?requests_per_video_per_day ?(seed = 42) ?jobs ~n_videos
-    () =
+let backbone ?days ?requests_per_video_per_day ?(seed = 42) ~n_videos () =
   let graph = Vod_topology.Topologies.backbone55 () in
-  make ?days ?requests_per_video_per_day ~seed ?jobs ~graph ~n_videos ()
+  make ?days ?requests_per_video_per_day ~seed ~graph ~n_videos ()
 
 let library_gb t = Vod_workload.Catalog.total_size_gb t.catalog
 
@@ -124,9 +123,13 @@ let flash_crowd ?vho ?(factor = 3.0) t =
       { Vod_resil.Event.time_s = t1; kind = Vod_resil.Event.Surge_end vho };
     ]
 
+(* |T| = 2 one-hour peak windows per placement week (Sec. VI-B). *)
+let n_windows = 2
+let window_s = 3600.0
+
 (* Demand inputs for a one-week placement period starting at [day0], from
    actual trace requests (bootstrap / oracle use). *)
-let demand_of_week t ~day0 ?(n_windows = 2) ?(window_s = 3600.0) () =
+let demand_of_week t ~day0 =
   let spd = Vod_workload.Trace.seconds_per_day in
   let lo, hi =
     Vod_workload.Trace.between t.trace

@@ -11,14 +11,12 @@ type t = {
 
 (** Build a scenario over an arbitrary graph. Defaults: 28 days, 5
     requests per video per day. The trace comes from
-    [Vod_workload.Tracegen.generate]; [jobs] shards per-day generation
-    over a domain pool (0 = process default); bit-identical at any job
-    count. *)
+    [Vod_workload.Tracegen.generate] on the process's default domain
+    pool; bit-identical at any job count. *)
 val make :
   ?days:int ->
   ?requests_per_video_per_day:float ->
   ?seed:int ->
-  ?jobs:int ->
   graph:Vod_topology.Graph.t ->
   n_videos:int ->
   unit ->
@@ -29,7 +27,6 @@ val backbone :
   ?days:int ->
   ?requests_per_video_per_day:float ->
   ?seed:int ->
-  ?jobs:int ->
   n_videos:int ->
   unit ->
   t
@@ -60,7 +57,12 @@ val correlated_outage : ?vho:int -> t -> Vod_resil.Event.schedule
     quarter day starting at 40% of the horizon. *)
 val flash_crowd : ?vho:int -> ?factor:float -> t -> Vod_resil.Event.schedule
 
+(** The paper's demand windows (Sec. VI-B): |T| = 2 peak windows of one
+    hour per placement week. *)
+val n_windows : int
+
+val window_s : float
+
 (** Demand inputs for the week starting at [day0], from actual requests
-    (|T| = 2 one-hour peak windows by default). *)
-val demand_of_week :
-  t -> day0:int -> ?n_windows:int -> ?window_s:float -> unit -> Vod_workload.Demand.t
+    in {!n_windows} peak windows of {!window_s} seconds. *)
+val demand_of_week : t -> day0:int -> Vod_workload.Demand.t

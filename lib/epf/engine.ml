@@ -178,7 +178,6 @@ type 'a state = {
   prices : float array;            (* pi_i = exp(alpha r_i) / b_i *)
   mutable price_obj : float;       (* pi_0 *)
   mutable scale : float;           (* objective magnitude; floors b_target *)
-  mutable ub : float;              (* best epsilon-feasible objective seen *)
   mutable theta : float;           (* target-push factor for the B control *)
   mutable freeze_target : bool;    (* stabilization: stop moving B *)
   smoothed : float array;          (* smoothed duals pi-bar *)
@@ -357,7 +356,6 @@ let update_target st ~dc =
   if st.freeze_target then refresh_prices st
   else if not st.p.feasibility_only then begin
     if dc <= epsilon then begin
-      if st.objective < st.ub then st.ub <- st.objective;
       st.theta <- Float.min 0.20 (st.theta *. 1.5);
       st.b_target <- Float.max st.lb (st.objective *. (1.0 -. st.theta))
     end
@@ -447,7 +445,6 @@ let init ?initial (p : params) ~pool ~capacities ~oracles =
       prices = Array.make m 0.0;
       price_obj = 0.0;
       scale = 1.0;
-      ub = infinity;
       theta = 0.10;
       freeze_target = false;
       smoothed = Array.make m 0.0;
@@ -677,8 +674,8 @@ let solve ?(round = true) ?initial (p : params) ~capacities ~oracles =
     let dc = run_pass st in
     history := (st.objective, st.lb, dc) :: !history;
     Log.debug (fun m ->
-        m "pass %d: obj=%.6g lb=%.6g ub=%.6g viol=%.4f delta=%.4f" !passes
-          st.objective st.lb st.ub dc st.delta);
+        m "pass %d: obj=%.6g lb=%.6g viol=%.4f delta=%.4f" !passes
+          st.objective st.lb dc st.delta);
     if st.objective < !best_obj *. (1.0 -. (epsilon /. 4.0)) then begin
       best_obj := st.objective;
       last_improve := !passes

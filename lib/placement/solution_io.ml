@@ -52,7 +52,7 @@ let load_csv ~n_vhos ~n_videos path =
            let line = String.trim (input_line ic) in
            if line <> "" && not (!lineno = 1 && line = header) then begin
              match String.split_on_char ',' line with
-             | [ "store"; video; vho; _ ] -> (
+             | [ "store"; video; vho; "" ] -> (
                  try
                    let video = int_of_string video and vho = int_of_string vho in
                    check_video video;

@@ -6,8 +6,8 @@
    byte-identical to direct serving.
 
    Saturation accounting: a link is saturated while its load is at or
-   above [saturation_frac * capacity]; total saturated link-seconds are
-   accumulated at state transitions and closed out by [finish]. *)
+   above [saturation_frac] of its capacity; total saturated link-seconds
+   are accumulated at state transitions and closed out by [finish]. *)
 
 type expiry = {
   until_s : float;
@@ -18,7 +18,6 @@ type expiry = {
 type t = {
   capacity_mbps : float array;  (* per directed link; infinity = unbounded *)
   load : float array;           (* reserved Mb/s per link *)
-  sat_frac : float;
   sat_since : float array;      (* -1.0 when not saturated *)
   mutable sat_total_s : float;
   mutable heap : expiry array;  (* binary min-heap on until_s *)
@@ -26,19 +25,18 @@ type t = {
   unbounded : bool;             (* no finite capacity anywhere *)
 }
 
-let create ~capacity_mbps ?(saturation_frac = 0.95) () =
+let saturation_frac = 0.95
+
+let create ~capacity_mbps =
   Array.iter
     (fun c ->
       if Float.is_nan c || c <= 0.0 then
         invalid_arg "Capacity.create: capacities must be positive")
     capacity_mbps;
-  if saturation_frac <= 0.0 || saturation_frac > 1.0 then
-    invalid_arg "Capacity.create: saturation_frac must be in (0, 1]";
   let n = Array.length capacity_mbps in
   {
     capacity_mbps = Array.copy capacity_mbps;
     load = Array.make n 0.0;
-    sat_frac = saturation_frac;
     sat_since = Array.make n (-1.0);
     sat_total_s = 0.0;
     heap = Array.make 64 { until_s = 0.0; link = 0; rate = 0.0 };
@@ -98,7 +96,7 @@ let heap_pop t =
 
 (* ---------- saturation bookkeeping ---------- *)
 
-let saturated t link = t.load.(link) >= t.sat_frac *. t.capacity_mbps.(link)
+let saturated t link = t.load.(link) >= saturation_frac *. t.capacity_mbps.(link)
 
 let update_saturation t ~now_s link =
   if t.capacity_mbps.(link) < Float.infinity then begin

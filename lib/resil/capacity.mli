@@ -5,11 +5,11 @@
 
 type t
 
-(** [create ~capacity_mbps ()] with one capacity per directed link
+(** [create ~capacity_mbps] with one capacity per directed link
     ([infinity] = unbounded). A link counts as saturated while its load
-    is at or above [saturation_frac] (default 0.95) of its capacity.
-    Raises [Invalid_argument] on non-positive capacities. *)
-val create : capacity_mbps:float array -> ?saturation_frac:float -> unit -> t
+    is at or above 95% of its capacity. Raises [Invalid_argument] on
+    non-positive capacities. *)
+val create : capacity_mbps:float array -> t
 
 (** True when no link has a finite capacity (every admission succeeds). *)
 val unbounded : t -> bool

@@ -29,21 +29,31 @@ let kind_to_string = function
   | Surge_start { vho; factor } -> Printf.sprintf "surge_start,%d,%g" vho factor
   | Surge_end v -> Printf.sprintf "surge_end,%d" v
 
+(* Why an event cannot be scheduled at all, if it cannot. *)
+let value_error e =
+  if not (Float.is_finite e.time_s) || e.time_s < 0.0 then
+    Some "event times must be finite and non-negative"
+  else
+    match e.kind with
+    | Surge_start { factor; _ } when not (Float.is_finite factor) || factor <= 0.0 ->
+        Some "surge factor must be finite and positive"
+    | _ -> None
+
+(* Why an event does not fit a topology, if it does not. *)
+let id_error ~n_vhos ~n_links e =
+  let outside what id n =
+    if id < 0 || id >= n then Some (Printf.sprintf "%s %d outside [0, %d)" what id n)
+    else None
+  in
+  match e.kind with
+  | Vho_down v | Vho_up v | Surge_end v | Surge_start { vho = v; _ } ->
+      outside "VHO" v n_vhos
+  | Link_down l | Link_up l -> outside "link" l n_links
+
 (* Sort events by time, stably, so same-time events keep their authored
    order (down-before-up at the same instant is meaningful). *)
-let create events =
-  List.iter
-    (fun e ->
-      if not (Float.is_finite e.time_s) || e.time_s < 0.0 then
-        invalid_arg "Event.create: event times must be finite and non-negative";
-      match e.kind with
-      | Surge_start { factor; _ }
-        when not (Float.is_finite factor) || factor <= 0.0 ->
-          invalid_arg "Event.create: surge factor must be finite and positive"
-      | _ -> ())
-    events;
-  let arr = Array.of_list events in
-  let tagged = Array.mapi (fun i e -> (i, e)) arr in
+let sort events =
+  let tagged = Array.mapi (fun i e -> (i, e)) (Array.of_list events) in
   Array.sort
     (fun (i, a) (j, b) ->
       let c = Float.compare a.time_s b.time_s in
@@ -51,24 +61,21 @@ let create events =
     tagged;
   Array.map snd tagged
 
+let create events =
+  List.iter
+    (fun e -> Option.iter (fun m -> invalid_arg ("Event.create: " ^ m)) (value_error e))
+    events;
+  sort events
+
 let length (s : schedule) = Array.length s
 
 (* Bounds-check every referenced VHO and link id against a topology. *)
 let validate (s : schedule) ~n_vhos ~n_links =
-  let check_vho v =
-    if v < 0 || v >= n_vhos then
-      invalid_arg (Printf.sprintf "Event.validate: VHO %d outside [0, %d)" v n_vhos)
-  in
-  let check_link l =
-    if l < 0 || l >= n_links then
-      invalid_arg (Printf.sprintf "Event.validate: link %d outside [0, %d)" l n_links)
-  in
   Array.iter
     (fun e ->
-      match e.kind with
-      | Vho_down v | Vho_up v | Surge_end v -> check_vho v
-      | Surge_start { vho; _ } -> check_vho vho
-      | Link_down l | Link_up l -> check_link l)
+      Option.iter
+        (fun m -> invalid_arg ("Event.validate: " ^ m))
+        (id_error ~n_vhos ~n_links e))
     s
 
 (* ---------- CSV schedule format ----------
@@ -94,32 +101,41 @@ let save_csv (s : schedule) path =
         (fun e -> Printf.fprintf oc "%.3f,%s\n" e.time_s (kind_to_string e.kind))
         s)
 
-let parse_line ~lineno line =
-  let bad () =
-    invalid_arg (Printf.sprintf "Event.load_csv: bad record on line %d" lineno)
+(* One record, checked as it is parsed: a malformed line, a time or
+   surge factor out of range, or an id outside the topology is an error
+   naming the line. *)
+let parse_line ~lineno ~n_vhos ~n_links line =
+  let fail what =
+    invalid_arg (Printf.sprintf "Event.load_csv: %s on line %d" what lineno)
   in
-  match String.split_on_char ',' (String.trim line) with
-  | time :: event :: args -> (
-      let time_s = try float_of_string time with Failure _ -> bad () in
-      let int_arg s = try int_of_string (String.trim s) with Failure _ -> bad () in
-      let kind =
-        match (String.trim event, args) with
-        | "vho_down", [ v ] -> Vho_down (int_arg v)
-        | "vho_up", [ v ] -> Vho_up (int_arg v)
-        | "link_down", [ l ] -> Link_down (int_arg l)
-        | "link_up", [ l ] -> Link_up (int_arg l)
-        | "surge_start", [ v; f ] ->
-            let factor =
-              try float_of_string (String.trim f) with Failure _ -> bad ()
-            in
-            Surge_start { vho = int_arg v; factor }
-        | "surge_end", [ v ] -> Surge_end (int_arg v)
-        | _ -> bad ()
-      in
-      { time_s; kind })
-  | _ -> bad ()
+  let bad () = fail "bad record" in
+  let e =
+    match String.split_on_char ',' line with
+    | time :: event :: args ->
+        let time_s = try float_of_string time with Failure _ -> bad () in
+        let int_arg s = try int_of_string (String.trim s) with Failure _ -> bad () in
+        let kind =
+          match (String.trim event, args) with
+          | "vho_down", [ v ] -> Vho_down (int_arg v)
+          | "vho_up", [ v ] -> Vho_up (int_arg v)
+          | "link_down", [ l ] -> Link_down (int_arg l)
+          | "link_up", [ l ] -> Link_up (int_arg l)
+          | "surge_start", [ v; f ] ->
+              let factor =
+                try float_of_string (String.trim f) with Failure _ -> bad ()
+              in
+              Surge_start { vho = int_arg v; factor }
+          | "surge_end", [ v ] -> Surge_end (int_arg v)
+          | _ -> bad ()
+        in
+        { time_s; kind }
+    | _ -> bad ()
+  in
+  Option.iter fail (value_error e);
+  Option.iter fail (id_error ~n_vhos ~n_links e);
+  e
 
-let load_csv ?n_vhos ?n_links path =
+let load_csv ~n_vhos ~n_links path =
   let ic = open_in path in
   Fun.protect
     ~finally:(fun () -> close_in ic)
@@ -132,18 +148,12 @@ let load_csv ?n_vhos ?n_links path =
            let line = String.trim (input_line ic) in
            if
              line <> ""
-             && not (String.length line > 0 && line.[0] = '#')
+             && line.[0] <> '#'
              && not (!lineno = 1 && line = header)
-           then events := parse_line ~lineno:!lineno line :: !events
+           then events := parse_line ~lineno:!lineno ~n_vhos ~n_links line :: !events
          done
        with End_of_file -> ());
-      let s = create (List.rev !events) in
-      (match (n_vhos, n_links) with
-      | Some n_vhos, Some n_links -> validate s ~n_vhos ~n_links
-      | Some n_vhos, None -> validate s ~n_vhos ~n_links:max_int
-      | None, Some n_links -> validate s ~n_vhos:max_int ~n_links
-      | None, None -> ());
-      s)
+      sort (List.rev !events))
 
 (* ---------- seeded generator ---------- *)
 
@@ -151,36 +161,22 @@ type gen_params = {
   n_vhos : int;
   n_links : int;
   horizon_s : float;
-  vho_outages : int;        (* independent VHO down/up pairs *)
-  link_outages : int;       (* independent directed-link down/up pairs *)
-  surges : int;             (* flash-crowd windows *)
-  mean_outage_s : float;    (* Exp-distributed outage duration *)
-  mean_surge_s : float;
-  surge_factor : float;     (* demand multiplier during a surge *)
   seed : int;
 }
 
 let default_gen_params ~n_vhos ~n_links ~horizon_s ~seed =
-  {
-    n_vhos;
-    n_links;
-    horizon_s;
-    vho_outages = 2;
-    link_outages = 2;
-    surges = 1;
-    mean_outage_s = horizon_s /. 10.0;
-    mean_surge_s = horizon_s /. 20.0;
-    surge_factor = 3.0;
-    seed;
-  }
+  { n_vhos; n_links; horizon_s; seed }
 
-(* Draw [count] down/up (or start/end) pairs: uniform start over the
-   horizon, exponential duration clipped to the horizon. Draw order is
+(* Two VHO outages, two directed-link outages and one threefold surge:
+   each a down/up (or start/end) pair with a uniform start over the
+   horizon and an exponential duration, of mean horizon/10 for outages
+   and horizon/20 for the surge, clipped to the horizon. Draw order is
    fixed, so the schedule depends only on the params. *)
 let generate (p : gen_params) : schedule =
   if p.horizon_s <= 0.0 || not (Float.is_finite p.horizon_s) then
     invalid_arg "Event.generate: horizon must be finite and positive";
   if p.n_vhos <= 0 then invalid_arg "Event.generate: need at least one VHO";
+  if p.n_links <= 0 then invalid_arg "Event.generate: need at least one link";
   let rng = Vod_util.Rng.create p.seed in
   let events = ref [] in
   let pair ~mean_s mk_down mk_up =
@@ -189,20 +185,17 @@ let generate (p : gen_params) : schedule =
     let t1 = Float.min p.horizon_s (t0 +. dur) in
     events := { time_s = t1; kind = mk_up } :: { time_s = t0; kind = mk_down } :: !events
   in
-  for _ = 1 to p.vho_outages do
+  let mean_outage_s = p.horizon_s /. 10.0 in
+  for _ = 1 to 2 do
     let v = Vod_util.Rng.int rng p.n_vhos in
-    pair ~mean_s:p.mean_outage_s (Vho_down v) (Vho_up v)
+    pair ~mean_s:mean_outage_s (Vho_down v) (Vho_up v)
   done;
-  if p.link_outages > 0 && p.n_links <= 0 then
-    invalid_arg "Event.generate: link outages requested on a link-less graph";
-  for _ = 1 to p.link_outages do
+  for _ = 1 to 2 do
     let l = Vod_util.Rng.int rng p.n_links in
-    pair ~mean_s:p.mean_outage_s (Link_down l) (Link_up l)
+    pair ~mean_s:mean_outage_s (Link_down l) (Link_up l)
   done;
-  for _ = 1 to p.surges do
-    let v = Vod_util.Rng.int rng p.n_vhos in
-    pair ~mean_s:p.mean_surge_s
-      (Surge_start { vho = v; factor = p.surge_factor })
-      (Surge_end v)
-  done;
+  let v = Vod_util.Rng.int rng p.n_vhos in
+  pair ~mean_s:(p.horizon_s /. 20.0)
+    (Surge_start { vho = v; factor = 3.0 })
+    (Surge_end v);
   create (List.rev !events)

@@ -42,29 +42,31 @@ val kind_to_string : kind -> string
 (** Write a schedule as CSV ([time_s,event,args]; one event per line). *)
 val save_csv : schedule -> string -> unit
 
-(** Load a CSV schedule; [#] comments and blank lines are ignored.
-    Raises [Invalid_argument] with a line number on parse errors, and
-    bounds-checks ids when [n_vhos]/[n_links] are given. *)
-val load_csv : ?n_vhos:int -> ?n_links:int -> string -> schedule
+(** Load a CSV schedule for a topology of [n_vhos] VHOs and [n_links]
+    directed links; [#] comments and blank lines are ignored. Each row
+    is checked as it is parsed: a malformed record, a non-finite or
+    negative time, a surge factor that is not finite and positive, or a
+    VHO or link id outside the topology raises [Invalid_argument]
+    naming the line. Raises [Sys_error] if the file is unreadable. *)
+val load_csv : n_vhos:int -> n_links:int -> string -> schedule
 
-(** Parameters of the seeded generator: independent down/up (or
-    start/end) pairs with uniform starts and exponential durations
-    clipped to the horizon. *)
+(** The seeded generator's topology, horizon and seed. *)
 type gen_params = {
   n_vhos : int;
   n_links : int;
   horizon_s : float;
-  vho_outages : int;
-  link_outages : int;
-  surges : int;
-  mean_outage_s : float;
-  mean_surge_s : float;
-  surge_factor : float;
   seed : int;
 }
 
+(** [{ n_vhos; n_links; horizon_s; seed }]. *)
 val default_gen_params :
   n_vhos:int -> n_links:int -> horizon_s:float -> seed:int -> gen_params
 
-(** Generate a schedule from the params; same params, same schedule. *)
+(** Generate a schedule from the params; same params, same schedule. It
+    holds two VHO outages, two directed-link outages and one threefold
+    demand surge, each a down/up (or start/end) pair with a uniform
+    start and an exponential duration clipped to the horizon: mean
+    [horizon_s /. 10.] for an outage, [horizon_s /. 20.] for the surge.
+    Raises [Invalid_argument] unless the horizon is finite and positive
+    and the topology has a VHO and a link. *)
 val generate : gen_params -> schedule

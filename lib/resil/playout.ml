@@ -6,12 +6,11 @@ type config = {
   schedule : Event.schedule;
   link_capacity_mbps : float;   (* uniform per directed link; infinity = off *)
   origin : int option;          (* last-resort full-library VHO *)
-  saturation_frac : float;
 }
 
 let config ?(schedule = Event.empty) ?(link_capacity_mbps = Float.infinity)
-    ?origin ?(saturation_frac = 0.95) () =
-  { schedule; link_capacity_mbps; origin; saturation_frac }
+    ?origin () =
+  { schedule; link_capacity_mbps; origin }
 
 let validate cfg ~n_vhos ~n_links =
   Event.validate cfg.schedule ~n_vhos ~n_links;

@@ -10,16 +10,14 @@ type config = {
   link_capacity_mbps : float;
       (** uniform per-directed-link budget; [infinity] disables tracking *)
   origin : int option;  (** optional last-resort full-library VHO *)
-  saturation_frac : float;
 }
 
 (** Build a config; defaults: empty schedule, infinite capacity, no
-    origin, saturation at 95% of capacity. *)
+    origin. *)
 val config :
   ?schedule:Event.schedule ->
   ?link_capacity_mbps:float ->
   ?origin:int ->
-  ?saturation_frac:float ->
   unit ->
   config
 

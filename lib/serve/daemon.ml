@@ -27,7 +27,6 @@ module Log = (val Logs.src_log src : Logs.LOG)
 type config = {
   estimator : Vod_workload.Estimator.strategy;
   update_every_s : float;   (* periodic replan cadence *)
-  history_s : float;        (* sliding estimation window *)
   migration_budget_gb : float;  (* per replan; infinity = unrestricted *)
   warm_start : bool;        (* warm the EPF engine from the incumbent *)
   react_to_faults : bool;   (* replan on fault/repair events too *)
@@ -37,7 +36,6 @@ let default_config =
   {
     estimator = Vod_workload.Estimator.Series_blockbuster;
     update_every_s = 6.0 *. 3600.0;
-    history_s = 7.0 *. Vod_workload.Trace.seconds_per_day;
     migration_budget_gb = Float.infinity;
     warm_start = true;
     react_to_faults = true;
@@ -105,8 +103,7 @@ let boundaries (cfg : config) ?resil ~horizon_s () =
   dedupe all
 
 let run ~graph ~paths ~catalog ~(trace : Vod_workload.Trace.t)
-    ~(problem : Replan.problem) ?resil ?(bin_s = 300.0) ?(record_from = 0.0)
-    (cfg : config) =
+    ~(problem : Replan.problem) ?resil ?(record_from = 0.0) (cfg : config) =
   let horizon_s =
     float_of_int trace.Vod_workload.Trace.days
     *. Vod_workload.Trace.seconds_per_day
@@ -120,7 +117,7 @@ let run ~graph ~paths ~catalog ~(trace : Vod_workload.Trace.t)
   let n_links = Vod_topology.Graph.n_links graph in
   Option.iter (fun rc -> Vod_resil.Playout.validate rc ~n_vhos ~n_links) resil;
   let metrics =
-    Vod_sim.Metrics.create ~n_links ~n_vhos ~horizon_s ~bin_s ~record_from ()
+    Vod_sim.Metrics.create ~n_links ~n_vhos ~horizon_s ~record_from ()
   in
   let cache_gb =
     Array.map (fun d -> d *. problem.Replan.cache_frac) problem.Replan.disk_gb
@@ -168,8 +165,8 @@ let run ~graph ~paths ~catalog ~(trace : Vod_workload.Trace.t)
           Loop.advance loop ~now:t_b;
           let demand =
             Replan.demand problem
-              (Vod_workload.Estimator.predict_at ~history_s:cfg.history_s
-                 cfg.estimator catalog trace ~t0_s:t_b)
+              (Vod_workload.Estimator.predict_at cfg.estimator catalog trace
+                 ~t0_s:t_b)
           in
           let incumbent = if cfg.warm_start then Some !current else None in
           let down_vhos =

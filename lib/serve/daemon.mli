@@ -15,15 +15,14 @@
 type config = {
   estimator : Vod_workload.Estimator.strategy;
   update_every_s : float;  (** periodic replan cadence *)
-  history_s : float;  (** sliding estimation window *)
   migration_budget_gb : float;
       (** per-replan transfer budget; [infinity] = unrestricted *)
   warm_start : bool;  (** warm the EPF engine from the incumbent *)
   react_to_faults : bool;  (** replan on fault/repair events too *)
 }
 
-(** Series+blockbuster estimation, 6-hour cadence, one week of history,
-    infinite budget, warm start on, fault reaction on. *)
+(** Series+blockbuster estimation, 6-hour cadence, infinite budget,
+    warm start on, fault reaction on. *)
 val default_config : config
 
 (** One replan record: when, why, the solve behind it, and how much of
@@ -58,12 +57,13 @@ val boundaries :
   unit ->
   (float * string) list
 
-(** [run ~graph ~paths ~catalog ~trace ~problem ?resil ?bin_s
-    ?record_from cfg] bootstraps a placement from the actual first week,
-    then serves the trace through the
-    unified loop, replanning at every boundary: periodic ticks from day
-    7 on, plus the fault timeline's event instants when
-    [react_to_faults] (exact-time collisions replan once). Raises
+(** [run ~graph ~paths ~catalog ~trace ~problem ?resil ?record_from
+    cfg] bootstraps a placement from the actual first week, then serves
+    the trace through the unified loop into 5-minute link-load bins,
+    replanning at every boundary: periodic ticks from day 7 on, plus the
+    fault timeline's event instants when [react_to_faults] (exact-time
+    collisions replan once). Each replan estimates demand from the week
+    before the boundary. Raises
     [Invalid_argument] before any solve unless [update_every_s] is
     positive and [migration_budget_gb] non-negative (infinity is
     unrestricted), or if [resil] fails {!Vod_resil.Playout.validate}. *)
@@ -74,7 +74,6 @@ val run :
   trace:Vod_workload.Trace.t ->
   problem:Replan.problem ->
   ?resil:Vod_resil.Playout.config ->
-  ?bin_s:float ->
   ?record_from:float ->
   config ->
   result

@@ -100,7 +100,6 @@ let create ~graph ~paths ~catalog ~fleet ?resil () =
         let capacity =
           Capacity.create
             ~capacity_mbps:(Array.make n_links cfg.Playout.link_capacity_mbps)
-            ~saturation_frac:cfg.Playout.saturation_frac ()
         in
         let router =
           Router.create ~graph ~paths ~state ~capacity ?origin:cfg.Playout.origin
@@ -151,21 +150,19 @@ let advance t ~now =
 
 (* Hoisted out of the request loop (alloc-in-hot): a local definition
    per request would allocate a closure per request. *)
-let count_request metrics ~track_per_vho ~vho =
+let count_request metrics ~vho =
   metrics.Metrics.requests <- metrics.Metrics.requests + 1;
-  if track_per_vho then
-    metrics.Metrics.per_vho_requests.(vho) <-
-      metrics.Metrics.per_vho_requests.(vho) + 1
+  metrics.Metrics.per_vho_requests.(vho) <-
+    metrics.Metrics.per_vho_requests.(vho) + 1
 
 (* A recorded request some replica served: the request itself, then the
    local/remote split and its cache counters. *)
-let count_served metrics ~track_per_vho ~vho (outcome : Fleet.outcome) =
-  count_request metrics ~track_per_vho ~vho;
+let count_served metrics ~vho (outcome : Fleet.outcome) =
+  count_request metrics ~vho;
   if outcome.Fleet.local then begin
     metrics.Metrics.local_served <- metrics.Metrics.local_served + 1;
-    if track_per_vho then
-      metrics.Metrics.per_vho_local.(vho) <-
-        metrics.Metrics.per_vho_local.(vho) + 1;
+    metrics.Metrics.per_vho_local.(vho) <-
+      metrics.Metrics.per_vho_local.(vho) + 1;
     if outcome.Fleet.cache_hit then
       metrics.Metrics.cache_hits <- metrics.Metrics.cache_hits + 1
   end
@@ -199,14 +196,13 @@ let add_remote metrics ~record ~links ~hops ~surge ~now (v : Video.t) =
 (* ---- direct configuration -------------------------------------------- *)
 
 let play_direct t metrics (trace : Trace.t) ~lo ~hi =
-  let track_per_vho = Array.length metrics.Metrics.per_vho_requests > 0 in
   for i = lo to hi - 1 do
     let now = Trace.time trace i in
     let video = Trace.video trace i in
     let vho = Trace.vho trace i in
     let outcome = Fleet.serve t.fleet ~video ~vho ~now in
     let record = Metrics.in_record_window metrics now in
-    if record then count_served metrics ~track_per_vho ~vho outcome;
+    if record then count_served metrics ~vho outcome;
     if not outcome.Fleet.local then begin
       let server = outcome.Fleet.server in
       add_remote metrics ~record
@@ -220,8 +216,8 @@ let play_direct t metrics (trace : Trace.t) ~lo ~hi =
 (* ---- faulted configuration ------------------------------------------- *)
 
 (* A recorded request nobody served, for [reason]. *)
-let reject f metrics ~track_per_vho ~vho (reason : Router.reject_reason) =
-  count_request metrics ~track_per_vho ~vho;
+let reject f metrics ~vho (reason : Router.reject_reason) =
+  count_request metrics ~vho;
   let deg = metrics.Metrics.deg in
   deg.Metrics.rejections <- deg.Metrics.rejections + 1;
   (match reason with
@@ -256,7 +252,6 @@ let count_route f metrics ~surge (s : Router.served) =
   end
 
 let play_faulted t f metrics (trace : Trace.t) ~lo ~hi =
-  let track_per_vho = Array.length metrics.Metrics.per_vho_requests > 0 in
   for i = lo to hi - 1 do
     let now = Trace.time trace i in
     let video = Trace.video trace i in
@@ -266,12 +261,12 @@ let play_faulted t f metrics (trace : Trace.t) ~lo ~hi =
     if record then f.win_requests <- f.win_requests + 1;
     if not (State.vho_up f.state vho) then begin
       (* The requesting VHO is dark: nobody there to serve. *)
-      if record then reject f metrics ~track_per_vho ~vho Router.Vho_down
+      if record then reject f metrics ~vho Router.Vho_down
     end
     else
       match Fleet.serve_local t.fleet ~video ~vho ~now with
       | Some outcome ->
-          if record then count_served metrics ~track_per_vho ~vho outcome
+          if record then count_served metrics ~vho outcome
       | None -> (
           let v = Vod_workload.Catalog.video t.catalog video in
           let surge = State.surge f.state vho in
@@ -285,12 +280,12 @@ let play_faulted t f metrics (trace : Trace.t) ~lo ~hi =
               let outcome =
                 Fleet.fetch t.fleet ~video ~vho ~now ~server:s.Router.server
               in
-              if record then count_served metrics ~track_per_vho ~vho outcome;
+              if record then count_served metrics ~vho outcome;
               add_remote metrics ~record ~links:s.Router.links
                 ~hops:s.Router.hops ~surge ~now v;
               if record then count_route f metrics ~surge s
           | Router.Rejected reason ->
-              if record then reject f metrics ~track_per_vho ~vho reason)
+              if record then reject f metrics ~vho reason)
   done
 
 (* ---- entry points ----------------------------------------------------- *)

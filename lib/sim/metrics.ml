@@ -38,7 +38,7 @@ type t = {
   deg : degradation;
 }
 
-let create ~n_links ?(n_vhos = 0) ~horizon_s ?(bin_s = 300.0) ?(record_from = 0.0) () =
+let create ~n_links ~n_vhos ~horizon_s ?(bin_s = 300.0) ?(record_from = 0.0) () =
   if bin_s <= 0.0 then invalid_arg "Metrics.create: bin_s must be positive";
   let n_bins = int_of_float (ceil (horizon_s /. bin_s)) in
   {
@@ -73,12 +73,12 @@ let create ~n_links ?(n_vhos = 0) ~horizon_s ?(bin_s = 300.0) ?(record_from = 0.
 let in_record_window t time_s = time_s >= t.record_from
 
 (* Check a store's VHO bound against the per-VHO counter arrays once, up
-   front, instead of silently dropping out-of-range ids per request. O(1):
+   front, instead of failing on an array bound mid-playout. O(1):
    construction already bounds-checked every row against the store's own
-   [n_vhos]. Only meaningful when the metrics track per-VHO counters. *)
+   [n_vhos]. *)
 let validate_store t (trace : Vod_workload.Trace.t) =
   let n = Array.length t.per_vho_requests in
-  if n > 0 && trace.Vod_workload.Trace.n_vhos > n then
+  if trace.Vod_workload.Trace.n_vhos > n then
     invalid_arg
       (Printf.sprintf
          "Metrics.validate_store: store allows VHOs up to %d, counters stop at %d"
@@ -136,10 +136,7 @@ let rejection_rate t =
   if t.requests = 0 then 0.0
   else float_of_int t.deg.rejections /. float_of_int t.requests
 
-let hit_rate t = local_fraction t
-
-(* Per-VHO local-serving fractions (NaN-free: 0 for idle VHOs). Only
-   populated when the metrics were created with [n_vhos]. *)
+(* Per-VHO local-serving fractions (NaN-free: 0 for idle VHOs). *)
 let per_vho_local_fraction t =
   Array.mapi
     (fun i local ->

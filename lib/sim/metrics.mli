@@ -35,12 +35,12 @@ type t = {
   deg : degradation;
 }
 
-(** [create ~n_links ~horizon_s ()] with 5-minute bins by default; activity
-    before [record_from] (warm-up) is not recorded. Pass [n_vhos] to also
-    collect per-VHO serving counters. *)
+(** [create ~n_links ~n_vhos ~horizon_s ()] with 5-minute bins by
+    default and per-VHO serving counters for VHOs [0] to [n_vhos - 1];
+    activity before [record_from] (warm-up) is not recorded. *)
 val create :
   n_links:int ->
-  ?n_vhos:int ->
+  n_vhos:int ->
   horizon_s:float ->
   ?bin_s:float ->
   ?record_from:float ->
@@ -53,8 +53,7 @@ val in_record_window : t -> float -> bool
 (** Validate a store's VHO bound against the per-VHO counter arrays: every
     row of a {!Vod_workload.Trace.t} was bounds-checked against its
     own [n_vhos] at construction, so the check is O(1) and covers every
-    row. Raises [Invalid_argument] naming both bounds; a no-op when the
-    metrics were created without [n_vhos]. *)
+    row. Raises [Invalid_argument] naming both bounds. *)
 val validate_store : t -> Vod_workload.Trace.t -> unit
 
 (** Spread a stream of [rate_mbps] over [t0, t1) into a link's bins
@@ -76,12 +75,9 @@ val max_aggregate_mbps : t -> float
 (** Fraction of recorded requests served locally. *)
 val local_fraction : t -> float
 
-(** Alias of [local_fraction] (the paper's cache hit rate). *)
-val hit_rate : t -> float
-
 (** Fraction of recorded requests rejected outright; 0 for fault-free
     playouts. *)
 val rejection_rate : t -> float
 
-(** Per-VHO local-serving fraction; empty unless created with [n_vhos]. *)
+(** Per-VHO local-serving fraction. *)
 val per_vho_local_fraction : t -> float array

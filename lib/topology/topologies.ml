@@ -55,14 +55,14 @@ let ring_plus_chords ~name ~n ~target_edges ~seed =
   done;
   Graph.create ~name ~n ~edges:!edges ~populations
 
-let backbone55 ?(seed = 55) () =
-  ring_plus_chords ~name:"vod-backbone-55" ~n:55 ~target_edges:76 ~seed
+let backbone55 () =
+  ring_plus_chords ~name:"vod-backbone-55" ~n:55 ~target_edges:76 ~seed:55
 
-let tiscali ?(seed = 49) () = ring_plus_chords ~name:"tiscali" ~n:49 ~target_edges:86 ~seed
+let tiscali () = ring_plus_chords ~name:"tiscali" ~n:49 ~target_edges:86 ~seed:49
 
-let sprint ?(seed = 33) () = ring_plus_chords ~name:"sprint" ~n:33 ~target_edges:69 ~seed
+let sprint () = ring_plus_chords ~name:"sprint" ~n:33 ~target_edges:69 ~seed:33
 
-let ebone ?(seed = 23) () = ring_plus_chords ~name:"ebone" ~n:23 ~target_edges:38 ~seed
+let ebone () = ring_plus_chords ~name:"ebone" ~n:23 ~target_edges:38 ~seed:23
 
 (* BFS tree rooted at the highest-population VHO; keeps the node set and
    populations of [g] but only n-1 physical links (paper Table IV). *)

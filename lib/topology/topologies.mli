@@ -13,17 +13,18 @@ val zipf_populations : seed:int -> int -> float array
 val ring_plus_chords :
   name:string -> n:int -> target_edges:int -> seed:int -> Graph.t
 
-(** The 55-VHO / 76-link IPTV backbone stand-in. *)
-val backbone55 : ?seed:int -> unit -> Graph.t
+(** The 55-VHO / 76-link IPTV backbone stand-in ([ring_plus_chords]
+    seed 55). *)
+val backbone55 : unit -> Graph.t
 
-(** RocketFuel-scale stand-ins: Tiscali 49 nodes / 86 links. *)
-val tiscali : ?seed:int -> unit -> Graph.t
+(** RocketFuel-scale stand-ins: Tiscali 49 nodes / 86 links (seed 49). *)
+val tiscali : unit -> Graph.t
 
-(** Sprint: 33 nodes / 69 links. *)
-val sprint : ?seed:int -> unit -> Graph.t
+(** Sprint: 33 nodes / 69 links (seed 33). *)
+val sprint : unit -> Graph.t
 
-(** Ebone: 23 nodes / 38 links. *)
-val ebone : ?seed:int -> unit -> Graph.t
+(** Ebone: 23 nodes / 38 links (seed 23). *)
+val ebone : unit -> Graph.t
 
 (** BFS tree over the same VHOs, rooted at the largest metro (Table IV). *)
 val tree_of : Graph.t -> Graph.t

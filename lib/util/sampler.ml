@@ -43,5 +43,3 @@ let create weights =
 let draw t rng =
   let i = Rng.int rng t.n in
   if Rng.float rng < t.prob.(i) then i else t.alias.(i)
-
-let size t = t.n

@@ -12,6 +12,3 @@ val create : float array -> t
 (** [draw t rng] samples an index with probability proportional to its
     weight, in O(1). *)
 val draw : t -> Rng.t -> int
-
-(** Number of outcomes. *)
-val size : t -> int

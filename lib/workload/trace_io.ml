@@ -28,25 +28,24 @@ let save_csv (trace : Trace.t) path =
 let fail ~lineno what =
   invalid_arg (Printf.sprintf "Trace_io.load_csv: %s on line %d" what lineno)
 
-(* One record, checked against the trace shape and, when given, the
-   catalog's video bound. Without the video check a stale or hand-edited
-   CSV only blows up deep inside playout with an array-bounds exception;
-   here every bad row is a line-numbered parse error. *)
+(* One record, checked against the trace shape and the catalog's video
+   bound. Without the video check a stale or hand-edited CSV only blows
+   up deep inside playout with an array-bounds exception; here every bad
+   row is a line-numbered parse error. *)
 let parse_line ~lineno ~n_videos ~n_vhos ~days line =
   match String.split_on_char ',' line with
   | [ t; vho; video ] -> (
       match (float_of_string_opt t, int_of_string_opt vho, int_of_string_opt video) with
       | Some time_s, Some vho, Some video ->
-          (match n_videos with
-          | Some n when video < 0 || video >= n ->
-              fail ~lineno (Printf.sprintf "video id %d out of range [0, %d)" video n)
-          | Some _ | None -> ());
+          if video < 0 || video >= n_videos then
+            fail ~lineno
+              (Printf.sprintf "video id %d out of range [0, %d)" video n_videos);
           Option.iter (fail ~lineno) (Trace.row_error ~n_vhos ~days ~time_s ~vho);
           (time_s, vho, video)
       | _ -> fail ~lineno "bad record")
   | _ -> fail ~lineno "bad record"
 
-let load_csv ?n_videos ~n_vhos ~days path =
+let load_csv ~n_videos ~n_vhos ~days path =
   let ic = open_in path in
   Fun.protect
     ~finally:(fun () -> close_in ic)

@@ -33,7 +33,7 @@ let hetero_disk_shape () =
 
 let demand_of_week_works () =
   let sc = tiny_scenario () in
-  let d = Sc.demand_of_week sc ~day0:7 () in
+  let d = Sc.demand_of_week sc ~day0:7 in
   Alcotest.(check bool) "nonzero demand" true (d.Vod_workload.Demand.total_requests > 0.0);
   Alcotest.(check int) "two windows" 2 (Array.length d.Vod_workload.Demand.windows)
 
@@ -168,6 +168,32 @@ let pipeline_30d_weekly_regression () =
     r.P.metrics.Vod_sim.Metrics.requests;
   pipeline_conservation r
 
+(* A warm-up as long as the trace would record nothing: refused before
+   any playout or solve, for caching and MIP schemes alike. *)
+let pipeline_rejects_warmup_past_trace () =
+  let sc = tiny_scenario () in
+  let cfg warmup_days =
+    {
+      (P.default_config ~scenario:sc ~disk_gb:(Sc.uniform_disk sc ~multiple:2.0)
+         ~link_capacity_mbps:500.0)
+      with
+      P.warmup_days;
+    }
+  in
+  List.iter
+    (fun (warmup_days, scheme) ->
+      Alcotest.check_raises
+        (Printf.sprintf "%s, warm-up %d" (P.scheme_name (cfg warmup_days) scheme) warmup_days)
+        (Invalid_argument
+           (Printf.sprintf "Pipeline.run: warmup_days %d leaves nothing of a 21-day trace"
+              warmup_days))
+        (fun () -> ignore (P.run (cfg warmup_days) scheme)))
+    [
+      (21, P.Random_cache Vod_cache.Cache.Lru);
+      (30, P.Random_cache Vod_cache.Cache.Lru);
+      (21, P.Mip fast_mip);
+    ]
+
 let scheme_names () =
   let sc = tiny_scenario () in
   let cfg =
@@ -192,4 +218,6 @@ let suite =
     Alcotest.test_case "update schedule tiling" `Quick update_schedule_tiling;
     Alcotest.test_case "30d weekly regression" `Slow pipeline_30d_weekly_regression;
     Alcotest.test_case "scheme names" `Quick scheme_names;
+    Alcotest.test_case "warm-up past the trace rejected" `Quick
+      pipeline_rejects_warmup_past_trace;
   ]

@@ -206,7 +206,7 @@ let ring4_recording_instance () =
       ~graph ~n_videos:8 ()
   in
   I.create ~graph ~catalog:sc.Vod_core.Scenario.catalog
-    ~demand:(Vod_core.Scenario.demand_of_week sc ~day0:0 ())
+    ~demand:(Vod_core.Scenario.demand_of_week sc ~day0:0)
     ~disk_gb:(Vod_core.Scenario.uniform_disk sc ~multiple:2.0)
     ~link_capacity_mbps:(I.uniform_links graph 5.0)
     ()
@@ -525,7 +525,7 @@ let daemon_benders_deterministic () =
       ~paths:sc.Vod_core.Scenario.paths ~catalog:sc.Vod_core.Scenario.catalog
       ~trace:sc.Vod_core.Scenario.trace
       ~problem:(P.replan_problem cfg mip)
-      ~bin_s:cfg.P.bin_s ~record_from:0.0 Vod_serve.Daemon.default_config
+      ~record_from:0.0 Vod_serve.Daemon.default_config
   in
   let a = run () and b = run () in
   Alcotest.(check bool) "final placement byte-identical" true

@@ -113,7 +113,7 @@ let trace_rejects_bad_requests () =
 
 let metrics_rejects_bad_bin () =
   Alcotest.check_raises "bin size" (Invalid_argument "Metrics.create: bin_s must be positive")
-    (fun () -> ignore (Vod_sim.Metrics.create ~n_links:1 ~horizon_s:100.0 ~bin_s:0.0 ()))
+    (fun () -> ignore (Vod_sim.Metrics.create ~n_links:1 ~n_vhos:1 ~horizon_s:100.0 ~bin_s:0.0 ()))
 
 let zero_capacity_cache_always_misses () =
   let c = Vod_cache.Cache.create ~policy:Vod_cache.Cache.Lru ~capacity_gb:0.0 in

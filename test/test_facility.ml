@@ -386,7 +386,7 @@ let long_tail =
        Vod_core.Scenario.make ~days:7 ~requests_per_video_per_day:0.5 ~seed:7 ~graph
          ~n_videos:1000 ()
      in
-     let demand = Vod_core.Scenario.demand_of_week sc ~day0:0 () in
+     let demand = Vod_core.Scenario.demand_of_week sc ~day0:0 in
      let inst =
        Vod_placement.Instance.create ~graph ~catalog:sc.Vod_core.Scenario.catalog ~demand
          ~disk_gb:(Vod_core.Scenario.uniform_disk sc ~multiple:2.0)

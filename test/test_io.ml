@@ -15,7 +15,7 @@ let trace_roundtrip () =
   in
   let path = tmp "vodopt_trace_test.csv" in
   Vod_workload.Trace_io.save_csv trace path;
-  let loaded = Vod_workload.Trace_io.load_csv ~n_vhos:5 ~days:7 path in
+  let loaded = Vod_workload.Trace_io.load_csv ~n_videos:30 ~n_vhos:5 ~days:7 path in
   Sys.remove path;
   let module T = Vod_workload.Trace in
   Alcotest.(check int) "same length" (T.length trace) (T.length loaded);
@@ -31,12 +31,7 @@ let trace_load_checks_video_bound () =
   let oc = open_out path in
   output_string oc "time_s,vho,video\n1.0,0,0\n2.0,1,7\n3.0,0,1\n";
   close_out oc;
-  (* Without ~n_videos the loader accepts any nonnegative id (the
-     historical behavior callers may rely on for foreign traces). *)
-  let unbounded = Vod_workload.Trace_io.load_csv ~n_vhos:2 ~days:1 path in
-  Alcotest.(check int) "unbounded load" 3 (Vod_workload.Trace.length unbounded);
-  (* With a catalog bound, the out-of-range record is rejected with its
-     line number. *)
+  (* An out-of-range record is rejected with its line number. *)
   Alcotest.check_raises "out-of-range video"
     (Invalid_argument "Trace_io.load_csv: video id 7 out of range [0, 5) on line 3")
     (fun () ->
@@ -53,7 +48,7 @@ let trace_load_rejects_garbage () =
   close_out oc;
   Alcotest.check_raises "bad record"
     (Invalid_argument "Trace_io.load_csv: bad record on line 3") (fun () ->
-      ignore (Vod_workload.Trace_io.load_csv ~n_vhos:2 ~days:1 path));
+      ignore (Vod_workload.Trace_io.load_csv ~n_videos:1 ~n_vhos:2 ~days:1 path));
   Sys.remove path
 
 (* Every row is checked as it is parsed, against the trace's VHO bound
@@ -68,7 +63,8 @@ let trace_load_rejects_row ~row ~msg () =
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
       Alcotest.check_raises row (Invalid_argument ("Trace_io.load_csv: " ^ msg))
-        (fun () -> ignore (Vod_workload.Trace_io.load_csv ~n_vhos:2 ~days:1 path)))
+        (fun () ->
+          ignore (Vod_workload.Trace_io.load_csv ~n_videos:1 ~n_vhos:2 ~days:1 path)))
 
 let solution_roundtrip () =
   (* Solve a tiny instance, save, load, and compare stored sets/routing. *)

@@ -235,7 +235,7 @@ let ring4_placement_lp () =
     Vod_core.Scenario.make ~days:7 ~requests_per_video_per_day:6.0 ~seed:5
       ~graph ~n_videos:6 ()
   in
-  let demand = Vod_core.Scenario.demand_of_week sc ~day0:0 () in
+  let demand = Vod_core.Scenario.demand_of_week sc ~day0:0 in
   let inst =
     Vod_placement.Instance.create ~graph ~catalog:sc.Vod_core.Scenario.catalog
       ~demand

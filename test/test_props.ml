@@ -311,9 +311,143 @@ let prop_fault_ledger_balances =
       && sum (fun w -> w.Vod_resil.Playout.rejections) = d.M.rejections
       && sum (fun w -> w.Vod_resil.Playout.failovers) = d.M.failovers)
 
+(* ---------- CSV loaders under corruption ---------- *)
+
+(* A CSV loader under test: its header, a valid file's rows drawn at
+   random (each field paired with the value one past its bound, for an
+   id field), and the load itself. *)
+type loader = {
+  name : string;
+  header : string;
+  rows : Random.State.t -> (string * string option) list list;
+  load : string -> unit;
+}
+
+let draw_id st n = (string_of_int (Random.State.int st n), Some (string_of_int n))
+
+(* Traces over 3 VHOs, 5 videos and one day. *)
+let trace_loader =
+  {
+    name = "trace";
+    header = Vod_workload.Trace_io.header;
+    rows =
+      (fun st ->
+        List.init
+          (1 + Random.State.int st 6)
+          (fun _ ->
+            [ (Printf.sprintf "%.3f" (Random.State.float st 86_000.0), None); draw_id st 3; draw_id st 5 ]));
+    load = (fun path -> ignore (Vod_workload.Trace_io.load_csv ~n_videos:5 ~n_vhos:3 ~days:1 path));
+  }
+
+(* Placements of 4 videos over 3 VHOs: a copy of every video, then
+   random extra copies and routes. *)
+let placement_loader =
+  let store st v = [ ("store", None); (string_of_int v, Some "4"); draw_id st 3; ("", None) ] in
+  {
+    name = "placement";
+    header = Vod_placement.Solution_io.header;
+    rows =
+      (fun st ->
+        List.init 4 (store st)
+        @ List.init (Random.State.int st 4) (fun _ ->
+              if Random.State.bool st then store st (Random.State.int st 4)
+              else [ ("route", None); draw_id st 4; draw_id st 3; draw_id st 3 ]));
+    load =
+      (fun path -> ignore (Vod_placement.Solution_io.load_csv ~n_vhos:3 ~n_videos:4 path));
+  }
+
+(* Fault schedules over 3 VHOs and 4 directed links. *)
+let schedule_loader =
+  {
+    name = "schedule";
+    header = "time_s,event,args";
+    rows =
+      (fun st ->
+        List.init
+          (1 + Random.State.int st 6)
+          (fun _ ->
+            let time = (Printf.sprintf "%.3f" (Random.State.float st 1e5), None) in
+            let event name = (name, None) in
+            match Random.State.int st 6 with
+            | 0 -> [ time; event "vho_down"; draw_id st 3 ]
+            | 1 -> [ time; event "vho_up"; draw_id st 3 ]
+            | 2 -> [ time; event "link_down"; draw_id st 4 ]
+            | 3 -> [ time; event "link_up"; draw_id st 4 ]
+            | 4 ->
+                [
+                  time;
+                  event "surge_start";
+                  draw_id st 3;
+                  (Printf.sprintf "%.2f" (0.5 +. Random.State.float st 3.0), None);
+                ]
+            | _ -> [ time; event "surge_end"; draw_id st 3 ]));
+    load = (fun path -> ignore (Vod_resil.Event.load_csv ~n_vhos:3 ~n_links:4 path));
+  }
+
+(* One corruption of a row: keep a strict prefix of its fields, drop a
+   field, add one, or set one to nan, inf, -1, garbage or (for an id)
+   the value one past its bound. *)
+let corrupt st fields =
+  let values = List.map fst fields in
+  let n = List.length fields in
+  let keep f = List.filteri (fun i _ -> f i) values in
+  match Random.State.int st 4 with
+  | 0 -> keep (fun i -> i <= Random.State.int st (n - 1))
+  | 1 ->
+      let k = Random.State.int st n in
+      keep (fun i -> i <> k)
+  | 2 ->
+      let k = Random.State.int st (n + 1) in
+      keep (fun i -> i < k) @ ("0" :: keep (fun i -> i >= k))
+  | _ ->
+      let k = Random.State.int st n in
+      let values_of_k = [ "nan"; "inf"; "-1"; "x1" ] @ Option.to_list (snd (List.nth fields k)) in
+      let v = List.nth values_of_k (Random.State.int st (List.length values_of_k)) in
+      List.mapi (fun i x -> if i = k then v else x) values
+
+let write_csv path header rows =
+  let oc = open_out path in
+  Fun.protect
+    ~finally:(fun () -> close_out oc)
+    (fun () ->
+      output_string oc (header ^ "\n");
+      List.iter (fun row -> output_string oc (String.concat "," row ^ "\n")) rows)
+
+(* Every loader accepts a valid file and rejects the same file with one
+   row corrupted, with [Invalid_argument] naming that row's line. *)
+let prop_loaders_locate_corrupted_row =
+  QCheck.Test.make ~name:"CSV loaders reject a corrupted row by its line" ~count:100
+    QCheck.(int_range 1 1_000_000)
+    (fun seed ->
+      let st = Random.State.make [| seed |] in
+      List.for_all
+        (fun l ->
+          let rows = l.rows st in
+          let bad = Random.State.int st (List.length rows) in
+          let corrupted = corrupt st (List.nth rows bad) in
+          let path = Filename.temp_file ("fuzz_" ^ l.name) ".csv" in
+          Fun.protect
+            ~finally:(fun () -> Sys.remove path)
+            (fun () ->
+              write_csv path l.header (List.map (List.map fst) rows);
+              l.load path;
+              write_csv path l.header
+                (List.mapi (fun i r -> if i = bad then corrupted else List.map fst r) rows);
+              let line = Printf.sprintf " on line %d" (bad + 2) in
+              match l.load path with
+              | () ->
+                  QCheck.Test.fail_reportf "%s: %S on line %d loaded" l.name
+                    (String.concat "," corrupted) (bad + 2)
+              | exception Invalid_argument msg ->
+                  String.ends_with ~suffix:line msg
+                  || QCheck.Test.fail_reportf "%s: %S on line %d raised %S" l.name
+                       (String.concat "," corrupted) (bad + 2) msg))
+        [ trace_loader; placement_loader; schedule_loader ])
+
 let suite =
   List.map QCheck_alcotest.to_alcotest
     [
+      prop_loaders_locate_corrupted_row;
       prop_faulted_serving_conserves;
       prop_fault_free_matches_direct;
       prop_fault_ledger_balances;

@@ -46,7 +46,7 @@ let schedule_csv_roundtrip () =
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
       E.save_csv s path;
-      let s' = E.load_csv path in
+      let s' = E.load_csv ~n_vhos:4 ~n_links:8 path in
       Alcotest.(check int) "length" (E.length s) (E.length s');
       Array.iteri
         (fun i e ->
@@ -67,19 +67,44 @@ let schedule_csv_errors () =
       close_out oc;
       Alcotest.check_raises "line-numbered error"
         (Invalid_argument "Event.load_csv: bad record on line 4") (fun () ->
-          ignore (E.load_csv path));
-      let oc = open_out path in
-      output_string oc "5.0,link_down,99\n";
-      close_out oc;
-      Alcotest.check_raises "bounds-checked link"
-        (Invalid_argument "Event.validate: link 99 outside [0, 8)") (fun () ->
           ignore (E.load_csv ~n_vhos:4 ~n_links:8 path)))
+
+(* Every rejected schedule row names its line, whatever the reason: a
+   time, a surge factor or an id (4 VHOs, 8 links) out of range. *)
+let schedule_csv_rejects_row ~row ~msg () =
+  let path = Filename.temp_file "sched" ".csv" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      let oc = open_out path in
+      output_string oc ("time_s,event,args\n10.0,vho_down,1\n" ^ row ^ "\n30.0,vho_up,1\n");
+      close_out oc;
+      Alcotest.check_raises row
+        (Invalid_argument ("Event.load_csv: " ^ msg ^ " on line 3"))
+        (fun () -> ignore (E.load_csv ~n_vhos:4 ~n_links:8 path)))
+
+let schedule_row_cases =
+  let time = "event times must be finite and non-negative" in
+  let factor = "surge factor must be finite and positive" in
+  [
+    ("nan time", "nan,vho_down,0", time);
+    ("infinite time", "inf,vho_down,0", time);
+    ("negative time", "-1.0,vho_down,0", time);
+    ("zero surge factor", "20.0,surge_start,0,0", factor);
+    ("negative surge factor", "20.0,surge_start,0,-2.5", factor);
+    ("nan surge factor", "20.0,surge_start,0,nan", factor);
+    ("VHO past the bound", "20.0,vho_down,4", "VHO 4 outside [0, 4)");
+    ("negative VHO", "20.0,surge_end,-1", "VHO -1 outside [0, 4)");
+    ("surge VHO past the bound", "20.0,surge_start,4,2.0", "VHO 4 outside [0, 4)");
+    ("link past the bound", "20.0,link_down,8", "link 8 outside [0, 8)");
+    ("negative link", "20.0,link_up,-1", "link -1 outside [0, 8)");
+  ]
 
 let generator_deterministic () =
   let p = E.default_gen_params ~n_vhos:10 ~n_links:24 ~horizon_s:86_400.0 ~seed:9 in
   let a = E.generate p and b = E.generate p in
-  Alcotest.(check int) "pair count" (2 * (p.E.vho_outages + p.E.link_outages + p.E.surges))
-    (E.length a);
+  (* Two VHO outages, two link outages and one surge. *)
+  Alcotest.(check int) "pair count" 10 (E.length a);
   Alcotest.(check bool) "same schedule" true (a = b);
   Array.iter
     (fun e ->
@@ -117,7 +142,7 @@ let state_advance () =
 (* ---------- capacity ---------- *)
 
 let capacity_admission () =
-  let c = Vod_resil.Capacity.create ~capacity_mbps:[| 10.0; 10.0 |] () in
+  let c = Vod_resil.Capacity.create ~capacity_mbps:[| 10.0; 10.0 |] in
   Alcotest.(check bool) "not unbounded" false (Vod_resil.Capacity.unbounded c);
   Alcotest.(check bool) "fits empty" true
     (Vod_resil.Capacity.fits c ~links:[| 0; 1 |] ~rate_mbps:8.0);
@@ -131,17 +156,15 @@ let capacity_admission () =
   Alcotest.(check bool) "released" true
     (Vod_resil.Capacity.fits c ~links:[| 0; 1 |] ~rate_mbps:8.0);
   Alcotest.(check (float 1e-9)) "load zero" 0.0 (Vod_resil.Capacity.load c 0);
-  let u = Vod_resil.Capacity.create ~capacity_mbps:[| Float.infinity |] () in
+  let u = Vod_resil.Capacity.create ~capacity_mbps:[| Float.infinity |] in
   Alcotest.(check bool) "unbounded" true (Vod_resil.Capacity.unbounded u);
   Alcotest.(check bool) "always fits" true
     (Vod_resil.Capacity.fits u ~links:[| 0 |] ~rate_mbps:1e12)
 
 let capacity_saturation () =
-  let c =
-    Vod_resil.Capacity.create ~capacity_mbps:[| 10.0 |] ~saturation_frac:0.9 ()
-  in
-  (* 9.5/10 >= 0.9 saturated from t=0 until expiry at t=50. *)
-  Vod_resil.Capacity.reserve c ~links:[| 0 |] ~rate_mbps:9.5 ~until_s:50.0 ~now:0.0;
+  let c = Vod_resil.Capacity.create ~capacity_mbps:[| 10.0 |] in
+  (* 9.6/10 >= 0.95 saturated from t=0 until expiry at t=50. *)
+  Vod_resil.Capacity.reserve c ~links:[| 0 |] ~rate_mbps:9.6 ~until_s:50.0 ~now:0.0;
   Vod_resil.Capacity.expire c ~now:80.0;
   Vod_resil.Capacity.finish c ~now:80.0;
   Alcotest.(check (float 1e-6)) "saturated 50s" 50.0
@@ -211,7 +234,6 @@ let router_world ?(capacity = Float.infinity) ?origin schedule =
   let cap =
     Vod_resil.Capacity.create
       ~capacity_mbps:(Array.make (Vod_topology.Graph.n_links g) capacity)
-      ()
   in
   let router = Vod_resil.Router.create ~graph:g ~paths ~state ~capacity:cap ?origin () in
   (g, state, router)
@@ -477,6 +499,13 @@ let suite =
     Alcotest.test_case "schedule sorting" `Quick schedule_sorting;
     Alcotest.test_case "schedule CSV round-trip" `Quick schedule_csv_roundtrip;
     Alcotest.test_case "schedule CSV errors" `Quick schedule_csv_errors;
+  ]
+  @ List.map
+      (fun (name, row, msg) ->
+        Alcotest.test_case ("schedule rejects " ^ name) `Quick
+          (schedule_csv_rejects_row ~row ~msg))
+      schedule_row_cases
+  @ [
     Alcotest.test_case "generator deterministic" `Quick generator_deterministic;
     Alcotest.test_case "state advance" `Quick state_advance;
     Alcotest.test_case "capacity admission" `Quick capacity_admission;

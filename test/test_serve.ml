@@ -79,7 +79,7 @@ let daemon_matches_daily_batch () =
       ~paths:sc.Vod_core.Scenario.paths ~catalog
       ~trace:sc.Vod_core.Scenario.trace
       ~problem:(P.replan_problem cfg Golden.daily_mip)
-      ?resil:cfg.P.resil ~bin_s:cfg.P.bin_s
+      ?resil:cfg.P.resil
       ~record_from:
         (float_of_int cfg.P.warmup_days *. Vod_workload.Trace.seconds_per_day)
       daemon_cfg

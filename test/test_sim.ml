@@ -4,7 +4,7 @@
 module M = Vod_sim.Metrics
 
 let stream_binning () =
-  let m = M.create ~n_links:2 ~horizon_s:1200.0 ~bin_s:300.0 () in
+  let m = M.create ~n_links:2 ~n_vhos:1 ~horizon_s:1200.0 ~bin_s:300.0 () in
   (* 2 Mb/s for 450 s starting at t=150: bins 0 (150s overlap), 1 (300s),
      2 (0s). *)
   M.add_stream m ~link:0 ~rate_mbps:2.0 ~t0:150.0 ~t1:600.0;
@@ -14,12 +14,12 @@ let stream_binning () =
   Alcotest.(check (float 1e-9)) "other link untouched" 0.0 m.M.link_load.(1).(1)
 
 let stream_clamped_to_horizon () =
-  let m = M.create ~n_links:1 ~horizon_s:600.0 ~bin_s:300.0 () in
+  let m = M.create ~n_links:1 ~n_vhos:1 ~horizon_s:600.0 ~bin_s:300.0 () in
   M.add_stream m ~link:0 ~rate_mbps:2.0 ~t0:450.0 ~t1:10_000.0;
   Alcotest.(check (float 1e-9)) "last bin half" 1.0 m.M.link_load.(0).(1)
 
 let record_from_excludes_warmup () =
-  let m = M.create ~n_links:1 ~horizon_s:1200.0 ~bin_s:300.0 ~record_from:600.0 () in
+  let m = M.create ~n_links:1 ~n_vhos:1 ~horizon_s:1200.0 ~bin_s:300.0 ~record_from:600.0 () in
   M.add_stream m ~link:0 ~rate_mbps:2.0 ~t0:0.0 ~t1:900.0;
   Alcotest.(check (float 1e-9)) "warmup bins empty" 0.0 m.M.link_load.(0).(0);
   Alcotest.(check (float 1e-9)) "recorded bin" 2.0 m.M.link_load.(0).(2);
@@ -27,7 +27,7 @@ let record_from_excludes_warmup () =
   Alcotest.(check bool) "window test 2" false (M.in_record_window m 100.0)
 
 let series_and_peaks () =
-  let m = M.create ~n_links:2 ~horizon_s:600.0 ~bin_s:300.0 () in
+  let m = M.create ~n_links:2 ~n_vhos:1 ~horizon_s:600.0 ~bin_s:300.0 () in
   M.add_stream m ~link:0 ~rate_mbps:4.0 ~t0:0.0 ~t1:300.0;
   M.add_stream m ~link:1 ~rate_mbps:6.0 ~t0:300.0 ~t1:600.0;
   Alcotest.(check (array (float 1e-9))) "peak series" [| 4.0; 6.0 |] (M.peak_series m);
@@ -35,7 +35,7 @@ let series_and_peaks () =
   Alcotest.(check (float 1e-9)) "max link" 6.0 (M.max_link_mbps m)
 
 let stream_boundaries () =
-  let m = M.create ~n_links:1 ~horizon_s:900.0 ~bin_s:300.0 () in
+  let m = M.create ~n_links:1 ~n_vhos:1 ~horizon_s:900.0 ~bin_s:300.0 () in
   (* Zero-duration streams contribute nothing. *)
   M.add_stream m ~link:0 ~rate_mbps:5.0 ~t0:450.0 ~t1:450.0;
   Alcotest.(check (float 1e-9)) "zero duration" 0.0 m.M.link_load.(0).(1);
@@ -47,7 +47,7 @@ let stream_boundaries () =
 let stream_straddles_record_from () =
   (* record_from cuts a stream mid-bin: only the recorded half counts. *)
   let m =
-    M.create ~n_links:1 ~horizon_s:900.0 ~bin_s:300.0 ~record_from:450.0 ()
+    M.create ~n_links:1 ~n_vhos:1 ~horizon_s:900.0 ~bin_s:300.0 ~record_from:450.0 ()
   in
   M.add_stream m ~link:0 ~rate_mbps:2.0 ~t0:300.0 ~t1:600.0;
   Alcotest.(check (float 1e-9)) "warmup bin empty" 0.0 m.M.link_load.(0).(0);
@@ -57,7 +57,7 @@ let stream_straddles_horizon () =
   (* 750 s horizon rounds up to 3 bins; the clamp is to the padded bin
      grid, so the last bin fills completely and the weighting divides by
      the full bin width. *)
-  let m = M.create ~n_links:1 ~horizon_s:750.0 ~bin_s:300.0 () in
+  let m = M.create ~n_links:1 ~n_vhos:1 ~horizon_s:750.0 ~bin_s:300.0 () in
   M.add_stream m ~link:0 ~rate_mbps:3.0 ~t0:550.0 ~t1:2000.0;
   Alcotest.(check (float 1e-9)) "partial mid bin" 0.5 m.M.link_load.(0).(1);
   Alcotest.(check (float 1e-9)) "last bin full" 3.0 m.M.link_load.(0).(2)

@@ -182,10 +182,12 @@ check_recorded tools/golden/vodopt_solve_longtail.md5 "$smoke_dir/longtail.md5"
 echo "== placement-LP and serving flags reject bad values =="
 # --requests-per-video, --disk, --link, --link-capacity and --budget
 # take positive finite numbers only; --origin must name a VHO of the
-# topology, and --faults a canned scenario on one of its VHOs or a
-# readable schedule CSV. A bad value is a command-line error (cmdliner's
-# exit 124) raised before any solve, not an empty trace, a NaN price, a
-# silently unrestricted budget or an exception mid-playout.
+# topology, --faults a canned scenario on one of its VHOs or a readable
+# schedule CSV, and --days of simulate and serve must outlast the 9-day
+# warm-up. A bad value is a command-line error (cmdliner's exit 124)
+# raised before any solve, not an empty trace or report, a NaN price, a
+# silently unrestricted budget or an exception mid-playout. The flag
+# cases run 10 days, so --days itself is valid there.
 expect_usage_error() { # $@ = vodopt arguments
   code=0
   dune exec --no-print-directory bin/vodopt.exe -- "$@" > /dev/null 2>&1 || code=$?
@@ -200,11 +202,29 @@ done
 for bad in --link-capacity=-5 --link-capacity=nan --origin=99 --origin=-1 \
   --faults=single-vho:abc --faults=single-vho:99 \
   --faults="$smoke_dir/missing.csv"; do
-  expect_usage_error simulate --scheme lru --videos 20 --days 8 "$bad"
+  expect_usage_error simulate --scheme lru --videos 20 --days 10 "$bad"
 done
 for bad in --budget=-3 --budget=nan --origin=99; do
-  expect_usage_error serve --videos 20 --days 8 "$bad"
+  expect_usage_error serve --videos 20 --days 10 "$bad"
 done
+expect_usage_error simulate --scheme lru --videos 20 --days 9
+expect_usage_error serve --videos 20 --days 9
+echo "== --faults loads a schedule whose path contains ':' =="
+# Only a canned scenario name splits at ':' (single-vho:3); any other
+# spec is a CSV path, so the same schedule gives the same report under
+# either name.
+printf 'time_s,event,args\n800000.000,vho_down,3\n830000.000,vho_up,3\n' \
+  > "$smoke_dir/sched1.csv"
+cp "$smoke_dir/sched1.csv" "$smoke_dir/sched:1.csv"
+for f in sched1 sched:1; do
+  dune exec --no-print-directory bin/vodopt.exe -- simulate --scheme lru \
+    --videos 20 --days 10 --faults "$smoke_dir/$f.csv" --jobs 1 \
+    > "$smoke_dir/$f.out"
+done
+if ! diff -u "$smoke_dir/sched1.out" "$smoke_dir/sched:1.out"; then
+  echo "FAIL: --faults report differs when the schedule path contains ':'" >&2
+  exit 1
+fi
 echo "== batch MIP simulate vs recorded report (--jobs 1) =="
 # The batch MIP pipeline end to end: three weekly placement updates, a
 # VHO outage (days 8.8-15.4) across the day-14 update, 25 Mb/s playout
