@@ -47,13 +47,15 @@ let fig3_cosine (sc : Vod_core.Scenario.t) =
   let rows =
     List.map
       (fun (label, w) ->
-        let sims = Vod_workload.Stats.peak_interval_similarity trace ~window_s:w in
-        [
-          label;
-          Printf.sprintf "%.3f" (Vod_util.Stats_acc.mean sims);
-          Printf.sprintf "%.3f" (Vod_util.Stats_acc.min_elt sims);
-          Printf.sprintf "%.3f" (Vod_util.Stats_acc.max_elt sims);
-        ])
+        (* n/a: the peak falls in the first window, with none before it. *)
+        label
+        ::
+        (match Vod_workload.Stats.peak_interval_similarity trace ~window_s:w with
+        | Some sims ->
+            List.map
+              (fun f -> Printf.sprintf "%.3f" (f sims))
+              Vod_util.Stats_acc.[ mean; min_elt; max_elt ]
+        | None -> [ "n/a"; "n/a"; "n/a" ]))
       windows
   in
   Vod_util.Table.print ~header:[ "window"; "mean cos-sim"; "min"; "max" ] rows;

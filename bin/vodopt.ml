@@ -10,11 +10,6 @@
 
 open Cmdliner
 
-let setup_logs verbose jobs =
-  Logs.set_reporter (Logs.format_reporter ());
-  Logs.set_level (if verbose then Some Logs.Info else Some Logs.Warning);
-  Vod_util.Pool.set_default_jobs jobs
-
 (* Wall-clock timing lives in the front end: Solve.report deliberately
    carries no wall time (lib/ is wallclock-free outside lib/obs). *)
 let timed f =
@@ -22,16 +17,38 @@ let timed f =
   let r = f () in
   (r, Unix.gettimeofday () -. t0)
 
-(* --metrics PATH: collect the side-band Obs registry over the whole
-   command and export it as sorted JSON ('-' = stdout) when done. *)
-let with_metrics metrics f =
-  match metrics with
-  | None -> f ()
-  | Some path ->
-      let reg = Vod_obs.Obs.create () in
-      let r = Vod_obs.Obs.with_run reg f in
-      Vod_obs.Obs.write_json reg path;
-      r
+(* A flag value only its contents can judge (a malformed --trace or
+   --topology-file, an origin or fault target outside the topology, an
+   unreadable schedule) is still a command-line error naming its flag:
+   [command] turns [Bad_flag] into cmdliner's usage exit (124). *)
+exception Bad_flag of string
+
+let bad_flag flag msg = raise (Bad_flag (Printf.sprintf "option '%s': %s" flag msg))
+
+(* Every command's frame: logging, the default pool width, [Bad_flag]
+   as a usage error, and --metrics PATH, which collects the side-band
+   Obs registry over the whole command and exports it as sorted JSON
+   ('-' = stdout) when done. *)
+let command ~verbose ~jobs ~metrics f =
+  Logs.set_reporter (Logs.format_reporter ());
+  Logs.set_level (if verbose then Some Logs.Info else Some Logs.Warning);
+  Vod_util.Pool.set_default_jobs jobs;
+  let run () =
+    match metrics with
+    | None -> f ()
+    | Some path ->
+        let reg = Vod_obs.Obs.create () in
+        Vod_obs.Obs.with_run reg f;
+        Vod_obs.Obs.write_json reg path
+  in
+  match run () with () -> `Ok () | exception Bad_flag msg -> `Error (false, msg)
+
+(* [load path], with a malformed or unreadable file (or a bad --faults
+   spec) reported against [flag]. *)
+let load_file flag load path =
+  try load path with
+  | Invalid_argument m -> bad_flag flag (path ^ ": " ^ m)
+  | Sys_error m -> bad_flag flag m
 
 (* Common options *)
 
@@ -137,7 +154,10 @@ let placement_out_t =
 
 let graph_of ~topology ~topology_file =
   match topology_file with
-  | Some path -> Vod_topology.Topologies.load_edge_list ~name:path ~path ()
+  | Some path ->
+      load_file "--topology-file"
+        (fun path -> Vod_topology.Topologies.load_edge_list ~name:path ~path ())
+        path
   | None -> (
       match topology with
       | "tiscali" -> Vod_topology.Topologies.tiscali ()
@@ -158,9 +178,11 @@ let scenario_of ?topology_file ?trace_file ~topology ~videos ~days ~rpv ~seed
       (* ~n_videos makes the loader reject out-of-catalog ids with a
          line-numbered error instead of a post-hoc scan. *)
       let trace =
-        Vod_workload.Trace_io.load_csv ~n_videos:videos
-          ~n_vhos:(Vod_topology.Graph.n_nodes graph)
-          ~days path
+        load_file "--trace"
+          (Vod_workload.Trace_io.load_csv ~n_videos:videos
+             ~n_vhos:(Vod_topology.Graph.n_nodes graph)
+             ~days)
+          path
       in
       { sc with Vod_core.Scenario.trace }
 
@@ -168,8 +190,7 @@ let scenario_of ?topology_file ?trace_file ~topology ~videos ~days ~rpv ~seed
 
 let stats topology topology_file trace_file trace_out videos days rpv seed verbose jobs
     metrics =
-  setup_logs verbose jobs;
-  with_metrics metrics @@ fun () ->
+  command ~verbose ~jobs ~metrics @@ fun () ->
   let sc = scenario_of ?topology_file ?trace_file ~topology ~videos ~days ~rpv ~seed () in
   Option.iter
     (fun path ->
@@ -197,17 +218,18 @@ let stats topology topology_file trace_file trace_out videos days rpv seed verbo
     (100.0 *. Vod_util.Stats_acc.mean fracs);
   List.iter
     (fun (label, w) ->
-      let sims = Vod_workload.Stats.peak_interval_similarity trace ~window_s:w in
-      Printf.printf "request-mix similarity @ %-7s mean %.3f\n" label
-        (Vod_util.Stats_acc.mean sims))
+      (* n/a: the peak falls in the first window, with none before it. *)
+      Printf.printf "request-mix similarity @ %-7s mean %s\n" label
+        (match Vod_workload.Stats.peak_interval_similarity trace ~window_s:w with
+        | Some sims -> Printf.sprintf "%.3f" (Vod_util.Stats_acc.mean sims)
+        | None -> "n/a"))
     [ ("30min", 1800.0); ("1h", 3600.0); ("1day", 86_400.0) ]
 
 (* ---- solve ---- *)
 
 let solve topology topology_file trace_file placement_out videos days rpv seed disk
     link passes solver verbose jobs metrics =
-  setup_logs verbose jobs;
-  with_metrics metrics @@ fun () ->
+  command ~verbose ~jobs ~metrics @@ fun () ->
   let sc = scenario_of ?topology_file ?trace_file ~topology ~videos ~days ~rpv ~seed () in
   let demand = Vod_core.Scenario.demand_of_week sc ~day0:0 in
   let inst =
@@ -271,17 +293,6 @@ let origin_t =
     & info [ "origin" ] ~docv:"VHO"
         ~doc:"Last-resort origin server for failover routing (holds the full library).")
 
-(* A serving-flag value only the topology can judge (an origin or fault
-   target outside it, an unreadable schedule) is still a command-line
-   error naming its flag: [cli_errors] turns [Bad_flag] into cmdliner's
-   usage exit (124). *)
-exception Bad_flag of string
-
-let bad_flag flag msg = raise (Bad_flag (Printf.sprintf "option '%s': %s" flag msg))
-
-let cli_errors f =
-  match f () with () -> `Ok () | exception Bad_flag msg -> `Error (false, msg)
-
 (* simulate and serve record only after the pipeline's warm-up, so a
    trace no longer than it would report nothing. Checked before any
    trace is generated. *)
@@ -334,10 +345,7 @@ let resil_of sc ~faults ~playout_link ~origin =
       let schedule =
         match faults with
         | None -> Vod_resil.Event.empty
-        | Some spec -> (
-            try schedule_of_spec sc spec with
-            | Invalid_argument m -> bad_flag "--faults" (spec ^ ": " ^ m)
-            | Sys_error m -> bad_flag "--faults" m)
+        | Some spec -> load_file "--faults" (schedule_of_spec sc) spec
       in
       Some
         (Vod_resil.Playout.config ~schedule ?link_capacity_mbps:playout_link
@@ -353,10 +361,8 @@ let mip_of ~passes ~solver =
 
 let simulate topology topology_file trace_file videos days rpv seed disk link passes
     scheme solver faults playout_link origin verbose jobs metrics =
-  setup_logs verbose jobs;
-  cli_errors @@ fun () ->
+  command ~verbose ~jobs ~metrics @@ fun () ->
   check_days days;
-  with_metrics metrics @@ fun () ->
   let sc = scenario_of ?topology_file ?trace_file ~topology ~videos ~days ~rpv ~seed () in
   let resil = resil_of sc ~faults ~playout_link ~origin in
   let cfg =
@@ -445,10 +451,8 @@ let no_fault_react_t =
 let serve topology topology_file trace_file videos days rpv seed disk link passes
     solver faults playout_link origin update_hours budget cold_start no_fault_react
     verbose jobs metrics =
-  setup_logs verbose jobs;
-  cli_errors @@ fun () ->
+  command ~verbose ~jobs ~metrics @@ fun () ->
   check_days days;
-  with_metrics metrics @@ fun () ->
   let sc = scenario_of ?topology_file ?trace_file ~topology ~videos ~days ~rpv ~seed () in
   let resil = resil_of sc ~faults ~playout_link ~origin in
   let cfg =
@@ -513,8 +517,7 @@ let serve topology topology_file trace_file videos days rpv seed disk link passe
 (* ---- sweep ---- *)
 
 let sweep topology topology_file videos days rpv seed link verbose jobs metrics =
-  setup_logs verbose jobs;
-  with_metrics metrics @@ fun () ->
+  command ~verbose ~jobs ~metrics @@ fun () ->
   let sc = scenario_of ?topology_file ~topology ~videos ~days ~rpv ~seed () in
   let demand = Vod_core.Scenario.demand_of_week sc ~day0:0 in
   let graph = sc.Vod_core.Scenario.graph in
@@ -540,15 +543,17 @@ let sweep topology topology_file videos days rpv seed link verbose jobs metrics 
 let stats_cmd =
   Cmd.v (Cmd.info "stats" ~doc:"Trace analytics (working set, request-mix similarity)")
     Term.(
-      const stats $ topology_t $ topology_file_t $ trace_file_t $ trace_out_t
-      $ videos_t $ days_t $ rpv_t $ seed_t $ verbose_t $ jobs_t $ metrics_t)
+      ret
+        (const stats $ topology_t $ topology_file_t $ trace_file_t $ trace_out_t
+        $ videos_t $ days_t $ rpv_t $ seed_t $ verbose_t $ jobs_t $ metrics_t))
 
 let solve_cmd =
   Cmd.v (Cmd.info "solve" ~doc:"Solve one placement instance")
     Term.(
-      const solve $ topology_t $ topology_file_t $ trace_file_t $ placement_out_t
-      $ videos_t $ days_t $ rpv_t $ seed_t $ disk_t $ link_t $ passes_t $ solver_t
-      $ verbose_t $ jobs_t $ metrics_t)
+      ret
+        (const solve $ topology_t $ topology_file_t $ trace_file_t $ placement_out_t
+        $ videos_t $ days_t $ rpv_t $ seed_t $ disk_t $ link_t $ passes_t $ solver_t
+        $ verbose_t $ jobs_t $ metrics_t))
 
 let simulate_cmd =
   Cmd.v (Cmd.info "simulate" ~doc:"Replay the trace against a distribution scheme")
@@ -573,8 +578,9 @@ let serve_cmd =
 let sweep_cmd =
   Cmd.v (Cmd.info "sweep" ~doc:"Feasibility sweep: min disk per link capacity")
     Term.(
-      const sweep $ topology_t $ topology_file_t $ videos_t $ days_t $ rpv_t
-      $ seed_t $ link_t $ verbose_t $ jobs_t $ metrics_t)
+      ret
+        (const sweep $ topology_t $ topology_file_t $ videos_t $ days_t $ rpv_t
+        $ seed_t $ link_t $ verbose_t $ jobs_t $ metrics_t))
 
 let () =
   let info =

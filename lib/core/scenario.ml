@@ -112,14 +112,14 @@ let correlated_outage ?vho t =
       { Vod_resil.Event.time_s = t1; kind = Vod_resil.Event.Link_up back_link };
     ]
 
-(* A quarter-day demand spike at the target VHO. *)
-let flash_crowd ?vho ?(factor = 3.0) t =
+(* A threefold quarter-day demand spike at the target VHO. *)
+let flash_crowd ?vho t =
   let vho = match vho with Some v -> v | None -> default_fault_vho t in
   let t0, _ = fault_window t in
   let t1 = t0 +. (0.25 *. Vod_workload.Trace.seconds_per_day) in
   Vod_resil.Event.create
     [
-      { Vod_resil.Event.time_s = t0; kind = Vod_resil.Event.Surge_start { vho; factor } };
+      { Vod_resil.Event.time_s = t0; kind = Vod_resil.Event.Surge_start { vho; factor = 3.0 } };
       { Vod_resil.Event.time_s = t1; kind = Vod_resil.Event.Surge_end vho };
     ]
 

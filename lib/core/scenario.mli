@@ -53,9 +53,9 @@ val single_vho_outage : ?vho:int -> t -> Vod_resil.Event.schedule
     both directed links between them fail together over the same window. *)
 val correlated_outage : ?vho:int -> t -> Vod_resil.Event.schedule
 
-(** A demand surge ([factor], default 3.0) at the target VHO for a
-    quarter day starting at 40% of the horizon. *)
-val flash_crowd : ?vho:int -> ?factor:float -> t -> Vod_resil.Event.schedule
+(** A threefold demand surge at the target VHO for a quarter day
+    starting at 40% of the horizon. *)
+val flash_crowd : ?vho:int -> t -> Vod_resil.Event.schedule
 
 (** The paper's demand windows (Sec. VI-B): |T| = 2 peak windows of one
     hour per placement week. *)

@@ -11,7 +11,9 @@
    replay the placement period against the placement, find the window
    with the worst realized link overload outside the enforced set, add it,
    and re-solve — until no link exceeds its capacity by more than
-   [tolerance] or [max_rounds] is hit. *)
+   [tolerance] or [max_rounds] is hit. The initial windows are the
+   paper's (Scenario.n_windows of Scenario.window_s), and so is the
+   replay's window length. *)
 
 type round_info = {
   windows : (float * float) array;  (* enforced windows this round *)
@@ -52,9 +54,10 @@ let realized_overload (sc : Scenario.t) (inst : Vod_placement.Instance.t)
       done;
       !worst)
 
-let solve ?(params = Vod_epf.Engine.default_params) ?(max_rounds = 4)
-    ?(tolerance = 0.05) ?(n_windows = 2) ?(window_s = 3600.0) (sc : Scenario.t)
-    ~day0 ~disk_gb ~link_capacity_mbps () =
+let tolerance = 0.05
+
+let solve ~params ~max_rounds (sc : Scenario.t) ~day0 ~disk_gb ~link_capacity_mbps =
+  let window_s = Scenario.window_s in
   (* The placement week's actual requests rebased to its start (the
      oracle prediction): the demand model's input and the replay. *)
   let week =
@@ -65,7 +68,7 @@ let solve ?(params = Vod_epf.Engine.default_params) ?(max_rounds = 4)
   let base =
     Vod_workload.Demand.of_soa sc.Scenario.catalog
       ~n_vhos:(Vod_topology.Graph.n_nodes sc.Scenario.graph)
-      ~day0:0 ~days:7 ~n_windows ~window_s week ~lo:0
+      ~day0:0 ~days:7 ~n_windows:Scenario.n_windows ~window_s week ~lo:0
       ~hi:(Vod_workload.Trace.length week)
   in
   let link_capacity =

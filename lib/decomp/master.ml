@@ -402,14 +402,12 @@ let round_blocks ~pool ~capacities ~pen ~prices ~columns ~weights ~oracles =
   done;
   chosen
 
-let solve ?initial ?initial_prices ~max_passes ~jobs ~capacities oracles =
+let solve ?initial ~initial_prices ~max_passes ~jobs ~capacities oracles =
   Engine.check_inputs ?initial ~capacities oracles;
   let n_rows = Array.length capacities in
   let k_blocks = Array.length oracles in
-  (match initial_prices with
-  | Some ip when Array.length ip <> n_rows ->
-      invalid_arg "Decomp.Master.solve: initial_prices arity"
-  | _ -> ());
+  if Array.length initial_prices <> n_rows then
+    invalid_arg "Decomp.Master.solve: initial_prices arity";
   Pool.with_pool ~jobs (fun pool ->
       (* Seed columns: every oracle's own initial point, plus the
          warm-start point (when given and distinct). The average initial
@@ -446,11 +444,7 @@ let solve ?initial ?initial_prices ~max_passes ~jobs ~capacities oracles =
           (fun i v -> Float.min (!pen /. capacities.(i)) (Float.max 0.0 v))
           prices
       in
-      let lambda_in =
-        match initial_prices with
-        | Some ip -> clamp ip
-        | None -> Array.make n_rows 0.0
-      in
+      let lambda_in = clamp initial_prices in
       let lambda_out = ref (Array.copy lambda_in) in
       let lambda_center = ref (Array.copy lambda_in) in
       let beta = ref stab_in_weight in

@@ -53,7 +53,7 @@
 val fillable_rows :
   capacities:float array -> Vod_epf.Sparse.t list array -> int array
 
-(** [solve ?initial ?initial_prices ~max_passes ~jobs ~capacities
+(** [solve ?initial ~initial_prices ~max_passes ~jobs ~capacities
     oracles] runs the stabilized column-generation loop until the
     fractional master point is feasible within {!Vod_epf.Engine.epsilon}
     and either its Lagrangian gap is below that tolerance or the
@@ -62,8 +62,8 @@ val fillable_rows :
     integral oracle point. [jobs] is the pool width for cut generation
     and bound sweeps ([0] = process default). [initial] seeds the column
     pool with one warm-start point per block (the incumbent placement);
-    [initial_prices] seeds the incumbent price vector (length =
-    capacities). The outcome's [lower_bound] is the best Lagrangian
+    [initial_prices] seeds the incumbent price vector, one price per
+    capacity (zeros price nothing in advance). The outcome's [lower_bound] is the best Lagrangian
     bound over the passes' query prices (limited by the oracles' own
     dual-ascent tightness); [pre_round_*] report the final fractional
     master combination. Raises [Invalid_argument] as
@@ -75,7 +75,7 @@ val fillable_rows :
     polish sweeps. *)
 val solve :
   ?initial:'a Vod_epf.Engine.point array ->
-  ?initial_prices:float array ->
+  initial_prices:float array ->
   max_passes:int ->
   jobs:int ->
   capacities:float array ->

@@ -43,7 +43,6 @@ type 'a oracle = {
 
 type params = {
   max_passes : int;
-  feasibility_only : bool;   (* ignore the objective row: pure FEAS probe *)
   seed : int;
   shuffle : bool;            (* fresh random block order each pass; the
                                 paper reports 40x fewer passes vs fixed *)
@@ -51,8 +50,7 @@ type params = {
                                 0 = the process default (--jobs / hardware) *)
 }
 
-let default_params =
-  { max_passes = 60; feasibility_only = false; seed = 1; shuffle = true; jobs = 0 }
+let default_params = { max_passes = 60; seed = 1; shuffle = true; jobs = 0 }
 
 (* Fixed tuning, the same for every solve. *)
 let epsilon = 0.01            (* target tolerance (paper: 0.01) *)
@@ -162,6 +160,8 @@ module Obs = Vod_obs.Obs
 
 type 'a state = {
   p : params;
+  objective_row : bool;            (* false in a FEAS probe: the potential
+                                      has no objective term *)
   capacities : float array;
   oracles : 'a oracle array;
   combos : 'a Combo.t array;       (* per block: columns and aggregate usage *)
@@ -191,9 +191,7 @@ let n_rows st = Array.length st.capacities
 
 let[@inline] rel_infeas st i = (st.usage.(i) /. st.capacities.(i)) -. 1.0
 
-let obj_infeas st =
-  if st.p.feasibility_only then neg_infinity
-  else (st.objective /. st.b_target) -. 1.0
+let obj_infeas st = (st.objective /. st.b_target) -. 1.0
 
 let coupling_violation st = max_violation ~capacities:st.capacities st.usage
 
@@ -205,8 +203,8 @@ let refresh_prices st =
     refresh_price st i
   done;
   st.price_obj <-
-    (if st.p.feasibility_only then 0.0
-     else safe_exp (st.alpha *. obj_infeas st) /. st.b_target)
+    (if st.objective_row then safe_exp (st.alpha *. obj_infeas st) /. st.b_target
+     else 0.0)
 
 let refresh_alpha st =
   let m = float_of_int (n_rows st + 1) in
@@ -248,7 +246,7 @@ let[@inline] local_potential st ~d_rows ~d_vals ~d_len ~delta_obj tau =
     let u = st.usage.(i) +. (tau *. d_vals.(k)) in
     acc := !acc +. safe_exp (st.alpha *. ((u /. st.capacities.(i)) -. 1.0))
   done;
-  if not st.p.feasibility_only then begin
+  if st.objective_row then begin
     let o = st.objective +. (tau *. delta_obj) in
     acc := !acc +. safe_exp (st.alpha *. ((o /. st.b_target) -. 1.0))
   end;
@@ -314,7 +312,7 @@ let step_block ?stats st k =
         st.usage.(i) <- st.usage.(i) +. (tau *. d_vals.(j));
         refresh_price st i
       done;
-      if not st.p.feasibility_only then
+      if st.objective_row then
         st.price_obj <- safe_exp (st.alpha *. obj_infeas st) /. st.b_target
     end
   end
@@ -335,8 +333,7 @@ let try_duals st ?(mult = 1.0) duals duals_obj =
   end
 
 let lower_bound_pass st =
-  if st.p.feasibility_only then ()
-  else
+  if st.objective_row then
     Obs.phase "lb" (fun () ->
         (* Both the smoothed duals (Algorithm 1) and the instantaneous
            ones are valid multipliers; take the better bound. *)
@@ -354,7 +351,7 @@ let lower_bound_pass st =
    the true Lagrangian bound. *)
 let update_target st ~dc =
   if st.freeze_target then refresh_prices st
-  else if not st.p.feasibility_only then begin
+  else if st.objective_row then begin
     if dc <= epsilon then begin
       st.theta <- Float.min 0.20 (st.theta *. 1.5);
       st.b_target <- Float.max st.lb (st.objective *. (1.0 -. st.theta))
@@ -402,8 +399,7 @@ let record_pass_metrics st ~dc =
     for i = 0 to n_rows st - 1 do
       pot := !pot +. safe_exp (st.alpha *. rel_infeas st i)
     done;
-    if not st.p.feasibility_only then
-      pot := !pot +. safe_exp (st.alpha *. obj_infeas st);
+    if st.objective_row then pot := !pot +. safe_exp (st.alpha *. obj_infeas st);
     Obs.push "epf/pass/potential" !pot
   end
 
@@ -413,7 +409,7 @@ let update_smoothed st =
   done;
   st.smoothed_obj <- (rho *. st.smoothed_obj) +. ((1.0 -. rho) *. st.price_obj)
 
-let init ?initial (p : params) ~pool ~capacities ~oracles =
+let init ?initial (p : params) ~objective_row ~pool ~capacities ~oracles =
   let m = Array.length capacities in
   (* Initial points are independent per block (each is a UFL solve under
      the same warm-start prices), so construct them in parallel; the
@@ -431,6 +427,7 @@ let init ?initial (p : params) ~pool ~capacities ~oracles =
   let st =
     {
       p;
+      objective_row;
       capacities;
       oracles;
       combos;
@@ -461,7 +458,7 @@ let init ?initial (p : params) ~pool ~capacities ~oracles =
   st.scale <- Float.max st.objective 1e-9;
   (* Initial lower bound: all multipliers zero relaxes every coupling
      constraint, so the sum of unpriced block minima is valid. *)
-  if not p.feasibility_only then begin
+  if objective_row then begin
     st.lb <- lagrangian_bound ~pool ~oracles ~capacities (Array.make m 0.0);
     st.b_target <- Float.max st.lb st.scale
   end;
@@ -660,7 +657,8 @@ let solve ?(round = true) ?initial (p : params) ~capacities ~oracles =
      phases, so the sequential Gauss-Seidel passes pay nothing for it. *)
   Vod_util.Pool.with_pool ~jobs:p.jobs (fun pool ->
   let st =
-    Obs.phase "init" (fun () -> init ?initial p ~pool ~capacities ~oracles)
+    Obs.phase "init" (fun () ->
+        init ?initial p ~objective_row:true ~pool ~capacities ~oracles)
   in
   let passes = ref 0 in
   let stop = ref false in
@@ -681,8 +679,7 @@ let solve ?(round = true) ?initial (p : params) ~capacities ~oracles =
       last_improve := !passes
     end;
     if dc <= epsilon then begin
-      if p.feasibility_only then stop := true
-      else if st.objective <= (1.0 +. epsilon) *. Float.max st.lb 1e-12 then
+      if st.objective <= (1.0 +. epsilon) *. Float.max st.lb 1e-12 then
         stop := true
       else if !passes - !last_improve >= patience then stop := true
     end
@@ -691,32 +688,26 @@ let solve ?(round = true) ?initial (p : params) ~capacities ~oracles =
      and run a few passes so the iterate returns inside the epsilon band
      before rounding (the push phase deliberately leaves it oscillating
      around it). *)
-  if not p.feasibility_only then begin
-    st.freeze_target <- true;
-    st.b_target <-
-      Float.max
-        (Float.max st.lb (st.objective *. 1.01))
-        (0.01 *. st.scale);
-    st.delta <- Float.max st.delta epsilon;
-    refresh_alpha st;
-    refresh_prices st;
-    for _ = 1 to 3 do
-      ignore (run_pass st)
-    done;
-    Log.debug (fun m ->
-        m "stabilized: obj=%.6g viol=%.4f" st.objective (coupling_violation st))
-  end;
+  st.freeze_target <- true;
+  st.b_target <- Float.max (Float.max st.lb (st.objective *. 1.01)) (0.01 *. st.scale);
+  st.delta <- Float.max st.delta epsilon;
+  refresh_alpha st;
+  refresh_prices st;
+  for _ = 1 to 3 do
+    ignore (run_pass st)
+  done;
+  Log.debug (fun m ->
+      m "stabilized: obj=%.6g viol=%.4f" st.objective (coupling_violation st));
   (* Final bound sweep: the multipliers the run converged to may be off
      by a uniform scale (the B control distorts pi_0); probing a grid of
      scalings often recovers several percent of the bound. *)
-  if not p.feasibility_only then
-    Obs.phase "final_lb" (fun () ->
-        List.iter
-          (fun mult -> try_duals st ~mult st.smoothed st.smoothed_obj)
-          [ 0.25; 0.5; 2.0; 4.0; 8.0; 16.0; 32.0 ]);
+  Obs.phase "final_lb" (fun () ->
+      List.iter
+        (fun mult -> try_duals st ~mult st.smoothed st.smoothed_obj)
+        [ 0.25; 0.5; 2.0; 4.0; 8.0; 16.0; 32.0 ]);
   let pre_round_objective = st.objective in
   let pre_round_violation = coupling_violation st in
-  if round && not p.feasibility_only then begin
+  if round then begin
     round_pass st;
     recompute st;
     refresh_prices st;
@@ -735,3 +726,19 @@ let solve ?(round = true) ?initial (p : params) ~capacities ~oracles =
     pre_round_violation;
     history = Array.of_list (List.rev !history);
   })
+
+(* FEAS: the same passes with no objective row, so the potential only
+   drives the coupling rows below capacity. No bound, target or rounding
+   is needed, and the first epsilon-feasible pass answers the probe. *)
+let feasible (p : params) ~capacities ~oracles =
+  check_inputs ~capacities oracles;
+  Vod_util.Pool.with_pool ~jobs:p.jobs (fun pool ->
+      let st =
+        Obs.phase "init" (fun () ->
+            init p ~objective_row:false ~pool ~capacities ~oracles)
+      in
+      let rec descend passes =
+        if passes >= p.max_passes then coupling_violation st <= epsilon
+        else run_pass st <= epsilon || descend (passes + 1)
+      in
+      descend 0)

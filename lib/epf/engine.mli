@@ -31,7 +31,6 @@ type 'a oracle = {
 
 type params = {
   max_passes : int;
-  feasibility_only : bool;  (** drop the objective row: pure FEAS probe *)
   seed : int;
   shuffle : bool;
       (** re-randomize the block order every pass (the paper credits this
@@ -113,14 +112,16 @@ val integral_outcome :
 
 (** [solve ?round ?initial p ~capacities ~oracles] runs randomized
     block-descent passes until epsilon-feasible and epsilon-optimal (or
-    [max_passes]), then — unless [round:false] or [feasibility_only] —
-    snaps every fractional block to a single integral oracle point
-    (paper Sec. V-D). [initial], when given, supplies one starting
-    point per block (same order and length as [oracles]) in place of
-    the per-block [oracle.initial] sweep — the warm-start entry used by
-    the online re-placement daemon to begin the descent from the
-    incumbent placement. Raises [Invalid_argument] as {!check_inputs}
-    does. *)
+    [max_passes]), stabilizes the iterate in three more passes, sweeps
+    a grid of dual scalings for a better bound and then — unless
+    [round:false], which leaves the fractional iterate for tests to
+    read — snaps every fractional block to a single integral oracle
+    point (paper Sec. V-D). [initial], when given, supplies one
+    starting point per block (same order and length as [oracles]) in
+    place of the per-block [oracle.initial] sweep — the warm-start entry
+    used by the online re-placement daemon to begin the descent from
+    the incumbent placement. Raises [Invalid_argument] as
+    {!check_inputs} does. *)
 val solve :
   ?round:bool ->
   ?initial:'a point array ->
@@ -128,6 +129,16 @@ val solve :
   capacities:float array ->
   oracles:'a oracle array ->
   'a outcome
+
+(** [feasible p ~capacities ~oracles] is the FEAS probe (paper Fig. 11,
+    Table IV, Fig. 13): the same randomized passes with no objective
+    row, so the potential only pushes the coupling rows below capacity.
+    It computes no bound and rounds nothing. [true] as soon as a pass
+    ends epsilon-feasible; [false] when [max_passes] passes end without
+    one, which may also mean the passes ran out. Opens its own pool of
+    [jobs] domains; the answer is the same at any job count. Raises
+    [Invalid_argument] as {!check_inputs} does. *)
+val feasible : params -> capacities:float array -> oracles:'a oracle array -> bool
 
 (** Linear-extension exp used by the potential (exposed for tests). *)
 val safe_exp : float -> float

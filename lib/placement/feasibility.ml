@@ -1,29 +1,18 @@
 (* Feasibility probing (paper Fig. 11 / Table IV): can all demand be served
-   within the disk and link budgets? The probe runs the EPF engine in pure
-   FEAS mode — no objective row — and asks for an epsilon-feasible point.
+   within the disk and link budgets? The probe runs the EPF engine's FEAS
+   passes — no objective row — and asks for an epsilon-feasible point.
    A negative answer is heuristic (the engine may simply have run out of
    passes), so sweeps should read "min capacity at which the solver finds
    a placement", exactly the operational question the paper asks. *)
 
-let default_probe_params =
-  {
-    Vod_epf.Engine.default_params with
-    Vod_epf.Engine.feasibility_only = true;
-    max_passes = 40;
-  }
+let default_probe_params = { Vod_epf.Engine.default_params with Vod_epf.Engine.max_passes = 40 }
 
 let feasible ?(params = default_probe_params) (inst : Instance.t) =
   (* Namespace the engine's phase timers under probe/, so a feasibility
      sweep's metrics don't mix with Solve.solve's solve/engine/* keys. *)
   Vod_obs.Obs.phase "probe" @@ fun () ->
   let _, oracles, _ = Blocks.oracles inst in
-  let capacities = Instance.capacities inst in
-  let outcome =
-    Vod_epf.Engine.solve ~round:false
-      { params with Vod_epf.Engine.feasibility_only = true }
-      ~capacities ~oracles
-  in
-  outcome.Vod_epf.Engine.epsilon_feasible
+  Vod_epf.Engine.feasible params ~capacities:(Instance.capacities inst) ~oracles
 
 (* Smallest x in [lo, hi] (within [tol], relative) such that
    [feasible_at x]; [None] if even [hi] fails. Assumes monotonicity

@@ -2,10 +2,13 @@
     Fig. 13): binary searches over disk or link budgets for the smallest
     capacity at which the EPF engine finds an epsilon-feasible placement. *)
 
-(** FEAS-mode engine parameters (no objective row, 40 passes). *)
+(** The engine's default parameters with 40 passes. *)
 val default_probe_params : Vod_epf.Engine.params
 
-(** Whether the engine finds an epsilon-feasible placement. *)
+(** Whether {!Vod_epf.Engine.feasible} finds an epsilon-feasible
+    placement within [params.max_passes] FEAS passes (default
+    {!default_probe_params}). Its engine timers record under the
+    [probe] phase. *)
 val feasible : ?params:Vod_epf.Engine.params -> Instance.t -> bool
 
 (** Generic monotone bisection; [None] if even [hi] is infeasible. *)

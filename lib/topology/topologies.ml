@@ -104,53 +104,52 @@ let full_mesh_of (g : Graph.t) =
   Graph.create ~name:(g.Graph.name ^ "-mesh") ~n ~edges:!edges
     ~populations:g.Graph.populations
 
-(* Load a topology from a plain edge-list file: one "u v" pair of node ids
-   per line, '#' starts a comment. Node count is max id + 1. Populations
-   come from an optional companion file (one weight per line, node order);
-   without one, every metro weighs 1. This is how operators plug in their
+(* Load a topology from a plain edge-list file: one "u v" pair of
+   nonnegative node ids per line, '#' starts a comment. Node count is max
+   id + 1 and every metro weighs 1. This is how operators plug in their
    own maps (e.g. actual RocketFuel exports) in place of the synthetic
    stand-ins. *)
-let load_edge_list ?(name = "edge-list") ?populations_path ~path () =
-  let parse_lines path f =
-    let ic = open_in path in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () ->
-        let lineno = ref 0 in
-        (try
-           while true do
-             incr lineno;
-             let line = input_line ic in
-             let line =
-               match String.index_opt line '#' with
-               | Some i -> String.sub line 0 i
-               | None -> line
-             in
-             let line = String.trim line in
-             if line <> "" then f ~lineno:!lineno line
-           done
-         with End_of_file -> ()))
-  in
+let load_edge_list ?(name = "edge-list") ~path () =
   let edges = ref [] and max_id = ref (-1) in
-  parse_lines path (fun ~lineno line ->
-      match
-        String.split_on_char ' ' line
-        |> List.concat_map (String.split_on_char '\t')
-        |> List.filter (fun s -> s <> "")
-      with
-      | [ u; v ] -> (
-          try
-            let u = int_of_string u and v = int_of_string v in
+  let fail lineno what =
+    invalid_arg (Printf.sprintf "Topologies.load_edge_list: %s on line %d" what lineno)
+  in
+  let parse lineno line =
+    match
+      String.split_on_char ' ' line
+      |> List.concat_map (String.split_on_char '\t')
+      |> List.filter (fun s -> s <> "")
+    with
+    | [ u; v ] -> (
+        match (int_of_string_opt u, int_of_string_opt v) with
+        | Some u, Some v when u < 0 || v < 0 ->
+            fail lineno (Printf.sprintf "negative node id %d" (min u v))
+        | Some u, Some v ->
             if u <> v then begin
               edges := (u, v) :: !edges;
               max_id := max !max_id (max u v)
             end
-          with Failure _ ->
-            invalid_arg
-              (Printf.sprintf "Topologies.load_edge_list: bad edge on line %d" lineno))
-      | _ ->
-          invalid_arg
-            (Printf.sprintf "Topologies.load_edge_list: bad edge on line %d" lineno));
+        | _ -> fail lineno "bad edge")
+    | _ -> fail lineno "bad edge"
+  in
+  let ic = open_in path in
+  Fun.protect
+    ~finally:(fun () -> close_in ic)
+    (fun () ->
+      let rec read lineno =
+        match input_line ic with
+        | exception End_of_file -> ()
+        | line ->
+            let line =
+              match String.index_opt line '#' with
+              | Some i -> String.sub line 0 i
+              | None -> line
+            in
+            let line = String.trim line in
+            if line <> "" then parse lineno line;
+            read (lineno + 1)
+      in
+      read 1);
   if !max_id < 1 then invalid_arg "Topologies.load_edge_list: no edges";
   let n = !max_id + 1 in
   (* Drop duplicate undirected edges (Graph.create rejects them). *)
@@ -166,24 +165,7 @@ let load_edge_list ?(name = "edge-list") ?populations_path ~path () =
         end)
       !edges
   in
-  let populations =
-    match populations_path with
-    | None -> Array.make n 1.0
-    | Some p ->
-        let pops = ref [] in
-        parse_lines p (fun ~lineno line ->
-            match float_of_string_opt line with
-            | Some x when x > 0.0 -> pops := x :: !pops
-            | Some _ | None ->
-                invalid_arg
-                  (Printf.sprintf "Topologies.load_edge_list: bad population on line %d"
-                     lineno));
-        let arr = Array.of_list (List.rev !pops) in
-        if Array.length arr <> n then
-          invalid_arg "Topologies.load_edge_list: population count mismatch";
-        arr
-  in
-  Graph.create ~name ~n ~edges ~populations
+  Graph.create ~name ~n ~edges ~populations:(Array.make n 1.0)
 
 (* [restrict_to_top g k] keeps the [k] highest-population VHOs of [g] and
    re-generates a backbone over them; used to map the 55 VHO demand onto the

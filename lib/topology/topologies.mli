@@ -32,13 +32,14 @@ val tree_of : Graph.t -> Graph.t
 (** Full mesh over the same VHOs (Table IV). *)
 val full_mesh_of : Graph.t -> Graph.t
 
-(** Load a topology from a plain edge-list file ("u v" per line, [#]
-    comments); node count is max id + 1. Optional companion populations
-    file: one positive weight per line in node order (default: uniform).
-    Raises [Invalid_argument] on malformed lines, zero edges, or a
-    population count mismatch; [Sys_error] on unreadable files. *)
-val load_edge_list :
-  ?name:string -> ?populations_path:string -> path:string -> unit -> Graph.t
+(** Load a topology from a plain edge-list file ("u v" per line, two
+    nonnegative node ids separated by spaces or tabs, [#] comments, no
+    header); node count is max id + 1, every node has population 1, a
+    self-loop or repeated edge is skipped. Raises [Invalid_argument]
+    naming the line of a row that is not two integers or carries a
+    negative id, or when the file has no edge; [Sys_error] on an
+    unreadable file. *)
+val load_edge_list : ?name:string -> path:string -> unit -> Graph.t
 
 (** Indices of the [k] highest-population VHOs, ordered by decreasing
     population (used to map demand onto smaller networks, Sec. VII-F). *)

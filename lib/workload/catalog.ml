@@ -31,26 +31,20 @@ type params = {
   n : int;             (* catalog size *)
   days : int;          (* trace length in days *)
   seed : int;
-  zipf_exponent : float;
-  zipf_cutoff : float;
-  series_frac : float; (* fraction of catalog that is series episodes *)
-  clip_frac : float;   (* fraction that is clips / music videos *)
-  episodes_per_series : int;
-  blockbusters_per_week : int;
 }
 
-let default_params ~n ~days ~seed =
-  {
-    n;
-    days;
-    seed;
-    zipf_exponent = 0.8;
-    zipf_cutoff = 0.35;
-    series_frac = 0.25;
-    clip_frac = 0.30;
-    episodes_per_series = 12;
-    blockbusters_per_week = 2;
-  }
+let default_params ~n ~days ~seed = { n; days; seed }
+
+(* The paper's synthetic workload (Sec. VII-A), the same for every
+   catalog: Zipf exponent 0.8 cut off at 35% of the catalog, a quarter
+   of it series episodes (12 per series), 30% clips, the rest movies,
+   and 2 blockbusters released per trace week. *)
+let zipf_exponent = 0.8
+let zipf_cutoff = 0.35
+let series_frac = 0.25
+let clip_frac = 0.30
+let episodes_per_series = 12
+let blockbusters_per_week = 2
 
 let generate (p : params) =
   if p.n <= 0 then invalid_arg "Catalog.generate: empty catalog";
@@ -60,14 +54,12 @@ let generate (p : params) =
   let rank_of = Vod_util.Rng.permutation rng p.n in
   let weights =
     Array.init p.n (fun id ->
-        zipf_cutoff_weight ~exponent:p.zipf_exponent ~cutoff_frac:p.zipf_cutoff
-          ~n:p.n rank_of.(id))
+        zipf_cutoff_weight ~exponent:zipf_exponent ~cutoff_frac:zipf_cutoff ~n:p.n
+          rank_of.(id))
   in
-  let n_series_videos = int_of_float (p.series_frac *. float_of_int p.n) in
-  let n_clip = int_of_float (p.clip_frac *. float_of_int p.n) in
-  let n_series =
-    max 1 (n_series_videos / max 1 p.episodes_per_series)
-  in
+  let n_series_videos = int_of_float (series_frac *. float_of_int p.n) in
+  let n_clip = int_of_float (clip_frac *. float_of_int p.n) in
+  let n_series = max 1 (n_series_videos / episodes_per_series) in
   let weeks = max 1 (p.days / 7) in
   (* Videos [0, n_series_videos) are series episodes; series s owns a
      contiguous run of episodes released weekly. Recent episodes (those
@@ -114,7 +106,7 @@ let generate (p : params) =
              [blockbusters_per_week] long movies of each trace week are
              blockbusters released during the trace. *)
           let long = (id - n_series_videos - n_clip) mod 2 = 0 in
-          let is_fresh = long && !bb_count < weeks * p.blockbusters_per_week in
+          let is_fresh = long && !bb_count < weeks * blockbusters_per_week in
           if is_fresh then begin
             let w = !bb_count mod weeks in
             incr bb_count;

@@ -11,20 +11,15 @@ type t = {
   trace_days : int;
 }
 
-type params = {
-  n : int;
-  days : int;
-  seed : int;
-  zipf_exponent : float;
-  zipf_cutoff : float;
-  series_frac : float;
-  clip_frac : float;
-  episodes_per_series : int;
-  blockbusters_per_week : int;
-}
+(** A catalog of [n] videos for a [days]-day trace. The composition and
+    popularity law are fixed at the paper's synthetic workload: Zipf
+    exponent 0.8 with a cutoff at 35% of the catalog, 25% series
+    episodes (12 per series), 30% clips, the rest movies, and 2
+    blockbusters per trace week. *)
+type params = { n : int; days : int; seed : int }
 
-(** Paper-calibrated defaults (Zipf 0.8, cutoff at 35% of the catalog, 25%
-    series content, 30% clips, 2 blockbusters/week). *)
+(** The record [{ n; days; seed }]; bench/perf builds its catalogs
+    through it. *)
 val default_params : n:int -> days:int -> seed:int -> params
 
 (** Number of videos. *)

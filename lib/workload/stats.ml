@@ -51,29 +51,32 @@ let request_vector (trace : Trace.t) ~vho ~t0 ~t1 =
 
 (* Fig. 3: for a window size [w] seconds, partition time into intervals of
    size [w]; compare the interval containing the global peak instant with
-   the previous interval, per VHO. Returns the per-VHO similarity array. *)
+   the previous interval, per VHO. Returns the per-VHO similarity array,
+   or [None] when the peak falls in the first interval, which has no
+   previous one to compare with. *)
 let peak_interval_similarity (trace : Trace.t) ~window_s =
   let peak_t = peak_hour_start_s trace +. 1800.0 (* middle of the peak hour *) in
   let idx = int_of_float (peak_t /. window_s) in
-  if idx = 0 then Array.make trace.Trace.n_vhos 1.0
+  if idx = 0 then None
   else
-    Array.init trace.Trace.n_vhos (fun vho ->
-        let t0 = float_of_int idx *. window_s in
-        let v_cur = request_vector trace ~vho ~t0 ~t1:(t0 +. window_s) in
-        let v_prev = request_vector trace ~vho ~t0:(t0 -. window_s) ~t1:t0 in
-        Vod_util.Stats_acc.cosine_similarity v_cur v_prev)
+    Some
+      (Array.init trace.Trace.n_vhos (fun vho ->
+           let t0 = float_of_int idx *. window_s in
+           let v_cur = request_vector trace ~vho ~t0 ~t1:(t0 +. window_s) in
+           let v_prev = request_vector trace ~vho ~t0:(t0 -. window_s) ~t1:t0 in
+           Vod_util.Stats_acc.cosine_similarity v_cur v_prev))
 
 (* Least-squares Zipf exponent fit on the head of a rank/frequency curve:
-   regress log(count) on log(rank) over the top [head_frac] of ranks
-   (the exponential cutoff bends the tail, so fitting the head recovers
-   the underlying exponent). Returns the positive exponent alpha such
-   that count(r) ~ r^-alpha. Used to validate that generated traces match
+   regress log(count) on log(rank) over the top 20% of ranks (the
+   exponential cutoff bends the tail, so fitting the head recovers the
+   underlying exponent). Returns the positive exponent alpha such that
+   count(r) ~ r^-alpha. Used to validate that generated traces match
    the configured popularity law. *)
-let fit_zipf_exponent ?(head_frac = 0.2) counts =
+let fit_zipf_exponent counts =
   let sorted = Array.copy counts in
   Array.sort (fun a b -> Int.compare b a) sorted;
   let n = Array.length sorted in
-  let k = max 2 (int_of_float (head_frac *. float_of_int n)) in
+  let k = max 2 (int_of_float (0.2 *. float_of_int n)) in
   let xs = ref [] and ys = ref [] in
   for r = 0 to min (k - 1) (n - 1) do
     if sorted.(r) > 0 then begin

@@ -10,12 +10,14 @@ type params = {
   catalog : Catalog.t;
   populations : float array;   (* per-VHO demand weight (Graph.populations) *)
   mean_daily_requests : float; (* across all VHOs, before weekday scaling *)
-  taste_spread : float;        (* regional mix differentiation, 0 = uniform *)
   seed : int;
 }
 
 let default_params ~catalog ~populations ~mean_daily_requests ~seed =
-  { catalog; populations; mean_daily_requests; taste_spread = 0.9; seed }
+  { catalog; populations; mean_daily_requests; seed }
+
+(* Regional mix differentiation (0 = uniform), the same for every trace. *)
+let taste_spread = 0.9
 
 (* Poisson sample; exact (Knuth) for small lambda, normal approximation for
    large lambda, which is all the generator needs. *)
@@ -89,7 +91,7 @@ let make_ctx (p : params) =
     hour_sampler;
     day_scale;
     taste_key;
-    taste_accept_bound = 1.0 +. p.taste_spread;
+    taste_accept_bound = 1.0 +. taste_spread;
   }
 
 (* One day's requests, sampled into plain staging columns (flat float /
@@ -115,7 +117,7 @@ let sample_day_columns ctx day =
     let rec pick_vho () =
       let vho = Vod_util.Sampler.draw ctx.vho_sampler rng in
       let accept =
-        Profiles.taste_multiplier ~spread:p.taste_spread ~vho
+        Profiles.taste_multiplier ~spread:taste_spread ~vho
           ~video:ctx.taste_key.(video)
         /. ctx.taste_accept_bound
       in

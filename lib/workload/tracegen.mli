@@ -4,15 +4,19 @@
     diurnal intensity, freshness spikes for weekly series episodes and
     blockbusters, and regional taste variation. *)
 
+(** The regional taste spread is fixed at 0.9: a VHO's share of a
+    video's requests is proportional to its population times a stable
+    per-(VHO, video) multiplier between 0.1 and 1.9
+    ({!Profiles.taste_multiplier}). *)
 type params = {
   catalog : Catalog.t;
   populations : float array;
   mean_daily_requests : float;
-  taste_spread : float;
   seed : int;
 }
 
-(** Defaults with [taste_spread = 0.9]. *)
+(** The record of its arguments; bench/perf builds its traces through
+    it. *)
 val default_params :
   catalog:Catalog.t ->
   populations:float array ->

@@ -245,8 +245,8 @@ let master_rejects_bad_inputs () =
   Alcotest.check_raises "no blocks"
     (Invalid_argument "Engine: no blocks") (fun () ->
       ignore
-        (Master.solve ~max_passes:60 ~jobs:0 ~capacities:[| 1.0 |]
-           oracle_absent))
+        (Master.solve ~initial_prices:[| 0.0 |] ~max_passes:60 ~jobs:0
+           ~capacities:[| 1.0 |] oracle_absent))
 
 (* A NaN or infinite capacity fails the input check up front in both
    decomposition solvers, whichever row carries it, instead of reaching
@@ -267,7 +267,9 @@ let rejects_non_finite_capacities () =
                { Vod_epf.Engine.default_params with Vod_epf.Engine.max_passes = 5 }
                ~capacities ~oracles));
       Alcotest.check_raises (tag "benders") expect (fun () ->
-          ignore (Master.solve ~max_passes:5 ~jobs:1 ~capacities oracles)))
+          ignore
+            (Master.solve ~initial_prices:(Array.make (I.n_rows inst) 0.0)
+               ~max_passes:5 ~jobs:1 ~capacities oracles)))
     [ (0, Float.nan); (0, Float.infinity); (I.n_rows inst - 1, Float.nan);
       (I.n_rows inst - 1, Float.infinity) ]
 

@@ -459,13 +459,13 @@ let multi_block_vs_simplex () =
 
 let feasibility_mode () =
   let oracles, _ = shared_row_blocks 6 3.0 in
-  let params = { E.default_params with E.feasibility_only = true; max_passes = 80 } in
-  let outcome = E.solve ~round:false params ~capacities:[| 3.0 |] ~oracles in
-  Alcotest.(check bool) "finds feasible point" true outcome.E.epsilon_feasible;
+  let params = { E.default_params with E.max_passes = 80 } in
+  Alcotest.(check bool) "finds feasible point" true
+    (E.feasible params ~capacities:[| 3.0 |] ~oracles);
   (* cap 1.0 with 6 blocks and min usage 0.2/block = 1.2 > 1: infeasible. *)
   let oracles, _ = shared_row_blocks 6 1.0 in
-  let outcome = E.solve ~round:false params ~capacities:[| 1.0 |] ~oracles in
-  Alcotest.(check bool) "detects infeasible" false outcome.E.epsilon_feasible
+  Alcotest.(check bool) "detects infeasible" false
+    (E.feasible params ~capacities:[| 1.0 |] ~oracles)
 
 let history_recorded () =
   let oracles, _ = shared_row_blocks 6 3.0 in

@@ -129,22 +129,19 @@ let edge_list_loading () =
   Alcotest.(check int) "links" 4 (Vod_topology.Graph.n_links g / 2);
   Alcotest.(check bool) "connected" true (Vod_topology.Graph.is_connected g)
 
-let edge_list_with_populations () =
-  let path = tmp "vodopt_topo2.txt" in
+(* A negative node id is rejected where it is read, naming its line,
+   instead of failing later in Graph.create with no line. *)
+let edge_list_rejects_negative_id () =
+  let path = tmp "vodopt_topo_neg.txt" in
   let oc = open_out path in
-  output_string oc "0 1\n1 2\n";
+  output_string oc "0 1\n1 2\n2 -3\n";
   close_out oc;
-  let pop_path = tmp "vodopt_pops.txt" in
-  let oc = open_out pop_path in
-  output_string oc "3.0\n2.0\n1.0\n";
-  close_out oc;
-  let g =
-    Vod_topology.Topologies.load_edge_list ~path ~populations_path:pop_path ()
-  in
-  Sys.remove path;
-  Sys.remove pop_path;
-  Alcotest.(check (float 1e-9)) "population loaded" 3.0
-    g.Vod_topology.Graph.populations.(0)
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Alcotest.check_raises "negative id"
+        (Invalid_argument "Topologies.load_edge_list: negative node id -3 on line 3")
+        (fun () -> ignore (Vod_topology.Topologies.load_edge_list ~path ())))
 
 let suite =
   [
@@ -165,5 +162,5 @@ let suite =
     Alcotest.test_case "solution roundtrip" `Quick solution_roundtrip;
     Alcotest.test_case "solution requires copies" `Quick solution_load_requires_copies;
     Alcotest.test_case "edge list loading" `Quick edge_list_loading;
-    Alcotest.test_case "edge list populations" `Quick edge_list_with_populations;
+    Alcotest.test_case "edge list rejects negative id" `Quick edge_list_rejects_negative_id;
   ]

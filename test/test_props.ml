@@ -313,12 +313,14 @@ let prop_fault_ledger_balances =
 
 (* ---------- CSV loaders under corruption ---------- *)
 
-(* A CSV loader under test: its header, a valid file's rows drawn at
-   random (each field paired with the value one past its bound, for an
-   id field), and the load itself. *)
+(* A loader under test: its header line (if the format has one), its
+   field separator, a valid file's rows drawn at random (each field
+   paired with the value one past its bound, for a bounded id field),
+   and the load itself. *)
 type loader = {
   name : string;
-  header : string;
+  header : string option;
+  sep : string;
   rows : Random.State.t -> (string * string option) list list;
   load : string -> unit;
 }
@@ -329,7 +331,8 @@ let draw_id st n = (string_of_int (Random.State.int st n), Some (string_of_int n
 let trace_loader =
   {
     name = "trace";
-    header = Vod_workload.Trace_io.header;
+    header = Some Vod_workload.Trace_io.header;
+    sep = ",";
     rows =
       (fun st ->
         List.init
@@ -345,7 +348,8 @@ let placement_loader =
   let store st v = [ ("store", None); (string_of_int v, Some "4"); draw_id st 3; ("", None) ] in
   {
     name = "placement";
-    header = Vod_placement.Solution_io.header;
+    header = Some Vod_placement.Solution_io.header;
+    sep = ",";
     rows =
       (fun st ->
         List.init 4 (store st)
@@ -360,7 +364,8 @@ let placement_loader =
 let schedule_loader =
   {
     name = "schedule";
-    header = "time_s,event,args";
+    header = Some "time_s,event,args";
+    sep = ",";
     rows =
       (fun st ->
         List.init
@@ -384,6 +389,24 @@ let schedule_loader =
     load = (fun path -> ignore (Vod_resil.Event.load_csv ~n_vhos:3 ~n_links:4 path));
   }
 
+(* Edge lists: "u v" rows over 6 nodes with no header. A node id has no
+   upper bound (the node count is the largest id + 1). *)
+let edge_list_loader =
+  {
+    name = "edge list";
+    header = None;
+    sep = " ";
+    rows =
+      (fun st ->
+        List.init
+          (1 + Random.State.int st 6)
+          (fun _ ->
+            let u = Random.State.int st 6 in
+            let v = (u + 1 + Random.State.int st 5) mod 6 in
+            [ (string_of_int u, None); (string_of_int v, None) ]));
+    load = (fun path -> ignore (Vod_topology.Topologies.load_edge_list ~path ()));
+  }
+
 (* One corruption of a row: keep a strict prefix of its fields, drop a
    field, add one, or set one to nan, inf, -1, garbage or (for an id)
    the value one past its bound. *)
@@ -405,13 +428,13 @@ let corrupt st fields =
       let v = List.nth values_of_k (Random.State.int st (List.length values_of_k)) in
       List.mapi (fun i x -> if i = k then v else x) values
 
-let write_csv path header rows =
+let write_rows (l : loader) path rows =
   let oc = open_out path in
   Fun.protect
     ~finally:(fun () -> close_out oc)
     (fun () ->
-      output_string oc (header ^ "\n");
-      List.iter (fun row -> output_string oc (String.concat "," row ^ "\n")) rows)
+      Option.iter (fun h -> output_string oc (h ^ "\n")) l.header;
+      List.iter (fun row -> output_string oc (String.concat l.sep row ^ "\n")) rows)
 
 (* Every loader accepts a valid file and rejects the same file with one
    row corrupted, with [Invalid_argument] naming that row's line. *)
@@ -429,20 +452,19 @@ let prop_loaders_locate_corrupted_row =
           Fun.protect
             ~finally:(fun () -> Sys.remove path)
             (fun () ->
-              write_csv path l.header (List.map (List.map fst) rows);
+              write_rows l path (List.map (List.map fst) rows);
               l.load path;
-              write_csv path l.header
+              write_rows l path
                 (List.mapi (fun i r -> if i = bad then corrupted else List.map fst r) rows);
-              let line = Printf.sprintf " on line %d" (bad + 2) in
+              let lineno = bad + if Option.is_some l.header then 2 else 1 in
+              let row = String.concat l.sep corrupted in
               match l.load path with
-              | () ->
-                  QCheck.Test.fail_reportf "%s: %S on line %d loaded" l.name
-                    (String.concat "," corrupted) (bad + 2)
+              | () -> QCheck.Test.fail_reportf "%s: %S on line %d loaded" l.name row lineno
               | exception Invalid_argument msg ->
-                  String.ends_with ~suffix:line msg
-                  || QCheck.Test.fail_reportf "%s: %S on line %d raised %S" l.name
-                       (String.concat "," corrupted) (bad + 2) msg))
-        [ trace_loader; placement_loader; schedule_loader ])
+                  String.ends_with ~suffix:(Printf.sprintf " on line %d" lineno) msg
+                  || QCheck.Test.fail_reportf "%s: %S on line %d raised %S" l.name row
+                       lineno msg))
+        [ trace_loader; placement_loader; schedule_loader; edge_list_loader ])
 
 let suite =
   List.map QCheck_alcotest.to_alcotest

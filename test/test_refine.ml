@@ -18,7 +18,7 @@ let refinement_runs_and_reports () =
   let disk = Vod_core.Scenario.uniform_disk sc ~multiple:2.0 in
   let r =
     W.solve ~params:fast_params ~max_rounds:3 sc ~day0:0 ~disk_gb:disk
-      ~link_capacity_mbps:200.0 ()
+      ~link_capacity_mbps:200.0
   in
   Alcotest.(check bool) "at least one round" true (List.length r.W.rounds >= 1);
   Alcotest.(check bool) "at most max rounds" true (List.length r.W.rounds <= 3);
@@ -39,7 +39,7 @@ let generous_links_converge_immediately () =
   let disk = Vod_core.Scenario.uniform_disk sc ~multiple:3.0 in
   let r =
     W.solve ~params:fast_params ~max_rounds:3 sc ~day0:0 ~disk_gb:disk
-      ~link_capacity_mbps:50_000.0 ()
+      ~link_capacity_mbps:50_000.0
   in
   Alcotest.(check bool) "converged" true r.W.converged;
   Alcotest.(check int) "single round" 1 (List.length r.W.rounds)
@@ -58,7 +58,7 @@ let rounds_match_recording () =
     (fun cap ->
       let r =
         W.solve ~params:fast_params ~max_rounds:3 sc ~day0:0 ~disk_gb:disk
-          ~link_capacity_mbps:cap ()
+          ~link_capacity_mbps:cap
       in
       line "link_capacity_mbps %g" cap;
       List.iteri

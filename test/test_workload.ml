@@ -205,10 +205,23 @@ let working_set_sane () =
 let cosine_window_monotone () =
   let c = small_catalog () in
   let t = small_trace c in
-  let avg w = Vod_util.Stats_acc.mean (S.peak_interval_similarity t ~window_s:w) in
+  let avg w = Vod_util.Stats_acc.mean (Option.get (S.peak_interval_similarity t ~window_s:w)) in
   (* Daily mixes are more similar than 30-minute mixes (paper Fig. 3). *)
   Alcotest.(check bool) "daily more similar than sub-hourly" true
     (avg 86_400.0 > avg 1_800.0)
+
+(* On a one-day trace the peak falls in the first one-day window, which
+   has no window before it: there is no similarity to report, rather
+   than a perfect one. A half-hour window still has a predecessor. *)
+let similarity_needs_previous_window () =
+  let catalog = C.generate (C.default_params ~n:30 ~days:1 ~seed:5) in
+  let t =
+    Tg.generate (Tg.default_params ~catalog ~populations ~mean_daily_requests:400.0 ~seed:6)
+  in
+  Alcotest.(check bool) "no day before the peak day" true
+    (Option.is_none (S.peak_interval_similarity t ~window_s:86_400.0));
+  Alcotest.(check bool) "a half hour before the peak's" true
+    (Option.is_some (S.peak_interval_similarity t ~window_s:1_800.0))
 
 let concurrency_counts () =
   let c = small_catalog () in
@@ -312,6 +325,8 @@ let suite =
     Alcotest.test_case "peak windows distinct days" `Quick peak_windows_distinct_days;
     Alcotest.test_case "working set sane" `Quick working_set_sane;
     Alcotest.test_case "cosine window monotone" `Quick cosine_window_monotone;
+    Alcotest.test_case "similarity needs a previous window" `Quick
+      similarity_needs_previous_window;
     Alcotest.test_case "concurrency counts" `Quick concurrency_counts;
     Alcotest.test_case "demand of requests" `Quick demand_of_requests;
     Alcotest.test_case "estimator history" `Quick estimator_history_only;

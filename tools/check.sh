@@ -24,6 +24,25 @@ echo "== vodlint --project (explicit, against the checked-in baseline) =="
 dune exec --no-print-directory bin/vodlint.exe -- --project \
   --baseline .vodlint-baseline --units-decl units.decl \
   --protocols-decl protocols.decl --forbid-stale
+# declared LIST QUAL SUFFIX REGEX WHAT: the `Module.name` QUAL that LIST
+# names must still be defined, REGEX matching its definition (WHAT in the
+# message), in a module.SUFFIX somewhere under lib/. A module name can
+# exist in more than one library (lib/epf and lib/lint both have an
+# engine.mli), so every file of that name is searched, not only the
+# first one find lists.
+declared() {
+  file=$(printf '%s' "${2%%.*}" | tr 'A-Z' 'a-z').$3
+  files=$(find lib -name "$file")
+  if [ -z "$files" ]; then
+    echo "FAIL: $1 names '$2' but no $file exists under lib/" >&2
+    return 1
+  fi
+  for f in $files; do
+    grep -qE "$4" "$f" && return 0
+  done
+  echo "FAIL: $1 names '$2' but no $file under lib/ has '$5'" >&2
+  return 1
+}
 echo "== units.decl stale-declaration check =="
 # Every `Module.name` declared in units.decl must still exist as a
 # `val name` in the module's .mli somewhere under lib/ — otherwise the
@@ -31,17 +50,9 @@ echo "== units.decl stale-declaration check =="
 # units analysis silently stops covering it.
 decl_status=0
 for qual in $(grep -vE '^[[:space:]]*(#|$)' units.decl | awk '{print $1}'); do
-  mod=${qual%%.*}
   name=${qual#*.}
-  file=$(printf '%s' "$mod" | tr 'A-Z' 'a-z').mli
-  mli=$(find lib -name "$file" | head -n 1)
-  if [ -z "$mli" ]; then
-    echo "FAIL: units.decl declares '$qual' but no $file exists under lib/" >&2
-    decl_status=1
-  elif ! grep -qE "^[[:space:]]*val[[:space:]]+$name[[:space:]:]" "$mli"; then
-    echo "FAIL: units.decl declares '$qual' but $mli has no 'val $name'" >&2
-    decl_status=1
-  fi
+  declared units.decl "$qual" mli "^[[:space:]]*val[[:space:]]+$name[[:space:]:]" \
+    "val $name" || decl_status=1
 done
 [ "$decl_status" -eq 0 ] || exit 1
 echo "== protocols.decl stale-declaration check =="
@@ -52,17 +63,9 @@ echo "== protocols.decl stale-declaration check =="
 proto_status=0
 for qual in $(grep -vE '^[[:space:]]*(#|$)' protocols.decl \
   | tr ' \t' '\n\n' | grep '=' | cut -d= -f2 | tr ',' '\n' | grep '\.'); do
-  mod=${qual%%.*}
   name=${qual#*.}
-  file=$(printf '%s' "$mod" | tr 'A-Z' 'a-z').mli
-  mli=$(find lib -name "$file" | head -n 1)
-  if [ -z "$mli" ]; then
-    echo "FAIL: protocols.decl declares '$qual' but no $file exists under lib/" >&2
-    proto_status=1
-  elif ! grep -qE "^[[:space:]]*val[[:space:]]+$name[[:space:]:]" "$mli"; then
-    echo "FAIL: protocols.decl declares '$qual' but $mli has no 'val $name'" >&2
-    proto_status=1
-  fi
+  declared protocols.decl "$qual" mli "^[[:space:]]*val[[:space:]]+$name[[:space:]:]" \
+    "val $name" || proto_status=1
 done
 [ "$proto_status" -eq 0 ] || exit 1
 echo "== hot-path root stale check =="
@@ -74,17 +77,9 @@ echo "== hot-path root stale check =="
 root_status=0
 for qual in $(sed -n '/^let roots =/,/^  \]/p' lib/lint/hotpath.ml \
   | grep -oE '^    \("[A-Z][A-Za-z0-9_]*\.[a-z_][A-Za-z0-9_]*"' | tr -d ' ("'); do
-  mod=${qual%%.*}
   name=${qual#*.}
-  file=$(printf '%s' "$mod" | tr 'A-Z' 'a-z').ml
-  ml=$(find lib -name "$file" | head -n 1)
-  if [ -z "$ml" ]; then
-    echo "FAIL: Hotpath.roots names '$qual' but no $file exists under lib/" >&2
-    root_status=1
-  elif ! grep -qE "^let([[:space:]]+rec)?[[:space:]]+$name([[:space:]]|$)" "$ml"; then
-    echo "FAIL: Hotpath.roots names '$qual' but $ml has no 'let $name'" >&2
-    root_status=1
-  fi
+  declared Hotpath.roots "$qual" ml "^let([[:space:]]+rec)?[[:space:]]+$name([[:space:]]|$)" \
+    "let $name" || root_status=1
 done
 [ "$root_status" -eq 0 ] || exit 1
 echo "== EPF determinism smoke: --jobs 1 vs --jobs 4 =="
@@ -209,6 +204,17 @@ for bad in --budget=-3 --budget=nan --origin=99; do
 done
 expect_usage_error simulate --scheme lru --videos 20 --days 9
 expect_usage_error serve --videos 20 --days 9
+# A malformed --trace CSV (a NaN time on line 3) or --topology-file edge
+# list (a non-integer node id on line 2) is a usage error naming its
+# flag in every command that reads one, not an uncaught exception.
+printf 'time_s,vho,video\n1.0,0,0\nnan,0,0\n' > "$smoke_dir/bad_trace.csv"
+printf '0 1\n1 x\n' > "$smoke_dir/bad.edges"
+for cmd in stats solve simulate serve; do
+  expect_usage_error "$cmd" --videos 20 --days 10 --trace "$smoke_dir/bad_trace.csv"
+done
+for cmd in stats solve simulate serve sweep; do
+  expect_usage_error "$cmd" --videos 20 --days 10 --topology-file "$smoke_dir/bad.edges"
+done
 echo "== --faults loads a schedule whose path contains ':' =="
 # Only a canned scenario name splits at ':' (single-vho:3); any other
 # spec is a CSV path, so the same schedule gives the same report under
