@@ -3,7 +3,7 @@
    "Units & hot-path analysis").
 
    Usage: vodlint [--format text|json|github] [--disable IDS]
-                  [--rules] [--list-rules] [--project] [--baseline FILE]
+                  [--rules] [--project] [--baseline FILE]
                   [--write-baseline] [--forbid-stale]
                   [--units-decl FILE] [--protocols-decl FILE] [PATH ...]
 
@@ -24,28 +24,20 @@ let default_roots = [ "lib"; "bin"; "bench"; "examples" ]
 
 let usage =
   "vodlint [--format text|json|github] [--disable IDS] [--rules]\n\
-  \        [--list-rules] [--project] [--baseline FILE] [--write-baseline]\n\
+  \        [--project] [--baseline FILE] [--write-baseline]\n\
   \        [--forbid-stale] [--units-decl FILE] [--protocols-decl FILE]\n\
   \        [PATH ...]"
 
-(* Minimal JSON string escaping for the --rules json listing (rule ids
-   and docs are plain ASCII; this keeps quoting honest anyway). *)
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+(* Usage, configuration and internal errors exit 2. *)
+let fail msg =
+  prerr_endline ("vodlint: " ^ msg);
+  exit 2
+
+let plural n = if n = 1 then "" else "s"
 
 let () =
   let format = ref `Text in
   let disabled = ref [] in
-  let list_rules = ref false in
   let rules_listing = ref false in
   let project = ref false in
   let baseline_path = ref ".vodlint-baseline" in
@@ -58,11 +50,7 @@ let () =
     | "text" -> format := `Text
     | "json" -> format := `Json
     | "github" -> format := `Github
-    | other ->
-        prerr_endline
-          ("vodlint: unknown format '" ^ other
-         ^ "' (expected text, json or github)");
-        exit 2
+    | other -> fail ("unknown format '" ^ other ^ "' (expected text, json or github)")
   in
   let add_disabled s =
     disabled := List.filter (fun id -> id <> "") (String.split_on_char ',' s) @ !disabled
@@ -78,7 +66,6 @@ let () =
         Arg.Set rules_listing,
         " list every rule id, phase and rationale (honors --format json), \
          then exit" );
-      ("--list-rules", Arg.Set list_rules, " print rule ids and descriptions, then exit");
       ("--project", Arg.Set project, " run the whole-project analysis phases too");
       ( "--baseline",
         Arg.Set_string baseline_path,
@@ -111,12 +98,13 @@ let () =
     in
     (match !format with
     | `Json ->
+        let esc = Vod_lint.Diagnostic.json_escape in
         let objs =
           List.map
             (fun (id, phase, doc) ->
               Printf.sprintf
                 "  {\"id\": \"%s\", \"phase\": \"%s\", \"rationale\": \"%s\"}"
-                (json_escape id) (json_escape phase) (json_escape doc))
+                (esc id) (esc phase) (esc doc))
             entries
         in
         print_endline
@@ -128,41 +116,21 @@ let () =
           entries);
     exit 0
   end;
-  if !list_rules then begin
-    List.iter
-      (fun (r : Vod_lint.Rules.t) ->
-        print_endline (Printf.sprintf "%-26s [file]    %s" r.id r.doc))
-      Vod_lint.Rules.all;
-    List.iter
-      (fun (r : Vod_lint.Project_rules.t) ->
-        print_endline (Printf.sprintf "%-26s [project] %s" r.id r.doc))
-      Vod_lint.Project_rules.all;
-    exit 0
-  end;
   List.iter
     (fun id ->
       if Vod_lint.Rules.find id = None && Vod_lint.Project_rules.find id = None
-      then begin
-        prerr_endline ("vodlint: unknown rule id '" ^ id ^ "' (see --list-rules)");
-        exit 2
-      end)
+      then fail ("unknown rule id '" ^ id ^ "' (see --rules)"))
     !disabled;
   let rules =
     List.filter (fun (r : Vod_lint.Rules.t) -> not (List.mem r.id !disabled)) Vod_lint.Rules.all
   in
   let roots = match List.rev !roots with [] -> default_roots | rs -> rs in
-  let units_decl =
-    try Vod_lint.Units.load_decl !units_decl_path
-    with Vod_lint.Units.Decl_error msg ->
-      prerr_endline ("vodlint: " ^ msg);
-      exit 2
+  let load_decl load path =
+    try load path
+    with Vod_lint.Units.Decl_error msg | Vod_lint.Proto.Decl_error msg -> fail msg
   in
-  let protocols_decl =
-    try Vod_lint.Proto.load_decl !protocols_decl_path
-    with Vod_lint.Proto.Decl_error msg ->
-      prerr_endline ("vodlint: " ^ msg);
-      exit 2
-  in
+  let units_decl = load_decl Vod_lint.Units.load_decl !units_decl_path in
+  let protocols_decl = load_decl Vod_lint.Proto.load_decl !protocols_decl_path in
   (* Findings exit 1; anything that prevents the analysis from giving
      an answer at all — bad roots, a crash in an analysis pass — is an
      internal error and exits 2, so CI can tell "code has findings"
@@ -178,19 +146,14 @@ let () =
       in
       (scanned, diags)
     with
-    | Invalid_argument msg ->
-        prerr_endline ("vodlint: " ^ msg);
-        exit 2
-    | e ->
-        prerr_endline ("vodlint: internal analysis error: " ^ Printexc.to_string e);
-        exit 2
+    | Invalid_argument msg -> fail msg
+    | e -> fail ("internal analysis error: " ^ Printexc.to_string e)
   in
   if !project && !write_baseline then begin
     Vod_lint.Baseline.(save !baseline_path (of_diagnostics diags));
+    let n = List.length diags in
     prerr_endline
-      (Printf.sprintf "vodlint: wrote %d finding%s to %s" (List.length diags)
-         (if List.length diags = 1 then "" else "s")
-         !baseline_path);
+      (Printf.sprintf "vodlint: wrote %d finding%s to %s" n (plural n) !baseline_path);
     exit 0
   end;
   let diags, baselined, stale =
@@ -215,16 +178,10 @@ let () =
   | `Json -> print_endline (Vod_lint.Diagnostic.list_to_json diags));
   if !project then
     prerr_endline
-      (Printf.sprintf
-         "vodlint: %d file%s scanned, %d finding%s, %d baselined%s" scanned
-         (if scanned = 1 then "" else "s")
-         n
-         (if n = 1 then "" else "s")
-         baselined
+      (Printf.sprintf "vodlint: %d file%s scanned, %d finding%s, %d baselined%s"
+         scanned (plural scanned) n (plural n) baselined
          (if stale > 0 then Printf.sprintf ", %d stale" stale else ""))
-  else if n > 0 then
-    prerr_endline
-      (Printf.sprintf "vodlint: %d finding%s" n (if n = 1 then "" else "s"));
+  else if n > 0 then prerr_endline (Printf.sprintf "vodlint: %d finding%s" n (plural n));
   if diags <> [] then exit 1;
   if !forbid_stale && stale > 0 then begin
     prerr_endline

@@ -52,13 +52,6 @@ let load_file flag load path =
 
 (* Common options *)
 
-let videos_t =
-  Arg.(value & opt int 1000 & info [ "videos"; "n" ] ~docv:"N" ~doc:"Catalog size.")
-
-let seed_t = Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"Random seed.")
-
-let days_t = Arg.(value & opt int 28 & info [ "days" ] ~docv:"D" ~doc:"Trace length in days.")
-
 (* The one converter for options that must be positive finite numbers:
    NaN fails the [> 0.] test and infinity [Float.is_finite]. *)
 let positive =
@@ -68,6 +61,26 @@ let positive =
     | Some _ | None -> Error (Printf.sprintf "expected a positive finite number, got %S" s)
   in
   Arg.conv' (parse, Arg.conv_printer Arg.float)
+
+(* The one converter for integer options: counts of at least [min], so
+   a catalog, trace or pass budget is never empty (min 1) and a job
+   count never negative (min 0). *)
+let count ~min =
+  let what = if min > 0 then "a positive" else "a non-negative" in
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= min -> Ok n
+    | Some _ | None -> Error (Printf.sprintf "expected %s integer, got %S" what s)
+  in
+  Arg.conv' (parse, Arg.conv_printer Arg.int)
+
+let videos_t =
+  Arg.(value & opt (count ~min:1) 1000 & info [ "videos"; "n" ] ~docv:"N" ~doc:"Catalog size.")
+
+let seed_t = Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"Random seed.")
+
+let days_t =
+  Arg.(value & opt (count ~min:1) 28 & info [ "days" ] ~docv:"D" ~doc:"Trace length in days.")
 
 let rpv_t =
   Arg.(
@@ -90,7 +103,7 @@ let link_t =
     & info [ "link" ] ~docv:"MBPS" ~doc:"Uniform link capacity in Mb/s (positive).")
 
 let passes_t =
-  Arg.(value & opt int 50 & info [ "passes" ] ~docv:"P" ~doc:"Max EPF passes.")
+  Arg.(value & opt (count ~min:1) 50 & info [ "passes" ] ~docv:"P" ~doc:"Max EPF passes.")
 
 let solver_t =
   Arg.(
@@ -105,7 +118,7 @@ let verbose_t = Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Verbose loggin
 let jobs_t =
   Arg.(
     value
-    & opt int 0
+    & opt (count ~min:0) 0
     & info [ "j"; "jobs" ] ~docv:"N"
         ~doc:
           "Worker domains for the parallel phases (0 = number of cores). Results are identical at any job count for a fixed --seed.")
@@ -165,15 +178,16 @@ let graph_of ~topology ~topology_file =
       | "ebone" -> Vod_topology.Topologies.ebone ()
       | _ -> Vod_topology.Topologies.backbone55 ())
 
+(* With --trace, the loaded requests take the place of the synthetic
+   trace; the catalog is the one the synthetic scenario would have, and
+   --requests-per-video is unused. *)
 let scenario_of ?topology_file ?trace_file ~topology ~videos ~days ~rpv ~seed
     () =
   let graph = graph_of ~topology ~topology_file in
-  let sc =
-    Vod_core.Scenario.make ~days ~requests_per_video_per_day:rpv ~seed ~graph
-      ~n_videos:videos ()
-  in
   match trace_file with
-  | None -> sc
+  | None ->
+      Vod_core.Scenario.make ~days ~requests_per_video_per_day:rpv ~seed ~graph
+        ~n_videos:videos ()
   | Some path ->
       (* ~n_videos makes the loader reject out-of-catalog ids with a
          line-numbered error instead of a post-hoc scan. *)
@@ -184,7 +198,9 @@ let scenario_of ?topology_file ?trace_file ~topology ~videos ~days ~rpv ~seed
              ~days)
           path
       in
-      { sc with Vod_core.Scenario.trace }
+      Vod_core.Scenario.assemble ~graph
+        ~catalog:(Vod_core.Scenario.catalog ~days ~seed ~n_videos:videos)
+        trace
 
 (* ---- stats ---- *)
 

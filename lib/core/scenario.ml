@@ -10,21 +10,26 @@ type t = {
   trace : Vod_workload.Trace.t;
 }
 
+(* A scenario is built in two steps, so a loaded trace can take the
+   place of the generated one: the catalog (seed offset 1), then the
+   assembly around a trace. *)
+let catalog ~days ~seed ~n_videos =
+  Vod_workload.Catalog.generate
+    (Vod_workload.Catalog.default_params ~n:n_videos ~days ~seed:(seed + 1))
+
+let assemble ~graph ~catalog trace =
+  { graph; paths = Vod_topology.Paths.compute graph; catalog; trace }
+
 let make ?(days = 28) ?(requests_per_video_per_day = 5.0) ?(seed = 42) ~graph
     ~n_videos () =
-  let catalog =
-    Vod_workload.Catalog.generate
-      (Vod_workload.Catalog.default_params ~n:n_videos ~days ~seed:(seed + 1))
-  in
+  let catalog = catalog ~days ~seed ~n_videos in
   let p =
     Vod_workload.Tracegen.default_params ~catalog
       ~populations:graph.Vod_topology.Graph.populations
       ~mean_daily_requests:(requests_per_video_per_day *. float_of_int n_videos)
       ~seed:(seed + 2)
   in
-  let trace = Vod_workload.Tracegen.generate p in
-  let paths = Vod_topology.Paths.compute graph in
-  { graph; paths; catalog; trace }
+  assemble ~graph ~catalog (Vod_workload.Tracegen.generate p)
 
 (* The paper's default setting: the 55-VHO backbone. *)
 let backbone ?days ?requests_per_video_per_day ?(seed = 42) ~n_videos () =

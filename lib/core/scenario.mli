@@ -22,6 +22,17 @@ val make :
   unit ->
   t
 
+(** The catalog [make] builds for these days, seed and size. *)
+val catalog : days:int -> seed:int -> n_videos:int -> Vod_workload.Catalog.t
+
+(** A scenario around a given trace, e.g. one loaded from a file, with
+    the graph's shortest paths computed. Passing [catalog]'s result
+    pairs the trace with the catalog [make] would build; [make] itself
+    is [catalog], a generated trace and [assemble]. *)
+val assemble :
+  graph:Vod_topology.Graph.t -> catalog:Vod_workload.Catalog.t ->
+  Vod_workload.Trace.t -> t
+
 (** The paper's default 55-VHO backbone scenario. *)
 val backbone :
   ?days:int ->

@@ -66,7 +66,6 @@ type 'a outcome = {
   max_violation : float;     (* max relative coupling violation *)
   row_usage : float array;
   passes : int;
-  epsilon_feasible : bool;
   pre_round_objective : float;   (* fractional LP objective before rounding *)
   pre_round_violation : float;   (* max relative violation before rounding *)
   history : (float * float * float) array;
@@ -136,7 +135,6 @@ let integral_outcome ~capacities ~lower_bound ~passes ~pre_round_objective
     max_violation;
     row_usage;
     passes;
-    epsilon_feasible = max_violation <= epsilon;
     pre_round_objective;
     pre_round_violation;
     history;
@@ -721,7 +719,6 @@ let solve ?(round = true) ?initial (p : params) ~capacities ~oracles =
     max_violation;
     row_usage = Array.copy st.usage;
     passes = !passes;
-    epsilon_feasible = max_violation <= epsilon;
     pre_round_objective;
     pre_round_violation;
     history = Array.of_list (List.rev !history);

@@ -64,7 +64,6 @@ type 'a outcome = {
   max_violation : float;    (** {!max_violation} of [row_usage] *)
   row_usage : float array;  (** aggregate usage per coupling row *)
   passes : int;
-  epsilon_feasible : bool;  (** [max_violation <= epsilon] *)
   pre_round_objective : float;
       (** fractional LP objective before the rounding pass *)
   pre_round_violation : float;
@@ -102,9 +101,8 @@ val lagrangian_bound :
 val max_violation : capacities:float array -> float array -> float
 
 (** The outcome of one integral point per block: one column per block, the
-    objective and the row usage summed in block order, their
-    {!max_violation} and [epsilon_feasible]. The other fields are passed
-    through. *)
+    objective and the row usage summed in block order, and their
+    {!max_violation}. The other fields are passed through. *)
 val integral_outcome :
   capacities:float array -> lower_bound:float -> passes:int ->
   pre_round_objective:float -> pre_round_violation:float ->

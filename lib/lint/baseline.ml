@@ -53,16 +53,7 @@ let to_string t =
   header ^ String.concat "\n" lines ^ if lines = [] then "" else "\n"
 
 let load path =
-  if not (Sys.file_exists path) then empty
-  else begin
-    let ic = open_in_bin path in
-    let src =
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () -> really_input_string ic (in_channel_length ic))
-    in
-    of_string src
-  end
+  if Sys.file_exists path then of_string (Syntax.read_file path) else empty
 
 let save path t =
   let oc = open_out_bin path in

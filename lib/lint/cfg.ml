@@ -56,15 +56,6 @@ let add_stmt b node s =
 (* ------------------------------------------------------------------ *)
 (* Name tables                                                         *)
 
-let ident_of e =
-  match e.pexp_desc with
-  | Pexp_ident { txt; _ } -> Some (String.concat "." (Longident.flatten txt))
-  | _ -> None
-
-let callee_name e = Option.map Effects.normalize (ident_of e)
-
-let raise_family = [ "raise"; "raise_notrace"; "failwith"; "invalid_arg" ]
-
 (* Calls that run a literal closure argument zero or more times and
    never store it: the closure body is inlined as a loop. *)
 let iterators =
@@ -103,21 +94,11 @@ let borrows_closures name =
 (* The body of a literal lambda, with every leading parameter stripped;
    None for anything that is not a single-body lambda (multi-case
    [function] stays opaque — inlining would need a scrutinee). *)
-let lambda_body e =
-  let rec strip e =
-    match e.pexp_desc with
-    | Pexp_fun (_, _, _, inner) -> strip inner
-    | Pexp_newtype (_, inner) -> strip inner
-    | Pexp_constraint (inner, _) -> strip inner
-    | _ -> e
-  in
-  let rec first e =
-    match e.pexp_desc with
-    | Pexp_fun (_, _, _, inner) -> Some (strip inner)
-    | Pexp_newtype (_, inner) | Pexp_constraint (inner, _) -> first inner
-    | _ -> None
-  in
-  first e
+let rec lambda_body e =
+  match e.pexp_desc with
+  | Pexp_fun _ -> Some (Syntax.lambda_interior e)
+  | Pexp_newtype (_, inner) | Pexp_constraint (inner, _) -> lambda_body inner
+  | _ -> None
 
 let find_lambda args =
   List.find_map
@@ -271,8 +252,8 @@ let rec go b ~bind cur handler e =
       link b head after;
       after
   | Pexp_apply (f, args) -> (
-      match callee_name f with
-      | Some name when List.mem name raise_family ->
+      match Syntax.callee_name f with
+      | Some name when List.mem name Syntax.raise_family ->
           (* The raise ends this path; the continuation is unreachable
              (a fresh node with no predecessors). *)
           add_stmt b cur (Eval e);

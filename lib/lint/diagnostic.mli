@@ -24,6 +24,11 @@ val to_text : t -> string
     are escaped per the workflow-command rules. *)
 val to_github : t -> string
 
+(** A string's JSON escaping, without the surrounding quotes: quote,
+    backslash, newline, tab and carriage return as their short escapes,
+    any other control byte as a four-hex-digit unicode escape. *)
+val json_escape : string -> string
+
 (** One finding as a JSON object. *)
 val to_json : t -> string
 

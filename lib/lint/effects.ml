@@ -130,31 +130,6 @@ type file_analysis = {
 (* ------------------------------------------------------------------ *)
 (* Name tables                                                         *)
 
-let lid_name (lid : Longident.t) = String.concat "." (Longident.flatten lid)
-
-let ident_of e =
-  match e.pexp_desc with Pexp_ident { txt; _ } -> Some (lid_name txt) | _ -> None
-
-(* Strip the [Stdlib.] prefix and this repo's library wrappers
-   ([Vod_util.Pool.map] -> [Pool.map]) so one table serves qualified and
-   unqualified references alike. *)
-let normalize name =
-  match String.index_opt name '.' with
-  | None -> name
-  | Some i ->
-      let head = String.sub name 0 i in
-      let is_lib_wrapper =
-        head = "Stdlib"
-        || (String.length head > 4 && String.sub head 0 4 = "Vod_")
-      in
-      if is_lib_wrapper && String.contains_from name (i + 1) '.' then
-        String.sub name (i + 1) (String.length name - i - 1)
-      else if is_lib_wrapper then name
-      else name
-
-let has_prefix p s =
-  String.length s >= String.length p && String.sub s 0 (String.length p) = p
-
 (* name -> indices (over the positional argument list) of the arguments
    the callee mutates. *)
 let mutators =
@@ -221,18 +196,7 @@ let io_names =
 
 let io_prefixes = [ "Printf."; "Format."; "Scanf."; "Logs."; "Log."; "Out_channel."; "In_channel."; "Unix." ]
 
-(* Unix is almost entirely I/O; its two clock reads are classified more
-   precisely below (wallclock wins over the Unix. prefix). *)
-let wallclock_names = [ "Sys.time"; "Unix.gettimeofday"; "Unix.time" ]
-
 let rng_prefixes = [ "Rng." ]
-
-let pool_entries = [ "Pool.map"; "Pool.mapi"; "Pool.iteri"; "Pool.map_reduce" ]
-
-(* The per-task argument of a pool entry: [~f] for map/mapi/iteri, [~map]
-   for map_reduce ([~combine] runs sequentially in the submitting domain
-   and is exempt by the pool's ordered-merge contract). *)
-let pool_task_label = function "Pool.map_reduce" -> "map" | _ -> "f"
 
 (* Calls whose result aliases their first argument (so mutating the
    result mutates the argument). *)
@@ -244,19 +208,20 @@ let aliasing =
     "fst"; "snd"; "Atomic.get"; "Queue.peek"; "Queue.top"; "Stack.top";
   ]
 
-(* Explicit raisers only: stdlib partial functions (Hashtbl.find,
+(* Unix is almost entirely I/O; its two clock reads are classified more
+   precisely (wallclock wins over the Unix. prefix). Raises counts the
+   explicit raisers only: stdlib partial functions (Hashtbl.find,
    Option.get, ...) raise on *some* inputs, but counting them would make
    nearly every function may-raise and drown the missing-protect rule.
    assert is handled separately in the walker (it is not an apply). *)
-let raise_names = [ "raise"; "raise_notrace"; "failwith"; "invalid_arg" ]
-
 let classify_prim name =
-  if List.mem name wallclock_names then Some Wallclock
-  else if has_prefix "Random." name then Some Random
-  else if List.exists (fun p -> has_prefix p name) rng_prefixes then Some Rng_state
+  let under prefix = String.starts_with ~prefix name in
+  if List.mem name Syntax.wallclock_names then Some Wallclock
+  else if under "Random." then Some Random
+  else if List.exists under rng_prefixes then Some Rng_state
   else if List.mem name io_names then Some Io
-  else if List.exists (fun p -> has_prefix p name) io_prefixes then Some Io
-  else if List.mem name raise_names then Some Raises
+  else if List.exists under io_prefixes then Some Io
+  else if List.mem name Syntax.raise_family then Some Raises
   else None
 
 (* ------------------------------------------------------------------ *)
@@ -275,25 +240,8 @@ type env = {
 let lookup env n =
   match List.assoc_opt n env.vars with Some r -> r | None -> Global
 
-let pat_vars p =
-  let acc = ref [] in
-  let it =
-    {
-      Ast_iterator.default_iterator with
-      pat =
-        (fun self p ->
-          (match p.ppat_desc with
-          | Ppat_var { txt; _ } -> acc := txt :: !acc
-          | Ppat_alias (_, { txt; _ }) -> acc := txt :: !acc
-          | _ -> ());
-          Ast_iterator.default_iterator.pat self p);
-    }
-  in
-  it.pat it p;
-  !acc
-
 let bind_pat env p root =
-  { env with vars = List.map (fun n -> (n, root)) (pat_vars p) @ env.vars }
+  { env with vars = List.map (fun n -> (n, root)) (Syntax.pat_vars p) @ env.vars }
 
 let bind_name env n root = { env with vars = (n, root) :: env.vars }
 
@@ -310,8 +258,8 @@ let rec root_of env e =
   | Pexp_let (_, _, b) -> root_of env b
   | Pexp_ifthenelse (_, t, Some e2) -> worst (root_of env t) (root_of env e2)
   | Pexp_apply (f, args) -> (
-      match ident_of f with
-      | Some raw when List.mem (normalize raw) aliasing -> (
+      match Syntax.callee_name f with
+      | Some name when List.mem name aliasing -> (
           match args with
           | (_, a0) :: _ -> root_of env a0
           | [] -> Local)
@@ -357,23 +305,11 @@ let demote env =
         env.vars;
   }
 
-(* Split a [fun a b -> body] chain into parameter patterns + body. *)
-let rec fun_split e =
-  match e.pexp_desc with
-  | Pexp_fun (_, _, pat, body) ->
-      let ps, b = fun_split body in
-      (pat :: ps, b)
-  | Pexp_newtype (_, body) -> fun_split body
-  | Pexp_constraint (body, _) when (match body.pexp_desc with
-                                    | Pexp_fun _ | Pexp_function _ -> true
-                                    | _ -> false) ->
-      fun_split body
-  | _ -> ([], e)
-
-let is_function e =
-  match fun_split e with
-  | _ :: _, _ -> true
-  | [], b -> (match b.pexp_desc with Pexp_function _ -> true | _ -> false)
+(* A local function's parameter patterns and body, for inlining at its
+   call sites; a [function] body keeps its cases for [walk_fn]. *)
+let lfn_of e =
+  let ps, body = Syntax.params e in
+  { l_params = List.map (fun (_, _, p) -> p) ps; l_body = body }
 
 let rec walk st env e =
   match e.pexp_desc with
@@ -381,7 +317,7 @@ let rec walk st env e =
       (* A bare reference to an effect primitive (e.g. [List.iter
          print_endline xs]) carries the effect even though we cannot see
          the call. *)
-      match classify_prim (normalize (lid_name txt)) with
+      match classify_prim (Syntax.normalize (Syntax.lid_name txt)) with
       | Some k -> record_effect st k
       | None -> ())
   | Pexp_setfield (obj, _, v) ->
@@ -394,13 +330,12 @@ let rec walk st env e =
       let env' =
         List.fold_left
           (fun env' vb ->
-            if is_function vb.pvb_expr then begin
-              let params, fbody = split_all vb.pvb_expr in
+            if Syntax.is_function vb.pvb_expr then begin
               walk_fn st env vb.pvb_expr;
               match vb.pvb_pat.ppat_desc with
               | Ppat_var { txt; _ } ->
                   let env' = bind_name env' txt Local in
-                  { env' with fns = (txt, { l_params = params; l_body = fbody }) :: env'.fns }
+                  { env' with fns = (txt, lfn_of vb.pvb_expr) :: env'.fns }
               | _ -> bind_pat env' vb.pvb_pat Local
             end
             else begin
@@ -414,12 +349,11 @@ let rec walk st env e =
       let env' =
         List.fold_left
           (fun env' vb ->
-            if is_function vb.pvb_expr then
+            if Syntax.is_function vb.pvb_expr then
               match vb.pvb_pat.ppat_desc with
               | Ppat_var { txt; _ } ->
-                  let params, fbody = split_all vb.pvb_expr in
                   let env' = bind_name env' txt Local in
-                  { env' with fns = (txt, { l_params = params; l_body = fbody }) :: env'.fns }
+                  { env' with fns = (txt, lfn_of vb.pvb_expr) :: env'.fns }
               | _ -> bind_pat env' vb.pvb_pat Local
             else bind_pat env' vb.pvb_pat Local)
           env vbs
@@ -470,13 +404,7 @@ let rec walk st env e =
   | _ ->
       (* Remaining forms bind nothing interesting: iterate children in
          the current environment. *)
-      let it =
-        {
-          Ast_iterator.default_iterator with
-          expr = (fun _ ce -> walk st env ce);
-        }
-      in
-      Ast_iterator.default_iterator.expr it e
+      Syntax.iter_children (walk st env) e
 
 and walk_fn st env e =
   match e.pexp_desc with
@@ -493,36 +421,25 @@ and walk_fn st env e =
   | Pexp_newtype (_, body) | Pexp_constraint (body, _) -> walk_fn st env body
   | _ -> walk st env e
 
-and split_all e =
-  let params, body = fun_split e in
-  match body.pexp_desc with
-  | Pexp_function _ -> (params, body) (* cases handled by walk_fn *)
-  | _ -> (params, body)
-
 and walk_apply st env e f args =
   let walk_args () = List.iter (fun (_, a) -> walk st env a) args in
-  match ident_of f with
+  match Syntax.ident_of f with
   | None ->
       walk st env f;
       walk_args ()
   | Some raw -> (
-      let name = normalize raw in
-      (* [x |> f] and [f @@ x] are calls to [f]. *)
-      match (name, args) with
-      | "|>", [ (_, x); (_, fn) ] when ident_of fn <> None ->
+      match Syntax.pipeline (Syntax.normalize raw) args with
+      | Some ({ pexp_desc = Pexp_ident { txt; _ }; _ }, x) ->
           walk st env x;
-          handle_call st env e (Option.get (ident_of fn)) [ (Asttypes.Nolabel, x) ]
-      | "@@", [ (_, fn); (_, x) ] when ident_of fn <> None ->
-          walk st env x;
-          handle_call st env e (Option.get (ident_of fn)) [ (Asttypes.Nolabel, x) ]
+          handle_call st env e (Syntax.lid_name txt) [ (Asttypes.Nolabel, x) ]
       | _ ->
           walk_args ();
           handle_call st env e raw args)
 
 and handle_call st env e raw args =
-  let name = normalize raw in
+  let name = Syntax.normalize raw in
   let arg_roots = List.map (fun (_, a) -> root_of env a) args in
-  if List.mem name pool_entries then record_pool_site st env e name args;
+  if List.mem name Syntax.pool_entries then record_pool_site st env e name args;
   match List.assoc_opt name mutators with
   | Some idxs ->
       let n_args = List.length arg_roots in
@@ -602,7 +519,7 @@ and record_pool_site st env e entry args =
   match st.sites with
   | None -> ()
   | Some sites ->
-      let label = pool_task_label entry in
+      let label = Syntax.pool_task_label entry in
       let task =
         List.find_map
           (fun (lbl, a) ->
@@ -627,16 +544,13 @@ and record_pool_site st env e entry args =
             | Pexp_ident { txt = Longident.Lident n; _ }
               when List.mem_assoc n env.fns ->
                 Closure (analyze_capture st env (`Local_fn (List.assoc n env.fns)))
-            | Pexp_ident { txt; _ } -> Named (normalize (lid_name txt))
+            | Pexp_ident { txt; _ } -> Named (Syntax.normalize (Syntax.lid_name txt))
             | _ -> Closure (analyze_capture st env (`Expr a)))
       in
       sites := { site_loc = e.pexp_loc; entry; target } :: !sites
 
 (* ------------------------------------------------------------------ *)
 (* File analysis                                                       *)
-
-let module_name_of_path path =
-  String.capitalize_ascii (Filename.remove_extension (Filename.basename path))
 
 let analyze_value_binding ~sites ~prefix vb =
   let name =
@@ -655,31 +569,21 @@ let analyze_value_binding ~sites ~prefix vb =
   | Some n ->
       Some
         {
-          fn_name = (if prefix = "" then n else prefix ^ "." ^ n);
+          fn_name = Syntax.qualify prefix n;
           fn_loc = vb.pvb_loc;
           fn_result = { effects = st.effects; calls = st.calls };
         }
 
 let analyze_impl ~path (str : structure) =
   let sites = ref [] in
-  let rec items prefix str =
-    List.concat_map
-      (fun si ->
-        match si.pstr_desc with
-        | Pstr_value (_, vbs) ->
-            List.filter_map (analyze_value_binding ~sites ~prefix) vbs
-        | Pstr_module { pmb_name = { txt = Some m; _ }; pmb_expr; _ } -> (
-            match pmb_expr.pmod_desc with
-            | Pmod_structure sub ->
-                items (if prefix = "" then m else prefix ^ "." ^ m) sub
-            | _ -> [])
-        | _ -> [])
-      str
+  let fns =
+    List.filter_map
+      (fun (prefix, vb) -> analyze_value_binding ~sites ~prefix vb)
+      (Syntax.bindings str)
   in
-  let fns = items "" str in
   {
     fa_path = path;
-    fa_module = module_name_of_path path;
+    fa_module = Syntax.module_name_of_path path;
     fa_fns = fns;
     fa_sites = List.rev !sites;
   }

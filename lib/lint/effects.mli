@@ -105,14 +105,6 @@ type file_analysis = {
   fa_sites : pool_site list;
 }
 
-val normalize : string -> string
-(** Strip a leading [Stdlib.] or [Vod_*] wrapper component from a
-    qualified name, so ["Vod_util.Pool.map"] and ["Pool.map"] coincide. *)
-
-val module_name_of_path : string -> string
-(** ["lib/util/pool.ml"] → ["Pool"]: the module name a path defines,
-    used to key cross-module summary lookups. *)
-
 val analyze_impl : path:string -> Parsetree.structure -> file_analysis
 (** Analyze one implementation file: per-function effect summaries plus
     every pool submission site. Purely syntactic — never raises on odd

@@ -35,23 +35,12 @@ let discover roots =
   |> List.sort String.compare
 
 let ctx_of_path ~on_disk path =
-  let has_prefix p =
-    String.length path >= String.length p && String.sub path 0 (String.length p) = p
-  in
   {
     Rules.path;
-    in_lib = has_prefix "lib/" || has_prefix "./lib/";
-    in_div_scope =
-      has_prefix "lib/epf/" || has_prefix "lib/lp/" || has_prefix "./lib/epf/"
-      || has_prefix "./lib/lp/";
+    in_lib = Syntax.in_dir "lib/" path;
+    in_div_scope = Syntax.in_dir "lib/epf/" path || Syntax.in_dir "lib/lp/" path;
     on_disk;
   }
-
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
 
 (* Parse one file with the compiler front end. [Pparse] handles the
    ast-magic / preprocessor plumbing the compiler itself uses. *)
@@ -94,7 +83,7 @@ let lint_string ?(rules = Rules.all) ~path src =
 let lint_file ?(rules = Rules.all) path =
   match parse_file path with
   | ast ->
-      let src = read_file path in
+      let src = Syntax.read_file path in
       run_rules ~rules ~ctx:(ctx_of_path ~on_disk:true path) ~src ast
   | exception e -> [ parse_error_diag ~path e ]
 
@@ -154,7 +143,7 @@ let lint_project ?(rules = Rules.all) ?(disabled = [])
   let files =
     discover roots
     |> List.map (fun path ->
-           let src = try read_file path with _e -> "" in
+           let src = try Syntax.read_file path with _e -> "" in
            let parsed = try Ok (parse_file path) with e -> Error e in
            (path, src, parsed))
   in

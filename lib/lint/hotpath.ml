@@ -6,19 +6,6 @@
 
 open Parsetree
 
-let lid_name (lid : Longident.t) = String.concat "." (Longident.flatten lid)
-
-let ident_of e =
-  match e.pexp_desc with
-  | Pexp_ident { txt; _ } -> Some (lid_name txt)
-  | _ -> None
-
-(* Mirrors Effects.pool_entries / pool_task_label, which are not
-   exported. *)
-let pool_entries = [ "Pool.map"; "Pool.mapi"; "Pool.iteri"; "Pool.map_reduce" ]
-
-let pool_task_label entry = if entry = "Pool.map_reduce" then "map" else "f"
-
 (* Serving-loop roots: key, obs phase-timer name, rank (1 = hottest to
    triage first), and whether the function itself is called once per
    request/iteration so even its straight-line allocations count. *)
@@ -97,80 +84,20 @@ let rec looks_float e =
   match e.pexp_desc with
   | Pexp_constant (Pconst_float _) -> true
   | Pexp_apply (f, _) -> (
-      match ident_of f with
-      | Some n -> List.mem (Effects.normalize n) float_ops
+      match Syntax.callee_name f with
+      | Some n -> List.mem n float_ops
       | None -> false)
   | Pexp_constraint (b, _) -> looks_float b
   | _ -> false
 
-let rec fun_split e =
+(* A local [let] that allocates a closure. Unlike [Syntax.is_function],
+   a locally abstract type counts even over a non-function body, and a
+   type constraint only over a [fun]. *)
+let allocates_closure e =
   match e.pexp_desc with
-  | Pexp_fun (_, _, _, body) | Pexp_newtype (_, body) ->
-      let n, b = fun_split body in
-      (n + 1, b)
-  | Pexp_constraint (body, _)
-    when (match body.pexp_desc with
-         | Pexp_fun _ | Pexp_function _ -> true
-         | _ -> false) ->
-      fun_split body
-  | _ -> (0, e)
-
-let is_function_expr e =
-  match e.pexp_desc with
-  | Pexp_fun _ | Pexp_function _ -> true
-  | Pexp_newtype _ | Pexp_constraint _ -> fst (fun_split e) > 0
+  | Pexp_fun _ | Pexp_function _ | Pexp_newtype _ -> true
+  | Pexp_constraint ({ pexp_desc = Pexp_fun _; _ }, _) -> true
   | _ -> false
-
-let rec simple_var p =
-  match p.ppat_desc with
-  | Ppat_var { txt; _ } -> Some txt
-  | Ppat_constraint (q, _) -> simple_var q
-  | _ -> None
-
-(* ------------------------------------------------------------------ *)
-(* Definition table                                                    *)
-
-type def = {
-  d_key : string;
-  d_path : string;
-  d_loc : Location.t;
-  d_expr : expression;
-}
-
-let collect_defs files =
-  List.concat_map
-    (fun (path, str) ->
-      let m = Effects.module_name_of_path path in
-      let rec items prefix str =
-        List.concat_map
-          (fun si ->
-            match si.pstr_desc with
-            | Pstr_value (_, vbs) ->
-                List.filter_map
-                  (fun vb ->
-                    match simple_var vb.pvb_pat with
-                    | Some n ->
-                        Some
-                          {
-                            d_key =
-                              m ^ "."
-                              ^ (if prefix = "" then n else prefix ^ "." ^ n);
-                            d_path = path;
-                            d_loc = vb.pvb_loc;
-                            d_expr = vb.pvb_expr;
-                          }
-                    | None -> None)
-                  vbs
-            | Pstr_module { pmb_name = { txt = Some sub; _ }; pmb_expr; _ } -> (
-                match pmb_expr.pmod_desc with
-                | Pmod_structure s ->
-                    items (if prefix = "" then sub else prefix ^ "." ^ sub) s
-                | _ -> [])
-            | _ -> [])
-          str
-      in
-      items "" str)
-    files
 
 (* ------------------------------------------------------------------ *)
 (* Hot-set state                                                       *)
@@ -182,7 +109,7 @@ type hot = {
 }
 
 type st = {
-  defs : (string, def) Hashtbl.t;
+  defs : (string, Syntax.def) Hashtbl.t;
   hots : (string, hot) Hashtbl.t;
   mutable queue : string list;
   mutable diags : Diagnostic.t list;
@@ -192,19 +119,8 @@ type st = {
 }
 
 let resolve st current_module name =
-  let name = Effects.normalize name in
-  let candidates =
-    if String.contains name '.' then
-      let parts = String.split_on_char '.' name in
-      let last2 =
-        match List.rev parts with
-        | f :: m :: _ -> [ m ^ "." ^ f ]
-        | _ -> []
-      in
-      name :: last2
-    else [ current_module ^ "." ^ name ]
-  in
-  List.find_opt (Hashtbl.mem st.defs) candidates
+  Syntax.candidates ~current_module (Syntax.normalize name)
+  |> List.find_opt (Hashtbl.mem st.defs)
 
 let mark_hot st key ~phase ~rank ~loop =
   match Hashtbl.find_opt st.hots key with
@@ -217,7 +133,7 @@ let mark_hot st key ~phase ~rank ~loop =
         st.queue <- key :: st.queue
       end
 
-let report st d ~key ~phase ~rank ~loc ~kind ~loopctx msg =
+let report st (d : Syntax.def) ~key ~phase ~rank ~loc ~kind ~loopctx msg =
   let dedup = (d.d_path, key, kind, loopctx) in
   if not (Hashtbl.mem st.seen dedup) then begin
     Hashtbl.add st.seen dedup ();
@@ -235,11 +151,8 @@ let report st d ~key ~phase ~rank ~loc ~kind ~loopctx msg =
 (* [inl] is syntactic loop depth inside this function; [loop_hot]
    means the whole function runs per iteration of some caller's loop.
    Allocation context is active when either holds. *)
-let scan_def st d ~key ~phase ~rank ~loop_hot =
-  let module_of_key k =
-    match String.index_opt k '.' with Some i -> String.sub k 0 i | None -> k
-  in
-  let current_module = module_of_key key in
+let scan_def st (d : Syntax.def) ~key ~phase ~rank ~loop_hot =
+  let current_module = Syntax.module_of_key key in
   let edges = ref [] in
   let edge name ~loopctx = edges := (name, loopctx) :: !edges in
   let rec walk ~inl ~cons_tail e =
@@ -251,8 +164,7 @@ let scan_def st d ~key ~phase ~rank ~loop_hot =
         if active then
           rep ~kind:"closure" ~loc:e.pexp_loc
             "hoist it out of the loop or use an explicit for loop";
-        let _, body = fun_split e in
-        walk ~inl ~cons_tail:false body
+        walk ~inl ~cons_tail:false (snd (Syntax.params e))
     | Pexp_function cases ->
         if active then
           rep ~kind:"closure" ~loc:e.pexp_loc
@@ -296,14 +208,13 @@ let scan_def st d ~key ~phase ~rank ~loop_hot =
     | Pexp_let (_, vbs, body) ->
         List.iter
           (fun vb ->
-            if is_function_expr vb.pvb_expr then begin
+            if allocates_closure vb.pvb_expr then begin
               (* A local function definition: allocating the closure
                  counts, and its body inherits this context. *)
               if active then
                 rep ~kind:"closure" ~loc:vb.pvb_loc
                   "hoist the local function to toplevel or inline it";
-              let _, body = fun_split vb.pvb_expr in
-              walk ~inl ~cons_tail:false body
+              walk ~inl ~cons_tail:false (snd (Syntax.params vb.pvb_expr))
             end
             else walk ~inl ~cons_tail:false vb.pvb_expr)
           vbs;
@@ -328,36 +239,24 @@ let scan_def st d ~key ~phase ~rank ~loop_hot =
     | Pexp_sequence (a, b) ->
         walk ~inl ~cons_tail:false a;
         walk ~inl ~cons_tail b
-    | _ ->
-        let it =
-          {
-            Ast_iterator.default_iterator with
-            expr = (fun _ ce -> walk ~inl ~cons_tail:false ce);
-          }
-        in
-        Ast_iterator.default_iterator.expr it e
+    | _ -> Syntax.iter_children (walk ~inl ~cons_tail:false) e
   and apply ~inl ~cons_tail e f args =
     let active = loop_hot || inl > 0 in
     let loopctx = inl > 0 in
     let rep ~kind ~loc msg = report st d ~key ~phase ~rank ~loc ~kind ~loopctx msg in
     let walk_args ~inl = List.iter (fun (_, a) -> walk ~inl ~cons_tail:false a) args in
-    match ident_of f with
+    match Syntax.callee_name f with
     | None ->
         walk ~inl ~cons_tail:false f;
         walk_args ~inl
-    | Some raw -> (
-        let name = Effects.normalize raw in
-        (* Rewire pipelines so [x |> f] looks like [f x]. *)
-        match (name, args) with
-        | "|>", [ (_, x); (_, fn) ] ->
-            retarget ~inl ~cons_tail e fn [ (Asttypes.Nolabel, x) ]
-        | "@@", [ (_, fn); (_, x) ] ->
-            retarget ~inl ~cons_tail e fn [ (Asttypes.Nolabel, x) ]
-        | _ ->
-            if List.mem name pool_entries then begin
+    | Some name -> (
+        match Syntax.pipeline name args with
+        | Some (fn, x) -> retarget ~inl ~cons_tail e fn [ (Asttypes.Nolabel, x) ]
+        | None ->
+            if List.mem name Syntax.pool_entries then begin
               (* Pool tasks are handled by the dedicated pool pass;
                  walk only the non-functional arguments here. *)
-              let lbl = pool_task_label name in
+              let lbl = Syntax.pool_task_label name in
               List.iter
                 (fun (l, a) ->
                   match l with
@@ -403,17 +302,11 @@ let scan_def st d ~key ~phase ~rank ~loop_hot =
                           rep ~kind:"closure" ~loc:a.pexp_loc
                             "hoist it out of the loop or use an explicit for \
                              loop";
-                        let _, body = fun_split a in
-                        let body =
-                          match a.pexp_desc with
-                          | Pexp_function _ -> a
-                          | _ -> body
-                        in
-                        walk_iter_body ~inl body
+                        walk_iter_body ~inl (snd (Syntax.params a))
                     | Pexp_ident _ ->
                         Option.iter
                           (fun n -> edge n ~loopctx:true)
-                          (ident_of a)
+                          (Syntax.ident_of a)
                     | _ -> walk ~inl ~cons_tail:false a)
                   args
               end
@@ -426,9 +319,9 @@ let scan_def st d ~key ~phase ~rank ~loop_hot =
                   (fun (_, a) ->
                     match a.pexp_desc with
                     | Pexp_ident _ when resolve st current_module
-                                          (Option.get (ident_of a))
+                                          (Option.get (Syntax.ident_of a))
                                         <> None ->
-                        edge (Option.get (ident_of a)) ~loopctx:active
+                        edge (Option.get (Syntax.ident_of a)) ~loopctx:active
                     | _ -> ())
                   args
               end
@@ -451,8 +344,7 @@ let scan_def st d ~key ~phase ~rank ~loop_hot =
         walk ~inl ~cons_tail:false fn;
         List.iter (fun (_, a) -> walk ~inl ~cons_tail:false a) args
   in
-  let _, body = fun_split d.d_expr in
-  let body = match d.d_expr.pexp_desc with Pexp_function _ -> d.d_expr | _ -> body in
+  let body = snd (Syntax.params d.d_expr) in
   (match body.pexp_desc with
   | Pexp_function cases ->
       List.iter
@@ -469,66 +361,47 @@ let scan_def st d ~key ~phase ~rank ~loop_hot =
 let pool_pass st files =
   List.iter
     (fun (path, str) ->
-      let m = Effects.module_name_of_path path in
-      let it =
-        {
-          Ast_iterator.default_iterator with
-          expr =
-            (fun self e ->
-              (match e.pexp_desc with
-              | Pexp_apply (f, args) -> (
-                  match ident_of f with
-                  | Some raw when List.mem (Effects.normalize raw) pool_entries
-                    ->
-                      let name = Effects.normalize raw in
-                      let lbl = pool_task_label name in
-                      List.iter
-                        (fun (l, a) ->
-                          match l with
-                          | Asttypes.Labelled l' when l' = lbl -> (
-                              match a.pexp_desc with
-                              | Pexp_fun _ | Pexp_function _ | Pexp_newtype _
-                                ->
-                                  let d =
-                                    {
-                                      d_key = m ^ " pool task";
-                                      d_path = path;
-                                      d_loc = a.pexp_loc;
-                                      d_expr = a;
-                                    }
-                                  in
-                                  ignore
-                                    (scan_def st d ~key:d.d_key ~phase:"pool"
-                                       ~rank:2 ~loop_hot:true)
-                              | Pexp_ident _ ->
-                                  Option.iter
-                                    (fun n ->
-                                      match resolve st m n with
-                                      | Some k ->
-                                          mark_hot st k ~phase:"pool" ~rank:2
-                                            ~loop:true
-                                      | None -> ())
-                                    (ident_of a)
-                              | _ -> ())
-                          | _ -> ())
-                        args
-                  | _ -> ())
-              | _ -> ());
-              Ast_iterator.default_iterator.expr self e);
-        }
+      let m = Syntax.module_name_of_path path in
+      let task a =
+        match a.pexp_desc with
+        | Pexp_fun _ | Pexp_function _ | Pexp_newtype _ ->
+            let d =
+              { Syntax.d_key = m ^ " pool task"; d_path = path; d_loc = a.pexp_loc; d_expr = a }
+            in
+            ignore (scan_def st d ~key:d.d_key ~phase:"pool" ~rank:2 ~loop_hot:true)
+        | Pexp_ident _ -> (
+            match Option.bind (Syntax.ident_of a) (resolve st m) with
+            | Some k -> mark_hot st k ~phase:"pool" ~rank:2 ~loop:true
+            | None -> ())
+        | _ -> ()
       in
-      it.structure it str)
+      Syntax.iter_structure_exprs
+        (fun e ->
+          match e.pexp_desc with
+          | Pexp_apply (f, args) -> (
+              match Syntax.callee_name f with
+              | Some name when List.mem name Syntax.pool_entries ->
+                  let lbl = Syntax.pool_task_label name in
+                  List.iter
+                    (fun (l, a) ->
+                      match l with
+                      | Asttypes.Labelled l' when l' = lbl -> task a
+                      | _ -> ())
+                    args
+              | _ -> ())
+          | _ -> ())
+        str)
     files
 
 (* ------------------------------------------------------------------ *)
 (* Driver                                                              *)
 
 let run files =
-  let defs = collect_defs files in
   let deftbl = Hashtbl.create 256 in
   List.iter
-    (fun d -> if not (Hashtbl.mem deftbl d.d_key) then Hashtbl.add deftbl d.d_key d)
-    defs;
+    (fun (d : Syntax.def) ->
+      if not (Hashtbl.mem deftbl d.d_key) then Hashtbl.add deftbl d.d_key d)
+    (Syntax.collect_defs files);
   let st =
     {
       defs = deftbl;
@@ -559,11 +432,7 @@ let run files =
               scan_def st d ~key ~phase:h.h_phase ~rank:h.h_rank
                 ~loop_hot:h.h_loop
             in
-            let current_module =
-              match String.index_opt key '.' with
-              | Some i -> String.sub key 0 i
-              | None -> key
-            in
+            let current_module = Syntax.module_of_key key in
             List.iter
               (fun (name, loopctx) ->
                 match resolve st current_module name with

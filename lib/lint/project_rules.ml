@@ -85,27 +85,12 @@ let all =
 
 let find id = List.find_opt (fun r -> r.id = id) all
 
-let has_prefix p s =
-  String.length s >= String.length p && String.sub s 0 (String.length p) = p
-
-let in_lib path = has_prefix "lib/" path || has_prefix "./lib/" path
+let in_lib = Syntax.in_dir "lib/"
 
 (* lib/obs is the quarantined observability layer: the one lib/
    directory allowed to read the clock (wallclock-in-solver) and to
    read registries back (obs-taint) — its whole purpose. *)
-let in_obs path = has_prefix "lib/obs/" path || has_prefix "./lib/obs/" path
-
-(* The pool implementation itself writes per-task result slots from
-   inside its own worker loop; that is the one sanctioned shared-state
-   mutation (ordered, disjoint indices). *)
-let is_pool_impl path =
-  Filename.basename path = "pool.ml"
-  && Filename.basename (Filename.dirname path) = "util"
-
-let lid_name (lid : Longident.t) = String.concat "." (Longident.flatten lid)
-
-let ident_of e =
-  match e.pexp_desc with Pexp_ident { txt; _ } -> Some (lid_name txt) | _ -> None
+let in_obs = Syntax.in_dir "lib/obs/"
 
 (* ------------------------------------------------------------------ *)
 (* par-race                                                            *)
@@ -125,8 +110,11 @@ let race_reasons effects =
     (fun (k, msg) -> if Effects.mem k effects then Some msg else None)
     race_kinds
 
+(* The pool implementation itself writes per-task result slots from
+   inside its own worker loop; that is the one sanctioned shared-state
+   mutation (ordered, disjoint indices). *)
 let par_race ~table (fa : Effects.file_analysis) =
-  if is_pool_impl fa.fa_path then []
+  if Syntax.is_pool_impl fa.fa_path then []
   else
     List.filter_map
       (fun (site : Effects.pool_site) ->
@@ -164,21 +152,16 @@ let float_ops = [ "+."; "-."; "*." ]
 
 let mentions name e =
   let found = ref false in
-  let it =
-    {
-      Ast_iterator.default_iterator with
-      expr =
-        (fun self ce ->
-          (match ce.pexp_desc with
-          | Pexp_ident { txt = Longident.Lident n; _ } when n = name ->
-              found := true
-          | _ -> ());
-          Ast_iterator.default_iterator.expr self ce);
-    }
-  in
-  it.expr it e;
+  Syntax.iter_exprs
+    (fun ce ->
+      match ce.pexp_desc with
+      | Pexp_ident { txt = Longident.Lident n; _ } when n = name -> found := true
+      | _ -> ())
+    e;
   !found
 
+(* A [fun] chain's parameter patterns and body. Unlike [Syntax.params],
+   a type constraint ends the chain. *)
 let rec fun_params e =
   match e.pexp_desc with
   | Pexp_fun (_, _, pat, body) ->
@@ -187,6 +170,8 @@ let rec fun_params e =
   | Pexp_newtype (_, body) -> fun_params body
   | _ -> ([], e)
 
+(* The plain variables of a pattern; unlike [Syntax.pat_vars], [as]
+   aliases are left out. *)
 let pat_names p =
   let acc = ref [] in
   let it =
@@ -203,37 +188,30 @@ let pat_names p =
   it.pat it p;
   !acc
 
+let is_float_op f =
+  match Syntax.ident_of f with Some op -> List.mem op float_ops | None -> false
+
 (* Flag float-arithmetic applications inside [body] where some operand
    mentions one of [names] (fold accumulators), at the operator's
    location. *)
 let float_ops_mentioning ~file ~names body =
   let diags = ref [] in
-  let it =
-    {
-      Ast_iterator.default_iterator with
-      expr =
-        (fun self ce ->
-          (match ce.pexp_desc with
-          | Pexp_apply (f, args) -> (
-              match ident_of f with
-              | Some op when List.mem op float_ops ->
-                  if
-                    List.exists
-                      (fun (_, a) -> List.exists (fun n -> mentions n a) names)
-                      args
-                  then
-                    diags :=
-                      Diagnostic.make ~file ~loc:ce.pexp_loc ~rule:"float-order"
-                        "float accumulation inside Hashtbl.fold: the total \
-                         depends on table insertion/resize history; fold over \
-                         sorted keys (Stats_acc.sorted_keys) instead"
-                      :: !diags
-              | _ -> ())
-          | _ -> ());
-          Ast_iterator.default_iterator.expr self ce);
-    }
-  in
-  it.expr it body;
+  Syntax.iter_exprs
+    (fun ce ->
+      match ce.pexp_desc with
+      | Pexp_apply (f, args)
+        when is_float_op f
+             && List.exists
+                  (fun (_, a) -> List.exists (fun n -> mentions n a) names)
+                  args ->
+          diags :=
+            Diagnostic.make ~file ~loc:ce.pexp_loc ~rule:"float-order"
+              "float accumulation inside Hashtbl.fold: the total depends on \
+               table insertion/resize history; fold over sorted keys \
+               (Stats_acc.sorted_keys) instead"
+            :: !diags
+      | _ -> ())
+    body;
   !diags
 
 (* Flag [r := rhs] inside an iter body where [rhs] reads [r] back and
@@ -242,119 +220,75 @@ let float_accum_assigns ~file body =
   let diags = ref [] in
   let has_float_op e =
     let found = ref false in
-    let it =
-      {
-        Ast_iterator.default_iterator with
-        expr =
-          (fun self ce ->
-            (match ce.pexp_desc with
-            | Pexp_apply (f, _) -> (
-                match ident_of f with
-                | Some op when List.mem op float_ops -> found := true
-                | _ -> ())
-            | _ -> ());
-            Ast_iterator.default_iterator.expr self ce);
-      }
-    in
-    it.expr it e;
+    Syntax.iter_exprs
+      (fun ce ->
+        match ce.pexp_desc with
+        | Pexp_apply (f, _) when is_float_op f -> found := true
+        | _ -> ())
+      e;
     !found
   in
-  let it =
-    {
-      Ast_iterator.default_iterator with
-      expr =
-        (fun self ce ->
-          (match ce.pexp_desc with
-          | Pexp_apply (f, [ (_, lhs); (_, rhs) ]) when ident_of f = Some ":="
-            -> (
-              match ident_of lhs with
-              | Some r when mentions r rhs && has_float_op rhs ->
-                  diags :=
-                    Diagnostic.make ~file ~loc:ce.pexp_loc ~rule:"float-order"
-                      "float accumulation inside Hashtbl.iter: the running \
-                       sum depends on table insertion/resize history; fold \
-                       over sorted keys (Stats_acc.sorted_keys) instead"
-                    :: !diags
-              | _ -> ())
-          | _ -> ());
-          Ast_iterator.default_iterator.expr self ce);
-    }
-  in
-  it.expr it body;
+  Syntax.iter_exprs
+    (fun ce ->
+      match ce.pexp_desc with
+      | Pexp_apply (f, [ (_, lhs); (_, rhs) ]) when Syntax.ident_of f = Some ":=" -> (
+          match Syntax.ident_of lhs with
+          | Some r when mentions r rhs && has_float_op rhs ->
+              diags :=
+                Diagnostic.make ~file ~loc:ce.pexp_loc ~rule:"float-order"
+                  "float accumulation inside Hashtbl.iter: the running sum \
+                   depends on table insertion/resize history; fold over \
+                   sorted keys (Stats_acc.sorted_keys) instead"
+                :: !diags
+          | _ -> ())
+      | _ -> ())
+    body;
   !diags
 
 let float_order ~file (str : structure) =
   let diags = ref [] in
-  let it =
-    {
-      Ast_iterator.default_iterator with
-      expr =
-        (fun self ce ->
-          (match ce.pexp_desc with
-          | Pexp_apply (f, args) -> (
-              match Option.map Effects.normalize (ident_of f) with
-              | Some "Hashtbl.iter" -> (
-                  match args with
-                  | (_, fn) :: _ -> (
-                      match fun_params fn with
-                      | _ :: _, body ->
-                          diags := float_accum_assigns ~file body @ !diags
-                      | [], _ -> ())
-                  | [] -> ())
-              | Some "Hashtbl.fold" -> (
-                  match args with
-                  | (_, fn) :: _ -> (
-                      match fun_params fn with
-                      | [ _; _; acc_pat ], body ->
-                          let names = pat_names acc_pat in
-                          if names <> [] then
-                            diags :=
-                              float_ops_mentioning ~file ~names body @ !diags
-                      | _ -> ())
-                  | [] -> ())
-              | _ -> ())
-          | _ -> ());
-          Ast_iterator.default_iterator.expr self ce);
-    }
-  in
-  it.structure it str;
+  Syntax.iter_structure_exprs
+    (fun ce ->
+      match ce.pexp_desc with
+      | Pexp_apply (f, (_, fn) :: _) -> (
+          match (Syntax.callee_name f, fun_params fn) with
+          | Some "Hashtbl.iter", (_ :: _, body) ->
+              diags := float_accum_assigns ~file body @ !diags
+          | Some "Hashtbl.fold", ([ _; _; acc_pat ], body) ->
+              let names = pat_names acc_pat in
+              if names <> [] then
+                diags := float_ops_mentioning ~file ~names body @ !diags
+          | _ -> ())
+      | _ -> ())
+    str;
   !diags
 
 (* ------------------------------------------------------------------ *)
-(* wallclock-in-solver                                                 *)
+(* wallclock-in-solver and obs-taint                                   *)
 
-let wallclock_names = [ "Sys.time"; "Unix.gettimeofday"; "Unix.time" ]
-
-let wallclock ~file (str : structure) =
+(* Every mention under lib/, outside lib/obs, of an identifier whose
+   normalized name is in [names]. *)
+let quarantined ~rule ~names ~message ~file (str : structure) =
   if (not (in_lib file)) || in_obs file then []
   else begin
     let diags = ref [] in
-    let it =
-      {
-        Ast_iterator.default_iterator with
-        expr =
-          (fun self ce ->
-            (match ce.pexp_desc with
-            | Pexp_ident { txt; _ }
-              when List.mem (Effects.normalize (lid_name txt)) wallclock_names
-              ->
-                diags :=
-                  Diagnostic.make ~file ~loc:ce.pexp_loc
-                    ~rule:"wallclock-in-solver"
-                    "wall-clock reading in lib/: time must never feed solver \
-                     numerics; derive values from inputs, or suppress with \
-                     the invariant that this only decorates reports"
-                  :: !diags
-            | _ -> ());
-            Ast_iterator.default_iterator.expr self ce);
-      }
-    in
-    it.structure it str;
+    Syntax.iter_structure_exprs
+      (fun ce ->
+        match ce.pexp_desc with
+        | Pexp_ident { txt; _ }
+          when List.mem (Syntax.normalize (Syntax.lid_name txt)) names ->
+            diags := Diagnostic.make ~file ~loc:ce.pexp_loc ~rule message :: !diags
+        | _ -> ())
+      str;
     !diags
   end
 
-(* ------------------------------------------------------------------ *)
-(* obs-taint                                                           *)
+let wallclock =
+  quarantined ~rule:"wallclock-in-solver" ~names:Syntax.wallclock_names
+    ~message:
+      "wall-clock reading in lib/: time must never feed solver numerics; \
+       derive values from inputs, or suppress with the invariant that this \
+       only decorates reports"
 
 (* The recording half of Vod_obs.Obs (incr/observe/push/phase/...) is
    free to appear anywhere: it is write-only and no-ops without a
@@ -363,34 +297,13 @@ let wallclock ~file (str : structure) =
    mention of it is a finding. Matching is on the normalized qualified
    name, which covers [Vod_obs.Obs.read], [Obs.read] after [module Obs
    = Vod_obs.Obs], and [Obs.read] under [open Vod_obs] alike. *)
-let obs_readers =
-  [ "Obs.read"; "Obs.names"; "Obs.report"; "Obs.to_json"; "Obs.write_json" ]
-
-let obs_taint ~file (str : structure) =
-  if (not (in_lib file)) || in_obs file then []
-  else begin
-    let diags = ref [] in
-    let it =
-      {
-        Ast_iterator.default_iterator with
-        expr =
-          (fun self ce ->
-            (match ce.pexp_desc with
-            | Pexp_ident { txt; _ }
-              when List.mem (Effects.normalize (lid_name txt)) obs_readers ->
-                diags :=
-                  Diagnostic.make ~file ~loc:ce.pexp_loc ~rule:"obs-taint"
-                    "Obs reading API in lib/: a metric value read here could \
-                     feed solver numerics and break determinism; export \
-                     registries from the bin/ or bench/ front ends instead"
-                  :: !diags
-            | _ -> ());
-            Ast_iterator.default_iterator.expr self ce);
-      }
-    in
-    it.structure it str;
-    !diags
-  end
+let obs_taint =
+  quarantined ~rule:"obs-taint"
+    ~names:[ "Obs.read"; "Obs.names"; "Obs.report"; "Obs.to_json"; "Obs.write_json" ]
+    ~message:
+      "Obs reading API in lib/: a metric value read here could feed solver \
+       numerics and break determinism; export registries from the bin/ or \
+       bench/ front ends instead"
 
 (* ------------------------------------------------------------------ *)
 (* Driver                                                              *)

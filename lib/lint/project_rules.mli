@@ -43,7 +43,7 @@
 type t = { id : string; doc : string }
 
 val all : t list
-(** Every project rule, in presentation order (for [--list-rules]). *)
+(** Every project rule, in presentation order (for [--rules]). *)
 
 val find : string -> t option
 (** Look a rule up by id. *)

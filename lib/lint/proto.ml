@@ -27,17 +27,7 @@ let decl_of_string text =
     raise (Decl_error (Printf.sprintf "protocols.decl line %d: %s" line msg))
   in
   let parse_line lineno acc line =
-    let line =
-      match String.index_opt line '#' with
-      | Some i -> String.sub line 0 i
-      | None -> line
-    in
-    let words =
-      String.split_on_char ' ' line
-      |> List.concat_map (String.split_on_char '\t')
-      |> List.filter (fun w -> w <> "")
-    in
-    match words with
+    match Syntax.decl_words line with
     | [] -> acc
     | name :: fields ->
         if String.contains name '=' then
@@ -95,15 +85,8 @@ let decl_of_string text =
   |> snd
 
 let load_decl path =
-  if not (Sys.file_exists path) then empty_decl
-  else
-    let ic = open_in_bin path in
-    let text =
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () -> really_input_string ic (in_channel_length ic))
-    in
-    decl_of_string text
+  if Sys.file_exists path then decl_of_string (Syntax.read_file path)
+  else empty_decl
 
 let decl_values (d : decl) =
   List.concat_map
@@ -113,43 +96,29 @@ let decl_values (d : decl) =
 (* ------------------------------------------------------------------ *)
 (* Name matching                                                       *)
 
-let ident_of e =
-  match e.pexp_desc with
-  | Pexp_ident { txt; _ } -> Some (String.concat "." (Longident.flatten txt))
-  | _ -> None
-
-let callee_name e = Option.map Effects.normalize (ident_of e)
-
-let raise_family = [ "raise"; "raise_notrace"; "failwith"; "invalid_arg" ]
-
 (* Does callee [raw] (normalized) refer to one of the declared [fns],
-   as seen from [current_module]? Unqualified names resolve within the
-   current module first; qualified names also match by their last two
-   components. *)
+   as seen from [current_module]? It matches as written (stdlib
+   [open_out]) or under any of its lookup {!Syntax.candidates}. *)
 let match_fn ~current_module raw fns =
-  let candidates =
-    if String.contains raw '.' then
-      let parts = String.split_on_char '.' raw in
-      match List.rev parts with
-      | f :: m :: _ -> [ raw; m ^ "." ^ f ]
-      | _ -> [ raw ]
-    else [ current_module ^ "." ^ raw; raw ]
-  in
-  List.exists (fun c -> List.mem c fns) candidates
+  List.exists (fun c -> List.mem c fns) (raw :: Syntax.candidates ~current_module raw)
 
 (* ------------------------------------------------------------------ *)
 (* Collecting the functions to analyze                                 *)
 
-let rec is_function e =
+(* A lambda under any number of type constraints. Unlike
+   [Syntax.is_function], a locally abstract type counts over any body. *)
+let rec is_lambda e =
   match e.pexp_desc with
   | Pexp_fun _ | Pexp_function _ | Pexp_newtype _ -> true
-  | Pexp_constraint (inner, _) -> is_function inner
+  | Pexp_constraint (inner, _) -> is_lambda inner
   | _ -> false
 
 (* Top-level (and nested-module) [let f = fun ...] bodies. Module-level
    constants are deliberately skipped: a resource bound at module scope
-   lives for the program and has no release path to check. *)
-let collect_defs str =
+   lives for the program and has no release path to check. Unlike
+   [Syntax.collect_defs], anonymous modules are entered and no module
+   prefix is kept. *)
+let function_bodies str =
   let acc = ref [] in
   let rec items str =
     List.iter
@@ -159,7 +128,7 @@ let collect_defs str =
             List.iter
               (fun vb ->
                 match vb.pvb_pat.ppat_desc with
-                | Ppat_var _ when is_function vb.pvb_expr ->
+                | Ppat_var _ when is_lambda vb.pvb_expr ->
                     acc := vb.pvb_expr :: !acc
                 | _ -> ())
               vbs
@@ -175,34 +144,6 @@ let collect_defs str =
 (* ------------------------------------------------------------------ *)
 (* Expression scans                                                    *)
 
-let pat_vars p =
-  let acc = ref [] in
-  let it =
-    {
-      Ast_iterator.default_iterator with
-      pat =
-        (fun it p ->
-          (match p.ppat_desc with
-          | Ppat_var { txt; _ } | Ppat_alias (_, { txt; _ }) ->
-              acc := txt :: !acc
-          | _ -> ());
-          Ast_iterator.default_iterator.pat it p);
-    }
-  in
-  it.pat it p;
-  !acc
-
-let lambda_interior e =
-  let rec strip e =
-    match e.pexp_desc with
-    | Pexp_fun (_, _, _, inner)
-    | Pexp_newtype (_, inner)
-    | Pexp_constraint (inner, _) ->
-        strip inner
-    | _ -> e
-  in
-  strip e
-
 (* Local-variable mentions of [e], not descending into lambdas (closure
    capture is the escape scan's concern, aliasing through a closure is
    not an alias). *)
@@ -215,14 +156,7 @@ let mentions_any vars e =
       | Pexp_ident { txt = Longident.Lident v; _ } ->
           if List.mem v vars then found := true
       | Pexp_fun _ | Pexp_function _ -> ()
-      | _ ->
-          let it =
-            {
-              Ast_iterator.default_iterator with
-              expr = (fun _ ce -> scan ce);
-            }
-          in
-          Ast_iterator.default_iterator.expr it e
+      | _ -> Syntax.iter_children scan e
     in
     scan e;
     !found
@@ -241,21 +175,15 @@ let stmt_raises ~summaries ~current_module e =
     | Pexp_fun _ | Pexp_function _ -> false
     | Pexp_try _ -> false
     | Pexp_apply (f, args) ->
-        (match callee_name f with
-        | Some n when List.mem n raise_family -> true
+        (match Syntax.callee_name f with
+        | Some n when List.mem n Syntax.raise_family -> true
         | Some n when Summaries.may_raise summaries ~current_module n -> true
         | _ -> false)
         || List.exists (fun (_, a) -> raises a) args
         || (match f.pexp_desc with Pexp_ident _ -> false | _ -> raises f)
     | _ ->
         let found = ref false in
-        let it =
-          {
-            Ast_iterator.default_iterator with
-            expr = (fun _ ce -> if raises ce then found := true);
-          }
-        in
-        Ast_iterator.default_iterator.expr it e;
+        Syntax.iter_children (fun ce -> if raises ce then found := true) e;
         !found
   in
   raises e
@@ -292,7 +220,7 @@ let analyze_fn ~decl ~summaries ~current_module ~path body =
   let root_acquire e =
     match e.pexp_desc with
     | Pexp_apply (f, _) -> (
-        match callee_name f with
+        match Syntax.callee_name f with
         | Some raw ->
             List.find_opt
               (fun p -> match_fn ~current_module raw p.p_acquire)
@@ -337,7 +265,7 @@ let analyze_fn ~decl ~summaries ~current_module ~path body =
         | Some (p, raw) ->
             if not (seen_site p e.pexp_loc) then begin
               let vars =
-                match pat with Some p -> pat_vars p | None -> []
+                match pat with Some p -> Syntax.pat_vars p | None -> []
               in
               let returned =
                 pat = None && i = last && tail_to_exit node
@@ -379,7 +307,7 @@ let analyze_fn ~decl ~summaries ~current_module ~path body =
                         s.sk_vars <- v :: s.sk_vars;
                         grew := true
                       end)
-                    (pat_vars p))
+                    (Syntax.pat_vars p))
               sites
         | Cfg.Eval _ -> ())
       all_stmts
@@ -392,21 +320,12 @@ let analyze_fn ~decl ~summaries ~current_module ~path body =
       (fun s -> if List.mem v s.sk_vars then s.sk_escaped <- true)
       sites
   in
-  let opaque_lambda e =
+  let opaque_lambda =
     (* every local ident inside counts as captured *)
-    let rec scan e =
-      match e.pexp_desc with
-      | Pexp_ident { txt = Longident.Lident v; _ } -> escape_var v
-      | _ ->
-          let it =
-            {
-              Ast_iterator.default_iterator with
-              expr = (fun _ ce -> scan ce);
-            }
-          in
-          Ast_iterator.default_iterator.expr it e
-    in
-    scan e
+    Syntax.iter_exprs (fun e ->
+        match e.pexp_desc with
+        | Pexp_ident { txt = Longident.Lident v; _ } -> escape_var v
+        | _ -> ())
   in
   let rec esc ~storing e =
     match e.pexp_desc with
@@ -416,12 +335,12 @@ let analyze_fn ~decl ~summaries ~current_module ~path body =
     | Pexp_fun _ | Pexp_function _ -> opaque_lambda e
     | Pexp_apply (f, args) ->
         let borrowing =
-          match callee_name f with
+          match Syntax.callee_name f with
           | Some n -> Cfg.borrows_closures n
           | None -> false
         in
         let storing_args =
-          match callee_name f with
+          match Syntax.callee_name f with
           | Some ("ref" | ":=") -> true
           | _ -> false
         in
@@ -433,7 +352,7 @@ let analyze_fn ~decl ~summaries ~current_module ~path body =
             match a.pexp_desc with
             | Pexp_fun _ | Pexp_function _ ->
                 if borrowing then
-                  esc ~storing:false (lambda_interior a)
+                  esc ~storing:false (Syntax.lambda_interior a)
                 else opaque_lambda a
             | _ -> esc ~storing:storing_args a)
           args
@@ -448,14 +367,7 @@ let analyze_fn ~decl ~summaries ~current_module ~path body =
         esc ~storing:true v
     | Pexp_field (o, _) -> esc ~storing o
     | Pexp_constraint (inner, _) -> esc ~storing inner
-    | _ ->
-        let it =
-          {
-            Ast_iterator.default_iterator with
-            expr = (fun _ ce -> esc ~storing ce);
-          }
-        in
-        Ast_iterator.default_iterator.expr it e
+    | _ -> Syntax.iter_children (esc ~storing) e
   in
   List.iter
     (fun stmt ->
@@ -477,7 +389,7 @@ let analyze_fn ~decl ~summaries ~current_module ~path body =
       | Pexp_apply (f, args) ->
           List.iter (fun (_, a) -> scan a) args;
           (match f.pexp_desc with Pexp_ident _ -> () | _ -> scan f);
-          (match callee_name f with
+          (match Syntax.callee_name f with
           | None -> ()
           | Some raw ->
               Array.iteri
@@ -492,14 +404,7 @@ let analyze_fn ~decl ~summaries ~current_module ~path body =
                     else if match_fn ~current_module raw p.p_handoff then
                       acc := Handoff k :: !acc)
                 sites)
-      | _ ->
-          let it =
-            {
-              Ast_iterator.default_iterator with
-              expr = (fun _ ce -> scan ce);
-            }
-          in
-          Ast_iterator.default_iterator.expr it e
+      | _ -> Syntax.iter_children scan e
     in
     scan e;
     List.rev !acc
@@ -669,10 +574,10 @@ let run ~decl ~leak ~double ~protect ~summaries files =
   else
     List.concat_map
       (fun (path, str) ->
-        let current_module = Effects.module_name_of_path path in
+        let current_module = Syntax.module_name_of_path path in
         List.concat_map
           (fun body -> analyze_fn ~decl ~summaries ~current_module ~path body)
-          (collect_defs str))
+          (function_bodies str))
       files
     |> List.filter (fun (d : Diagnostic.t) ->
            match d.rule with

@@ -30,11 +30,6 @@ type t = {
 (* ------------------------------------------------------------------ *)
 (* Shared helpers                                                      *)
 
-let lid_name (lid : Longident.t) = String.concat "." (Longident.flatten lid)
-
-let ident_of e =
-  match e.pexp_desc with Pexp_ident { txt; _ } -> Some (lid_name txt) | _ -> None
-
 let is_float_const e =
   match e.pexp_desc with Pexp_constant (Pconst_float _) -> true | _ -> false
 
@@ -42,24 +37,22 @@ let is_float_const e =
    decide whether a guard condition "mentions" a denominator. *)
 let idents_in e =
   let acc = ref [] in
-  let it =
-    {
-      Ast_iterator.default_iterator with
-      expr =
-        (fun self e ->
-          (match e.pexp_desc with
-          | Pexp_ident { txt = Longident.Lident name; _ } -> acc := name :: !acc
-          | _ -> ());
-          Ast_iterator.default_iterator.expr self e);
-    }
-  in
-  it.expr it e;
+  Syntax.iter_exprs
+    (fun e ->
+      match e.pexp_desc with
+      | Pexp_ident { txt = Longident.Lident name; _ } -> acc := name :: !acc
+      | _ -> ())
+    e;
   !acc
 
-(* Run an expression-level visitor over a whole file. *)
-let over_ast expr_visitor ast =
-  let it = { Ast_iterator.default_iterator with expr = expr_visitor } in
-  match ast with Impl str -> it.structure it str | Intf sg -> it.signature it sg
+(* Run an iterator over a whole file. *)
+let run (it : Ast_iterator.iterator) = function
+  | Impl str -> it.structure it str
+  | Intf sg -> it.signature it sg
+
+(* Apply [f] to every expression of a file, each before its
+   subexpressions. *)
+let iter_ast f = run (Syntax.every_expr f)
 
 (* ------------------------------------------------------------------ *)
 (* Rule: poly-compare                                                  *)
@@ -92,26 +85,18 @@ let rule_poly_compare =
     let flag loc msg = out := Diagnostic.make ~file:ctx.path ~loc ~rule:id msg :: !out in
     let guard_depth = ref 0 in
     (* Flag every bare [compare] in a comparator argument subtree. *)
-    let scan_comparator arg =
-      let it =
-        {
-          Ast_iterator.default_iterator with
-          expr =
-            (fun self e ->
-              (match ident_of e with
-              | Some n when List.mem n poly_compare_names ->
-                  flag e.pexp_loc
-                    "polymorphic compare in a sort comparator; use a monomorphic comparator \
-                     (Float.compare / Int.compare / String.compare)"
-              | _ -> ());
-              Ast_iterator.default_iterator.expr self e);
-        }
-      in
-      it.expr it arg
+    let scan_comparator =
+      Syntax.iter_exprs (fun e ->
+          match Syntax.ident_of e with
+          | Some n when List.mem n poly_compare_names ->
+              flag e.pexp_loc
+                "polymorphic compare in a sort comparator; use a monomorphic comparator \
+                 (Float.compare / Int.compare / String.compare)"
+          | _ -> ())
     in
     let rec expr self e =
       match e.pexp_desc with
-      | Pexp_apply (f, args) when (match ident_of f with
+      | Pexp_apply (f, args) when (match Syntax.ident_of f with
                                    | Some n -> List.mem n sort_functions
                                    | None -> false) ->
           (match args with
@@ -120,10 +105,10 @@ let rule_poly_compare =
               List.iter (fun (_, a) -> expr self a) rest
           | args -> List.iter (fun (_, a) -> expr self a) args)
       | Pexp_apply (f, args)
-        when (match ident_of f with Some n -> List.mem n poly_op_names | None -> false)
+        when (match Syntax.ident_of f with Some n -> List.mem n poly_op_names | None -> false)
              && List.exists (fun (_, a) -> is_float_const a) args
              && !guard_depth = 0 ->
-          let op = Option.value (ident_of f) ~default:"?" in
+          let op = Option.value (Syntax.ident_of f) ~default:"?" in
           flag e.pexp_loc
             (Printf.sprintf
                "polymorphic '%s' against a float literal; use Float.equal / Float.compare (or \
@@ -148,7 +133,7 @@ let rule_poly_compare =
       expr self c.pc_rhs
     in
     let it = { Ast_iterator.default_iterator with expr; case } in
-    (match ast with Impl str -> it.structure it str | Intf sg -> it.signature it sg);
+    run it ast;
     !out
   in
   {
@@ -174,8 +159,8 @@ let rule_exception_swallow =
     let is_ignore_of v e =
       match e.pexp_desc with
       | Pexp_apply (f, [ (Asttypes.Nolabel, arg) ]) -> (
-          ident_of f = Some "ignore"
-          && match ident_of arg with Some n -> n = v | None -> false)
+          Syntax.ident_of f = Some "ignore"
+          && match Syntax.ident_of arg with Some n -> n = v | None -> false)
       | _ -> false
     in
     let is_unit e =
@@ -183,28 +168,27 @@ let rule_exception_swallow =
       | Pexp_construct ({ txt = Longident.Lident "()"; _ }, None) -> true
       | _ -> false
     in
-    let expr self e =
-      (match e.pexp_desc with
-      | Pexp_try (_, cases) ->
-          List.iter
-            (fun c ->
-              match c.pc_lhs.ppat_desc with
-              | Ppat_any ->
-                  flag c.pc_lhs.ppat_loc
-                    "'with _ ->' swallows every exception (including Out_of_memory and \
-                     Stack_overflow); match the specific exceptions you expect"
-              | Ppat_var { txt = v; _ } when is_ignore_of v c.pc_rhs || is_unit c.pc_rhs ->
-                  flag c.pc_lhs.ppat_loc
-                    (Printf.sprintf
-                       "'with %s ->' binds the exception only to discard it; match the specific \
-                        exceptions you expect"
-                       v)
-              | _ -> ())
-            cases
-      | _ -> ());
-      Ast_iterator.default_iterator.expr self e
-    in
-    over_ast expr ast;
+    iter_ast
+      (fun e ->
+        match e.pexp_desc with
+        | Pexp_try (_, cases) ->
+            List.iter
+              (fun c ->
+                match c.pc_lhs.ppat_desc with
+                | Ppat_any ->
+                    flag c.pc_lhs.ppat_loc
+                      "'with _ ->' swallows every exception (including Out_of_memory and \
+                       Stack_overflow); match the specific exceptions you expect"
+                | Ppat_var { txt = v; _ } when is_ignore_of v c.pc_rhs || is_unit c.pc_rhs ->
+                    flag c.pc_lhs.ppat_loc
+                      (Printf.sprintf
+                         "'with %s ->' binds the exception only to discard it; match the \
+                          specific exceptions you expect"
+                         v)
+                | _ -> ())
+              cases
+        | _ -> ())
+      ast;
     !out
   in
   { id; doc = "no 'try ... with _ ->' or 'with e -> ignore e' exception swallowing"; check }
@@ -234,7 +218,7 @@ let rule_hashtbl_find =
     let rec expr self e =
       match e.pexp_desc with
       | Pexp_ident { txt; _ }
-        when (let n = lid_name txt in
+        when (let n = Syntax.lid_name txt in
               n = "Hashtbl.find" || n = "Stdlib.Hashtbl.find")
              && !try_depth = 0 ->
           flag e.pexp_loc
@@ -254,7 +238,7 @@ let rule_hashtbl_find =
             cases
       | _ -> Ast_iterator.default_iterator.expr self e
     in
-    over_ast expr ast;
+    run { Ast_iterator.default_iterator with expr } ast;
     !out
   in
   { id; doc = "no raw Hashtbl.find outside an enclosing try/match; use Hashtbl.find_opt"; check }
@@ -288,17 +272,16 @@ let rule_print_in_lib =
     if not ctx.in_lib then []
     else begin
       let out = ref [] in
-      let expr self e =
-        (match ident_of e with
-        | Some n when List.mem n print_names ->
-            out :=
-              Diagnostic.make ~file:ctx.path ~loc:e.pexp_loc ~rule:id
-                (Printf.sprintf "'%s' in library code; route output through Logs" n)
-              :: !out
-        | _ -> ());
-        Ast_iterator.default_iterator.expr self e
-      in
-      over_ast expr ast;
+      iter_ast
+        (fun e ->
+          match Syntax.ident_of e with
+          | Some n when List.mem n print_names ->
+              out :=
+                Diagnostic.make ~file:ctx.path ~loc:e.pexp_loc ~rule:id
+                  (Printf.sprintf "'%s' in library code; route output through Logs" n)
+                :: !out
+          | _ -> ())
+        ast;
       !out
     end
   in
@@ -318,22 +301,21 @@ let rule_no_failwith =
     else begin
       let out = ref [] in
       let flag loc msg = out := Diagnostic.make ~file:ctx.path ~loc ~rule:id msg :: !out in
-      let expr self e =
-        (match e.pexp_desc with
-        | Pexp_ident { txt; _ }
-          when (let n = lid_name txt in n = "failwith" || n = "Stdlib.failwith") ->
-            flag e.pexp_loc
-              "'failwith' in library code; raise Invalid_argument / a typed exception, or \
-               vodlint-disable with a justification"
-        | Pexp_assert { pexp_desc = Pexp_construct ({ txt = Longident.Lident "false"; _ }, None); _ }
-          ->
-            flag e.pexp_loc
-              "'assert false' in library code; make the branch impossible by construction or \
-               vodlint-disable with a justification"
-        | _ -> ());
-        Ast_iterator.default_iterator.expr self e
-      in
-      over_ast expr ast;
+      iter_ast
+        (fun e ->
+          match e.pexp_desc with
+          | Pexp_ident { txt; _ }
+            when (let n = Syntax.lid_name txt in n = "failwith" || n = "Stdlib.failwith") ->
+              flag e.pexp_loc
+                "'failwith' in library code; raise Invalid_argument / a typed exception, or \
+                 vodlint-disable with a justification"
+          | Pexp_assert
+              { pexp_desc = Pexp_construct ({ txt = Longident.Lident "false"; _ }, None); _ } ->
+              flag e.pexp_loc
+                "'assert false' in library code; make the branch impossible by construction \
+                 or vodlint-disable with a justification"
+          | _ -> ())
+        ast;
       !out
     end
   in
@@ -364,9 +346,9 @@ let rule_quadratic_loop =
       match e.pexp_desc with
       | Pexp_ident { txt; _ }
         when !loop_depth > 0
-             && (let n = lid_name txt in
+             && (let n = Syntax.lid_name txt in
                  n = "List.nth" || n = "@" || n = "List.append" || n = "Stdlib.List.nth") ->
-          flag e.pexp_loc (lid_name txt)
+          flag e.pexp_loc (Syntax.lid_name txt)
       | Pexp_for (_, lo, hi, _, body) ->
           expr self lo;
           expr self hi;
@@ -394,7 +376,7 @@ let rule_quadratic_loop =
       | _ -> Ast_iterator.default_iterator.structure_item self si
     in
     let it = { Ast_iterator.default_iterator with expr; structure_item } in
-    (match ast with Impl str -> it.structure it str | Intf sg -> it.signature it sg);
+    run it ast;
     !out
   in
   { id; doc = "no List.nth or '@' inside for/while/recursive-function bodies"; check }
@@ -466,7 +448,7 @@ let rule_unguarded_div =
       in
       let rec expr self e =
         match e.pexp_desc with
-        | Pexp_apply (f, ([ (_, _num); (_, den) ] as args)) when ident_of f = Some "/." ->
+        | Pexp_apply (f, ([ (_, _num); (_, den) ] as args)) when Syntax.ident_of f = Some "/." ->
             (match den.pexp_desc with
             | Pexp_ident { txt = Longident.Lident n; _ }
               when (not (name_is_epsilon n)) && not (guarded n) ->
@@ -497,7 +479,7 @@ let rule_unguarded_div =
           case = (fun self c -> case self c);
         }
       in
-      (match ast with Impl str -> it.structure it str | Intf sg -> it.signature it sg);
+      run it ast;
       !out
     end
   in
@@ -532,20 +514,19 @@ let rule_domain_spawn =
     if path_is_pool ctx.path then []
     else begin
       let out = ref [] in
-      let expr self e =
-        (match e.pexp_desc with
-        | Pexp_ident { txt; _ }
-          when (let n = lid_name txt in
-                n = "Domain.spawn" || n = "Stdlib.Domain.spawn") ->
-            out :=
-              Diagnostic.make ~file:ctx.path ~loc:e.pexp_loc ~rule:id
-                "'Domain.spawn' outside lib/util/pool.ml bypasses the pool's determinism and \
-                 exception contract; submit work through Vod_util.Pool"
-              :: !out
-        | _ -> ());
-        Ast_iterator.default_iterator.expr self e
-      in
-      over_ast expr ast;
+      iter_ast
+        (fun e ->
+          match e.pexp_desc with
+          | Pexp_ident { txt; _ }
+            when (let n = Syntax.lid_name txt in
+                  n = "Domain.spawn" || n = "Stdlib.Domain.spawn") ->
+              out :=
+                Diagnostic.make ~file:ctx.path ~loc:e.pexp_loc ~rule:id
+                  "'Domain.spawn' outside lib/util/pool.ml bypasses the pool's determinism \
+                   and exception contract; submit work through Vod_util.Pool"
+                :: !out
+          | _ -> ())
+        ast;
       !out
     end
   in

@@ -17,7 +17,7 @@ type ast = Impl of Parsetree.structure | Intf of Parsetree.signature
 
 type t = {
   id : string;      (** stable rule id, e.g. ["poly-compare"] *)
-  doc : string;     (** one-line description for [--list-rules] *)
+  doc : string;     (** one-line description for [--rules] *)
   check : ctx -> ast -> Diagnostic.t list;
 }
 

@@ -19,20 +19,16 @@ type t = {
    flattened [fn_name] already carries the ["Sub."] prefix). *)
 let keys_of fa (fn : Effects.fn_summary) = [ fa.Effects.fa_module ^ "." ^ fn.fn_name ]
 
-(* The pool implementation is excluded from the table: its entry points
-   look wildly effectful from the inside (worker domains writing result
-   slots), but the whole point of its contract is that [Pool.map] etc.
-   are deterministic whenever their tasks are — which is exactly what
-   the [par-race] rule checks at every call site. Leaving it in would
-   smear its internal effects over every caller. *)
-let is_pool_impl path =
-  Filename.basename path = "pool.ml"
-  && Filename.basename (Filename.dirname path) = "util"
-
 let build analyses =
+  (* The pool implementation is excluded from the table: its entry
+     points look wildly effectful from the inside (worker domains writing
+     result slots), but the whole point of its contract is that
+     [Pool.map] etc. are deterministic whenever their tasks are — which
+     is exactly what the [par-race] rule checks at every call site.
+     Leaving it in would smear its internal effects over every caller. *)
   let analyses =
     List.filter
-      (fun (fa : Effects.file_analysis) -> not (is_pool_impl fa.fa_path))
+      (fun (fa : Effects.file_analysis) -> not (Syntax.is_pool_impl fa.fa_path))
       analyses
   in
   let table = Hashtbl.create 256 in
@@ -58,23 +54,9 @@ let build analyses =
   { table; analyses }
 
 (* Resolve a callee name against the table, from the point of view of
-   [current_module]: an unqualified [f] means [CurrentModule.f]; a
-   qualified [M.f] is looked up as written and, failing that, by its
-   last two components (handles [Vod_epf.Engine.solve]-style paths that
-   [Effects.normalize] didn't fully strip). *)
+   [current_module]; the names are already normalized. *)
 let resolve t ~current_module name =
-  let candidates =
-    if String.contains name '.' then
-      let parts = String.split_on_char '.' name in
-      let last2 =
-        match List.rev parts with
-        | f :: m :: _ -> [ m ^ "." ^ f ]
-        | _ -> []
-      in
-      name :: last2
-    else [ current_module ^ "." ^ name ]
-  in
-  List.find_map (fun k -> Hashtbl.find_opt t.table k) candidates
+  List.find_map (Hashtbl.find_opt t.table) (Syntax.candidates ~current_module name)
 
 (* Map a callee's own effects onto the caller, given the provenance of
    the arguments at this call site: the callee mutating *its* arguments
@@ -108,11 +90,7 @@ let sweep t =
   let changed = ref false in
   Hashtbl.iter
     (fun key entry ->
-      let current_module =
-        match String.index_opt key '.' with
-        | Some i -> String.sub key 0 i
-        | None -> key
-      in
+      let current_module = Syntax.module_of_key key in
       List.iter
         (fun (c : Effects.call) ->
           match resolve t ~current_module c.callee with

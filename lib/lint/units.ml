@@ -195,17 +195,7 @@ let decl_of_string src =
               (Decl_error (Printf.sprintf "units.decl line %d: %s" lineno m)))
           fmt
       in
-      let line =
-        match String.index_opt line '#' with
-        | Some j -> String.sub line 0 j
-        | None -> line
-      in
-      let toks =
-        String.split_on_char ' ' line
-        |> List.concat_map (String.split_on_char '\t')
-        |> List.filter (fun t -> t <> "")
-      in
-      match toks with
+      match Syntax.decl_words line with
       | [] -> ()
       | name :: rest ->
           if not (String.contains name '.') then
@@ -261,16 +251,8 @@ let decl_of_string src =
   { d_entries = entries; d_modules = modules }
 
 let load_decl path =
-  if not (Sys.file_exists path) then empty_decl
-  else begin
-    let ic = open_in_bin path in
-    let src =
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () -> really_input_string ic (in_channel_length ic))
-    in
-    decl_of_string src
-  end
+  if Sys.file_exists path then decl_of_string (Syntax.read_file path)
+  else empty_decl
 
 (* ------------------------------------------------------------------ *)
 (* Function summaries                                                  *)
@@ -282,56 +264,6 @@ type fentry = {
   mutable u_ret : u;
   u_declared : bool;          (* return unit pinned by units.decl *)
 }
-
-let lid_name (lid : Longident.t) = String.concat "." (Longident.flatten lid)
-
-let ident_of e =
-  match e.pexp_desc with
-  | Pexp_ident { txt; _ } -> Some (lid_name txt)
-  | _ -> None
-
-(* Split a binding into labeled parameters + final body, mirroring
-   [Effects.fun_split] but keeping the argument labels and defaults. *)
-let rec lparams e =
-  match e.pexp_desc with
-  | Pexp_fun (lbl, default, pat, body) ->
-      let ps, b = lparams body in
-      ((lbl, default, pat) :: ps, b)
-  | Pexp_newtype (_, body) -> lparams body
-  | Pexp_constraint (body, _)
-    when (match body.pexp_desc with
-         | Pexp_fun _ | Pexp_function _ -> true
-         | _ -> false) ->
-      lparams body
-  | _ -> ([], e)
-
-let is_function_expr e =
-  match lparams e with
-  | _ :: _, _ -> true
-  | [], b -> (match b.pexp_desc with Pexp_function _ -> true | _ -> false)
-
-let pat_vars p =
-  let acc = ref [] in
-  let it =
-    {
-      Ast_iterator.default_iterator with
-      pat =
-        (fun self pp ->
-          (match pp.ppat_desc with
-          | Ppat_var { txt; _ } -> acc := txt :: !acc
-          | Ppat_alias (_, { txt; _ }) -> acc := txt :: !acc
-          | _ -> ());
-          Ast_iterator.default_iterator.pat self pp);
-    }
-  in
-  it.pat it p;
-  !acc
-
-let rec simple_var p =
-  match p.ppat_desc with
-  | Ppat_var { txt; _ } -> Some txt
-  | Ppat_constraint (q, _) -> simple_var q
-  | _ -> None
 
 (* ------------------------------------------------------------------ *)
 (* Unit algebra on the lattice                                         *)
@@ -394,29 +326,9 @@ let check_same ctx ~loc ~op ua ub =
   | _ -> ()
 
 let resolve ctx name =
-  let name = Effects.normalize name in
-  let candidates =
-    if String.contains name '.' then
-      let parts = String.split_on_char '.' name in
-      let last2 =
-        match List.rev parts with
-        | f :: m :: _ -> [ m ^ "." ^ f ]
-        | _ -> []
-      in
-      name :: last2
-    else [ ctx.current_module ^ "." ^ name ]
-  in
-  List.find_map
-    (fun k ->
-      match Hashtbl.find_opt ctx.table k with
-      | Some fe -> Some (k, fe)
-      | None -> None)
-    candidates
-
-let module_of_key key =
-  match String.index_opt key '.' with
-  | Some i -> String.sub key 0 i
-  | None -> key
+  Syntax.candidates ~current_module:ctx.current_module (Syntax.normalize name)
+  |> List.find_map (fun k ->
+         Option.map (fun fe -> (k, fe)) (Hashtbl.find_opt ctx.table k))
 
 let last_component name =
   match String.rindex_opt name '.' with
@@ -430,9 +342,25 @@ let ret_fallback name =
   | Some d -> Dim d
   | None -> Unknown
 
+(* Pair each parameter or argument with its key; positional ones are
+   numbered among the unlabelled only. *)
+let keyed label xs =
+  let nolabel = ref 0 in
+  List.map
+    (fun x ->
+      match label x with
+      | Asttypes.Nolabel ->
+          let i = !nolabel in
+          incr nolabel;
+          (P i, x)
+      | Asttypes.Labelled l | Asttypes.Optional l -> (L l, x))
+    xs
+
+let param_label (lbl, _default, _pat) = lbl
+
 (* A parameter's seeded unit: units.decl first, then the label's
    suffix, then the pattern variable's suffix. *)
-let param_unit ~dentry key ~label ~pat =
+let param_unit ~dentry key ~pat =
   let from_decl =
     match dentry with
     | Some de -> Option.map (fun d -> Dim d) (List.assoc_opt key de.de_params)
@@ -444,31 +372,22 @@ let param_unit ~dentry key ~label ~pat =
       let by_name n =
         match suffix_unit n with Some d -> Some (Dim d) | None -> None
       in
-      let from_label = Option.bind label by_name in
+      let from_label = match key with L l -> by_name l | P _ -> None in
       match from_label with
       | Some u -> u
       | None -> (
-          match Option.bind (simple_var pat) by_name with
+          match Option.bind (Syntax.simple_var pat) by_name with
           | Some u -> u
           | None -> Unknown))
 
 let bind_params ~dentry env ps =
-  let nolabel = ref 0 in
   List.fold_left
-    (fun env (lbl, _default, pat) ->
-      let key, label =
-        match lbl with
-        | Asttypes.Nolabel ->
-            let i = !nolabel in
-            incr nolabel;
-            (P i, None)
-        | Asttypes.Labelled l | Asttypes.Optional l -> (L l, Some l)
-      in
-      let u = param_unit ~dentry key ~label ~pat in
-      match simple_var pat with
+    (fun env (key, (_, _, pat)) ->
+      let u = param_unit ~dentry key ~pat in
+      match Syntax.simple_var pat with
       | Some n -> (n, u) :: env
-      | None -> List.rev_append (List.map (fun n -> (n, Unknown)) (pat_vars pat)) env)
-    env ps
+      | None -> List.rev_append (List.map (fun n -> (n, Unknown)) (Syntax.pat_vars pat)) env)
+    env (keyed param_label ps)
 
 let rec infer ctx env e =
   match e.pexp_desc with
@@ -483,7 +402,7 @@ let rec infer ctx env e =
           | Some _ -> Unknown
           | None -> Unknown))
   | Pexp_ident { txt; _ } -> (
-      let name = lid_name txt in
+      let name = Syntax.lid_name txt in
       match resolve ctx name with
       | Some (_, fe) when fe.u_params = [] -> fe.u_ret
       | Some _ -> Unknown
@@ -500,7 +419,7 @@ let rec infer ctx env e =
         (fun c ->
           let env' =
             List.rev_append
-              (List.map (fun n -> (n, Unknown)) (pat_vars c.pc_lhs))
+              (List.map (fun n -> (n, Unknown)) (Syntax.pat_vars c.pc_lhs))
               env
           in
           Option.iter (fun g -> ignore (infer ctx env' g)) c.pc_guard;
@@ -518,7 +437,7 @@ let rec infer ctx env e =
           in
           let env' =
             List.rev_append
-              (List.map (fun n -> (n, root)) (pat_vars c.pc_lhs))
+              (List.map (fun n -> (n, root)) (Syntax.pat_vars c.pc_lhs))
               env
           in
           Option.iter (fun g -> ignore (infer ctx env' g)) c.pc_guard;
@@ -531,7 +450,7 @@ let rec infer ctx env e =
         (fun acc c ->
           let env' =
             List.rev_append
-              (List.map (fun n -> (n, Unknown)) (pat_vars c.pc_lhs))
+              (List.map (fun n -> (n, Unknown)) (Syntax.pat_vars c.pc_lhs))
               env
           in
           Option.iter (fun g -> ignore (infer ctx env' g)) c.pc_guard;
@@ -594,7 +513,7 @@ let rec infer ctx env e =
       let uhi = infer ctx env hi in
       let env' =
         List.rev_append
-          (List.map (fun n -> (n, branch_join ulo uhi)) (pat_vars pat))
+          (List.map (fun n -> (n, branch_join ulo uhi)) (Syntax.pat_vars pat))
           env
       in
       ignore (infer ctx env' body);
@@ -607,13 +526,7 @@ let rec infer ctx env e =
       ignore (infer ctx env b);
       Unknown
   | _ ->
-      let it =
-        {
-          Ast_iterator.default_iterator with
-          expr = (fun _ ce -> ignore (infer ctx env ce));
-        }
-      in
-      Ast_iterator.default_iterator.expr it e;
+      Syntax.iter_children (fun ce -> ignore (infer ctx env ce)) e;
       Unknown
 
 and infer_let ctx env rf vbs =
@@ -623,14 +536,14 @@ and infer_let ctx env rf vbs =
     | Asttypes.Recursive ->
         List.rev_append
           (List.concat_map
-             (fun vb -> List.map (fun n -> (n, Unknown)) (pat_vars vb.pvb_pat))
+             (fun vb -> List.map (fun n -> (n, Unknown)) (Syntax.pat_vars vb.pvb_pat))
              vbs)
           env
   in
   List.fold_left
     (fun env' vb ->
-      match simple_var vb.pvb_pat with
-      | Some txt when is_function_expr vb.pvb_expr ->
+      match Syntax.simple_var vb.pvb_pat with
+      | Some txt when Syntax.is_function vb.pvb_expr ->
           (* Local function: walk its body for findings; its calls are
              not resolved (it shadows any module-level namesake). *)
           scan_lambda ctx env0 vb.pvb_expr;
@@ -650,7 +563,7 @@ and infer_let ctx env rf vbs =
       | None ->
           ignore (infer ctx env0 vb.pvb_expr);
           List.rev_append
-            (List.map (fun n -> (n, Unknown)) (pat_vars vb.pvb_pat))
+            (List.map (fun n -> (n, Unknown)) (Syntax.pat_vars vb.pvb_pat))
             env')
     env0 vbs
 
@@ -658,7 +571,7 @@ and scan_lambda ctx env le =
   match le.pexp_desc with
   | Pexp_function _ -> ignore (infer ctx env le)
   | _ ->
-      let ps, body = lparams le in
+      let ps, body = Syntax.params le in
       List.iter
         (fun (_, default, _) ->
           Option.iter (fun d -> ignore (infer ctx env d)) default)
@@ -667,22 +580,19 @@ and scan_lambda ctx env le =
       ignore (infer ctx env' body)
 
 and infer_apply ctx env e f args =
-  match ident_of f with
+  match Syntax.ident_of f with
   | None ->
       ignore (infer ctx env f);
       List.iter (fun (_, a) -> ignore (infer ctx env a)) args;
       Unknown
   | Some raw -> (
-      let name = Effects.normalize raw in
-      match (name, args) with
-      | "|>", [ (_, x); (_, fn) ] when ident_of fn <> None ->
-          infer_call ctx env e (Option.get (ident_of fn)) [ (Asttypes.Nolabel, x) ]
-      | "@@", [ (_, fn); (_, x) ] when ident_of fn <> None ->
-          infer_call ctx env e (Option.get (ident_of fn)) [ (Asttypes.Nolabel, x) ]
+      match Syntax.pipeline (Syntax.normalize raw) args with
+      | Some ({ pexp_desc = Pexp_ident { txt; _ }; _ }, x) ->
+          infer_call ctx env e (Syntax.lid_name txt) [ (Asttypes.Nolabel, x) ]
       | _ -> infer_call ctx env e raw args)
 
 and infer_call ctx env e raw args =
-  let name = Effects.normalize raw in
+  let name = Syntax.normalize raw in
   let walk_all () = List.iter (fun (_, a) -> ignore (infer ctx env a)) args in
   let arith2 ~check combine =
     match args with
@@ -734,18 +644,9 @@ and general_call ctx env name args =
     if (not (String.contains name '.')) && List.mem_assoc name env then None
     else resolve ctx name
   in
-  let nolabel = ref 0 in
   List.iter
-    (fun (lbl, a) ->
+    (fun (akey, (_, a)) ->
       let ua = infer ctx env a in
-      let akey =
-        match lbl with
-        | Asttypes.Nolabel ->
-            let i = !nolabel in
-            incr nolabel;
-            P i
-        | Asttypes.Labelled l | Asttypes.Optional l -> L l
-      in
       let declared =
         match resolved with
         | Some (_, fe) -> List.assoc_opt akey fe.u_params
@@ -777,7 +678,7 @@ and general_call ctx env name args =
           match resolved with
           | Some (key, fe)
             when ctx.emit && ctx.check_boundary
-                 && List.mem (module_of_key key) ctx.decl.d_modules
+                 && List.mem (Syntax.module_of_key key) ctx.decl.d_modules
                  && List.mem_assoc akey fe.u_params -> (
               match fe.u_loc with
               | Some loc ->
@@ -786,7 +687,7 @@ and general_call ctx env name args =
               | None -> ())
           | _ -> ())
       | _ -> ())
-    args;
+    (keyed fst args);
   match resolved with
   | Some (_, fe) -> ( match fe.u_ret with Dim d -> Dim d | _ -> ret_fallback name)
   | None -> ret_fallback name
@@ -794,69 +695,16 @@ and general_call ctx env name args =
 (* ------------------------------------------------------------------ *)
 (* Definitions and the driver                                          *)
 
-type def = {
-  d_key : string;
-  d_path : string;
-  d_loc : Location.t;
-  d_expr : expression;
-}
-
-let collect_defs files =
-  List.concat_map
-    (fun (path, str) ->
-      let m = Effects.module_name_of_path path in
-      let rec items prefix str =
-        List.concat_map
-          (fun si ->
-            match si.pstr_desc with
-            | Pstr_value (_, vbs) ->
-                List.filter_map
-                  (fun vb ->
-                    match simple_var vb.pvb_pat with
-                    | Some n ->
-                        Some
-                          {
-                            d_key =
-                              m ^ "."
-                              ^ (if prefix = "" then n else prefix ^ "." ^ n);
-                            d_path = path;
-                            d_loc = vb.pvb_loc;
-                            d_expr = vb.pvb_expr;
-                          }
-                    | None -> None)
-                  vbs
-            | Pstr_module { pmb_name = { txt = Some sub; _ }; pmb_expr; _ } -> (
-                match pmb_expr.pmod_desc with
-                | Pmod_structure s ->
-                    items (if prefix = "" then sub else prefix ^ "." ^ sub) s
-                | _ -> [])
-            | _ -> [])
-          str
-      in
-      items "" str)
-    files
-
 let seed_table decl defs =
   let table = Hashtbl.create 256 in
   List.iter
-    (fun d ->
+    (fun (d : Syntax.def) ->
       if not (Hashtbl.mem table d.d_key) then begin
         let dentry = List.assoc_opt d.d_key decl.d_entries in
-        let ps, _ = lparams d.d_expr in
-        let nolabel = ref 0 in
         let u_params =
           List.map
-            (fun (lbl, _default, pat) ->
-              let key, label =
-                match lbl with
-                | Asttypes.Nolabel ->
-                    let i = !nolabel in
-                    incr nolabel;
-                    (P i, None)
-                | Asttypes.Labelled l | Asttypes.Optional l -> (L l, Some l)
-              in
-              (key, param_unit ~dentry key ~label ~pat))
-            ps
+            (fun (key, (_, _, pat)) -> (key, param_unit ~dentry key ~pat))
+            (keyed param_label (fst (Syntax.params d.d_expr)))
         in
         let decl_ret =
           Option.bind dentry (fun de -> Option.map (fun r -> Dim r) de.de_ret)
@@ -896,11 +744,12 @@ let seed_table decl defs =
     decl.d_entries;
   table
 
-let ctx_for ~emit ~decl ~table ~check_mismatch ~check_boundary ~boundary d =
+let ctx_for ~emit ~decl ~table ~check_mismatch ~check_boundary ~boundary
+    (d : Syntax.def) =
   {
     emit;
     path = d.d_path;
-    current_module = module_of_key d.d_key;
+    current_module = Syntax.module_of_key d.d_key;
     table;
     decl;
     diags = [];
@@ -909,25 +758,22 @@ let ctx_for ~emit ~decl ~table ~check_mismatch ~check_boundary ~boundary d =
     check_boundary;
   }
 
-let infer_def ctx table d =
+let infer_def ctx (d : Syntax.def) =
   let dentry = List.assoc_opt d.d_key ctx.decl.d_entries in
-  let ps, body = lparams d.d_expr in
+  let ps, body = Syntax.params d.d_expr in
   List.iter
     (fun (_, default, _) ->
       Option.iter (fun de -> ignore (infer ctx [] de)) default)
     ps;
-  let env = bind_params ~dentry [] ps in
-  let u = infer ctx env body in
-  ignore table;
-  u
+  infer ctx (bind_params ~dentry [] ps) body
 
 let run ~decl ~mismatch:check_mismatch ~boundary:check_boundary files =
-  let defs = collect_defs files in
+  let defs = Syntax.collect_defs files in
   let table = seed_table decl defs in
   (* Only the first definition of a key owns the table entry; shadowed
      duplicates (same module name in two directories) are walked for
      local findings but never feed the summary. *)
-  let owns d =
+  let owns (d : Syntax.def) =
     match Hashtbl.find_opt table d.d_key with
     | Some fe -> fe.u_loc = Some d.d_loc && fe.u_path = d.d_path
     | None -> false
@@ -938,14 +784,14 @@ let run ~decl ~mismatch:check_mismatch ~boundary:check_boundary files =
   let sweep () =
     let changed = ref false in
     List.iter
-      (fun d ->
+      (fun (d : Syntax.def) ->
         match Hashtbl.find_opt table d.d_key with
         | Some fe when owns d -> (
             let ctx =
               ctx_for ~emit:false ~decl ~table ~check_mismatch ~check_boundary
                 ~boundary d
             in
-            match (fe.u_declared, fe.u_ret, infer_def ctx table d) with
+            match (fe.u_declared, fe.u_ret, infer_def ctx d) with
             | false, Unknown, Dim dd when dd <> [] ->
                 fe.u_ret <- Dim dd;
                 changed := true
@@ -960,12 +806,12 @@ let run ~decl ~mismatch:check_mismatch ~boundary:check_boundary files =
   (* Emission pass. *)
   let diags = ref [] in
   List.iter
-    (fun d ->
+    (fun (d : Syntax.def) ->
       let ctx =
         ctx_for ~emit:true ~decl ~table ~check_mismatch ~check_boundary
           ~boundary d
       in
-      let u = infer_def ctx table d in
+      let u = infer_def ctx d in
       (match Hashtbl.find_opt table d.d_key with
       | Some fe when owns d -> (
           match (fe.u_ret, u) with

@@ -44,14 +44,10 @@ val point_of_solution :
     demand-density disk fill (per-GB marginal density per VHO). *)
 val warm_disk_prices : Instance.t -> float array
 
-(** Oracle for one block: greedy UFL for [optimize], local search for
-    [optimize_strong], dual ascent for [lower_bound]; [warm_prices] (full
-    row layout) seeds the initial point. *)
-val oracle_of_block :
-  ?warm_prices:float array -> Instance.t -> block -> choice Vod_epf.Engine.oracle
-
 (** Blocks plus their oracles for a whole instance, and the warm-start
-    row prices: [warm_start] (default true) seeds each block's initial
+    row prices. Each block's oracle runs greedy UFL for [optimize],
+    local search for [optimize_strong] and dual ascent for
+    [lower_bound]. [warm_start] (default true) seeds each block's initial
     point at the greedy-fill duals ({!warm_disk_prices}) on the disk
     rows and 0 on the link rows. The prices come back on the full row
     layout (all zero when [warm_start] is false). *)

@@ -9,9 +9,6 @@ type t
 (** [create seed] returns a fresh generator initialized from [seed]. *)
 val create : int -> t
 
-(** [copy t] is an independent generator with the same current state. *)
-val copy : t -> t
-
 (** [split t] advances [t] and returns a statistically independent
     generator; useful to give each subsystem its own stream. *)
 val split : t -> t

@@ -37,6 +37,19 @@ let demand_of_week_works () =
   Alcotest.(check bool) "nonzero demand" true (d.Vod_workload.Demand.total_requests > 0.0);
   Alcotest.(check int) "two windows" 2 (Array.length d.Vod_workload.Demand.windows)
 
+(* A scenario around a given trace (vodopt --trace) pairs it with the
+   catalog [make] builds for the same seed, days and catalog size. *)
+let assemble_matches_make () =
+  let sc = tiny_scenario () in
+  let around =
+    Sc.assemble ~graph:sc.Sc.graph ~catalog:(Sc.catalog ~days:21 ~seed:13 ~n_videos:60)
+      sc.Sc.trace
+  in
+  Alcotest.(check bool) "same catalog" true (around.Sc.catalog = sc.Sc.catalog);
+  Alcotest.(check bool) "trace kept" true (around.Sc.trace == sc.Sc.trace);
+  Alcotest.(check bool) "another seed, another catalog" false
+    (Sc.catalog ~days:21 ~seed:14 ~n_videos:60 = sc.Sc.catalog)
+
 let fast_mip =
   {
     P.default_mip with
@@ -208,6 +221,7 @@ let suite =
     Alcotest.test_case "scenario construction" `Quick scenario_construction;
     Alcotest.test_case "hetero disk shape" `Quick hetero_disk_shape;
     Alcotest.test_case "demand of week" `Quick demand_of_week_works;
+    Alcotest.test_case "scenario around a trace" `Quick assemble_matches_make;
     Alcotest.test_case "pipeline mip" `Slow pipeline_mip;
     Alcotest.test_case "pipeline mip biweekly" `Slow pipeline_mip_biweekly;
     Alcotest.test_case "pipeline random lru" `Quick pipeline_random_lru;

@@ -147,6 +147,23 @@ let json_report_shape () =
      let rec go i = i + m <= n && (String.sub json i m = sub || go (i + 1)) in
      go 0)
 
+(* JSON reports and the --rules listing share one escaper: every
+   character JSON forbids raw in a string comes out escaped. *)
+let json_escape_specials () =
+  List.iter
+    (fun (raw, want) ->
+      Alcotest.(check string) (String.escaped raw) want
+        (Vod_lint.Diagnostic.json_escape raw))
+    [
+      ("a\"b", {|a\"b|});
+      ("a\\b", {|a\\b|});
+      ("a\nb", {|a\nb|});
+      ("a\tb", {|a\tb|});
+      ("a\rb", {|a\rb|});
+      ("a\001b\031", {|a\u0001b\u001f|});
+      ("plain 'text' 100% ok", "plain 'text' 100% ok");
+    ]
+
 (* --- project mode: effect analysis -------------------------------- *)
 
 (* Findings of one rule in one file under project mode. Fixtures are
@@ -681,6 +698,7 @@ let suite =
     Alcotest.test_case "clean snippet" `Quick clean_realistic_snippet;
     Alcotest.test_case "missing mli on disk" `Quick missing_mli_on_disk;
     Alcotest.test_case "json report shape" `Quick json_report_shape;
+    Alcotest.test_case "json escape" `Quick json_escape_specials;
     (* project mode: par-race *)
     Alcotest.test_case "par-race fires on direct captured-ref mutation" `Quick
       (check_project_fires "par-race" ~in_file:"lib/fake/direct.ml" pr_direct);

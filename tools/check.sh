@@ -176,10 +176,11 @@ md5sum < "$smoke_dir/longtail.csv" | cut -d' ' -f1 > "$smoke_dir/longtail.md5"
 check_recorded tools/golden/vodopt_solve_longtail.md5 "$smoke_dir/longtail.md5"
 echo "== placement-LP and serving flags reject bad values =="
 # --requests-per-video, --disk, --link, --link-capacity and --budget
-# take positive finite numbers only; --origin must name a VHO of the
-# topology, --faults a canned scenario on one of its VHOs or a readable
-# schedule CSV, and --days of simulate and serve must outlast the 9-day
-# warm-up. A bad value is a command-line error (cmdliner's exit 124)
+# take positive finite numbers only, --videos, --days and --passes
+# positive integers and --jobs a non-negative one; --origin must name a
+# VHO of the topology, --faults a canned scenario on one of its VHOs or
+# a readable schedule CSV, and --days of simulate and serve must outlast
+# the 9-day warm-up. A bad value is a command-line error (cmdliner's exit 124)
 # raised before any solve, not an empty trace or report, a NaN price, a
 # silently unrestricted budget or an exception mid-playout. The flag
 # cases run 10 days, so --days itself is valid there.
@@ -191,9 +192,13 @@ expect_usage_error() { # $@ = vodopt arguments
     exit 1
   fi
 }
-for bad in --requests-per-video=-1 --disk=nan --link=inf; do
+for bad in --requests-per-video=-1 --disk=nan --link=inf --days=-1 --jobs=-2 \
+  --passes=-3; do
   expect_usage_error solve --videos 20 "$bad"
 done
+expect_usage_error solve --videos 0
+expect_usage_error stats --days 0
+expect_usage_error sweep --days 0
 for bad in --link-capacity=-5 --link-capacity=nan --origin=99 --origin=-1 \
   --faults=single-vho:abc --faults=single-vho:99 \
   --faults="$smoke_dir/missing.csv"; do
