@@ -104,6 +104,79 @@ let lagrangian_bound ~pool ~(oracles : _ oracle array) ~capacities lambda =
   done;
   bound.(0)
 
+(* The bound ceiling (see engine.mli and DESIGN.md). Each block's
+   optimum at zero row prices, stored flat like a [Combo]'s columns:
+   block k's objective is [objs.(k)] and its usage the arena slice
+   [off.(k), off.(k + 1)). No payloads are kept. *)
+type zero_points = {
+  objs : float array;
+  off : int array;
+  rows : int array;
+  vals : float array;
+}
+
+let zero_price_points ~pool ~n_rows (oracles : _ oracle array) =
+  let zero = Array.make n_rows 0.0 in
+  (* The payload is dropped in the task, so only (obj, usage) outlives
+     the sweep until it is copied into the arena. *)
+  let pts =
+    Vod_util.Pool.map pool
+      ~f:(fun (oracle : _ oracle) ->
+        let pt = oracle.optimize ~obj_price:1.0 ~row_price:zero in
+        { pt with data = () })
+      oracles
+  in
+  let n = Array.length pts in
+  let off = Array.make (n + 1) 0 in
+  for k = 0 to n - 1 do
+    off.(k + 1) <- off.(k) + Sparse.length pts.(k).usage
+  done;
+  let rows = Array.make off.(n) 0 and vals = Array.create_float off.(n) in
+  Array.iteri
+    (fun k (pt : _ point) ->
+      let l = Sparse.length pt.usage in
+      Array.blit pt.usage.Sparse.rows 0 rows off.(k) l;
+      Array.blit pt.usage.Sparse.vals 0 vals off.(k) l)
+    pts;
+  { objs = Array.map (fun (pt : _ point) -> pt.obj) pts; off; rows; vals }
+
+(* obj + lambda . (the usage slice [o, e) of rows/vals). *)
+let[@inline] priced lambda obj rows vals o e =
+  let acc = ref obj in
+  for j = o to e - 1 do
+    acc := !acc +. (lambda.(rows.(j)) *. vals.(j))
+  done;
+  !acc
+
+(* The ceiling's rounding margin, relative to the magnitudes summed. *)
+let ceiling_margin = 1e-9
+
+(* Per block, the least priced cost over its zero-price point and its
+   columns; a NaN cost sticks, so that a NaN ceiling never proves
+   anything. The sums run in block and row order. *)
+let bound_ceiling (zero : zero_points) (combos : _ Combo.t array) ~capacities lambda =
+  let sum = ref 0.0 and mag = ref 0.0 in
+  for k = 0 to Array.length combos - 1 do
+    let c = combos.(k) in
+    let u =
+      ref (priced lambda zero.objs.(k) zero.rows zero.vals zero.off.(k) zero.off.(k + 1))
+    in
+    for q = 0 to c.Combo.n - 1 do
+      let v =
+        priced lambda c.Combo.obj.(q) c.Combo.rows c.Combo.vals c.Combo.off.(q)
+          c.Combo.off.(q + 1)
+      in
+      if v < !u || v <> v then u := v
+    done;
+    sum := !sum +. !u;
+    mag := !mag +. Float.abs !u
+  done;
+  let lambda_b = ref 0.0 in
+  for i = 0 to Array.length capacities - 1 do
+    lambda_b := !lambda_b +. (lambda.(i) *. capacities.(i))
+  done;
+  (!sum -. !lambda_b, ceiling_margin *. (!mag +. !lambda_b))
+
 (* The row with the largest usage/capacity ratio among rows [i, m), or
    [best] (first on ties). The ratio is recomputed, not carried, so the
    scan boxes no float. *)
@@ -163,6 +236,9 @@ type 'a state = {
   capacities : float array;
   oracles : 'a oracle array;
   combos : 'a Combo.t array;       (* per block: columns and aggregate usage *)
+  zero : zero_points;              (* per block: its optimum at zero row
+                                      prices, for the bound ceiling; empty
+                                      in a FEAS probe *)
   blk_obj : float array;
   work : 'a Combo.work;            (* the combinations' scratch, and the
                                       delta buffer of a step or a rounding
@@ -317,17 +393,27 @@ let step_block ?stats st k =
 
 (* Evaluate the Lagrangian bound for multipliers lambda_i = mult *
    duals_i / duals_obj (the objective row's price normalized to 1) and
-   fold it into st.lb. *)
+   fold it into st.lb. The sweep is skipped when the bound ceiling plus
+   its margin is below st.lb: the bound cannot then exceed st.lb, and
+   st.lb is a running max, so skipping changes no value. *)
 let try_duals st ?(mult = 1.0) duals duals_obj =
   if duals_obj > 0.0 then begin
     for i = 0 to n_rows st - 1 do
       st.scratch.(i) <- mult *. duals.(i) /. duals_obj
     done;
-    let lb =
-      lagrangian_bound ~pool:st.pool ~oracles:st.oracles
-        ~capacities:st.capacities st.scratch
+    let u, margin =
+      bound_ceiling st.zero st.combos ~capacities:st.capacities st.scratch
     in
-    if lb > st.lb then st.lb <- lb
+    let skip = u +. margin < st.lb in
+    Obs.incr ~by:(Bool.to_int skip) "epf/lb/skipped";
+    Obs.incr ~by:(Bool.to_int (not skip)) "epf/lb/sweeps";
+    if not skip then begin
+      let lb =
+        lagrangian_bound ~pool:st.pool ~oracles:st.oracles
+          ~capacities:st.capacities st.scratch
+      in
+      if lb > st.lb then st.lb <- lb
+    end
   end
 
 let lower_bound_pass st =
@@ -422,6 +508,12 @@ let init ?initial (p : params) ~objective_row ~pool ~capacities ~oracles =
     | None -> Vod_util.Pool.map pool ~f:(fun (oracle : _ oracle) -> oracle.initial ()) oracles
   in
   let combos = Array.map (fun pt -> Combo.of_list [ (pt, 1.0) ]) points in
+  (* Only the bound sweeps read the zero-price points, and a FEAS probe
+     runs none. *)
+  let zero =
+    if objective_row then zero_price_points ~pool ~n_rows:m oracles
+    else { objs = [||]; off = [| 0 |]; rows = [||]; vals = [||] }
+  in
   let st =
     {
       p;
@@ -429,6 +521,7 @@ let init ?initial (p : params) ~objective_row ~pool ~capacities ~oracles =
       capacities;
       oracles;
       combos;
+      zero;
       blk_obj = Array.make (Array.length oracles) 0.0;
       work = Combo.work ();
       usage = Array.make m 0.0;
@@ -697,8 +790,11 @@ let solve ?(round = true) ?initial (p : params) ~capacities ~oracles =
   Log.debug (fun m ->
       m "stabilized: obj=%.6g viol=%.4f" st.objective (coupling_violation st));
   (* Final bound sweep: the multipliers the run converged to may be off
-     by a uniform scale (the B control distorts pi_0); probing a grid of
-     scalings often recovers several percent of the bound. *)
+     by a uniform scale (the B control distorts pi_0), so a grid of
+     scalings is probed. It seldom pays: over 80 solves of the
+     benchmark's solve-cold and replan-daemon shapes it raised the bound
+     in 5, by 0 to 0.4% in three and by 15% and 19% in two, and the
+     ceiling skips 510 of its 560 sweeps. *)
   Obs.phase "final_lb" (fun () ->
       List.iter
         (fun mult -> try_duals st ~mult st.smoothed st.smoothed_obj)

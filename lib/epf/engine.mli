@@ -96,6 +96,36 @@ val lagrangian_bound :
   pool:Vod_util.Pool.t -> oracles:'a oracle array -> capacities:float array ->
   float array -> float
 
+(** {1 The bound ceiling}
+
+    {!solve} skips a bound sweep that cannot raise its bound. For
+    [lambda >= 0], each block's [lower_bound] is at most its priced cost
+    (c + lambda A) x at any point x of the block, so
+    [lagrangian_bound lambda] is at most U(lambda) =
+    sum_k min_x (c + lambda A) x - lambda . b, the minimum taken over
+    the points the engine holds for block k: its combination's columns
+    and its optimum at zero row prices. *)
+
+(** Each block's [optimize ~obj_price:1.0] point at zero row prices,
+    kept flat: one objective per block and one usage arena, without
+    payloads. {!solve} builds them once, in parallel on its pool. *)
+type zero_points
+
+(** [zero_price_points ~pool ~n_rows oracles]: the zero price vector has
+    [n_rows] entries. *)
+val zero_price_points :
+  pool:Vod_util.Pool.t -> n_rows:int -> 'a oracle array -> zero_points
+
+(** [bound_ceiling zero combos ~capacities lambda] is [(u, margin)]: u
+    is U(lambda) over the points of [zero] and the columns of [combos]
+    (block k's of both), and margin is 1e-9 times the sum of |U_k| and
+    lambda . b, which covers the rounding of both u and the bound. The
+    sums run in block and row order. A NaN priced cost makes u NaN, and
+    {!solve} sweeps whenever u + margin < its bound is false. *)
+val bound_ceiling :
+  zero_points -> 'a Combo.t array -> capacities:float array -> float array ->
+  float * float
+
 (** max(0, max_i usage_i / capacities_i - 1), the maximum relative
     coupling violation (0 with no rows). Allocates only its result. *)
 val max_violation : capacities:float array -> float array -> float

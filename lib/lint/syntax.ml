@@ -22,13 +22,15 @@ let normalize name =
   | None -> name
   | Some i ->
       let head = String.sub name 0 i in
-      let is_lib_wrapper =
+      (* [Stdlib.f] is [f]; a [Vod_*] wrapper is dropped only when a
+         module name follows it. *)
+      let strip =
         head = "Stdlib"
-        || (String.length head > 4 && String.starts_with ~prefix:"Vod_" head)
+        || (String.length head > 4
+           && String.starts_with ~prefix:"Vod_" head
+           && String.contains_from name (i + 1) '.')
       in
-      if is_lib_wrapper && String.contains_from name (i + 1) '.' then
-        String.sub name (i + 1) (String.length name - i - 1)
-      else name
+      if strip then String.sub name (i + 1) (String.length name - i - 1) else name
 
 let callee_name e = Option.map normalize (ident_of e)
 

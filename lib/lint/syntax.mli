@@ -15,8 +15,10 @@ val ident_of : Parsetree.expression -> string option
     anything else. *)
 
 val normalize : string -> string
-(** Strip a leading [Stdlib.] or [Vod_*] wrapper component from a
-    qualified name, so ["Vod_util.Pool.map"] and ["Pool.map"] coincide. *)
+(** Strip a leading [Stdlib.] component from a qualified name, so
+    ["Stdlib.print_endline"] and ["print_endline"] coincide, and a
+    leading [Vod_*] wrapper component when a module follows it, so
+    ["Vod_util.Pool.map"] and ["Pool.map"] do. *)
 
 val callee_name : Parsetree.expression -> string option
 (** {!ident_of} then {!normalize}: the name by which a call's function

@@ -271,6 +271,22 @@ let pr_local_accum_ok =
       \    a" );
   ]
 
+(* A Stdlib-qualified call is the call itself: both tasks print. *)
+let pr_stdlib_io =
+  [
+    ( "lib/fake/stdlib_io.ml",
+      "let a xs = Vod_util.Pool.map ~f:(fun x -> print_endline x; x) xs\n\
+       let b xs = Vod_util.Pool.map ~f:(fun x -> Stdlib.print_endline x; x) xs" );
+  ]
+
+let par_race_stdlib_qualified () =
+  let lines =
+    Vod_lint.Engine.lint_project_strings pr_stdlib_io
+    |> List.filter_map (fun (d : Vod_lint.Diagnostic.t) ->
+           if d.rule = "par-race" then Some d.line else None)
+  in
+  Alcotest.(check (list int)) "par-race on both lines" [ 1; 2 ] (List.sort Int.compare lines)
+
 (* float-order *)
 
 let fo_iter =
@@ -713,6 +729,8 @@ let suite =
       (check_project_fires "par-race" ~in_file:"lib/fake/rand.ml" pr_random);
     Alcotest.test_case "par-race fires on I/O in task" `Quick
       (check_project_fires "par-race" ~in_file:"lib/fake/io.ml" pr_io);
+    Alcotest.test_case "par-race fires on Stdlib-qualified I/O" `Quick
+      par_race_stdlib_qualified;
     Alcotest.test_case "par-race fires on module-level Hashtbl mutation" `Quick
       (check_project_fires "par-race" ~in_file:"lib/fake/glob.ml" pr_global);
     Alcotest.test_case "par-race quiet on pure task" `Quick

@@ -497,6 +497,29 @@ let random_multipliers ~capacities ~kind ~seed warm =
       let rows = float_of_int (Array.length warm) in
       Array.map (fun b -> u () *. !mass /. (rows *. b)) capacities
 
+(* A random 6-video week of catalog and trace seed [seed] on the 4-VHO
+   ring: disks at [disk_mult] times the catalog, 400 Mb/s links. *)
+let random_instance ~seed ~disk_mult =
+  let graph = tiny_graph () in
+  let catalog =
+    Vod_workload.Catalog.generate
+      (Vod_workload.Catalog.default_params ~n:6 ~days:7 ~seed)
+  in
+  let trace =
+    Vod_workload.Tracegen.generate
+      (Vod_workload.Tracegen.default_params ~catalog
+         ~populations:graph.G.populations ~mean_daily_requests:400.0
+         ~seed:(seed + 1))
+  in
+  let demand =
+    Golden.week_demand catalog ~n_vhos:4 trace
+  in
+  let total = Vod_workload.Catalog.total_size_gb catalog in
+  I.create ~graph ~catalog ~demand
+    ~disk_gb:(I.uniform_disk ~total_gb:(disk_mult *. total) 4)
+    ~link_capacity_mbps:(I.uniform_links graph 400.0)
+    ()
+
 (* End-to-end cross-check over random instances: a solver's Lagrangian
    bound must never exceed the simplex LP optimum. EPF draws run at 2.5x
    disk and also check that the fractional objective does not beat the
@@ -513,27 +536,8 @@ let prop_bound_vs_simplex =
       quad (int_range 1 10_000) bool (float_range 1.1 3.0)
         (pair (int_range 0 2) (int_range 0 1_000_000)))
     (fun (seed, benders, multiple, (kind, lambda_seed)) ->
-      let graph = tiny_graph () in
-      let catalog =
-        Vod_workload.Catalog.generate
-          (Vod_workload.Catalog.default_params ~n:6 ~days:7 ~seed)
-      in
-      let trace =
-        Vod_workload.Tracegen.generate
-          (Vod_workload.Tracegen.default_params ~catalog
-             ~populations:graph.G.populations ~mean_daily_requests:400.0
-             ~seed:(seed + 1))
-      in
-      let demand =
-        Golden.week_demand catalog ~n_vhos:4 trace
-      in
-      let total = Vod_workload.Catalog.total_size_gb catalog in
-      let disk_mult = if benders then multiple else 2.5 in
       let inst =
-        I.create ~graph ~catalog ~demand
-          ~disk_gb:(I.uniform_disk ~total_gb:(disk_mult *. total) 4)
-          ~link_capacity_mbps:(I.uniform_links graph 400.0)
-          ()
+        random_instance ~seed ~disk_mult:(if benders then multiple else 2.5)
       in
       let params =
         { Vod_epf.Engine.default_params with Vod_epf.Engine.max_passes = 40; seed }
@@ -560,6 +564,88 @@ let prop_bound_vs_simplex =
       | (Vod_lp.Simplex.Infeasible | Vod_lp.Simplex.Unbounded) when benders ->
           QCheck.assume_fail ()
       | Vod_lp.Simplex.Infeasible | Vod_lp.Simplex.Unbounded -> false)
+
+(* The bound ceiling that lets the engine skip sweeps. On a random
+   instance, over the engine's first columns (each block's initial
+   point) and over its fractional iterate, at lambda zero, at unit scale
+   (both [random_multipliers] kinds) and at unit scale times 10^k for k
+   in [-300, 3], with (u, margin) = [Engine.bound_ceiling]:
+   - the bound is at most u + margin (the skip is sound);
+   - u is within margin of the least priced cost over the block's
+     zero-price point and columns, minus lambda . b, evaluated here point
+     by point (so a ceiling that drops a point or a term, and is merely
+     looser, fails too). *)
+let prop_bound_ceiling =
+  QCheck.Test.make ~name:"engine bound below its ceiling on random instances"
+    ~count:20
+    QCheck.(triple (int_range 1 10_000) (int_range 0 1_000_000) (int_range (-300) 3))
+    (fun (seed, lambda_seed, exp10) ->
+      let inst = random_instance ~seed ~disk_mult:2.5 in
+      let _, oracles, warm = B.oracles inst in
+      let capacities = I.capacities inst in
+      let m = Array.length capacities in
+      let initial =
+        Array.map (fun (o : _ E.oracle) -> Vod_epf.Combo.of_list [ (o.E.initial (), 1.0) ])
+          oracles
+      in
+      let iterate =
+        (E.solve ~round:false { E.default_params with E.max_passes = 20; seed }
+           ~capacities ~oracles).E.combos
+      in
+      let zero_row = Array.make m 0.0 in
+      let zero_pts =
+        Array.map (fun (o : _ E.oracle) -> o.E.optimize ~obj_price:1.0 ~row_price:zero_row)
+          oracles
+      in
+      let direct combos lambda =
+        let priced (pt : _ E.point) = pt.E.obj +. Vod_epf.Sparse.dot lambda pt.E.usage in
+        let sum = ref 0.0 in
+        Array.iteri
+          (fun k c ->
+            let best = ref (priced zero_pts.(k)) in
+            for q = 0 to Vod_epf.Combo.length c - 1 do
+              best := Float.min !best (priced (Vod_epf.Combo.point c q))
+            done;
+            sum := !sum +. !best)
+          combos;
+        Array.iteri (fun i b -> sum := !sum -. (lambda.(i) *. b)) capacities;
+        !sum
+      in
+      let unit kind = random_multipliers ~capacities ~kind ~seed:lambda_seed warm in
+      let scale = 10.0 ** float_of_int exp10 in
+      let lambdas =
+        [ unit 0; unit 1; unit 2; Array.map (( *. ) scale) (unit 1);
+          Array.map (( *. ) scale) (unit 2) ]
+      in
+      Vod_util.Pool.with_pool ~jobs:1 (fun pool ->
+          let zero = E.zero_price_points ~pool ~n_rows:m oracles in
+          List.for_all
+            (fun lambda ->
+              let lr = E.lagrangian_bound ~pool ~oracles ~capacities lambda in
+              List.for_all
+                (fun combos ->
+                  let u, margin = E.bound_ceiling zero combos ~capacities lambda in
+                  lr <= u +. margin && Float.abs (u -. direct combos lambda) <= margin)
+                [ initial; iterate ])
+            lambdas))
+
+(* Every bound sweep the engine would run is either run or skipped:
+   two per pass (smoothed and instantaneous duals), the three
+   stabilization passes included, and one per grid multiplier. *)
+let bound_sweeps_counted () =
+  let inst = tiny_instance () in
+  let reg = Vod_obs.Obs.create () in
+  let report = Vod_obs.Obs.with_run reg (fun () -> Solve.solve inst) in
+  let count name =
+    match Vod_obs.Obs.read reg name with
+    | Some (Vod_obs.Obs.Counter n) -> n
+    | _ -> Alcotest.fail (name ^ " is not a counter")
+  in
+  let run = count "epf/lb/sweeps" and skipped = count "epf/lb/skipped" in
+  Alcotest.(check int) "sweeps run + skipped"
+    ((2 * (report.Solve.passes + 3)) + 7)
+    (run + skipped);
+  Alcotest.(check bool) (Printf.sprintf "some skipped (%d)" skipped) true (skipped > 0)
 
 let lp_check_structure () =
   let inst = tiny_instance () in
@@ -709,6 +795,8 @@ let suite =
     Alcotest.test_case "binary search" `Quick binary_search_behaviour;
     Alcotest.test_case "lp_check structure" `Quick lp_check_structure;
     QCheck_alcotest.to_alcotest prop_bound_vs_simplex;
+    QCheck_alcotest.to_alcotest prop_bound_ceiling;
+    Alcotest.test_case "bound sweeps counted" `Quick bound_sweeps_counted;
     QCheck_alcotest.to_alcotest prop_block_kernels_match_ref;
     Alcotest.test_case "instance rejects bad alpha_cost" `Quick
       (rejects_cost "alpha_cost" (fun alpha_cost -> create_tiny ~alpha_cost ()));

@@ -183,12 +183,28 @@ echo "== placement-LP and serving flags reject bad values =="
 # the 9-day warm-up. A bad value is a command-line error (cmdliner's exit 124)
 # raised before any solve, not an empty trace or report, a NaN price, a
 # silently unrestricted budget or an exception mid-playout. The flag
-# cases run 10 days, so --days itself is valid there.
-expect_usage_error() { # $@ = vodopt arguments
+# cases run 10 days, so --days itself is valid there. Each case gives
+# its bad value as --flag=value, and vodopt must reject that flag by
+# name ("option '--flag': ..."), so a case cannot pass on another usage
+# error, such as a repeated flag.
+expect_usage_error() { # $@ = vodopt arguments; the last --flag=value is the bad one
+  flag=
+  for arg in "$@"; do
+    case $arg in --*=*) flag=${arg%%=*} ;; esac
+  done
+  if [ -z "$flag" ]; then
+    echo "FAIL: vodopt $* has no --flag=value argument to expect an error for" >&2
+    exit 1
+  fi
   code=0
-  dune exec --no-print-directory bin/vodopt.exe -- "$@" > /dev/null 2>&1 || code=$?
+  dune exec --no-print-directory bin/vodopt.exe -- "$@" > /dev/null \
+    2> "$smoke_dir/usage.err" || code=$?
   if [ "$code" -ne 124 ]; then
     echo "FAIL: vodopt $* exited $code, expected 124" >&2
+    exit 1
+  fi
+  if ! grep -qF "option '$flag':" "$smoke_dir/usage.err"; then
+    echo "FAIL: vodopt $* did not reject $flag by name: $(head -n 1 "$smoke_dir/usage.err")" >&2
     exit 1
   fi
 }
@@ -196,9 +212,9 @@ for bad in --requests-per-video=-1 --disk=nan --link=inf --days=-1 --jobs=-2 \
   --passes=-3; do
   expect_usage_error solve --videos 20 "$bad"
 done
-expect_usage_error solve --videos 0
-expect_usage_error stats --days 0
-expect_usage_error sweep --days 0
+expect_usage_error solve --videos=0
+expect_usage_error stats --days=0
+expect_usage_error sweep --days=0
 for bad in --link-capacity=-5 --link-capacity=nan --origin=99 --origin=-1 \
   --faults=single-vho:abc --faults=single-vho:99 \
   --faults="$smoke_dir/missing.csv"; do
@@ -207,18 +223,18 @@ done
 for bad in --budget=-3 --budget=nan --origin=99; do
   expect_usage_error serve --videos 20 --days 10 "$bad"
 done
-expect_usage_error simulate --scheme lru --videos 20 --days 9
-expect_usage_error serve --videos 20 --days 9
+expect_usage_error simulate --scheme lru --videos 20 --days=9
+expect_usage_error serve --videos 20 --days=9
 # A malformed --trace CSV (a NaN time on line 3) or --topology-file edge
 # list (a non-integer node id on line 2) is a usage error naming its
 # flag in every command that reads one, not an uncaught exception.
 printf 'time_s,vho,video\n1.0,0,0\nnan,0,0\n' > "$smoke_dir/bad_trace.csv"
 printf '0 1\n1 x\n' > "$smoke_dir/bad.edges"
 for cmd in stats solve simulate serve; do
-  expect_usage_error "$cmd" --videos 20 --days 10 --trace "$smoke_dir/bad_trace.csv"
+  expect_usage_error "$cmd" --videos 20 --days 10 --trace="$smoke_dir/bad_trace.csv"
 done
 for cmd in stats solve simulate serve sweep; do
-  expect_usage_error "$cmd" --videos 20 --days 10 --topology-file "$smoke_dir/bad.edges"
+  expect_usage_error "$cmd" --videos 20 --days 10 --topology-file="$smoke_dir/bad.edges"
 done
 echo "== --faults loads a schedule whose path contains ':' =="
 # Only a canned scenario name splits at ':' (single-vho:3); any other
