@@ -26,7 +26,8 @@ type t = {
   paths : Vod_topology.Paths.t;
   catalog : Vod_workload.Catalog.t;
   caches : Cache.t array;
-  pinned : (int, unit) Hashtbl.t array;  (* per VHO: set of pinned videos *)
+  (* Pinned copies as one bitset, bit [video * n_vhos + vho]. *)
+  pinned : Bytes.t;
   index : Replica_index.t;
   routing : routing;
 }
@@ -43,43 +44,59 @@ let name t = t.name
 
 let n_vhos t = Array.length t.caches
 
-let pinned_at t ~video ~vho = Hashtbl.mem t.pinned.(vho) video
+(* The bit of ([video], [vho]); raises [Invalid_argument] outside the
+   catalog or the topology, as an array index would. *)
+let pinned_bit t ~video ~vho =
+  let n = Array.length t.caches in
+  if vho < 0 || vho >= n || video < 0
+     || video >= Vod_workload.Catalog.n_videos t.catalog
+  then invalid_arg "Fleet.pinned_at: video or VHO out of range";
+  (video * n) + vho
+
+let pinned_at t ~video ~vho =
+  let i = pinned_bit t ~video ~vho in
+  Char.code (Bytes.get t.pinned (i lsr 3)) land (1 lsl (i land 7)) <> 0
 
 let pin t ~video ~vho =
-  if not (pinned_at t ~video ~vho) then begin
-    Hashtbl.replace t.pinned.(vho) video ();
+  let i = pinned_bit t ~video ~vho in
+  let byte = Char.code (Bytes.get t.pinned (i lsr 3)) and bit = 1 lsl (i land 7) in
+  if byte land bit = 0 then begin
+    Bytes.set t.pinned (i lsr 3) (Char.chr (byte lor bit));
     Replica_index.add t.index ~video ~vho
   end
 
-(* Pinned disk usage per VHO (GB). Folds over sorted video ids so the
-   reported usage is bit-identical regardless of pin/unpin history. *)
+(* Pinned disk usage per VHO (GB). Folds over ascending video ids so the
+   reported usage is bit-identical regardless of pin history. *)
 let pinned_gb t =
-  Array.map
-    (fun tbl ->
-      List.fold_left
-        (fun acc video ->
-          acc +. Vod_workload.Video.size_gb (Vod_workload.Catalog.video t.catalog video))
-        0.0
-        (Vod_util.Stats_acc.sorted_keys Int.compare tbl))
-    t.pinned
+  Array.init (n_vhos t) (fun vho ->
+      let acc = ref 0.0 in
+      for video = 0 to Vod_workload.Catalog.n_videos t.catalog - 1 do
+        if pinned_at t ~video ~vho then
+          acc :=
+            !acc
+            +. Vod_workload.Video.size_gb (Vod_workload.Catalog.video t.catalog video)
+      done;
+      !acc)
 
 let default_server t ~video ~vho =
   match t.routing with
   | Region_origin origins -> (
       (* Prefer a cached copy anywhere if closer than the origin. *)
-      match Replica_index.nearest t.index t.paths ~video ~vho with
-      | Some s
-        when Vod_topology.Paths.hops t.paths ~src:s ~dst:vho
-             < Vod_topology.Paths.hops t.paths ~src:origins.(vho) ~dst:vho ->
-          s
-      | Some _ | None -> origins.(vho))
+      let s = Replica_index.nearest t.index t.paths ~video ~vho in
+      if s >= 0
+         && Vod_topology.Paths.hops t.paths ~src:s ~dst:vho
+            < Vod_topology.Paths.hops t.paths ~src:origins.(vho) ~dst:vho
+      then s
+      else origins.(vho))
   | Mip_routes solution -> Vod_placement.Solution.server solution t.paths ~video ~vho
-  | Oracle_nearest -> (
-      match Replica_index.nearest t.index t.paths ~video ~vho with
-      | Some s -> s
-      | None -> invalid_arg "Fleet.serve: video has no replica anywhere")
+  | Oracle_nearest ->
+      let s = Replica_index.nearest t.index t.paths ~video ~vho in
+      if s < 0 then invalid_arg "Fleet.serve: video has no replica anywhere";
+      s
 
 let holders t ~video = Replica_index.holders t.index ~video
+
+let n_holders t ~video = Replica_index.count t.index ~video
 
 (* Local serving is never rerouted: the pinned store, else a cache hit,
    which locks the entry until the stream ends. A miss changes nothing. *)
@@ -123,13 +140,14 @@ let serve t ~video ~vho ~now =
 
 let base ~name ~paths ~catalog ~routing ~cache_capacities_gb ~policy =
   let n = Array.length cache_capacities_gb in
+  let n_videos = Vod_workload.Catalog.n_videos catalog in
   {
     name;
     paths;
     catalog;
     caches = Array.map (fun c -> Cache.create ~policy ~capacity_gb:c) cache_capacities_gb;
-    pinned = Array.init n (fun _ -> Hashtbl.create 256);
-    index = Replica_index.create ~n_videos:(Vod_workload.Catalog.n_videos catalog);
+    pinned = Bytes.make (((n_videos * n) + 7) / 8) '\000';
+    index = Replica_index.create ~n_videos;
     routing;
   }
 

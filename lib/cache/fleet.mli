@@ -2,7 +2,13 @@
     copies, per-VHO dynamic caches, the replica oracle and the serving
     logic. The serving loop calls {!serve} per request (paper Sec. VII),
     or, when a failover router picks the server, {!serve_local}, then
-    {!default_server} and {!fetch}. *)
+    {!default_server} and {!fetch}.
+
+    Costs per request: {!serve_local} is a bit test and at most one cache
+    probe; {!default_server} under oracle or origin routing walks the
+    video's holders once; {!fetch} is the cache admission (see
+    {!Cache.insert} for what an eviction costs) plus O(holders) index
+    updates per admitted or evicted video. *)
 
 type routing =
   | Oracle_nearest
@@ -25,18 +31,26 @@ val name : t -> string
 (** Number of VHOs in the fleet. *)
 val n_vhos : t -> int
 
-(** Whether [video] has a pinned (placement-managed) copy at [vho]. *)
+(** Whether [video] has a pinned (placement-managed) copy at [vho]: one
+    bit test. Raises [Invalid_argument] outside the catalog or the
+    topology. *)
 val pinned_at : t -> video:int -> vho:int -> bool
 
 (** Pin a copy and register it with the oracle (idempotent). *)
 val pin : t -> video:int -> vho:int -> unit
 
-(** Pinned disk usage per VHO (GB). *)
+(** Pinned disk usage per VHO (GB), summed in ascending video id order;
+    O(videos × VHOs). *)
 val pinned_gb : t -> float array
 
-(** Current holders of [video] (pinned or cached), unsorted. Exposed for
-    the failover router in lib/resil. *)
-val holders : t -> video:int -> int list
+(** Current holders of [video] (pinned or cached): the first
+    {!n_holders} cells, unsorted, of the replica index's own buffer, which
+    the next {!pin} or {!fetch} rewrites. Exposed for the failover router
+    in lib/resil, which reads them without a copy. *)
+val holders : t -> video:int -> int array
+
+(** Number of current holders of [video]. *)
+val n_holders : t -> video:int -> int
 
 (** Serve one request at [now]: {!serve_local}, else {!fetch} from
     {!default_server}. Raises [Invalid_argument] if a video has no

@@ -20,6 +20,10 @@ let make ~file ~loc ~rule message =
     message;
   }
 
+(* The message is the last key: two findings at one position under one
+   rule (a tuple and the list cons around it start at the same column)
+   are distinct, and only exact duplicates compare equal, so
+   [List.sort_uniq compare] keeps both whatever the input order. *)
 let compare a b =
   let c = String.compare a.file b.file in
   if c <> 0 then c
@@ -28,7 +32,10 @@ let compare a b =
     if c <> 0 then c
     else
       let c = Int.compare a.col b.col in
-      if c <> 0 then c else String.compare a.rule b.rule
+      if c <> 0 then c
+      else
+        let c = String.compare a.rule b.rule in
+        if c <> 0 then c else String.compare a.message b.message
 
 let to_text d = Printf.sprintf "%s:%d:%d [%s] %s" d.file d.line d.col d.rule d.message
 

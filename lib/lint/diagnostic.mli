@@ -12,7 +12,8 @@ type t = {
 (** Build a diagnostic from a compiler [Location.t] (start position). *)
 val make : file:string -> loc:Location.t -> rule:string -> string -> t
 
-(** Order by file, then line, column, rule — the report order. *)
+(** Order by file, then line, column, rule, message — the report order.
+    Only exact duplicates compare equal. *)
 val compare : t -> t -> int
 
 (** [file:line:col [rule-id] message] — one line, no trailing newline. *)

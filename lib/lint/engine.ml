@@ -133,8 +133,9 @@ let project_core ~rules ~disabled ~units_decl ~protocols_decl ~on_disk files =
     Project_rules.run ~disabled ~units_decl ~protocols_decl impls
     |> filter_suppressed ~sources
   in
-  (* Sorted by (file, line, col, rule) and de-duplicated, so project
-     reports and the baseline file are diff-stable across runs. *)
+  (* Sorted by (file, line, col, rule, message) and de-duplicated, so
+     project reports and the baseline file are diff-stable across runs;
+     only exact duplicates merge. *)
   List.sort_uniq Diagnostic.compare (phase1 @ phase2)
 
 let lint_project ?(rules = Rules.all) ?(disabled = [])

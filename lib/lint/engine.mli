@@ -27,12 +27,12 @@ val lint_paths : ?rules:Rules.t list -> string list -> Diagnostic.t list
     effect-summary rules over every implementation file at once
     ([disabled] names phase-2 rule ids to skip). [vodlint-disable]
     comments suppress findings from both phases. The merged list is
-    sorted by (file, line, col, rule) and de-duplicated, so output and
-    baselines are diff-stable. Baseline subtraction is the caller's
-    job ({!Baseline.apply}). [units_decl] (default
-    {!Units.empty_decl}) seeds the phase-3 units dataflow;
-    [protocols_decl] (default {!Proto.empty_decl}) seeds the phase-4
-    protocol dataflow. *)
+    sorted by (file, line, col, rule, message) and de-duplicated (only
+    exact duplicates merge), so output and baselines are diff-stable.
+    Baseline subtraction is the caller's job ({!Baseline.apply}).
+    [units_decl] (default {!Units.empty_decl}) seeds the phase-3 units
+    dataflow; [protocols_decl] (default {!Proto.empty_decl}) seeds the
+    phase-4 protocol dataflow. *)
 val lint_project :
   ?rules:Rules.t list ->
   ?disabled:string list ->

@@ -88,8 +88,9 @@ let try_candidate t paths ~dst ~rate_mbps ~until_s ~now server =
   end
 
 (* Route one remote request for [dst]: [default] is the fleet's
-   fault-free choice, [holders] the current replica locations. *)
-let route t ~holders ~dst ~default ~rate_mbps ~until_s ~now =
+   fault-free choice, the first [n_holders] cells of [holders] the
+   current replica locations. *)
+let route t ~holders ~n_holders ~dst ~default ~rate_mbps ~until_s ~now =
   if not (State.vho_up t.state dst) then Rejected Vho_down
   else begin
     let paths = current_paths t in
@@ -117,12 +118,11 @@ let route t ~holders ~dst ~default ~rate_mbps ~until_s ~now =
     | None -> (
         (* Every other alive, reachable holder by (current hops, id). *)
         let alternates =
-          List.filter
-            (fun h ->
-              h <> default && h <> dst
-              && State.vho_up t.state h
-              && Vod_topology.Paths.reachable paths ~src:h ~dst)
-            holders
+          List.init n_holders (Array.get holders)
+          |> List.filter (fun h ->
+                 h <> default && h <> dst
+                 && State.vho_up t.state h
+                 && Vod_topology.Paths.reachable paths ~src:h ~dst)
           |> List.map (fun h -> (Vod_topology.Paths.hops paths ~src:h ~dst, h))
           |> List.sort (fun (ha, a) (hb, b) ->
                  let c = Int.compare ha hb in
@@ -160,6 +160,6 @@ let route t ~holders ~dst ~default ~rate_mbps ~until_s ~now =
                    from; otherwise the survivors were unreachable/down. *)
                 let any_alive = default_alive || alternates <> [] || origin_alive in
                 if any_alive then Rejected No_capacity
-                else if holders = [] && t.origin = None then Rejected No_replica
+                else if n_holders = 0 && t.origin = None then Rejected No_replica
                 else Rejected Unreachable))
   end

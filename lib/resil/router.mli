@@ -42,12 +42,13 @@ val create :
 val on_link_event : t -> unit
 
 (** Route one remote request to [dst]. [default] is the fleet's
-    fault-free server choice; [holders] the current replica locations.
-    On [Served] the stream's bandwidth has been reserved until
-    [until_s]. *)
+    fault-free server choice; the first [n_holders] cells of [holders]
+    are the current replica locations, in any order. On [Served] the
+    stream's bandwidth has been reserved until [until_s]. *)
 val route :
   t ->
-  holders:int list ->
+  holders:int array ->
+  n_holders:int ->
   dst:int ->
   default:int ->
   rate_mbps:float ->

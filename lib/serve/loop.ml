@@ -179,12 +179,8 @@ let count_served metrics ~vho (outcome : Fleet.outcome) =
    operation order. *)
 let add_remote metrics ~record ~links ~hops ~surge ~now (v : Video.t) =
   let rate = Video.rate_mbps v *. surge in
-  let t1 = now +. Video.duration_s v in
-  (* Explicit loop: an [Array.iter] lambda here is a fresh closure per
-     remote request (alloc-in-hot). *)
-  for l = 0 to Array.length links - 1 do
-    Metrics.add_stream metrics ~link:links.(l) ~rate_mbps:rate ~t0:now ~t1
-  done;
+  Metrics.add_stream metrics ~links ~rate_mbps:rate ~t0:now
+    ~t1:(now +. Video.duration_s v);
   if record then begin
     let hops = float_of_int hops in
     let gb = Video.size_gb v *. surge in
@@ -271,7 +267,8 @@ let play_faulted t f metrics (trace : Trace.t) ~lo ~hi =
           let v = Vod_workload.Catalog.video t.catalog video in
           let surge = State.surge f.state vho in
           match
-            Router.route f.router ~holders:(Fleet.holders t.fleet ~video) ~dst:vho
+            Router.route f.router ~holders:(Fleet.holders t.fleet ~video)
+              ~n_holders:(Fleet.n_holders t.fleet ~video) ~dst:vho
               ~default:(Fleet.default_server t.fleet ~video ~vho)
               ~rate_mbps:(Video.rate_mbps v *. surge)
               ~until_s:(now +. Video.duration_s v) ~now

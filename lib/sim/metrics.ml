@@ -85,8 +85,11 @@ let validate_store t (trace : Vod_workload.Trace.t) =
          (trace.Vod_workload.Trace.n_vhos - 1)
          (n - 1))
 
-(* Spread a stream of [rate_mbps] over [t0, t1) into the link's bins. *)
-let add_stream t ~link ~rate_mbps ~t0 ~t1 =
+(* Spread a stream of [rate_mbps] over [t0, t1) into the bins of every
+   link on its path. Each bin's increment is computed once and added to
+   each link's cell; a stream adds once per cell, so every cell gets the
+   value and the addition order that one sweep per link would give. *)
+let add_stream t ~links ~rate_mbps ~t0 ~t1 =
   let t0 = Float.max t0 t.record_from in
   if t1 > t0 then begin
     let horizon = float_of_int t.n_bins *. t.bin_s in
@@ -96,9 +99,13 @@ let add_stream t ~link ~rate_mbps ~t0 ~t1 =
     for b = b0 to min b1 (t.n_bins - 1) do
       let bin_start = float_of_int b *. t.bin_s in
       let overlap = Float.min t1 (bin_start +. t.bin_s) -. Float.max t0 bin_start in
-      if overlap > 0.0 then
-        t.link_load.(link).(b) <-
-          t.link_load.(link).(b) +. (rate_mbps *. overlap /. t.bin_s)
+      if overlap > 0.0 then begin
+        let inc = rate_mbps *. overlap /. t.bin_s in
+        for l = 0 to Array.length links - 1 do
+          let row = t.link_load.(links.(l)) in
+          row.(b) <- row.(b) +. inc
+        done
+      end
     done
   end
 

@@ -56,9 +56,11 @@ val in_record_window : t -> float -> bool
     row. Raises [Invalid_argument] naming both bounds. *)
 val validate_store : t -> Vod_workload.Trace.t -> unit
 
-(** Spread a stream of [rate_mbps] over [t0, t1) into a link's bins
-    (overlap-weighted). *)
-val add_stream : t -> link:int -> rate_mbps:float -> t0:float -> t1:float -> unit
+(** Spread a stream of [rate_mbps] over [t0, t1) into the bins of every
+    link in [links] (overlap-weighted). One sweep over the bins, each
+    bin's increment computed once; every cell ends bit-identical to a
+    separate call per link. *)
+val add_stream : t -> links:int array -> rate_mbps:float -> t0:float -> t1:float -> unit
 
 (** Per-bin max over links (Fig. 5). *)
 val peak_series : t -> float array

@@ -88,16 +88,141 @@ let prop_lru_model =
       (* Final contents agree. *)
       List.for_all (fun v -> C.mem c v) !model && C.size c = List.length !model)
 
+(* The full-scan cache every policy evicted with before the recency list:
+   the oracle of [prop_cache_matches_scan_model]. Same clock, frequency
+   and CRF bookkeeping as Cache; the victim is the best idle entry over a
+   scan of every resident one. *)
+module Scan_cache = struct
+  type entry = {
+    size_gb : float;
+    mutable last_use : int;
+    mutable freq : int;
+    mutable crf : float;
+    mutable busy_until : float;
+  }
+
+  type t = {
+    policy : C.policy;
+    capacity_gb : float;
+    mutable used_gb : float;
+    mutable clock : int;
+    entries : (int, entry) Hashtbl.t;
+  }
+
+  let create policy capacity_gb =
+    { policy; capacity_gb; used_gb = 0.0; clock = 0; entries = Hashtbl.create 16 }
+
+  let crf_now t e ~lambda =
+    e.crf *. (2.0 ** (-.lambda *. float_of_int (t.clock - e.last_use)))
+
+  let touch t video ~busy_until =
+    match Hashtbl.find_opt t.entries video with
+    | None -> false
+    | Some e ->
+        t.clock <- t.clock + 1;
+        (match t.policy with
+        | C.Lrfu lambda -> e.crf <- 1.0 +. crf_now t e ~lambda
+        | C.Lru | C.Lfu -> ());
+        e.last_use <- t.clock;
+        e.freq <- e.freq + 1;
+        if busy_until > e.busy_until then e.busy_until <- busy_until;
+        true
+
+  let victim t ~now =
+    Hashtbl.fold
+      (fun video e best ->
+        if e.busy_until > now then best
+        else
+          match best with
+          | None -> Some (video, e)
+          | Some (_, b) ->
+              let better =
+                match t.policy with
+                | C.Lru -> e.last_use < b.last_use
+                | C.Lfu -> e.freq < b.freq || (e.freq = b.freq && e.last_use < b.last_use)
+                | C.Lrfu lambda ->
+                    let ce = crf_now t e ~lambda and cb = crf_now t b ~lambda in
+                    ce < cb || (ce = cb && e.last_use < b.last_use)
+              in
+              if better then Some (video, e) else best)
+      t.entries None
+
+  let insert t video ~size_gb ~now ~busy_until =
+    if Hashtbl.mem t.entries video then (true, [])
+    else if size_gb > t.capacity_gb then (false, [])
+    else begin
+      let rec evict acc =
+        if t.used_gb +. size_gb <= t.capacity_gb then (true, acc)
+        else
+          match victim t ~now with
+          | None -> (false, acc)
+          | Some (v, e) ->
+              Hashtbl.remove t.entries v;
+              t.used_gb <- t.used_gb -. e.size_gb;
+              evict (v :: acc)
+      in
+      let ok, evicted = evict [] in
+      if ok then begin
+        t.clock <- t.clock + 1;
+        Hashtbl.replace t.entries video
+          { size_gb; last_use = t.clock; freq = 1; crf = 1.0; busy_until };
+        t.used_gb <- t.used_gb +. size_gb
+      end;
+      (ok, evicted)
+    end
+end
+
+(* Random insert/touch sequences at a non-decreasing clock, with random
+   sizes, capacities and stream locks, under all three policies: every
+   hit, admission and eviction list matches the full-scan oracle, and so
+   do the final contents and byte count. *)
+let prop_cache_matches_scan_model =
+  let policies = [| C.Lru; C.Lfu; C.Lrfu 0.5; C.Lrfu 0.1; C.Lrfu 1.0 |] in
+  let capacities = [| 0.0; 1.0; 2.5; 4.0; 6.0 |] in
+  let sizes = [| 0.25; 0.5; 1.0; 1.5; 3.0 |] in
+  let steps = [| 0.0; 1.0; 5.0; 20.0 |] in
+  let locks = [| 0.0; 2.0; 10.0; 30.0; 100.0 |] in
+  let op = QCheck.Gen.(quad bool (int_bound 11) (int_bound 4) (pair (int_bound 3) (int_bound 4))) in
+  let case = QCheck.Gen.(triple (int_bound 4) (int_bound 4) (list_size (int_range 0 80) op)) in
+  let print =
+    QCheck.Print.(triple int int (list (quad bool int int (pair int int))))
+  in
+  QCheck.Test.make ~name:"cache matches full-scan model, all policies" ~count:500
+    (QCheck.make ~print case)
+    (fun (p, c, ops) ->
+      let policy = policies.(p) and capacity_gb = capacities.(c) in
+      let cache = C.create ~policy ~capacity_gb in
+      let model = Scan_cache.create policy capacity_gb in
+      let now = ref 0.0 in
+      List.for_all
+        (fun (is_insert, video, s, (dt, lock)) ->
+          now := !now +. steps.(dt);
+          let busy_until = !now +. locks.(lock) in
+          if is_insert then
+            C.insert cache video ~size_gb:sizes.(s) ~now:!now ~busy_until
+            = Scan_cache.insert model video ~size_gb:sizes.(s) ~now:!now ~busy_until
+          else C.touch cache video ~busy_until = Scan_cache.touch model video ~busy_until)
+        ops
+      && C.size cache = Hashtbl.length model.Scan_cache.entries
+      && Float.equal (C.used_gb cache) model.Scan_cache.used_gb
+      && List.for_all
+           (fun v -> C.mem cache v = Hashtbl.mem model.Scan_cache.entries v)
+           (List.init 12 Fun.id))
+
+(* The live holders of a video, in index order. *)
+let live idx ~video = Array.to_list (Array.sub (RI.holders idx ~video) 0 (RI.count idx ~video))
+
 let replica_index_ops () =
   let idx = RI.create ~n_videos:3 in
   RI.add idx ~video:0 ~vho:2;
   RI.add idx ~video:0 ~vho:2;
-  Alcotest.(check (list int)) "idempotent add" [ 2 ] (RI.holders idx ~video:0);
+  Alcotest.(check (list int)) "idempotent add" [ 2 ] (live idx ~video:0);
   RI.add idx ~video:0 ~vho:1;
   Alcotest.(check bool) "holds" true (RI.holds idx ~video:0 ~vho:1);
   RI.remove idx ~video:0 ~vho:2;
   Alcotest.(check bool) "removed" false (RI.holds idx ~video:0 ~vho:2);
-  Alcotest.(check (list int)) "empty video" [] (RI.holders idx ~video:1)
+  Alcotest.(check (list int)) "survivor kept" [ 1 ] (live idx ~video:0);
+  Alcotest.(check (list int)) "empty video" [] (live idx ~video:1)
 
 let nearest_replica () =
   let g =
@@ -107,10 +232,10 @@ let nearest_replica () =
   in
   let paths = Vod_topology.Paths.compute g in
   let idx = RI.create ~n_videos:1 in
-  Alcotest.(check bool) "no replica" true (RI.nearest idx paths ~video:0 ~vho:0 = None);
+  Alcotest.(check int) "no replica" (-1) (RI.nearest idx paths ~video:0 ~vho:0);
   RI.add idx ~video:0 ~vho:3;
   RI.add idx ~video:0 ~vho:1;
-  Alcotest.(check (option int)) "nearest is 1" (Some 1)
+  Alcotest.(check int) "nearest is 1" 1
     (RI.nearest idx paths ~video:0 ~vho:0)
 
 (* Equidistant holders resolve to the lowest VHO id, whatever order the
@@ -128,14 +253,14 @@ let nearest_tie_break () =
     (fun order ->
       let idx = RI.create ~n_videos:1 in
       List.iter (fun vho -> RI.add idx ~video:0 ~vho) order;
-      Alcotest.(check (option int)) "lowest id wins the tie" (Some 0)
+      Alcotest.(check int) "lowest id wins the tie" 0
         (RI.nearest idx paths ~video:0 ~vho:1))
     [ [ 0; 2 ]; [ 2; 0 ] ];
   (* A strictly closer holder still beats a lower id. *)
   let idx = RI.create ~n_videos:1 in
   RI.add idx ~video:0 ~vho:0;
   RI.add idx ~video:0 ~vho:3;
-  Alcotest.(check (option int)) "hops beat id" (Some 3)
+  Alcotest.(check int) "hops beat id" 3
     (RI.nearest idx paths ~video:0 ~vho:2)
 
 (* A tiny fleet world shared by the fleet tests. *)
@@ -299,4 +424,5 @@ let suite =
     Alcotest.test_case "fleet origin" `Quick fleet_origin;
     Alcotest.test_case "fleet mip routing" `Slow fleet_mip_routing;
     QCheck_alcotest.to_alcotest prop_lru_model;
+    QCheck_alcotest.to_alcotest prop_cache_matches_scan_model;
   ]

@@ -362,8 +362,8 @@ let ot_frontend_ok =
 let ot_obs_layer_ok =
   [ ("lib/obs/fake_self.ml", "let dump t = Obs.report t") ]
 
-(* project-mode output contract: sorted by (file, line, col, rule), no
-   duplicates *)
+(* project-mode output contract: sorted by (file, line, col, rule,
+   message), no duplicates *)
 let project_output_stable () =
   let files = pr_cross_module @ fo_iter @ wc_lib in
   let diags = Vod_lint.Engine.lint_project_strings files in
@@ -375,6 +375,41 @@ let project_output_stable () =
 
 let diag ~file ~line ~rule ~message =
   { Vod_lint.Diagnostic.file; line; col = 0; rule; message }
+
+(* A pair consed onto a list in a hot loop: the tuple and the cons around
+   it start at the same column, so alloc-in-hot files two findings at
+   one position under one rule. Both survive the report's sort and
+   de-duplication, whichever comes first. *)
+let hot_tuple_cons =
+  [
+    ( "lib/fake/master.ml",
+      "let solve k =\n\
+      \  let acc = ref [] in\n\
+      \  for i = 0 to k - 1 do\n\
+      \    acc := (i, 1.0) :: !acc\n\
+      \  done;\n\
+      \  !acc" );
+  ]
+
+let same_position_findings_kept () =
+  let at_cons (d : Vod_lint.Diagnostic.t) = d.line = 4 && d.col = 11 in
+  let kinds diags =
+    List.filter_map
+      (fun (d : Vod_lint.Diagnostic.t) ->
+        if at_cons d then Some (List.hd (String.split_on_char ' ' d.message)) else None)
+      diags
+  in
+  Alcotest.(check (list string)) "both findings at 4:11" [ "list"; "tuple" ]
+    (kinds (Vod_lint.Engine.lint_project_strings hot_tuple_cons));
+  let a = diag ~file:"lib/a.ml" ~line:4 ~rule:"alloc-in-hot" ~message:"list cons" in
+  let b = diag ~file:"lib/a.ml" ~line:4 ~rule:"alloc-in-hot" ~message:"tuple" in
+  List.iter
+    (fun order ->
+      Alcotest.(check (list string)) "kept in message order" [ "list cons"; "tuple" ]
+        (List.map
+           (fun (d : Vod_lint.Diagnostic.t) -> d.message)
+           (List.sort_uniq Vod_lint.Diagnostic.compare order)))
+    [ [ a; b ]; [ b; a ]; [ b; a; b; a ] ]
 
 let baseline_roundtrip () =
   let d = diag ~file:"lib/a.ml" ~line:3 ~rule:"par-race" ~message:"task races" in
@@ -809,6 +844,8 @@ let suite =
     Alcotest.test_case "units.decl parses and lists values" `Quick decl_parse_roundtrip;
     Alcotest.test_case "units.decl rejects malformed lines" `Quick decl_parse_errors;
     (* project mode: alloc-in-hot *)
+    Alcotest.test_case "two findings at one position both reported" `Quick
+      same_position_findings_kept;
     Alcotest.test_case "alloc-in-hot fires on per-call closure in loop-hot root" `Quick
       (check_units_fires "alloc-in-hot" ~in_file:"lib/fake/capacity.ml" ah_percall_bad);
     Alcotest.test_case "alloc-in-hot quiet on hoisted tail recursion" `Quick

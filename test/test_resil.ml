@@ -242,7 +242,7 @@ let router_failover_to_alive () =
   let _, state, router = router_world [ ev 0.0 (E.Vho_down 1) ] in
   ignore (Vod_resil.State.advance state ~now:0.0 ~on_event:(fun _ -> ()) : int);
   match
-    Vod_resil.Router.route router ~holders:[ 3; 1 ] ~dst:0 ~default:1
+    Vod_resil.Router.route router ~holders:[| 3; 1 |] ~n_holders:2 ~dst:0 ~default:1
       ~rate_mbps:4.0 ~until_s:100.0 ~now:0.0
   with
   | Vod_resil.Router.Served s ->
@@ -259,14 +259,14 @@ let router_capacity_fallback () =
   (* First stream fills 1->0; the second must fail over to the other
      holder even though VHO 1 is alive. *)
   (match
-     Vod_resil.Router.route router ~holders:[ 1; 3 ] ~dst:0 ~default:1
+     Vod_resil.Router.route router ~holders:[| 1; 3 |] ~n_holders:2 ~dst:0 ~default:1
        ~rate_mbps:8.0 ~until_s:100.0 ~now:0.0
    with
   | Vod_resil.Router.Served s ->
       Alcotest.(check int) "default first" 1 s.Vod_resil.Router.server
   | Vod_resil.Router.Rejected _ -> Alcotest.fail "first must be served");
   (match
-     Vod_resil.Router.route router ~holders:[ 1; 3 ] ~dst:0 ~default:1
+     Vod_resil.Router.route router ~holders:[| 1; 3 |] ~n_holders:2 ~dst:0 ~default:1
        ~rate_mbps:8.0 ~until_s:100.0 ~now:0.0
    with
   | Vod_resil.Router.Served s ->
@@ -276,7 +276,7 @@ let router_capacity_fallback () =
   | Vod_resil.Router.Rejected _ -> Alcotest.fail "second must fail over");
   (* Both 1-hop paths are now full: a third stream has nowhere to go. *)
   match
-    Vod_resil.Router.route router ~holders:[ 1; 3 ] ~dst:0 ~default:1
+    Vod_resil.Router.route router ~holders:[| 1; 3 |] ~n_holders:2 ~dst:0 ~default:1
       ~rate_mbps:8.0 ~until_s:100.0 ~now:0.0
   with
   | Vod_resil.Router.Rejected r ->
@@ -289,7 +289,7 @@ let router_origin_and_reasons () =
   let _, st, r = router_world [ ev 0.0 (E.Vho_down 0) ] in
   ignore (Vod_resil.State.advance st ~now:0.0 ~on_event:(fun _ -> ()) : int);
   (match
-     Vod_resil.Router.route r ~holders:[ 1 ] ~dst:0 ~default:1 ~rate_mbps:1.0
+     Vod_resil.Router.route r ~holders:[| 1 |] ~n_holders:1 ~dst:0 ~default:1 ~rate_mbps:1.0
        ~until_s:10.0 ~now:0.0
    with
   | Vod_resil.Router.Rejected Vod_resil.Router.Vho_down -> ()
@@ -298,7 +298,7 @@ let router_origin_and_reasons () =
   let _, st, r = router_world [ ev 0.0 (E.Vho_down 1) ] in
   ignore (Vod_resil.State.advance st ~now:0.0 ~on_event:(fun _ -> ()) : int);
   (match
-     Vod_resil.Router.route r ~holders:[] ~dst:0 ~default:1 ~rate_mbps:1.0
+     Vod_resil.Router.route r ~holders:[||] ~n_holders:0 ~dst:0 ~default:1 ~rate_mbps:1.0
        ~until_s:10.0 ~now:0.0
    with
   | Vod_resil.Router.Rejected Vod_resil.Router.No_replica -> ()
@@ -307,7 +307,7 @@ let router_origin_and_reasons () =
   let _, st, r = router_world [ ev 0.0 (E.Vho_down 1); ev 0.0 (E.Vho_down 2) ] in
   ignore (Vod_resil.State.advance st ~now:0.0 ~on_event:(fun _ -> ()) : int);
   (match
-     Vod_resil.Router.route r ~holders:[ 1; 2 ] ~dst:0 ~default:1 ~rate_mbps:1.0
+     Vod_resil.Router.route r ~holders:[| 1; 2 |] ~n_holders:2 ~dst:0 ~default:1 ~rate_mbps:1.0
        ~until_s:10.0 ~now:0.0
    with
   | Vod_resil.Router.Rejected Vod_resil.Router.Unreachable -> ()
@@ -318,7 +318,7 @@ let router_origin_and_reasons () =
   in
   ignore (Vod_resil.State.advance st ~now:0.0 ~on_event:(fun _ -> ()) : int);
   match
-    Vod_resil.Router.route r ~holders:[ 1; 3 ] ~dst:0 ~default:1 ~rate_mbps:1.0
+    Vod_resil.Router.route r ~holders:[| 1; 3 |] ~n_holders:2 ~dst:0 ~default:1 ~rate_mbps:1.0
       ~until_s:10.0 ~now:0.0
   with
   | Vod_resil.Router.Served s ->

@@ -7,7 +7,7 @@ let stream_binning () =
   let m = M.create ~n_links:2 ~n_vhos:1 ~horizon_s:1200.0 ~bin_s:300.0 () in
   (* 2 Mb/s for 450 s starting at t=150: bins 0 (150s overlap), 1 (300s),
      2 (0s). *)
-  M.add_stream m ~link:0 ~rate_mbps:2.0 ~t0:150.0 ~t1:600.0;
+  M.add_stream m ~links:[| 0 |] ~rate_mbps:2.0 ~t0:150.0 ~t1:600.0;
   Alcotest.(check (float 1e-9)) "bin0 avg" 1.0 m.M.link_load.(0).(0);
   Alcotest.(check (float 1e-9)) "bin1 avg" 2.0 m.M.link_load.(0).(1);
   Alcotest.(check (float 1e-9)) "bin2 empty" 0.0 m.M.link_load.(0).(2);
@@ -15,12 +15,12 @@ let stream_binning () =
 
 let stream_clamped_to_horizon () =
   let m = M.create ~n_links:1 ~n_vhos:1 ~horizon_s:600.0 ~bin_s:300.0 () in
-  M.add_stream m ~link:0 ~rate_mbps:2.0 ~t0:450.0 ~t1:10_000.0;
+  M.add_stream m ~links:[| 0 |] ~rate_mbps:2.0 ~t0:450.0 ~t1:10_000.0;
   Alcotest.(check (float 1e-9)) "last bin half" 1.0 m.M.link_load.(0).(1)
 
 let record_from_excludes_warmup () =
   let m = M.create ~n_links:1 ~n_vhos:1 ~horizon_s:1200.0 ~bin_s:300.0 ~record_from:600.0 () in
-  M.add_stream m ~link:0 ~rate_mbps:2.0 ~t0:0.0 ~t1:900.0;
+  M.add_stream m ~links:[| 0 |] ~rate_mbps:2.0 ~t0:0.0 ~t1:900.0;
   Alcotest.(check (float 1e-9)) "warmup bins empty" 0.0 m.M.link_load.(0).(0);
   Alcotest.(check (float 1e-9)) "recorded bin" 2.0 m.M.link_load.(0).(2);
   Alcotest.(check bool) "window test" true (M.in_record_window m 700.0);
@@ -28,8 +28,8 @@ let record_from_excludes_warmup () =
 
 let series_and_peaks () =
   let m = M.create ~n_links:2 ~n_vhos:1 ~horizon_s:600.0 ~bin_s:300.0 () in
-  M.add_stream m ~link:0 ~rate_mbps:4.0 ~t0:0.0 ~t1:300.0;
-  M.add_stream m ~link:1 ~rate_mbps:6.0 ~t0:300.0 ~t1:600.0;
+  M.add_stream m ~links:[| 0 |] ~rate_mbps:4.0 ~t0:0.0 ~t1:300.0;
+  M.add_stream m ~links:[| 1 |] ~rate_mbps:6.0 ~t0:300.0 ~t1:600.0;
   Alcotest.(check (array (float 1e-9))) "peak series" [| 4.0; 6.0 |] (M.peak_series m);
   Alcotest.(check (array (float 1e-9))) "aggregate series" [| 4.0; 6.0 |] (M.aggregate_series m);
   Alcotest.(check (float 1e-9)) "max link" 6.0 (M.max_link_mbps m)
@@ -37,10 +37,10 @@ let series_and_peaks () =
 let stream_boundaries () =
   let m = M.create ~n_links:1 ~n_vhos:1 ~horizon_s:900.0 ~bin_s:300.0 () in
   (* Zero-duration streams contribute nothing. *)
-  M.add_stream m ~link:0 ~rate_mbps:5.0 ~t0:450.0 ~t1:450.0;
+  M.add_stream m ~links:[| 0 |] ~rate_mbps:5.0 ~t0:450.0 ~t1:450.0;
   Alcotest.(check (float 1e-9)) "zero duration" 0.0 m.M.link_load.(0).(1);
   (* A stream ending exactly on a bin edge never touches the next bin. *)
-  M.add_stream m ~link:0 ~rate_mbps:2.0 ~t0:300.0 ~t1:600.0;
+  M.add_stream m ~links:[| 0 |] ~rate_mbps:2.0 ~t0:300.0 ~t1:600.0;
   Alcotest.(check (float 1e-9)) "edge-aligned bin full" 2.0 m.M.link_load.(0).(1);
   Alcotest.(check (float 1e-9)) "next bin untouched" 0.0 m.M.link_load.(0).(2)
 
@@ -49,7 +49,7 @@ let stream_straddles_record_from () =
   let m =
     M.create ~n_links:1 ~n_vhos:1 ~horizon_s:900.0 ~bin_s:300.0 ~record_from:450.0 ()
   in
-  M.add_stream m ~link:0 ~rate_mbps:2.0 ~t0:300.0 ~t1:600.0;
+  M.add_stream m ~links:[| 0 |] ~rate_mbps:2.0 ~t0:300.0 ~t1:600.0;
   Alcotest.(check (float 1e-9)) "warmup bin empty" 0.0 m.M.link_load.(0).(0);
   Alcotest.(check (float 1e-9)) "recorded half of bin" 1.0 m.M.link_load.(0).(1)
 
@@ -58,7 +58,7 @@ let stream_straddles_horizon () =
      grid, so the last bin fills completely and the weighting divides by
      the full bin width. *)
   let m = M.create ~n_links:1 ~n_vhos:1 ~horizon_s:750.0 ~bin_s:300.0 () in
-  M.add_stream m ~link:0 ~rate_mbps:3.0 ~t0:550.0 ~t1:2000.0;
+  M.add_stream m ~links:[| 0 |] ~rate_mbps:3.0 ~t0:550.0 ~t1:2000.0;
   Alcotest.(check (float 1e-9)) "partial mid bin" 0.5 m.M.link_load.(0).(1);
   Alcotest.(check (float 1e-9)) "last bin full" 3.0 m.M.link_load.(0).(2)
 
@@ -158,9 +158,40 @@ let out_of_range_vho_rejected () =
   Alcotest.(check int) "valid store plays" 1 m.M.requests;
   Alcotest.(check int) "attributed to vho 3" 1 m.M.per_vho_requests.(3)
 
+(* One multi-link call fills every cell bit-for-bit as one call per link
+   does: the same increment, added once per cell in the same stream
+   order. Streams overlap, straddle the warm-up cut and the horizon, and
+   share links, so cells accumulate several additions. *)
+let multi_link_stream_matches_per_link () =
+  let make () =
+    M.create ~n_links:4 ~n_vhos:1 ~horizon_s:4000.0 ~bin_s:300.0 ~record_from:250.0 ()
+  in
+  let streams =
+    [
+      ([| 0; 2; 3 |], 3.7, 123.4, 2345.6);
+      ([| 1 |], 0.9, 0.0, 700.1);
+      ([| 3; 0 |], 7.3, 1999.9, 5000.0);
+      ([||], 2.0, 10.0, 20.0);
+      ([| 2; 1; 0; 3 |], 1.3, 333.3, 333.4);
+      ([| 0; 2 |], 5.1, 3100.7, 3900.2);
+    ]
+  in
+  let multi = make () and single = make () in
+  List.iter
+    (fun (links, rate_mbps, t0, t1) ->
+      M.add_stream multi ~links ~rate_mbps ~t0 ~t1;
+      Array.iter (fun l -> M.add_stream single ~links:[| l |] ~rate_mbps ~t0 ~t1) links)
+    streams;
+  let bits m = Array.map (Array.map Int64.bits_of_float) m.M.link_load in
+  Alcotest.(check (array (array int64))) "same bits per cell" (bits single) (bits multi);
+  Alcotest.(check bool) "cells were filled" true
+    (Array.exists (Array.exists (fun x -> x > 0.0)) multi.M.link_load)
+
 let suite =
   [
     Alcotest.test_case "stream binning" `Quick stream_binning;
+    Alcotest.test_case "multi-link stream matches per-link calls" `Quick
+      multi_link_stream_matches_per_link;
     Alcotest.test_case "horizon clamp" `Quick stream_clamped_to_horizon;
     Alcotest.test_case "record_from" `Quick record_from_excludes_warmup;
     Alcotest.test_case "stream boundaries" `Quick stream_boundaries;

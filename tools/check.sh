@@ -263,6 +263,19 @@ dune exec --no-print-directory bin/vodopt.exe -- simulate \
   --faults single-vho:3 --link-capacity 25 --origin 0 --jobs 1 \
   > "$smoke_dir/simulate_mip.out"
 check_recorded tools/golden/vodopt_simulate_mip.out "$smoke_dir/simulate_mip.out"
+echo "== caching-scheme simulate vs recorded reports (--jobs 1) =="
+# The four caching baselines (random+LRU, random+LFU, Top-K+LRU,
+# origin+LRU) on one faulted 300-video trace with 20 Mb/s playout links:
+# cache evictions, stream-locked admissions and no-capacity rejections
+# all fire. The reports, concatenated in that order, must match the
+# committed recording byte for byte, so a cache change that moves one
+# eviction fails here.
+for s in lru lfu topk origin; do
+  dune exec --no-print-directory bin/vodopt.exe -- simulate --scheme "$s" \
+    --videos 300 --days 14 --requests-per-video 5 --faults single-vho \
+    --link-capacity 20 --jobs 1
+done > "$smoke_dir/simulate_caches.out"
+check_recorded tools/golden/vodopt_simulate_caches.out "$smoke_dir/simulate_caches.out"
 echo "== trace analytics and online daemon vs recorded reports (--jobs 1) =="
 # The trace analytics report on a generated trace, and again after a CSV
 # round trip through --trace-out/--trace (the loader reads back exactly
